@@ -16,6 +16,7 @@ all of that and returns the top-ranked sample split by presence.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -95,11 +96,28 @@ EMPTY_PREDICTION = Prediction(
 )
 
 
-def rank_samples(parsed: list[ParsedSample], doc: Document) -> SampleSet:
+def _rank_key(sample: RankedSample) -> tuple[bool, float]:
+    """Ascending perplexity; unknown (None or NaN) after every known value."""
+    ppl = sample.perplexity
+    if ppl is None or math.isnan(ppl):
+        return (True, 0.0)
+    return (False, ppl)
+
+
+def rank_samples(
+    parsed: list[ParsedSample],
+    doc: Document,
+    source: textnorm.NormalizedSource | None = None,
+) -> SampleSet:
     """Normalize, dedup, and presence-classify each sample, then sort the
     samples by ascending perplexity (unknown last, original order kept
-    among equals)."""
-    source = textnorm.normalize_tokens(doc.source_text)
+    among equals). A NaN perplexity counts as unknown.
+
+    `source` is the document's normalized source text; it is built from
+    `doc` when not given.
+    """
+    if source is None:
+        source = textnorm.NormalizedSource.from_text(doc.source_text)
     ranked = []
     for ps in parsed:
         phrases = textnorm.dedup_preserve_order(
@@ -109,7 +127,7 @@ def rank_samples(parsed: list[ParsedSample], doc: Document) -> SampleSet:
             p.classified(textnorm.is_present(p, source)) for p in phrases
         )
         ranked.append(RankedSample(phrases=classified, perplexity=ps.perplexity))
-    ranked.sort(key=lambda s: (s.perplexity is None, s.perplexity or 0.0))
+    ranked.sort(key=_rank_key)
     return SampleSet(samples=tuple(ranked))
 
 
@@ -192,10 +210,15 @@ def dynamic_select(aggregated: list[NormalizedPhrase], ss: SampleSet) -> Predict
     )
 
 
-def predict(parsed: list[ParsedSample], doc: Document, strategy: str) -> Prediction:
+def predict(
+    parsed: list[ParsedSample],
+    doc: Document,
+    strategy: str,
+    source: textnorm.NormalizedSource | None = None,
+) -> Prediction:
     """Full per-document pipeline: rank, aggregate, dynamically select."""
     strategy = resolve_strategy(strategy)
-    ss = rank_samples(parsed, doc)
+    ss = rank_samples(parsed, doc, source)
     if strategy == "single":
         if ss.n == 0:
             return EMPTY_PREDICTION

@@ -136,9 +136,16 @@ def save_corpus(docs: list[Document], path: str | Path) -> None:
             )
 
 
-def partition_gold(doc: Document) -> GoldPartition:
-    """Normalize and dedup gold phrases, then split by document presence."""
-    source = textnorm.normalize_tokens(doc.source_text)
+def partition_gold(
+    doc: Document, source: textnorm.NormalizedSource | None = None
+) -> GoldPartition:
+    """Normalize and dedup gold phrases, then split by document presence.
+
+    `source` is the document's normalized source text; it is built from
+    `doc` when not given.
+    """
+    if source is None:
+        source = textnorm.NormalizedSource.from_text(doc.source_text)
     phrases = textnorm.dedup_preserve_order(
         [textnorm.normalize_phrase(g) for g in doc.gold]
     )

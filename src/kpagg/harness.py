@@ -1,11 +1,13 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
 For each document: render the prompt, fetch or replay the n samples
-(cache first, network for the misses), parse, aggregate, score. Per-doc
-work fans out over a bounded thread pool; the metric fold is a
-deterministic reduce in corpus order, so a warm cache replays to
-byte-identical reports. Failed samples are never cached, which makes an
-interrupted run resumable by simply rerunning it.
+(cache first, network for the misses), parse, aggregate, score; the
+document's source text is normalized once for both gold partitioning and
+sample ranking. Per-doc work fans out over a bounded thread pool; the metric
+fold is a deterministic reduce in corpus order, so a warm cache replays to
+byte-identical reports. A fatal endpoint error cancels the documents still
+queued. Failed samples are never cached, which makes an interrupted run
+resumable by simply rerunning it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import yaml
 
-from . import aggregation, corpus, metrics, prompting
+from . import aggregation, corpus, metrics, prompting, textnorm
 from .llm_client import (
     AuthenticationError,
     LLMClient,
@@ -171,8 +173,9 @@ def _process_document(doc, variant, strategy, pcfg, cache, client, config) -> _D
             parsed.append(
                 dataclasses.replace(ps, perplexity=perplexity(s, config.ppl_mode))
             )
-        prediction = aggregation.predict(parsed, doc, strategy)
-        gold = corpus.partition_gold(doc)
+        source = textnorm.NormalizedSource.from_text(doc.source_text)
+        prediction = aggregation.predict(parsed, doc, strategy, source)
+        gold = corpus.partition_gold(doc, source)
         result.scores = metrics.score_document(
             doc.id, prediction, gold, empty_gold=config.empty_gold
         )
@@ -261,8 +264,14 @@ def run(config: RunConfig) -> RunSummary:
             ): i
             for i, doc in enumerate(docs)
         }
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
+        try:
+            for fut in as_completed(futures):
+                results[futures[fut]] = fut.result()
+        except BaseException:
+            # A fatal endpoint error (or an interrupt) ends the run: drop the
+            # queued documents instead of letting the pool drain them.
+            pool.shutdown(cancel_futures=True)
+            raise
 
     summary = RunSummary()
     scores = []

@@ -79,6 +79,14 @@ def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
         return math.inf
 
 
+def _finite_logprobs(values) -> tuple[float, ...] | None:
+    """Logprobs as floats, or None (unknown perplexity, ranked last) when any
+    is NaN or infinite: such a value would make the perplexity NaN or
+    infinite and the rank order meaningless."""
+    lps = tuple(float(v) for v in values)
+    return lps if all(math.isfinite(v) for v in lps) else None
+
+
 _STRIP_CHARS = " \t\r\n\"'`[]"
 
 
@@ -256,7 +264,7 @@ class LLMClient:
                 if isinstance(t, dict) and isinstance(t.get("logprob"), (int, float))
             ]
             if values:
-                token_logprobs = tuple(float(v) for v in values)
+                token_logprobs = _finite_logprobs(values)
         return RawSample(
             doc_id=doc_id,
             prompt_hash=prompt_hash,
@@ -359,7 +367,7 @@ class SampleCache:
     def _decode(obj: dict) -> RawSample:
         lps = obj["token_logprobs"]
         if lps is not None:
-            lps = tuple(float(x) for x in lps)
+            lps = _finite_logprobs(lps)
         return RawSample(
             doc_id=str(obj["doc_id"]),
             prompt_hash=str(obj["prompt_hash"]),

@@ -7,10 +7,17 @@ stemmed; digits and non-ASCII tokens pass through lowercased. Two phrases
 match when their normalized forms are equal; a phrase is *present* in a
 document when its token sequence occurs contiguously in the document's
 normalized tokens.
+
+Performance: `normalize_token` memoises its stems for the whole process in a
+bounded LRU cache (at most 65,536 entries of a few short strings each, so
+memory stays bounded however long the process runs). A document's source is
+normalised once into a `NormalizedSource`, whose per-length n-gram sets make
+each presence test a set lookup instead of a scan of the source.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 
@@ -25,6 +32,7 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def normalize_token(token: str) -> str:
     """Stem a lowercase token if it is plain ASCII letters, else keep it."""
     if _ASCII_ALPHA_RE.match(token):
@@ -60,6 +68,40 @@ def normalize_phrase(surface: str) -> NormalizedPhrase:
     )
 
 
+class NormalizedSource:
+    """A document's normalized source tokens, normalized once and shared by
+    every presence test on that document.
+
+    The set of token n-grams of each phrase length is built on first use, so
+    a presence test is a set lookup rather than a scan of the source.
+    """
+
+    __slots__ = ("tokens", "_ngrams")
+
+    def __init__(self, tokens: list[str] | tuple[str, ...]):
+        self.tokens = tuple(tokens)
+        self._ngrams: dict[int, frozenset[str]] = {}
+
+    @classmethod
+    def from_text(cls, text: str) -> NormalizedSource:
+        return cls(normalize_tokens(text))
+
+    def ngrams(self, n: int) -> frozenset[str]:
+        """Every run of n consecutive tokens, space-joined like
+        `NormalizedPhrase.normalized`."""
+        grams = self._ngrams.get(n)
+        if grams is None:
+            tokens = self.tokens
+            grams = frozenset(
+                " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
+            )
+            self._ngrams[n] = grams
+        return grams
+
+    def contains(self, phrase: NormalizedPhrase) -> bool:
+        return phrase.normalized in self.ngrams(phrase.normalized.count(" ") + 1)
+
+
 def _contains_run(haystack: list[str] | tuple[str, ...], needle: tuple[str, ...]) -> bool:
     n = len(needle)
     first = needle[0]
@@ -69,12 +111,20 @@ def _contains_run(haystack: list[str] | tuple[str, ...], needle: tuple[str, ...]
     return False
 
 
-def is_present(phrase: NormalizedPhrase, source_tokens: list[str] | tuple[str, ...]) -> bool:
-    """Whether the phrase occurs, token for token, inside the source."""
-    needle = phrase.tokens
-    if not needle:
+def is_present(
+    phrase: NormalizedPhrase,
+    source: NormalizedSource | list[str] | tuple[str, ...],
+) -> bool:
+    """Whether the phrase occurs, token for token, inside the source.
+
+    A token list is scanned window by window, the reference form; a
+    `NormalizedSource` answers from its n-gram index.
+    """
+    if not phrase.normalized:
         raise ValueError("cannot test presence of an empty phrase")
-    return _contains_run(source_tokens, needle)
+    if isinstance(source, NormalizedSource):
+        return source.contains(phrase)
+    return _contains_run(source, phrase.tokens)
 
 
 def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:

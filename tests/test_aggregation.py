@@ -1,5 +1,8 @@
 """Sample ranking, the four aggregation strategies, and dynamic selection."""
 
+import json
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,10 +22,11 @@ from kpagg.aggregation import (
     rank_samples,
     resolve_strategy,
 )
-from kpagg.corpus import Document
-from kpagg.llm_client import ParsedSample
-from kpagg.textnorm import NormalizedPhrase
+from kpagg.corpus import Document, partition_gold
+from kpagg.llm_client import ParsedSample, parse_sample
+from kpagg.textnorm import NormalizedPhrase, NormalizedSource
 
+from .conftest import MOCK_FIXTURES
 from .oracles import (
     ceil_mean_oracle,
     frequency_order_oracle,
@@ -89,6 +93,17 @@ class TestRankSamples:
         ]
         ranked = rank_samples(parsed, self.DOC)
         assert [normals(s.phrases) for s in ranked.samples] == [["c"], ["a"], ["b"]]
+
+    def test_nan_perplexity_sorts_last(self):
+        # sorted() with a NaN key would leave 3.0 ahead of 1.0
+        parsed = [
+            ParsedSample(phrases=("a",), perplexity=3.0),
+            ParsedSample(phrases=("b",), perplexity=math.nan),
+            ParsedSample(phrases=("c",), perplexity=1.0),
+        ]
+        ranked = rank_samples(parsed, self.DOC)
+        assert [normals(s.phrases) for s in ranked.samples] == [["c"], ["a"], ["b"]]
+        assert predict(parsed, self.DOC, "single").absent[0].normalized == "c"
 
     def test_stable_for_ties(self):
         parsed = [
@@ -278,6 +293,34 @@ class TestPredict:
 
     def test_empty_input(self):
         assert predict([], doc_of("anything"), "union") == EMPTY_PREDICTION
+
+
+def fixture_samples(doc):
+    """The mock server's samples for a toy document, parsed, with perplexities."""
+    entries = json.loads(MOCK_FIXTURES.read_text(encoding="utf-8"))["responses"]
+    entry = next(e for e in entries if e["match"] in doc.source_text)
+    return [
+        ParsedSample(
+            phrases=parse_sample(s["text"], had_prefill=True).phrases,
+            perplexity=(
+                math.exp(-sum(s["logprobs"]) / len(s["logprobs"]))
+                if s.get("logprobs")
+                else None
+            ),
+        )
+        for s in entry["samples"]
+    ]
+
+
+def test_shared_source_gives_same_results(toy_docs):
+    for doc in toy_docs:
+        parsed = fixture_samples(doc)
+        source = NormalizedSource.from_text(doc.source_text)
+        assert partition_gold(doc, source) == partition_gold(doc)
+        for strategy in STRATEGIES:
+            assert predict(parsed, doc, strategy, source) == predict(
+                parsed, doc, strategy
+            ), (doc.id, strategy)
 
 
 # Random-instance oracle equivalence ------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kpagg import harness
 from kpagg.llm_client import (
     AuthenticationError,
     LLMClient,
@@ -287,11 +288,56 @@ class TestTransport:
         )
         assert [s.sample_index for s in samples] == [2, 7]
 
+    def test_fatal_error_cancels_queued_documents(self, scripted_server, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"id": f"d{i}", "title": f"title {i}", "abstract": "text",
+                            "keyphrases": ["text"]}) + "\n"
+                for i in range(40)
+            ),
+            encoding="utf-8",
+        )
+        endpoint = scripted_server([(401, {"error": "bad key"})] * 100)
+        config = harness.RunConfig(
+            corpus_path=str(corpus),
+            endpoint=endpoint,
+            cache_dir=str(tmp_path / "cache"),
+            max_in_flight=1,
+        )
+        with pytest.raises(AuthenticationError):
+            harness.run(config)
+        assert 1 <= _ScriptedHandler.hits <= config.max_in_flight + 1
+
     def test_endpoint_path_normalization(self):
         c1 = make_client("http://h:1/v1")
         c2 = make_client("http://h:1/v1/")
         c3 = make_client("http://h:1/v1/chat/completions")
         assert c1.url == c2.url == c3.url == "http://h:1/v1/chat/completions"
+
+
+class TestNonFiniteLogprobs:
+    @staticmethod
+    def choice(logprobs):
+        return {
+            "message": {"content": '["a"]'},
+            "finish_reason": "stop",
+            "logprobs": {"content": [{"token": "t", "logprob": v} for v in logprobs]},
+        }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_choice_with_non_finite_logprob_has_none(self, bad):
+        sample = LLMClient._sample_from_choice("d", "h", 0, self.choice([-0.5, bad]))
+        assert sample.token_logprobs is None
+        assert perplexity(sample) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cached_non_finite_logprob_decodes_to_none(self, tmp_path, bad):
+        path = tmp_path / "cache.jsonl"
+        SampleCache(path).put(raw(logprobs=[-0.5, bad], doc="d"))
+        back = SampleCache(path).get("d", "h" * 64, 0)
+        assert back.token_logprobs is None
+        assert perplexity(back) is None
 
 
 class TestSampleCache:

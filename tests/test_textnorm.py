@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpagg import textnorm
+from kpagg import porter, textnorm
 
-from .oracles import window_scan_oracle
+from .oracles import reference_stems, window_scan_oracle
 
 
 class TestTokenize:
@@ -47,6 +47,17 @@ class TestNormalizeTokens:
         assert textnorm.normalize_tokens("Ümlauted words") == ["ümlauted", "word"]
 
 
+class TestNormalizeTokenMemo:
+    def test_memo_equals_stemmer_on_reference_vocabulary(self):
+        words = list(reference_stems())
+        for _ in range(2):  # the second pass answers from the memo
+            mismatches = [w for w in words if textnorm.normalize_token(w) != porter.stem(w)]
+            assert not mismatches, mismatches[:10]
+
+    def test_memo_is_bounded(self):
+        assert textnorm.normalize_token.cache_info().maxsize == 1 << 16
+
+
 class TestNormalizePhrase:
     def test_multiword(self):
         p = textnorm.normalize_phrase("Wireless Sensor Networks")
@@ -72,30 +83,54 @@ class TestNormalizePhrase:
         assert q.normalized == p.normalized
 
 
+def both_forms(tokens):
+    """The token list (scanned) and the same source as an n-gram index."""
+    return [tokens, textnorm.NormalizedSource(tokens)]
+
+
 class TestIsPresent:
     def test_contiguous_match(self):
         source = textnorm.normalize_tokens("distributed graph coloring based methods")
-        assert textnorm.is_present(textnorm.normalize_phrase("graph color"), source)
+        for form in both_forms(source):
+            assert textnorm.is_present(textnorm.normalize_phrase("graph color"), form)
 
     def test_empty_source(self):
         with_phrase = textnorm.normalize_phrase("anything")
-        assert not textnorm.is_present(with_phrase, [])
+        for form in both_forms([]):
+            assert not textnorm.is_present(with_phrase, form)
 
     def test_order_matters(self):
         source = textnorm.normalize_tokens("network of sensors reversed order")
-        assert not textnorm.is_present(textnorm.normalize_phrase("sensor network"), source)
+        for form in both_forms(source):
+            assert not textnorm.is_present(textnorm.normalize_phrase("sensor network"), form)
 
     def test_token_boundaries_not_substrings(self):
         source = textnorm.normalize_tokens("the artifact was found")
-        assert not textnorm.is_present(textnorm.normalize_phrase("art"), source)
+        for form in both_forms(source):
+            assert not textnorm.is_present(textnorm.normalize_phrase("art"), form)
 
     def test_empty_phrase_rejected(self):
-        with pytest.raises(ValueError):
-            textnorm.is_present(textnorm.normalize_phrase("--"), ["a"])
+        for form in both_forms(["a"]):
+            with pytest.raises(ValueError):
+                textnorm.is_present(textnorm.normalize_phrase("--"), form)
 
     def test_stemmed_presence(self):
         source = textnorm.normalize_tokens("a network of agents")
-        assert textnorm.is_present(textnorm.normalize_phrase("Networks"), source)
+        for form in both_forms(source):
+            assert textnorm.is_present(textnorm.normalize_phrase("Networks"), form)
+
+
+class TestNormalizedSource:
+    def test_from_text_normalizes(self):
+        source = textnorm.NormalizedSource.from_text("Graph Coloring-based TDMA")
+        assert source.tokens == ("graph", "color", "base", "tdma")
+
+    def test_ngrams_by_length(self):
+        source = textnorm.NormalizedSource(["a", "b", "c"])
+        assert source.ngrams(1) == {"a", "b", "c"}
+        assert source.ngrams(2) == {"a b", "b c"}
+        assert source.ngrams(3) == {"a b c"}
+        assert source.ngrams(4) == frozenset()
 
 
 class TestDedup:
@@ -155,6 +190,6 @@ def test_is_present_matches_window_scan(phrase_words, source_words):
     source = textnorm.normalize_tokens(" ".join(source_words))
     if not phrase.tokens:
         return
-    assert textnorm.is_present(phrase, source) == window_scan_oracle(
-        source, list(phrase.tokens)
-    )
+    expected = window_scan_oracle(source, list(phrase.tokens))
+    for form in both_forms(source):
+        assert textnorm.is_present(phrase, form) == expected
