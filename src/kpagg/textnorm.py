@@ -102,29 +102,20 @@ class NormalizedSource:
         return phrase.normalized in self.ngrams(phrase.normalized.count(" ") + 1)
 
 
-def _contains_run(haystack: list[str] | tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    n = len(needle)
-    first = needle[0]
-    for i in range(len(haystack) - n + 1):
-        if haystack[i] == first and tuple(haystack[i : i + n]) == needle:
-            return True
-    return False
-
-
 def is_present(
     phrase: NormalizedPhrase,
     source: NormalizedSource | list[str] | tuple[str, ...],
 ) -> bool:
     """Whether the phrase occurs, token for token, inside the source.
 
-    A token list is scanned window by window, the reference form; a
-    `NormalizedSource` answers from its n-gram index.
+    A token list is indexed on the spot; pass a `NormalizedSource` to share
+    its index across many phrases.
     """
     if not phrase.normalized:
         raise ValueError("cannot test presence of an empty phrase")
-    if isinstance(source, NormalizedSource):
-        return source.contains(phrase)
-    return _contains_run(source, phrase.tokens)
+    if not isinstance(source, NormalizedSource):
+        source = NormalizedSource(source)
+    return source.contains(phrase)
 
 
 def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:
