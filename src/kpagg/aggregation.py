@@ -25,14 +25,6 @@ from .corpus import Document
 from .llm_client import ParsedSample
 from .textnorm import NormalizedPhrase
 
-STRATEGIES = (
-    "single",
-    "union",
-    "union_concat",
-    "union_interleaf",
-    "frequency_order",
-)
-
 # short CLI aliases
 STRATEGY_ALIASES = {
     "single": "single",
@@ -41,6 +33,7 @@ STRATEGY_ALIASES = {
     "union-interleaf": "union_interleaf",
     "frequency": "frequency_order",
 }
+STRATEGIES = tuple(STRATEGY_ALIASES.values())
 
 
 def resolve_strategy(name: str) -> str:
@@ -210,15 +203,9 @@ def dynamic_select(aggregated: list[NormalizedPhrase], ss: SampleSet) -> Predict
     )
 
 
-def predict(
-    parsed: list[ParsedSample],
-    doc: Document,
-    strategy: str,
-    source: textnorm.NormalizedSource | None = None,
-) -> Prediction:
-    """Full per-document pipeline: rank, aggregate, dynamically select."""
+def merge(ss: SampleSet, strategy: str) -> Prediction:
+    """Aggregate ranked samples by `strategy`, then dynamically select."""
     strategy = resolve_strategy(strategy)
-    ss = rank_samples(parsed, doc, source)
     if strategy == "single":
         if ss.n == 0:
             return EMPTY_PREDICTION
@@ -235,3 +222,8 @@ def predict(
         )
     aggregated = _AGGREGATORS[strategy](ss)
     return dynamic_select(aggregated, ss)
+
+
+def predict(parsed: list[ParsedSample], doc: Document, strategy: str) -> Prediction:
+    """Full per-document pipeline: rank, aggregate, dynamically select."""
+    return merge(rank_samples(parsed, doc), strategy)

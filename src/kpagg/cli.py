@@ -9,9 +9,17 @@ from pathlib import Path
 import click
 
 from . import __version__, harness, metrics
-from .corpus import CorpusError, corpus_stats, format_stats, load_corpus, stats_csv
+from .aggregation import STRATEGY_ALIASES
+from .corpus import (
+    DOMAINS,
+    CorpusError,
+    corpus_stats,
+    format_stats,
+    load_corpus,
+    stats_csv,
+)
 from .llm_client import LLMClientError
-from .prompting import PromptConfigError
+from .prompting import VARIANT_ALIASES, PromptConfigError
 
 _FATAL = (harness.HarnessError, CorpusError, PromptConfigError, LLMClientError)
 
@@ -34,12 +42,10 @@ def _run_options(fn):
                      type=click.Path(exists=True, dir_okay=False),
                      help="JSON-lines corpus file."),
         click.option("--variant", default="baseline",
-                     type=click.Choice(["baseline", "present", "absent",
-                                        "order", "length", "combined"]),
+                     type=click.Choice(list(VARIANT_ALIASES)),
                      help="Prompt variant."),
         click.option("--aggregate", "strategy", default="frequency",
-                     type=click.Choice(["single", "union", "union-concat",
-                                        "union-interleaf", "frequency"]),
+                     type=click.Choice(list(STRATEGY_ALIASES)),
                      help="Aggregation strategy."),
         click.option("--n-samples", default=10, type=click.IntRange(min=1),
                      show_default=True, help="Samples drawn per document."),
@@ -82,10 +88,10 @@ def _run_options(fn):
         click.option("--offline", is_flag=True,
                      help="Never touch the network; requires a warm cache."),
         click.option("--default-domain", default="scientific",
-                     type=click.Choice(["scientific", "news"]), show_default=True,
+                     type=click.Choice(DOMAINS), show_default=True,
                      help="Domain for records that do not declare one."),
         click.option("--max-in-flight", default=4, type=click.IntRange(min=1),
-                     show_default=True, help="Concurrent documents in flight."),
+                     show_default=True, help="Documents fetched concurrently."),
     ]
     for option in reversed(options):
         fn = option(fn)
@@ -123,7 +129,7 @@ def run_cmd(**kwargs) -> None:
 @click.option("--limit", default=None, type=click.IntRange(min=1),
               help="Use only the first N documents.")
 @click.option("--default-domain", default="scientific",
-              type=click.Choice(["scientific", "news"]), show_default=True)
+              type=click.Choice(DOMAINS), show_default=True)
 @click.option("--csv", "csv_path", default=None, type=click.Path(dir_okay=False),
               help="Also write the stats as CSV here.")
 def stats_cmd(corpus_path, limit, default_domain, csv_path) -> None:

@@ -117,25 +117,6 @@ def load_corpus(
     return docs
 
 
-def save_corpus(docs: list[Document], path: str | Path) -> None:
-    """Write documents back out in the same JSON-lines format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": d.id,
-                        "title": d.title,
-                        "abstract": d.body,
-                        "keyphrases": list(d.gold),
-                        "domain": d.domain,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
 def partition_gold(
     doc: Document, source: textnorm.NormalizedSource | None = None
 ) -> GoldPartition:

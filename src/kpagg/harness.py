@@ -1,13 +1,17 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
-For each document: render the prompt, fetch or replay the n samples
-(cache first, network for the misses), parse, aggregate, score; the
-document's source text is normalized once for both gold partitioning and
-sample ranking. Per-doc work fans out over a bounded thread pool; the metric
-fold is a deterministic reduce in corpus order, so a warm cache replays to
-byte-identical reports. A fatal endpoint error cancels the documents still
-queued. Failed samples are never cached, which makes an interrupted run
-resumable by simply rerunning it.
+`grid` groups its configs by every field except the evaluation-only ones
+(strategy, perplexity mode, empty-gold policy, output path); `run` is a
+one-config grid. For each group a bounded thread pool renders each
+document's prompt and fetches or replays its n samples (cache first,
+network for the misses); that is the only threaded work. The calling thread
+evaluates each document as its samples arrive, for every config of the
+group at once: it parses the samples, normalizes the source and partitions
+the gold once, ranks once per perplexity mode, then aggregates and scores
+per config. The metric fold is a deterministic reduce in corpus order, so a
+warm cache replays to byte-identical reports. A fatal endpoint error
+cancels the documents still queued. Failed samples are never cached, which
+makes an interrupted run resumable by simply rerunning it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -80,15 +84,6 @@ class RunSummary:
     report: metrics.MetricReport | None = None
 
 
-@dataclass
-class _DocResult:
-    scores: list = field(default_factory=list)
-    errored: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
-    parse_fallbacks: int = 0
-
-
 def select_documents(
     docs: list[corpus.Document], limit: int | None, seed: int | None
 ) -> list[corpus.Document]:
@@ -117,8 +112,13 @@ def cache_path(config: RunConfig) -> Path:
     )
 
 
-def _gather_samples(doc, prompt, cache, client, config) -> tuple[list, int, int]:
-    """Cache-first sample collection for one document."""
+def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
+    """Build one document's prompt and collect its samples, cache first.
+
+    Returns the prompt, the samples present in index order, and the cache
+    hit and miss counts.
+    """
+    prompt = prompting.build_prompt(doc, variant, pcfg, config.prefill)
     samples = {}
     missing = []
     for i in range(config.n_samples):
@@ -140,10 +140,7 @@ def _gather_samples(doc, prompt, cache, client, config) -> tuple[list, int, int]
             samples[s.sample_index] = s
             if not s.failed:
                 cache.put(s)
-    ordered = []
-    for i in range(config.n_samples):
-        if i in samples:
-            ordered.append(samples[i])
+    ordered = [samples[i] for i in range(config.n_samples) if i in samples]
     absent_count = config.n_samples - len(ordered)
     if absent_count:
         log.warning(
@@ -151,40 +148,42 @@ def _gather_samples(doc, prompt, cache, client, config) -> tuple[list, int, int]
             doc.id,
             absent_count,
         )
-    return ordered, config.n_samples - len(missing), len(missing)
+    return prompt, ordered, config.n_samples - len(missing), len(missing)
 
 
-def _process_document(doc, variant, strategy, pcfg, cache, client, config) -> _DocResult:
-    result = _DocResult()
-    try:
-        prompt = prompting.build_prompt(doc, variant, pcfg, config.prefill)
-        raw, result.cache_hits, result.cache_misses = _gather_samples(
-            doc, prompt, cache, client, config
+def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int]:
+    """Score one document under every config of a group.
+
+    The samples are parsed, the source normalized and the gold partitioned
+    once; samples are ranked once per perplexity mode. Returns one score
+    list per config (None when no sample succeeded) and the parse
+    fallback count.
+    """
+    successful = [s for s in raw if not s.failed]
+    if not successful:
+        return None, 0
+    parsed = [
+        (s, parse_sample(s.text, had_prefill=bool(prompt.assistant_prefill)))
+        for s in successful
+    ]
+    source = textnorm.NormalizedSource.from_text(doc.source_text)
+    gold = corpus.partition_gold(doc, source)
+    ranked = {}
+    for mode in dict.fromkeys(c.ppl_mode for c in configs):
+        with_ppl = [
+            dataclasses.replace(ps, perplexity=perplexity(s, mode)) for s, ps in parsed
+        ]
+        ranked[mode] = aggregation.rank_samples(with_ppl, doc, source)
+    scores = [
+        metrics.score_document(
+            doc.id,
+            aggregation.merge(ranked[c.ppl_mode], c.strategy),
+            gold,
+            empty_gold=c.empty_gold,
         )
-        successful = [s for s in raw if not s.failed]
-        if not successful:
-            result.errored = True
-            return result
-        parsed = []
-        for s in successful:
-            ps = parse_sample(s.text, had_prefill=bool(prompt.assistant_prefill))
-            if ps.fallback:
-                result.parse_fallbacks += 1
-            parsed.append(
-                dataclasses.replace(ps, perplexity=perplexity(s, config.ppl_mode))
-            )
-        source = textnorm.NormalizedSource.from_text(doc.source_text)
-        prediction = aggregation.predict(parsed, doc, strategy, source)
-        gold = corpus.partition_gold(doc, source)
-        result.scores = metrics.score_document(
-            doc.id, prediction, gold, empty_gold=config.empty_gold
-        )
-    except (AuthenticationError, RequestError, HarnessError):
-        raise
-    except Exception:
-        log.exception("document %s failed; continuing", doc.id)
-        result.errored = True
-    return result
+        for c in configs
+    ]
+    return scores, sum(ps.fallback for _, ps in parsed)
 
 
 # config fields that identify a run's results; paths and transport details
@@ -227,21 +226,22 @@ def _write_report(config: RunConfig, reports: list[metrics.MetricReport]) -> Non
 
 def run(config: RunConfig) -> RunSummary:
     """Execute one run; returns the summary with its MetricReport."""
+    return grid([config])[0]
+
+
+def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
+    """Fetch once for configs that differ only in evaluation fields, then
+    evaluate every document for all of them as its samples arrive."""
     t0 = time.monotonic()
-    variant = prompting.resolve_variant(config.variant)
-    try:
-        strategy = aggregation.resolve_strategy(config.strategy)
-    except ValueError as exc:
-        raise HarnessError(str(exc)) from exc
-    if config.empty_gold not in ("exclude", "zero"):
-        raise HarnessError(f"unknown empty-gold policy {config.empty_gold!r}")
-    pcfg = prompting.load_prompt_config(config.prompt_config)
-    docs = corpus.load_corpus(config.corpus_path, default_domain=config.default_domain)
-    docs = select_documents(docs, config.limit, config.seed)
+    head = configs[0]
+    variant = prompting.resolve_variant(head.variant)
+    pcfg = prompting.load_prompt_config(head.prompt_config)
+    docs = corpus.load_corpus(head.corpus_path, default_domain=head.default_domain)
+    docs = select_documents(docs, head.limit, head.seed)
 
     client = None
-    if not config.offline:
-        endpoint = config.endpoint or os.environ.get(ENDPOINT_ENV)
+    if not head.offline:
+        endpoint = head.endpoint or os.environ.get(ENDPOINT_ENV)
         if not endpoint:
             raise HarnessError(
                 f"no endpoint configured: pass --endpoint, set {ENDPOINT_ENV}, "
@@ -249,52 +249,59 @@ def run(config: RunConfig) -> RunSummary:
             )
         client = LLMClient(
             endpoint,
-            config.model,
+            head.model,
             api_key=os.environ.get(API_KEY_ENV),
-            request_mode=config.request_mode,
-            ppl_mode=config.ppl_mode,
+            request_mode=head.request_mode,
         )
-    cache = SampleCache(cache_path(config))
+    cache = SampleCache(cache_path(head))
 
-    results: list[_DocResult | None] = [None] * len(docs)
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+    base = RunSummary()
+    results: list[list | None] = [None] * len(docs)
+    with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
         futures = {
-            pool.submit(
-                _process_document, doc, variant, strategy, pcfg, cache, client, config
-            ): i
+            pool.submit(_fetch, doc, variant, pcfg, cache, client, head): i
             for i, doc in enumerate(docs)
         }
         try:
             for fut in as_completed(futures):
-                results[futures[fut]] = fut.result()
+                i = futures[fut]
+                try:
+                    prompt, raw, hits, misses = fut.result()
+                    base.cache_hits += hits
+                    base.cache_misses += misses
+                    results[i], fallbacks = _evaluate(docs[i], prompt, raw, configs)
+                    base.parse_fallbacks += fallbacks
+                except (AuthenticationError, RequestError, HarnessError):
+                    raise
+                except Exception:
+                    log.exception("document %s failed; continuing", docs[i].id)
         except BaseException:
             # A fatal endpoint error (or an interrupt) ends the run: drop the
             # queued documents instead of letting the pool drain them.
             pool.shutdown(cancel_futures=True)
             raise
 
-    summary = RunSummary()
-    scores = []
-    for result in results:
-        if result.errored:
-            summary.errored += 1
-        else:
-            summary.processed += 1
-            scores.extend(result.scores)
-        summary.cache_hits += result.cache_hits
-        summary.cache_misses += result.cache_misses
-        summary.parse_fallbacks += result.parse_fallbacks
-    summary.report = metrics.build_report(
-        Path(config.corpus_path).stem, variant, strategy, scores
-    )
-    if config.out:
-        _write_report(config, [summary.report])
-    summary.wall_time = time.monotonic() - t0
-    return summary
+    done = [r for r in results if r is not None]
+    base.processed = len(done)
+    base.errored = len(docs) - len(done)
+    base.wall_time = time.monotonic() - t0
+    summaries = []
+    for k, config in enumerate(configs):
+        scores = [s for r in done for s in r[k]]
+        strategy = aggregation.resolve_strategy(config.strategy)
+        report = metrics.build_report(
+            Path(config.corpus_path).stem, variant, strategy, scores
+        )
+        if config.out:
+            _write_report(config, [report])
+        summaries.append(dataclasses.replace(base, report=report))
+    return summaries
 
 
 _GRID_ALIASES = {"corpus": "corpus_path", "aggregate": "strategy"}
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# fields that only change how fetched samples are scored, not which are fetched
+_EVALUATION_FIELDS = ("strategy", "ppl_mode", "empty_gold", "out")
 
 
 def _to_run_config(entry: dict, context: str) -> RunConfig:
@@ -333,7 +340,12 @@ def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
 
 
 def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
-    """Run several configs and optionally write one merged CSV."""
+    """Run several configs and optionally write one merged CSV.
+
+    Configs that differ only in strategy, perplexity mode, empty-gold policy
+    or output path share one fetch and one evaluation pass; their summaries
+    all carry that pass's document, cache and parse-fallback counts.
+    """
     if not configs:
         raise HarnessError("grid needs at least one run config")
     outs = [c.out for c in configs if c.out]
@@ -342,7 +354,24 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     duplicates = {p for p in outs if outs.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
-    summaries = [run(c) for c in configs]
+    for c in configs:
+        try:
+            aggregation.resolve_strategy(c.strategy)
+        except ValueError as exc:
+            raise HarnessError(str(exc)) from exc
+        if c.ppl_mode not in ("mean", "sum"):
+            raise HarnessError(f"unknown perplexity mode {c.ppl_mode!r}")
+        if c.empty_gold not in ("exclude", "zero"):
+            raise HarnessError(f"unknown empty-gold policy {c.empty_gold!r}")
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = tuple(v for k, v in vars(c).items() if k not in _EVALUATION_FIELDS)
+        groups.setdefault(key, []).append(i)
+    summaries: list[RunSummary | None] = [None] * len(configs)
+    for members in groups.values():
+        group = _run_group([configs[i] for i in members])
+        for i, summary in zip(members, group):
+            summaries[i] = summary
     if out:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -170,7 +170,6 @@ class LLMClient:
         model: str,
         api_key: str | None = None,
         request_mode: str = "choices",
-        ppl_mode: str = "mean",
         max_retries: int = 4,
         backoff_base: float = 0.5,
         timeout: float = 120.0,
@@ -182,7 +181,6 @@ class LLMClient:
         self.model = model
         self.api_key = api_key
         self.request_mode = request_mode
-        self.ppl_mode = ppl_mode
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout

@@ -91,21 +91,15 @@ def score_document(
         raise ValueError(f"unknown empty-gold policy {empty_gold!r}")
     rows: list[DocScore] = []
     for partition in PARTITIONS:
-        if partition == "present":
-            gold_set = {p.normalized for p in gold.present}
-            pred_m = [p.normalized for p in prediction.present]
-            pred_full = [p.normalized for p in prediction.present_full]
-        else:
-            gold_set = {p.normalized for p in gold.absent}
-            pred_m = [p.normalized for p in prediction.absent]
-            pred_full = [p.normalized for p in prediction.absent_full]
+        gold_set = {p.normalized for p in getattr(gold, partition)}
         if not gold_set:
             if empty_gold == "zero":
-                rows.append(DocScore(doc_id, partition, "f1_at_m", 0.0, 0.0, 0.0))
-                rows.append(DocScore(doc_id, partition, "f1_at_5", 0.0, 0.0, 0.0))
-                rows.append(DocScore(doc_id, partition, "r_at_10", None, 0.0, None))
-                rows.append(DocScore(doc_id, partition, "r_at_inf", None, 0.0, None))
+                for metric in METRICS:
+                    f1 = 0.0 if metric.startswith("f1_") else None
+                    rows.append(DocScore(doc_id, partition, metric, f1, 0.0, f1))
             continue
+        pred_m = [p.normalized for p in getattr(prediction, partition)]
+        pred_full = [p.normalized for p in getattr(prediction, f"{partition}_full")]
         p, r, f = score_at_m(pred_m, gold_set)
         rows.append(DocScore(doc_id, partition, "f1_at_m", p, r, f))
         p, r, f = score_at_k(pred_full, gold_set, 5, pad=True)
@@ -129,12 +123,13 @@ def build_report(
     corpus: str, variant: str, strategy: str, scores: list[DocScore]
 ) -> MetricReport:
     report = MetricReport(corpus=corpus, variant=variant, strategy=strategy)
-    for partition in PARTITIONS:
-        for metric in METRICS:
-            cell = [s for s in scores if s.partition == partition and s.metric == metric]
-            value, count = macro_average(cell)
-            report.table[(partition, metric)] = value
-            report.counts[(partition, metric)] = count
+    cells: dict[tuple[str, str], list[DocScore]] = {
+        (partition, metric): [] for partition in PARTITIONS for metric in METRICS
+    }
+    for s in scores:
+        cells[(s.partition, s.metric)].append(s)
+    for key, cell in cells.items():
+        report.table[key], report.counts[key] = macro_average(cell)
     return report
 
 

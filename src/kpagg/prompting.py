@@ -20,15 +20,6 @@ import yaml
 
 from .corpus import Document
 
-VARIANTS = (
-    "baseline",
-    "present_specialist",
-    "absent_specialist",
-    "order_control",
-    "length_control",
-    "combined_control",
-)
-
 # short CLI aliases
 VARIANT_ALIASES = {
     "baseline": "baseline",
@@ -38,6 +29,7 @@ VARIANT_ALIASES = {
     "length": "length_control",
     "combined": "combined_control",
 }
+VARIANTS = tuple(VARIANT_ALIASES.values())
 
 PRESENT_SPECIALIST_SENTENCE = (
     "Extract present keyphrases from the following title and abstract of a "

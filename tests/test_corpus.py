@@ -15,7 +15,6 @@ from kpagg.corpus import (
     format_stats,
     load_corpus,
     partition_gold,
-    save_corpus,
     stats_csv,
 )
 
@@ -44,13 +43,6 @@ class TestLoadCorpus:
     def test_limit(self):
         docs = load_corpus(TOY_CORPUS, limit=2)
         assert [d.id for d in docs] == ["doc-001", "doc-002"]
-
-    def test_round_trip(self, tmp_path):
-        docs = load_corpus(TOY_CORPUS)
-        out = tmp_path / "copy.jsonl"
-        save_corpus(docs, out)
-        again = load_corpus(out)
-        assert again == docs
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):

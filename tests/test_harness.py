@@ -7,6 +7,7 @@ import yaml
 from click.testing import CliRunner
 
 from kpagg import harness
+from kpagg.aggregation import STRATEGIES
 from kpagg.cli import main
 from kpagg.corpus import load_corpus
 from kpagg.harness import (
@@ -224,6 +225,50 @@ class TestGrid:
         assert (tmp_path / "union.csv").exists()
         strategies = {line.split(",")[2] for line in merged[1:]}
         assert strategies == {"union", "frequency_order"}
+
+    @pytest.fixture
+    def cache_loads(self, monkeypatch):
+        loads = []
+
+        class CountingCache(harness.SampleCache):
+            def __init__(self, *args, **kwargs):
+                loads.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "SampleCache", CountingCache)
+        return loads
+
+    def test_evaluation_only_configs_share_one_pass(self, endpoint, tmp_path, cache_loads):
+        configs = [
+            config(endpoint, tmp_path, strategy=strategy, ppl_mode=mode)
+            for strategy in STRATEGIES
+            for mode in ("mean", "sum")
+        ]
+        summaries = harness.grid(configs)
+        assert len(cache_loads) == 1
+        assert [s.cache_misses for s in summaries] == [50] * 10
+        for cfg, summary in zip(configs, summaries):
+            assert summary.report == harness.run(cfg).report, cfg
+
+    def test_sampling_configs_form_separate_groups(self, endpoint, tmp_path, cache_loads):
+        configs = [config(endpoint, tmp_path, n_samples=n) for n in (3, 10)]
+        summaries = harness.grid(configs)
+        assert len(cache_loads) == 2
+        assert [s.cache_misses for s in summaries] == [15, 35]
+        for cfg, summary in zip(configs, summaries):
+            assert summary.report == harness.run(cfg).report, cfg
+
+    @pytest.mark.parametrize(
+        "bad", [{"strategy": "median"}, {"ppl_mode": "max"}, {"empty_gold": "skip"}]
+    )
+    def test_invalid_config_rejected_before_running(self, endpoint, tmp_path, bad):
+        configs = [
+            config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
+            config(endpoint, tmp_path, out=str(tmp_path / "bad.csv"), **bad),
+        ]
+        with pytest.raises(HarnessError):
+            harness.grid(configs, out=str(tmp_path / "merged.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_outputs_rejected_before_running(self, tmp_path):
         shared = dict(corpus_path="missing.jsonl", out=str(tmp_path / "same.csv"))
