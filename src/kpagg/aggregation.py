@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import textnorm
@@ -97,31 +98,46 @@ def _rank_key(sample: RankedSample) -> tuple[bool, float]:
     return (False, ppl)
 
 
-def rank_samples(
+def classify_samples(
     parsed: list[ParsedSample],
     doc: Document,
     source: textnorm.NormalizedSource | None = None,
-) -> SampleSet:
-    """Normalize, dedup, and presence-classify each sample, then sort the
-    samples by ascending perplexity (unknown last, original order kept
-    among equals). A NaN perplexity counts as unknown.
+) -> list[RankedSample]:
+    """Normalize, dedup, and presence-classify each sample, in input order.
 
     `source` is the document's normalized source text; it is built from
     `doc` when not given.
     """
     if source is None:
         source = textnorm.NormalizedSource.from_text(doc.source_text)
-    ranked = []
+    classified = []
     for ps in parsed:
         phrases = textnorm.dedup_preserve_order(
             [textnorm.normalize_phrase(s) for s in ps.phrases]
         )
-        classified = tuple(
-            p.classified(textnorm.is_present(p, source)) for p in phrases
+        classified.append(
+            RankedSample(
+                phrases=tuple(p.classified(textnorm.is_present(p, source)) for p in phrases),
+                perplexity=ps.perplexity,
+            )
         )
-        ranked.append(RankedSample(phrases=classified, perplexity=ps.perplexity))
-    ranked.sort(key=_rank_key)
-    return SampleSet(samples=tuple(ranked))
+    return classified
+
+
+def rank(samples: Iterable[RankedSample]) -> SampleSet:
+    """Sort classified samples by ascending perplexity (unknown last,
+    original order kept among equals). A NaN perplexity counts as unknown."""
+    return SampleSet(samples=tuple(sorted(samples, key=_rank_key)))
+
+
+def rank_samples(
+    parsed: list[ParsedSample],
+    doc: Document,
+    source: textnorm.NormalizedSource | None = None,
+) -> SampleSet:
+    """Classify each sample, then rank the samples by perplexity; see
+    `classify_samples` and `rank`."""
+    return rank(classify_samples(parsed, doc, source))
 
 
 def aggregate_union(ss: SampleSet) -> list[NormalizedPhrase]:

@@ -1,17 +1,19 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
 `grid` groups its configs by every field except the evaluation-only ones
-(strategy, perplexity mode, empty-gold policy, output path); `run` is a
-one-config grid. For each group a bounded thread pool renders each
-document's prompt and fetches or replays its n samples (cache first,
-network for the misses); that is the only threaded work. The calling thread
-evaluates each document as its samples arrive, for every config of the
-group at once: it parses the samples, normalizes the source and partitions
-the gold once, ranks once per perplexity mode, then aggregates and scores
-per config. The metric fold is a deterministic reduce in corpus order, so a
-warm cache replays to byte-identical reports. A fatal endpoint error
-cancels the documents still queued. Failed samples are never cached, which
-makes an interrupted run resumable by simply rerunning it.
+(strategy, perplexity mode, empty-gold policy, output path), with variant
+aliases resolved; `run` is a one-config grid. For each group a bounded
+thread pool renders each document's prompt and fetches or replays its n
+samples (cache first, network for the misses, one cache append per
+document); that is the only threaded work. The calling thread evaluates
+each document as its samples arrive, for every config of the group at
+once: it parses, normalizes and presence-classifies the samples,
+normalizes the source and partitions the gold once, sorts once per
+perplexity mode, then aggregates and scores per config. The metric fold is
+a deterministic reduce in corpus order, so a warm cache replays to
+byte-identical reports. A fatal endpoint error cancels the documents still
+queued. Failed samples are never cached, which makes an interrupted run
+resumable by simply rerunning it.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
         )
         for s in fetched:
             samples[s.sample_index] = s
-            if not s.failed:
-                cache.put(s)
+        cache.put(*(s for s in fetched if not s.failed))
     ordered = [samples[i] for i in range(config.n_samples) if i in samples]
     absent_count = config.n_samples - len(ordered)
     if absent_count:
@@ -154,26 +155,28 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
 def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int]:
     """Score one document under every config of a group.
 
-    The samples are parsed, the source normalized and the gold partitioned
-    once; samples are ranked once per perplexity mode. Returns one score
-    list per config (None when no sample succeeded) and the parse
-    fallback count.
+    The samples are parsed, normalized and presence-classified, the source
+    normalized and the gold partitioned once; each perplexity mode only
+    attaches its perplexities and sorts. Returns one score list per config
+    (None when no sample succeeded) and the parse fallback count.
     """
     successful = [s for s in raw if not s.failed]
     if not successful:
         return None, 0
     parsed = [
-        (s, parse_sample(s.text, had_prefill=bool(prompt.assistant_prefill)))
+        parse_sample(s.text, had_prefill=bool(prompt.assistant_prefill))
         for s in successful
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = corpus.partition_gold(doc, source)
-    ranked = {}
-    for mode in dict.fromkeys(c.ppl_mode for c in configs):
-        with_ppl = [
-            dataclasses.replace(ps, perplexity=perplexity(s, mode)) for s, ps in parsed
-        ]
-        ranked[mode] = aggregation.rank_samples(with_ppl, doc, source)
+    classified = aggregation.classify_samples(parsed, doc, source)
+    ranked = {
+        mode: aggregation.rank(
+            dataclasses.replace(c, perplexity=perplexity(s, mode))
+            for s, c in zip(successful, classified)
+        )
+        for mode in dict.fromkeys(c.ppl_mode for c in configs)
+    }
     scores = [
         metrics.score_document(
             doc.id,
@@ -183,7 +186,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int]:
         )
         for c in configs
     ]
-    return scores, sum(ps.fallback for _, ps in parsed)
+    return scores, sum(ps.fallback for ps in parsed)
 
 
 # config fields that identify a run's results; paths and transport details
@@ -343,8 +346,9 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     """Run several configs and optionally write one merged CSV.
 
     Configs that differ only in strategy, perplexity mode, empty-gold policy
-    or output path share one fetch and one evaluation pass; their summaries
-    all carry that pass's document, cache and parse-fallback counts.
+    or output path, or name one variant by alias and full name, share one
+    fetch and one evaluation pass; their summaries all carry that pass's
+    document, cache and parse-fallback counts.
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")
@@ -365,7 +369,8 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             raise HarnessError(f"unknown empty-gold policy {c.empty_gold!r}")
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        key = tuple(v for k, v in vars(c).items() if k not in _EVALUATION_FIELDS)
+        fields = {**vars(c), "variant": prompting.resolve_variant(c.variant)}
+        key = tuple(v for k, v in fields.items() if k not in _EVALUATION_FIELDS)
         groups.setdefault(key, []).append(i)
     summaries: list[RunSummary | None] = [None] * len(configs)
     for members in groups.values():

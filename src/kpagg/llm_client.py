@@ -1,24 +1,29 @@
 """Chat-completions client, sample parsing, perplexity, and a replay cache.
 
-Talks to any OpenAI-compatible endpoint: one request per document with n
-choices (default) or n single-choice requests, with per-token logprobs
-requested so samples can be ranked by perplexity. Completed samples are
-appended to a JSON-lines cache keyed by (doc_id, prompt_hash, sample_index);
-a warm cache replays a run without any network traffic.
+Talks to any OpenAI-compatible endpoint over the standard library's
+`urllib.request`: one request per document with n choices (default) or n
+single-choice requests, with per-token logprobs requested so samples can be
+ranked by perplexity. Proxies come from `HTTP(S)_PROXY`/`NO_PROXY` and HTTPS
+verifies against the system CA store. Completed samples are appended to a
+JSON-lines cache keyed by (doc_id, prompt_hash, sample_index); a warm cache
+replays a run without any network traffic.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
+from . import __version__
 from .prompting import RenderedPrompt
 
 log = logging.getLogger(__name__)
@@ -162,7 +167,8 @@ def parse_sample(raw_text: str, had_prefill: bool) -> ParsedSample:
 
 
 class LLMClient:
-    """Thin requests-based client for OpenAI-compatible chat completions."""
+    """Client for OpenAI-compatible chat completions; one connection per
+    request."""
 
     def __init__(
         self,
@@ -177,6 +183,8 @@ class LLMClient:
         if request_mode not in ("choices", "per-request"):
             raise ValueError(f"unknown request mode {request_mode!r}")
         e = endpoint.rstrip("/")
+        if urllib.parse.urlsplit(e).scheme not in ("http", "https"):
+            raise LLMClientError(f"endpoint must be an http(s) URL, got {endpoint!r}")
         self.url = e if e.endswith("/chat/completions") else e + "/chat/completions"
         self.model = model
         self.api_key = api_key
@@ -186,37 +194,56 @@ class LLMClient:
         self.timeout = timeout
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        # An explicit agent: some CDN-fronted endpoints answer urllib's
+        # default "Python-urllib/x.y" with 403.
+        headers = {
+            "Content-Type": "application/json",
+            "User-Agent": f"kpagg/{__version__}",
+        }
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
+    def _send(self, request: urllib.request.Request) -> tuple[int, bytes]:
+        """One POST; the status and body, for error statuses too."""
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+
     def _post_with_retries(self, payload: dict) -> dict | None:
         """POST one request; returns the JSON body or None when retries ran out."""
+        request = urllib.request.Request(
+            self.url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers=self._headers(),
+            method="POST",
+        )
         for attempt in range(self.max_retries + 1):
-            reason = None
             try:
-                resp = requests.post(
-                    self.url, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                status, body = self._send(request)
+            except (OSError, http.client.HTTPException) as exc:
+                # OSError covers refused connections, timeouts and TLS
+                # failures; a truncated body (IncompleteRead) is an
+                # HTTPException only.
                 reason = f"connection error: {exc}"
             else:
-                if resp.status_code == 200:
+                if status == 200:
                     try:
-                        return resp.json()
+                        return json.loads(body)
                     except ValueError:
                         reason = "invalid JSON in response body"
-                elif resp.status_code in (401, 403):
+                elif status in (401, 403):
                     raise AuthenticationError(
-                        f"endpoint returned HTTP {resp.status_code}; check KPAGG_API_KEY"
+                        f"endpoint returned HTTP {status}; check KPAGG_API_KEY"
                     )
-                elif resp.status_code in _RETRYABLE_STATUS:
-                    reason = f"HTTP {resp.status_code}"
+                elif status in _RETRYABLE_STATUS:
+                    reason = f"HTTP {status}"
                 else:
-                    raise RequestError(
-                        f"endpoint returned HTTP {resp.status_code}: {resp.text[:200]}"
-                    )
+                    text = body.decode("utf-8", errors="replace")
+                    raise RequestError(f"endpoint returned HTTP {status}: {text[:200]}")
             if attempt < self.max_retries:
                 delay = self.backoff_base * (2**attempt)
                 log.warning(
@@ -391,15 +418,24 @@ class SampleCache:
     def get(self, doc_id: str, prompt_hash: str, sample_index: int) -> RawSample | None:
         return self._index.get((doc_id, prompt_hash, sample_index))
 
-    def put(self, sample: RawSample) -> None:
+    def put(self, *samples: RawSample) -> None:
+        """Append the samples whose keys are new with one open and one write;
+        the first write for a key wins, within one call too."""
         with self._lock:
-            key = self._key(sample)
-            if key in self._index:
+            new: dict[tuple[str, str, int], RawSample] = {}
+            for sample in samples:
+                key = self._key(sample)
+                if key not in self._index:
+                    new.setdefault(key, sample)
+            if not new:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            lines = "".join(
+                json.dumps(self._encode(s), ensure_ascii=False) + "\n" for s in new.values()
+            )
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(self._encode(sample), ensure_ascii=False) + "\n")
-            self._index[key] = sample
+                fh.write(lines)
+            self._index.update(new)
 
     def __len__(self) -> int:
         return len(self._index)

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from kpagg import harness
+from kpagg import harness, textnorm
 from kpagg.aggregation import STRATEGIES
 from kpagg.cli import main
 from kpagg.corpus import load_corpus
@@ -257,6 +257,43 @@ class TestGrid:
         assert [s.cache_misses for s in summaries] == [15, 35]
         for cfg, summary in zip(configs, summaries):
             assert summary.report == harness.run(cfg).report, cfg
+
+    def test_variant_alias_and_full_name_share_one_pass(self, endpoint, tmp_path, cache_loads):
+        configs = [
+            config(endpoint, tmp_path, variant=variant)
+            for variant in ("combined", "combined_control")
+        ]
+        summaries = harness.grid(configs)
+        assert len(cache_loads) == 1
+        assert [s.cache_misses for s in summaries] == [50, 50]
+        for cfg, summary in zip(configs, summaries):
+            assert summary.report == harness.run(cfg).report, cfg
+
+    def test_samples_classified_once_across_perplexity_modes(
+        self, endpoint, tmp_path, monkeypatch
+    ):
+        calls = []
+        normalize_phrase = textnorm.normalize_phrase
+
+        def counting(surface):
+            calls.append(surface)
+            return normalize_phrase(surface)
+
+        monkeypatch.setattr(textnorm, "normalize_phrase", counting)
+        harness.run(config(endpoint, tmp_path))  # warm the cache
+        counts = {}
+        for modes in (("mean",), ("mean", "sum")):
+            configs = [
+                config(endpoint, tmp_path, strategy=strategy, ppl_mode=mode)
+                for strategy in STRATEGIES
+                for mode in modes
+            ]
+            calls.clear()
+            summaries = harness.grid(configs)
+            counts[modes] = len(calls)
+            for cfg, summary in zip(configs, summaries):
+                assert summary.report == harness.run(cfg).report, cfg
+        assert counts[("mean",)] == counts[("mean", "sum")] > 0
 
     @pytest.mark.parametrize(
         "bad", [{"strategy": "median"}, {"ppl_mode": "max"}, {"empty_gold": "skip"}]

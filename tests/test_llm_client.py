@@ -3,6 +3,8 @@
 import json
 import logging
 import math
+import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -14,6 +16,7 @@ from kpagg import harness
 from kpagg.llm_client import (
     AuthenticationError,
     LLMClient,
+    LLMClientError,
     RawSample,
     RequestError,
     SampleCache,
@@ -144,11 +147,17 @@ class TestPerplexity:
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of (status, body) responses, then 200s."""
+    """Replays a scripted list of responses, then 200s.
+
+    A step is (status, body) or (status, body, missing): a bytes body is
+    sent as is, any other is JSON-encoded, and `missing` bytes are declared
+    in Content-Length but never sent. Each request's headers are recorded.
+    """
 
     script = []
     lock = threading.Lock()
     hits = 0
+    headers_seen = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -156,14 +165,15 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         with _ScriptedHandler.lock:
             step = _ScriptedHandler.hits
             _ScriptedHandler.hits += 1
+            _ScriptedHandler.headers_seen.append(self.headers)
         if step < len(self.script):
-            status, payload = self.script[step]
+            status, payload, *missing = self.script[step]
         else:
-            status, payload = 200, self._ok(body)
-        data = json.dumps(payload).encode()
+            status, payload, missing = 200, self._ok(body), []
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Length", str(len(data) + sum(missing)))
         self.end_headers()
         self.wfile.write(data)
 
@@ -194,6 +204,7 @@ def scripted_server():
     def start(script):
         _ScriptedHandler.script = script
         _ScriptedHandler.hits = 0
+        _ScriptedHandler.headers_seen = []
         server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -309,6 +320,68 @@ class TestTransport:
             harness.run(config)
         assert 1 <= _ScriptedHandler.hits <= config.max_in_flight + 1
 
+    def test_connection_refused_yields_failed_samples(self, prompt_cfg, toy_docs, caplog):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client = make_client(f"http://127.0.0.1:{port}/v1", max_retries=2)
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
+            samples = client.sample_completions(rp, doc_id="d", n=2, temperature=0.7, max_tokens=50)
+        assert [s.failed for s in samples] == [True, True]
+        assert sum("connection error" in r.message for r in caplog.records) == 3
+
+    @pytest.mark.parametrize(
+        "bad_step, reason",
+        [
+            ((200, b"<html>not json</html>"), "invalid JSON"),
+            # a complete body would parse and give a failed sample, not a retry
+            ((200, {"choices": []}, 10), "IncompleteRead"),
+        ],
+        ids=["non-json-body", "incomplete-read"],
+    )
+    def test_bad_200_is_retried_then_succeeds(
+        self, scripted_server, prompt_cfg, toy_docs, caplog, bad_step, reason
+    ):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        client = make_client(scripted_server([bad_step]))
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
+            samples = client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        assert not samples[0].failed
+        assert _ScriptedHandler.hits == 2
+        assert [reason in r.message for r in caplog.records] == [True]
+
+    def test_request_error_carries_body_excerpt(self, scripted_server, prompt_cfg, toy_docs):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        body = b"model 'nope' does not exist " + b"x" * 300
+        client = make_client(scripted_server([(400, body)]))
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        with pytest.raises(RequestError) as info:
+            client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        assert str(info.value) == f"endpoint returned HTTP 400: {body[:200].decode()}"
+
+    def test_request_headers(self, scripted_server, prompt_cfg, toy_docs):
+        from kpagg import __version__
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        client = make_client(scripted_server([]), api_key="sk-123")
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        (headers,) = _ScriptedHandler.headers_seen
+        assert headers["Authorization"] == "Bearer sk-123"
+        assert headers["User-Agent"] == f"kpagg/{__version__}"
+        assert headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "/v1", "file:///tmp"])
+    def test_non_http_endpoint_rejected(self, endpoint):
+        with pytest.raises(LLMClientError, match="http"):
+            make_client(endpoint)
+
     def test_endpoint_path_normalization(self):
         c1 = make_client("http://h:1/v1")
         c2 = make_client("http://h:1/v1/")
@@ -372,6 +445,52 @@ class TestSampleCache:
         cache.put(RawSample(**{**first.__dict__, "text": '["y"]'}))
         assert cache.get("d1", "a" * 64, 0).text == '["x"]'
         assert len(SampleCache(path)) == 1
+
+    def test_put_many_appends_only_new_keys(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = SampleCache(path)
+        cached = self.entry(index=1)
+        cache.put(cached)
+        before = path.read_text(encoding="utf-8")
+        rewritten = RawSample(**{**cached.__dict__, "text": '["y"]'})
+        cache.put(self.entry(index=0), rewritten, self.entry(index=2))
+        appended = path.read_text(encoding="utf-8")[len(before):].splitlines()
+        assert [json.loads(line)["sample_index"] for line in appended] == [0, 2]
+        reopened = SampleCache(path)
+        assert len(reopened) == 3
+        assert reopened.get("d1", "a" * 64, 1).text == '["x"]'
+
+    def test_put_many_first_write_wins_within_call(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first = self.entry()
+        SampleCache(path).put(first, RawSample(**{**first.__dict__, "text": '["y"]'}))
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        assert SampleCache(path).get("d1", "a" * 64, 0) == first
+
+    def test_concurrent_batches_write_each_key_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = SampleCache(path)
+        # overlapping batches: every key is offered by several threads
+        batches = [[self.entry(index=(t + k) % 12) for k in range(6)] for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=cache.put, args=b) for b in batches]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["sample_index"] for line in lines) == list(range(12))
+        assert len(SampleCache(path)) == len(cache) == 12
+
+    def test_put_nothing_new_writes_nothing(self, tmp_path):
+        path = tmp_path / "sub" / "cache.jsonl"
+        SampleCache(path).put()
+        assert not path.exists()
 
     def test_corrupt_lines_skipped(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"

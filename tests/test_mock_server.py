@@ -1,9 +1,11 @@
 """The fixture-driven chat-completions mock used by the offline e2e tests."""
 
 import json
+import urllib.error
+import urllib.request
+from typing import NamedTuple
 
 import pytest
-import requests
 
 from kpagg.mock_server import MockFixtures, running_server
 
@@ -29,10 +31,28 @@ def url():
         yield endpoint + "/chat/completions"
 
 
+class Response(NamedTuple):
+    status_code: int
+    body: bytes
+
+    def json(self):
+        return json.loads(self.body)
+
+
+def post_bytes(url, data):
+    request = urllib.request.Request(url, data=data, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            return Response(resp.status, resp.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return Response(exc.code, exc.read())
+
+
 def post(url, messages, **payload):
     payload.setdefault("model", "mock")
     payload["messages"] = messages
-    return requests.post(url, json=payload, timeout=10)
+    return post_bytes(url, json.dumps(payload).encode())
 
 
 def user_turn(text):
@@ -90,7 +110,7 @@ class TestServer:
         assert post(bad, user_turn("x")).status_code == 404
 
     def test_malformed_body_400(self, url):
-        r = requests.post(url, data=b"{not json", timeout=10)
+        r = post_bytes(url, b"{not json")
         assert r.status_code == 400
 
     def test_unmatched_without_default_400(self):
