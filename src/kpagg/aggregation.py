@@ -110,18 +110,14 @@ def classify_samples(
     """
     if source is None:
         source = textnorm.NormalizedSource.from_text(doc.source_text)
-    classified = []
-    for ps in parsed:
-        phrases = textnorm.dedup_preserve_order(
-            [textnorm.normalize_phrase(s) for s in ps.phrases]
+    phrase = source.phrase
+    return [
+        RankedSample(
+            phrases=tuple(textnorm.dedup_preserve_order(list(map(phrase, ps.phrases)))),
+            perplexity=ps.perplexity,
         )
-        classified.append(
-            RankedSample(
-                phrases=tuple(p.classified(textnorm.is_present(p, source)) for p in phrases),
-                perplexity=ps.perplexity,
-            )
-        )
-    return classified
+        for ps in parsed
+    ]
 
 
 def rank(samples: Iterable[RankedSample]) -> SampleSet:

@@ -127,17 +127,11 @@ def partition_gold(
     """
     if source is None:
         source = textnorm.NormalizedSource.from_text(doc.source_text)
-    phrases = textnorm.dedup_preserve_order(
-        [textnorm.normalize_phrase(g) for g in doc.gold]
+    phrases = textnorm.dedup_preserve_order(list(map(source.phrase, doc.gold)))
+    return GoldPartition(
+        present=tuple(p for p in phrases if p.is_present),
+        absent=tuple(p for p in phrases if not p.is_present),
     )
-    present = []
-    absent = []
-    for p in phrases:
-        if textnorm.is_present(p, source):
-            present.append(p.classified(True))
-        else:
-            absent.append(p.classified(False))
-    return GoldPartition(present=tuple(present), absent=tuple(absent))
 
 
 def corpus_stats(docs: list[Document]) -> CorpusStats:

@@ -172,7 +172,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int]:
     classified = aggregation.classify_samples(parsed, doc, source)
     ranked = {
         mode: aggregation.rank(
-            dataclasses.replace(c, perplexity=perplexity(s, mode))
+            aggregation.RankedSample(c.phrases, perplexity(s, mode))
             for s, c in zip(successful, classified)
         )
         for mode in dict.fromkeys(c.ppl_mode for c in configs)

@@ -15,6 +15,7 @@ import http.client
 import json
 import logging
 import math
+import re
 import threading
 import time
 import urllib.error
@@ -87,60 +88,54 @@ def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
 def _finite_logprobs(values) -> tuple[float, ...] | None:
     """Logprobs as floats, or None (unknown perplexity, ranked last) when any
     is NaN or infinite: such a value would make the perplexity NaN or
-    infinite and the rank order meaningless."""
-    lps = tuple(float(v) for v in values)
-    return lps if all(math.isfinite(v) for v in lps) else None
+    infinite and the rank order meaningless. An integer too large for a
+    float counts as infinite."""
+    try:
+        lps = tuple(map(float, values))
+    except OverflowError:
+        return None
+    return lps if all(map(math.isfinite, lps)) else None
 
 
 _STRIP_CHARS = " \t\r\n\"'`[]"
+
+# A quoted run (to its closing quote, or to the end when unclosed) is one
+# token, so the bracket and separator characters inside it are skipped; the
+# rest of the text holds nothing significant and is sliced out whole.
+_QUOTED = r"\"[^\"]*\"?|'[^']*'?"
+_BRACKET_RE = re.compile(_QUOTED + r"|[\[\]]")
+_SEPARATOR_RE = re.compile(_QUOTED + r"|[\[\],\n]")
 
 
 def _list_content(text: str, start: int) -> str:
     """Text between the bracket at `start` and its matching close."""
     depth = 1
-    quote = None
-    for i in range(start + 1, len(text)):
-        ch = text[i]
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "[":
+    for m in _BRACKET_RE.finditer(text, start + 1):
+        token = m.group()
+        if token == "[":
             depth += 1
-        elif ch == "]":
+        elif token == "]":
             depth -= 1
             if depth == 0:
-                return text[start + 1 : i]
+                return text[start + 1 : m.start()]
     return text[start + 1 :]
 
 
 def _split_top_level(content: str) -> list[str]:
     """Split on commas and newlines outside quotes and nested brackets."""
     items: list[str] = []
-    buf: list[str] = []
     depth = 0
-    quote = None
-    for ch in content:
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-            buf.append(ch)
-        elif ch == "[":
+    item_start = 0
+    for m in _SEPARATOR_RE.finditer(content):
+        token = m.group()
+        if token == "[":
             depth += 1
-            buf.append(ch)
-        elif ch == "]":
+        elif token == "]":
             depth = max(0, depth - 1)
-            buf.append(ch)
-        elif (ch == "," or ch == "\n") and depth == 0:
-            items.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    items.append("".join(buf))
+        elif (token == "," or token == "\n") and depth == 0:
+            items.append(content[item_start : m.start()])
+            item_start = m.end()
+    items.append(content[item_start:])
     return items
 
 
@@ -283,10 +278,11 @@ class LLMClient:
         token_logprobs = None
         lpinfo = choice.get("logprobs")
         if isinstance(lpinfo, dict) and isinstance(lpinfo.get("content"), list):
+            # type(), not isinstance(): JSON true/false are not logprobs
             values = [
                 t.get("logprob")
                 for t in lpinfo["content"]
-                if isinstance(t, dict) and isinstance(t.get("logprob"), (int, float))
+                if isinstance(t, dict) and type(t.get("logprob")) in (int, float)
             ]
             if values:
                 token_logprobs = _finite_logprobs(values)
@@ -390,17 +386,26 @@ class SampleCache:
 
     @staticmethod
     def _decode(obj: dict) -> RawSample:
-        lps = obj["token_logprobs"]
-        if lps is not None:
-            lps = _finite_logprobs(lps)
-        return RawSample(
-            doc_id=str(obj["doc_id"]),
-            prompt_hash=str(obj["prompt_hash"]),
-            sample_index=int(obj["sample_index"]),
-            text=str(obj["text"]),
-            token_logprobs=lps,
-            finish_reason=str(obj["finish_reason"]),
+        """The sample a cache line holds. A field of the wrong JSON type
+        raises TypeError, so the line counts as corrupt instead of being
+        coerced (a string of digits or a list of booleans into logprobs, a
+        null finish reason into the clean-looking "None")."""
+        doc_id, prompt_hash, index, text, lps, finish_reason = (
+            obj["doc_id"],
+            obj["prompt_hash"],
+            obj["sample_index"],
+            obj["text"],
+            obj["token_logprobs"],
+            obj["finish_reason"],
         )
+        strings = (doc_id, prompt_hash, text, finish_reason)
+        if set(map(type, strings)) != {str} or type(index) is not int:
+            raise TypeError("cache line field of the wrong type")
+        if lps is not None:
+            if type(lps) is not list or not set(map(type, lps)) <= {int, float}:
+                raise TypeError("token_logprobs is not a list of numbers")
+            lps = _finite_logprobs(lps)
+        return RawSample(doc_id, prompt_hash, index, text, lps, finish_reason)
 
     @staticmethod
     def _encode(sample: RawSample) -> dict:

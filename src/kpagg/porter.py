@@ -5,66 +5,56 @@ its documented departures from the original article (e.g. words of length
 <= 2 are left alone, -bli/-logi rules). Input must be a lowercase ASCII
 word; callers that tokenize mixed text should gate on that before calling
 :func:`stem`.
+
+Every rule reads only whether letters are consonants or vowels, so each word
+is mapped once to a consonant/vowel string (`c`/`v` per letter) with
+`str.translate`; `y` is resolved by position only when the word has one. The
+map of a prefix is the prefix of the map (a `y` depends only on the letters
+before it) and no replacement contains a `y`, so each step slices the map or
+appends the replacement's map instead of rescanning the word. The measure m
+of the [C](VC)^m[V] decomposition is then `cv.count("vc")`. The step 2-4
+suffix tables are indexed by final letter with their order kept, so the
+first matching suffix still wins.
 """
 
 from __future__ import annotations
 
-
-def _is_cons(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in "aeiou":
-        return False
-    if ch == "y":
-        return True if i == 0 else not _is_cons(word, i - 1)
-    return True
+_CV = str.maketrans("abcdefghijklmnopqrstuvwxyz", "vcccvcccvcccccvcccccvcccyc")
 
 
-def _measure(stem: str) -> int:
-    """Number of VC sequences in the [C](VC)^m[V] decomposition of stem."""
-    n = len(stem)
-    i = 0
-    while i < n and _is_cons(stem, i):
-        i += 1
-    m = 0
-    while i < n:
-        while i < n and not _is_cons(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        while i < n and _is_cons(stem, i):
-            i += 1
-    return m
+def _cv(word: str) -> str:
+    """The word's consonant/vowel map: a `y` is a consonant at the start of
+    the word or after a vowel, and a vowel after a consonant."""
+    cv = word.translate(_CV)
+    if "y" not in cv:
+        return cv
+    out = []
+    prev = "v"  # a leading y is a consonant
+    for ch in cv:
+        if ch == "y":
+            ch = "c" if prev == "v" else "v"
+        out.append(ch)
+        prev = ch
+    return "".join(out)
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_cons(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_cons(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(word: str, cv: str) -> bool:
     # consonant-vowel-consonant at the end, final consonant not w, x or y;
     # used to decide whether to restore a trailing 'e' (hop-e, fil-e).
-    n = len(word)
-    return (
-        n >= 3
-        and _is_cons(word, n - 1)
-        and not _is_cons(word, n - 2)
-        and _is_cons(word, n - 3)
-        and word[-1] not in "wxy"
-    )
+    return cv.endswith("cvc") and word[-1] not in "wxy"
+
+
+def _by_final_letter(*table):
+    """{final letter: (suffix, replacement) pairs ending in it}, in table order."""
+    index: dict[str, tuple] = {}
+    for entry in table:
+        index[entry[0][-1]] = index.get(entry[0][-1], ()) + (entry,)
+    return index
 
 
 # (suffix, replacement) tables; within each table the first suffix that
 # matches is consumed whether or not the measure condition lets it rewrite.
-_STEP2 = (
+_STEP2 = _by_final_letter(
     ("ational", "ate"),
     ("tional", "tion"),
     ("enci", "ence"),
@@ -88,7 +78,7 @@ _STEP2 = (
     ("logi", "log"),
 )
 
-_STEP3 = (
+_STEP3 = _by_final_letter(
     ("icate", "ic"),
     ("ative", ""),
     ("alize", "al"),
@@ -98,74 +88,71 @@ _STEP3 = (
     ("ness", ""),
 )
 
-_STEP4 = (
-    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+_STEP4 = _by_final_letter(
+    *(
+        (suffix, "")
+        for suffix in (
+            "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+            "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+        )
+    )
 )
 
 
-def _step1ab(word: str) -> str:
+def _step1ab(word: str, cv: str) -> tuple[str, str]:
     if word.endswith("s"):
-        if word.endswith("sses"):
-            word = word[:-2]
-        elif word.endswith("ies"):
-            word = word[:-3] + "i"
+        if word.endswith(("sses", "ies")):  # -sses -> -ss, -ies -> -i
+            word, cv = word[:-2], cv[:-2]
         elif not word.endswith("ss"):
-            word = word[:-1]
+            word, cv = word[:-1], cv[:-1]
     if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
-            word = word[:-1]
-    elif word.endswith("ed") and _has_vowel(word[:-2]):
-        word = _tidy_after_deletion(word[:-2])
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        word = _tidy_after_deletion(word[:-3])
-    return word
+        if "vc" in cv[:-3]:
+            word, cv = word[:-1], cv[:-1]
+    elif word.endswith("ed") and "v" in cv[:-2]:
+        word, cv = _tidy_after_deletion(word[:-2], cv[:-2])
+    elif word.endswith("ing") and "v" in cv[:-3]:
+        word, cv = _tidy_after_deletion(word[:-3], cv[:-3])
+    return word, cv
 
 
-def _tidy_after_deletion(word: str) -> str:
+def _tidy_after_deletion(word: str, cv: str) -> tuple[str, str]:
     if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_cons(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
+        return word + "e", cv + "v"
+    if len(word) >= 2 and word[-1] == word[-2] and cv[-1] == "c" and word[-1] not in "lsz":
+        return word[:-1], cv[:-1]
+    if cv.count("vc") == 1 and _ends_cvc(word, cv):
+        return word + "e", cv + "v"
+    return word, cv
 
 
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        word = word[:-1] + "i"
-    return word
-
-
-def _map_suffix(word: str, table, min_measure: int = 0) -> str:
-    for suffix, repl in table:
+def _map_suffix(word: str, cv: str, table) -> tuple[str, str]:
+    for suffix, repl in table.get(word[-1:], ()):
         if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > min_measure:
-                word = stem + repl
+            k = len(word) - len(suffix)
+            if "vc" in cv[:k]:
+                return word[:k] + repl, cv[:k] + repl.translate(_CV)
             break
-    return word
+    return word, cv
 
 
-def _step4(word: str) -> str:
-    for suffix in _STEP4:
+def _step4(word: str, cv: str) -> tuple[str, str]:
+    for suffix, _ in _STEP4.get(word[-1:], ()):
         if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if suffix == "ion" and not stem.endswith(("s", "t")):
+            k = len(word) - len(suffix)
+            if suffix == "ion" and not word[:k].endswith(("s", "t")):
                 continue
-            if _measure(stem) > 1:
-                word = stem
+            if cv[:k].count("vc") > 1:
+                return word[:k], cv[:k]
             break
-    return word
+    return word, cv
 
 
-def _step5(word: str) -> str:
+def _step5(word: str, cv: str) -> str:
     if word.endswith("e"):
-        m = _measure(word[:-1])
-        if m > 1 or (m == 1 and not _ends_cvc(word[:-1])):
-            word = word[:-1]
-    if word.endswith("l") and _ends_double_cons(word) and _measure(word[:-1]) > 1:
+        m = cv[:-1].count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], cv[:-1])):
+            word, cv = word[:-1], cv[:-1]
+    if word.endswith("ll") and cv[:-1].count("vc") > 1:
         word = word[:-1]
     return word
 
@@ -174,10 +161,10 @@ def stem(word: str) -> str:
     """Stem a single lowercase ASCII word."""
     if len(word) <= 2:
         return word
-    word = _step1ab(word)
-    word = _step1c(word)
-    word = _map_suffix(word, _STEP2)
-    word = _map_suffix(word, _STEP3)
-    word = _step4(word)
-    word = _step5(word)
-    return word
+    word, cv = _step1ab(word, _cv(word))
+    if word.endswith("y") and "v" in cv[:-1]:  # step 1c
+        word, cv = word[:-1] + "i", cv[:-1] + "v"
+    word, cv = _map_suffix(word, cv, _STEP2)
+    word, cv = _map_suffix(word, cv, _STEP3)
+    word, cv = _step4(word, cv)
+    return _step5(word, cv)

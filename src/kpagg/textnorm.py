@@ -12,14 +12,20 @@ Performance: `normalize_token` memoises its stems for the whole process in a
 bounded LRU cache (at most 65,536 entries of a few short strings each, so
 memory stays bounded however long the process runs). A document's source is
 normalised once into a `NormalizedSource`, whose per-length n-gram sets make
-each presence test a set lookup instead of a scan of the source.
+each presence test a set lookup instead of a scan of the source. The source
+also memoises, per surface string, the phrase normalised and classified
+against it (`NormalizedSource.phrase`): the n samples of a document repeat
+the same phrases, and its gold list repeats some of them too, but each
+distinct surface is normalised and presence-tested once. That memo is a
+plain dict dropped with its document, so it costs no memory across
+documents.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import porter
 
@@ -59,7 +65,7 @@ class NormalizedPhrase:
         return tuple(self.normalized.split(" ")) if self.normalized else ()
 
     def classified(self, present: bool) -> "NormalizedPhrase":
-        return replace(self, is_present=present)
+        return NormalizedPhrase(self.surface, self.normalized, present)
 
 
 def normalize_phrase(surface: str) -> NormalizedPhrase:
@@ -73,14 +79,16 @@ class NormalizedSource:
     every presence test on that document.
 
     The set of token n-grams of each phrase length is built on first use, so
-    a presence test is a set lookup rather than a scan of the source.
+    a presence test is a set lookup rather than a scan of the source. Each
+    surface string passed to `phrase` is normalized and classified once.
     """
 
-    __slots__ = ("tokens", "_ngrams")
+    __slots__ = ("tokens", "_ngrams", "_phrases")
 
     def __init__(self, tokens: list[str] | tuple[str, ...]):
         self.tokens = tuple(tokens)
         self._ngrams: dict[int, frozenset[str]] = {}
+        self._phrases: dict[str, NormalizedPhrase] = {}
 
     @classmethod
     def from_text(cls, text: str) -> NormalizedSource:
@@ -92,14 +100,24 @@ class NormalizedSource:
         grams = self._ngrams.get(n)
         if grams is None:
             tokens = self.tokens
-            grams = frozenset(
-                " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-            )
+            grams = frozenset(map(" ".join, zip(*(tokens[i:] for i in range(n)))))
             self._ngrams[n] = grams
         return grams
 
     def contains(self, phrase: NormalizedPhrase) -> bool:
         return phrase.normalized in self.ngrams(phrase.normalized.count(" ") + 1)
+
+    def phrase(self, surface: str) -> NormalizedPhrase:
+        """`normalize_phrase(surface)` classified by `is_present` against this
+        source, memoised per surface. A surface that normalizes to nothing
+        stays unclassified, for `dedup_preserve_order` to drop."""
+        p = self._phrases.get(surface)
+        if p is None:
+            p = normalize_phrase(surface)
+            if p.normalized:
+                p = p.classified(is_present(p, self))
+            self._phrases[surface] = p
+        return p
 
 
 def is_present(

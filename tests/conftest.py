@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,7 +11,10 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+# HYPOTHESIS_PROFILE=ci draws ten times as many examples; CI uses it for the
+# oracle-equivalence tests.
+settings.register_profile("ci", parent=settings.get_profile("suite"), max_examples=1000)
+settings.load_profile("ci" if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else "suite")
 
 from .oracles import DATA_DIR  # noqa: E402
 

@@ -99,3 +99,250 @@ def reference_stems() -> dict[str, str]:
                 word, _, stem = line.rstrip("\n").partition("\t")
                 _stem_table[word] = stem
     return _stem_table
+
+
+# ---- Porter stemmer, letter by letter ----
+#
+# The stemmer as first written: a recursive consonant test per letter and a
+# scan of every suffix table in full. `kpagg.porter` computes the same stems
+# from one consonant/vowel map per word and letter-indexed tables.
+
+def _porter_is_cons(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return True if i == 0 else not _porter_is_cons(word, i - 1)
+    return True
+
+
+def _porter_measure(stem: str) -> int:
+    """Number of VC sequences in the [C](VC)^m[V] decomposition of stem."""
+    n = len(stem)
+    i = 0
+    while i < n and _porter_is_cons(stem, i):
+        i += 1
+    m = 0
+    while i < n:
+        while i < n and not _porter_is_cons(stem, i):
+            i += 1
+        if i >= n:
+            break
+        m += 1
+        while i < n and _porter_is_cons(stem, i):
+            i += 1
+    return m
+
+
+def _porter_has_vowel(stem: str) -> bool:
+    return any(not _porter_is_cons(stem, i) for i in range(len(stem)))
+
+
+def _porter_ends_double_cons(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _porter_is_cons(word, len(word) - 1)
+    )
+
+
+def _porter_ends_cvc(word: str) -> bool:
+    # consonant-vowel-consonant at the end, final consonant not w, x or y;
+    # used to decide whether to restore a trailing 'e' (hop-e, fil-e).
+    n = len(word)
+    return (
+        n >= 3
+        and _porter_is_cons(word, n - 1)
+        and not _porter_is_cons(word, n - 2)
+        and _porter_is_cons(word, n - 3)
+        and word[-1] not in "wxy"
+    )
+
+
+# (suffix, replacement) tables; within each table the first suffix that
+# matches is consumed whether or not the measure condition lets it rewrite.
+_porter_STEP2 = (
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
+    ("bli", "ble"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
+    ("logi", "log"),
+)
+
+_porter_STEP3 = (
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
+)
+
+_porter_STEP4 = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def _porter_step1ab(word: str) -> str:
+    if word.endswith("s"):
+        if word.endswith("sses"):
+            word = word[:-2]
+        elif word.endswith("ies"):
+            word = word[:-3] + "i"
+        elif not word.endswith("ss"):
+            word = word[:-1]
+    if word.endswith("eed"):
+        if _porter_measure(word[:-3]) > 0:
+            word = word[:-1]
+    elif word.endswith("ed") and _porter_has_vowel(word[:-2]):
+        word = _porter_tidy_after_deletion(word[:-2])
+    elif word.endswith("ing") and _porter_has_vowel(word[:-3]):
+        word = _porter_tidy_after_deletion(word[:-3])
+    return word
+
+
+def _porter_tidy_after_deletion(word: str) -> str:
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _porter_ends_double_cons(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _porter_measure(word) == 1 and _porter_ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _porter_step1c(word: str) -> str:
+    if word.endswith("y") and _porter_has_vowel(word[:-1]):
+        word = word[:-1] + "i"
+    return word
+
+
+def _porter_map_suffix(word: str, table, min_measure: int = 0) -> str:
+    for suffix, repl in table:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if _porter_measure(stem) > min_measure:
+                word = stem + repl
+            break
+    return word
+
+
+def _porter_step4(word: str) -> str:
+    for suffix in _porter_STEP4:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                continue
+            if _porter_measure(stem) > 1:
+                word = stem
+            break
+    return word
+
+
+def _porter_step5(word: str) -> str:
+    if word.endswith("e"):
+        m = _porter_measure(word[:-1])
+        if m > 1 or (m == 1 and not _porter_ends_cvc(word[:-1])):
+            word = word[:-1]
+    if word.endswith("l") and _porter_ends_double_cons(word) and _porter_measure(word[:-1]) > 1:
+        word = word[:-1]
+    return word
+
+
+def porter_oracle(word: str) -> str:
+    """Stem a single lowercase ASCII word."""
+    if len(word) <= 2:
+        return word
+    word = _porter_step1ab(word)
+    word = _porter_step1c(word)
+    word = _porter_map_suffix(word, _porter_STEP2)
+    word = _porter_map_suffix(word, _porter_STEP3)
+    word = _porter_step4(word)
+    word = _porter_step5(word)
+    return word
+
+
+# ---- keyphrase list parsing, character by character ----
+
+_PARSE_STRIP_CHARS = " \t\r\n\"'`[]"
+
+
+def _list_content_oracle(text: str, start: int) -> str:
+    """Text between the bracket at `start` and its matching close."""
+    depth = 1
+    quote = None
+    for i in range(start + 1, len(text)):
+        ch = text[i]
+        if quote:
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth == 0:
+                return text[start + 1 : i]
+    return text[start + 1 :]
+
+
+def _split_top_level_oracle(content: str) -> list[str]:
+    """Split on commas and newlines outside quotes and nested brackets."""
+    items: list[str] = []
+    buf: list[str] = []
+    depth = 0
+    quote = None
+    for ch in content:
+        if quote:
+            buf.append(ch)
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+            buf.append(ch)
+        elif ch == "[":
+            depth += 1
+            buf.append(ch)
+        elif ch == "]":
+            depth = max(0, depth - 1)
+            buf.append(ch)
+        elif (ch == "," or ch == "\n") and depth == 0:
+            items.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    items.append("".join(buf))
+    return items
+
+
+def parse_sample_oracle(raw_text: str, had_prefill: bool) -> tuple[tuple[str, ...], bool]:
+    """(phrases, fallback) as `kpagg.llm_client.parse_sample` gives them."""
+    full = ("[" if had_prefill else "") + raw_text
+    start = full.find("[")
+    fallback = start < 0
+    content = full if fallback else _list_content_oracle(full, start)
+    phrases = tuple(
+        cleaned
+        for item in _split_top_level_oracle(content)
+        if (cleaned := item.strip(_PARSE_STRIP_CHARS))
+    )
+    return phrases, fallback or not phrases

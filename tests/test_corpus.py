@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpagg import corpus as corpus_mod
+from kpagg import textnorm
 from kpagg.corpus import (
     CorpusError,
     Document,
@@ -129,6 +130,23 @@ class TestPartitionGold:
         d = make_doc(title="one thing", body="here", gold=("One Thing", "one thing", "other"))
         part = partition_gold(d)
         assert len(part.present) + len(part.absent) == 2
+
+    def test_equals_fresh_normalize_and_presence_test(self, toy_docs):
+        for doc in toy_docs:
+            tokens = textnorm.normalize_tokens(doc.source_text)
+            phrases = textnorm.dedup_preserve_order(
+                [textnorm.normalize_phrase(g) for g in doc.gold]
+            )
+            fresh = [p.classified(textnorm.is_present(p, tokens)) for p in phrases]
+            part = partition_gold(doc)
+            assert part.present == tuple(p for p in fresh if p.is_present), doc.id
+            assert part.absent == tuple(p for p in fresh if not p.is_present), doc.id
+
+    def test_punctuation_only_gold_dropped(self):
+        d = make_doc(title="one thing", body="here", gold=("--", "One thing", "one-thing"))
+        part = partition_gold(d)
+        assert [p.surface for p in part.present] == ["One thing"]
+        assert part.absent == ()
 
     @given(st.permutations(["alpha", "beta", "gamma", "delta"]))
     def test_partition_counts_permutation_invariant(self, order):

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import socket
+import string
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,6 +24,8 @@ from kpagg.llm_client import (
     parse_sample,
     perplexity,
 )
+
+from .oracles import parse_sample_oracle
 
 
 def raw(text="x", logprobs=None, index=0, finish="stop", doc="d1"):
@@ -108,6 +111,26 @@ class TestParseSample:
         assert list(parsed.phrases) == [s.strip() for s in items]
         for phrase in parsed.phrases:
             assert not set(phrase) & set('[]"')
+
+    @given(st.text(alphabet='ab,\n\t"\'[] ', max_size=40), st.booleans())
+    def test_matches_char_by_char_oracle(self, text, prefill):
+        parsed = parse_sample(text, prefill)
+        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(text, prefill)
+
+    @given(st.text(), st.booleans())
+    def test_never_raises(self, text, prefill):
+        parsed = parse_sample(text, prefill)
+        assert all(isinstance(p, str) and p for p in parsed.phrases)
+
+    @given(
+        st.lists(
+            st.text(alphabet=string.ascii_letters + string.digits + " -", max_size=12),
+            max_size=8,
+        )
+    )
+    def test_idempotent_on_clean_lists(self, items):
+        first = parse_sample(json.dumps(items), False).phrases
+        assert parse_sample(json.dumps(list(first)), False).phrases == first
 
 
 class TestPerplexity:
@@ -404,6 +427,22 @@ class TestNonFiniteLogprobs:
         assert sample.token_logprobs is None
         assert perplexity(sample) is None
 
+    def test_choice_drops_boolean_logprobs(self):
+        sample = LLMClient._sample_from_choice(
+            "d", "h", 0, self.choice([-0.5, True, -1.5, False])
+        )
+        assert sample.token_logprobs == (-0.5, -1.5)
+        only_bools = LLMClient._sample_from_choice("d", "h", 0, self.choice([True]))
+        assert only_bools.token_logprobs is None
+
+    def test_integer_too_large_for_a_float_is_non_finite(self, tmp_path):
+        sample = LLMClient._sample_from_choice("d", "h", 0, self.choice([-0.5, 10**400]))
+        assert sample.token_logprobs is None
+        path = tmp_path / "cache.jsonl"
+        line = {**SampleCache._encode(raw(doc="d")), "token_logprobs": [-0.5, 10**400]}
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        assert SampleCache(path).get("d", "h" * 64, 0).token_logprobs is None
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_cached_non_finite_logprob_decodes_to_none(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
@@ -503,6 +542,44 @@ class TestSampleCache:
             reopened = SampleCache(path)
         assert len(reopened) == 2
         assert reopened.get("d1", "a" * 64, 1) is not None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("token_logprobs", "12"),
+            ("token_logprobs", [True, False]),
+            ("token_logprobs", {"-1": 0}),
+            ("sample_index", 3.9),
+            ("finish_reason", None),
+        ],
+    )
+    def test_field_of_wrong_json_type_is_corrupt(self, tmp_path, caplog, field, value):
+        path = tmp_path / "cache.jsonl"
+        lines = [SampleCache._encode(self.entry(index=i)) for i in range(3)]
+        lines[1][field] = value
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            cache = SampleCache(path)
+        assert len(cache) == 2
+        assert cache.get("d1", "a" * 64, 0) == self.entry(index=0)
+        assert cache.get("d1", "a" * 64, 2) == self.entry(index=2)
+        assert "skipped 1 corrupt cache line" in caplog.text
+
+    @given(
+        st.builds(
+            RawSample,
+            doc_id=st.text(),
+            prompt_hash=st.text(),
+            sample_index=st.integers(min_value=0),
+            text=st.text(),
+            token_logprobs=st.none()
+            | st.lists(st.floats(allow_nan=False, allow_infinity=False)).map(tuple),
+            finish_reason=st.text(),
+        )
+    )
+    def test_encode_then_decode_is_identity(self, sample):
+        line = json.dumps(SampleCache._encode(sample), ensure_ascii=False)
+        assert SampleCache._decode(json.loads(line)) == sample
 
     def test_distinct_prompts_do_not_collide(self, tmp_path):
         cache = SampleCache(tmp_path / "cache.jsonl")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kpagg import porter
 
-from .oracles import reference_stems
+from .oracles import porter_oracle, reference_stems
 
 # examples quoted in the algorithm's original description, step by step
 CLASSIC_CASES = {
@@ -136,3 +136,25 @@ def test_repeated_stemming_converges(word):
         seen.add(current)
         current = porter.stem(current)
     assert porter.stem(current) == current
+
+
+# every suffix the rules strip or rewrite, so that generated words reach
+# each step's tables and not only step 1
+RULE_SUFFIXES = (
+    "s", "ed", "ing", "eed", "ies", "sses",
+    "ational", "tional", "enci", "anci", "izer", "bli", "alli", "entli", "eli",
+    "ousli", "ization", "ation", "ator", "alism", "iveness", "fulness",
+    "ousness", "aliti", "iviti", "biliti", "logi",
+    "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
+    "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+@given(
+    st.text(alphabet="aeiouybcdlmnrstz", max_size=10),
+    st.sampled_from(RULE_SUFFIXES),
+)
+def test_stem_matches_letter_by_letter_oracle(stem_part, suffix):
+    word = stem_part + suffix
+    assert porter.stem(word) == porter_oracle(word)

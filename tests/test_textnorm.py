@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpagg import porter, textnorm
+from kpagg import aggregation, corpus, porter, textnorm
+from kpagg.llm_client import ParsedSample
 
 from .oracles import reference_stems, window_scan_oracle
 
@@ -124,6 +125,79 @@ class TestNormalizedSource:
         assert source.ngrams(4) == frozenset()
 
 
+def fresh_classify(surfaces, source_tokens):
+    """Normalize, dedup and presence-test each surface from scratch."""
+    return [
+        p.classified(textnorm.is_present(p, source_tokens))
+        for p in textnorm.dedup_preserve_order(
+            [textnorm.normalize_phrase(s) for s in surfaces]
+        )
+    ]
+
+
+def toy_samples(doc):
+    """Three samples that repeat the gold phrases in different orders and
+    add a source word and a phrase absent from the source."""
+    gold = list(doc.gold)
+    word = doc.source_text.split()[0]
+    return [
+        ParsedSample(phrases=tuple(gold + [word]), perplexity=None),
+        ParsedSample(phrases=tuple(reversed(gold)) + ("zzyzx quux",), perplexity=None),
+        ParsedSample(phrases=(word, "--", word.upper()) + tuple(gold[:2]), perplexity=None),
+    ]
+
+
+class TestSourcePhraseMemo:
+    def test_classify_samples_equals_fresh_computation(self, toy_docs):
+        for doc in toy_docs:
+            source_tokens = textnorm.normalize_tokens(doc.source_text)
+            samples = toy_samples(doc)
+            got = aggregation.classify_samples(samples, doc)
+            assert [list(c.phrases) for c in got] == [
+                fresh_classify(ps.phrases, source_tokens) for ps in samples
+            ], doc.id
+
+    def test_empty_surface_stays_unclassified(self):
+        source = textnorm.NormalizedSource.from_text("a source text")
+        p = source.phrase("--")
+        assert p.normalized == "" and p.is_present is None
+        assert source.phrase("--") is p
+        assert textnorm.dedup_preserve_order([p]) == []
+
+    def test_same_normal_form_keeps_first_surface(self):
+        source = textnorm.NormalizedSource.from_text("Neural networks learn")
+        phrases = [source.phrase(s) for s in ("neural networks", "Neural-Network")]
+        assert [p.surface for p in phrases] == ["neural networks", "Neural-Network"]
+        kept = textnorm.dedup_preserve_order(phrases)
+        assert [(p.surface, p.is_present) for p in kept] == [("neural networks", True)]
+        doc = corpus.Document("d", "Neural networks learn", "", ())
+        sample = ParsedSample(phrases=("Neural-Network", "neural networks"), perplexity=None)
+        (ranked,) = aggregation.classify_samples([sample], doc)
+        assert [p.surface for p in ranked.phrases] == ["Neural-Network"]
+
+    def test_each_surface_normalized_once_per_source(self, toy_docs, monkeypatch):
+        calls = []
+        original = textnorm.normalize_phrase
+
+        def counting(surface):
+            calls.append(surface)
+            return original(surface)
+
+        monkeypatch.setattr(textnorm, "normalize_phrase", counting)
+        doc = toy_docs[0]
+        samples = toy_samples(doc)
+        source = textnorm.NormalizedSource.from_text(doc.source_text)
+        aggregation.classify_samples(samples, doc, source)
+        aggregation.classify_samples(samples, doc, source)
+        corpus.partition_gold(doc, source)
+        sampled = {s for ps in samples for s in ps.phrases}
+        assert sorted(calls) == sorted(sampled | set(doc.gold))
+        # a new source (the next document) starts with an empty memo
+        calls.clear()
+        aggregation.classify_samples(samples, doc)
+        assert sorted(calls) == sorted(sampled)
+
+
 class TestDedup:
     def test_first_occurrence_kept(self):
         phrases = [textnorm.normalize_phrase(s) for s in ("a", "b", "a", "c")]
@@ -184,3 +258,10 @@ def test_is_present_matches_window_scan(phrase_words, source_words):
     assert textnorm.is_present(phrase, source) == window_scan_oracle(
         source, list(phrase.tokens)
     )
+
+
+@given(token_lists, st.integers(min_value=1, max_value=5))
+def test_ngrams_are_every_window(tokens, n):
+    source = textnorm.NormalizedSource(tokens)
+    windows = {" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
+    assert source.ngrams(n) == windows
