@@ -74,7 +74,7 @@ def _run_options(fn):
                           "keyphrases in a partition."),
         click.option("--prompt-config", default=None,
                      type=click.Path(exists=True, dir_okay=False),
-                     help="YAML file overriding the bundled prompt strings."),
+                     help="YAML (or JSON) file overriding the bundled prompt strings."),
         click.option("--prefill/--no-prefill", default=True, show_default=True,
                      help="Start the assistant turn with '[' (disable for "
                           "endpoints that reject partial assistant turns)."),
@@ -101,7 +101,7 @@ def _run_options(fn):
 def _echo_summary(summary: harness.RunSummary) -> None:
     click.echo(
         f"documents processed={summary.processed} errored={summary.errored} "
-        f"parse_fallbacks={summary.parse_fallbacks} "
+        f"parse_fallbacks={summary.parse_fallbacks} truncated={summary.truncated} "
         f"cache_hits={summary.cache_hits} cache_misses={summary.cache_misses} "
         f"wall={summary.wall_time:.2f}s"
     )

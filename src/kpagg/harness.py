@@ -13,7 +13,9 @@ perplexity mode, then aggregates and scores per config. The metric fold is
 a deterministic reduce in corpus order, so a warm cache replays to
 byte-identical reports. A fatal endpoint error cancels the documents still
 queued. Failed samples are never cached, which makes an interrupted run
-resumable by simply rerunning it.
+resumable by simply rerunning it. The cache file's name carries the
+sampling settings (temperature and max_tokens), so a replay never belongs
+to other settings than the run's.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-
-import yaml
 
 from . import aggregation, corpus, metrics, prompting, textnorm
 from .llm_client import (
@@ -80,6 +80,7 @@ class RunSummary:
     processed: int = 0
     errored: int = 0
     parse_fallbacks: int = 0
+    truncated: int = 0  # successful samples cut at the token limit
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time: float = 0.0
@@ -104,13 +105,22 @@ def _sanitize(name: str) -> str:
 
 
 def cache_path(config: RunConfig) -> Path:
+    """`<cache_dir>/<corpus>/<variant>/<model>.t<T>.m<M>.jsonl`.
+
+    T and M are the temperature and max_tokens, which change what the
+    endpoint samples but are in no prompt hash; the temperature is taken as
+    a float first, so 1 and 1.0 name one file. n_samples and request_mode
+    stay out, so a larger or resumed run replays what is there.
+    """
     stem = Path(config.corpus_path).stem
     variant = prompting.resolve_variant(config.variant)
+    temperature = float(config.temperature) + 0.0  # -0.0 becomes 0.0
+    sampling = f"t{temperature!r}.m{int(config.max_tokens)}"
     return (
         Path(config.cache_dir)
         / _sanitize(stem)
         / _sanitize(variant)
-        / f"{_sanitize(config.model)}.jsonl"
+        / f"{_sanitize(config.model)}.{_sanitize(sampling)}.jsonl"
     )
 
 
@@ -152,20 +162,23 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
     return prompt, ordered, config.n_samples - len(missing), len(missing)
 
 
-def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int]:
+def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     """Score one document under every config of a group.
 
     The samples are parsed, normalized and presence-classified, the source
     normalized and the gold partitioned once; each perplexity mode only
     attaches its perplexities and sorts. Returns one score list per config
-    (None when no sample succeeded) and the parse fallback count.
+    (None when no sample succeeded), the parse fallback count and the count
+    of samples cut at the token limit.
     """
     successful = [s for s in raw if not s.failed]
     if not successful:
-        return None, 0
+        return None, 0, 0
+    truncated = [s.finish_reason == "length" for s in successful]
+    had_prefill = bool(prompt.assistant_prefill)
     parsed = [
-        parse_sample(s.text, had_prefill=bool(prompt.assistant_prefill))
-        for s in successful
+        parse_sample(s.text, had_prefill=had_prefill, truncated=cut)
+        for s, cut in zip(successful, truncated)
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = corpus.partition_gold(doc, source)
@@ -186,7 +199,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int]:
         )
         for c in configs
     ]
-    return scores, sum(ps.fallback for ps in parsed)
+    return scores, sum(ps.fallback for ps in parsed), sum(truncated)
 
 
 # config fields that identify a run's results; paths and transport details
@@ -256,7 +269,16 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
             api_key=os.environ.get(API_KEY_ENV),
             request_mode=head.request_mode,
         )
-    cache = SampleCache(cache_path(head))
+    path = cache_path(head)
+    # where a cache was kept before its name carried the sampling settings
+    legacy = path.with_name(f"{_sanitize(head.model)}.jsonl")
+    if not path.exists() and legacy.exists():
+        log.warning(
+            "%s holds samples in an older cache format without sampling "
+            "settings; it is not replayed (move it aside to silence this)",
+            legacy,
+        )
+    cache = SampleCache(path)
 
     base = RunSummary()
     results: list[list | None] = [None] * len(docs)
@@ -272,8 +294,11 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
                     prompt, raw, hits, misses = fut.result()
                     base.cache_hits += hits
                     base.cache_misses += misses
-                    results[i], fallbacks = _evaluate(docs[i], prompt, raw, configs)
+                    results[i], fallbacks, truncated = _evaluate(
+                        docs[i], prompt, raw, configs
+                    )
                     base.parse_fallbacks += fallbacks
+                    base.truncated += truncated
                 except (AuthenticationError, RequestError, HarnessError):
                     raise
                 except Exception:
@@ -322,6 +347,8 @@ def _to_run_config(entry: dict, context: str) -> RunConfig:
 def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
     """Parse a grid YAML file: shared keys at the top level, per-run
     overrides under `runs`, optional merged-CSV path under `out`."""
+    import yaml  # only grid files need it; an offline replay never loads it
+
     try:
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -348,7 +375,7 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     Configs that differ only in strategy, perplexity mode, empty-gold policy
     or output path, or name one variant by alias and full name, share one
     fetch and one evaluation pass; their summaries all carry that pass's
-    document, cache and parse-fallback counts.
+    document, cache, parse-fallback and truncation counts.
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")
@@ -367,6 +394,10 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             raise HarnessError(f"unknown perplexity mode {c.ppl_mode!r}")
         if c.empty_gold not in ("exclude", "zero"):
             raise HarnessError(f"unknown empty-gold policy {c.empty_gold!r}")
+        try:
+            float(c.temperature), int(c.max_tokens)
+        except (TypeError, ValueError) as exc:
+            raise HarnessError(f"bad temperature or max_tokens: {exc}") from exc
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         fields = {**vars(c), "variant": prompting.resolve_variant(c.variant)}

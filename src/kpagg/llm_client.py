@@ -4,9 +4,15 @@ Talks to any OpenAI-compatible endpoint over the standard library's
 `urllib.request`: one request per document with n choices (default) or n
 single-choice requests, with per-token logprobs requested so samples can be
 ranked by perplexity. Proxies come from `HTTP(S)_PROXY`/`NO_PROXY` and HTTPS
-verifies against the system CA store. Completed samples are appended to a
-JSON-lines cache keyed by (doc_id, prompt_hash, sample_index); a warm cache
-replays a run without any network traffic.
+verifies against the system CA store.
+
+A sample keeps only what ranking needs of its logprobs: their left-to-right
+sum and their count (`lp_sum`, `lp_n`), the sufficient statistics of both
+perplexity modes. Completed samples are appended to a JSON-lines cache
+keyed by (doc_id, prompt_hash, sample_index), one line per sample with those
+two fields in place of the per-token list; a warm cache replays a run
+without any network traffic. JSON float repr round-trips exactly, so a
+replayed perplexity equals the fetched one bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import http.client
 import json
 import logging
 import math
+import os
 import re
 import threading
 import time
@@ -50,7 +57,8 @@ class RawSample:
     prompt_hash: str
     sample_index: int
     text: str
-    token_logprobs: tuple[float, ...] | None
+    lp_sum: float | None  # sum of the token logprobs, left to right
+    lp_n: int  # number of token logprobs; 0 means unknown
     finish_reason: str
 
     @property
@@ -71,12 +79,11 @@ def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
     mode "mean" divides by the token count (length-normalized, the default);
     mode "sum" does not. Returns None when no logprobs were captured.
     """
-    lps = sample.token_logprobs
-    if not lps:
+    if sample.lp_sum is None or not sample.lp_n:
         return None
-    nll = -sum(lps)
+    nll = -sample.lp_sum
     if mode == "mean":
-        nll /= len(lps)
+        nll /= sample.lp_n
     elif mode != "sum":
         raise ValueError(f"unknown perplexity mode {mode!r}")
     try:
@@ -85,16 +92,20 @@ def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
         return math.inf
 
 
-def _finite_logprobs(values) -> tuple[float, ...] | None:
-    """Logprobs as floats, or None (unknown perplexity, ranked last) when any
+def _logprob_stats(values) -> tuple[float | None, int]:
+    """The left-to-right sum and the count of the logprobs as floats, or
+    (None, 0) (unknown perplexity, ranked last) when there are none or any
     is NaN or infinite: such a value would make the perplexity NaN or
     infinite and the rank order meaningless. An integer too large for a
-    float counts as infinite."""
+    float counts as infinite. A sum of finite values may still overflow to
+    an infinity; its perplexity is then 0 or inf, as from the list."""
     try:
         lps = tuple(map(float, values))
     except OverflowError:
-        return None
-    return lps if all(map(math.isfinite, lps)) else None
+        return None, 0
+    if not lps or not all(map(math.isfinite, lps)):
+        return None, 0
+    return sum(lps), len(lps)
 
 
 _STRIP_CHARS = " \t\r\n\"'`[]"
@@ -107,8 +118,9 @@ _BRACKET_RE = re.compile(_QUOTED + r"|[\[\]]")
 _SEPARATOR_RE = re.compile(_QUOTED + r"|[\[\],\n]")
 
 
-def _list_content(text: str, start: int) -> str:
-    """Text between the bracket at `start` and its matching close."""
+def _list_end(text: str, start: int) -> int:
+    """Index of the bracket that closes the one at `start`, or the length
+    of the text when the list never closes."""
     depth = 1
     for m in _BRACKET_RE.finditer(text, start + 1):
         token = m.group()
@@ -117,8 +129,8 @@ def _list_content(text: str, start: int) -> str:
         elif token == "]":
             depth -= 1
             if depth == 0:
-                return text[start + 1 : m.start()]
-    return text[start + 1 :]
+                return m.start()
+    return len(text)
 
 
 def _split_top_level(content: str) -> list[str]:
@@ -139,20 +151,27 @@ def _split_top_level(content: str) -> list[str]:
     return items
 
 
-def parse_sample(raw_text: str, had_prefill: bool) -> ParsedSample:
+def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> ParsedSample:
     """Extract the keyphrase list from one completion.
 
     The completion is expected to be (the rest of) a bracketed list; content
     is taken up to the matching close bracket and split on top-level commas
     and newlines. Without any bracket the whole text is split the same way
-    and the sample is flagged as a parse fallback. Never raises.
+    and the sample is flagged as a parse fallback. A `truncated` completion
+    (cut at the token limit) whose content runs to the end of the text, an
+    unclosed list or fallback text, loses its last item, which may be a cut
+    phrase. Never raises.
     """
     full = ("[" if had_prefill else "") + raw_text
     start = full.find("[")
     fallback = start < 0
-    content = full if fallback else _list_content(full, start)
+    end = len(full) if fallback else _list_end(full, start)
+    # without a bracket `start` is -1, so the slice is the whole text
+    items = _split_top_level(full[start + 1 : end])
+    if truncated and end == len(full):
+        items.pop()
     phrases = []
-    for item in _split_top_level(content):
+    for item in items:
         cleaned = item.strip(_STRIP_CHARS)
         if cleaned:
             phrases.append(cleaned)
@@ -275,23 +294,22 @@ class LLMClient:
     ) -> RawSample:
         message = choice.get("message") or {}
         text = message.get("content") or ""
-        token_logprobs = None
+        lp_sum, lp_n = None, 0
         lpinfo = choice.get("logprobs")
         if isinstance(lpinfo, dict) and isinstance(lpinfo.get("content"), list):
             # type(), not isinstance(): JSON true/false are not logprobs
-            values = [
+            lp_sum, lp_n = _logprob_stats(
                 t.get("logprob")
                 for t in lpinfo["content"]
                 if isinstance(t, dict) and type(t.get("logprob")) in (int, float)
-            ]
-            if values:
-                token_logprobs = _finite_logprobs(values)
+            )
         return RawSample(
             doc_id=doc_id,
             prompt_hash=prompt_hash,
             sample_index=index,
             text=text,
-            token_logprobs=token_logprobs,
+            lp_sum=lp_sum,
+            lp_n=lp_n,
             finish_reason=str(choice.get("finish_reason") or "unknown"),
         )
 
@@ -301,7 +319,8 @@ class LLMClient:
             prompt_hash=prompt_hash,
             sample_index=index,
             text="",
-            token_logprobs=None,
+            lp_sum=None,
+            lp_n=0,
             finish_reason="error:request_failed",
         )
 
@@ -354,7 +373,14 @@ class LLMClient:
 
 class SampleCache:
     """Append-only JSON-lines store of RawSamples, keyed by
-    (doc_id, prompt_hash, sample_index). First write for a key wins."""
+    (doc_id, prompt_hash, sample_index). First write for a key wins.
+
+    Each `put` appends its batch with a single `os.write` to an `O_APPEND`
+    descriptor, so the batch lands whole at the end of the file even when
+    another process appends to the same file at the same time. Two writers
+    may both append a key neither had loaded; a reload keeps the line that
+    came first.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -388,24 +414,31 @@ class SampleCache:
     def _decode(obj: dict) -> RawSample:
         """The sample a cache line holds. A field of the wrong JSON type
         raises TypeError, so the line counts as corrupt instead of being
-        coerced (a string of digits or a list of booleans into logprobs, a
-        null finish reason into the clean-looking "None")."""
-        doc_id, prompt_hash, index, text, lps, finish_reason = (
+        coerced (a string of digits into a logprob sum, a null finish reason
+        into the clean-looking "None"): `lp_sum` must be null or a float
+        other than NaN, `lp_n` a non-negative integer, and a positive
+        `lp_n` needs a sum. A line without `lp_sum` (an older format) raises
+        KeyError."""
+        doc_id, prompt_hash, index, text, lp_sum, lp_n, finish_reason = (
             obj["doc_id"],
             obj["prompt_hash"],
             obj["sample_index"],
             obj["text"],
-            obj["token_logprobs"],
+            obj["lp_sum"],
+            obj["lp_n"],
             obj["finish_reason"],
         )
         strings = (doc_id, prompt_hash, text, finish_reason)
         if set(map(type, strings)) != {str} or type(index) is not int:
             raise TypeError("cache line field of the wrong type")
-        if lps is not None:
-            if type(lps) is not list or not set(map(type, lps)) <= {int, float}:
-                raise TypeError("token_logprobs is not a list of numbers")
-            lps = _finite_logprobs(lps)
-        return RawSample(doc_id, prompt_hash, index, text, lps, finish_reason)
+        if type(lp_n) is not int or lp_n < 0:
+            raise TypeError("lp_n is not a non-negative integer")
+        if lp_sum is None:
+            if lp_n:
+                raise TypeError("lp_n without lp_sum")
+        elif type(lp_sum) is not float or lp_sum != lp_sum:
+            raise TypeError("lp_sum is not null or a float other than NaN")
+        return RawSample(doc_id, prompt_hash, index, text, lp_sum, lp_n, finish_reason)
 
     @staticmethod
     def _encode(sample: RawSample) -> dict:
@@ -414,9 +447,8 @@ class SampleCache:
             "prompt_hash": sample.prompt_hash,
             "sample_index": sample.sample_index,
             "text": sample.text,
-            "token_logprobs": (
-                list(sample.token_logprobs) if sample.token_logprobs is not None else None
-            ),
+            "lp_sum": sample.lp_sum,
+            "lp_n": sample.lp_n,
             "finish_reason": sample.finish_reason,
         }
 
@@ -435,11 +467,19 @@ class SampleCache:
             if not new:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            lines = "".join(
+            data = "".join(
                 json.dumps(self._encode(s), ensure_ascii=False) + "\n" for s in new.values()
-            )
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(lines)
+            ).encode("utf-8")
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, data)
+                # A regular file takes the whole batch in one write; only a
+                # full disk or a signal cuts it short, and then the rest
+                # still goes out rather than being lost.
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
             self._index.update(new)
 
     def __len__(self) -> int:

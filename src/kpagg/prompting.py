@@ -12,11 +12,10 @@ never rewritten.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import yaml
 
 from .corpus import Document
 
@@ -73,20 +72,25 @@ class RenderedPrompt:
 
 
 def load_prompt_config(path: str | Path | None = None) -> PromptConfig:
-    """Load prompt strings from a YAML file; default to the bundled one."""
+    """Load prompt strings from a YAML file (JSON is YAML too); default to
+    the bundled JSON, read without loading a YAML parser."""
     if path is None:
-        text = resources.files("kpagg").joinpath("data/prompts.yaml").read_text("utf-8")
-        source = "bundled prompts.yaml"
+        data = json.loads(
+            resources.files("kpagg").joinpath("data/prompts.json").read_text("utf-8")
+        )
+        source = "bundled prompts.json"
     else:
+        import yaml  # only --prompt-config files need it
+
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise PromptConfigError(f"cannot read prompt config {path}: {exc}") from exc
         source = str(path)
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise PromptConfigError(f"{source}: invalid YAML: {exc}") from exc
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise PromptConfigError(f"{source}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise PromptConfigError(f"{source}: expected a mapping of prompt strings")
     values = {}

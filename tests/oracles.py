@@ -54,6 +54,22 @@ def ceil_mean_oracle(counts: list[int]) -> int:
     return math.ceil(Fraction(sum(counts), len(counts)))
 
 
+# ---- perplexity over the per-token list ----
+
+def perplexity_oracle(logprobs: list[float], mode: str) -> float | None:
+    """exp of the negative summed (mode "sum") or mean (mode "mean") token
+    log-likelihood, from the list itself; None without logprobs."""
+    if not logprobs:
+        return None
+    nll = -sum(logprobs)
+    if mode == "mean":
+        nll /= len(logprobs)
+    try:
+        return math.exp(nll)
+    except OverflowError:
+        return math.inf
+
+
 # ---- metrics ----
 
 def prf_oracle(

@@ -1,12 +1,13 @@
 """Run orchestration: caching, determinism, grid runs, and the CLI."""
 
 import json
+import logging
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from kpagg import harness, textnorm
+from kpagg import harness, prompting, textnorm
 from kpagg.aggregation import STRATEGIES
 from kpagg.cli import main
 from kpagg.corpus import load_corpus
@@ -20,6 +21,7 @@ from kpagg.harness import (
     provenance,
     select_documents,
 )
+from kpagg.llm_client import RawSample, SampleCache
 from kpagg.mock_server import running_server
 
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -84,7 +86,7 @@ class TestCachePath:
             cache_dir=str(tmp_path),
         )
         path = cache_path(cfg)
-        assert path == tmp_path / "inspec_test" / "baseline" / "gpt-4o.jsonl"
+        assert path == tmp_path / "inspec_test" / "baseline" / "gpt-4o.t0.8.m500.jsonl"
 
     def test_hostile_names_sanitized(self, tmp_path):
         cfg = RunConfig(
@@ -93,7 +95,7 @@ class TestCachePath:
             cache_dir=str(tmp_path),
         )
         path = cache_path(cfg)
-        assert path.name == "org_model_v1.jsonl"
+        assert path.name == "org_model_v1.t0.8.m500.jsonl"
         assert "/" not in path.stem
 
     def test_variant_alias_canonicalized(self, tmp_path):
@@ -102,6 +104,30 @@ class TestCachePath:
         b = cache_path(RunConfig(corpus_path="c.jsonl", variant="combined_control", cache_dir=str(tmp_path)))
         assert a == b
         assert a.parts[-2] == "combined_control"
+
+    def test_sampling_settings_in_the_name(self, tmp_path):
+        base = dict(corpus_path="c.jsonl", cache_dir=str(tmp_path))
+        default = cache_path(RunConfig(**base))
+        for change in ({"temperature": 0.0}, {"max_tokens": 5}):
+            assert cache_path(RunConfig(**base, **change)) != default
+        assert cache_path(RunConfig(**base, temperature=0.0, max_tokens=5)).name == (
+            "default.t0.0.m5.jsonl"
+        )
+
+    def test_temperature_normalised(self, tmp_path):
+        base = dict(corpus_path="c.jsonl", cache_dir=str(tmp_path))
+        assert cache_path(RunConfig(**base, temperature=1)) == cache_path(
+            RunConfig(**base, temperature=1.0)
+        )
+        assert cache_path(RunConfig(**base, temperature=-0.0)) == cache_path(
+            RunConfig(**base, temperature=0)
+        )
+
+    def test_sample_count_and_request_mode_share_the_file(self, tmp_path):
+        base = dict(corpus_path="c.jsonl", cache_dir=str(tmp_path))
+        default = cache_path(RunConfig(**base))
+        assert cache_path(RunConfig(**base, n_samples=3)) == default
+        assert cache_path(RunConfig(**base, request_mode="per-request")) == default
 
 
 class TestProvenance:
@@ -128,6 +154,7 @@ class TestRunEndToEnd:
         assert summary.cache_misses == 50
         assert summary.cache_hits == 0
         assert summary.parse_fallbacks == 3
+        assert summary.truncated == 0  # the mock always answers "stop"
         assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
 
     def test_meta_json_written_sorted(self, endpoint, tmp_path):
@@ -161,6 +188,55 @@ class TestRunEndToEnd:
         assert summary.processed == 0
         assert summary.errored == 5
         assert all(v is None for v in summary.report.table.values())
+
+    def test_other_sampling_settings_do_not_replay(self, endpoint, tmp_path):
+        harness.run(config(endpoint, tmp_path, temperature=0.8))
+        summary = harness.run(config(endpoint, tmp_path, temperature=0.0, max_tokens=5))
+        assert summary.cache_hits == 0
+        assert summary.cache_misses == 50
+
+    def test_legacy_cache_is_named_and_not_replayed(self, endpoint, tmp_path, caplog):
+        cfg = config(None, tmp_path, offline=True)
+        legacy = cache_path(cfg).parent / "default.jsonl"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(
+            json.dumps({"doc_id": "doc-001", "prompt_hash": "h", "sample_index": 0,
+                        "text": '["x"]', "token_logprobs": [-0.5], "finish_reason": "stop"})
+            + "\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+            summary = harness.run(cfg)
+        assert summary.cache_hits == 0
+        named = [r for r in caplog.records if str(legacy) in r.getMessage()]
+        assert len(named) == 1
+        harness.run(config(endpoint, tmp_path))  # writes the current file
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+            assert harness.run(cfg).cache_hits == 50
+        assert str(legacy) not in caplog.text
+
+    def test_length_truncated_samples_counted_and_cut(self, tmp_path, docs, prompt_cfg):
+        doc = docs[0]
+        prompt = prompting.build_prompt(doc, "baseline", prompt_cfg)
+        # cut inside the gold "wireless sensor networks": the stub is
+        # present in the source but no gold phrase
+        cut = '"graph coloring", "wireless sensor'
+        reports = {}
+        for finish in ("length", "stop"):
+            cfg = config(None, tmp_path / finish, offline=True, limit=1, n_samples=1)
+            SampleCache(cache_path(cfg)).put(
+                RawSample(doc.id, prompt.prompt_hash, 0, cut, -1.0, 2, finish)
+            )
+            summary = harness.run(cfg)
+            assert summary.processed == 1
+            assert summary.truncated == (finish == "length")
+            reports[finish] = summary.report
+        assert reports["length"].counts == reports["stop"].counts
+        # "graph coloring" is one of 4 present gold phrases; the stub is a
+        # miss, so it halves the precision of the untruncated reading
+        assert reports["length"].table["present", "f1_at_m"] == pytest.approx(0.4)  # P 1, R 1/4
+        assert reports["stop"].table["present", "f1_at_m"] == pytest.approx(1 / 3)  # P 1/2
 
     def test_partial_cache_resumes(self, endpoint, tmp_path):
         harness.run(config(endpoint, tmp_path, n_samples=4))
@@ -257,6 +333,19 @@ class TestGrid:
         assert [s.cache_misses for s in summaries] == [15, 35]
         for cfg, summary in zip(configs, summaries):
             assert summary.report == harness.run(cfg).report, cfg
+
+    def test_temperature_sweep_does_not_replay_across_temperatures(
+        self, endpoint, tmp_path, cache_loads
+    ):
+        configs = [config(endpoint, tmp_path, temperature=t) for t in (0.2, 0.9)]
+        summaries = harness.grid(configs)
+        assert len(cache_loads) == 2
+        assert [s.cache_hits for s in summaries] == [0, 0]
+        assert [s.cache_misses for s in summaries] == [50, 50]
+
+    def test_invalid_sampling_settings_rejected(self, tmp_path):
+        with pytest.raises(HarnessError, match="temperature"):
+            harness.grid([RunConfig(corpus_path="c.jsonl", temperature="hot")])
 
     def test_variant_alias_and_full_name_share_one_pass(self, endpoint, tmp_path, cache_loads):
         configs = [

@@ -3,16 +3,20 @@
 import json
 import logging
 import math
+import os
 import socket
 import string
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import kpagg
 from kpagg import harness
 from kpagg.llm_client import (
     AuthenticationError,
@@ -21,20 +25,23 @@ from kpagg.llm_client import (
     RawSample,
     RequestError,
     SampleCache,
+    _logprob_stats,
     parse_sample,
     perplexity,
 )
 
-from .oracles import parse_sample_oracle
+from .oracles import parse_sample_oracle, perplexity_oracle
 
 
 def raw(text="x", logprobs=None, index=0, finish="stop", doc="d1"):
+    lp_sum, lp_n = _logprob_stats(logprobs or ())
     return RawSample(
         doc_id=doc,
         prompt_hash="h" * 64,
         sample_index=index,
         text=text,
-        token_logprobs=None if logprobs is None else tuple(logprobs),
+        lp_sum=lp_sum,
+        lp_n=lp_n,
         finish_reason=finish,
     )
 
@@ -117,9 +124,9 @@ class TestParseSample:
         parsed = parse_sample(text, prefill)
         assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(text, prefill)
 
-    @given(st.text(), st.booleans())
-    def test_never_raises(self, text, prefill):
-        parsed = parse_sample(text, prefill)
+    @given(st.text(), st.booleans(), st.booleans())
+    def test_never_raises(self, text, prefill, truncated):
+        parsed = parse_sample(text, prefill, truncated)
         assert all(isinstance(p, str) and p for p in parsed.phrases)
 
     @given(
@@ -131,6 +138,31 @@ class TestParseSample:
     def test_idempotent_on_clean_lists(self, items):
         first = parse_sample(json.dumps(items), False).phrases
         assert parse_sample(json.dumps(list(first)), False).phrases == first
+
+
+class TestTruncatedSample:
+    @pytest.mark.parametrize(
+        "text, prefill, phrases",
+        [
+            # an unclosed list loses its last item, which may be cut
+            ('"graph coloring", "sensor net', True, ("graph coloring",)),
+            # cut after a separator: the last item is empty, nothing is lost
+            ('"graph coloring", "sensor network", ', True, ("graph coloring", "sensor network")),
+            # a closed list is complete
+            ('"graph coloring", "sensor net"] more', True, ("graph coloring", "sensor net")),
+            # fallback text runs to the end too
+            ("keyphrase one, keyphrase tw", False, ("keyphrase one",)),
+            ('"graph col', True, ()),
+        ],
+    )
+    def test_length_drops_the_item_that_runs_to_the_end(self, text, prefill, phrases):
+        parsed = parse_sample(text, prefill, truncated=True)
+        assert parsed.phrases == phrases
+        assert parsed.fallback == (not prefill or not phrases)
+
+    def test_unchanged_under_stop(self):
+        cut = '"graph coloring", "sensor net'
+        assert parse_sample(cut, True).phrases == ("graph coloring", "sensor net")
 
 
 class TestPerplexity:
@@ -157,6 +189,22 @@ class TestPerplexity:
         a = perplexity(raw(logprobs=lps))
         b = perplexity(raw(logprobs=list(reversed(lps))))
         assert a == pytest.approx(b)
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from(["mean", "sum"]),
+    )
+    @example([-1e308, -1e308], "mean")
+    @example([-1e308, -1e308], "sum")
+    @example([1e308, 1e308], "mean")
+    @example([-1e6], "sum")
+    @example([], "mean")
+    def test_stats_match_list_oracle_bit_for_bit(self, lps, mode):
+        # through the cache codec too: the replayed perplexity is the fetched one
+        sample = raw(logprobs=lps)
+        line = json.dumps(SampleCache._encode(sample), ensure_ascii=False)
+        for s in (sample, SampleCache._decode(json.loads(line))):
+            assert repr(perplexity(s, mode)) == repr(perplexity_oracle(lps, mode))
 
     @given(
         st.lists(st.floats(min_value=-10, max_value=-0.5), min_size=1, max_size=6),
@@ -259,7 +307,7 @@ class TestTransport:
         assert len(samples) == 2
         assert [s.sample_index for s in samples] == [0, 1]
         assert all(not s.failed for s in samples)
-        assert samples[0].token_logprobs == (-0.5, -0.25)
+        assert (samples[0].lp_sum, samples[0].lp_n) == (-0.75, 2)
 
     def test_retry_on_429_then_success(self, scripted_server, prompt_cfg, toy_docs, caplog):
         from kpagg.prompting import build_prompt, resolve_variant
@@ -424,32 +472,60 @@ class TestNonFiniteLogprobs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_choice_with_non_finite_logprob_has_none(self, bad):
         sample = LLMClient._sample_from_choice("d", "h", 0, self.choice([-0.5, bad]))
-        assert sample.token_logprobs is None
+        assert (sample.lp_sum, sample.lp_n) == (None, 0)
         assert perplexity(sample) is None
 
     def test_choice_drops_boolean_logprobs(self):
         sample = LLMClient._sample_from_choice(
             "d", "h", 0, self.choice([-0.5, True, -1.5, False])
         )
-        assert sample.token_logprobs == (-0.5, -1.5)
+        assert (sample.lp_sum, sample.lp_n) == (-2.0, 2)
         only_bools = LLMClient._sample_from_choice("d", "h", 0, self.choice([True]))
-        assert only_bools.token_logprobs is None
+        assert (only_bools.lp_sum, only_bools.lp_n) == (None, 0)
 
     def test_integer_too_large_for_a_float_is_non_finite(self, tmp_path):
         sample = LLMClient._sample_from_choice("d", "h", 0, self.choice([-0.5, 10**400]))
-        assert sample.token_logprobs is None
+        assert (sample.lp_sum, sample.lp_n) == (None, 0)
+        # in a cache line such a sum is no float: the line is skipped, and
+        # the load goes on instead of raising OverflowError
         path = tmp_path / "cache.jsonl"
-        line = {**SampleCache._encode(raw(doc="d")), "token_logprobs": [-0.5, 10**400]}
-        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-        assert SampleCache(path).get("d", "h" * 64, 0).token_logprobs is None
+        lines = [SampleCache._encode(raw(doc="d", index=i)) for i in range(2)]
+        lines[0].update(lp_sum=10**400, lp_n=2)
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        cache = SampleCache(path)
+        assert cache.get("d", "h" * 64, 0) is None
+        assert cache.get("d", "h" * 64, 1) == raw(doc="d", index=1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_cached_non_finite_logprob_decodes_to_none(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
         SampleCache(path).put(raw(logprobs=[-0.5, bad], doc="d"))
         back = SampleCache(path).get("d", "h" * 64, 0)
-        assert back.token_logprobs is None
+        assert (back.lp_sum, back.lp_n) == (None, 0)
         assert perplexity(back) is None
+
+
+TWO_WRITERS_BATCHES = 60  # batches per writer, one document each
+TWO_WRITERS_BATCH = 10  # samples per batch, ~20 KB per write
+TWO_WRITERS_OVERLAP = 30  # writer 1 starts at this document; the rest overlap
+
+# One writer process: argv is the cache path, the start file and the
+# writer's number. Writer w appends documents w*OVERLAP onward, so half of
+# each writer's keys are the other's too, with texts that tell them apart.
+TWO_WRITERS = f"""
+import pathlib, sys, time
+from kpagg.llm_client import RawSample, SampleCache
+path, go, w = sys.argv[1], pathlib.Path(sys.argv[2]), int(sys.argv[3])
+cache = SampleCache(path)
+pathlib.Path(go.parent, f"ready{{w}}").touch()
+while not go.exists():
+    time.sleep(0.001)
+for doc in range(w * {TWO_WRITERS_OVERLAP}, w * {TWO_WRITERS_OVERLAP} + {TWO_WRITERS_BATCHES}):
+    cache.put(*(
+        RawSample(f"d{{doc}}", "h" * 64, i, f"writer {{w}} " + "x" * 2000, -0.5 * i, i, "stop")
+        for i in range({TWO_WRITERS_BATCH})
+    ))
+"""
 
 
 class TestSampleCache:
@@ -459,7 +535,8 @@ class TestSampleCache:
             prompt_hash=h,
             sample_index=index,
             text='["x"]',
-            token_logprobs=(-0.5,),
+            lp_sum=-0.5,
+            lp_n=1,
             finish_reason="stop",
         )
 
@@ -526,6 +603,46 @@ class TestSampleCache:
         assert sorted(json.loads(line)["sample_index"] for line in lines) == list(range(12))
         assert len(SampleCache(path)) == len(cache) == 12
 
+    def test_two_processes_append_overlapping_batches(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        go = tmp_path / "go"
+        src = str(Path(kpagg.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", TWO_WRITERS, str(path), str(go), str(w)],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for w in (0, 1)
+        ]
+        # both writers have loaded the (missing) file before either appends
+        for w in (0, 1):
+            while not (tmp_path / f"ready{w}").exists():
+                assert all(proc.poll() is None for proc in writers), writers[w].stderr.read()
+                threading.Event().wait(0.005)
+        go.touch()
+        for proc in writers:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+
+        lines = path.read_text(encoding="utf-8").splitlines()
+        decoded = [SampleCache._decode(json.loads(line)) for line in lines]
+        assert len(decoded) == 2 * TWO_WRITERS_BATCHES * TWO_WRITERS_BATCH
+        first = {}
+        for sample in decoded:
+            first.setdefault(SampleCache._key(sample), sample)
+        union = {
+            (f"d{doc}", "h" * 64, i)
+            for w in (0, 1)
+            for doc in range(w * TWO_WRITERS_OVERLAP, w * TWO_WRITERS_OVERLAP + TWO_WRITERS_BATCHES)
+            for i in range(TWO_WRITERS_BATCH)
+        }
+        assert set(first) == union
+        reloaded = SampleCache(path)
+        assert len(reloaded) == len(union)
+        assert all(reloaded.get(*key) == sample for key, sample in first.items())
+
     def test_put_nothing_new_writes_nothing(self, tmp_path):
         path = tmp_path / "sub" / "cache.jsonl"
         SampleCache(path).put()
@@ -546,11 +663,20 @@ class TestSampleCache:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("token_logprobs", "12"),
-            ("token_logprobs", [True, False]),
-            ("token_logprobs", {"-1": 0}),
-            ("sample_index", 3.9),
-            ("finish_reason", None),
+            pytest.param("lp_sum", "12", id="lp_sum-12"),
+            pytest.param("lp_sum", [True, False], id="lp_sum-bool-list"),
+            pytest.param("lp_sum", {"-1": 0}, id="lp_sum-object"),
+            # an integer: the writer only writes floats
+            pytest.param("lp_sum", -1, id="lp_sum-int"),
+            pytest.param("lp_sum", math.nan, id="lp_sum-nan"),
+            # with the entry's lp_n of 1
+            pytest.param("lp_sum", None, id="lp_sum-null-with-count"),
+            pytest.param("lp_n", -1, id="lp_n-negative"),
+            pytest.param("lp_n", True, id="lp_n-bool"),
+            pytest.param("lp_n", 1.0, id="lp_n-float"),
+            pytest.param("lp_n", "1", id="lp_n-string"),
+            pytest.param("sample_index", 3.9, id="sample_index-3.9"),
+            pytest.param("finish_reason", None, id="finish_reason-None"),
         ],
     )
     def test_field_of_wrong_json_type_is_corrupt(self, tmp_path, caplog, field, value):
@@ -565,21 +691,34 @@ class TestSampleCache:
         assert cache.get("d1", "a" * 64, 2) == self.entry(index=2)
         assert "skipped 1 corrupt cache line" in caplog.text
 
+    def test_older_format_line_is_corrupt(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        lines = [SampleCache._encode(self.entry(index=i)) for i in range(2)]
+        del lines[1]["lp_sum"], lines[1]["lp_n"]
+        lines[1]["token_logprobs"] = [-0.5]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            cache = SampleCache(path)
+        assert len(cache) == 1
+        assert "skipped 1 corrupt cache line" in caplog.text
+
     @given(
         st.builds(
-            RawSample,
+            lambda stats, **fields: RawSample(lp_sum=stats[0], lp_n=stats[1], **fields),
+            stats=st.just((None, 0))
+            | st.tuples(st.floats(allow_nan=False), st.integers(min_value=0)),
             doc_id=st.text(),
             prompt_hash=st.text(),
             sample_index=st.integers(min_value=0),
             text=st.text(),
-            token_logprobs=st.none()
-            | st.lists(st.floats(allow_nan=False, allow_infinity=False)).map(tuple),
             finish_reason=st.text(),
         )
     )
     def test_encode_then_decode_is_identity(self, sample):
         line = json.dumps(SampleCache._encode(sample), ensure_ascii=False)
-        assert SampleCache._decode(json.loads(line)) == sample
+        back = SampleCache._decode(json.loads(line))
+        assert back == sample
+        assert repr(back.lp_sum) == repr(sample.lp_sum)  # -0.0 stays -0.0
 
     def test_distinct_prompts_do_not_collide(self, tmp_path):
         cache = SampleCache(tmp_path / "cache.jsonl")
@@ -597,12 +736,13 @@ class TestSampleCache:
                 prompt_hash="c" * 64,
                 sample_index=0,
                 text="t",
-                token_logprobs=(-0.125, -2.5),
+                lp_sum=-2.625,
+                lp_n=2,
                 finish_reason="length",
             )
         )
         back = SampleCache(path).get("d", "c" * 64, 0)
-        assert back.token_logprobs == (-0.125, -2.5)
+        assert (back.lp_sum, back.lp_n) == (-2.625, 2)
         assert back.finish_reason == "length"
 
     def test_none_logprobs_round_trip(self, tmp_path):
@@ -610,4 +750,4 @@ class TestSampleCache:
         cache = SampleCache(path)
         cache.put(raw(logprobs=None, doc="d", index=3))
         back = SampleCache(path).get("d", "h" * 64, 3)
-        assert back.token_logprobs is None
+        assert (back.lp_sum, back.lp_n) == (None, 0)

@@ -1,11 +1,13 @@
 """Prompt variants, domain adaptation, and request digests."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kpagg
 from kpagg.corpus import Document
 from kpagg.prompting import (
     ABSENT_SPECIALIST_SENTENCE,
@@ -49,6 +51,10 @@ class TestPromptConfig:
         assert prompt_cfg.system_prompt
         assert prompt_cfg.user_prompt_baseline
         assert prompt_cfg.instruction_formatting
+
+    def test_bundled_json_reads_the_same_through_yaml(self):
+        bundled = Path(kpagg.__file__).parent / "data" / "prompts.json"
+        assert load_prompt_config(None) == load_prompt_config(bundled)
 
     def test_missing_key_rejected(self, tmp_path):
         p = tmp_path / "bad.yaml"
