@@ -2,20 +2,22 @@
 
 `grid` groups its configs by every field except the evaluation-only ones
 (strategy, perplexity mode, empty-gold policy, output path), with variant
-aliases resolved; `run` is a one-config grid. For each group a bounded
-thread pool renders each document's prompt and fetches or replays its n
-samples (cache first, network for the misses, one cache append per
-document); that is the only threaded work. The calling thread evaluates
-each document as its samples arrive, for every config of the group at
-once: it parses, normalizes and presence-classifies the samples,
-normalizes the source and partitions the gold once, sorts once per
-perplexity mode, then aggregates and scores per config. The metric fold is
-a deterministic reduce in corpus order, so a warm cache replays to
-byte-identical reports. A fatal endpoint error cancels the documents still
-queued. Failed samples are never cached, which makes an interrupted run
-resumable by simply rerunning it. The cache file's name carries the
-sampling settings (temperature and max_tokens), so a replay never belongs
-to other settings than the run's.
+aliases resolved; `run` is a one-config grid. For each group each
+document's prompt is rendered and its n samples fetched or replayed (cache
+first, network for the misses, one cache append per document). The thread
+pool serves only runs with an endpoint: a bounded pool does that fetching,
+the only threaded work. An offline group has nothing to wait for, so it
+reads the cache on the calling thread. The calling thread evaluates each
+document as its samples arrive, for every config of the group at once: it
+parses, normalizes and presence-classifies the samples, normalizes the
+source and partitions the gold once, sorts once per perplexity mode, then
+aggregates and scores per config. The metric fold is a deterministic reduce
+in corpus order, so a warm cache replays to byte-identical reports. A fatal
+endpoint error cancels the documents still queued, and no fetch thread
+starts another document after it. Failed samples are never cached, which
+makes an interrupted run resumable by simply rerunning it. The cache
+file's name carries the sampling settings (temperature and max_tokens), so
+a replay never belongs to other settings than the run's.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import logging
 import os
 import random
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +51,14 @@ API_KEY_ENV = "KPAGG_API_KEY"
 
 class HarnessError(Exception):
     """Fatal configuration problem; aborts before or instead of a run."""
+
+
+# Errors that end a run: no other document can fare better.
+_FATAL = (AuthenticationError, RequestError, HarnessError)
+
+
+class _Skipped(Exception):
+    """A queued document that a fetch thread dropped after a fatal error."""
 
 
 @dataclass
@@ -80,7 +90,7 @@ class RunSummary:
     processed: int = 0
     errored: int = 0
     parse_fallbacks: int = 0
-    truncated: int = 0  # successful samples cut at the token limit
+    truncated: int = 0  # successful samples cut by the token limit or a content filter
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time: float = 0.0
@@ -169,16 +179,15 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     normalized and the gold partitioned once; each perplexity mode only
     attaches its perplexities and sorts. Returns one score list per config
     (None when no sample succeeded), the parse fallback count and the count
-    of samples cut at the token limit.
+    of samples cut short (`RawSample.truncated`).
     """
     successful = [s for s in raw if not s.failed]
     if not successful:
         return None, 0, 0
-    truncated = [s.finish_reason == "length" for s in successful]
     had_prefill = bool(prompt.assistant_prefill)
     parsed = [
-        parse_sample(s.text, had_prefill=had_prefill, truncated=cut)
-        for s, cut in zip(successful, truncated)
+        parse_sample(s.text, had_prefill=had_prefill, truncated=s.truncated)
+        for s in successful
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = corpus.partition_gold(doc, source)
@@ -199,7 +208,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
         )
         for c in configs
     ]
-    return scores, sum(ps.fallback for ps in parsed), sum(truncated)
+    return scores, sum(ps.fallback for ps in parsed), sum(s.truncated for s in successful)
 
 
 # config fields that identify a run's results; paths and transport details
@@ -282,32 +291,54 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
 
     base = RunSummary()
     results: list[list | None] = [None] * len(docs)
-    with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
-        futures = {
-            pool.submit(_fetch, doc, variant, pcfg, cache, client, head): i
-            for i, doc in enumerate(docs)
-        }
+
+    def collect(i: int, fetched) -> None:
+        """Evaluate document i from `fetched()`, its _fetch result. A fatal
+        endpoint error propagates; any other failure costs this document
+        only."""
         try:
-            for fut in as_completed(futures):
-                i = futures[fut]
-                try:
-                    prompt, raw, hits, misses = fut.result()
-                    base.cache_hits += hits
-                    base.cache_misses += misses
-                    results[i], fallbacks, truncated = _evaluate(
-                        docs[i], prompt, raw, configs
-                    )
-                    base.parse_fallbacks += fallbacks
-                    base.truncated += truncated
-                except (AuthenticationError, RequestError, HarnessError):
-                    raise
-                except Exception:
-                    log.exception("document %s failed; continuing", docs[i].id)
-        except BaseException:
-            # A fatal endpoint error (or an interrupt) ends the run: drop the
-            # queued documents instead of letting the pool drain them.
-            pool.shutdown(cancel_futures=True)
+            prompt, raw, hits, misses = fetched()
+            base.cache_hits += hits
+            base.cache_misses += misses
+            results[i], fallbacks, truncated = _evaluate(docs[i], prompt, raw, configs)
+            base.parse_fallbacks += fallbacks
+            base.truncated += truncated
+        except _FATAL:
             raise
+        except _Skipped:
+            pass  # the fatal error that skipped it is on its way
+        except Exception:
+            log.exception("document %s failed; continuing", docs[i].id)
+
+    if client is None:
+        for i, doc in enumerate(docs):
+            collect(i, lambda: _fetch(doc, variant, pcfg, cache, None, head))
+    else:
+        from concurrent.futures import ThreadPoolExecutor, as_completed
+
+        fatal = threading.Event()
+
+        def fetch(doc):
+            # A fetch thread takes no further document after a fatal error,
+            # even before the calling thread has seen it and cancelled.
+            if fatal.is_set():
+                raise _Skipped
+            try:
+                return _fetch(doc, variant, pcfg, cache, client, head)
+            except _FATAL:
+                fatal.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
+            futures = {pool.submit(fetch, doc): i for i, doc in enumerate(docs)}
+            try:
+                for fut in as_completed(futures):
+                    collect(futures[fut], fut.result)
+            except BaseException:
+                # A fatal endpoint error (or an interrupt) ends the run: drop
+                # the queued documents instead of letting the pool drain them.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     done = [r for r in results if r is not None]
     base.processed = len(done)

@@ -4,7 +4,8 @@ Talks to any OpenAI-compatible endpoint over the standard library's
 `urllib.request`: one request per document with n choices (default) or n
 single-choice requests, with per-token logprobs requested so samples can be
 ranked by perplexity. Proxies come from `HTTP(S)_PROXY`/`NO_PROXY` and HTTPS
-verifies against the system CA store.
+verifies against the system CA store. The HTTP modules are imported by the
+first request, so an offline replay never loads them.
 
 A sample keeps only what ranking needs of its logprobs: their left-to-right
 sum and their count (`lp_sum`, `lp_n`), the sufficient statistics of both
@@ -17,17 +18,15 @@ replayed perplexity equals the fetched one bit for bit.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
 import os
+import random
 import re
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +36,12 @@ from .prompting import RenderedPrompt
 log = logging.getLogger(__name__)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+# Statuses whose Retry-After header sets the wait before the next attempt.
+_RETRY_AFTER_STATUS = {429, 503}
+# The longest wait, in seconds, that a Retry-After header can ask for.
+MAX_RETRY_AFTER_S = 60.0
+# Finish reasons of a completion that stopped before its list was done.
+_CUT_FINISH_REASONS = frozenset({"length", "content_filter"})
 
 
 class LLMClientError(Exception):
@@ -65,6 +70,12 @@ class RawSample:
     def failed(self) -> bool:
         return self.finish_reason.startswith("error")
 
+    @property
+    def truncated(self) -> bool:
+        """Cut short, at the token limit or by a content filter, so its
+        last list item may be incomplete."""
+        return self.finish_reason in _CUT_FINISH_REASONS
+
 
 @dataclass(frozen=True)
 class ParsedSample:
@@ -90,6 +101,15 @@ def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
         return math.exp(nll)
     except OverflowError:
         return math.inf
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    """The wait a Retry-After header asks for in delta-seconds, capped at
+    MAX_RETRY_AFTER_S; None when it is absent, an HTTP-date or malformed."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), MAX_RETRY_AFTER_S)
 
 
 def _logprob_stats(values) -> tuple[float | None, int]:
@@ -182,7 +202,9 @@ def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> P
 
 class LLMClient:
     """Client for OpenAI-compatible chat completions; one connection per
-    request."""
+    request. `urllib.request` and `http.client` are imported by `_post`, the
+    one method that sends, on the first request; constructing a client
+    loads neither (`urllib.parse` checks the endpoint)."""
 
     def __init__(
         self,
@@ -218,30 +240,50 @@ class LLMClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _send(self, request: urllib.request.Request) -> tuple[int, bytes]:
-        """One POST; the status and body, for error statuses too."""
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                return exc.code, exc.read()
+    def _post(self, payload: dict, times: int = 1) -> list[dict | None]:
+        """POST one payload `times` times, each with its own retries; the
+        JSON bodies, None where retries ran out.
 
-    def _post_with_retries(self, payload: dict) -> dict | None:
-        """POST one request; returns the JSON body or None when retries ran out."""
+        The payload is serialised and its request built once. This is the
+        one place that imports the HTTP stack: the first request pays for
+        it, and a run that sends none never loads it.
+        """
+        import http.client
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self.url,
             data=json.dumps(payload).encode("utf-8"),
             headers=self._headers(),
             method="POST",
         )
-        for attempt in range(self.max_retries + 1):
+
+        def send() -> tuple[int, str | None, bytes]:
+            """One POST: the status, Retry-After header and body, for error
+            statuses too."""
             try:
-                status, body = self._send(request)
-            except (OSError, http.client.HTTPException) as exc:
-                # OSError covers refused connections, timeouts and TLS
-                # failures; a truncated body (IncompleteRead) is an
-                # HTTPException only.
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    return resp.status, resp.headers.get("Retry-After"), resp.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    return exc.code, exc.headers.get("Retry-After"), exc.read()
+
+        # OSError covers refused connections, timeouts and TLS failures; a
+        # truncated body (IncompleteRead) is an HTTPException only.
+        transport_errors = (OSError, http.client.HTTPException)
+        return [self._with_retries(send, transport_errors) for _ in range(times)]
+
+    def _with_retries(self, send, transport_errors: tuple) -> dict | None:
+        """Call `send` until it gives a 200 with a JSON body; the body, or
+        None when retries ran out. A 429 or 503 with a delta-seconds
+        Retry-After waits that long (at most MAX_RETRY_AFTER_S); any other
+        retry waits a random time up to the exponential backoff."""
+        for attempt in range(self.max_retries + 1):
+            wait = None
+            try:
+                status, retry_after, body = send()
+            except transport_errors as exc:
                 reason = f"connection error: {exc}"
             else:
                 if status == 200:
@@ -255,16 +297,20 @@ class LLMClient:
                     )
                 elif status in _RETRYABLE_STATUS:
                     reason = f"HTTP {status}"
+                    if status in _RETRY_AFTER_STATUS:
+                        wait = _retry_after_s(retry_after)
                 else:
                     text = body.decode("utf-8", errors="replace")
                     raise RequestError(f"endpoint returned HTTP {status}: {text[:200]}")
             if attempt < self.max_retries:
-                delay = self.backoff_base * (2**attempt)
+                if wait is None:
+                    # full jitter: concurrent clients do not retry in step
+                    wait = random.uniform(0, self.backoff_base * 2**attempt)
                 log.warning(
                     "request failed (%s); retry %d/%d in %.1fs",
-                    reason, attempt + 1, self.max_retries, delay,
+                    reason, attempt + 1, self.max_retries, wait,
                 )
-                time.sleep(delay)
+                time.sleep(wait)
             else:
                 log.warning("request failed (%s); retries exhausted", reason)
         return None
@@ -339,36 +385,28 @@ class LLMClient:
             indices = list(range(n))
         if not indices:
             return []
-        out: list[RawSample] = []
         if self.request_mode == "choices":
-            body = self._post_with_retries(
-                self._payload(prompt, len(indices), temperature, max_tokens)
-            )
+            (body,) = self._post(self._payload(prompt, len(indices), temperature, max_tokens))
             choices = body.get("choices") if isinstance(body, dict) else None
-            for pos, index in enumerate(indices):
-                if isinstance(choices, list) and pos < len(choices):
-                    out.append(
-                        self._sample_from_choice(
-                            doc_id, prompt.prompt_hash, index, choices[pos]
-                        )
-                    )
-                else:
-                    out.append(self._failure(doc_id, prompt.prompt_hash, index))
+            if not isinstance(choices, list):
+                choices = []
+            picked = dict(zip(indices, choices))
         else:
-            for index in indices:
-                body = self._post_with_retries(
-                    self._payload(prompt, 1, temperature, max_tokens)
-                )
+            # n identical single-choice requests, serialised once
+            bodies = self._post(
+                self._payload(prompt, 1, temperature, max_tokens), times=len(indices)
+            )
+            picked = {}
+            for index, body in zip(indices, bodies):
                 choices = body.get("choices") if isinstance(body, dict) else None
                 if isinstance(choices, list) and choices:
-                    out.append(
-                        self._sample_from_choice(
-                            doc_id, prompt.prompt_hash, index, choices[0]
-                        )
-                    )
-                else:
-                    out.append(self._failure(doc_id, prompt.prompt_hash, index))
-        return out
+                    picked[index] = choices[0]
+        return [
+            self._sample_from_choice(doc_id, prompt.prompt_hash, index, picked[index])
+            if index in picked
+            else self._failure(doc_id, prompt.prompt_hash, index)
+            for index in indices
+        ]
 
 
 class SampleCache:

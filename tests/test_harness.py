@@ -2,6 +2,7 @@
 
 import json
 import logging
+import threading
 
 import pytest
 import yaml
@@ -21,7 +22,7 @@ from kpagg.harness import (
     provenance,
     select_documents,
 )
-from kpagg.llm_client import RawSample, SampleCache
+from kpagg.llm_client import AuthenticationError, RawSample, SampleCache
 from kpagg.mock_server import running_server
 
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -223,16 +224,18 @@ class TestRunEndToEnd:
         # present in the source but no gold phrase
         cut = '"graph coloring", "wireless sensor'
         reports = {}
-        for finish in ("length", "stop"):
+        for finish in ("length", "content_filter", "stop"):
             cfg = config(None, tmp_path / finish, offline=True, limit=1, n_samples=1)
             SampleCache(cache_path(cfg)).put(
                 RawSample(doc.id, prompt.prompt_hash, 0, cut, -1.0, 2, finish)
             )
             summary = harness.run(cfg)
             assert summary.processed == 1
-            assert summary.truncated == (finish == "length")
+            assert summary.truncated == (finish != "stop")
             reports[finish] = summary.report
         assert reports["length"].counts == reports["stop"].counts
+        # a content filter cuts the list as the token limit does
+        assert reports["content_filter"].table == reports["length"].table
         # "graph coloring" is one of 4 present gold phrases; the stub is a
         # miss, so it halves the precision of the untruncated reading
         assert reports["length"].table["present", "f1_at_m"] == pytest.approx(0.4)  # P 1, R 1/4
@@ -267,6 +270,71 @@ class TestRunEndToEnd:
     def test_bad_strategy_is_harness_error(self, endpoint, tmp_path):
         with pytest.raises(HarnessError):
             harness.run(config(endpoint, tmp_path, strategy="median"))
+
+
+class TestDocumentFailure:
+    """One document's evaluation raising costs that document only, on the
+    offline (calling-thread) and the online (pooled) path alike; a fatal
+    endpoint error ends the run."""
+
+    @pytest.fixture()
+    def failing(self, monkeypatch):
+        """Make `_evaluate` raise `exc` for doc-003; records the threads
+        that evaluate."""
+        threads = []
+
+        def patch(exc):
+            evaluate = harness._evaluate
+
+            def failing_evaluate(doc, *args):
+                threads.append(threading.current_thread())
+                if doc.id == "doc-003":
+                    raise exc
+                return evaluate(doc, *args)
+
+            monkeypatch.setattr(harness, "_evaluate", failing_evaluate)
+            return threads
+
+        return patch
+
+    @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
+    def test_other_error_costs_one_document(
+        self, endpoint, tmp_path, caplog, failing, offline
+    ):
+        harness.run(config(endpoint, tmp_path))  # warm the cache
+        failing(ValueError("boom"))
+        cfg = config(None if offline else endpoint, tmp_path, offline=offline)
+        with caplog.at_level(logging.ERROR, logger="kpagg.harness"):
+            summary = harness.run(cfg)
+        assert (summary.processed, summary.errored) == (4, 1)
+        assert summary.cache_hits == 50
+        (record,) = caplog.records
+        assert record.getMessage() == "document doc-003 failed; continuing"
+        assert record.exc_info[0] is ValueError
+
+    def test_fatal_error_propagates_offline(self, endpoint, tmp_path, failing):
+        harness.run(config(endpoint, tmp_path))
+        threads = failing(AuthenticationError("bad key"))
+        with pytest.raises(AuthenticationError):
+            harness.run(config(None, tmp_path, offline=True))
+        # corpus order on the calling thread: the documents after it never ran
+        assert threads == [threading.main_thread()] * 3
+
+    def test_offline_run_evaluates_on_the_calling_thread(
+        self, endpoint, tmp_path, failing, monkeypatch
+    ):
+        harness.run(config(endpoint, tmp_path))
+        threads = failing(ValueError("boom"))
+        fetching = []
+        fetch = harness._fetch
+
+        def recording_fetch(*args):
+            fetching.append(threading.current_thread())
+            return fetch(*args)
+
+        monkeypatch.setattr(harness, "_fetch", recording_fetch)
+        harness.run(config(None, tmp_path, offline=True))
+        assert fetching == threads == [threading.main_thread()] * 5
 
 
 class TestGrid:

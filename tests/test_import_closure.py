@@ -1,4 +1,6 @@
-"""Importing the CLI and the harness loads no third-party HTTP library, and
+"""Importing the CLI and the harness loads no third-party HTTP library;
+importing the harness, or an offline replay, loads neither the standard
+library's HTTP stack nor a thread pool, and a replay starts no thread; and
 importing the harness loads no YAML parser (only YAML files need one)."""
 
 import json
@@ -8,8 +10,15 @@ import sys
 from pathlib import Path
 
 import kpagg
+from kpagg import harness
+from kpagg.mock_server import running_server
+
+from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
 
 HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"}
+# Only a run with an endpoint needs these; `urllib` and `http` packages may
+# be loaded for other reasons, so full names are compared.
+ONLINE_ONLY = {"http.client", "urllib.request", "ssl", "concurrent.futures"}
 
 # Modules the interpreter loaded before kpagg (site hooks may load certifi)
 # are not kpagg's doing, so only the newly loaded ones are checked.
@@ -20,21 +29,47 @@ import {modules}
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
+# An offline replay in a fresh interpreter: the modules it loads, kpagg's
+# import included, and the threads it starts.
+REPLAY = """
+import json, sys, threading
+before = set(sys.modules)
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))
+from kpagg import harness
+summary = harness.run(harness.RunConfig(
+    corpus_path=sys.argv[1], cache_dir=sys.argv[2], out=sys.argv[3], offline=True
+))
+print(json.dumps({
+    "loaded": sorted(set(sys.modules) - before),
+    "started": started,
+    "hits": summary.cache_hits,
+}))
+"""
 
-def newly_loaded(modules: str) -> set[str]:
-    """Top-level names of the modules that `import <modules>` loads."""
+
+def _python(*args: str) -> str:
     src = str(Path(kpagg.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", CHECK.format(modules=modules)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
-    return {name.split(".")[0] for name in json.loads(out.stdout)}
+    return out.stdout
+
+
+def newly_loaded(modules: str) -> set[str]:
+    """Full names of the modules that `import <modules>` loads."""
+    return set(json.loads(_python("-c", CHECK.format(modules=modules))))
+
+
+def top_level(names: set[str]) -> set[str]:
+    return {name.split(".")[0] for name in names}
 
 
 def test_cli_and_harness_load_no_http_library():
-    loaded = newly_loaded("kpagg.cli, kpagg.harness")
+    loaded = top_level(newly_loaded("kpagg.cli, kpagg.harness"))
     assert "kpagg" in loaded
     assert not loaded & HTTP_LIBRARIES
 
@@ -42,4 +77,24 @@ def test_cli_and_harness_load_no_http_library():
 def test_harness_loads_no_yaml():
     loaded = newly_loaded("kpagg.harness")
     assert "kpagg" in loaded
-    assert "yaml" not in loaded
+    assert "yaml" not in top_level(loaded)
+
+
+def test_harness_loads_no_http_stack_or_thread_pool():
+    loaded = newly_loaded("kpagg.harness")
+    assert "kpagg.harness" in loaded
+    assert not loaded & ONLINE_ONLY
+
+
+def test_offline_replay_loads_no_http_stack_and_starts_no_thread(tmp_path):
+    cache_dir = tmp_path / "cache"
+    with running_server(MOCK_FIXTURES) as url:
+        harness.run(harness.RunConfig(
+            corpus_path=str(TOY_CORPUS), endpoint=url, cache_dir=str(cache_dir)
+        ))
+    out = tmp_path / "replay.csv"
+    result = json.loads(_python("-c", REPLAY, str(TOY_CORPUS), str(cache_dir), str(out)))
+    assert result["hits"] == 50
+    assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
+    assert not set(result["loaded"]) & ONLINE_ONLY
+    assert result["started"] == []

@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kpagg
-from kpagg import harness
+from kpagg import harness, llm_client
 from kpagg.llm_client import (
     AuthenticationError,
     LLMClient,
@@ -164,6 +164,18 @@ class TestTruncatedSample:
         cut = '"graph coloring", "sensor net'
         assert parse_sample(cut, True).phrases == ("graph coloring", "sensor net")
 
+    @pytest.mark.parametrize(
+        "finish, cut",
+        [
+            ("length", True),
+            ("content_filter", True),
+            ("stop", False),
+            ("error:request_failed", False),
+        ],
+    )
+    def test_which_finish_reasons_cut(self, finish, cut):
+        assert raw(finish=finish).truncated is cut
+
 
 class TestPerplexity:
     def test_mean_mode_closed_form(self):
@@ -220,9 +232,11 @@ class TestPerplexity:
 class _ScriptedHandler(BaseHTTPRequestHandler):
     """Replays a scripted list of responses, then 200s.
 
-    A step is (status, body) or (status, body, missing): a bytes body is
-    sent as is, any other is JSON-encoded, and `missing` bytes are declared
-    in Content-Length but never sent. Each request's headers are recorded.
+    A step is (status, body), (status, body, missing) or (status, body,
+    missing, headers): a bytes body is sent as is, any other is
+    JSON-encoded, `missing` bytes are declared in Content-Length but never
+    sent, and `headers` are sent as well. Each request's headers are
+    recorded.
     """
 
     script = []
@@ -238,13 +252,17 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             _ScriptedHandler.hits += 1
             _ScriptedHandler.headers_seen.append(self.headers)
         if step < len(self.script):
-            status, payload, *missing = self.script[step]
+            status, payload, *extra = self.script[step]
         else:
-            status, payload, missing = 200, self._ok(body), []
+            status, payload, extra = 200, self._ok(body), []
+        missing = extra[0] if extra else 0
+        headers = extra[1] if len(extra) > 1 else {}
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data) + sum(missing)))
+        self.send_header("Content-Length", str(len(data) + missing))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -391,6 +409,31 @@ class TestTransport:
             harness.run(config)
         assert 1 <= _ScriptedHandler.hits <= config.max_in_flight + 1
 
+    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    def test_fatal_error_stops_every_fetch_thread(self, scripted_server, tmp_path, max_in_flight):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"id": f"d{i}", "title": f"title {i}", "abstract": "text",
+                            "keyphrases": ["text"]}) + "\n"
+                for i in range(40)
+            ),
+            encoding="utf-8",
+        )
+        endpoint = scripted_server([(401, {"error": "bad key"})] * 100)
+        config = harness.RunConfig(
+            corpus_path=str(corpus),
+            endpoint=endpoint,
+            cache_dir=str(tmp_path / "cache"),
+            max_in_flight=max_in_flight,
+        )
+        for _ in range(5):
+            _ScriptedHandler.hits = 0
+            with pytest.raises(AuthenticationError):
+                harness.run(config)
+            # only the documents already in flight when the first 401 came
+            assert 1 <= _ScriptedHandler.hits <= max_in_flight
+
     def test_connection_refused_yields_failed_samples(self, prompt_cfg, toy_docs, caplog):
         from kpagg.prompting import build_prompt, resolve_variant
 
@@ -447,6 +490,63 @@ class TestTransport:
         assert headers["Authorization"] == "Bearer sk-123"
         assert headers["User-Agent"] == f"kpagg/{__version__}"
         assert headers["Content-Type"] == "application/json"
+
+    @pytest.fixture()
+    def sleeps(self, monkeypatch):
+        """The retry waits, recorded instead of slept."""
+        waits = []
+        monkeypatch.setattr(llm_client.time, "sleep", waits.append)
+        return waits
+
+    def fetch_after(self, endpoint, prompt_cfg, toy_docs, **kw):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        client = make_client(endpoint, **kw)
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        (sample,) = client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        return sample
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_sets_the_wait(self, scripted_server, prompt_cfg, toy_docs, sleeps, status):
+        endpoint = scripted_server([(status, {"error": "busy"}, 0, {"Retry-After": "2"})])
+        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs).failed
+        assert sleeps == [2.0]
+
+    def test_retry_after_is_capped(self, scripted_server, prompt_cfg, toy_docs, sleeps):
+        endpoint = scripted_server([(429, {"error": "busy"}, 0, {"Retry-After": "86400"})])
+        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs).failed
+        assert sleeps == [llm_client.MAX_RETRY_AFTER_S]
+
+    @pytest.mark.parametrize(
+        "status, value",
+        [
+            (429, "soon"),
+            (429, "1.5"),
+            (429, "-1"),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT"),
+            (500, "2"),  # only 429 and 503 set the wait
+        ],
+    )
+    def test_other_retry_after_falls_back_to_jitter(
+        self, scripted_server, prompt_cfg, toy_docs, sleeps, status, value
+    ):
+        endpoint = scripted_server([(status, {"error": "busy"}, 0, {"Retry-After": value})])
+        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs, backoff_base=0.25).failed
+        (wait,) = sleeps
+        assert 0 <= wait <= 0.25
+
+    def test_backoff_has_full_jitter(self, scripted_server, prompt_cfg, toy_docs, sleeps, monkeypatch):
+        bounds = []
+
+        def uniform(low, high):
+            bounds.append((low, high))
+            return high / 2
+
+        monkeypatch.setattr(llm_client.random, "uniform", uniform)
+        endpoint = scripted_server([(500, {"error": "down"})] * 3)
+        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs, backoff_base=0.5).failed
+        assert bounds == [(0, 0.5), (0, 1.0), (0, 2.0)]
+        assert sleeps == [0.25, 0.5, 1.0]
 
     @pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "/v1", "file:///tmp"])
     def test_non_http_endpoint_rejected(self, endpoint):
