@@ -305,8 +305,6 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
             base.truncated += truncated
         except _FATAL:
             raise
-        except _Skipped:
-            pass  # the fatal error that skipped it is on its way
         except Exception:
             log.exception("document %s failed; continuing", docs[i].id)
 
@@ -333,7 +331,9 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
             futures = {pool.submit(fetch, doc): i for i, doc in enumerate(docs)}
             try:
                 for fut in as_completed(futures):
-                    collect(futures[fut], fut.result)
+                    # a skipped document's fatal error is on its way
+                    if not isinstance(fut.exception(), _Skipped):
+                        collect(futures[fut], fut.result)
             except BaseException:
                 # A fatal endpoint error (or an interrupt) ends the run: drop
                 # the queued documents instead of letting the pool drain them.

@@ -202,9 +202,10 @@ def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> P
 
 class LLMClient:
     """Client for OpenAI-compatible chat completions; one connection per
-    request. `urllib.request` and `http.client` are imported by `_post`, the
-    one method that sends, on the first request; constructing a client
-    loads neither (`urllib.parse` checks the endpoint)."""
+    request. `urllib.request` and `http.client` are imported by
+    `_post_with_retries`, the one method that sends, on the first request;
+    constructing a client loads neither (`urllib.parse` checks the
+    endpoint)."""
 
     def __init__(
         self,
@@ -240,50 +241,38 @@ class LLMClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _post(self, payload: dict, times: int = 1) -> list[dict | None]:
-        """POST one payload `times` times, each with its own retries; the
-        JSON bodies, None where retries ran out.
+    def _post_with_retries(self, data: bytes) -> dict | None:
+        """POST one serialised request until it gives a 200 with a JSON
+        body; the body, or None when retries ran out. A 429 or 503 with a
+        delta-seconds Retry-After waits that long (at most
+        MAX_RETRY_AFTER_S); any other retry waits a random time up to the
+        exponential backoff.
 
-        The payload is serialised and its request built once. This is the
-        one place that imports the HTTP stack: the first request pays for
-        it, and a run that sends none never loads it.
+        This is the one place that imports the HTTP stack: the first request
+        pays for it, and a run that sends none never loads it. Each attempt
+        sends a fresh `Request`, since urllib rewrites one that goes through
+        a proxy.
         """
         import http.client
         import urllib.error
         import urllib.request
 
-        request = urllib.request.Request(
-            self.url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers=self._headers(),
-            method="POST",
-        )
-
-        def send() -> tuple[int, str | None, bytes]:
-            """One POST: the status, Retry-After header and body, for error
-            statuses too."""
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    return resp.status, resp.headers.get("Retry-After"), resp.read()
-            except urllib.error.HTTPError as exc:
-                with exc:
-                    return exc.code, exc.headers.get("Retry-After"), exc.read()
-
-        # OSError covers refused connections, timeouts and TLS failures; a
-        # truncated body (IncompleteRead) is an HTTPException only.
-        transport_errors = (OSError, http.client.HTTPException)
-        return [self._with_retries(send, transport_errors) for _ in range(times)]
-
-    def _with_retries(self, send, transport_errors: tuple) -> dict | None:
-        """Call `send` until it gives a 200 with a JSON body; the body, or
-        None when retries ran out. A 429 or 503 with a delta-seconds
-        Retry-After waits that long (at most MAX_RETRY_AFTER_S); any other
-        retry waits a random time up to the exponential backoff."""
         for attempt in range(self.max_retries + 1):
             wait = None
+            request = urllib.request.Request(
+                self.url, data=data, headers=self._headers(), method="POST"
+            )
             try:
-                status, retry_after, body = send()
-            except transport_errors as exc:
+                try:
+                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                        status, headers, body = resp.status, resp.headers, resp.read()
+                except urllib.error.HTTPError as exc:
+                    with exc:
+                        status, headers, body = exc.code, exc.headers, exc.read()
+            except (OSError, http.client.HTTPException) as exc:
+                # OSError covers refused connections, timeouts and TLS
+                # failures; a truncated body (IncompleteRead) is an
+                # HTTPException only.
                 reason = f"connection error: {exc}"
             else:
                 if status == 200:
@@ -298,7 +287,7 @@ class LLMClient:
                 elif status in _RETRYABLE_STATUS:
                     reason = f"HTTP {status}"
                     if status in _RETRY_AFTER_STATUS:
-                        wait = _retry_after_s(retry_after)
+                        wait = _retry_after_s(headers.get("Retry-After"))
                 else:
                     text = body.decode("utf-8", errors="replace")
                     raise RequestError(f"endpoint returned HTTP {status}: {text[:200]}")
@@ -324,8 +313,11 @@ class LLMClient:
             messages.append({"role": "assistant", "content": prompt.assistant_prefill})
         return messages
 
-    def _payload(self, prompt: RenderedPrompt, n: int, temperature: float, max_tokens: int) -> dict:
-        return {
+    def _payload(
+        self, prompt: RenderedPrompt, n: int, temperature: float, max_tokens: int
+    ) -> bytes:
+        """The serialised request body."""
+        payload = {
             "model": self.model,
             "messages": self._messages(prompt),
             "temperature": temperature,
@@ -333,6 +325,7 @@ class LLMClient:
             "n": n,
             "logprobs": True,
         }
+        return json.dumps(payload).encode("utf-8")
 
     @staticmethod
     def _sample_from_choice(
@@ -386,18 +379,19 @@ class LLMClient:
         if not indices:
             return []
         if self.request_mode == "choices":
-            (body,) = self._post(self._payload(prompt, len(indices), temperature, max_tokens))
+            body = self._post_with_retries(
+                self._payload(prompt, len(indices), temperature, max_tokens)
+            )
             choices = body.get("choices") if isinstance(body, dict) else None
             if not isinstance(choices, list):
                 choices = []
             picked = dict(zip(indices, choices))
         else:
             # n identical single-choice requests, serialised once
-            bodies = self._post(
-                self._payload(prompt, 1, temperature, max_tokens), times=len(indices)
-            )
+            data = self._payload(prompt, 1, temperature, max_tokens)
             picked = {}
-            for index, body in zip(indices, bodies):
+            for index in indices:
+                body = self._post_with_retries(data)
                 choices = body.get("choices") if isinstance(body, dict) else None
                 if isinstance(choices, list) and choices:
                     picked[index] = choices[0]

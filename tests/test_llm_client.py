@@ -498,6 +498,35 @@ class TestTransport:
         monkeypatch.setattr(llm_client.time, "sleep", waits.append)
         return waits
 
+    def test_every_attempt_sends_a_fresh_request(
+        self, scripted_server, prompt_cfg, toy_docs, sleeps, monkeypatch
+    ):
+        # urllib rewrites a Request that goes through a proxy, so one sent
+        # twice would go out in another form; per-request mode sends one
+        # serialised body n times, each attempt in a Request of its own.
+        import urllib.request
+
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        sent = []
+        urlopen = urllib.request.urlopen
+
+        def recording_urlopen(request, *args, **kw):
+            sent.append((request, request.type, request.selector))
+            return urlopen(request, *args, **kw)
+
+        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+        script = [(503, {"error": "down"}), (429, {"error": "busy"}, 0, {"Retry-After": "0"})]
+        client = make_client(scripted_server(script), request_mode="per-request")
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
+        assert not any(s.failed for s in samples)
+        assert len(sent) == _ScriptedHandler.hits == 5
+        requests = [request for request, _, _ in sent]
+        assert len(set(map(id, requests))) == 5
+        assert len({request.data for request in requests}) == 1
+        assert {(kind, selector) for _, kind, selector in sent} == {("http", "/v1/chat/completions")}
+
     def fetch_after(self, endpoint, prompt_cfg, toy_docs, **kw):
         from kpagg.prompting import build_prompt, resolve_variant
 
