@@ -1,7 +1,9 @@
 """Multi-sample aggregation and dynamic keyphrase-number selection.
 
-Samples are ranked by ascending perplexity (unknown last), individually
-normalized and deduplicated, then merged by one of four strategies:
+A sample is a tuple of normalized, deduplicated, presence-classified
+phrases (`classify_samples`); a ranked set is a tuple of samples by
+ascending perplexity, unknown last (`rank`). It is merged by one of four
+strategies:
 
 - union: set union, emitted in lexicographic order of normalized form;
 - union_concat: concatenation in rank order, first-occurrence dedup;
@@ -10,20 +12,18 @@ normalized and deduplicated, then merged by one of four strategies:
   ties broken by interleaf position.
 
 The merged list is then cut to the ceiling of the per-sample average count
-of present (and, separately, absent) phrases. The `single` strategy skips
-all of that and returns the top-ranked sample split by presence.
+of present (and, separately, absent) phrases. The `single` strategy merges
+the top-ranked sample alone by union_concat, so the cut keeps all of it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import textnorm
-from .corpus import Document
-from .llm_client import ParsedSample
 from .textnorm import NormalizedPhrase
 
 # short CLI aliases
@@ -36,6 +36,9 @@ STRATEGY_ALIASES = {
 }
 STRATEGIES = tuple(STRATEGY_ALIASES.values())
 
+# One sample's phrases, normalized, deduplicated and presence-classified.
+Sample = tuple[NormalizedPhrase, ...]
+
 
 def resolve_strategy(name: str) -> str:
     if name in STRATEGY_ALIASES:
@@ -43,33 +46,6 @@ def resolve_strategy(name: str) -> str:
     if name in STRATEGIES:
         return name
     raise ValueError(f"unknown aggregation strategy {name!r}")
-
-
-@dataclass(frozen=True)
-class RankedSample:
-    """One sample after normalization, dedup, and presence classification."""
-
-    phrases: tuple[NormalizedPhrase, ...]
-    perplexity: float | None
-
-    @property
-    def present_count(self) -> int:
-        return sum(1 for p in self.phrases if p.is_present)
-
-    @property
-    def absent_count(self) -> int:
-        return len(self.phrases) - self.present_count
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Samples in rank order (ascending perplexity, unknown last)."""
-
-    samples: tuple[RankedSample, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -90,82 +66,63 @@ EMPTY_PREDICTION = Prediction(
 )
 
 
-def _rank_key(sample: RankedSample) -> tuple[bool, float]:
+def classify_samples(
+    phrase_lists: Iterable[Sequence[str]], source: textnorm.NormalizedSource
+) -> list[Sample]:
+    """Normalize, dedup, and presence-classify each sample's phrases against
+    the document's normalized `source`, in input order."""
+    phrase = source.phrase
+    return [
+        tuple(textnorm.dedup_preserve_order(list(map(phrase, phrases))))
+        for phrases in phrase_lists
+    ]
+
+
+def _rank_key(pair: tuple[float | None, Sample]) -> tuple[bool, float]:
     """Ascending perplexity; unknown (None or NaN) after every known value."""
-    ppl = sample.perplexity
+    ppl = pair[0]
     if ppl is None or math.isnan(ppl):
         return (True, 0.0)
     return (False, ppl)
 
 
-def classify_samples(
-    parsed: list[ParsedSample],
-    doc: Document,
-    source: textnorm.NormalizedSource | None = None,
-) -> list[RankedSample]:
-    """Normalize, dedup, and presence-classify each sample, in input order.
-
-    `source` is the document's normalized source text; it is built from
-    `doc` when not given.
-    """
-    if source is None:
-        source = textnorm.NormalizedSource.from_text(doc.source_text)
-    phrase = source.phrase
-    return [
-        RankedSample(
-            phrases=tuple(textnorm.dedup_preserve_order(list(map(phrase, ps.phrases)))),
-            perplexity=ps.perplexity,
-        )
-        for ps in parsed
-    ]
-
-
-def rank(samples: Iterable[RankedSample]) -> SampleSet:
-    """Sort classified samples by ascending perplexity (unknown last,
+def rank(
+    samples: Sequence[Sample], perplexities: Sequence[float | None]
+) -> tuple[Sample, ...]:
+    """The samples sorted by their perplexities, ascending (unknown last,
     original order kept among equals). A NaN perplexity counts as unknown."""
-    return SampleSet(samples=tuple(sorted(samples, key=_rank_key)))
+    pairs = sorted(zip(perplexities, samples, strict=True), key=_rank_key)
+    return tuple(sample for _, sample in pairs)
 
 
-def rank_samples(
-    parsed: list[ParsedSample],
-    doc: Document,
-    source: textnorm.NormalizedSource | None = None,
-) -> SampleSet:
-    """Classify each sample, then rank the samples by perplexity; see
-    `classify_samples` and `rank`."""
-    return rank(classify_samples(parsed, doc, source))
-
-
-def aggregate_union(ss: SampleSet) -> list[NormalizedPhrase]:
+def aggregate_union(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
     """Set union of all samples, in lexicographic order of normalized form.
 
     The union destroys sample order, so a deterministic emission order is
     imposed; the surface form kept is the first one seen in rank order.
     """
     first: dict[str, NormalizedPhrase] = {}
-    for sample in ss.samples:
-        for p in sample.phrases:
+    for sample in ranked:
+        for p in sample:
             first.setdefault(p.normalized, p)
     return [first[key] for key in sorted(first)]
 
 
-def aggregate_union_concat(ss: SampleSet) -> list[NormalizedPhrase]:
+def aggregate_union_concat(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
     """Concatenate samples in rank order, keep first occurrences."""
-    return textnorm.dedup_preserve_order(
-        [p for sample in ss.samples for p in sample.phrases]
-    )
+    return textnorm.dedup_preserve_order([p for sample in ranked for p in sample])
 
 
-def aggregate_union_interleaf(ss: SampleSet) -> list[NormalizedPhrase]:
+def aggregate_union_interleaf(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
     """Round-robin across ranked samples: every sample's first phrase,
     then every second phrase, and so on; then first-occurrence dedup."""
     merged: list[NormalizedPhrase] = []
     position = 0
     while True:
         found = False
-        for sample in ss.samples:
-            if position < len(sample.phrases):
-                merged.append(sample.phrases[position])
+        for sample in ranked:
+            if position < len(sample):
+                merged.append(sample[position])
                 found = True
         if not found:
             break
@@ -173,14 +130,14 @@ def aggregate_union_interleaf(ss: SampleSet) -> list[NormalizedPhrase]:
     return textnorm.dedup_preserve_order(merged)
 
 
-def aggregate_frequency_order(ss: SampleSet) -> list[NormalizedPhrase]:
+def aggregate_frequency_order(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
     """Sort by the number of samples containing each phrase, descending;
     phrases tied on frequency keep their interleaf order."""
     counts: Counter[str] = Counter()
-    for sample in ss.samples:
-        for p in sample.phrases:  # samples are already deduplicated
+    for sample in ranked:
+        for p in sample:  # samples are already deduplicated
             counts[p.normalized] += 1
-    interleaf = aggregate_union_interleaf(ss)
+    interleaf = aggregate_union_interleaf(ranked)
     return sorted(interleaf, key=lambda p: -counts[p.normalized])
 
 
@@ -196,13 +153,18 @@ def _ceil_div(total: int, n: int) -> int:
     return -(-total // n)
 
 
-def dynamic_select(aggregated: list[NormalizedPhrase], ss: SampleSet) -> Prediction:
+def dynamic_select(
+    aggregated: list[NormalizedPhrase], ranked: Sequence[Sample]
+) -> Prediction:
     """Cut the aggregated list to the ceiling of the mean per-sample count,
     separately for present and absent phrases, preserving order."""
-    if ss.n == 0:
+    n = len(ranked)
+    if n == 0:
         return EMPTY_PREDICTION
-    m_pre = _ceil_div(sum(s.present_count for s in ss.samples), ss.n)
-    m_abs = _ceil_div(sum(s.absent_count for s in ss.samples), ss.n)
+    present = sum(1 for sample in ranked for p in sample if p.is_present)
+    absent = sum(map(len, ranked)) - present
+    m_pre = _ceil_div(present, n)
+    m_abs = _ceil_div(absent, n)
     present_full = tuple(p for p in aggregated if p.is_present)
     absent_full = tuple(p for p in aggregated if not p.is_present)
     return Prediction(
@@ -215,27 +177,9 @@ def dynamic_select(aggregated: list[NormalizedPhrase], ss: SampleSet) -> Predict
     )
 
 
-def merge(ss: SampleSet, strategy: str) -> Prediction:
+def merge(ranked: Sequence[Sample], strategy: str) -> Prediction:
     """Aggregate ranked samples by `strategy`, then dynamically select."""
     strategy = resolve_strategy(strategy)
     if strategy == "single":
-        if ss.n == 0:
-            return EMPTY_PREDICTION
-        top = ss.samples[0]
-        present = tuple(p for p in top.phrases if p.is_present)
-        absent = tuple(p for p in top.phrases if not p.is_present)
-        return Prediction(
-            present=present,
-            absent=absent,
-            m_pre=len(present),
-            m_abs=len(absent),
-            present_full=present,
-            absent_full=absent,
-        )
-    aggregated = _AGGREGATORS[strategy](ss)
-    return dynamic_select(aggregated, ss)
-
-
-def predict(parsed: list[ParsedSample], doc: Document, strategy: str) -> Prediction:
-    """Full per-document pipeline: rank, aggregate, dynamically select."""
-    return merge(rank_samples(parsed, doc), strategy)
+        ranked, strategy = ranked[:1], "union_concat"
+    return dynamic_select(_AGGREGATORS[strategy](ranked), ranked)

@@ -18,7 +18,7 @@ from .corpus import (
     load_corpus,
     stats_csv,
 )
-from .llm_client import LLMClientError
+from .llm_client import PPL_MODES, REQUEST_MODES, LLMClientError
 from .prompting import VARIANT_ALIASES, PromptConfigError
 
 _FATAL = (harness.HarnessError, CorpusError, PromptConfigError, LLMClientError)
@@ -69,7 +69,7 @@ def _run_options(fn):
         click.option("--out", default=None, type=click.Path(dir_okay=False),
                      help="Write the metric report CSV here."),
         click.option("--empty-gold", default="exclude",
-                     type=click.Choice(["exclude", "zero"]), show_default=True,
+                     type=click.Choice(metrics.EMPTY_GOLD_POLICIES), show_default=True,
                      help="Macro-average handling of documents with no gold "
                           "keyphrases in a partition."),
         click.option("--prompt-config", default=None,
@@ -79,11 +79,11 @@ def _run_options(fn):
                      help="Start the assistant turn with '[' (disable for "
                           "endpoints that reject partial assistant turns)."),
         click.option("--request-mode", default="choices",
-                     type=click.Choice(["choices", "per-request"]),
+                     type=click.Choice(REQUEST_MODES),
                      show_default=True,
                      help="One n-choice request per document, or n requests."),
         click.option("--ppl-mode", default="mean",
-                     type=click.Choice(["mean", "sum"]), show_default=True,
+                     type=click.Choice(PPL_MODES), show_default=True,
                      help="Perplexity from mean or summed token NLL."),
         click.option("--offline", is_flag=True,
                      help="Never touch the network; requires a warm cache."),

@@ -35,6 +35,8 @@ from pathlib import Path
 
 from . import aggregation, corpus, metrics, prompting, textnorm
 from .llm_client import (
+    PPL_MODES,
+    REQUEST_MODES,
     AuthenticationError,
     LLMClient,
     RequestError,
@@ -177,7 +179,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
 
     The samples are parsed, normalized and presence-classified, the source
     normalized and the gold partitioned once; each perplexity mode only
-    attaches its perplexities and sorts. Returns one score list per config
+    sorts them by its perplexities. Returns one score list per config
     (None when no sample succeeded), the parse fallback count and the count
     of samples cut short (`RawSample.truncated`).
     """
@@ -191,12 +193,9 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = corpus.partition_gold(doc, source)
-    classified = aggregation.classify_samples(parsed, doc, source)
+    classified = aggregation.classify_samples([ps.phrases for ps in parsed], source)
     ranked = {
-        mode: aggregation.rank(
-            aggregation.RankedSample(c.phrases, perplexity(s, mode))
-            for s, c in zip(successful, classified)
-        )
+        mode: aggregation.rank(classified, [perplexity(s, mode) for s in successful])
         for mode in dict.fromkeys(c.ppl_mode for c in configs)
     }
     scores = [
@@ -421,14 +420,28 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             aggregation.resolve_strategy(c.strategy)
         except ValueError as exc:
             raise HarnessError(str(exc)) from exc
-        if c.ppl_mode not in ("mean", "sum"):
+        if c.ppl_mode not in PPL_MODES:
             raise HarnessError(f"unknown perplexity mode {c.ppl_mode!r}")
-        if c.empty_gold not in ("exclude", "zero"):
+        if c.empty_gold not in metrics.EMPTY_GOLD_POLICIES:
             raise HarnessError(f"unknown empty-gold policy {c.empty_gold!r}")
+        if c.request_mode not in REQUEST_MODES:
+            raise HarnessError(f"unknown request mode {c.request_mode!r}")
         try:
-            float(c.temperature), int(c.max_tokens)
+            temperature, max_tokens = float(c.temperature), int(c.max_tokens)
         except (TypeError, ValueError) as exc:
             raise HarnessError(f"bad temperature or max_tokens: {exc}") from exc
+        if temperature < 0 or max_tokens < 1:
+            raise HarnessError(
+                f"temperature must be >= 0 and max_tokens >= 1, got "
+                f"{c.temperature!r} and {c.max_tokens!r}"
+            )
+        counts = {"n_samples": c.n_samples, "max_in_flight": c.max_in_flight}
+        if c.limit is not None:
+            counts["limit"] = c.limit
+        for name, value in counts.items():
+            # bool is an int subclass, but `limit: true` is no count
+            if type(value) is not int or value < 1:
+                raise HarnessError(f"{name} must be an integer >= 1, got {value!r}")
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         fields = {**vars(c), "variant": prompting.resolve_variant(c.variant)}

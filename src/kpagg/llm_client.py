@@ -42,6 +42,9 @@ _RETRY_AFTER_STATUS = {429, 503}
 MAX_RETRY_AFTER_S = 60.0
 # Finish reasons of a completion that stopped before its list was done.
 _CUT_FINISH_REASONS = frozenset({"length", "content_filter"})
+# How a perplexity is taken from the token NLL, and how n samples are asked for.
+PPL_MODES = ("mean", "sum")
+REQUEST_MODES = ("choices", "per-request")
 
 
 class LLMClientError(Exception):
@@ -80,7 +83,6 @@ class RawSample:
 @dataclass(frozen=True)
 class ParsedSample:
     phrases: tuple[str, ...]
-    perplexity: float | None  # None means unknown (no logprobs available)
     fallback: bool = False
 
 
@@ -90,13 +92,13 @@ def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
     mode "mean" divides by the token count (length-normalized, the default);
     mode "sum" does not. Returns None when no logprobs were captured.
     """
+    if mode not in PPL_MODES:
+        raise ValueError(f"unknown perplexity mode {mode!r}")
     if sample.lp_sum is None or not sample.lp_n:
         return None
     nll = -sample.lp_sum
     if mode == "mean":
         nll /= sample.lp_n
-    elif mode != "sum":
-        raise ValueError(f"unknown perplexity mode {mode!r}")
     try:
         return math.exp(nll)
     except OverflowError:
@@ -197,7 +199,7 @@ def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> P
             phrases.append(cleaned)
     if not phrases:
         fallback = True
-    return ParsedSample(phrases=tuple(phrases), perplexity=None, fallback=fallback)
+    return ParsedSample(phrases=tuple(phrases), fallback=fallback)
 
 
 class LLMClient:
@@ -217,7 +219,7 @@ class LLMClient:
         backoff_base: float = 0.5,
         timeout: float = 120.0,
     ):
-        if request_mode not in ("choices", "per-request"):
+        if request_mode not in REQUEST_MODES:
             raise ValueError(f"unknown request mode {request_mode!r}")
         e = endpoint.rstrip("/")
         if urllib.parse.urlsplit(e).scheme not in ("http", "https"):

@@ -24,6 +24,8 @@ from .corpus import GoldPartition
 
 PARTITIONS = ("present", "absent")
 METRICS = ("f1_at_m", "f1_at_5", "r_at_10", "r_at_inf")
+# How a document with no gold in a partition enters that partition's averages.
+EMPTY_GOLD_POLICIES = ("exclude", "zero")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def score_document(
 ) -> list[DocScore]:
     """All DocScores for one document. Empty-gold partitions either produce
     no rows ("exclude") or all-zero rows ("zero")."""
-    if empty_gold not in ("exclude", "zero"):
+    if empty_gold not in EMPTY_GOLD_POLICIES:
         raise ValueError(f"unknown empty-gold policy {empty_gold!r}")
     rows: list[DocScore] = []
     for partition in PARTITIONS:

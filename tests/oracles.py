@@ -48,6 +48,22 @@ def frequency_order_oracle(samples: list[list[str]]) -> list[str]:
     return sorted(interleaf, key=lambda p: (-freq[p], interleaf.index(p)))
 
 
+def single_oracle(samples: list[list[tuple[str, bool]]]) -> dict:
+    """The `single` prediction written out: the best-ranked sample split by
+    presence, each part kept whole, with M its own length; all empty without
+    samples. Samples are lists of (normalized, is_present), best first."""
+    present = [p for p, is_present in samples[0] if is_present] if samples else []
+    absent = [p for p, is_present in samples[0] if not is_present] if samples else []
+    return {
+        "present": present,
+        "absent": absent,
+        "m_pre": len(present),
+        "m_abs": len(absent),
+        "present_full": present,
+        "absent_full": absent,
+    }
+
+
 def ceil_mean_oracle(counts: list[int]) -> int:
     if not counts:
         return 0

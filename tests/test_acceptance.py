@@ -18,22 +18,27 @@ from click.testing import CliRunner
 
 from kpagg import harness
 from kpagg.aggregation import (
-    RankedSample,
-    SampleSet,
     aggregate_frequency_order,
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
+    classify_samples,
     dynamic_select,
-    predict,
+    merge,
+    rank,
 )
 from kpagg.cli import main
 from kpagg.corpus import Document, load_corpus, partition_gold
-from kpagg.llm_client import ParsedSample
 from kpagg.metrics import score_at_k, score_at_m, score_document
 from kpagg.mock_server import running_server
 from kpagg.porter import stem
-from kpagg.textnorm import NormalizedPhrase, is_present, normalize_phrase, normalize_tokens
+from kpagg.textnorm import (
+    NormalizedPhrase,
+    NormalizedSource,
+    is_present,
+    normalize_phrase,
+    normalize_tokens,
+)
 
 from . import oracles
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -63,16 +68,9 @@ def phrase_of(sym: str) -> NormalizedPhrase:
     return _PHRASE[sym]
 
 
-def sample_set(symbol_lists) -> SampleSet:
-    return SampleSet(
-        samples=tuple(
-            RankedSample(
-                phrases=tuple(phrase_of(s) for s in symbols),
-                perplexity=float(rank + 1),
-            )
-            for rank, symbols in enumerate(symbol_lists)
-        )
-    )
+def sample_set(symbol_lists) -> tuple:
+    """A ranked set of the given samples, best first."""
+    return tuple(tuple(phrase_of(s) for s in symbols) for symbols in symbol_lists)
 
 
 STRATEGY_PAIRS = (
@@ -196,18 +194,16 @@ def test_criterion_03_single_sample_collapse():
     failure = None
     for trial in range(1_000):
         doc = _random_doc(rng)
-        parsed = [
-            ParsedSample(
-                phrases=_random_phrases(rng, doc),
-                perplexity=None if rng.random() < 0.15 else rng.uniform(1, 50),
-            )
-        ]
-        baseline = predict(parsed, doc, "single")
+        phrases = _random_phrases(rng, doc)
+        ppl = None if rng.random() < 0.15 else rng.uniform(1, 50)
+        source = NormalizedSource.from_text(doc.source_text)
+        ranked = rank(classify_samples([phrases], source), [ppl])
+        baseline = merge(ranked, "single")
         base_scores = score_document(
             doc.id, baseline, partition_gold(doc), empty_gold="zero"
         )
         for strategy in ("union_concat", "union_interleaf", "frequency_order"):
-            pred = predict(parsed, doc, strategy)
+            pred = merge(ranked, strategy)
             if pred != baseline:
                 failure = f"trial {trial}: {strategy} prediction diverges"
                 break
@@ -236,10 +232,10 @@ def test_criterion_04_dynamic_selection_ceiling():
             ) + tuple(
                 phrase_of(f"a{i}.{j}").classified(False) for j in range(abs_counts[i])
             )
-            samples.append(RankedSample(phrases=phrases, perplexity=float(i + 1)))
+            samples.append(phrases)
         agg = [phrase_of(f"P{j}").classified(True) for j in range(rng.randint(0, 80))]
         agg += [phrase_of(f"A{j}").classified(False) for j in range(rng.randint(0, 80))]
-        pred = dynamic_select(agg, SampleSet(samples=tuple(samples)))
+        pred = dynamic_select(agg, tuple(samples))
         want_pre = oracles.ceil_mean_oracle(pres_counts)
         want_abs = oracles.ceil_mean_oracle(abs_counts)
         if pred.m_pre != want_pre or pred.m_abs != want_abs:

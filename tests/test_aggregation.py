@@ -1,4 +1,5 @@
-"""Sample ranking, the four aggregation strategies, and dynamic selection."""
+"""Sample classification and ranking, the four aggregation strategies,
+dynamic selection, and the merge the harness runs on them."""
 
 import json
 import math
@@ -11,25 +12,25 @@ from kpagg.aggregation import (
     EMPTY_PREDICTION,
     STRATEGIES,
     STRATEGY_ALIASES,
-    RankedSample,
-    SampleSet,
     aggregate_frequency_order,
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
+    classify_samples,
     dynamic_select,
-    predict,
-    rank_samples,
+    merge,
+    rank,
     resolve_strategy,
 )
-from kpagg.corpus import Document, partition_gold
-from kpagg.llm_client import ParsedSample, parse_sample
+from kpagg.corpus import partition_gold
+from kpagg.llm_client import parse_sample
 from kpagg.textnorm import NormalizedPhrase, NormalizedSource
 
 from .conftest import MOCK_FIXTURES
 from .oracles import (
     ceil_mean_oracle,
     frequency_order_oracle,
+    single_oracle,
     union_concat_oracle,
     union_interleaf_oracle,
     union_oracle,
@@ -40,23 +41,20 @@ def phrase(sym, present=None):
     return NormalizedPhrase(surface=sym, normalized=sym, is_present=present)
 
 
-def doc_of(text):
-    return Document(id="t", title=text, body="", gold=(), domain="scientific")
+def ranked_of(text, phrase_lists, perplexities):
+    """Surface phrase lists the way the harness takes them: classified
+    against the source `text`, then ranked by `perplexities`."""
+    source = NormalizedSource.from_text(text)
+    return rank(classify_samples(phrase_lists, source), perplexities)
 
 
-def sample(symbols, ppl=1.0):
-    return RankedSample(
-        phrases=tuple(phrase(s) for s in symbols), perplexity=ppl
-    )
+def sample(symbols):
+    return tuple(phrase(s) for s in symbols)
 
 
 def sset(*symbol_lists):
-    return SampleSet(
-        samples=tuple(
-            sample(symbols, ppl=float(i + 1))
-            for i, symbols in enumerate(symbol_lists)
-        )
-    )
+    """A ranked set of the given samples, best first."""
+    return tuple(sample(symbols) for symbols in symbol_lists)
 
 
 def normals(phrases):
@@ -73,66 +71,42 @@ class TestResolveStrategy:
 
 
 class TestRankSamples:
-    DOC = doc_of("graph coloring uses networks")
+    """classify_samples, then rank: the order and content of a ranked set."""
+
+    TEXT = "graph coloring uses networks"
 
     def test_orders_by_perplexity(self):
-        parsed = [
-            ParsedSample(phrases=("a",), perplexity=3.0),
-            ParsedSample(phrases=("b",), perplexity=1.5),
-            ParsedSample(phrases=("c",), perplexity=2.0),
-        ]
-        ranked = rank_samples(parsed, self.DOC)
-        assert [s.perplexity for s in ranked.samples] == [1.5, 2.0, 3.0]
-        assert [normals(s.phrases) for s in ranked.samples] == [["b"], ["c"], ["a"]]
+        ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, 1.5, 2.0])
+        assert [normals(s) for s in ranked] == [["b"], ["c"], ["a"]]
 
     def test_unknown_perplexity_sorts_last(self):
-        parsed = [
-            ParsedSample(phrases=("a",), perplexity=2.0),
-            ParsedSample(phrases=("b",), perplexity=None),
-            ParsedSample(phrases=("c",), perplexity=1.0),
-        ]
-        ranked = rank_samples(parsed, self.DOC)
-        assert [normals(s.phrases) for s in ranked.samples] == [["c"], ["a"], ["b"]]
+        ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [2.0, None, 1.0])
+        assert [normals(s) for s in ranked] == [["c"], ["a"], ["b"]]
 
     def test_nan_perplexity_sorts_last(self):
         # sorted() with a NaN key would leave 3.0 ahead of 1.0
-        parsed = [
-            ParsedSample(phrases=("a",), perplexity=3.0),
-            ParsedSample(phrases=("b",), perplexity=math.nan),
-            ParsedSample(phrases=("c",), perplexity=1.0),
-        ]
-        ranked = rank_samples(parsed, self.DOC)
-        assert [normals(s.phrases) for s in ranked.samples] == [["c"], ["a"], ["b"]]
-        assert predict(parsed, self.DOC, "single").absent[0].normalized == "c"
+        ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, math.nan, 1.0])
+        assert [normals(s) for s in ranked] == [["c"], ["a"], ["b"]]
+        assert merge(ranked, "single").absent[0].normalized == "c"
 
     def test_stable_for_ties(self):
-        parsed = [
-            ParsedSample(phrases=("first",), perplexity=1.0),
-            ParsedSample(phrases=("second",), perplexity=1.0),
-        ]
-        ranked = rank_samples(parsed, self.DOC)
-        assert [normals(s.phrases) for s in ranked.samples] == [["first"], ["second"]]
+        ranked = ranked_of(self.TEXT, [("first",), ("second",)], [1.0, 1.0])
+        assert [normals(s) for s in ranked] == [["first"], ["second"]]
 
     def test_phrases_normalized_deduped_classified(self):
-        parsed = [
-            ParsedSample(
-                phrases=("Graph Coloring", "graph coloring", "Unrelated Idea"),
-                perplexity=1.0,
-            )
-        ]
-        ranked = rank_samples(parsed, self.DOC)
-        phrases = ranked.samples[0].phrases
+        ranked = ranked_of(
+            self.TEXT, [("Graph Coloring", "graph coloring", "Unrelated Idea")], [1.0]
+        )
+        phrases = ranked[0]
         assert normals(phrases) == ["graph color", "unrel idea"]
         assert phrases[0].is_present is True
         assert phrases[1].is_present is False
 
     def test_present_absent_counts(self):
-        s = RankedSample(
-            phrases=(phrase("a", True), phrase("b", False), phrase("c", True)),
-            perplexity=1.0,
-        )
-        assert s.present_count == 2
-        assert s.absent_count == 1
+        s = (phrase("a", True), phrase("b", False), phrase("c", True))
+        pred = dynamic_select([], (s,))
+        assert pred.m_pre == 2
+        assert pred.m_abs == 1
 
 
 WORKED = sset(["a", "b"], ["b", "c"], ["d"])
@@ -144,15 +118,9 @@ class TestStrategies:
         assert normals(out) == ["a", "b", "c", "d"]
 
     def test_union_keeps_first_surface(self):
-        s = SampleSet(
-            samples=(
-                RankedSample(
-                    phrases=(NormalizedPhrase("Nets", "net", None),), perplexity=1.0
-                ),
-                RankedSample(
-                    phrases=(NormalizedPhrase("net", "net", None),), perplexity=2.0
-                ),
-            )
+        s = (
+            (NormalizedPhrase("Nets", "net", None),),
+            (NormalizedPhrase("net", "net", None),),
         )
         out = aggregate_union(s)
         assert [p.surface for p in out] == ["Nets"]
@@ -186,7 +154,7 @@ class TestStrategies:
         )
 
     def test_empty_sample_set(self):
-        empty = SampleSet(samples=())
+        empty = ()
         for fn in (
             aggregate_union,
             aggregate_union_concat,
@@ -197,15 +165,13 @@ class TestStrategies:
 
 
 def counted_set(present_counts, absent_counts=None):
-    """SampleSet whose samples have the given per-sample phrase counts."""
+    """Ranked set whose samples have the given per-sample phrase counts."""
     absent_counts = absent_counts or [0] * len(present_counts)
-    samples = []
-    for i, (np, na) in enumerate(zip(present_counts, absent_counts)):
-        phrases = tuple(phrase(f"p{i}.{j}", True) for j in range(np)) + tuple(
-            phrase(f"a{i}.{j}", False) for j in range(na)
-        )
-        samples.append(RankedSample(phrases=phrases, perplexity=float(i + 1)))
-    return SampleSet(samples=tuple(samples))
+    return tuple(
+        tuple(phrase(f"p{i}.{j}", True) for j in range(np))
+        + tuple(phrase(f"a{i}.{j}", False) for j in range(na))
+        for i, (np, na) in enumerate(zip(present_counts, absent_counts))
+    )
 
 
 class TestDynamicSelect:
@@ -246,7 +212,7 @@ class TestDynamicSelect:
         assert len(pred.present_full) == 4 and len(pred.absent_full) == 4
 
     def test_empty_sample_set(self):
-        assert dynamic_select(self.agg(3), SampleSet(samples=())) == EMPTY_PREDICTION
+        assert dynamic_select(self.agg(3), ()) == EMPTY_PREDICTION
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
     def test_matches_fraction_oracle(self, counts):
@@ -257,58 +223,58 @@ class TestDynamicSelect:
 
 
 class TestPredict:
+    """The per-document path the harness runs: classify, rank, merge."""
+
     def test_single_uses_top_sample_only(self):
-        parsed = [
-            ParsedSample(phrases=("graph coloring", "zebra"), perplexity=1.0),
-            ParsedSample(phrases=("networks",), perplexity=2.0),
-        ]
-        pred = predict(parsed, doc_of("graph coloring networks"), "single")
+        ranked = ranked_of(
+            "graph coloring networks",
+            [("graph coloring", "zebra"), ("networks",)],
+            [1.0, 2.0],
+        )
+        pred = merge(ranked, "single")
         assert normals(pred.present) == ["graph color"]
         assert normals(pred.absent) == ["zebra"]
 
     def test_prediction_lists_disjoint_by_partition(self):
-        parsed = [
-            ParsedSample(phrases=("graph", "zebra"), perplexity=1.0),
-            ParsedSample(phrases=("coloring", "zebra"), perplexity=2.0),
-        ]
-        pred = predict(parsed, doc_of("graph coloring"), "frequency_order")
+        ranked = ranked_of(
+            "graph coloring", [("graph", "zebra"), ("coloring", "zebra")], [1.0, 2.0]
+        )
+        pred = merge(ranked, "frequency_order")
         assert all(p.is_present for p in pred.present_full)
         assert all(not p.is_present for p in pred.absent_full)
 
     def test_truncation_prefix_of_full(self):
-        parsed = [
-            ParsedSample(phrases=("graph", "coloring", "zebra"), perplexity=1.0),
-            ParsedSample(phrases=("graph",), perplexity=2.0),
-        ]
-        pred = predict(parsed, doc_of("graph coloring"), "union_concat")
+        ranked = ranked_of(
+            "graph coloring", [("graph", "coloring", "zebra"), ("graph",)], [1.0, 2.0]
+        )
+        pred = merge(ranked, "union_concat")
         assert pred.present == pred.present_full[: pred.m_pre]
         assert pred.absent == pred.absent_full[: pred.m_abs]
 
     def test_alias_accepted(self):
-        parsed = [ParsedSample(phrases=("graph",), perplexity=1.0)]
-        doc = doc_of("graph")
-        assert predict(parsed, doc, "frequency") == predict(
-            parsed, doc, "frequency_order"
-        )
+        ranked = ranked_of("graph", [("graph",)], [1.0])
+        assert merge(ranked, "frequency") == merge(ranked, "frequency_order")
 
     def test_empty_input(self):
-        assert predict([], doc_of("anything"), "union") == EMPTY_PREDICTION
+        assert merge(ranked_of("anything", [], []), "union") == EMPTY_PREDICTION
 
 
 def fixture_samples(doc):
-    """The mock server's samples for a toy document, parsed. Perplexities are
-    left unknown: the test only compares two runs on the same samples."""
+    """The phrase lists of the mock server's samples for a toy document."""
     entries = json.loads(MOCK_FIXTURES.read_text(encoding="utf-8"))["responses"]
     entry = next(e for e in entries if e["match"] in doc.source_text)
-    return [parse_sample(s["text"], had_prefill=True) for s in entry["samples"]]
+    return [parse_sample(s["text"], had_prefill=True).phrases for s in entry["samples"]]
 
 
 def test_shared_source_gives_same_results(toy_docs):
     for doc in toy_docs:
-        parsed = fixture_samples(doc)
+        phrase_lists = fixture_samples(doc)
         source = NormalizedSource.from_text(doc.source_text)
         assert partition_gold(doc, source) == partition_gold(doc)
-        assert rank_samples(parsed, doc, source) == rank_samples(parsed, doc), doc.id
+        fresh = NormalizedSource.from_text(doc.source_text)
+        assert classify_samples(phrase_lists, source) == classify_samples(
+            phrase_lists, fresh
+        ), doc.id
 
 
 # Random-instance oracle equivalence ------------------------------------------
@@ -356,3 +322,20 @@ def test_single_sample_collapse(inner):
         aggregate_frequency_order,
     ):
         assert normals(impl(s)) == inner
+
+
+classified_instance = st.lists(
+    st.lists(st.tuples(symbols, st.booleans()), max_size=6, unique_by=lambda t: t[0]),
+    max_size=6,
+)
+
+
+@given(samples=classified_instance)
+def test_single_matches_top_sample_split_oracle(samples):
+    ranked = tuple(tuple(phrase(s, pres) for s, pres in sample) for sample in samples)
+    pred = merge(ranked, "single")
+    got = {
+        name: value if isinstance(value, int) else normals(value)
+        for name, value in vars(pred).items()
+    }
+    assert got == single_oracle(samples)

@@ -464,6 +464,30 @@ class TestGrid:
             harness.grid(configs, out=str(tmp_path / "merged.csv"))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n_samples": 0},
+            {"max_in_flight": 0},
+            {"limit": -1},
+            {"limit": -1, "seed": 3},
+            {"limit": True},
+            {"temperature": -0.5},
+            {"max_tokens": 0},
+            {"request_mode": "batch"},
+        ],
+    )
+    def test_value_the_cli_rejects_is_rejected_before_running(
+        self, endpoint, tmp_path, bad
+    ):
+        configs = [
+            config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
+            config(endpoint, tmp_path, out=str(tmp_path / "bad.csv"), **bad),
+        ]
+        with pytest.raises(HarnessError):
+            harness.grid(configs, out=str(tmp_path / "merged.csv"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_duplicate_outputs_rejected_before_running(self, tmp_path):
         shared = dict(corpus_path="missing.jsonl", out=str(tmp_path / "same.csv"))
         configs = [RunConfig(**shared), RunConfig(**shared)]

@@ -1,7 +1,9 @@
 """Importing the CLI and the harness loads no third-party HTTP library;
 importing the harness, or an offline replay, loads neither the standard
-library's HTTP stack nor a thread pool, and a replay starts no thread; and
-importing the harness loads no YAML parser (only YAML files need one)."""
+library's HTTP stack nor a thread pool, and a replay starts no thread;
+importing the harness loads no YAML parser (only YAML files need one); and
+aggregation works on normalized phrases alone, without the client or the
+prompts."""
 
 import json
 import os
@@ -84,6 +86,12 @@ def test_harness_loads_no_http_stack_or_thread_pool():
     loaded = newly_loaded("kpagg.harness")
     assert "kpagg.harness" in loaded
     assert not loaded & ONLINE_ONLY
+
+
+def test_aggregation_loads_neither_client_nor_prompting():
+    loaded = newly_loaded("kpagg.aggregation")
+    assert "kpagg.aggregation" in loaded
+    assert not loaded & {"kpagg.llm_client", "kpagg.prompting"}
 
 
 def test_offline_replay_loads_no_http_stack_and_starts_no_thread(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpagg import aggregation, corpus, porter, textnorm
-from kpagg.llm_client import ParsedSample
 
 from .oracles import reference_stems, window_scan_oracle
 
@@ -136,15 +135,20 @@ def fresh_classify(surfaces, source_tokens):
 
 
 def toy_samples(doc):
-    """Three samples that repeat the gold phrases in different orders and
-    add a source word and a phrase absent from the source."""
+    """The phrase lists of three samples that repeat the gold phrases in
+    different orders and add a source word and a phrase absent from the
+    source."""
     gold = list(doc.gold)
     word = doc.source_text.split()[0]
     return [
-        ParsedSample(phrases=tuple(gold + [word]), perplexity=None),
-        ParsedSample(phrases=tuple(reversed(gold)) + ("zzyzx quux",), perplexity=None),
-        ParsedSample(phrases=(word, "--", word.upper()) + tuple(gold[:2]), perplexity=None),
+        tuple(gold + [word]),
+        tuple(reversed(gold)) + ("zzyzx quux",),
+        (word, "--", word.upper()) + tuple(gold[:2]),
     ]
+
+
+def source_of(doc):
+    return textnorm.NormalizedSource.from_text(doc.source_text)
 
 
 class TestSourcePhraseMemo:
@@ -152,9 +156,9 @@ class TestSourcePhraseMemo:
         for doc in toy_docs:
             source_tokens = textnorm.normalize_tokens(doc.source_text)
             samples = toy_samples(doc)
-            got = aggregation.classify_samples(samples, doc)
-            assert [list(c.phrases) for c in got] == [
-                fresh_classify(ps.phrases, source_tokens) for ps in samples
+            got = aggregation.classify_samples(samples, source_of(doc))
+            assert [list(c) for c in got] == [
+                fresh_classify(phrases, source_tokens) for phrases in samples
             ], doc.id
 
     def test_empty_surface_stays_unclassified(self):
@@ -171,9 +175,9 @@ class TestSourcePhraseMemo:
         kept = textnorm.dedup_preserve_order(phrases)
         assert [(p.surface, p.is_present) for p in kept] == [("neural networks", True)]
         doc = corpus.Document("d", "Neural networks learn", "", ())
-        sample = ParsedSample(phrases=("Neural-Network", "neural networks"), perplexity=None)
-        (ranked,) = aggregation.classify_samples([sample], doc)
-        assert [p.surface for p in ranked.phrases] == ["Neural-Network"]
+        sample = ("Neural-Network", "neural networks")
+        (classified,) = aggregation.classify_samples([sample], source_of(doc))
+        assert [p.surface for p in classified] == ["Neural-Network"]
 
     def test_each_surface_normalized_once_per_source(self, toy_docs, monkeypatch):
         calls = []
@@ -186,15 +190,15 @@ class TestSourcePhraseMemo:
         monkeypatch.setattr(textnorm, "normalize_phrase", counting)
         doc = toy_docs[0]
         samples = toy_samples(doc)
-        source = textnorm.NormalizedSource.from_text(doc.source_text)
-        aggregation.classify_samples(samples, doc, source)
-        aggregation.classify_samples(samples, doc, source)
+        source = source_of(doc)
+        aggregation.classify_samples(samples, source)
+        aggregation.classify_samples(samples, source)
         corpus.partition_gold(doc, source)
-        sampled = {s for ps in samples for s in ps.phrases}
+        sampled = {s for phrases in samples for s in phrases}
         assert sorted(calls) == sorted(sampled | set(doc.gold))
         # a new source (the next document) starts with an empty memo
         calls.clear()
-        aggregation.classify_samples(samples, doc)
+        aggregation.classify_samples(samples, source_of(doc))
         assert sorted(calls) == sorted(sampled)
 
 
