@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -326,18 +327,23 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
                 fatal.set()
                 raise
 
-        with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
-            futures = {pool.submit(fetch, doc): i for i, doc in enumerate(docs)}
-            try:
-                for fut in as_completed(futures):
-                    # a skipped document's fatal error is on its way
-                    if not isinstance(fut.exception(), _Skipped):
-                        collect(futures[fut], fut.result)
-            except BaseException:
-                # A fatal endpoint error (or an interrupt) ends the run: drop
-                # the queued documents instead of letting the pool drain them.
-                pool.shutdown(cancel_futures=True)
-                raise
+        try:
+            with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
+                futures = {pool.submit(fetch, doc): i for i, doc in enumerate(docs)}
+                try:
+                    for fut in as_completed(futures):
+                        # a skipped document's fatal error is on its way
+                        if not isinstance(fut.exception(), _Skipped):
+                            collect(futures[fut], fut.result)
+                except BaseException:
+                    # A fatal endpoint error (or an interrupt) ends the run:
+                    # drop the queued documents instead of letting the pool
+                    # drain them.
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        finally:
+            # the pool has shut down, so no fetch thread holds a connection
+            client.close()
 
     done = [r for r in results if r is not None]
     base.processed = len(done)
@@ -428,11 +434,12 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             raise HarnessError(f"unknown request mode {c.request_mode!r}")
         try:
             temperature, max_tokens = float(c.temperature), int(c.max_tokens)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HarnessError(f"bad temperature or max_tokens: {exc}") from exc
-        if temperature < 0 or max_tokens < 1:
+        # NaN compares False with everything, so it is tested on its own
+        if not math.isfinite(temperature) or temperature < 0 or max_tokens < 1:
             raise HarnessError(
-                f"temperature must be >= 0 and max_tokens >= 1, got "
+                f"temperature must be a finite number >= 0 and max_tokens >= 1, got "
                 f"{c.temperature!r} and {c.max_tokens!r}"
             )
         counts = {"n_samples": c.n_samples, "max_in_flight": c.max_in_flight}

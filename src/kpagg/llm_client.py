@@ -1,11 +1,10 @@
 """Chat-completions client, sample parsing, perplexity, and a replay cache.
 
-Talks to any OpenAI-compatible endpoint over the standard library's
-`urllib.request`: one request per document with n choices (default) or n
-single-choice requests, with per-token logprobs requested so samples can be
-ranked by perplexity. Proxies come from `HTTP(S)_PROXY`/`NO_PROXY` and HTTPS
-verifies against the system CA store. The HTTP modules are imported by the
-first request, so an offline replay never loads them.
+Talks to any OpenAI-compatible endpoint through `kpagg.transport`: one
+request per document with n choices (default) or n single-choice requests,
+with per-token logprobs requested so samples can be ranked by perplexity.
+Only a client imports the transport and the HTTP modules, so an offline
+replay never loads them.
 
 A sample keeps only what ranking needs of its logprobs: their left-to-right
 sum and their count (`lp_sum`, `lp_n`), the sufficient statistics of both
@@ -203,11 +202,11 @@ def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> P
 
 
 class LLMClient:
-    """Client for OpenAI-compatible chat completions; one connection per
-    request. `urllib.request` and `http.client` are imported by
-    `_post_with_retries`, the one method that sends, on the first request;
-    constructing a client loads neither (`urllib.parse` checks the
-    endpoint)."""
+    """Client for OpenAI-compatible chat completions: the request body, the
+    retry policy and the samples. `kpagg.transport` sends the requests, over
+    one kept-alive connection per fetch thread unless a proxy applies;
+    constructing a client imports it, and with it the HTTP stack. `close`
+    closes the idle connections."""
 
     def __init__(
         self,
@@ -222,15 +221,27 @@ class LLMClient:
         if request_mode not in REQUEST_MODES:
             raise ValueError(f"unknown request mode {request_mode!r}")
         e = endpoint.rstrip("/")
-        if urllib.parse.urlsplit(e).scheme not in ("http", "https"):
-            raise LLMClientError(f"endpoint must be an http(s) URL, got {endpoint!r}")
         self.url = e if e.endswith("/chat/completions") else e + "/chat/completions"
+        split = urllib.parse.urlsplit(self.url)
+        try:
+            split.port  # raises ValueError for a port that is no number in range
+            valid = split.scheme in ("http", "https") and bool(split.hostname)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise LLMClientError(f"endpoint must be an http(s) URL, got {endpoint!r}")
         self.model = model
         self.api_key = api_key
         self.request_mode = request_mode
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.timeout = timeout
+        from .transport import Transport  # an offline run makes no client
+
+        self._transport = Transport(split, timeout)
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        self._transport.close()
 
     def _headers(self) -> dict:
         # An explicit agent: some CDN-fronted endpoints answer urllib's
@@ -249,28 +260,13 @@ class LLMClient:
         delta-seconds Retry-After waits that long (at most
         MAX_RETRY_AFTER_S); any other retry waits a random time up to the
         exponential backoff.
-
-        This is the one place that imports the HTTP stack: the first request
-        pays for it, and a run that sends none never loads it. Each attempt
-        sends a fresh `Request`, since urllib rewrites one that goes through
-        a proxy.
         """
         import http.client
-        import urllib.error
-        import urllib.request
 
         for attempt in range(self.max_retries + 1):
             wait = None
-            request = urllib.request.Request(
-                self.url, data=data, headers=self._headers(), method="POST"
-            )
             try:
-                try:
-                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                        status, headers, body = resp.status, resp.headers, resp.read()
-                except urllib.error.HTTPError as exc:
-                    with exc:
-                        status, headers, body = exc.code, exc.headers, exc.read()
+                status, headers, body = self._transport.send(data, self._headers())
             except (OSError, http.client.HTTPException) as exc:
                 # OSError covers refused connections, timeouts and TLS
                 # failures; a truncated body (IncompleteRead) is an
@@ -327,7 +323,8 @@ class LLMClient:
             "n": n,
             "logprobs": True,
         }
-        return json.dumps(payload).encode("utf-8")
+        # allow_nan=False: NaN and infinities are not JSON
+        return json.dumps(payload, allow_nan=False).encode("utf-8")
 
     @staticmethod
     def _sample_from_choice(

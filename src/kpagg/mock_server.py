@@ -71,6 +71,15 @@ def _choice(index: int, text: str, logprobs: list[float] | None) -> dict:
 
 
 class MockHandler(BaseHTTPRequestHandler):
+    """Answers chat-completions POSTs over HTTP/1.1, keeping a connection
+    open for the next request unless the client asks to close it. Every
+    request body is read before the answer, error answers included, so a
+    kept-alive connection stays in step. Without TCP_NODELAY the separate
+    header and body writes would wait on the client's delayed ACK whenever
+    a connection carries more than one request."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     fixtures: MockFixtures = None  # set by make_server
 
     def log_message(self, format, *args):  # keep test output quiet
@@ -81,15 +90,25 @@ class MockHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def do_POST(self):
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # where the body ends is unknown, so no request can follow it
+            self.close_connection = True
+            return self._fail(400, "invalid Content-Length")
+        data = self.rfile.read(length)
         if not self.path.endswith("/chat/completions"):
             return self._fail(404, f"unknown path {self.path}")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length))
+            payload = json.loads(data)
             messages = payload["messages"]
         except (ValueError, KeyError):
             return self._fail(400, "invalid request body")

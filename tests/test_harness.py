@@ -475,6 +475,9 @@ class TestGrid:
             {"temperature": -0.5},
             {"max_tokens": 0},
             {"request_mode": "batch"},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
+            {"temperature": 10**400},  # too large for a float
         ],
     )
     def test_value_the_cli_rejects_is_rejected_before_running(
@@ -546,6 +549,39 @@ class TestCli:
             ["run", "--corpus", str(TOY_CORPUS), "--aggregate", "median"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature_fails_cleanly(self, tmp_path, value):
+        out = tmp_path / "cli.csv"
+        result = CliRunner().invoke(
+            main,
+            [
+                "run",
+                "--corpus", str(TOY_CORPUS),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--temperature", value,
+                "--offline",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 1
+        assert "temperature" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_grid_rejects_non_finite_temperature(self, tmp_path, value):
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(
+            f"corpus: {TOY_CORPUS}\n"
+            f"cache_dir: {tmp_path / 'cache'}\n"
+            "offline: true\n"
+            f"out: {tmp_path / 'merged.csv'}\n"
+            f"runs: [{{aggregate: union}}, {{aggregate: union, temperature: {value}}}]\n"
+        )
+        result = CliRunner().invoke(main, ["grid", "--config", str(grid_path)])
+        assert result.exit_code == 1
+        assert "temperature" in result.output
+        assert list(tmp_path.iterdir()) == [grid_path]
 
     def test_stats_command(self, tmp_path):
         csv_path = tmp_path / "stats.csv"

@@ -29,7 +29,9 @@ from kpagg.llm_client import (
     parse_sample,
     perplexity,
 )
+from kpagg.mock_server import running_server
 
+from .conftest import MOCK_FIXTURES, TOY_CORPUS
 from .oracles import parse_sample_oracle, perplexity_oracle
 
 
@@ -230,19 +232,30 @@ class TestPerplexity:
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of responses, then 200s.
+    """Replays a scripted list of responses, then 200s, over HTTP/1.1.
 
-    A step is (status, body), (status, body, missing) or (status, body,
-    missing, headers): a bytes body is sent as is, any other is
-    JSON-encoded, `missing` bytes are declared in Content-Length but never
-    sent, and `headers` are sent as well. Each request's headers are
-    recorded.
+    A step is (status, body), (status, body, missing), (status, body,
+    missing, headers) or (status, body, missing, headers, drop): a bytes
+    body is sent as is, None is the default 200 completion, any other is
+    JSON-encoded; `missing` bytes are declared in Content-Length but never
+    sent (and the connection is closed, so the client sees the body cut
+    short); `headers` are sent as well; with `drop` the server closes the
+    connection after the answer without saying so. Each request's headers
+    are recorded, and each connection accepted is counted.
     """
 
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     script = []
     lock = threading.Lock()
     hits = 0
+    connections = 0
     headers_seen = []
+
+    def setup(self):
+        with _ScriptedHandler.lock:
+            _ScriptedHandler.connections += 1
+        super().setup()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -254,9 +267,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         if step < len(self.script):
             status, payload, *extra = self.script[step]
         else:
-            status, payload, extra = 200, self._ok(body), []
-        missing = extra[0] if extra else 0
-        headers = extra[1] if len(extra) > 1 else {}
+            status, payload, extra = 200, None, []
+        missing, headers, drop = (*extra, *(0, {}, False)[len(extra) :])
+        if payload is None:
+            payload = self._ok(body)
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -265,6 +279,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+        if missing or drop:
+            self.close_connection = True
 
     @staticmethod
     def _ok(body):
@@ -293,6 +309,7 @@ def scripted_server():
     def start(script):
         _ScriptedHandler.script = script
         _ScriptedHandler.hits = 0
+        _ScriptedHandler.connections = 0
         _ScriptedHandler.headers_seen = []
         server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -307,12 +324,25 @@ def scripted_server():
         thread.join(timeout=2)
 
 
+_clients = []
+
+
+@pytest.fixture(autouse=True)
+def close_clients():
+    """Close every client a test made, so no kept-alive socket outlives it."""
+    yield
+    while _clients:
+        _clients.pop().close()
+
+
 def make_client(endpoint, **kw):
     kw.setdefault("model", "test-model")
     kw.setdefault("api_key", "test-key")
     kw.setdefault("max_retries", 4)
     kw.setdefault("backoff_base", 0.01)
-    return LLMClient(endpoint=endpoint, **kw)
+    client = LLMClient(endpoint=endpoint, **kw)
+    _clients.append(client)
+    return client
 
 
 class TestTransport:
@@ -504,6 +534,8 @@ class TestTransport:
         # urllib rewrites a Request that goes through a proxy, so one sent
         # twice would go out in another form; per-request mode sends one
         # serialised body n times, each attempt in a Request of its own.
+        # The scripted server is its own proxy, so the client takes the
+        # urlopen path.
         import urllib.request
 
         from kpagg.prompting import build_prompt, resolve_variant
@@ -517,7 +549,13 @@ class TestTransport:
 
         monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
         script = [(503, {"error": "down"}), (429, {"error": "busy"}, 0, {"Retry-After": "0"})]
-        client = make_client(scripted_server(script), request_mode="per-request")
+        endpoint = scripted_server(script)
+        monkeypatch.setenv("http_proxy", endpoint.removesuffix("/v1"))
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        # urlopen reads the proxy settings once, when it builds its opener
+        monkeypatch.setattr(urllib.request, "_opener", None)
+        client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
         assert not any(s.failed for s in samples)
@@ -526,6 +564,78 @@ class TestTransport:
         assert len(set(map(id, requests))) == 5
         assert len({request.data for request in requests}) == 1
         assert {(kind, selector) for _, kind, selector in sent} == {("http", "/v1/chat/completions")}
+
+    def test_per_request_run_keeps_one_connection_per_fetch_thread(self, tmp_path):
+        connects = []
+        serving = running_server(MOCK_FIXTURES)
+        handler = serving.server.RequestHandlerClass
+
+        class Counting(handler):
+            def setup(self):
+                connects.append(self.client_address)
+                super().setup()
+
+        serving.server.RequestHandlerClass = Counting
+        with serving as endpoint:
+            summary = harness.run(harness.RunConfig(
+                corpus_path=str(TOY_CORPUS),
+                endpoint=endpoint,
+                cache_dir=str(tmp_path / "cache"),
+                request_mode="per-request",
+                max_in_flight=2,
+            ))
+        assert (summary.processed, summary.cache_misses) == (5, 50)
+        # ten requests per document, on as many connections as fetch threads
+        assert 1 <= len(connects) <= 2
+
+    def test_dropped_idle_connection_is_sent_again_at_once(
+        self, scripted_server, prompt_cfg, toy_docs, sleeps, caplog
+    ):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        # the first answer keeps the connection by its headers, then the
+        # server closes it
+        endpoint = scripted_server([(200, None, 0, {}, True)])
+        client = make_client(endpoint, request_mode="per-request")
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
+            samples = client.sample_completions(rp, doc_id="d", n=2, temperature=0.7, max_tokens=50)
+        assert [s.failed for s in samples] == [False, False]
+        assert (_ScriptedHandler.hits, _ScriptedHandler.connections) == (2, 2)
+        assert sleeps == []
+        assert not [r for r in caplog.records if "request failed" in r.message]
+
+    def test_connection_close_answer_is_not_reused(
+        self, scripted_server, prompt_cfg, toy_docs, sleeps
+    ):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        endpoint = scripted_server([(200, None, 0, {"Connection": "close"})])
+        client = make_client(endpoint, request_mode="per-request")
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
+        assert not any(s.failed for s in samples)
+        # the first connection carries one request, the second the rest
+        assert (_ScriptedHandler.hits, _ScriptedHandler.connections) == (3, 2)
+        assert sleeps == []
+
+    def test_redirect_is_a_request_error(self, scripted_server, prompt_cfg, toy_docs):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        endpoint = scripted_server([(302, b"", 0, {"Location": "/v2/chat/completions"})])
+        client = make_client(endpoint)
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        with pytest.raises(RequestError, match="HTTP 302"):
+            client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        assert _ScriptedHandler.hits == 1
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_is_never_sent(self, prompt_cfg, toy_docs, temperature):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        with pytest.raises(ValueError):
+            make_client("http://127.0.0.1:9/v1")._payload(rp, 1, temperature, 50)
 
     def fetch_after(self, endpoint, prompt_cfg, toy_docs, **kw):
         from kpagg.prompting import build_prompt, resolve_variant
@@ -577,7 +687,17 @@ class TestTransport:
         assert bounds == [(0, 0.5), (0, 1.0), (0, 2.0)]
         assert sleeps == [0.25, 0.5, 1.0]
 
-    @pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "/v1", "file:///tmp"])
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "localhost:8000/v1",
+            "/v1",
+            "file:///tmp",
+            "http:///v1",  # no host
+            "http://h:99999/v1",  # no port number in range
+            "http://h:x/v1",
+        ],
+    )
     def test_non_http_endpoint_rejected(self, endpoint):
         with pytest.raises(LLMClientError, match="http"):
             make_client(endpoint)

@@ -1,7 +1,9 @@
 """The fixture-driven chat-completions mock used by the offline e2e tests."""
 
+import http.client
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import NamedTuple
 
@@ -112,6 +114,35 @@ class TestServer:
     def test_malformed_body_400(self, url):
         r = post_bytes(url, b"{not json")
         assert r.status_code == 400
+
+    def test_connection_stays_in_step_after_an_error(self, url):
+        split = urllib.parse.urlsplit(url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            body = json.dumps({"model": "mock", "messages": user_turn("Alpha Title")})
+            conn.request("POST", split.path.replace("/chat/completions", "/embeddings"), body)
+            resp = conn.getresponse()
+            assert (resp.status, resp.will_close) == (404, False)
+            assert "unknown path" in json.loads(resp.read())["error"]["message"]
+            # the 404's request body was read, so the next request parses
+            conn.request("POST", split.path, body)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["choices"][0]["message"]["content"] == '["one", "two"]'
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_bad_content_length_closes_the_connection(self, url, length):
+        split = urllib.parse.urlsplit(url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            conn.request("POST", split.path, b"", headers={"Content-Length": length})
+            resp = conn.getresponse()
+            assert (resp.status, resp.will_close) == (400, True)
+            resp.read()
+        finally:
+            conn.close()
 
     def test_unmatched_without_default_400(self):
         with running_server(MockFixtures({"responses": []})) as endpoint:
