@@ -14,8 +14,9 @@ source and partitions the gold once, sorts once per perplexity mode, then
 aggregates and scores per config. The metric fold is a deterministic reduce
 in corpus order, so a warm cache replays to byte-identical reports. A fatal
 endpoint error cancels the documents still queued, and no fetch thread
-starts another document after it. Failed samples are never cached, which
-makes an interrupted run resumable by simply rerunning it. The cache
+starts another document after it. A sample the endpoint did not return
+is absent, never cached and never averaged, so rerunning an interrupted or
+partly failed run fetches only the samples still missing. The cache
 file's name carries the sampling settings (temperature and max_tokens), so
 a replay never belongs to other settings than the run's.
 """
@@ -93,7 +94,7 @@ class RunSummary:
     processed: int = 0
     errored: int = 0
     parse_fallbacks: int = 0
-    truncated: int = 0  # successful samples cut by the token limit or a content filter
+    truncated: int = 0  # samples cut by the token limit or a content filter
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time: float = 0.0
@@ -141,34 +142,25 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
     """Build one document's prompt and collect its samples, cache first.
 
     Returns the prompt, the samples present in index order, and the cache
-    hit and miss counts.
+    hit and miss counts. A sample neither cached nor fetched is absent,
+    and counted in the warning.
     """
     prompt = prompting.build_prompt(doc, variant, pcfg, config.prefill)
-    samples = {}
-    missing = []
-    for i in range(config.n_samples):
-        cached = cache.get(doc.id, prompt.prompt_hash, i)
-        if cached is None:
-            missing.append(i)
-        else:
-            samples[i] = cached
+    slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
+    missing = [i for i, s in enumerate(slots) if s is None]
     if missing and client is not None:
         fetched = client.sample_completions(
-            prompt,
-            doc.id,
-            config.n_samples,
-            config.temperature,
-            config.max_tokens,
-            indices=missing,
+            prompt, doc.id, missing, config.temperature, config.max_tokens
         )
         for s in fetched:
-            samples[s.sample_index] = s
-        cache.put(*(s for s in fetched if not s.failed))
-    ordered = [samples[i] for i in range(config.n_samples) if i in samples]
+            slots[s.sample_index] = s
+        cache.put(*fetched)
+    ordered = [s for s in slots if s is not None]
     absent_count = config.n_samples - len(ordered)
     if absent_count:
         log.warning(
-            "document %s: %d sample(s) unavailable (offline without warm cache?)",
+            "document %s: %d sample(s) unavailable (their fetch failed, or "
+            "offline without a warm cache)",
             doc.id,
             absent_count,
         )
@@ -181,22 +173,20 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     The samples are parsed, normalized and presence-classified, the source
     normalized and the gold partitioned once; each perplexity mode only
     sorts them by its perplexities. Returns one score list per config
-    (None when no sample succeeded), the parse fallback count and the count
+    (None when there is no sample), the parse fallback count and the count
     of samples cut short (`RawSample.truncated`).
     """
-    successful = [s for s in raw if not s.failed]
-    if not successful:
+    if not raw:
         return None, 0, 0
     had_prefill = bool(prompt.assistant_prefill)
     parsed = [
-        parse_sample(s.text, had_prefill=had_prefill, truncated=s.truncated)
-        for s in successful
+        parse_sample(s.text, had_prefill=had_prefill, truncated=s.truncated) for s in raw
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = corpus.partition_gold(doc, source)
     classified = aggregation.classify_samples([ps.phrases for ps in parsed], source)
     ranked = {
-        mode: aggregation.rank(classified, [perplexity(s, mode) for s in successful])
+        mode: aggregation.rank(classified, [perplexity(s, mode) for s in raw])
         for mode in dict.fromkeys(c.ppl_mode for c in configs)
     }
     scores = [
@@ -208,7 +198,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
         )
         for c in configs
     ]
-    return scores, sum(ps.fallback for ps in parsed), sum(s.truncated for s in successful)
+    return scores, sum(ps.fallback for ps in parsed), sum(s.truncated for s in raw)
 
 
 # config fields that identify a run's results; paths and transport details
@@ -432,6 +422,11 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             raise HarnessError(f"unknown empty-gold policy {c.empty_gold!r}")
         if c.request_mode not in REQUEST_MODES:
             raise HarnessError(f"unknown request mode {c.request_mode!r}")
+        if c.default_domain not in corpus.DOMAINS:
+            raise HarnessError(f"unknown default domain {c.default_domain!r}")
+        for name, value in (("model", c.model), ("cache_dir", c.cache_dir)):
+            if not isinstance(value, str):
+                raise HarnessError(f"{name} must be a string, got {value!r}")
         try:
             temperature, max_tokens = float(c.temperature), int(c.max_tokens)
         except (TypeError, ValueError, OverflowError) as exc:

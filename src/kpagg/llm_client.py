@@ -3,6 +3,9 @@
 Talks to any OpenAI-compatible endpoint through `kpagg.transport`: one
 request per document with n choices (default) or n single-choice requests,
 with per-token logprobs requested so samples can be ranked by perplexity.
+A sample the endpoint did not return, because its request ran out of
+retries or the answer held fewer choices than asked for, is absent from
+what the client returns; nothing stands in for it.
 Only a client imports the transport and the HTTP modules, so an offline
 replay never loads them.
 
@@ -39,6 +42,11 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _RETRY_AFTER_STATUS = {429, 503}
 # The longest wait, in seconds, that a Retry-After header can ask for.
 MAX_RETRY_AFTER_S = 60.0
+# Retries after a request's first attempt, the backoff of the first retry
+# (doubled for each further one), and the socket timeout of each attempt.
+MAX_RETRIES = 4
+BACKOFF_BASE_S = 0.5
+TIMEOUT_S = 120.0
 # Finish reasons of a completion that stopped before its list was done.
 _CUT_FINISH_REASONS = frozenset({"length", "content_filter"})
 # How a perplexity is taken from the token NLL, and how n samples are asked for.
@@ -67,10 +75,6 @@ class RawSample:
     lp_sum: float | None  # sum of the token logprobs, left to right
     lp_n: int  # number of token logprobs; 0 means unknown
     finish_reason: str
-
-    @property
-    def failed(self) -> bool:
-        return self.finish_reason.startswith("error")
 
     @property
     def truncated(self) -> bool:
@@ -206,7 +210,8 @@ class LLMClient:
     retry policy and the samples. `kpagg.transport` sends the requests, over
     one kept-alive connection per fetch thread unless a proxy applies;
     constructing a client imports it, and with it the HTTP stack. `close`
-    closes the idle connections."""
+    closes the idle connections. The retry policy is set by MAX_RETRIES,
+    BACKOFF_BASE_S and TIMEOUT_S."""
 
     def __init__(
         self,
@@ -214,9 +219,6 @@ class LLMClient:
         model: str,
         api_key: str | None = None,
         request_mode: str = "choices",
-        max_retries: int = 4,
-        backoff_base: float = 0.5,
-        timeout: float = 120.0,
     ):
         if request_mode not in REQUEST_MODES:
             raise ValueError(f"unknown request mode {request_mode!r}")
@@ -233,11 +235,9 @@ class LLMClient:
         self.model = model
         self.api_key = api_key
         self.request_mode = request_mode
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         from .transport import Transport  # an offline run makes no client
 
-        self._transport = Transport(split, timeout)
+        self._transport = Transport(split, TIMEOUT_S)
 
     def close(self) -> None:
         """Close the idle connections; a later request opens a new one."""
@@ -263,7 +263,7 @@ class LLMClient:
         """
         import http.client
 
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             wait = None
             try:
                 status, headers, body = self._transport.send(data, self._headers())
@@ -289,13 +289,13 @@ class LLMClient:
                 else:
                     text = body.decode("utf-8", errors="replace")
                     raise RequestError(f"endpoint returned HTTP {status}: {text[:200]}")
-            if attempt < self.max_retries:
+            if attempt < MAX_RETRIES:
                 if wait is None:
                     # full jitter: concurrent clients do not retry in step
-                    wait = random.uniform(0, self.backoff_base * 2**attempt)
+                    wait = random.uniform(0, BACKOFF_BASE_S * 2**attempt)
                 log.warning(
                     "request failed (%s); retry %d/%d in %.1fs",
-                    reason, attempt + 1, self.max_retries, wait,
+                    reason, attempt + 1, MAX_RETRIES, wait,
                 )
                 time.sleep(wait)
             else:
@@ -351,55 +351,35 @@ class LLMClient:
             finish_reason=str(choice.get("finish_reason") or "unknown"),
         )
 
-    def _failure(self, doc_id: str, prompt_hash: str, index: int) -> RawSample:
-        return RawSample(
-            doc_id=doc_id,
-            prompt_hash=prompt_hash,
-            sample_index=index,
-            text="",
-            lp_sum=None,
-            lp_n=0,
-            finish_reason="error:request_failed",
-        )
-
     def sample_completions(
         self,
         prompt: RenderedPrompt,
         doc_id: str,
-        n: int,
+        indices: list[int],
         temperature: float,
         max_tokens: int,
-        indices: list[int] | None = None,
     ) -> list[RawSample]:
-        """Draw samples for one prompt; `indices` restricts which sample
-        slots to fetch (used when resuming from a partly warm cache)."""
-        if indices is None:
-            indices = list(range(n))
+        """The samples received for the slots `indices`, in slot order.
+
+        `choices` mode serves all the slots from one request, `per-request`
+        mode each slot from a request of its own; every request sends the
+        one body, serialised once. A slot whose request ran out of
+        retries, or that the answer left out, is absent.
+        """
         if not indices:
             return []
-        if self.request_mode == "choices":
-            body = self._post_with_retries(
-                self._payload(prompt, len(indices), temperature, max_tokens)
-            )
+        groups = [indices] if self.request_mode == "choices" else [[i] for i in indices]
+        data = self._payload(prompt, len(groups[0]), temperature, max_tokens)
+        samples = []
+        for slots in groups:
+            body = self._post_with_retries(data)
             choices = body.get("choices") if isinstance(body, dict) else None
-            if not isinstance(choices, list):
-                choices = []
-            picked = dict(zip(indices, choices))
-        else:
-            # n identical single-choice requests, serialised once
-            data = self._payload(prompt, 1, temperature, max_tokens)
-            picked = {}
-            for index in indices:
-                body = self._post_with_retries(data)
-                choices = body.get("choices") if isinstance(body, dict) else None
-                if isinstance(choices, list) and choices:
-                    picked[index] = choices[0]
-        return [
-            self._sample_from_choice(doc_id, prompt.prompt_hash, index, picked[index])
-            if index in picked
-            else self._failure(doc_id, prompt.prompt_hash, index)
-            for index in indices
-        ]
+            if isinstance(choices, list):
+                samples += (
+                    self._sample_from_choice(doc_id, prompt.prompt_hash, index, choice)
+                    for index, choice in zip(slots, choices)
+                )
+        return samples
 
 
 class SampleCache:

@@ -109,8 +109,14 @@ class MockHandler(BaseHTTPRequestHandler):
             return self._fail(404, f"unknown path {self.path}")
         try:
             payload = json.loads(data)
-            messages = payload["messages"]
-        except (ValueError, KeyError):
+            messages, n = payload["messages"], payload.get("n", 1)
+        except (ValueError, KeyError, TypeError):  # TypeError: no JSON object
+            messages = n = None
+        # messages must be objects with string content, and n an integer
+        # >= 1 (JSON true is a bool, not a count)
+        if type(n) is not int or n < 1 or not isinstance(messages, list) or not all(
+            isinstance(m, dict) and isinstance(m.get("content", ""), str) for m in messages
+        ):
             return self._fail(400, "invalid request body")
 
         user_text = ""
@@ -128,7 +134,6 @@ class MockHandler(BaseHTTPRequestHandler):
         if not samples:
             return self._fail(400, "fixture has no samples")
 
-        n = int(payload.get("n", 1))
         want_logprobs = bool(payload.get("logprobs"))
         choices = []
         for i in range(n):

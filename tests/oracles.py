@@ -378,3 +378,19 @@ def parse_sample_oracle(raw_text: str, had_prefill: bool) -> tuple[tuple[str, ..
         if (cleaned := item.strip(_PARSE_STRIP_CHARS))
     )
     return phrases, fallback or not phrases
+
+
+def received_slots_oracle(mode: str, indices: list[int], bodies: list) -> list[int]:
+    """The slots a client returns when its k-th request got `bodies[k]`:
+    one request for every slot in mode "choices", whose i-th choice fills
+    the i-th slot; one request per slot otherwise, whose first choice fills
+    it. A body without a `choices` list fills nothing."""
+
+    def choices(body):
+        if isinstance(body, dict) and isinstance(body.get("choices"), list):
+            return body["choices"]
+        return []
+
+    if mode == "choices":
+        return indices[: len(choices(bodies[0]))] if indices else []
+    return [slot for slot, body in zip(indices, bodies) if choices(body)]

@@ -478,6 +478,9 @@ class TestGrid:
             {"temperature": float("nan")},
             {"temperature": float("inf")},
             {"temperature": 10**400},  # too large for a float
+            {"default_domain": "News"},  # the domains are lower case
+            {"model": 3.5},
+            {"cache_dir": 5},
         ],
     )
     def test_value_the_cli_rejects_is_rejected_before_running(

@@ -32,7 +32,7 @@ from kpagg.llm_client import (
 from kpagg.mock_server import running_server
 
 from .conftest import MOCK_FIXTURES, TOY_CORPUS
-from .oracles import parse_sample_oracle, perplexity_oracle
+from .oracles import parse_sample_oracle, perplexity_oracle, received_slots_oracle
 
 
 def raw(text="x", logprobs=None, index=0, finish="stop", doc="d1"):
@@ -335,11 +335,15 @@ def close_clients():
         _clients.pop().close()
 
 
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Retry waits of at most 0.01 s doubling, so that retries stay quick."""
+    monkeypatch.setattr(llm_client, "BACKOFF_BASE_S", 0.01)
+
+
 def make_client(endpoint, **kw):
     kw.setdefault("model", "test-model")
     kw.setdefault("api_key", "test-key")
-    kw.setdefault("max_retries", 4)
-    kw.setdefault("backoff_base", 0.01)
     client = LLMClient(endpoint=endpoint, **kw)
     _clients.append(client)
     return client
@@ -351,10 +355,12 @@ class TestTransport:
 
         client = make_client(scripted_server([]))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(rp, doc_id="d", n=2, temperature=0.7, max_tokens=50)
+        samples = client.sample_completions(
+            rp, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
+        )
         assert len(samples) == 2
         assert [s.sample_index for s in samples] == [0, 1]
-        assert all(not s.failed for s in samples)
+        assert all(s.finish_reason == "stop" for s in samples)
         assert (samples[0].lp_sum, samples[0].lp_n) == (-0.75, 2)
 
     def test_retry_on_429_then_success(self, scripted_server, prompt_cfg, toy_docs, caplog):
@@ -364,22 +370,29 @@ class TestTransport:
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+            samples = client.sample_completions(
+                rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+            )
         assert len(samples) == 1
-        assert not samples[0].failed
+        assert samples[0].finish_reason == "stop"
         retry_logs = [r for r in caplog.records if "retry" in r.message.lower()]
         assert len(retry_logs) == 2
 
-    def test_500_exhaustion_yields_failed_samples(self, scripted_server, prompt_cfg, toy_docs):
+    def test_500_exhaustion_yields_failed_samples(
+        self, scripted_server, prompt_cfg, toy_docs, monkeypatch
+    ):
         from kpagg.prompting import build_prompt, resolve_variant
 
         script = [(503, {"error": "down"})] * 10
-        client = make_client(scripted_server(script), max_retries=2)
+        monkeypatch.setattr(llm_client, "MAX_RETRIES", 2)
+        client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
-        assert len(samples) == 3
-        assert all(s.failed for s in samples)
-        assert all(s.text == "" for s in samples)
+        samples = client.sample_completions(
+            rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
+        )
+        # the three failed samples are absent
+        assert samples == []
+        assert _ScriptedHandler.hits == 3
 
     def test_401_is_fatal(self, scripted_server, prompt_cfg, toy_docs):
         from kpagg.prompting import build_prompt, resolve_variant
@@ -388,7 +401,7 @@ class TestTransport:
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(AuthenticationError):
-            client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
 
     def test_400_is_fatal_request_error(self, scripted_server, prompt_cfg, toy_docs):
         from kpagg.prompting import build_prompt, resolve_variant
@@ -397,14 +410,16 @@ class TestTransport:
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(RequestError):
-            client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
 
     def test_per_request_mode_issues_n_requests(self, scripted_server, prompt_cfg, toy_docs):
         from kpagg.prompting import build_prompt, resolve_variant
 
         client = make_client(scripted_server([]), request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
+        samples = client.sample_completions(
+            rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
+        )
         assert len(samples) == 3
         assert _ScriptedHandler.hits == 3
 
@@ -414,7 +429,7 @@ class TestTransport:
         client = make_client(scripted_server([]), request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         samples = client.sample_completions(
-            rp, doc_id="d", n=10, temperature=0.7, max_tokens=50, indices=[2, 7]
+            rp, doc_id="d", indices=[2, 7], temperature=0.7, max_tokens=50
         )
         assert [s.sample_index for s in samples] == [2, 7]
 
@@ -464,24 +479,29 @@ class TestTransport:
             # only the documents already in flight when the first 401 came
             assert 1 <= _ScriptedHandler.hits <= max_in_flight
 
-    def test_connection_refused_yields_failed_samples(self, prompt_cfg, toy_docs, caplog):
+    def test_connection_refused_yields_failed_samples(
+        self, prompt_cfg, toy_docs, caplog, monkeypatch
+    ):
         from kpagg.prompting import build_prompt, resolve_variant
 
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        client = make_client(f"http://127.0.0.1:{port}/v1", max_retries=2)
+        monkeypatch.setattr(llm_client, "MAX_RETRIES", 2)
+        client = make_client(f"http://127.0.0.1:{port}/v1")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(rp, doc_id="d", n=2, temperature=0.7, max_tokens=50)
-        assert [s.failed for s in samples] == [True, True]
+            samples = client.sample_completions(
+                rp, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
+            )
+        assert samples == []  # both failed samples are absent
         assert sum("connection error" in r.message for r in caplog.records) == 3
 
     @pytest.mark.parametrize(
         "bad_step, reason",
         [
             ((200, b"<html>not json</html>"), "invalid JSON"),
-            # a complete body would parse and give a failed sample, not a retry
+            # a complete body would parse and give no sample, not a retry
             ((200, {"choices": []}, 10), "IncompleteRead"),
         ],
         ids=["non-json-body", "incomplete-read"],
@@ -494,8 +514,10 @@ class TestTransport:
         client = make_client(scripted_server([bad_step]))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
-        assert not samples[0].failed
+            samples = client.sample_completions(
+                rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+            )
+        assert [s.sample_index for s in samples] == [0]
         assert _ScriptedHandler.hits == 2
         assert [reason in r.message for r in caplog.records] == [True]
 
@@ -506,7 +528,7 @@ class TestTransport:
         client = make_client(scripted_server([(400, body)]))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(RequestError) as info:
-            client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
         assert str(info.value) == f"endpoint returned HTTP 400: {body[:200].decode()}"
 
     def test_request_headers(self, scripted_server, prompt_cfg, toy_docs):
@@ -515,7 +537,7 @@ class TestTransport:
 
         client = make_client(scripted_server([]), api_key="sk-123")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
         (headers,) = _ScriptedHandler.headers_seen
         assert headers["Authorization"] == "Bearer sk-123"
         assert headers["User-Agent"] == f"kpagg/{__version__}"
@@ -557,8 +579,10 @@ class TestTransport:
         monkeypatch.setattr(urllib.request, "_opener", None)
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
-        assert not any(s.failed for s in samples)
+        samples = client.sample_completions(
+            rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
+        )
+        assert [s.sample_index for s in samples] == [0, 1, 2]
         assert len(sent) == _ScriptedHandler.hits == 5
         requests = [request for request, _, _ in sent]
         assert len(set(map(id, requests))) == 5
@@ -599,8 +623,10 @@ class TestTransport:
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(rp, doc_id="d", n=2, temperature=0.7, max_tokens=50)
-        assert [s.failed for s in samples] == [False, False]
+            samples = client.sample_completions(
+                rp, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
+            )
+        assert [s.sample_index for s in samples] == [0, 1]
         assert (_ScriptedHandler.hits, _ScriptedHandler.connections) == (2, 2)
         assert sleeps == []
         assert not [r for r in caplog.records if "request failed" in r.message]
@@ -613,8 +639,10 @@ class TestTransport:
         endpoint = scripted_server([(200, None, 0, {"Connection": "close"})])
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(rp, doc_id="d", n=3, temperature=0.7, max_tokens=50)
-        assert not any(s.failed for s in samples)
+        samples = client.sample_completions(
+            rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
+        )
+        assert [s.sample_index for s in samples] == [0, 1, 2]
         # the first connection carries one request, the second the rest
         assert (_ScriptedHandler.hits, _ScriptedHandler.connections) == (3, 2)
         assert sleeps == []
@@ -626,7 +654,7 @@ class TestTransport:
         client = make_client(endpoint)
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(RequestError, match="HTTP 302"):
-            client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
         assert _ScriptedHandler.hits == 1
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
@@ -637,23 +665,25 @@ class TestTransport:
         with pytest.raises(ValueError):
             make_client("http://127.0.0.1:9/v1")._payload(rp, 1, temperature, 50)
 
-    def fetch_after(self, endpoint, prompt_cfg, toy_docs, **kw):
+    def fetch_after(self, endpoint, prompt_cfg, toy_docs):
         from kpagg.prompting import build_prompt, resolve_variant
 
-        client = make_client(endpoint, **kw)
+        client = make_client(endpoint)
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        (sample,) = client.sample_completions(rp, doc_id="d", n=1, temperature=0.7, max_tokens=50)
+        (sample,) = client.sample_completions(
+            rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+        )
         return sample
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_after_sets_the_wait(self, scripted_server, prompt_cfg, toy_docs, sleeps, status):
         endpoint = scripted_server([(status, {"error": "busy"}, 0, {"Retry-After": "2"})])
-        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs).failed
+        assert self.fetch_after(endpoint, prompt_cfg, toy_docs).finish_reason == "stop"
         assert sleeps == [2.0]
 
     def test_retry_after_is_capped(self, scripted_server, prompt_cfg, toy_docs, sleeps):
         endpoint = scripted_server([(429, {"error": "busy"}, 0, {"Retry-After": "86400"})])
-        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs).failed
+        assert self.fetch_after(endpoint, prompt_cfg, toy_docs).finish_reason == "stop"
         assert sleeps == [llm_client.MAX_RETRY_AFTER_S]
 
     @pytest.mark.parametrize(
@@ -667,10 +697,11 @@ class TestTransport:
         ],
     )
     def test_other_retry_after_falls_back_to_jitter(
-        self, scripted_server, prompt_cfg, toy_docs, sleeps, status, value
+        self, scripted_server, prompt_cfg, toy_docs, sleeps, monkeypatch, status, value
     ):
         endpoint = scripted_server([(status, {"error": "busy"}, 0, {"Retry-After": value})])
-        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs, backoff_base=0.25).failed
+        monkeypatch.setattr(llm_client, "BACKOFF_BASE_S", 0.25)
+        assert self.fetch_after(endpoint, prompt_cfg, toy_docs).finish_reason == "stop"
         (wait,) = sleeps
         assert 0 <= wait <= 0.25
 
@@ -682,8 +713,9 @@ class TestTransport:
             return high / 2
 
         monkeypatch.setattr(llm_client.random, "uniform", uniform)
+        monkeypatch.setattr(llm_client, "BACKOFF_BASE_S", 0.5)
         endpoint = scripted_server([(500, {"error": "down"})] * 3)
-        assert not self.fetch_after(endpoint, prompt_cfg, toy_docs, backoff_base=0.5).failed
+        assert self.fetch_after(endpoint, prompt_cfg, toy_docs).finish_reason == "stop"
         assert bounds == [(0, 0.5), (0, 1.0), (0, 2.0)]
         assert sleeps == [0.25, 0.5, 1.0]
 
@@ -707,6 +739,110 @@ class TestTransport:
         c2 = make_client("http://h:1/v1/")
         c3 = make_client("http://h:1/v1/chat/completions")
         assert c1.url == c2.url == c3.url == "http://h:1/v1/chat/completions"
+
+
+class TestAbsentSamples:
+    """A slot the endpoint did not answer is absent from what the client
+    returns, in either request mode."""
+
+    @pytest.fixture(scope="class")
+    def prompt(self, prompt_cfg, toy_docs):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        return build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+
+    def test_fewer_choices_than_slots_returns_the_answered_slots(
+        self, scripted_server, prompt
+    ):
+        script = [(200, _ScriptedHandler._ok({"n": 2}))]
+        client = make_client(scripted_server(script))
+        samples = client.sample_completions(
+            prompt, doc_id="d", indices=[3, 5, 8], temperature=0.7, max_tokens=50
+        )
+        assert [s.sample_index for s in samples] == [3, 5]
+        assert _ScriptedHandler.hits == 1
+
+    def test_per_request_slot_out_of_retries_is_absent(
+        self, scripted_server, prompt, monkeypatch
+    ):
+        monkeypatch.setattr(llm_client, "MAX_RETRIES", 2)
+        # slot 0 answers, slot 1 gets 503 on all three attempts, slot 2 answers
+        script = [(200, None)] + [(503, {"error": "down"})] * 3
+        client = make_client(scripted_server(script), request_mode="per-request")
+        samples = client.sample_completions(
+            prompt, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
+        )
+        assert [s.sample_index for s in samples] == [0, 2]
+        assert _ScriptedHandler.hits == 5
+
+    def test_run_evaluates_the_samples_it_got_and_refetches_the_rest(
+        self, scripted_server, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(llm_client, "MAX_RETRIES", 2)
+        evaluated = []
+        evaluate = harness._evaluate
+
+        def recording_evaluate(doc, prompt, raw, configs):
+            evaluated.append([s.sample_index for s in raw])
+            return evaluate(doc, prompt, raw, configs)
+
+        monkeypatch.setattr(harness, "_evaluate", recording_evaluate)
+        script = [(200, None)] + [(503, {"error": "down"})] * 3
+        config = harness.RunConfig(
+            corpus_path=str(TOY_CORPUS),
+            endpoint=scripted_server(script),
+            cache_dir=str(tmp_path / "cache"),
+            request_mode="per-request",
+            n_samples=3,
+            limit=1,
+        )
+        with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+            summary = harness.run(config)
+        assert (summary.processed, summary.errored) == (1, 0)
+        assert evaluated == [[0, 2]]
+        assert "1 sample(s) unavailable" in caplog.text
+        lines = harness.cache_path(config).read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 2]
+
+        hits = _ScriptedHandler.hits
+        summary = harness.run(config)
+        assert (summary.cache_hits, summary.cache_misses) == (2, 1)
+        assert _ScriptedHandler.hits == hits + 1
+        assert evaluated[-1] == [0, 1, 2]
+
+    @given(
+        mode=st.sampled_from(llm_client.REQUEST_MODES),
+        indices=st.lists(st.integers(0, 20), unique=True, max_size=6).map(sorted),
+        bodies=st.lists(
+            st.none()
+            | st.sampled_from([{}, {"choices": None}, {"choices": "x"}, {"choices": {}}, ["x"]])
+            | st.integers(0, 3).map(
+                lambda k: {"choices": [{"message": {"content": f"c{i}"}} for i in range(k)]}
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_received_slots_match_zip_oracle(self, prompt, mode, indices, bodies):
+        client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
+        sent = []
+
+        def post(data):
+            sent.append(data)
+            return bodies[len(sent) - 1]
+
+        client._post_with_retries = post
+        samples = client.sample_completions(
+            prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
+        )
+        assert [s.sample_index for s in samples] == received_slots_oracle(mode, indices, bodies)
+        requests = (1 if indices else 0) if mode == "choices" else len(indices)
+        assert len(sent) == requests
+        # one body for every request, asking for as many choices as slots it serves
+        assert len(set(sent)) <= 1
+        if sent:
+            n = len(indices) if mode == "choices" else 1
+            assert json.loads(sent[0])["n"] == n
 
 
 class TestNonFiniteLogprobs:

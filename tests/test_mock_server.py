@@ -132,6 +132,32 @@ class TestServer:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"messages": "hi"},
+            {"messages": [1]},
+            {"messages": user_turn("Alpha Title"), "n": "two"},
+        ],
+        ids=["not-an-object", "messages-not-a-list", "message-not-an-object", "n-not-an-int"],
+    )
+    def test_malformed_payload_400_keeps_the_connection(self, url, payload):
+        split = urllib.parse.urlsplit(url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
+        try:
+            conn.request("POST", split.path, json.dumps(payload))
+            resp = conn.getresponse()
+            assert (resp.status, resp.will_close) == (400, False)
+            assert json.loads(resp.read())["error"]["message"] == "invalid request body"
+            body = json.dumps({"model": "mock", "messages": user_turn("Alpha Title")})
+            conn.request("POST", split.path, body)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["choices"][0]["message"]["content"] == '["one", "two"]'
+        finally:
+            conn.close()
+
     @pytest.mark.parametrize("length", ["-1", "ten"])
     def test_bad_content_length_closes_the_connection(self, url, length):
         split = urllib.parse.urlsplit(url)
