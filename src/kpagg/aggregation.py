@@ -11,9 +11,11 @@ strategies:
 - frequency_order: phrases sorted by how many samples contain them,
   ties broken by interleaf position.
 
-The merged list is then cut to the ceiling of the per-sample average count
-of present (and, separately, absent) phrases. The `single` strategy merges
-the top-ranked sample alone by union_concat, so the cut keeps all of it.
+The merged list is split by presence into a `Prediction`: each part whole
+and its cut M, the ceiling of the per-sample average count of present (and,
+separately, absent) phrases; the prediction proper is each part's first M
+phrases. The `single` strategy merges the top-ranked sample alone by
+union_concat, so its cut keeps all of it.
 """
 
 from __future__ import annotations
@@ -50,20 +52,17 @@ def resolve_strategy(name: str) -> str:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Final ranked prediction, with the untruncated per-partition lists
-    kept alongside for the @k and @Inf metrics."""
+    """Final ranked prediction: the aggregated list split by presence, whole,
+    and each part's cut M. The prediction proper is `present_full[:m_pre]`
+    and `absent_full[:m_abs]`; the @k and @Inf metrics read the whole lists."""
 
-    present: tuple[NormalizedPhrase, ...]
-    absent: tuple[NormalizedPhrase, ...]
     m_pre: int
     m_abs: int
     present_full: tuple[NormalizedPhrase, ...]
     absent_full: tuple[NormalizedPhrase, ...]
 
 
-EMPTY_PREDICTION = Prediction(
-    present=(), absent=(), m_pre=0, m_abs=0, present_full=(), absent_full=()
-)
+EMPTY_PREDICTION = Prediction(m_pre=0, m_abs=0, present_full=(), absent_full=())
 
 
 def classify_samples(
@@ -156,24 +155,18 @@ def _ceil_div(total: int, n: int) -> int:
 def dynamic_select(
     aggregated: list[NormalizedPhrase], ranked: Sequence[Sample]
 ) -> Prediction:
-    """Cut the aggregated list to the ceiling of the mean per-sample count,
-    separately for present and absent phrases, preserving order."""
+    """Split the aggregated list by presence, preserving order, and set each
+    part's cut to the ceiling of the mean per-sample count of such phrases."""
     n = len(ranked)
     if n == 0:
         return EMPTY_PREDICTION
     present = sum(1 for sample in ranked for p in sample if p.is_present)
     absent = sum(map(len, ranked)) - present
-    m_pre = _ceil_div(present, n)
-    m_abs = _ceil_div(absent, n)
-    present_full = tuple(p for p in aggregated if p.is_present)
-    absent_full = tuple(p for p in aggregated if not p.is_present)
     return Prediction(
-        present=present_full[:m_pre],
-        absent=absent_full[:m_abs],
-        m_pre=m_pre,
-        m_abs=m_abs,
-        present_full=present_full,
-        absent_full=absent_full,
+        m_pre=_ceil_div(present, n),
+        m_abs=_ceil_div(absent, n),
+        present_full=tuple(p for p in aggregated if p.is_present),
+        absent_full=tuple(p for p in aggregated if not p.is_present),
     )
 
 

@@ -11,12 +11,13 @@ reads the cache on the calling thread. The calling thread evaluates each
 document as its samples arrive, for every config of the group at once: it
 parses, normalizes and presence-classifies the samples, normalizes the
 source and partitions the gold once, sorts once per perplexity mode, then
-aggregates and scores per config. The metric fold is a deterministic reduce
-in corpus order, so a warm cache replays to byte-identical reports. A fatal
-endpoint error cancels the documents still queued, and no fetch thread
-starts another document after it. A sample the endpoint did not return
-is absent, never cached and never averaged, so rerunning an interrupted or
-partly failed run fetches only the samples still missing. The cache
+aggregates and scores per config, one score record per document and config.
+The metric fold averages those records in corpus order, so a warm cache
+replays to byte-identical reports. A fatal endpoint error cancels the
+documents still queued, and no fetch thread starts another document after
+it. A sample the endpoint did not return is absent, never cached and never
+averaged, so rerunning an interrupted or partly failed run fetches only the
+samples still missing; a group warns once how many are absent. The cache
 file's name carries the sampling settings (temperature and max_tokens), so
 a replay never belongs to other settings than the run's.
 """
@@ -142,8 +143,7 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
     """Build one document's prompt and collect its samples, cache first.
 
     Returns the prompt, the samples present in index order, and the cache
-    hit and miss counts. A sample neither cached nor fetched is absent,
-    and counted in the warning.
+    hit and miss counts. A sample neither cached nor fetched is absent.
     """
     prompt = prompting.build_prompt(doc, variant, pcfg, config.prefill)
     slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
@@ -156,14 +156,6 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
             slots[s.sample_index] = s
         cache.put(*fetched)
     ordered = [s for s in slots if s is not None]
-    absent_count = config.n_samples - len(ordered)
-    if absent_count:
-        log.warning(
-            "document %s: %d sample(s) unavailable (their fetch failed, or "
-            "offline without a warm cache)",
-            doc.id,
-            absent_count,
-        )
     return prompt, ordered, config.n_samples - len(missing), len(missing)
 
 
@@ -172,7 +164,7 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
 
     The samples are parsed, normalized and presence-classified, the source
     normalized and the gold partitioned once; each perplexity mode only
-    sorts them by its perplexities. Returns one score list per config
+    sorts them by its perplexities. Returns one score record per config
     (None when there is no sample), the parse fallback count and the count
     of samples cut short (`RawSample.truncated`).
     """
@@ -191,7 +183,6 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     }
     scores = [
         metrics.score_document(
-            doc.id,
             aggregation.merge(ranked[c.ppl_mode], c.strategy),
             gold,
             empty_gold=c.empty_gold,
@@ -281,6 +272,7 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
 
     base = RunSummary()
     results: list[list | None] = [None] * len(docs)
+    unavailable: dict[int, int] = {}  # document index -> absent sample count
 
     def collect(i: int, fetched) -> None:
         """Evaluate document i from `fetched()`, its _fetch result. A fatal
@@ -290,6 +282,8 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
             prompt, raw, hits, misses = fetched()
             base.cache_hits += hits
             base.cache_misses += misses
+            if len(raw) < head.n_samples:
+                unavailable[i] = head.n_samples - len(raw)
             results[i], fallbacks, truncated = _evaluate(docs[i], prompt, raw, configs)
             base.parse_fallbacks += fallbacks
             base.truncated += truncated
@@ -335,13 +329,21 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
             # the pool has shut down, so no fetch thread holds a connection
             client.close()
 
+    if unavailable:
+        log.warning(
+            "%d sample(s) unavailable in %d document(s) (their fetch failed, "
+            "or offline without a warm cache), first: %s",
+            sum(unavailable.values()),
+            len(unavailable),
+            ", ".join(docs[i].id for i in sorted(unavailable)[:5]),
+        )
     done = [r for r in results if r is not None]
     base.processed = len(done)
     base.errored = len(docs) - len(done)
     base.wall_time = time.monotonic() - t0
     summaries = []
     for k, config in enumerate(configs):
-        scores = [s for r in done for s in r[k]]
+        scores = [r[k] for r in done]
         strategy = aggregation.resolve_strategy(config.strategy)
         report = metrics.build_report(
             Path(config.corpus_path).stem, variant, strategy, scores
@@ -405,13 +407,14 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")
-    outs = [c.out for c in configs if c.out]
-    if out:
-        outs.append(out)
-    duplicates = {p for p in outs if outs.count(p) > 1}
-    if duplicates:
-        raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
+    if not (out is None or isinstance(out, str)):
+        raise HarnessError(f"out must be a string, got {out!r}")
+    optional = ("out", "prompt_config", "endpoint")
     for c in configs:
+        for name in ("corpus_path", "variant", "strategy", "model", "cache_dir", *optional):
+            value = getattr(c, name)
+            if not (isinstance(value, str) or (value is None and name in optional)):
+                raise HarnessError(f"{name} must be a string, got {value!r}")
         try:
             aggregation.resolve_strategy(c.strategy)
         except ValueError as exc:
@@ -424,9 +427,6 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             raise HarnessError(f"unknown request mode {c.request_mode!r}")
         if c.default_domain not in corpus.DOMAINS:
             raise HarnessError(f"unknown default domain {c.default_domain!r}")
-        for name, value in (("model", c.model), ("cache_dir", c.cache_dir)):
-            if not isinstance(value, str):
-                raise HarnessError(f"{name} must be a string, got {value!r}")
         try:
             temperature, max_tokens = float(c.temperature), int(c.max_tokens)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -444,6 +444,11 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             # bool is an int subclass, but `limit: true` is no count
             if type(value) is not int or value < 1:
                 raise HarnessError(f"{name} must be an integer >= 1, got {value!r}")
+    # one file reached by two spellings (r.csv, ./r.csv) is one output
+    outs = [Path(p).resolve() for p in [*(c.out for c in configs), out] if p]
+    duplicates = {str(p) for p in outs if outs.count(p) > 1}
+    if duplicates:
+        raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         fields = {**vars(c), "variant": prompting.resolve_variant(c.variant)}

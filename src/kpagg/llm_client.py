@@ -4,8 +4,9 @@ Talks to any OpenAI-compatible endpoint through `kpagg.transport`: one
 request per document with n choices (default) or n single-choice requests,
 with per-token logprobs requested so samples can be ranked by perplexity.
 A sample the endpoint did not return, because its request ran out of
-retries or the answer held fewer choices than asked for, is absent from
-what the client returns; nothing stands in for it.
+retries, the answer held fewer choices than asked for or its choice had
+the wrong shape, is absent from what the client returns; nothing stands in
+for it.
 Only a client imports the transport and the HTTP modules, so an offline
 replay never loads them.
 
@@ -328,10 +329,21 @@ class LLMClient:
 
     @staticmethod
     def _sample_from_choice(
-        doc_id: str, prompt_hash: str, index: int, choice: dict
-    ) -> RawSample:
-        message = choice.get("message") or {}
-        text = message.get("content") or ""
+        doc_id: str, prompt_hash: str, index: int, choice
+    ) -> RawSample | None:
+        """The sample one choice of an answer holds, or None when the choice
+        or its message is no JSON object or its content no string. A null or
+        missing message or content is an empty text."""
+        if not isinstance(choice, dict):
+            return None
+        message = choice.get("message")
+        message = {} if message is None else message
+        if not isinstance(message, dict):
+            return None
+        text = message.get("content")
+        text = "" if text is None else text
+        if not isinstance(text, str):
+            return None
         lp_sum, lp_n = None, 0
         lpinfo = choice.get("logprobs")
         if isinstance(lpinfo, dict) and isinstance(lpinfo.get("content"), list):
@@ -364,7 +376,8 @@ class LLMClient:
         `choices` mode serves all the slots from one request, `per-request`
         mode each slot from a request of its own; every request sends the
         one body, serialised once. A slot whose request ran out of
-        retries, or that the answer left out, is absent.
+        retries, that the answer left out, or whose choice has the wrong
+        shape (`_sample_from_choice`), is absent.
         """
         if not indices:
             return []
@@ -374,10 +387,20 @@ class LLMClient:
         for slots in groups:
             body = self._post_with_retries(data)
             choices = body.get("choices") if isinstance(body, dict) else None
-            if isinstance(choices, list):
-                samples += (
-                    self._sample_from_choice(doc_id, prompt.prompt_hash, index, choice)
-                    for index, choice in zip(slots, choices)
+            if not isinstance(choices, list):
+                continue
+            received = [
+                self._sample_from_choice(doc_id, prompt.prompt_hash, index, choice)
+                for index, choice in zip(slots, choices)
+            ]
+            kept = [s for s in received if s is not None]
+            samples += kept
+            if len(kept) < len(received):
+                log.warning(
+                    "document %s: %d choice(s) of an answer had the wrong shape; "
+                    "their sample(s) are absent",
+                    doc_id,
+                    len(received) - len(kept),
                 )
         return samples
 

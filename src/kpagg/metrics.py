@@ -1,16 +1,20 @@
 """Present/absent keyphrase metrics and macro-averaged reports.
 
-Per document and partition (present / absent gold):
+Each metric is defined once, in `_METRIC_TABLE`: its column label and its
+value function, which takes a partition's untruncated normalized list, its
+cut M and its gold set:
 
-- F1@M: F1 of the dynamically truncated prediction against gold;
-- F1@5: F1 of the top 5 of the untruncated partition list, padding the
-  precision denominator to 5 with never-matching dummies when shorter;
-- R@10: recall of the top 10 of the untruncated partition list;
-- R@Inf: recall of the whole untruncated list (perfect-selector bound).
+- F1@M: F1 of the first M phrases (the dynamically truncated prediction);
+- F1@5: F1 of the top 5, padding the precision denominator to 5 with
+  never-matching dummies when the list is shorter;
+- R@10: recall of the top 10;
+- R@Inf: recall of the whole list (perfect-selector bound).
 
-Documents whose gold partition is empty are excluded from that partition's
-macro averages by default (or scored zero under the "zero" policy). All
-matching is on normalized forms.
+`score_document` gives one flat record per document, the reported value of
+each (partition, metric) cell. A partition whose gold is empty has no cells
+by default ("exclude"), or 0.0 cells under the "zero" policy; a report
+averages each cell over the documents that have it. All matching is on
+normalized forms.
 """
 
 from __future__ import annotations
@@ -23,24 +27,8 @@ from .aggregation import Prediction
 from .corpus import GoldPartition
 
 PARTITIONS = ("present", "absent")
-METRICS = ("f1_at_m", "f1_at_5", "r_at_10", "r_at_inf")
 # How a document with no gold in a partition enters that partition's averages.
 EMPTY_GOLD_POLICIES = ("exclude", "zero")
-
-
-@dataclass(frozen=True)
-class DocScore:
-    doc_id: str
-    partition: str
-    metric: str
-    precision: float | None
-    recall: float
-    f1: float | None
-
-    @property
-    def value(self) -> float:
-        """The reported number: F1 for F1 metrics, recall for recall ones."""
-        return self.f1 if self.f1 is not None else self.recall
 
 
 @dataclass
@@ -64,13 +52,11 @@ def score_at_m(pred: list[str], gold: set[str]) -> tuple[float, float, float]:
     return precision, recall, _f1(precision, recall)
 
 
-def score_at_k(pred: list[str], gold: set[str], k: int, pad: bool) -> tuple[float, float, float]:
-    """P/R/F1 of the first k predictions. With pad=True the precision
-    denominator stays k even when fewer than k predictions exist."""
-    top = pred[:k]
-    matches = sum(1 for p in top if p in gold)
-    denom = k if pad else len(top)
-    precision = matches / denom if denom else 0.0
+def score_at_k(pred: list[str], gold: set[str], k: int) -> tuple[float, float, float]:
+    """P/R/F1 of the first k predictions; the precision denominator stays k
+    even when fewer than k predictions exist."""
+    matches = sum(1 for p in pred[:k] if p in gold)
+    precision = matches / k
     recall = matches / len(gold)
     return precision, recall, _f1(precision, recall)
 
@@ -81,57 +67,57 @@ def recall_at_inf(all_phrases: list[str], gold: set[str]) -> float:
     return matches / len(gold)
 
 
+# name -> (column label, value of (untruncated list, M, gold set))
+_METRIC_TABLE = {
+    "f1_at_m": ("F1@M", lambda full, m, gold: score_at_m(full[:m], gold)[2]),
+    "f1_at_5": ("F1@5", lambda full, m, gold: score_at_k(full, gold, 5)[2]),
+    "r_at_10": ("R@10", lambda full, m, gold: score_at_m(full[:10], gold)[1]),
+    "r_at_inf": ("R@Inf", lambda full, m, gold: recall_at_inf(full, gold)),
+}
+METRICS = tuple(_METRIC_TABLE)
+# every (partition, metric) cell of a report, in CSV and table order
+CELLS = tuple((partition, metric) for partition in PARTITIONS for metric in METRICS)
+
+
 def score_document(
-    doc_id: str,
-    prediction: Prediction,
-    gold: GoldPartition,
-    empty_gold: str = "exclude",
-) -> list[DocScore]:
-    """All DocScores for one document. Empty-gold partitions either produce
-    no rows ("exclude") or all-zero rows ("zero")."""
+    prediction: Prediction, gold: GoldPartition, empty_gold: str = "exclude"
+) -> dict[tuple[str, str], float]:
+    """One document's reported value per (partition, metric) cell. A
+    partition without gold has no cells ("exclude") or 0.0 cells ("zero")."""
     if empty_gold not in EMPTY_GOLD_POLICIES:
         raise ValueError(f"unknown empty-gold policy {empty_gold!r}")
-    rows: list[DocScore] = []
-    for partition in PARTITIONS:
-        gold_set = {p.normalized for p in getattr(gold, partition)}
+    scores: dict[tuple[str, str], float] = {}
+    partitions = zip(
+        PARTITIONS,
+        (prediction.present_full, prediction.absent_full),
+        (prediction.m_pre, prediction.m_abs),
+        (gold.present, gold.absent),
+    )
+    for partition, full, m, gold_phrases in partitions:
+        gold_set = {p.normalized for p in gold_phrases}
         if not gold_set:
             if empty_gold == "zero":
-                for metric in METRICS:
-                    f1 = 0.0 if metric.startswith("f1_") else None
-                    rows.append(DocScore(doc_id, partition, metric, f1, 0.0, f1))
+                scores.update(((partition, metric), 0.0) for metric in METRICS)
             continue
-        pred_m = [p.normalized for p in getattr(prediction, partition)]
-        pred_full = [p.normalized for p in getattr(prediction, f"{partition}_full")]
-        p, r, f = score_at_m(pred_m, gold_set)
-        rows.append(DocScore(doc_id, partition, "f1_at_m", p, r, f))
-        p, r, f = score_at_k(pred_full, gold_set, 5, pad=True)
-        rows.append(DocScore(doc_id, partition, "f1_at_5", p, r, f))
-        _, r, _ = score_at_k(pred_full, gold_set, 10, pad=False)
-        rows.append(DocScore(doc_id, partition, "r_at_10", None, r, None))
-        r = recall_at_inf(pred_full, gold_set)
-        rows.append(DocScore(doc_id, partition, "r_at_inf", None, r, None))
-    return rows
-
-
-def macro_average(scores: list[DocScore]) -> tuple[float | None, int]:
-    """Mean reported value over the given per-document scores; (None, 0)
-    when no document contributed."""
-    if not scores:
-        return None, 0
-    return sum(s.value for s in scores) / len(scores), len(scores)
+        normalized = [p.normalized for p in full]
+        for metric, (_, value) in _METRIC_TABLE.items():
+            scores[(partition, metric)] = value(normalized, m, gold_set)
+    return scores
 
 
 def build_report(
-    corpus: str, variant: str, strategy: str, scores: list[DocScore]
+    corpus: str,
+    variant: str,
+    strategy: str,
+    scores: list[dict[tuple[str, str], float]],
 ) -> MetricReport:
+    """Macro-average each cell over the per-document records that have it,
+    in their order; a cell no document has is None with count 0."""
     report = MetricReport(corpus=corpus, variant=variant, strategy=strategy)
-    cells: dict[tuple[str, str], list[DocScore]] = {
-        (partition, metric): [] for partition in PARTITIONS for metric in METRICS
-    }
-    for s in scores:
-        cells[(s.partition, s.metric)].append(s)
-    for key, cell in cells.items():
-        report.table[key], report.counts[key] = macro_average(cell)
+    for cell in CELLS:
+        values = [record[cell] for record in scores if cell in record]
+        report.table[cell] = sum(values) / len(values) if values else None
+        report.counts[cell] = len(values)
     return report
 
 
@@ -142,55 +128,32 @@ def reports_csv(reports: list[MetricReport]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["corpus", "variant", "strategy", "partition", "metric", "value", "count"])
     for report in reports:
-        for partition in PARTITIONS:
-            for metric in METRICS:
-                value = report.table.get((partition, metric))
-                writer.writerow(
-                    [
-                        report.corpus,
-                        report.variant,
-                        report.strategy,
-                        partition,
-                        metric,
-                        "n/a" if value is None else f"{value:.6f}",
-                        report.counts.get((partition, metric), 0),
-                    ]
-                )
+        for cell in CELLS:
+            value = report.table.get(cell)
+            writer.writerow(
+                [
+                    report.corpus,
+                    report.variant,
+                    report.strategy,
+                    *cell,
+                    "n/a" if value is None else f"{value:.6f}",
+                    report.counts.get(cell, 0),
+                ]
+            )
     return buf.getvalue()
-
-
-_COLUMN_LABELS = {
-    "f1_at_m": "F1@M",
-    "f1_at_5": "F1@5",
-    "r_at_10": "R@10",
-    "r_at_inf": "R@Inf",
-}
 
 
 def reports_table(reports: list[MetricReport]) -> str:
     """Aligned text table: one row per run, present and absent metric
     columns side by side, values in [0, 1]."""
     headers = ["corpus", "variant", "strategy"] + [
-        f"{'P' if part == 'present' else 'A'}-{_COLUMN_LABELS[m]}"
-        for part in PARTITIONS
-        for m in METRICS
+        f"{partition[0].upper()}-{_METRIC_TABLE[metric][0]}" for partition, metric in CELLS
     ]
-    rows = []
-    for report in reports:
-        row = [report.corpus, report.variant, report.strategy]
-        for partition in PARTITIONS:
-            for metric in METRICS:
-                value = report.table.get((partition, metric))
-                row.append("n/a" if value is None else f"{value:.4f}")
-        rows.append(row)
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
+    rows = [
+        [report.corpus, report.variant, report.strategy]
+        + ["n/a" if v is None else f"{v:.4f}" for v in map(report.table.get, CELLS)]
+        for report in reports
     ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = [headers, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in lines)

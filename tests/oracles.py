@@ -394,3 +394,35 @@ def received_slots_oracle(mode: str, indices: list[int], bodies: list) -> list[i
     if mode == "choices":
         return indices[: len(choices(bodies[0]))] if indices else []
     return [slot for slot, body in zip(indices, bodies) if choices(body)]
+
+
+def choice_text_oracle(choice) -> str | None:
+    """The text one choice of an answer yields: its message's content, ""
+    when the message or the content is null or missing; None (an absent
+    slot) when the choice or its message is no JSON object or the content
+    is no string."""
+    if not isinstance(choice, dict):
+        return None
+    message = choice.get("message")
+    if message is None:
+        return ""
+    if not isinstance(message, dict):
+        return None
+    content = message.get("content")
+    if content is None:
+        return ""
+    return content if isinstance(content, str) else None
+
+
+def received_texts_oracle(mode: str, indices: list[int], bodies: list) -> list[tuple[int, str]]:
+    """The (slot, text) pairs a client returns when its k-th request got
+    `bodies[k]`: the slots of `received_slots_oracle` whose choice yields a
+    text."""
+    slots = received_slots_oracle(mode, indices, bodies)
+    if mode == "choices":
+        chosen = bodies[0]["choices"][: len(slots)] if slots else []
+    else:
+        by_slot = dict(zip(indices, bodies))
+        chosen = [by_slot[slot]["choices"][0] for slot in slots]
+    texts = [choice_text_oracle(choice) for choice in chosen]
+    return [(slot, text) for slot, text in zip(slots, texts) if text is not None]

@@ -87,7 +87,8 @@ class TestRankSamples:
         # sorted() with a NaN key would leave 3.0 ahead of 1.0
         ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, math.nan, 1.0])
         assert [normals(s) for s in ranked] == [["c"], ["a"], ["b"]]
-        assert merge(ranked, "single").absent[0].normalized == "c"
+        pred = merge(ranked, "single")
+        assert pred.absent_full[: pred.m_abs][0].normalized == "c"
 
     def test_stable_for_ties(self):
         ranked = ranked_of(self.TEXT, [("first",), ("second",)], [1.0, 1.0])
@@ -185,30 +186,30 @@ class TestDynamicSelect:
         agg = self.agg(6)
         pred = dynamic_select(agg, counted_set([3, 2, 4]))
         assert pred.m_pre == 3
-        assert list(pred.present) == agg[:3]
+        assert list(pred.present_full[: pred.m_pre]) == agg[:3]
 
     def test_ceiling_rounds_up(self):
         # counts [1, 2, 2] -> mean 5/3 -> M = 2
         pred = dynamic_select(self.agg(3), counted_set([1, 2, 2]))
         assert pred.m_pre == 2
-        assert len(pred.present) == 2
+        assert len(pred.present_full[: pred.m_pre]) == 2
 
     def test_shorter_list_unchanged(self):
         agg = self.agg(1)
         pred = dynamic_select(agg, counted_set([4, 4]))
-        assert list(pred.present) == agg
+        assert list(pred.present_full[: pred.m_pre]) == agg
 
     def test_zero_counts(self):
         pred = dynamic_select(self.agg(1), counted_set([0, 0]))
-        assert pred.present == ()
+        assert pred.present_full[: pred.m_pre] == ()
         assert pred.m_pre == 0
 
     def test_partitions_cut_independently(self):
         agg = self.agg(4, 4)
         pred = dynamic_select(agg, counted_set([2, 2], [1, 3]))
         assert pred.m_pre == 2 and pred.m_abs == 2
-        assert [p.normalized for p in pred.present] == ["k0", "k1"]
-        assert [p.normalized for p in pred.absent] == ["x0", "x1"]
+        assert normals(pred.present_full[: pred.m_pre]) == ["k0", "k1"]
+        assert normals(pred.absent_full[: pred.m_abs]) == ["x0", "x1"]
         assert len(pred.present_full) == 4 and len(pred.absent_full) == 4
 
     def test_empty_sample_set(self):
@@ -219,7 +220,7 @@ class TestDynamicSelect:
         pred = dynamic_select(self.agg(40), counted_set(counts))
         expected = ceil_mean_oracle(counts)
         assert pred.m_pre == expected
-        assert len(pred.present) == min(40, expected)
+        assert len(pred.present_full[: pred.m_pre]) == min(40, expected)
 
 
 class TestPredict:
@@ -232,8 +233,8 @@ class TestPredict:
             [1.0, 2.0],
         )
         pred = merge(ranked, "single")
-        assert normals(pred.present) == ["graph color"]
-        assert normals(pred.absent) == ["zebra"]
+        assert normals(pred.present_full[: pred.m_pre]) == ["graph color"]
+        assert normals(pred.absent_full[: pred.m_abs]) == ["zebra"]
 
     def test_prediction_lists_disjoint_by_partition(self):
         ranked = ranked_of(
@@ -245,11 +246,15 @@ class TestPredict:
 
     def test_truncation_prefix_of_full(self):
         ranked = ranked_of(
-            "graph coloring", [("graph", "coloring", "zebra"), ("graph",)], [1.0, 2.0]
+            "graph coloring", [("graph", "coloring", "zebra"), ("networks",)], [1.0, 2.0]
         )
         pred = merge(ranked, "union_concat")
-        assert pred.present == pred.present_full[: pred.m_pre]
-        assert pred.absent == pred.absent_full[: pred.m_abs]
+        # present counts 2 and 0 cut at 1; absent counts 1 and 1 cut at 1
+        assert (pred.m_pre, pred.m_abs) == (1, 1)
+        assert normals(pred.present_full) == ["graph", "color"]
+        assert normals(pred.absent_full) == ["zebra", "network"]
+        assert normals(pred.present_full[: pred.m_pre]) == ["graph"]
+        assert normals(pred.absent_full[: pred.m_abs]) == ["zebra"]
 
     def test_alias_accepted(self):
         ranked = ranked_of("graph", [("graph",)], [1.0])
@@ -335,7 +340,11 @@ def test_single_matches_top_sample_split_oracle(samples):
     ranked = tuple(tuple(phrase(s, pres) for s, pres in sample) for sample in samples)
     pred = merge(ranked, "single")
     got = {
-        name: value if isinstance(value, int) else normals(value)
-        for name, value in vars(pred).items()
+        "present": normals(pred.present_full[: pred.m_pre]),
+        "absent": normals(pred.absent_full[: pred.m_abs]),
+        "m_pre": pred.m_pre,
+        "m_abs": pred.m_abs,
+        "present_full": normals(pred.present_full),
+        "absent_full": normals(pred.absent_full),
     }
     assert got == single_oracle(samples)

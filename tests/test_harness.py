@@ -190,6 +190,15 @@ class TestRunEndToEnd:
         assert summary.errored == 5
         assert all(v is None for v in summary.report.table.values())
 
+    def test_unavailable_samples_warned_once_per_run(self, docs, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+            harness.run(config(None, tmp_path, offline=True))
+        records = [r for r in caplog.records if "unavailable" in r.getMessage()]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert message.startswith(f"50 sample(s) unavailable in {len(docs)} document(s)")
+        assert message.endswith(", ".join(doc.id for doc in docs[:5]))
+
     def test_other_sampling_settings_do_not_replay(self, endpoint, tmp_path):
         harness.run(config(endpoint, tmp_path, temperature=0.8))
         summary = harness.run(config(endpoint, tmp_path, temperature=0.0, max_tokens=5))
@@ -481,24 +490,42 @@ class TestGrid:
             {"default_domain": "News"},  # the domains are lower case
             {"model": 3.5},
             {"cache_dir": 5},
+            {"corpus_path": 7},
+            {"out": 5},
+            {"prompt_config": 3},
+            {"endpoint": 4},
+            {"merged_out": 5},  # the grid's own merged CSV
+            {"strategy": ["union"]},
+            {"variant": ["baseline"]},
         ],
     )
     def test_value_the_cli_rejects_is_rejected_before_running(
         self, endpoint, tmp_path, bad
     ):
+        bad = {"out": str(tmp_path / "bad.csv"), **bad}
+        merged = bad.pop("merged_out", str(tmp_path / "merged.csv"))
         configs = [
             config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
-            config(endpoint, tmp_path, out=str(tmp_path / "bad.csv"), **bad),
+            config(bad.pop("endpoint", endpoint), tmp_path, **bad),
         ]
         with pytest.raises(HarnessError):
-            harness.grid(configs, out=str(tmp_path / "merged.csv"))
+            harness.grid(configs, out=merged)
         assert list(tmp_path.iterdir()) == []
 
-    def test_duplicate_outputs_rejected_before_running(self, tmp_path):
+    def test_duplicate_outputs_rejected_before_running(self, tmp_path, monkeypatch):
         shared = dict(corpus_path="missing.jsonl", out=str(tmp_path / "same.csv"))
         configs = [RunConfig(**shared), RunConfig(**shared)]
         with pytest.raises(HarnessError, match="conflicting"):
             harness.grid(configs)
+        # two spellings of one file, between configs or with the merged CSV
+        monkeypatch.chdir(tmp_path)
+        spellings = [("same.csv", "./same.csv"), ("same.csv", f"{tmp_path}/./same.csv")]
+        for first, second in spellings:
+            configs = [RunConfig("missing.jsonl", out=first), RunConfig("missing.jsonl", out=second)]
+            with pytest.raises(HarnessError, match="conflicting"):
+                harness.grid(configs)
+            with pytest.raises(HarnessError, match="conflicting"):
+                harness.grid(configs[:1], out=second)
         assert not (tmp_path / "same.csv").exists()
 
     def test_empty_config_list_rejected(self):

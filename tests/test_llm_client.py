@@ -32,7 +32,12 @@ from kpagg.llm_client import (
 from kpagg.mock_server import running_server
 
 from .conftest import MOCK_FIXTURES, TOY_CORPUS
-from .oracles import parse_sample_oracle, perplexity_oracle, received_slots_oracle
+from .oracles import (
+    parse_sample_oracle,
+    perplexity_oracle,
+    received_slots_oracle,
+    received_texts_oracle,
+)
 
 
 def raw(text="x", logprobs=None, index=0, finish="stop", doc="d1"):
@@ -741,6 +746,40 @@ class TestTransport:
         assert c1.url == c2.url == c3.url == "http://h:1/v1/chat/completions"
 
 
+# JSON values of every type, and choices built from them: half are objects
+# with a message (half of those an object with content), whose content,
+# logprobs and finish reason are of any type; the rest are any JSON value.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2) | st.dictionaries(
+    st.sampled_from(["content", "logprob", "x"]), JSON_SCALARS, max_size=2
+)
+
+
+def _half(objects, others=JSON_VALUES):
+    """`objects` or `others` with even odds (`|` would give `objects` one
+    share among the many of `others`)."""
+    return st.booleans().flatmap(lambda pick: objects if pick else others)
+
+
+LOGPROBS = _half(
+    st.fixed_dictionaries(
+        {
+            "content": st.lists(
+                _half(st.fixed_dictionaries({"logprob": JSON_VALUES})), max_size=3
+            )
+        }
+    )
+)
+CHOICES = _half(
+    st.fixed_dictionaries(
+        {"message": _half(st.fixed_dictionaries({"content": JSON_VALUES}))},
+        optional={"logprobs": LOGPROBS, "finish_reason": JSON_VALUES},
+    )
+)
+
+
 class TestAbsentSamples:
     """A slot the endpoint did not answer is absent from what the client
     returns, in either request mode."""
@@ -843,6 +882,50 @@ class TestAbsentSamples:
         if sent:
             n = len(indices) if mode == "choices" else 1
             assert json.loads(sent[0])["n"] == n
+
+    GOOD = {"message": {"content": '["a"]'}, "finish_reason": "stop"}
+
+    @pytest.mark.parametrize("mode", llm_client.REQUEST_MODES)
+    @pytest.mark.parametrize(
+        "bad",
+        [1, {"message": "hi"}, {"message": {"content": 5}}],
+        ids=["choice", "message", "content"],
+    )
+    def test_choice_of_wrong_shape_is_an_absent_slot(self, prompt, mode, bad, caplog):
+        client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
+        if mode == "choices":
+            bodies = [{"choices": [bad, self.GOOD]}]
+        else:
+            bodies = [{"choices": [bad]}, {"choices": [self.GOOD]}]
+        client._post_with_retries = lambda data: bodies.pop(0)
+        with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
+            samples = client.sample_completions(
+                prompt, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
+            )
+        assert [(s.sample_index, s.text) for s in samples] == [(1, '["a"]')]
+        warnings = [r for r in caplog.records if "wrong shape" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "1 choice(s)" in warnings[0].getMessage()
+
+    @given(
+        mode=st.sampled_from(llm_client.REQUEST_MODES),
+        indices=st.lists(st.integers(0, 20), unique=True, min_size=1, max_size=5).map(sorted),
+        bodies=st.lists(
+            st.fixed_dictionaries({"choices": st.lists(CHOICES, min_size=1, max_size=5)}),
+            min_size=5,
+            max_size=5,
+        ),
+    )
+    def test_choice_shapes_match_text_oracle(self, prompt, mode, indices, bodies):
+        client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
+        replies = iter(bodies)
+        client._post_with_retries = lambda data: next(replies)
+        samples = client.sample_completions(
+            prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
+        )
+        assert all(type(s.text) is str for s in samples)
+        got = [(s.sample_index, s.text) for s in samples]
+        assert got == received_texts_oracle(mode, indices, bodies)
 
 
 class TestNonFiniteLogprobs:

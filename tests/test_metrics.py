@@ -1,4 +1,5 @@
-"""Scoring math, macro averaging, and report serialization."""
+"""Scoring math, per-document score records, macro averaging, and report
+serialization."""
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 from kpagg.aggregation import Prediction
 from kpagg.corpus import GoldPartition
 from kpagg.metrics import (
+    EMPTY_GOLD_POLICIES,
     METRICS,
     PARTITIONS,
-    DocScore,
     MetricReport,
     build_report,
-    macro_average,
     recall_at_inf,
     reports_csv,
     reports_table,
@@ -30,17 +30,17 @@ def phrase(sym, present=True):
 
 
 def pred_of(present=(), absent=(), present_full=None, absent_full=None):
-    p = tuple(phrase(s, True) for s in present)
-    a = tuple(phrase(s, False) for s in absent)
-    pf = p if present_full is None else tuple(phrase(s, True) for s in present_full)
-    af = a if absent_full is None else tuple(phrase(s, False) for s in absent_full)
+    """A prediction cut to `present` and `absent`, prefixes of the full lists
+    (which default to the cuts themselves)."""
+    present_full = present if present_full is None else present_full
+    absent_full = absent if absent_full is None else absent_full
+    assert list(present_full[: len(present)]) == list(present)
+    assert list(absent_full[: len(absent)]) == list(absent)
     return Prediction(
-        present=p,
-        absent=a,
-        m_pre=len(p),
-        m_abs=len(a),
-        present_full=pf,
-        absent_full=af,
+        m_pre=len(present),
+        m_abs=len(absent),
+        present_full=tuple(phrase(s, True) for s in present_full),
+        absent_full=tuple(phrase(s, False) for s in absent_full),
     )
 
 
@@ -77,26 +77,16 @@ class TestScoreAtK:
         # 10 predictions, 6 gold, first five all correct plus one later hit.
         preds = [f"g{i}" for i in range(5)] + ["miss1", "g5", "miss2", "miss3", "miss4"]
         gold = {f"g{i}" for i in range(6)}
-        p, r, _ = score_at_k(preds, gold, k=5, pad=False)
+        p, r, _ = score_at_k(preds, gold, k=5)
         assert p == pytest.approx(1.0)
         assert r == pytest.approx(5 / 6)
 
     def test_padding_denominator(self):
         # pred [a], gold {a, b}, k=5 with padding: P=1/5, R=1/2, F1=2/7
-        p, r, f1 = score_at_k(["a"], {"a", "b"}, k=5, pad=True)
+        p, r, f1 = score_at_k(["a"], {"a", "b"}, k=5)
         assert p == pytest.approx(1 / 5)
         assert r == pytest.approx(1 / 2)
         assert f1 == pytest.approx(2 / 7, abs=1e-9)
-
-    def test_no_padding_short_list(self):
-        p, r, f1 = score_at_k(["a"], {"a", "b"}, k=5, pad=False)
-        assert p == pytest.approx(1.0)
-        assert r == pytest.approx(0.5)
-
-    def test_k_beyond_list_without_pad_equals_at_m(self):
-        preds = ["a", "x", "b"]
-        gold = {"a", "b", "c"}
-        assert score_at_k(preds, gold, k=50, pad=False) == score_at_m(preds, gold)
 
     def test_recall_at_inf(self):
         assert recall_at_inf(["a", "x"], {"a", "b"}) == pytest.approx(0.5)
@@ -109,8 +99,7 @@ class TestScoreDocument:
 
     def rows(self, pred, gold_present=GOLD_P, gold_absent=GOLD_A, policy="exclude"):
         gold = gold_of(gold_present, gold_absent)
-        scores = score_document("doc", pred, gold, empty_gold=policy)
-        return {(s.partition, s.metric): s for s in scores}
+        return score_document(pred, gold, empty_gold=policy)
 
     def test_full_grid_emitted(self):
         rows = self.rows(pred_of(present=["gp1"], absent=["ga1"]))
@@ -122,27 +111,27 @@ class TestScoreDocument:
             present_full=["gp1", "gp2", "x1", "x2"],
             absent=["ga1"],
         )
-        row = self.rows(pred)[("present", "f1_at_m")]
-        assert row.precision == pytest.approx(1.0)
-        assert row.recall == pytest.approx(0.5)
+        # [gp1] against {gp1, gp2}: P=1, R=1/2, F1=2/3
+        assert self.rows(pred)[("present", "f1_at_m")] == pytest.approx(2 / 3)
 
     def test_rank_metrics_use_full_lists(self):
         pred = pred_of(
-            present=["gp1"],
+            present=["x1"],
             present_full=["x1", "gp1", "gp2"],
             absent=["ga1"],
         )
         rows = self.rows(pred)
-        assert rows[("present", "f1_at_5")].precision == pytest.approx(2 / 5)
-        assert rows[("present", "r_at_10")].recall == pytest.approx(1.0)
-        assert rows[("present", "r_at_inf")].recall == pytest.approx(1.0)
+        # F1@5: P=2/5 (padded), R=1, F1=4/7
+        assert rows[("present", "f1_at_5")] == pytest.approx(4 / 7)
+        assert rows[("present", "r_at_10")] == pytest.approx(1.0)
+        assert rows[("present", "r_at_inf")] == pytest.approx(1.0)
 
     def test_r_at_10_cuts_at_ten(self):
         full = [f"x{i}" for i in range(10)] + ["gp1"]
         pred = pred_of(present=["x0"], present_full=full, absent=["ga1"])
         rows = self.rows(pred)
-        assert rows[("present", "r_at_10")].recall == 0.0
-        assert rows[("present", "r_at_inf")].recall == pytest.approx(0.5)
+        assert rows[("present", "r_at_10")] == 0.0
+        assert rows[("present", "r_at_inf")] == pytest.approx(0.5)
 
     def test_empty_gold_excluded_by_default(self):
         rows = self.rows(pred_of(present=["x"]), gold_absent=())
@@ -151,46 +140,35 @@ class TestScoreDocument:
 
     def test_empty_gold_zero_policy(self):
         rows = self.rows(pred_of(present=["x"]), gold_absent=(), policy="zero")
-        row = rows[("absent", "f1_at_m")]
-        assert row.value == 0.0
+        assert [rows[("absent", metric)] for metric in METRICS] == [0.0] * len(METRICS)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            score_document("doc", pred_of(), gold_of(("a",)), empty_gold="skip")
-
-    def test_value_prefers_f1_then_recall(self):
-        rows = self.rows(pred_of(present=["gp1"], absent=["ga1"]))
-        f1_row = rows[("present", "f1_at_m")]
-        r_row = rows[("present", "r_at_inf")]
-        assert f1_row.value == f1_row.f1
-        assert r_row.f1 is None
-        assert r_row.value == r_row.recall
-
-
-def doc_score(value, metric="f1_at_m"):
-    return DocScore("d", "present", metric, value, value, value)
+            score_document(pred_of(), gold_of(("a",)), empty_gold="skip")
 
 
 class TestMacroAverage:
+    """build_report averages each cell over the records that have it."""
+
     def test_simple_mean(self):
-        value, count = macro_average([doc_score(v) for v in (0.5, 1.0, 0.0)])
-        assert value == pytest.approx(0.5)
-        assert count == 3
+        records = [{("present", "f1_at_m"): v} for v in (0.5, 1.0, 0.0)]
+        report = build_report("c", "v", "s", records)
+        assert report.table[("present", "f1_at_m")] == pytest.approx(0.5)
+        assert report.counts[("present", "f1_at_m")] == 3
 
     def test_empty_is_none(self):
-        value, count = macro_average([])
-        assert value is None
-        assert count == 0
+        report = build_report("c", "v", "s", [])
+        assert set(report.table) == {(p, m) for p in PARTITIONS for m in METRICS}
+        assert all(value is None for value in report.table.values())
+        assert all(count == 0 for count in report.counts.values())
 
 
 def toy_report():
     docs = [
-        ("d1", pred_of(present=["a", "x"]), gold_of(("a", "b"), ("z",))),
-        ("d2", pred_of(present=["b"]), gold_of(("b",), ())),
+        (pred_of(present=["a", "x"]), gold_of(("a", "b"), ("z",))),
+        (pred_of(present=["b"]), gold_of(("b",), ())),
     ]
-    scores = []
-    for doc_id, pred, gold in docs:
-        scores.extend(score_document(doc_id, pred, gold, empty_gold="exclude"))
+    scores = [score_document(pred, gold, empty_gold="exclude") for pred, gold in docs]
     return build_report("toy", "baseline", "union", scores)
 
 
@@ -252,7 +230,7 @@ def test_score_at_m_matches_oracle(pred, gold):
 
 @given(pred_lists, gold_sets, st.integers(min_value=1, max_value=12))
 def test_score_at_k_matches_oracle(pred, gold, k):
-    got = score_at_k(pred, gold, k=k, pad=True)
+    got = score_at_k(pred, gold, k=k)
     assert got == pytest.approx(prf_oracle(pred, gold, k=k, pad=True))
 
 
@@ -266,3 +244,41 @@ def test_recall_monotone_in_prefix_length(pred, gold):
     values = [recall_at_inf(pred[:i], gold) for i in range(len(pred) + 1)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert values[-1] == recall_at_inf(pred, gold)
+
+
+@given(
+    present_full=pred_lists,
+    absent_full=pred_lists,
+    m_pre=st.integers(min_value=0, max_value=12),
+    m_abs=st.integers(min_value=0, max_value=12),
+    gold_present=st.sets(syms, max_size=8),
+    gold_absent=st.sets(syms, max_size=8),
+    policy=st.sampled_from(EMPTY_GOLD_POLICIES),
+)
+def test_score_document_matches_oracle(
+    present_full, absent_full, m_pre, m_abs, gold_present, gold_absent, policy
+):
+    pred = Prediction(
+        m_pre=m_pre,
+        m_abs=m_abs,
+        present_full=tuple(phrase(s, True) for s in present_full),
+        absent_full=tuple(phrase(s, False) for s in absent_full),
+    )
+    gold = gold_of(sorted(gold_present), sorted(gold_absent))
+    want = {}
+    for partition, full, m, gold_set in (
+        ("present", present_full, m_pre, gold_present),
+        ("absent", absent_full, m_abs, gold_absent),
+    ):
+        if not gold_set:
+            if policy == "zero":
+                want.update({(partition, metric): 0.0 for metric in METRICS})
+            continue
+        want[(partition, "f1_at_m")] = prf_oracle(full[:m], gold_set)[2]
+        want[(partition, "f1_at_5")] = prf_oracle(full, gold_set, k=5, pad=True)[2]
+        want[(partition, "r_at_10")] = recall_oracle(full[:10], gold_set)
+        want[(partition, "r_at_inf")] = recall_oracle(full, gold_set)
+    got = score_document(pred, gold, empty_gold=policy)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-12, key
