@@ -13,13 +13,14 @@ parses, normalizes and presence-classifies the samples, normalizes the
 source and partitions the gold once, sorts once per perplexity mode, then
 aggregates and scores per config, one score record per document and config.
 The metric fold averages those records in corpus order, so a warm cache
-replays to byte-identical reports. A fatal endpoint error cancels the
-documents still queued, and no fetch thread starts another document after
-it. A sample the endpoint did not return is absent, never cached and never
-averaged, so rerunning an interrupted or partly failed run fetches only the
-samples still missing; a group warns once how many are absent. The cache
-file's name carries the sampling settings (temperature and max_tokens), so
-a replay never belongs to other settings than the run's.
+replays to byte-identical reports. A fatal endpoint error caches the
+samples its document had already received, cancels the documents still
+queued, and no fetch thread starts another document after it. A sample the
+endpoint did not return is absent, never cached and never averaged, so
+rerunning an interrupted or partly failed run fetches only the samples
+still missing; a group warns once how many are absent. The cache file's
+name carries the sampling settings (temperature and max_tokens), so a
+replay never belongs to other settings than the run's.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .llm_client import (
     REQUEST_MODES,
     AuthenticationError,
     LLMClient,
+    LLMClientError,
     RequestError,
     SampleCache,
     parse_sample,
@@ -149,9 +151,13 @@ def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
     slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
     missing = [i for i, s in enumerate(slots) if s is None]
     if missing and client is not None:
-        fetched = client.sample_completions(
-            prompt, doc.id, missing, config.temperature, config.max_tokens
-        )
+        try:
+            fetched = client.sample_completions(
+                prompt, doc.id, missing, config.temperature, config.max_tokens
+            )
+        except LLMClientError as exc:
+            cache.put(*exc.samples)  # what came before a fatal answer
+            raise
         for s in fetched:
             slots[s.sample_index] = s
         cache.put(*fetched)
@@ -444,6 +450,12 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
             # bool is an int subclass, but `limit: true` is no count
             if type(value) is not int or value < 1:
                 raise HarnessError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (c.seed is None or type(c.seed) is int):
+            raise HarnessError(f"seed must be an integer, got {c.seed!r}")
+        for name in ("prefill", "offline"):
+            # a quoted 'no' is truthy, so only a YAML boolean will do
+            if type(getattr(c, name)) is not bool:
+                raise HarnessError(f"{name} must be true or false, got {getattr(c, name)!r}")
     # one file reached by two spellings (r.csv, ./r.csv) is one output
     outs = [Path(p).resolve() for p in [*(c.out for c in configs), out] if p]
     duplicates = {str(p) for p in outs if outs.count(p) > 1}

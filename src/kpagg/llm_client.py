@@ -56,7 +56,10 @@ REQUEST_MODES = ("choices", "per-request")
 
 
 class LLMClientError(Exception):
-    pass
+    """An error of the client; raised out of `sample_completions`, its
+    `samples` are those the call had received before it."""
+
+    samples: tuple[RawSample, ...] = ()
 
 
 class AuthenticationError(LLMClientError):
@@ -139,61 +142,43 @@ _STRIP_CHARS = " \t\r\n\"'`[]"
 # A quoted run (to its closing quote, or to the end when unclosed) is one
 # token, so the bracket and separator characters inside it are skipped; the
 # rest of the text holds nothing significant and is sliced out whole.
-_QUOTED = r"\"[^\"]*\"?|'[^']*'?"
-_BRACKET_RE = re.compile(_QUOTED + r"|[\[\]]")
-_SEPARATOR_RE = re.compile(_QUOTED + r"|[\[\],\n]")
-
-
-def _list_end(text: str, start: int) -> int:
-    """Index of the bracket that closes the one at `start`, or the length
-    of the text when the list never closes."""
-    depth = 1
-    for m in _BRACKET_RE.finditer(text, start + 1):
-        token = m.group()
-        if token == "[":
-            depth += 1
-        elif token == "]":
-            depth -= 1
-            if depth == 0:
-                return m.start()
-    return len(text)
-
-
-def _split_top_level(content: str) -> list[str]:
-    """Split on commas and newlines outside quotes and nested brackets."""
-    items: list[str] = []
-    depth = 0
-    item_start = 0
-    for m in _SEPARATOR_RE.finditer(content):
-        token = m.group()
-        if token == "[":
-            depth += 1
-        elif token == "]":
-            depth = max(0, depth - 1)
-        elif (token == "," or token == "\n") and depth == 0:
-            items.append(content[item_start : m.start()])
-            item_start = m.end()
-    items.append(content[item_start:])
-    return items
+_SEPARATOR_RE = re.compile(r"\"[^\"]*\"?|'[^']*'?|[\[\],\n]")
 
 
 def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> ParsedSample:
     """Extract the keyphrase list from one completion.
 
-    The completion is expected to be (the rest of) a bracketed list; content
-    is taken up to the matching close bracket and split on top-level commas
-    and newlines. Without any bracket the whole text is split the same way
-    and the sample is flagged as a parse fallback. A `truncated` completion
-    (cut at the token limit) whose content runs to the end of the text, an
-    unclosed list or fallback text, loses its last item, which may be a cut
-    phrase. Never raises.
+    The completion is expected to be (the rest of) a bracketed list. One
+    scan, from just after the first `[`, splits on commas and newlines
+    outside quotes and nested brackets and stops at the bracket that closes
+    the list. Without any bracket the whole text is split the same way (a
+    `]` in it is plain text) and the sample is flagged as a parse fallback.
+    A `truncated` completion (cut at the token limit) whose content runs to
+    the end of the text, an unclosed list or fallback text, loses its last
+    item, which may be a cut phrase. Never raises.
     """
     full = ("[" if had_prefill else "") + raw_text
+    # without a bracket `start` is -1, so the scan starts at 0, at depth 0
     start = full.find("[")
     fallback = start < 0
-    end = len(full) if fallback else _list_end(full, start)
-    # without a bracket `start` is -1, so the slice is the whole text
-    items = _split_top_level(full[start + 1 : end])
+    depth = 0 if fallback else 1  # open brackets, the list's own included
+    items = []
+    item_start = start + 1
+    end = len(full)
+    for m in _SEPARATOR_RE.finditer(full, item_start):
+        token = m.group()
+        if token == "[":
+            depth += 1
+        elif token == "]":
+            depth -= 1
+            # fallback text opens no bracket: its depth only falls below 0
+            if depth == 0:
+                end = m.start()
+                break
+        elif (token == "," or token == "\n") and depth <= 1:
+            items.append(full[item_start : m.start()])
+            item_start = m.end()
+    items.append(full[item_start:end])
     if truncated and end == len(full):
         items.pop()
     phrases = []
@@ -377,7 +362,9 @@ class LLMClient:
         mode each slot from a request of its own; every request sends the
         one body, serialised once. A slot whose request ran out of
         retries, that the answer left out, or whose choice has the wrong
-        shape (`_sample_from_choice`), is absent.
+        shape (`_sample_from_choice`), is absent. A fatal error
+        (`AuthenticationError`, `RequestError`) carries the samples already
+        received in its `samples`, so a caller can keep them.
         """
         if not indices:
             return []
@@ -385,7 +372,11 @@ class LLMClient:
         data = self._payload(prompt, len(groups[0]), temperature, max_tokens)
         samples = []
         for slots in groups:
-            body = self._post_with_retries(data)
+            try:
+                body = self._post_with_retries(data)
+            except LLMClientError as exc:
+                exc.samples = tuple(samples)
+                raise
             choices = body.get("choices") if isinstance(body, dict) else None
             if not isinstance(choices, list):
                 continue

@@ -11,14 +11,14 @@ normalized tokens.
 Performance: `normalize_token` memoises its stems for the whole process in a
 bounded LRU cache (at most 65,536 entries of a few short strings each, so
 memory stays bounded however long the process runs). A document's source is
-normalised once into a `NormalizedSource`, whose per-length n-gram sets make
-each presence test a set lookup instead of a scan of the source. The source
-also memoises, per surface string, the phrase normalised and classified
-against it (`NormalizedSource.phrase`): the n samples of a document repeat
-the same phrases, and its gold list repeats some of them too, but each
-distinct surface is normalised and presence-tested once. That memo is a
-plain dict dropped with its document, so it costs no memory across
-documents.
+normalised once into a `NormalizedSource`, which joins its tokens once into
+a space-padded string, so a presence test is one substring search of it,
+with no index to build. The source also memoises, per surface string, the
+phrase normalised and classified against it (`NormalizedSource.phrase`):
+the n samples of a document repeat the same phrases, and its gold list
+repeats some of them too, but each distinct surface is normalised and
+presence-tested once. That memo is a plain dict dropped with its document,
+so it costs no memory across documents.
 """
 
 from __future__ import annotations
@@ -78,34 +78,27 @@ class NormalizedSource:
     """A document's normalized source tokens, normalized once and shared by
     every presence test on that document.
 
-    The set of token n-grams of each phrase length is built on first use, so
-    a presence test is a set lookup rather than a scan of the source. Each
-    surface string passed to `phrase` is normalized and classified once.
+    The tokens are kept joined once, with one space on each side:
+    `" a b c "`. A token is nonempty and holds no space, and a normalized
+    phrase is its tokens joined by single spaces, so `" <phrase> "` occurs
+    in that string exactly when the phrase's tokens occur contiguously in
+    the source. Each surface string passed to `phrase` is normalized and
+    classified once.
     """
 
-    __slots__ = ("tokens", "_ngrams", "_phrases")
+    __slots__ = ("tokens", "_joined", "_phrases")
 
     def __init__(self, tokens: list[str] | tuple[str, ...]):
         self.tokens = tuple(tokens)
-        self._ngrams: dict[int, frozenset[str]] = {}
+        self._joined = f" {' '.join(self.tokens)} "
         self._phrases: dict[str, NormalizedPhrase] = {}
 
     @classmethod
     def from_text(cls, text: str) -> NormalizedSource:
         return cls(normalize_tokens(text))
 
-    def ngrams(self, n: int) -> frozenset[str]:
-        """Every run of n consecutive tokens, space-joined like
-        `NormalizedPhrase.normalized`."""
-        grams = self._ngrams.get(n)
-        if grams is None:
-            tokens = self.tokens
-            grams = frozenset(map(" ".join, zip(*(tokens[i:] for i in range(n)))))
-            self._ngrams[n] = grams
-        return grams
-
     def contains(self, phrase: NormalizedPhrase) -> bool:
-        return phrase.normalized in self.ngrams(phrase.normalized.count(" ") + 1)
+        return f" {phrase.normalized} " in self._joined
 
     def phrase(self, surface: str) -> NormalizedPhrase:
         """`normalize_phrase(surface)` classified by `is_present` against this
@@ -126,8 +119,8 @@ def is_present(
 ) -> bool:
     """Whether the phrase occurs, token for token, inside the source.
 
-    A token list is indexed on the spot; pass a `NormalizedSource` to share
-    its index across many phrases.
+    A token list is joined on the spot; pass a `NormalizedSource` to share
+    the joined source across many phrases.
     """
     if not phrase.normalized:
         raise ValueError("cannot test presence of an empty phrase")

@@ -317,8 +317,9 @@ def porter_oracle(word: str) -> str:
 _PARSE_STRIP_CHARS = " \t\r\n\"'`[]"
 
 
-def _list_content_oracle(text: str, start: int) -> str:
-    """Text between the bracket at `start` and its matching close."""
+def _list_content_oracle(text: str, start: int) -> tuple[str, bool]:
+    """Text between the bracket at `start` and its matching close, and
+    whether the list closes (else the text runs to the end)."""
     depth = 1
     quote = None
     for i in range(start + 1, len(text)):
@@ -333,8 +334,8 @@ def _list_content_oracle(text: str, start: int) -> str:
         elif ch == "]":
             depth -= 1
             if depth == 0:
-                return text[start + 1 : i]
-    return text[start + 1 :]
+                return text[start + 1 : i], True
+    return text[start + 1 :], False
 
 
 def _split_top_level_oracle(content: str) -> list[str]:
@@ -366,16 +367,21 @@ def _split_top_level_oracle(content: str) -> list[str]:
     return items
 
 
-def parse_sample_oracle(raw_text: str, had_prefill: bool) -> tuple[tuple[str, ...], bool]:
-    """(phrases, fallback) as `kpagg.llm_client.parse_sample` gives them."""
+def parse_sample_oracle(
+    raw_text: str, had_prefill: bool, truncated: bool = False
+) -> tuple[tuple[str, ...], bool]:
+    """(phrases, fallback) as `kpagg.llm_client.parse_sample` gives them. A
+    truncated text whose items run to its end, an unclosed list or fallback
+    text, drops its last item."""
     full = ("[" if had_prefill else "") + raw_text
     start = full.find("[")
     fallback = start < 0
-    content = full if fallback else _list_content_oracle(full, start)
+    content, closed = (full, False) if fallback else _list_content_oracle(full, start)
+    items = _split_top_level_oracle(content)
+    if truncated and not closed:
+        items = items[:-1]
     phrases = tuple(
-        cleaned
-        for item in _split_top_level_oracle(content)
-        if (cleaned := item.strip(_PARSE_STRIP_CHARS))
+        cleaned for item in items if (cleaned := item.strip(_PARSE_STRIP_CHARS))
     )
     return phrases, fallback or not phrases
 

@@ -497,6 +497,13 @@ class TestGrid:
             {"merged_out": 5},  # the grid's own merged CSV
             {"strategy": ["union"]},
             {"variant": ["baseline"]},
+            {"prefill": "no"},  # a quoted YAML string is truthy
+            {"prefill": 0},
+            {"offline": "yes"},
+            {"seed": [1]},
+            {"seed": "x"},
+            {"seed": True},
+            {"seed": 1.0},
         ],
     )
     def test_value_the_cli_rejects_is_rejected_before_running(

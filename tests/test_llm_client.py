@@ -126,10 +126,12 @@ class TestParseSample:
         for phrase in parsed.phrases:
             assert not set(phrase) & set('[]"')
 
-    @given(st.text(alphabet='ab,\n\t"\'[] ', max_size=40), st.booleans())
-    def test_matches_char_by_char_oracle(self, text, prefill):
-        parsed = parse_sample(text, prefill)
-        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(text, prefill)
+    @given(st.text(alphabet='ab,\n\t"\'`[] ', max_size=40), st.booleans(), st.booleans())
+    def test_matches_char_by_char_oracle(self, text, prefill, truncated):
+        parsed = parse_sample(text, prefill, truncated)
+        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
+            text, prefill, truncated
+        )
 
     @given(st.text(), st.booleans(), st.booleans())
     def test_never_raises(self, text, prefill, truncated):
@@ -848,6 +850,29 @@ class TestAbsentSamples:
         assert (summary.cache_hits, summary.cache_misses) == (2, 1)
         assert _ScriptedHandler.hits == hits + 1
         assert evaluated[-1] == [0, 1, 2]
+
+    def test_per_request_fatal_error_keeps_the_samples_received(
+        self, scripted_server, tmp_path
+    ):
+        script = [(200, None), (200, None), (401, {"error": "bad key"})]
+        config = harness.RunConfig(
+            corpus_path=str(TOY_CORPUS),
+            endpoint=scripted_server(script),
+            cache_dir=str(tmp_path / "cache"),
+            request_mode="per-request",
+            n_samples=4,
+            limit=1,
+        )
+        with pytest.raises(AuthenticationError):
+            harness.run(config)
+        lines = harness.cache_path(config).read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 1]
+
+        config.endpoint = scripted_server([])
+        summary = harness.run(config)
+        assert (summary.cache_hits, summary.cache_misses) == (2, 2)
+        assert _ScriptedHandler.hits == 2
+        assert (summary.processed, summary.errored) == (1, 0)
 
     @given(
         mode=st.sampled_from(llm_client.REQUEST_MODES),

@@ -101,6 +101,9 @@ class TestIsPresent:
     def test_token_boundaries_not_substrings(self):
         source = textnorm.normalize_tokens("the artifact was found")
         assert not textnorm.is_present(textnorm.normalize_phrase("art"), source)
+        source = textnorm.NormalizedSource(["ab", "c", "d"])
+        for surface, present in [("b c", False), ("ab c", True), ("c d", True), ("a", False)]:
+            assert textnorm.is_present(textnorm.normalize_phrase(surface), source) is present
 
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError):
@@ -115,13 +118,6 @@ class TestNormalizedSource:
     def test_from_text_normalizes(self):
         source = textnorm.NormalizedSource.from_text("Graph Coloring-based TDMA")
         assert source.tokens == ("graph", "color", "base", "tdma")
-
-    def test_ngrams_by_length(self):
-        source = textnorm.NormalizedSource(["a", "b", "c"])
-        assert source.ngrams(1) == {"a", "b", "c"}
-        assert source.ngrams(2) == {"a b", "b c"}
-        assert source.ngrams(3) == {"a b c"}
-        assert source.ngrams(4) == frozenset()
 
 
 def fresh_classify(surfaces, source_tokens):
@@ -225,6 +221,14 @@ class TestDedup:
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
 token_lists = st.lists(words, max_size=12)
+# Short words over tiny alphabets, so that a phrase often nearly matches the
+# source across a token boundary (phrase `b c` against source `ab c`);
+# non-ASCII words pass through normalization unstemmed.
+near_words = (
+    words
+    | st.text(alphabet="ab", min_size=1, max_size=3)
+    | st.text(alphabet="aéÉß", min_size=1, max_size=3)
+)
 
 
 @given(st.text(max_size=40))
@@ -253,7 +257,7 @@ def test_presence_survives_context_extension(word, prefix, middle, suffix):
     assert textnorm.is_present(phrase, prefix + core + suffix)
 
 
-@given(st.lists(words, min_size=1, max_size=3), token_lists)
+@given(st.lists(near_words, min_size=1, max_size=3), st.lists(near_words, max_size=12))
 def test_is_present_matches_window_scan(phrase_words, source_words):
     phrase = textnorm.normalize_phrase(" ".join(phrase_words))
     source = textnorm.normalize_tokens(" ".join(source_words))
@@ -262,10 +266,3 @@ def test_is_present_matches_window_scan(phrase_words, source_words):
     assert textnorm.is_present(phrase, source) == window_scan_oracle(
         source, list(phrase.tokens)
     )
-
-
-@given(token_lists, st.integers(min_value=1, max_value=5))
-def test_ngrams_are_every_window(tokens, n):
-    source = textnorm.NormalizedSource(tokens)
-    windows = {" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)}
-    assert source.ngrams(n) == windows
