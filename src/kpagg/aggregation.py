@@ -15,7 +15,9 @@ The merged list is split by presence into a `Prediction`: each part whole
 and its cut M, the ceiling of the per-sample average count of present (and,
 separately, absent) phrases; the prediction proper is each part's first M
 phrases. The `single` strategy merges the top-ranked sample alone by
-union_concat, so its cut keeps all of it.
+union_concat, so its cut keeps all of it. Each strategy is one
+`_STRATEGIES` entry: its CLI alias, its aggregator, and how many ranked
+samples it merges.
 """
 
 from __future__ import annotations
@@ -28,16 +30,6 @@ from dataclasses import dataclass
 from . import textnorm
 from .textnorm import NormalizedPhrase
 
-# short CLI aliases
-STRATEGY_ALIASES = {
-    "single": "single",
-    "union": "union",
-    "union-concat": "union_concat",
-    "union-interleaf": "union_interleaf",
-    "frequency": "frequency_order",
-}
-STRATEGIES = tuple(STRATEGY_ALIASES.values())
-
 # One sample's phrases, normalized, deduplicated and presence-classified.
 Sample = tuple[NormalizedPhrase, ...]
 
@@ -45,7 +37,7 @@ Sample = tuple[NormalizedPhrase, ...]
 def resolve_strategy(name: str) -> str:
     if name in STRATEGY_ALIASES:
         return STRATEGY_ALIASES[name]
-    if name in STRATEGIES:
+    if name in _STRATEGIES:
         return name
     raise ValueError(f"unknown aggregation strategy {name!r}")
 
@@ -140,12 +132,17 @@ def aggregate_frequency_order(ranked: Sequence[Sample]) -> list[NormalizedPhrase
     return sorted(interleaf, key=lambda p: -counts[p.normalized])
 
 
-_AGGREGATORS = {
-    "union": aggregate_union,
-    "union_concat": aggregate_union_concat,
-    "union_interleaf": aggregate_union_interleaf,
-    "frequency_order": aggregate_frequency_order,
+# canonical name -> (short CLI alias, aggregator, how many of the ranked
+# samples it merges: None for all)
+_STRATEGIES = {
+    "single": ("single", aggregate_union_concat, 1),
+    "union": ("union", aggregate_union, None),
+    "union_concat": ("union-concat", aggregate_union_concat, None),
+    "union_interleaf": ("union-interleaf", aggregate_union_interleaf, None),
+    "frequency_order": ("frequency", aggregate_frequency_order, None),
 }
+STRATEGY_ALIASES = {alias: name for name, (alias, _, _) in _STRATEGIES.items()}
+STRATEGIES = tuple(_STRATEGIES)
 
 
 def _ceil_div(total: int, n: int) -> int:
@@ -172,7 +169,6 @@ def dynamic_select(
 
 def merge(ranked: Sequence[Sample], strategy: str) -> Prediction:
     """Aggregate ranked samples by `strategy`, then dynamically select."""
-    strategy = resolve_strategy(strategy)
-    if strategy == "single":
-        ranked, strategy = ranked[:1], "union_concat"
-    return dynamic_select(_AGGREGATORS[strategy](ranked), ranked)
+    _, aggregate, depth = _STRATEGIES[resolve_strategy(strategy)]
+    ranked = ranked[:depth]
+    return dynamic_select(aggregate(ranked), ranked)

@@ -111,8 +111,8 @@ def _echo_summary(summary: harness.RunSummary) -> None:
 @_run_options
 def run_cmd(**kwargs) -> None:
     """Run one corpus x variant x strategy configuration."""
-    config = harness.RunConfig(**kwargs)
     try:
+        config = harness.RunConfig(**kwargs)
         summary = harness.run(config)
     except _FATAL as exc:
         raise click.ClickException(str(exc)) from exc

@@ -4,6 +4,8 @@ Corpora are JSON-lines files: one UTF-8 object per line with keys ``id``,
 ``title``, ``abstract``, ``keyphrases`` (list of strings) and an optional
 ``domain`` ("scientific" or "news"). Gold keyphrases are normalized and
 split into present/absent against the stemmed title+body token stream.
+Each corpus statistic is one `CorpusStats` field, labelled once in
+`_STAT_LABELS`, which orders the stats table and the CSV columns.
 """
 
 from __future__ import annotations
@@ -51,6 +53,18 @@ class CorpusStats:
     avg_words_per_absent_kp: float | None
     avg_present_per_doc: float
     avg_absent_per_doc: float
+
+
+# CorpusStats field -> its row label in the stats table; the CSV header is
+# the field names in this order
+_STAT_LABELS = {
+    "num_docs": "Documents",
+    "avg_input_words": "Avg words in title + body",
+    "avg_words_per_present_kp": "Avg words per present keyphrase",
+    "avg_words_per_absent_kp": "Avg words per absent keyphrase",
+    "avg_present_per_doc": "Avg present keyphrases per doc",
+    "avg_absent_per_doc": "Avg absent keyphrases per doc",
+}
 
 
 def _parse_record(obj: object, default_domain: str) -> Document:
@@ -172,40 +186,22 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
     )
 
 
+def _stat_cells(stats: CorpusStats, places: int, undefined: str) -> list[str]:
+    """Each stat in `_STAT_LABELS` order: the document count as is, an
+    average to `places` decimals, an undefined average as `undefined`."""
+    return [
+        undefined if v is None else str(v) if isinstance(v, int) else f"{v:.{places}f}"
+        for v in (getattr(stats, name) for name in _STAT_LABELS)
+    ]
+
+
 def format_stats(stats: CorpusStats) -> str:
     """Two-column text table for the stats CLI."""
-    def fmt(value: float | None) -> str:
-        return "-" if value is None else f"{value:.2f}"
-
-    rows = [
-        ("Documents", str(stats.num_docs)),
-        ("Avg words in title + body", fmt(stats.avg_input_words)),
-        ("Avg words per present keyphrase", fmt(stats.avg_words_per_present_kp)),
-        ("Avg words per absent keyphrase", fmt(stats.avg_words_per_absent_kp)),
-        ("Avg present keyphrases per doc", fmt(stats.avg_present_per_doc)),
-        ("Avg absent keyphrases per doc", fmt(stats.avg_absent_per_doc)),
-    ]
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
+    width = max(map(len, _STAT_LABELS.values()))
+    rows = zip(_STAT_LABELS.values(), _stat_cells(stats, 2, "-"))
+    return "\n".join(f"{label:<{width}}  {cell}" for label, cell in rows)
 
 
 def stats_csv(stats: CorpusStats) -> str:
     """CSV form of the stats table (header + one row)."""
-    def fmt(value: float | None) -> str:
-        return "" if value is None else f"{value:.6f}"
-
-    header = (
-        "num_docs,avg_input_words,avg_words_per_present_kp,"
-        "avg_words_per_absent_kp,avg_present_per_doc,avg_absent_per_doc"
-    )
-    row = ",".join(
-        [
-            str(stats.num_docs),
-            fmt(stats.avg_input_words),
-            fmt(stats.avg_words_per_present_kp),
-            fmt(stats.avg_words_per_absent_kp),
-            fmt(stats.avg_present_per_doc),
-            fmt(stats.avg_absent_per_doc),
-        ]
-    )
-    return f"{header}\n{row}\n"
+    return f"{','.join(_STAT_LABELS)}\n{','.join(_stat_cells(stats, 6, ''))}\n"

@@ -1,15 +1,19 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
+A `RunConfig` checks its own values when it is made and keeps the canonical
+variant and strategy names, so nothing downstream resolves an alias again.
 `grid` groups its configs by every field except the evaluation-only ones
-(strategy, perplexity mode, empty-gold policy, output path), with variant
-aliases resolved; `run` is a one-config grid. For each group each
-document's prompt is rendered and its n samples fetched or replayed (cache
-first, network for the misses, one cache append per document). The thread
-pool serves only runs with an endpoint: a bounded pool does that fetching,
-the only threaded work. An offline group has nothing to wait for, so it
-reads the cache on the calling thread. The calling thread evaluates each
-document as its samples arrive, for every config of the group at once: it
-parses, normalizes and presence-classifies the samples, normalizes the
+(strategy, perplexity mode, empty-gold policy, output path); `run` is a
+one-config grid. Before any group runs, `grid` reads every group's inputs
+(documents, prompt strings, endpoint), each corpus and prompt file once, so
+a missing input fails before anything is fetched or written. For each group
+each document's prompt is rendered and its n samples fetched or replayed
+(cache first, network for the misses, one cache append per document). The
+thread pool serves only runs with an endpoint: a bounded pool does that
+fetching, the only threaded work. An offline group has nothing to wait for,
+so it reads the cache on the calling thread. The calling thread evaluates
+each document as its samples arrive, for every config of the group at once:
+it parses, normalizes and presence-classifies the samples, normalizes the
 source and partitions the gold once, sorts once per perplexity mode, then
 aggregates and scores per config, one score record per document and config.
 The metric fold averages those records in corpus order, so a warm cache
@@ -26,6 +30,7 @@ replay never belongs to other settings than the run's.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -68,8 +73,12 @@ class _Skipped(Exception):
     """A queued document that a fetch thread dropped after a fatal error."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when made (HarnessError) against what
+    `kpagg run` accepts. The variant and strategy are kept by their canonical
+    names, so an alias and its full name make equal configs."""
+
     corpus_path: str
     variant: str = "baseline"
     strategy: str = "frequency_order"
@@ -90,6 +99,48 @@ class RunConfig:
     offline: bool = False
     default_domain: str = "scientific"
     max_in_flight: int = 4
+
+    def __post_init__(self) -> None:
+        optional = ("out", "prompt_config", "endpoint")
+        for name in ("corpus_path", "variant", "strategy", "model", "cache_dir", *optional):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name in optional)):
+                raise HarnessError(f"{name} must be a string, got {value!r}")
+        try:
+            # a frozen dataclass sets its own fields through object.__setattr__
+            object.__setattr__(self, "variant", prompting.resolve_variant(self.variant))
+            object.__setattr__(self, "strategy", aggregation.resolve_strategy(self.strategy))
+        except (prompting.PromptConfigError, ValueError) as exc:
+            raise HarnessError(str(exc)) from exc
+        choices = (
+            ("perplexity mode", self.ppl_mode, PPL_MODES),
+            ("empty-gold policy", self.empty_gold, metrics.EMPTY_GOLD_POLICIES),
+            ("request mode", self.request_mode, REQUEST_MODES),
+            ("default domain", self.default_domain, corpus.DOMAINS),
+        )
+        for what, value, allowed in choices:
+            if value not in allowed:
+                raise HarnessError(f"unknown {what} {value!r}")
+        t = self.temperature
+        try:
+            # bool is an int subclass, but `temperature: true` is no number;
+            # NaN compares False with everything, so it is tested on its own
+            number = type(t) in (int, float) and math.isfinite(t) and t >= 0
+        except OverflowError:  # an int too large for a float
+            number = False
+        if not number:
+            raise HarnessError(f"temperature must be a finite number >= 0, got {t!r}")
+        for name in ("n_samples", "max_tokens", "max_in_flight", "limit"):
+            value = getattr(self, name)
+            # `limit: true` and `max_tokens: 2.9` are no counts
+            if not (type(value) is int and value >= 1 or value is None and name == "limit"):
+                raise HarnessError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (self.seed is None or type(self.seed) is int):
+            raise HarnessError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("prefill", "offline"):
+            # a quoted 'no' is truthy, so only a YAML boolean will do
+            if type(getattr(self, name)) is not bool:
+                raise HarnessError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -130,24 +181,23 @@ def cache_path(config: RunConfig) -> Path:
     stay out, so a larger or resumed run replays what is there.
     """
     stem = Path(config.corpus_path).stem
-    variant = prompting.resolve_variant(config.variant)
     temperature = float(config.temperature) + 0.0  # -0.0 becomes 0.0
-    sampling = f"t{temperature!r}.m{int(config.max_tokens)}"
+    sampling = f"t{temperature!r}.m{config.max_tokens}"
     return (
         Path(config.cache_dir)
         / _sanitize(stem)
-        / _sanitize(variant)
+        / _sanitize(config.variant)
         / f"{_sanitize(config.model)}.{_sanitize(sampling)}.jsonl"
     )
 
 
-def _fetch(doc, variant, pcfg, cache, client, config) -> tuple:
+def _fetch(doc, pcfg, cache, client, config) -> tuple:
     """Build one document's prompt and collect its samples, cache first.
 
     Returns the prompt, the samples present in index order, and the cache
     hit and miss counts. A sample neither cached nor fetched is absent.
     """
-    prompt = prompting.build_prompt(doc, variant, pcfg, config.prefill)
+    prompt = prompting.build_prompt(doc, config.variant, pcfg, config.prefill)
     slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
     missing = [i for i, s in enumerate(slots) if s is None]
     if missing and client is not None:
@@ -220,8 +270,6 @@ _PROVENANCE_FIELDS = (
 def provenance(config: RunConfig) -> dict:
     data = {name: getattr(config, name) for name in _PROVENANCE_FIELDS}
     data["corpus"] = Path(config.corpus_path).name
-    data["variant"] = prompting.resolve_variant(config.variant)
-    data["strategy"] = aggregation.resolve_strategy(config.strategy)
     return data
 
 
@@ -241,30 +289,37 @@ def run(config: RunConfig) -> RunSummary:
     return grid([config])[0]
 
 
-def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
+def _prepare(head: RunConfig, load_corpus, load_prompts) -> tuple:
+    """A group's documents, prompt strings, client (None offline; it opens no
+    connection before its first request) and the seconds reading them took,
+    through the grid's memoised loaders."""
+    t0 = time.monotonic()
+    pcfg = load_prompts(head.prompt_config)
+    docs = load_corpus(head.corpus_path, default_domain=head.default_domain)
+    docs = select_documents(docs, head.limit, head.seed)
+    if head.offline:
+        return docs, pcfg, None, time.monotonic() - t0
+    endpoint = head.endpoint or os.environ.get(ENDPOINT_ENV)
+    if not endpoint:
+        raise HarnessError(
+            f"no endpoint configured: pass --endpoint, set {ENDPOINT_ENV}, "
+            "or use --offline with a warm cache"
+        )
+    client = LLMClient(
+        endpoint,
+        head.model,
+        api_key=os.environ.get(API_KEY_ENV),
+        request_mode=head.request_mode,
+    )
+    return docs, pcfg, client, time.monotonic() - t0
+
+
+def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[RunSummary]:
     """Fetch once for configs that differ only in evaluation fields, then
-    evaluate every document for all of them as its samples arrive."""
+    evaluate every document for all of them as its samples arrive. The other
+    arguments are the group's `_prepare`d inputs."""
     t0 = time.monotonic()
     head = configs[0]
-    variant = prompting.resolve_variant(head.variant)
-    pcfg = prompting.load_prompt_config(head.prompt_config)
-    docs = corpus.load_corpus(head.corpus_path, default_domain=head.default_domain)
-    docs = select_documents(docs, head.limit, head.seed)
-
-    client = None
-    if not head.offline:
-        endpoint = head.endpoint or os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise HarnessError(
-                f"no endpoint configured: pass --endpoint, set {ENDPOINT_ENV}, "
-                "or use --offline with a warm cache"
-            )
-        client = LLMClient(
-            endpoint,
-            head.model,
-            api_key=os.environ.get(API_KEY_ENV),
-            request_mode=head.request_mode,
-        )
     path = cache_path(head)
     # where a cache was kept before its name carried the sampling settings
     legacy = path.with_name(f"{_sanitize(head.model)}.jsonl")
@@ -300,7 +355,7 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
 
     if client is None:
         for i, doc in enumerate(docs):
-            collect(i, lambda: _fetch(doc, variant, pcfg, cache, None, head))
+            collect(i, lambda: _fetch(doc, pcfg, cache, None, head))
     else:
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
@@ -312,7 +367,7 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
             if fatal.is_set():
                 raise _Skipped
             try:
-                return _fetch(doc, variant, pcfg, cache, client, head)
+                return _fetch(doc, pcfg, cache, client, head)
             except _FATAL:
                 fatal.set()
                 raise
@@ -346,13 +401,12 @@ def _run_group(configs: list[RunConfig]) -> list[RunSummary]:
     done = [r for r in results if r is not None]
     base.processed = len(done)
     base.errored = len(docs) - len(done)
-    base.wall_time = time.monotonic() - t0
+    base.wall_time = read_s + time.monotonic() - t0
     summaries = []
     for k, config in enumerate(configs):
         scores = [r[k] for r in done]
-        strategy = aggregation.resolve_strategy(config.strategy)
         report = metrics.build_report(
-            Path(config.corpus_path).stem, variant, strategy, scores
+            Path(config.corpus_path).stem, config.variant, config.strategy, scores
         )
         if config.out:
             _write_report(config, [report])
@@ -375,7 +429,10 @@ def _to_run_config(entry: dict, context: str) -> RunConfig:
         kwargs[name] = value
     if "corpus_path" not in kwargs:
         raise HarnessError(f"{context}: missing 'corpus' path")
-    return RunConfig(**kwargs)
+    try:
+        return RunConfig(**kwargs)
+    except HarnessError as exc:
+        raise HarnessError(f"{context}: {exc}") from exc
 
 
 def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
@@ -415,47 +472,6 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         raise HarnessError("grid needs at least one run config")
     if not (out is None or isinstance(out, str)):
         raise HarnessError(f"out must be a string, got {out!r}")
-    optional = ("out", "prompt_config", "endpoint")
-    for c in configs:
-        for name in ("corpus_path", "variant", "strategy", "model", "cache_dir", *optional):
-            value = getattr(c, name)
-            if not (isinstance(value, str) or (value is None and name in optional)):
-                raise HarnessError(f"{name} must be a string, got {value!r}")
-        try:
-            aggregation.resolve_strategy(c.strategy)
-        except ValueError as exc:
-            raise HarnessError(str(exc)) from exc
-        if c.ppl_mode not in PPL_MODES:
-            raise HarnessError(f"unknown perplexity mode {c.ppl_mode!r}")
-        if c.empty_gold not in metrics.EMPTY_GOLD_POLICIES:
-            raise HarnessError(f"unknown empty-gold policy {c.empty_gold!r}")
-        if c.request_mode not in REQUEST_MODES:
-            raise HarnessError(f"unknown request mode {c.request_mode!r}")
-        if c.default_domain not in corpus.DOMAINS:
-            raise HarnessError(f"unknown default domain {c.default_domain!r}")
-        try:
-            temperature, max_tokens = float(c.temperature), int(c.max_tokens)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise HarnessError(f"bad temperature or max_tokens: {exc}") from exc
-        # NaN compares False with everything, so it is tested on its own
-        if not math.isfinite(temperature) or temperature < 0 or max_tokens < 1:
-            raise HarnessError(
-                f"temperature must be a finite number >= 0 and max_tokens >= 1, got "
-                f"{c.temperature!r} and {c.max_tokens!r}"
-            )
-        counts = {"n_samples": c.n_samples, "max_in_flight": c.max_in_flight}
-        if c.limit is not None:
-            counts["limit"] = c.limit
-        for name, value in counts.items():
-            # bool is an int subclass, but `limit: true` is no count
-            if type(value) is not int or value < 1:
-                raise HarnessError(f"{name} must be an integer >= 1, got {value!r}")
-        if not (c.seed is None or type(c.seed) is int):
-            raise HarnessError(f"seed must be an integer, got {c.seed!r}")
-        for name in ("prefill", "offline"):
-            # a quoted 'no' is truthy, so only a YAML boolean will do
-            if type(getattr(c, name)) is not bool:
-                raise HarnessError(f"{name} must be true or false, got {getattr(c, name)!r}")
     # one file reached by two spellings (r.csv, ./r.csv) is one output
     outs = [Path(p).resolve() for p in [*(c.out for c in configs), out] if p]
     duplicates = {str(p) for p in outs if outs.count(p) > 1}
@@ -463,12 +479,16 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        fields = {**vars(c), "variant": prompting.resolve_variant(c.variant)}
-        key = tuple(v for k, v in fields.items() if k not in _EVALUATION_FIELDS)
+        key = tuple(v for k, v in vars(c).items() if k not in _EVALUATION_FIELDS)
         groups.setdefault(key, []).append(i)
+    # Every group's inputs are read before the first group fetches or
+    # writes anything; each corpus and prompt file is read once per grid.
+    load_corpus = functools.cache(corpus.load_corpus)
+    load_prompts = functools.cache(prompting.load_prompt_config)
+    inputs = [_prepare(configs[m[0]], load_corpus, load_prompts) for m in groups.values()]
     summaries: list[RunSummary | None] = [None] * len(configs)
-    for members in groups.values():
-        group = _run_group([configs[i] for i in members])
+    for members, prepared in zip(groups.values(), inputs):
+        group = _run_group([configs[i] for i in members], *prepared)
         for i, summary in zip(members, group):
             summaries[i] = summary
     if out:

@@ -1,9 +1,11 @@
 """Prompt variants and chat-message rendering.
 
 Six variants share one template: a user sentence, an instruction block, and
-the document's title and body. Specialist variants swap the user sentence;
-control variants turn the instruction block into a numbered list (length
-control first when combined, formatting always last). For news-domain
+the document's title and body. Each variant is one `_VARIANTS` entry: its
+CLI alias, its user sentence (the specialists swap in their own), and the
+instructions numbered before the formatting one (the controls: length
+control first when combined, formatting always last; with none, the block
+is the formatting instruction alone, unnumbered). For news-domain
 documents every occurrence of "scientific document" in the configured
 prompt strings is replaced with "news article"; document text itself is
 never rewritten.
@@ -19,17 +21,6 @@ from pathlib import Path
 
 from .corpus import Document
 
-# short CLI aliases
-VARIANT_ALIASES = {
-    "baseline": "baseline",
-    "present": "present_specialist",
-    "absent": "absent_specialist",
-    "order": "order_control",
-    "length": "length_control",
-    "combined": "combined_control",
-}
-VARIANTS = tuple(VARIANT_ALIASES.values())
-
 PRESENT_SPECIALIST_SENTENCE = (
     "Extract present keyphrases from the following title and abstract of a "
     "scientific document."
@@ -38,6 +29,20 @@ ABSENT_SPECIALIST_SENTENCE = (
     "Generate absent keyphrases from the following title and abstract of a "
     "scientific document."
 )
+
+# canonical name -> (short CLI alias, user sentence or None for the
+# configured baseline one, the PromptConfig fields of the instructions
+# numbered before the formatting one)
+_VARIANTS = {
+    "baseline": ("baseline", None, ()),
+    "present_specialist": ("present", PRESENT_SPECIALIST_SENTENCE, ()),
+    "absent_specialist": ("absent", ABSENT_SPECIALIST_SENTENCE, ()),
+    "order_control": ("order", None, ("instruction_order",)),
+    "length_control": ("length", None, ("instruction_length",)),
+    "combined_control": ("combined", None, ("instruction_length", "instruction_order")),
+}
+VARIANT_ALIASES = {alias: name for name, (alias, _, _) in _VARIANTS.items()}
+VARIANTS = tuple(_VARIANTS)
 
 _DOMAIN_SUBSTITUTION = ("scientific document", "news article")
 
@@ -106,32 +111,9 @@ def resolve_variant(name: str) -> str:
     """Map a CLI alias or full variant name to the canonical variant name."""
     if name in VARIANT_ALIASES:
         return VARIANT_ALIASES[name]
-    if name in VARIANTS:
+    if name in _VARIANTS:
         return name
     raise PromptConfigError(f"unknown prompt variant {name!r}")
-
-
-def _numbered(items: list[str]) -> str:
-    return "\n".join(f"{i}. {text}" for i, text in enumerate(items, start=1))
-
-
-def _instruction_block(variant: str, cfg: PromptConfig) -> str:
-    fmt = cfg.instruction_formatting
-    if variant == "order_control":
-        return _numbered([cfg.instruction_order, fmt])
-    if variant == "length_control":
-        return _numbered([cfg.instruction_length, fmt])
-    if variant == "combined_control":
-        return _numbered([cfg.instruction_length, cfg.instruction_order, fmt])
-    return fmt
-
-
-def _user_sentence(variant: str, cfg: PromptConfig) -> str:
-    if variant == "present_specialist":
-        return PRESENT_SPECIALIST_SENTENCE
-    if variant == "absent_specialist":
-        return ABSENT_SPECIALIST_SENTENCE
-    return cfg.user_prompt_baseline
 
 
 def prompt_digest(system: str, user: str, assistant_prefill: str) -> str:
@@ -152,10 +134,13 @@ def build_prompt(
     prefill_supported: bool = True,
 ) -> RenderedPrompt:
     """Render one chat prompt for a document under the given variant."""
-    variant = resolve_variant(variant)
+    _, sentence, steps = _VARIANTS[resolve_variant(variant)]
     system = cfg.system_prompt
-    sentence = _user_sentence(variant, cfg)
-    block = _instruction_block(variant, cfg)
+    sentence = sentence or cfg.user_prompt_baseline
+    block = cfg.instruction_formatting
+    if steps:
+        numbered = [getattr(cfg, step) for step in steps] + [block]
+        block = "\n".join(f"{i}. {text}" for i, text in enumerate(numbered, start=1))
     if doc.domain == "news":
         old, new = _DOMAIN_SUBSTITUTION
         system = system.replace(old, new)

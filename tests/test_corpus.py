@@ -194,6 +194,30 @@ class TestStats:
         assert len(lines) == 2
         assert lines[0].split(",")[0] == "num_docs"
 
+    def test_stats_table_and_csv_are_pinned(self, toy_docs):
+        stats = corpus_stats(toy_docs)
+        assert format_stats(stats) == (
+            "Documents                        5\n"
+            "Avg words in title + body        31.00\n"
+            "Avg words per present keyphrase  1.79\n"
+            "Avg words per absent keyphrase   2.50\n"
+            "Avg present keyphrases per doc   2.80\n"
+            "Avg absent keyphrases per doc    0.80"
+        )
+        assert stats_csv(stats) == (
+            "num_docs,avg_input_words,avg_words_per_present_kp,"
+            "avg_words_per_absent_kp,avg_present_per_doc,avg_absent_per_doc\n"
+            "5,31.000000,1.785714,2.500000,2.800000,0.800000\n"
+        )
+        # undefined averages: a dash in the table, an empty CSV cell
+        stats = corpus_stats([make_doc(title="alpha beta", body="gamma", gold=())])
+        assert format_stats(stats).splitlines()[1:4] == [
+            "Avg words in title + body        3.00",
+            "Avg words per present keyphrase  -",
+            "Avg words per absent keyphrase   -",
+        ]
+        assert stats_csv(stats).splitlines()[1] == "1,3.000000,,,0.000000,0.000000"
+
     @given(order=st.permutations(list(range(4))))
     def test_stats_permutation_invariant(self, toy_docs, order):
         docs = [toy_docs[i] for i in order]

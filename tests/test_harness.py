@@ -1,5 +1,6 @@
 """Run orchestration: caching, determinism, grid runs, and the CLI."""
 
+import dataclasses
 import json
 import logging
 import threading
@@ -8,10 +9,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from kpagg import harness, prompting, textnorm
-from kpagg.aggregation import STRATEGIES
-from kpagg.cli import main
-from kpagg.corpus import load_corpus
+from kpagg import corpus, harness, prompting, textnorm
+from kpagg.aggregation import STRATEGIES, STRATEGY_ALIASES
+from kpagg.cli import main, run_cmd
+from kpagg.corpus import CorpusError, load_corpus
 from kpagg.harness import (
     API_KEY_ENV,
     ENDPOINT_ENV,
@@ -22,8 +23,9 @@ from kpagg.harness import (
     provenance,
     select_documents,
 )
-from kpagg.llm_client import AuthenticationError, RawSample, SampleCache
+from kpagg.llm_client import AuthenticationError, LLMClientError, RawSample, SampleCache
 from kpagg.mock_server import running_server
+from kpagg.prompting import VARIANT_ALIASES, PromptConfigError
 
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
 
@@ -129,6 +131,28 @@ class TestCachePath:
         default = cache_path(RunConfig(**base))
         assert cache_path(RunConfig(**base, n_samples=3)) == default
         assert cache_path(RunConfig(**base, request_mode="per-request")) == default
+
+
+class TestRunConfig:
+    def test_cli_defaults_are_the_config_defaults(self):
+        defaults = {p.name: p.default for p in run_cmd.params if p.name != "corpus_path"}
+        assert RunConfig("c", **defaults) == RunConfig("c")
+
+    def test_alias_and_full_name_make_equal_configs(self):
+        for alias, name in VARIANT_ALIASES.items():
+            assert RunConfig("c", variant=alias) == RunConfig("c", variant=name)
+            assert RunConfig("c", variant=alias).variant == name
+        for alias, name in STRATEGY_ALIASES.items():
+            assert RunConfig("c", strategy=alias) == RunConfig("c", strategy=name)
+            assert RunConfig("c", strategy=alias).strategy == name
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig("c")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.temperature = "hot"
+        # a changed copy is checked like a new config
+        with pytest.raises(HarnessError, match="temperature"):
+            dataclasses.replace(cfg, temperature="hot")
 
 
 class TestProvenance:
@@ -363,7 +387,7 @@ class TestGrid:
         path = tmp_path / "grid.yaml"
         path.write_text(yaml.safe_dump(self.grid_yaml(tmp_path, endpoint)))
         configs, out = load_grid_config(path)
-        assert [c.strategy for c in configs] == ["union", "frequency"]
+        assert [c.strategy for c in configs] == ["union", "frequency_order"]
         assert all(c.corpus_path == str(TOY_CORPUS) for c in configs)
         assert out == str(tmp_path / "merged.csv")
 
@@ -465,11 +489,11 @@ class TestGrid:
         "bad", [{"strategy": "median"}, {"ppl_mode": "max"}, {"empty_gold": "skip"}]
     )
     def test_invalid_config_rejected_before_running(self, endpoint, tmp_path, bad):
-        configs = [
-            config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
-            config(endpoint, tmp_path, out=str(tmp_path / "bad.csv"), **bad),
-        ]
         with pytest.raises(HarnessError):
+            configs = [
+                config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
+                config(endpoint, tmp_path, out=str(tmp_path / "bad.csv"), **bad),
+            ]
             harness.grid(configs, out=str(tmp_path / "merged.csv"))
         assert list(tmp_path.iterdir()) == []
 
@@ -504,6 +528,11 @@ class TestGrid:
             {"seed": "x"},
             {"seed": True},
             {"seed": 1.0},
+            {"temperature": "0.7"},  # a quoted YAML number
+            {"temperature": True},
+            {"max_tokens": 2.9},
+            {"max_tokens": True},
+            {"variant": "nope"},
         ],
     )
     def test_value_the_cli_rejects_is_rejected_before_running(
@@ -511,13 +540,57 @@ class TestGrid:
     ):
         bad = {"out": str(tmp_path / "bad.csv"), **bad}
         merged = bad.pop("merged_out", str(tmp_path / "merged.csv"))
-        configs = [
-            config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
-            config(bad.pop("endpoint", endpoint), tmp_path, **bad),
-        ]
         with pytest.raises(HarnessError):
+            configs = [
+                config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
+                config(bad.pop("endpoint", endpoint), tmp_path, **bad),
+            ]
             harness.grid(configs, out=merged)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"corpus_path": "missing.jsonl"}, CorpusError),
+            ({"prompt_config": "missing.yaml"}, PromptConfigError),
+            ({"endpoint": None}, HarnessError),
+            ({"endpoint": "ftp://127.0.0.1/v1"}, LLMClientError),
+        ],
+        ids=["corpus", "prompt-config", "no-endpoint", "ftp-endpoint"],
+    )
+    def test_every_group_reads_its_inputs_before_the_first_runs(
+        self, endpoint, tmp_path, bad, error
+    ):
+        bad = dict(bad)
+        configs = [
+            config(endpoint, tmp_path, out=str(tmp_path / "good.csv")),
+            config(bad.pop("endpoint", endpoint), tmp_path, out=str(tmp_path / "bad.csv"), **bad),
+        ]
+        with pytest.raises(error):
+            harness.grid(configs)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_corpus_and_prompt_file_are_read_once_per_grid(
+        self, endpoint, tmp_path, monkeypatch
+    ):
+        reads = []
+
+        def counting(module, name):
+            load = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                reads.append(name)
+                return load(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(corpus, "load_corpus")
+        counting(prompting, "load_prompt_config")
+        configs = [config(endpoint, tmp_path, variant=v) for v in ("baseline", "present")]
+        summaries = harness.grid(configs)
+        assert sorted(reads) == ["load_corpus", "load_prompt_config"]
+        for cfg, summary in zip(configs, summaries):
+            assert summary.report == harness.run(cfg).report, cfg
 
     def test_duplicate_outputs_rejected_before_running(self, tmp_path, monkeypatch):
         shared = dict(corpus_path="missing.jsonl", out=str(tmp_path / "same.csv"))
@@ -543,6 +616,14 @@ class TestGrid:
         path = tmp_path / "bad.yaml"
         path.write_text("runs: {}\n")
         with pytest.raises(HarnessError):
+            load_grid_config(path)
+
+    def test_bad_run_is_named(self, tmp_path):
+        path = tmp_path / "grid.yaml"
+        path.write_text(
+            yaml.safe_dump({"corpus": "c.jsonl", "runs": [{}, {"temperature": -1}]})
+        )
+        with pytest.raises(HarnessError, match=r"grid\.yaml: run #2: temperature"):
             load_grid_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):

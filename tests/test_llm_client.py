@@ -1,5 +1,6 @@
 """Response parsing, perplexity, transport retries, and the sample cache."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -868,7 +869,7 @@ class TestAbsentSamples:
         lines = harness.cache_path(config).read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 1]
 
-        config.endpoint = scripted_server([])
+        config = dataclasses.replace(config, endpoint=scripted_server([]))
         summary = harness.run(config)
         assert (summary.cache_hits, summary.cache_misses) == (2, 2)
         assert _ScriptedHandler.hits == 2

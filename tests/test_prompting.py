@@ -200,3 +200,58 @@ class TestDigest:
     @given(st.text(max_size=30), st.text(max_size=30), st.text(max_size=5))
     def test_digest_stable_under_recomputation(self, s, u, p):
         assert prompt_digest(s, u, p) == prompt_digest(s, u, p)
+
+
+# prompt_hash of DOC under each variant, for (scientific, prefill),
+# (scientific, no prefill), (news, prefill) and (news, no prefill). The hash
+# keys the sample cache, so a rendering change must show here first.
+GOLDEN_PROMPT_HASHES = {
+    "baseline": (
+        "7657dcd2544f80f67424630fade57acdb886aed9446965781a1b1a9a8df3c428",
+        "5334cd3b168e52bbd26e91d5aae000d4ae4f6627b8e3ec815b1e7f445aa7731c",
+        "6cb858caf24902c496d50cc7e32e4d36182b6732a0b429771070e0b10bf37264",
+        "e834338cb85d898b73e8915ebf2745ec1c8363dafe2d8ae4ba447fceb747a7ac",
+    ),
+    "present_specialist": (
+        "78a752407d781abacbdd54333d8da1310fc21089ebd4303aedbe5b3468b4bb9d",
+        "b0d5554b95a3d713ca3c3584af0931751ad4b70cca527686b58a93be7a4f3b6f",
+        "3a6d6e03041fcd4862cea3e470c703e11272f89db7eb406e89b89741748b52c3",
+        "b5df1188db074454fc6a26a385bb5068c8d7be25dc2fab341492de7d07a2af9b",
+    ),
+    "absent_specialist": (
+        "c3e5d425288afb7c435cff77ce1e998a57744e81cc3b587468bf36ce4790b39e",
+        "5aa486bbde5a0cc12c99a007ecd85f57eefff09ea487a02f8561161925c59f5e",
+        "a5e2f6b0c23780a425733c610379678912bb1f526abac19721fc271337616fb9",
+        "c6ed3b6c875c9ecde7595b83afda12a5a06af51e602c3bb1a847700a16094ed2",
+    ),
+    "order_control": (
+        "fde47ae1205ca1737fee2a689f12cd3575c38940b355d4d0a676a8bd394d4867",
+        "28d755b861463ddcf57e22a8dece60ff77e505924af60c227647dbe03dcc4a40",
+        "76b43cacb1bc4664cd221dff394edc45b8bbff6961bf689a5cb065bfc140cf04",
+        "5d31e84941e86cd8066ab7b2fbdbcc55b6f02e72cacfc7e78407157f67200dbb",
+    ),
+    "length_control": (
+        "a8a3b6bda881304a3303979053106f022ff6c90a0076a1c9620d5d9d4a0ef23f",
+        "0b6ed98875b737e14e637478e03444562e98f79d23abcd216d6edd874449a52e",
+        "f8a901cc723cb753892295f78b5108aa19c2e6bd06294e4f80fe9c70b47c9195",
+        "6710d5b517321437e141036030c9a5248ebceeb85bcf3e37c088363c90a9c615",
+    ),
+    "combined_control": (
+        "56982a4d80e99e2ef6573deb8dd263dfb09e14e66b4212675762e5efa3048fac",
+        "e71aac0b0a546844b1c37c087496a89484981e9fa8fc6513194978d603f4051d",
+        "7619ba4d04fd85c39f6d2f8ad5d37b4d5d0d676f4d2debaeafd9a10545bcd367",
+        "5b9164df1cbba6aa1759a45926b2441e1de298ec83789aec9deb41366e139052",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prompt_hashes_are_pinned(prompt_cfg, variant):
+    hashes = tuple(
+        build_prompt(
+            dataclasses.replace(DOC, domain=domain), variant, prompt_cfg, prefill
+        ).prompt_hash
+        for domain in ("scientific", "news")
+        for prefill in (True, False)
+    )
+    assert hashes == GOLDEN_PROMPT_HASHES[variant]
