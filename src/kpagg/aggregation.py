@@ -1,9 +1,9 @@
 """Multi-sample aggregation and dynamic keyphrase-number selection.
 
 A sample is a tuple of normalized, deduplicated, presence-classified
-phrases (`classify_samples`); a ranked set is a tuple of samples by
-ascending perplexity, unknown last (`rank`). It is merged by one of four
-strategies:
+phrases (`NormalizedSource.phrases` of its phrase list); a ranked set is a
+tuple of samples by ascending perplexity, unknown last (`rank`). It is
+merged by one of four strategies:
 
 - union: set union, emitted in lexicographic order of normalized form;
 - union_concat: concatenation in rank order, first-occurrence dedup;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import textnorm
@@ -55,18 +55,6 @@ class Prediction:
 
 
 EMPTY_PREDICTION = Prediction(m_pre=0, m_abs=0, present_full=(), absent_full=())
-
-
-def classify_samples(
-    phrase_lists: Iterable[Sequence[str]], source: textnorm.NormalizedSource
-) -> list[Sample]:
-    """Normalize, dedup, and presence-classify each sample's phrases against
-    the document's normalized `source`, in input order."""
-    phrase = source.phrase
-    return [
-        tuple(textnorm.dedup_preserve_order(list(map(phrase, phrases))))
-        for phrases in phrase_lists
-    ]
 
 
 def _rank_key(pair: tuple[float | None, Sample]) -> tuple[bool, float]:

@@ -135,8 +135,8 @@ def run_cmd(**kwargs) -> None:
 def stats_cmd(corpus_path, limit, default_domain, csv_path) -> None:
     """Describe a corpus: input length and present/absent gold counts."""
     try:
-        docs = load_corpus(corpus_path, limit=limit, default_domain=default_domain)
-        stats = corpus_stats(docs)
+        docs = load_corpus(corpus_path, default_domain=default_domain)
+        stats = corpus_stats(docs[:limit])
     except CorpusError as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(format_stats(stats))

@@ -1,9 +1,10 @@
-"""Corpus loading, gold-keyphrase partitioning, and dataset statistics.
+"""Corpus loading and dataset statistics.
 
 Corpora are JSON-lines files: one UTF-8 object per line with keys ``id``,
 ``title``, ``abstract``, ``keyphrases`` (list of strings) and an optional
-``domain`` ("scientific" or "news"). Gold keyphrases are normalized and
-split into present/absent against the stemmed title+body token stream.
+``domain`` ("scientific" or "news"). A document's gold phrases are
+`NormalizedSource.phrases` of its gold list against its title+body source:
+normalized, deduplicated, each present or absent.
 Each corpus statistic is one `CorpusStats` field, labelled once in
 `_STAT_LABELS`, which orders the stats table and the CSV columns.
 """
@@ -37,12 +38,6 @@ class Document:
     @property
     def source_text(self) -> str:
         return f"{self.title} {self.body}"
-
-
-@dataclass(frozen=True)
-class GoldPartition:
-    present: tuple[textnorm.NormalizedPhrase, ...]
-    absent: tuple[textnorm.NormalizedPhrase, ...]
 
 
 @dataclass(frozen=True)
@@ -90,11 +85,7 @@ def _parse_record(obj: object, default_domain: str) -> Document:
     )
 
 
-def load_corpus(
-    path: str | Path,
-    limit: int | None = None,
-    default_domain: str = "scientific",
-) -> list[Document]:
+def load_corpus(path: str | Path, default_domain: str = "scientific") -> list[Document]:
     """Read documents from a JSON-lines corpus file, in file order.
 
     Malformed lines and duplicate ids are skipped with a logged warning.
@@ -122,30 +113,11 @@ def load_corpus(
             continue
         seen_ids.add(doc.id)
         docs.append(doc)
-        if limit is not None and len(docs) >= limit:
-            break
     if skipped:
         log.warning("%s: skipped %d malformed record(s)", path, skipped)
     if not docs:
         raise CorpusError(f"no valid records in corpus file {path}")
     return docs
-
-
-def partition_gold(
-    doc: Document, source: textnorm.NormalizedSource | None = None
-) -> GoldPartition:
-    """Normalize and dedup gold phrases, then split by document presence.
-
-    `source` is the document's normalized source text; it is built from
-    `doc` when not given.
-    """
-    if source is None:
-        source = textnorm.NormalizedSource.from_text(doc.source_text)
-    phrases = textnorm.dedup_preserve_order(list(map(source.phrase, doc.gold)))
-    return GoldPartition(
-        present=tuple(p for p in phrases if p.is_present),
-        absent=tuple(p for p in phrases if not p.is_present),
-    )
 
 
 def corpus_stats(docs: list[Document]) -> CorpusStats:
@@ -160,29 +132,21 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
     if not docs:
         raise CorpusError("corpus_stats requires at least one document")
     input_words = 0
-    present_kp_words = 0
-    absent_kp_words = 0
-    present_count = 0
-    absent_count = 0
+    kps = {True: 0, False: 0}  # gold phrases, by presence
+    kp_words = {True: 0, False: 0}  # their surface words, by presence
     for doc in docs:
         input_words += len(doc.source_text.split())
-        part = partition_gold(doc)
-        present_count += len(part.present)
-        absent_count += len(part.absent)
-        present_kp_words += sum(len(p.surface.split()) for p in part.present)
-        absent_kp_words += sum(len(p.surface.split()) for p in part.absent)
+        for p in textnorm.NormalizedSource.from_text(doc.source_text).phrases(doc.gold):
+            kps[p.is_present] += 1
+            kp_words[p.is_present] += len(p.surface.split())
     n = len(docs)
     return CorpusStats(
         num_docs=n,
         avg_input_words=input_words / n,
-        avg_words_per_present_kp=(
-            present_kp_words / present_count if present_count else None
-        ),
-        avg_words_per_absent_kp=(
-            absent_kp_words / absent_count if absent_count else None
-        ),
-        avg_present_per_doc=present_count / n,
-        avg_absent_per_doc=absent_count / n,
+        avg_words_per_present_kp=kp_words[True] / kps[True] if kps[True] else None,
+        avg_words_per_absent_kp=kp_words[False] / kps[False] if kps[False] else None,
+        avg_present_per_doc=kps[True] / n,
+        avg_absent_per_doc=kps[False] / n,
     )
 
 

@@ -218,11 +218,11 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple:
 def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     """Score one document under every config of a group.
 
-    The samples are parsed, normalized and presence-classified, the source
-    normalized and the gold partitioned once; each perplexity mode only
-    sorts them by its perplexities. Returns one score record per config
-    (None when there is no sample), the parse fallback count and the count
-    of samples cut short (`RawSample.truncated`).
+    The source is normalized once, and the gold and each sample's phrases
+    are made against it once (`NormalizedSource.phrases`); each perplexity
+    mode only sorts the samples by its perplexities. Returns one score
+    record per config (None when there is no sample), the parse fallback
+    count and the count of samples cut short (`RawSample.truncated`).
     """
     if not raw:
         return None, 0, 0
@@ -231,8 +231,8 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
         parse_sample(s.text, had_prefill=had_prefill, truncated=s.truncated) for s in raw
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
-    gold = corpus.partition_gold(doc, source)
-    classified = aggregation.classify_samples([ps.phrases for ps in parsed], source)
+    gold = source.phrases(doc.gold)
+    classified = [source.phrases(ps.phrases) for ps in parsed]
     ranked = {
         mode: aggregation.rank(classified, [perplexity(s, mode) for s in raw])
         for mode in dict.fromkeys(c.ppl_mode for c in configs)

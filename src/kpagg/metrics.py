@@ -11,20 +11,23 @@ cut M and its gold set:
 - R@Inf: recall of the whole list (perfect-selector bound).
 
 `score_document` gives one flat record per document, the reported value of
-each (partition, metric) cell. A partition whose gold is empty has no cells
-by default ("exclude"), or 0.0 cells under the "zero" policy; a report
-averages each cell over the documents that have it. All matching is on
-normalized forms.
+each (partition, metric) cell. It takes the document's gold phrases as one
+list (`NormalizedSource.phrases` of its gold) and splits them by
+`is_present`, as `aggregation.dynamic_select` splits a prediction. A
+partition whose gold is empty has no cells by default ("exclude"), or 0.0
+cells under the "zero" policy; a report averages each cell over the
+documents that have it. All matching is on normalized forms.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .aggregation import Prediction
-from .corpus import GoldPartition
+from .textnorm import NormalizedPhrase
 
 PARTITIONS = ("present", "absent")
 # How a document with no gold in a partition enters that partition's averages.
@@ -80,10 +83,11 @@ CELLS = tuple((partition, metric) for partition in PARTITIONS for metric in METR
 
 
 def score_document(
-    prediction: Prediction, gold: GoldPartition, empty_gold: str = "exclude"
+    prediction: Prediction, gold: Sequence[NormalizedPhrase], empty_gold: str = "exclude"
 ) -> dict[tuple[str, str], float]:
-    """One document's reported value per (partition, metric) cell. A
-    partition without gold has no cells ("exclude") or 0.0 cells ("zero")."""
+    """One document's reported value per (partition, metric) cell, against
+    its gold phrases split by presence. A partition without gold has no
+    cells ("exclude") or 0.0 cells ("zero")."""
     if empty_gold not in EMPTY_GOLD_POLICIES:
         raise ValueError(f"unknown empty-gold policy {empty_gold!r}")
     scores: dict[tuple[str, str], float] = {}
@@ -91,10 +95,10 @@ def score_document(
         PARTITIONS,
         (prediction.present_full, prediction.absent_full),
         (prediction.m_pre, prediction.m_abs),
-        (gold.present, gold.absent),
+        (True, False),
     )
-    for partition, full, m, gold_phrases in partitions:
-        gold_set = {p.normalized for p in gold_phrases}
+    for partition, full, m, present in partitions:
+        gold_set = {p.normalized for p in gold if p.is_present == present}
         if not gold_set:
             if empty_gold == "zero":
                 scores.update(((partition, metric), 0.0) for metric in METRICS)

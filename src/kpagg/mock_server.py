@@ -175,7 +175,11 @@ class running_server:
 
     def __init__(self, fixtures: MockFixtures | str | Path, port: int = 0):
         self.server = make_server(fixtures, port)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits for the serving loop's next poll: a short poll
+        # interval keeps teardown from costing its 0.5 s default.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     def __enter__(self) -> str:
         self.thread.start()

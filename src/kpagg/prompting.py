@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -46,14 +46,6 @@ VARIANTS = tuple(_VARIANTS)
 
 _DOMAIN_SUBSTITUTION = ("scientific document", "news article")
 
-_CONFIG_KEYS = (
-    "system_prompt",
-    "user_prompt_baseline",
-    "instruction_formatting",
-    "instruction_order",
-    "instruction_length",
-)
-
 
 class PromptConfigError(Exception):
     """The prompt configuration file is missing or incomplete."""
@@ -66,6 +58,10 @@ class PromptConfig:
     instruction_formatting: str
     instruction_order: str
     instruction_length: str
+
+
+# the keys a prompt file must give, in the order they are checked
+_CONFIG_KEYS = tuple(f.name for f in fields(PromptConfig))
 
 
 @dataclass(frozen=True)

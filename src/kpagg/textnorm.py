@@ -8,23 +8,30 @@ match when their normalized forms are equal; a phrase is *present* in a
 document when its token sequence occurs contiguously in the document's
 normalized tokens.
 
+A phrase is made in one place, `NormalizedSource.phrases`: it turns a list
+of surface strings (one sample's, or a document's gold) into
+`NormalizedPhrase`s, each normalized and classified present or absent in
+the source, dropping a surface with no alphanumeric content and keeping
+the first phrase of each normalized form.
+
 Performance: `normalize_token` memoises its stems for the whole process in a
 bounded LRU cache (at most 65,536 entries of a few short strings each, so
 memory stays bounded however long the process runs). A document's source is
 normalised once into a `NormalizedSource`, which joins its tokens once into
 a space-padded string, so a presence test is one substring search of it,
 with no index to build. The source also memoises, per surface string, the
-phrase normalised and classified against it (`NormalizedSource.phrase`):
-the n samples of a document repeat the same phrases, and its gold list
-repeats some of them too, but each distinct surface is normalised and
-presence-tested once. That memo is a plain dict dropped with its document,
-so it costs no memory across documents.
+phrase normalised and classified against it: the n samples of a document
+repeat the same phrases, and its gold list repeats some of them too, but
+each distinct surface is normalised and presence-tested once. That memo is
+a plain dict dropped with its document, so it costs no memory across
+documents.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import porter
@@ -53,25 +60,12 @@ def normalize_tokens(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class NormalizedPhrase:
-    """A keyphrase with its normalized form and, once classified, its
-    present/absent status relative to a source document."""
+    """A keyphrase with its normalized form and its present/absent status
+    relative to a source document."""
 
     surface: str
     normalized: str
-    is_present: bool | None = None
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self.normalized.split(" ")) if self.normalized else ()
-
-    def classified(self, present: bool) -> "NormalizedPhrase":
-        return NormalizedPhrase(self.surface, self.normalized, present)
-
-
-def normalize_phrase(surface: str) -> NormalizedPhrase:
-    return NormalizedPhrase(
-        surface=surface, normalized=" ".join(normalize_tokens(surface))
-    )
+    is_present: bool
 
 
 class NormalizedSource:
@@ -82,63 +76,43 @@ class NormalizedSource:
     `" a b c "`. A token is nonempty and holds no space, and a normalized
     phrase is its tokens joined by single spaces, so `" <phrase> "` occurs
     in that string exactly when the phrase's tokens occur contiguously in
-    the source. Each surface string passed to `phrase` is normalized and
+    the source. Each surface string passed to `phrases` is normalized and
     classified once.
     """
 
-    __slots__ = ("tokens", "_joined", "_phrases")
+    __slots__ = ("_joined", "_phrases")
 
-    def __init__(self, tokens: list[str] | tuple[str, ...]):
-        self.tokens = tuple(tokens)
-        self._joined = f" {' '.join(self.tokens)} "
-        self._phrases: dict[str, NormalizedPhrase] = {}
+    def __init__(self, tokens: Sequence[str]):
+        self._joined = f" {' '.join(tokens)} "
+        self._phrases: dict[str, NormalizedPhrase | None] = {}
 
     @classmethod
     def from_text(cls, text: str) -> NormalizedSource:
         return cls(normalize_tokens(text))
 
-    def contains(self, phrase: NormalizedPhrase) -> bool:
-        return f" {phrase.normalized} " in self._joined
-
-    def phrase(self, surface: str) -> NormalizedPhrase:
-        """`normalize_phrase(surface)` classified by `is_present` against this
-        source, memoised per surface. A surface that normalizes to nothing
-        stays unclassified, for `dedup_preserve_order` to drop."""
-        p = self._phrases.get(surface)
-        if p is None:
-            p = normalize_phrase(surface)
-            if p.normalized:
-                p = p.classified(is_present(p, self))
-            self._phrases[surface] = p
-        return p
-
-
-def is_present(
-    phrase: NormalizedPhrase,
-    source: NormalizedSource | list[str] | tuple[str, ...],
-) -> bool:
-    """Whether the phrase occurs, token for token, inside the source.
-
-    A token list is joined on the spot; pass a `NormalizedSource` to share
-    the joined source across many phrases.
-    """
-    if not phrase.normalized:
-        raise ValueError("cannot test presence of an empty phrase")
-    if not isinstance(source, NormalizedSource):
-        source = NormalizedSource(source)
-    return source.contains(phrase)
+    def phrases(self, surfaces: Sequence[str]) -> tuple[NormalizedPhrase, ...]:
+        """The phrases of `surfaces` in order, each normalized and classified
+        as present or absent in this source (memoised per surface). A surface
+        that normalizes to nothing is dropped, and only the first phrase of
+        each normalized form is kept."""
+        memo = self._phrases
+        for surface in surfaces:
+            if surface not in memo:
+                normalized = " ".join(normalize_tokens(surface))
+                memo[surface] = (
+                    NormalizedPhrase(surface, normalized, f" {normalized} " in self._joined)
+                    if normalized
+                    else None
+                )
+        return tuple(dedup_preserve_order([p for s in surfaces if (p := memo[s])]))
 
 
 def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:
-    """Keep the first phrase for each distinct normalized form.
-
-    Phrases that normalize to nothing (no alphanumeric content) are dropped.
-    """
+    """Keep the first phrase for each distinct normalized form."""
     seen: set[str] = set()
     out: list[NormalizedPhrase] = []
     for p in phrases:
-        if not p.normalized or p.normalized in seen:
-            continue
-        seen.add(p.normalized)
-        out.append(p)
+        if p.normalized not in seen:
+            seen.add(p.normalized)
+            out.append(p)
     return out

@@ -118,6 +118,20 @@ def window_scan_oracle(haystack: list[str], needle: list[str]) -> bool:
     )
 
 
+def phrases_oracle(surfaces: list[str], source_tokens: list[str], normalize) -> list[tuple]:
+    """(surface, normalized, present) of each phrase made of `surfaces`:
+    `normalize(surface)` is its token list, a surface without tokens is
+    dropped, only the first surface of each normalized form is kept, and a
+    phrase is present when a window of `source_tokens` equals its tokens."""
+    out: list[tuple] = []
+    for surface in surfaces:
+        tokens = normalize(surface)
+        normalized = " ".join(tokens)
+        if tokens and normalized not in [kept for _, kept, _ in out]:
+            out.append((surface, normalized, window_scan_oracle(source_tokens, tokens)))
+    return out
+
+
 _stem_table: dict[str, str] | None = None
 
 

@@ -22,23 +22,16 @@ from kpagg.aggregation import (
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
-    classify_samples,
     dynamic_select,
     merge,
     rank,
 )
 from kpagg.cli import main
-from kpagg.corpus import Document, load_corpus, partition_gold
+from kpagg.corpus import Document, load_corpus
 from kpagg.metrics import score_at_k, score_at_m, score_document
 from kpagg.mock_server import running_server
 from kpagg.porter import stem
-from kpagg.textnorm import (
-    NormalizedPhrase,
-    NormalizedSource,
-    is_present,
-    normalize_phrase,
-    normalize_tokens,
-)
+from kpagg.textnorm import NormalizedPhrase, NormalizedSource, normalize_tokens
 
 from . import oracles
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -62,10 +55,11 @@ def skip(criterion: int, notice: str) -> None:
 _PHRASE = {}
 
 
-def phrase_of(sym: str) -> NormalizedPhrase:
-    if sym not in _PHRASE:
-        _PHRASE[sym] = NormalizedPhrase(surface=sym, normalized=sym, is_present=None)
-    return _PHRASE[sym]
+def phrase_of(sym: str, present: bool = False) -> NormalizedPhrase:
+    key = (sym, present)
+    if key not in _PHRASE:
+        _PHRASE[key] = NormalizedPhrase(surface=sym, normalized=sym, is_present=present)
+    return _PHRASE[key]
 
 
 def sample_set(symbol_lists) -> tuple:
@@ -197,15 +191,16 @@ def test_criterion_03_single_sample_collapse():
         phrases = _random_phrases(rng, doc)
         ppl = None if rng.random() < 0.15 else rng.uniform(1, 50)
         source = NormalizedSource.from_text(doc.source_text)
-        ranked = rank(classify_samples([phrases], source), [ppl])
+        ranked = rank([source.phrases(phrases)], [ppl])
+        gold = source.phrases(doc.gold)
         baseline = merge(ranked, "single")
-        base_scores = score_document(baseline, partition_gold(doc), empty_gold="zero")
+        base_scores = score_document(baseline, gold, empty_gold="zero")
         for strategy in ("union_concat", "union_interleaf", "frequency_order"):
             pred = merge(ranked, strategy)
             if pred != baseline:
                 failure = f"trial {trial}: {strategy} prediction diverges"
                 break
-            scores = score_document(pred, partition_gold(doc), empty_gold="zero")
+            scores = score_document(pred, gold, empty_gold="zero")
             if scores != base_scores:
                 failure = f"trial {trial}: {strategy} metrics diverge"
                 break
@@ -224,13 +219,11 @@ def test_criterion_04_dynamic_selection_ceiling():
         samples = []
         for i in range(n):
             phrases = tuple(
-                phrase_of(f"p{i}.{j}").classified(True) for j in range(pres_counts[i])
-            ) + tuple(
-                phrase_of(f"a{i}.{j}").classified(False) for j in range(abs_counts[i])
-            )
+                phrase_of(f"p{i}.{j}", True) for j in range(pres_counts[i])
+            ) + tuple(phrase_of(f"a{i}.{j}", False) for j in range(abs_counts[i]))
             samples.append(phrases)
-        agg = [phrase_of(f"P{j}").classified(True) for j in range(rng.randint(0, 80))]
-        agg += [phrase_of(f"A{j}").classified(False) for j in range(rng.randint(0, 80))]
+        agg = [phrase_of(f"P{j}", True) for j in range(rng.randint(0, 80))]
+        agg += [phrase_of(f"A{j}", False) for j in range(rng.randint(0, 80))]
         pred = dynamic_select(agg, tuple(samples))
         want_pre = oracles.ceil_mean_oracle(pres_counts)
         want_abs = oracles.ceil_mean_oracle(abs_counts)
@@ -287,9 +280,9 @@ def test_criterion_06_normalization():
             at = rng.randrange(len(text_words))
             text_words[at:at] = phrase_words
         source = normalize_tokens(" ".join(text_words))
-        phrase = normalize_phrase(" ".join(phrase_words))
-        got = is_present(phrase, source)
-        want = oracles.window_scan_oracle(source, list(phrase.tokens))
+        (phrase,) = NormalizedSource(source).phrases([" ".join(phrase_words)])
+        got = phrase.is_present
+        want = oracles.window_scan_oracle(source, phrase.normalized.split(" "))
         if got != want:
             scan_failure = f"trial {trial}: phrase={phrase.normalized!r}"
             break
@@ -297,7 +290,7 @@ def test_criterion_06_normalization():
     ok = rate >= 0.999 and scan_failure is None
     detail = scan_failure or (
         f"stemmer {matches}/{len(reference)} = {rate:.4%} reference agreement; "
-        f"is_present matches window scan on 10000 pairs"
+        f"presence matches window scan on 10000 pairs"
     )
     report(6, ok, detail)
 

@@ -1,5 +1,5 @@
-"""Sample classification and ranking, the four aggregation strategies,
-dynamic selection, and the merge the harness runs on them."""
+"""Sample ranking, the four aggregation strategies, dynamic selection, and
+the merge the harness runs on them."""
 
 import json
 import math
@@ -16,13 +16,11 @@ from kpagg.aggregation import (
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
-    classify_samples,
     dynamic_select,
     merge,
     rank,
     resolve_strategy,
 )
-from kpagg.corpus import partition_gold
 from kpagg.llm_client import parse_sample
 from kpagg.textnorm import NormalizedPhrase, NormalizedSource
 
@@ -37,15 +35,15 @@ from .oracles import (
 )
 
 
-def phrase(sym, present=None):
+def phrase(sym, present=False):
     return NormalizedPhrase(surface=sym, normalized=sym, is_present=present)
 
 
 def ranked_of(text, phrase_lists, perplexities):
-    """Surface phrase lists the way the harness takes them: classified
-    against the source `text`, then ranked by `perplexities`."""
+    """Surface phrase lists the way the harness takes them: made into
+    phrases against the source `text`, then ranked by `perplexities`."""
     source = NormalizedSource.from_text(text)
-    return rank(classify_samples(phrase_lists, source), perplexities)
+    return rank([source.phrases(phrases) for phrases in phrase_lists], perplexities)
 
 
 def sample(symbols):
@@ -71,7 +69,7 @@ class TestResolveStrategy:
 
 
 class TestRankSamples:
-    """classify_samples, then rank: the order and content of a ranked set."""
+    """Each sample's phrases, then rank: the order and content of a ranked set."""
 
     TEXT = "graph coloring uses networks"
 
@@ -120,8 +118,8 @@ class TestStrategies:
 
     def test_union_keeps_first_surface(self):
         s = (
-            (NormalizedPhrase("Nets", "net", None),),
-            (NormalizedPhrase("net", "net", None),),
+            (NormalizedPhrase("Nets", "net", False),),
+            (NormalizedPhrase("net", "net", False),),
         )
         out = aggregate_union(s)
         assert [p.surface for p in out] == ["Nets"]
@@ -275,11 +273,12 @@ def test_shared_source_gives_same_results(toy_docs):
     for doc in toy_docs:
         phrase_lists = fixture_samples(doc)
         source = NormalizedSource.from_text(doc.source_text)
-        assert partition_gold(doc, source) == partition_gold(doc)
+        gold = NormalizedSource.from_text(doc.source_text).phrases(doc.gold)
+        assert source.phrases(doc.gold) == gold
         fresh = NormalizedSource.from_text(doc.source_text)
-        assert classify_samples(phrase_lists, source) == classify_samples(
-            phrase_lists, fresh
-        ), doc.id
+        assert [source.phrases(p) for p in phrase_lists] == [
+            fresh.phrases(p) for p in phrase_lists
+        ], doc.id
 
 
 # Random-instance oracle equivalence ------------------------------------------

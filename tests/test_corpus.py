@@ -1,9 +1,10 @@
-"""Corpus loading, gold partitioning, and dataset statistics."""
+"""Corpus loading, the present/absent split of gold, and dataset statistics."""
 
 import json
 import logging
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,11 +16,12 @@ from kpagg.corpus import (
     corpus_stats,
     format_stats,
     load_corpus,
-    partition_gold,
     stats_csv,
 )
+from kpagg.cli import main
 
 from .conftest import TOY_CORPUS
+from .oracles import phrases_oracle
 
 
 def make_doc(**kw):
@@ -40,10 +42,6 @@ class TestLoadCorpus:
         assert toy_docs[0].id == "doc-001"
         assert toy_docs[0].domain == "scientific"
         assert "TDMA" in toy_docs[0].title
-
-    def test_limit(self):
-        docs = load_corpus(TOY_CORPUS, limit=2)
-        assert [d.id for d in docs] == ["doc-001", "doc-002"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -110,50 +108,55 @@ class TestDocument:
             d.title = "changed"
 
 
+def gold_split(doc):
+    """A document's gold phrases against its source, split into (present,
+    absent) in gold order."""
+    gold = textnorm.NormalizedSource.from_text(doc.source_text).phrases(doc.gold)
+    return (
+        tuple(p for p in gold if p.is_present),
+        tuple(p for p in gold if not p.is_present),
+    )
+
+
 class TestPartitionGold:
     def test_toy_doc_partition(self, toy_docs):
         doc = toy_docs[0]
-        part = partition_gold(doc)
-        present = {p.surface for p in part.present}
-        absent = {p.surface for p in part.absent}
-        assert "graph coloring" in present
-        assert "medium access control" in absent
+        present, absent = gold_split(doc)
+        assert "graph coloring" in {p.surface for p in present}
+        assert "medium access control" in {p.surface for p in absent}
 
     def test_disjoint_and_complete(self, toy_docs):
         for doc in toy_docs:
-            part = partition_gold(doc)
-            pres = {p.normalized for p in part.present}
-            absn = {p.normalized for p in part.absent}
+            present, absent = gold_split(doc)
+            pres = {p.normalized for p in present}
+            absn = {p.normalized for p in absent}
             assert not (pres & absn)
 
     def test_duplicate_gold_collapses(self):
         d = make_doc(title="one thing", body="here", gold=("One Thing", "one thing", "other"))
-        part = partition_gold(d)
-        assert len(part.present) + len(part.absent) == 2
+        present, absent = gold_split(d)
+        assert len(present) + len(absent) == 2
 
     def test_equals_fresh_normalize_and_presence_test(self, toy_docs):
         for doc in toy_docs:
             tokens = textnorm.normalize_tokens(doc.source_text)
-            phrases = textnorm.dedup_preserve_order(
-                [textnorm.normalize_phrase(g) for g in doc.gold]
-            )
-            fresh = [p.classified(textnorm.is_present(p, tokens)) for p in phrases]
-            part = partition_gold(doc)
-            assert part.present == tuple(p for p in fresh if p.is_present), doc.id
-            assert part.absent == tuple(p for p in fresh if not p.is_present), doc.id
+            fresh = phrases_oracle(doc.gold, tokens, textnorm.normalize_tokens)
+            present, absent = gold_split(doc)
+            triples = [(p.surface, p.normalized, p.is_present) for p in present + absent]
+            assert triples == [t for t in fresh if t[2]] + [t for t in fresh if not t[2]], doc.id
 
     def test_punctuation_only_gold_dropped(self):
         d = make_doc(title="one thing", body="here", gold=("--", "One thing", "one-thing"))
-        part = partition_gold(d)
-        assert [p.surface for p in part.present] == ["One thing"]
-        assert part.absent == ()
+        present, absent = gold_split(d)
+        assert [p.surface for p in present] == ["One thing"]
+        assert absent == ()
 
     @given(st.permutations(["alpha", "beta", "gamma", "delta"]))
     def test_partition_counts_permutation_invariant(self, order):
         d = make_doc(title="alpha beta", body="slack", gold=tuple(order))
-        part = partition_gold(d)
-        assert {p.normalized for p in part.present} == {"alpha", "beta"}
-        assert {p.normalized for p in part.absent} == {"gamma", "delta"}
+        present, absent = gold_split(d)
+        assert {p.normalized for p in present} == {"alpha", "beta"}
+        assert {p.normalized for p in absent} == {"gamma", "delta"}
 
 
 class TestStats:
@@ -217,6 +220,22 @@ class TestStats:
             "Avg words per absent keyphrase   -",
         ]
         assert stats_csv(stats).splitlines()[1] == "1,3.000000,,,0.000000,0.000000"
+
+    def test_limit_takes_the_first_documents(self, toy_docs, tmp_path, caplog):
+        # `kpagg stats --limit 2` describes the first two documents of the file
+        assert [d.id for d in toy_docs[:2]] == ["doc-001", "doc-002"]
+        result = CliRunner().invoke(main, ["stats", "--corpus", str(TOY_CORPUS), "--limit", "2"])
+        assert result.exit_code == 0, result.output
+        assert result.output == format_stats(corpus_stats(toy_docs[:2])) + "\n"
+        assert result.output != format_stats(corpus_stats(toy_docs)) + "\n"
+        # the whole file is read: a malformed record past the limit is warned on
+        p = tmp_path / "c.jsonl"
+        good = {"id": "a", "title": "T", "abstract": "B", "keyphrases": ["k"]}
+        p.write_text(json.dumps(good) + "\ngarbage\n")
+        with caplog.at_level(logging.WARNING):
+            result = CliRunner().invoke(main, ["stats", "--corpus", str(p), "--limit", "1"])
+        assert result.exit_code == 0, result.output
+        assert any(f"{p}:2: skipping malformed record" in r.message for r in caplog.records)
 
     @given(order=st.permutations(list(range(4))))
     def test_stats_permutation_invariant(self, toy_docs, order):

@@ -463,13 +463,13 @@ class TestGrid:
         self, endpoint, tmp_path, monkeypatch
     ):
         calls = []
-        normalize_phrase = textnorm.normalize_phrase
+        normalize_tokens = textnorm.normalize_tokens
 
-        def counting(surface):
-            calls.append(surface)
-            return normalize_phrase(surface)
+        def counting(text):
+            calls.append(text)
+            return normalize_tokens(text)
 
-        monkeypatch.setattr(textnorm, "normalize_phrase", counting)
+        monkeypatch.setattr(textnorm, "normalize_tokens", counting)
         harness.run(config(endpoint, tmp_path))  # warm the cache
         counts = {}
         for modes in (("mean",), ("mean", "sum")):

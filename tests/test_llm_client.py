@@ -320,7 +320,9 @@ def scripted_server():
         _ScriptedHandler.connections = 0
         _ScriptedHandler.headers_seen = []
         server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         servers.append((server, thread))
         return f"http://127.0.0.1:{server.server_address[1]}/v1"

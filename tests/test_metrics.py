@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpagg.aggregation import Prediction
-from kpagg.corpus import GoldPartition
 from kpagg.metrics import (
     EMPTY_GOLD_POLICIES,
     METRICS,
@@ -45,10 +44,8 @@ def pred_of(present=(), absent=(), present_full=None, absent_full=None):
 
 
 def gold_of(present=(), absent=()):
-    return GoldPartition(
-        present=tuple(phrase(s, True) for s in present),
-        absent=tuple(phrase(s, False) for s in absent),
-    )
+    """A document's gold phrases: `present` ones, then `absent` ones."""
+    return tuple(phrase(s, True) for s in present) + tuple(phrase(s, False) for s in absent)
 
 
 class TestScoreAtM:
@@ -264,7 +261,8 @@ def test_score_document_matches_oracle(
         present_full=tuple(phrase(s, True) for s in present_full),
         absent_full=tuple(phrase(s, False) for s in absent_full),
     )
-    gold = gold_of(sorted(gold_present), sorted(gold_absent))
+    # present and absent gold interleaved: score_document splits by is_present
+    gold = sorted(gold_of(gold_present, gold_absent), key=lambda p: p.normalized)
     want = {}
     for partition, full, m, gold_set in (
         ("present", present_full, m_pre, gold_present),

@@ -2,13 +2,12 @@
 
 import string
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpagg import aggregation, corpus, porter, textnorm
+from kpagg import corpus, porter, textnorm
 
-from .oracles import reference_stems, window_scan_oracle
+from .oracles import phrases_oracle, reference_stems, window_scan_oracle
 
 
 class TestTokenize:
@@ -60,74 +59,78 @@ class TestNormalizeTokenMemo:
         assert textnorm.normalize_token.cache_info().currsize <= 1 << 16
 
 
+def phrase_of(surface, source=()):
+    """The one phrase `surface` makes against the normalized tokens `source`."""
+    (p,) = textnorm.NormalizedSource(source).phrases([surface])
+    return p
+
+
+def triples(phrases):
+    return [(p.surface, p.normalized, p.is_present) for p in phrases]
+
+
 class TestNormalizePhrase:
     def test_multiword(self):
-        p = textnorm.normalize_phrase("Wireless Sensor Networks")
+        p = phrase_of("Wireless Sensor Networks")
         assert p.normalized == "wireless sensor network"
         assert p.surface == "Wireless Sensor Networks"
-        assert p.is_present is None
+        assert p.is_present is False
 
     def test_no_suffix_rules_fire(self):
-        assert textnorm.normalize_phrase("TDMA").normalized == "tdma"
+        assert phrase_of("TDMA").normalized == "tdma"
 
     def test_punctuation_only_is_empty(self):
-        assert textnorm.normalize_phrase("  ---  ").normalized == ""
+        assert textnorm.NormalizedSource(()).phrases(["  ---  "]) == ()
 
     def test_tokens_roundtrip(self):
-        p = textnorm.normalize_phrase("graph coloring")
-        assert p.tokens == ("graph", "color")
-        assert textnorm.normalize_phrase("--").tokens == ()
+        assert phrase_of("graph coloring").normalized.split(" ") == ["graph", "color"]
+        assert textnorm.NormalizedSource(()).phrases(["--"]) == ()
 
     def test_classified_copy(self):
-        p = textnorm.normalize_phrase("tdma")
-        q = p.classified(True)
-        assert q.is_present is True and p.is_present is None
+        # the same surface is classified against each source on its own
+        p = phrase_of("tdma", ["tdma"])
+        q = phrase_of("tdma", ["other"])
+        assert p.is_present is True and q.is_present is False
         assert q.normalized == p.normalized
+
+
+def present(surface, source_tokens):
+    return phrase_of(surface, source_tokens).is_present
 
 
 class TestIsPresent:
     def test_contiguous_match(self):
         source = textnorm.normalize_tokens("distributed graph coloring based methods")
-        assert textnorm.is_present(textnorm.normalize_phrase("graph color"), source)
+        assert present("graph color", source)
 
     def test_empty_source(self):
-        with_phrase = textnorm.normalize_phrase("anything")
-        assert not textnorm.is_present(with_phrase, [])
+        assert not present("anything", [])
 
     def test_order_matters(self):
         source = textnorm.normalize_tokens("network of sensors reversed order")
-        assert not textnorm.is_present(textnorm.normalize_phrase("sensor network"), source)
+        assert not present("sensor network", source)
 
     def test_token_boundaries_not_substrings(self):
         source = textnorm.normalize_tokens("the artifact was found")
-        assert not textnorm.is_present(textnorm.normalize_phrase("art"), source)
+        assert not present("art", source)
         source = textnorm.NormalizedSource(["ab", "c", "d"])
-        for surface, present in [("b c", False), ("ab c", True), ("c d", True), ("a", False)]:
-            assert textnorm.is_present(textnorm.normalize_phrase(surface), source) is present
+        for surface, is_present in [("b c", False), ("ab c", True), ("c d", True), ("a", False)]:
+            assert source.phrases([surface])[0].is_present is is_present
 
     def test_empty_phrase_rejected(self):
-        with pytest.raises(ValueError):
-            textnorm.is_present(textnorm.normalize_phrase("--"), ["a"])
+        # a surface without tokens is never presence-tested: it is dropped
+        assert textnorm.NormalizedSource(["a"]).phrases(["--"]) == ()
 
     def test_stemmed_presence(self):
         source = textnorm.normalize_tokens("a network of agents")
-        assert textnorm.is_present(textnorm.normalize_phrase("Networks"), source)
+        assert present("Networks", source)
 
 
 class TestNormalizedSource:
     def test_from_text_normalizes(self):
         source = textnorm.NormalizedSource.from_text("Graph Coloring-based TDMA")
-        assert source.tokens == ("graph", "color", "base", "tdma")
-
-
-def fresh_classify(surfaces, source_tokens):
-    """Normalize, dedup and presence-test each surface from scratch."""
-    return [
-        p.classified(textnorm.is_present(p, source_tokens))
-        for p in textnorm.dedup_preserve_order(
-            [textnorm.normalize_phrase(s) for s in surfaces]
-        )
-    ]
+        surfaces = ["graph color base tdma", "graph tdma", "tdma graph"]
+        assert [p.is_present for p in source.phrases(surfaces)] == [True, False, False]
 
 
 def toy_samples(doc):
@@ -148,64 +151,67 @@ def source_of(doc):
 
 
 class TestSourcePhraseMemo:
-    def test_classify_samples_equals_fresh_computation(self, toy_docs):
+    def test_phrases_equals_fresh_computation(self, toy_docs):
         for doc in toy_docs:
             source_tokens = textnorm.normalize_tokens(doc.source_text)
-            samples = toy_samples(doc)
-            got = aggregation.classify_samples(samples, source_of(doc))
-            assert [list(c) for c in got] == [
-                fresh_classify(phrases, source_tokens) for phrases in samples
-            ], doc.id
+            source = source_of(doc)
+            for surfaces in toy_samples(doc) + [doc.gold]:
+                assert triples(source.phrases(surfaces)) == phrases_oracle(
+                    surfaces, source_tokens, textnorm.normalize_tokens
+                ), doc.id
 
-    def test_empty_surface_stays_unclassified(self):
+    def test_empty_surface_dropped(self):
         source = textnorm.NormalizedSource.from_text("a source text")
-        p = source.phrase("--")
-        assert p.normalized == "" and p.is_present is None
-        assert source.phrase("--") is p
-        assert textnorm.dedup_preserve_order([p]) == []
+        assert source.phrases(["--"]) == ()
+        assert source.phrases(["--", "text", "--"]) == (
+            textnorm.NormalizedPhrase("text", "text", True),
+        )
+        # the memo answers a repeated surface with the phrase it made
+        assert source.phrases(["text"])[0] is source.phrases(["text"])[0]
 
     def test_same_normal_form_keeps_first_surface(self):
         source = textnorm.NormalizedSource.from_text("Neural networks learn")
-        phrases = [source.phrase(s) for s in ("neural networks", "Neural-Network")]
-        assert [p.surface for p in phrases] == ["neural networks", "Neural-Network"]
-        kept = textnorm.dedup_preserve_order(phrases)
+        surfaces = ("neural networks", "Neural-Network")
+        assert [source.phrases([s])[0].surface for s in surfaces] == list(surfaces)
+        kept = source.phrases(surfaces)
         assert [(p.surface, p.is_present) for p in kept] == [("neural networks", True)]
         doc = corpus.Document("d", "Neural networks learn", "", ())
         sample = ("Neural-Network", "neural networks")
-        (classified,) = aggregation.classify_samples([sample], source_of(doc))
-        assert [p.surface for p in classified] == ["Neural-Network"]
+        assert [p.surface for p in source_of(doc).phrases(sample)] == ["Neural-Network"]
 
     def test_each_surface_normalized_once_per_source(self, toy_docs, monkeypatch):
-        calls = []
-        original = textnorm.normalize_phrase
-
-        def counting(surface):
-            calls.append(surface)
-            return original(surface)
-
-        monkeypatch.setattr(textnorm, "normalize_phrase", counting)
         doc = toy_docs[0]
         samples = toy_samples(doc)
-        source = source_of(doc)
-        aggregation.classify_samples(samples, source)
-        aggregation.classify_samples(samples, source)
-        corpus.partition_gold(doc, source)
-        sampled = {s for phrases in samples for s in phrases}
+        source, next_source = source_of(doc), source_of(doc)
+        calls = []
+        original = textnorm.normalize_tokens
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(textnorm, "normalize_tokens", counting)
+        for _ in range(2):
+            for surfaces in samples:
+                source.phrases(surfaces)
+        source.phrases(doc.gold)
+        sampled = {s for surfaces in samples for s in surfaces}
         assert sorted(calls) == sorted(sampled | set(doc.gold))
         # a new source (the next document) starts with an empty memo
         calls.clear()
-        aggregation.classify_samples(samples, source_of(doc))
+        for surfaces in samples:
+            next_source.phrases(surfaces)
         assert sorted(calls) == sorted(sampled)
 
 
 class TestDedup:
     def test_first_occurrence_kept(self):
-        phrases = [textnorm.normalize_phrase(s) for s in ("a", "b", "a", "c")]
+        phrases = [textnorm.NormalizedPhrase(s, s, False) for s in ("a", "b", "a", "c")]
         out = textnorm.dedup_preserve_order(phrases)
         assert [p.normalized for p in out] == ["a", "b", "c"]
 
     def test_stemming_equal_forms_collapse(self):
-        phrases = [textnorm.normalize_phrase(s) for s in ("Networks", "network")]
+        phrases = [phrase_of(s) for s in ("Networks", "network")]
         out = textnorm.dedup_preserve_order(phrases)
         assert len(out) == 1
         assert out[0].surface == "Networks"
@@ -214,8 +220,7 @@ class TestDedup:
         assert textnorm.dedup_preserve_order([]) == []
 
     def test_empty_normalized_dropped(self):
-        phrases = [textnorm.normalize_phrase(s) for s in ("--", "a")]
-        out = textnorm.dedup_preserve_order(phrases)
+        out = textnorm.NormalizedSource(()).phrases(["--", "a"])
         assert [p.normalized for p in out] == ["a"]
 
 
@@ -233,36 +238,53 @@ near_words = (
 
 @given(st.text(max_size=40))
 def test_normalized_nonempty_iff_alnum_content(surface):
-    p = textnorm.normalize_phrase(surface)
+    phrases = textnorm.NormalizedSource(()).phrases([surface])
     has_alnum = bool(textnorm.tokenize(surface))
-    assert bool(p.normalized) == has_alnum
+    assert bool(phrases) == has_alnum
+    assert all(p.normalized for p in phrases)
 
 
 @given(st.lists(st.text(max_size=10), max_size=10))
 def test_dedup_output_distinct_and_subsequence(surfaces):
-    phrases = [textnorm.normalize_phrase(s) for s in surfaces]
-    out = textnorm.dedup_preserve_order(phrases)
+    out = textnorm.NormalizedSource(()).phrases(surfaces)
     normals = [p.normalized for p in out]
     assert len(set(normals)) == len(normals)
     assert all(n for n in normals)
-    it = iter(phrases)
-    assert all(any(p is q for q in it) for p in out)  # subsequence of input
+    it = iter(surfaces)
+    assert all(any(p.surface == s for s in it) for p in out)  # subsequence of input
 
 
 @given(words, token_lists, token_lists, token_lists)
 def test_presence_survives_context_extension(word, prefix, middle, suffix):
-    phrase = textnorm.normalize_phrase(word)
-    core = middle + list(phrase.tokens)
-    assert textnorm.is_present(phrase, core)
-    assert textnorm.is_present(phrase, prefix + core + suffix)
+    core = middle + phrase_of(word).normalized.split(" ")
+    assert present(word, core)
+    assert present(word, prefix + core + suffix)
 
 
 @given(st.lists(near_words, min_size=1, max_size=3), st.lists(near_words, max_size=12))
 def test_is_present_matches_window_scan(phrase_words, source_words):
-    phrase = textnorm.normalize_phrase(" ".join(phrase_words))
     source = textnorm.normalize_tokens(" ".join(source_words))
-    if not phrase.tokens:
+    phrases = textnorm.NormalizedSource(source).phrases([" ".join(phrase_words)])
+    if not phrases:
         return
-    assert textnorm.is_present(phrase, source) == window_scan_oracle(
-        source, list(phrase.tokens)
+    (phrase,) = phrases
+    assert phrase.is_present == window_scan_oracle(source, phrase.normalized.split(" "))
+
+
+# Surface strings from a few pieces, so that a list repeats surfaces, holds
+# case and stemming variants of one normalized form, and punctuation-only
+# surfaces that normalize to nothing.
+surface_pieces = st.sampled_from(
+    ["net", "Net", "nets", "Networks", "ab", "AB", "a-b", "b", "é", "É", "--", "!?", " ", ""]
+)
+surfaces = st.lists(surface_pieces, min_size=1, max_size=3).map(" ".join)
+
+
+@given(st.lists(surfaces, max_size=10), st.lists(surface_pieces, max_size=12))
+def test_phrases_match_oracle(surface_list, source_pieces):
+    source_tokens = textnorm.normalize_tokens(" ".join(source_pieces))
+    got = textnorm.NormalizedSource(source_tokens).phrases(surface_list)
+    assert all(type(p.is_present) is bool for p in got)
+    assert triples(got) == phrases_oracle(
+        surface_list, source_tokens, textnorm.normalize_tokens
     )
