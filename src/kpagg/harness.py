@@ -218,8 +218,9 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple:
 def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     """Score one document under every config of a group.
 
-    The source is normalized once, and the gold and each sample's phrases
-    are made against it once (`NormalizedSource.phrases`); each perplexity
+    The source is tokenized once, and the gold and each sample's phrases
+    are made against it once (`NormalizedSource.phrases`, which stems only
+    the source words a phrase can match); each perplexity
     mode only sorts the samples by its perplexities. Returns one score
     record per config (None when there is no sample), the parse fallback
     count and the count of samples cut short (`RawSample.truncated`).

@@ -15,6 +15,36 @@ appends the replacement's map instead of rescanning the word. The measure m
 of the [C](VC)^m[V] decomposition is then `cv.count("vc")`. The step 2-4
 suffix tables are indexed by final letter with their order kept, so the
 first matching suffix still wins.
+
+Every letter of a stem but the last comes from the word itself, in place:
+`word.startswith(stem(word)[:-1])`. `kpagg.textnorm` relies on this to
+stem only the source words that can match a phrase. Call the word's
+current form r. Each rule does one of four things, and each keeps the
+property that r[:-1] is a prefix of the word:
+
+- It deletes a suffix (step 1a `-s`, `-sses`->`-ss`, `-ies`->`-i`; step 1b
+  `-eed`->`-ee`, `-ed`, `-ing` and the undoubling of a final consonant;
+  the step 2 and 3 rules whose replacement is a prefix of their suffix,
+  such as `-tional`->`-tion` or `-alize`->`-al`; all of step 4; step 5's
+  `-e` and `-ll`->`-l`). The new r[:-1] is shorter than the old one and
+  a prefix of it.
+- It rewrites a final `y` to `i` (step 1c). r[:-1] does not change.
+- It appends one `e` (step 1b, after `-at`, `-bl`, `-iz` or a short
+  cvc stem). This happens only right after step 1a and the deletion of
+  `-ed` or `-ing`, so r is still a prefix of the word, and the new r[:-1]
+  is that r.
+- It swaps a suffix for a replacement that is no longer than it and
+  agrees with it in all but the last letter (`-ational`->`-ate`,
+  `-enci`->`-ence`, `-bli`->`-ble`, `-ization`->`-ize`, `-ator`->`-ate`,
+  `-iviti`->`-ive`, ...). The new r[:-1] is a prefix of the old r[:-1].
+
+The one exception is step 2's `-biliti`->`-ble`, which leaves `-bl` in
+place of `-bi`. Its condition gives the part before it a measure m > 0, so
+the result `...ble` has m > 0 without its `e` and does not end in cvc.
+Step 3 has no suffix ending in `ble`. Step 4 either deletes `-able` or
+`-ible`, which leaves a prefix of the word, or leaves `...ble`, and then
+step 5 deletes the `e`, leaving `...bl` with r[:-1] = `...b`, a prefix of
+the word. A word of at most two letters is left whole.
 """
 
 from __future__ import annotations

@@ -17,13 +17,19 @@ the first phrase of each normalized form.
 Performance: `normalize_token` memoises its stems for the whole process in a
 bounded LRU cache (at most 65,536 entries of a few short strings each, so
 memory stays bounded however long the process runs). A document's source is
-normalised once into a `NormalizedSource`, which joins its tokens once into
-a space-padded string, so a presence test is one substring search of it,
-with no index to build. The source also memoises, per surface string, the
-phrase normalised and classified against it: the n samples of a document
-repeat the same phrases, and its gold list repeats some of them too, but
-each distinct surface is normalised and presence-tested once. That memo is
-a plain dict dropped with its document, so it costs no memory across
+tokenized once into a `NormalizedSource`, which joins its lowercase surface
+tokens once into a space-padded string and stems none of them up front. A
+presence test stems only the source words that can match a phrase token q:
+the normaliser takes every letter of a stem but the last from the word
+itself (`word.startswith(normalize_token(word)[:-1])`, argued rule by rule
+in `kpagg.porter`), so only a word starting with `q[:-1]` can normalize to
+q. The result is the same as matching against the fully stemmed source,
+but most source words start no phrase of any sample or gold list and are
+never stemmed. The source also memoises, per surface string, the phrase
+normalised and classified against it: the n samples of a document repeat
+the same phrases, and its gold list repeats some of them too, but each
+distinct surface is normalised and presence-tested once. That memo is a
+plain dict dropped with its document, so it costs no memory across
 documents.
 """
 
@@ -69,15 +75,18 @@ class NormalizedPhrase:
 
 
 class NormalizedSource:
-    """A document's normalized source tokens, normalized once and shared by
-    every presence test on that document.
+    """A document's source tokens, tokenized once and shared by every
+    presence test on that document.
 
-    The tokens are kept joined once, with one space on each side:
-    `" a b c "`. A token is nonempty and holds no space, and a normalized
-    phrase is its tokens joined by single spaces, so `" <phrase> "` occurs
-    in that string exactly when the phrase's tokens occur contiguously in
-    the source. Each surface string passed to `phrases` is normalized and
-    classified once.
+    The lowercase surface tokens (`tokenize`) are kept joined once, with one
+    space on each side: `" a b c "`. A token is nonempty and holds no space,
+    so `" " + p` occurs in that string exactly where a token starting with
+    `p` starts. A phrase with normalized tokens q1 ... qk is present when
+    some k consecutive source tokens normalize to q1 ... qk. A token that
+    normalizes to q starts with `q[:-1]`, so the candidates are the tokens
+    found by searching for `" " + q1[:-1]`, and a token is normalized only
+    once it is known to start with the `q[:-1]` it must match. Each surface
+    string passed to `phrases` is normalized and classified once.
     """
 
     __slots__ = ("_joined", "_phrases")
@@ -88,7 +97,25 @@ class NormalizedSource:
 
     @classmethod
     def from_text(cls, text: str) -> NormalizedSource:
-        return cls(normalize_tokens(text))
+        return cls(tokenize(text))
+
+    def _contains(self, phrase_tokens: list[str]) -> bool:
+        """Whether consecutive source tokens normalize to `phrase_tokens`."""
+        joined = self._joined
+        probe = " " + phrase_tokens[0][:-1]
+        at = joined.find(probe)
+        while at >= 0:
+            start = at + 1
+            for want in phrase_tokens:
+                end = joined.find(" ", start)
+                word = joined[start:end]
+                if end < 0 or not word.startswith(want[:-1]) or normalize_token(word) != want:
+                    break
+                start = end + 1
+            else:
+                return True
+            at = joined.find(probe, at + 1)
+        return False
 
     def phrases(self, surfaces: Sequence[str]) -> tuple[NormalizedPhrase, ...]:
         """The phrases of `surfaces` in order, each normalized and classified
@@ -98,10 +125,10 @@ class NormalizedSource:
         memo = self._phrases
         for surface in surfaces:
             if surface not in memo:
-                normalized = " ".join(normalize_tokens(surface))
+                tokens = normalize_tokens(surface)
                 memo[surface] = (
-                    NormalizedPhrase(surface, normalized, f" {normalized} " in self._joined)
-                    if normalized
+                    NormalizedPhrase(surface, " ".join(tokens), self._contains(tokens))
+                    if tokens
                     else None
                 )
         return tuple(dedup_preserve_order([p for s in surfaces if (p := memo[s])]))

@@ -56,11 +56,14 @@ class TestLoadCorpus:
     def test_malformed_lines_skipped_with_warning(self, tmp_path, caplog):
         p = tmp_path / "mixed.jsonl"
         good = {"id": "a", "title": "T", "abstract": "B", "keyphrases": ["k"]}
-        p.write_text("garbage\n" + json.dumps(good) + "\n")
+        p.write_text("garbage\n" + json.dumps(good) + "\n{broken\n")
         with caplog.at_level(logging.WARNING):
             docs = load_corpus(p)
         assert [d.id for d in docs] == ["a"]
-        assert any("line 1" in r.message for r in caplog.records)
+        messages = [r.getMessage() for r in caplog.records]
+        for lineno in (1, 3):
+            assert any(m.startswith(f"{p}:{lineno}: skipping malformed record") for m in messages)
+        assert not any(m.startswith(f"{p}:2:") for m in messages)
 
     def test_duplicate_ids_first_wins(self, tmp_path, caplog):
         p = tmp_path / "dup.jsonl"

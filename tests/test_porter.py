@@ -1,12 +1,13 @@
 """Stemmer checks against the frozen reference vocabulary and the classic
 rule-by-rule examples."""
 
+import itertools
 import string
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpagg import porter
+from kpagg import porter, textnorm
 
 from .oracles import porter_oracle, reference_stems
 
@@ -151,10 +152,49 @@ RULE_SUFFIXES = (
 )
 
 
-@given(
+rule_words = st.builds(
+    str.__add__,
     st.text(alphabet="aeiouybcdlmnrstz", max_size=10),
     st.sampled_from(RULE_SUFFIXES),
 )
-def test_stem_matches_letter_by_letter_oracle(stem_part, suffix):
-    word = stem_part + suffix
+
+
+@given(rule_words)
+def test_stem_matches_letter_by_letter_oracle(word):
     assert porter.stem(word) == porter_oracle(word)
+
+
+# The lazy presence test of `textnorm.NormalizedSource` stems only the source
+# words that start with a phrase token minus its last letter, which is exact
+# only if every letter of a stem but the last is the word's own.
+
+
+def keeps_all_but_last_letter(word, normalize):
+    return word.startswith(normalize(word)[:-1])
+
+
+class TestStemKeepsWordPrefix:
+    def test_reference_vocabulary(self):
+        words = list(reference_stems())
+        assert len(words) > 39_000
+        for normalize in (porter.stem, textnorm.normalize_token):
+            bad = [w for w in words if not keeps_all_but_last_letter(w, normalize)]
+            assert not bad, bad[:10]
+
+    def test_every_short_word(self):
+        def short_words(max_len):
+            for n in range(1, max_len + 1):
+                yield from map("".join, itertools.product(string.ascii_lowercase, repeat=n))
+
+        bad = [w for w in short_words(4) if not keeps_all_but_last_letter(w, porter.stem)]
+        assert not bad, bad[:10]
+        bad = [
+            w for w in short_words(3) if not keeps_all_but_last_letter(w, textnorm.normalize_token)
+        ]
+        assert not bad, bad[:10]
+
+
+@given(rule_words)
+def test_stem_keeps_word_prefix(word):
+    assert keeps_all_but_last_letter(word, porter.stem)
+    assert keeps_all_but_last_letter(word, textnorm.normalize_token)

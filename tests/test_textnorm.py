@@ -59,9 +59,9 @@ class TestNormalizeTokenMemo:
         assert textnorm.normalize_token.cache_info().currsize <= 1 << 16
 
 
-def phrase_of(surface, source=()):
-    """The one phrase `surface` makes against the normalized tokens `source`."""
-    (p,) = textnorm.NormalizedSource(source).phrases([surface])
+def phrase_of(surface, source_text=""):
+    """The one phrase `surface` makes against the source `source_text`."""
+    (p,) = textnorm.NormalizedSource(textnorm.tokenize(source_text)).phrases([surface])
     return p
 
 
@@ -88,31 +88,28 @@ class TestNormalizePhrase:
 
     def test_classified_copy(self):
         # the same surface is classified against each source on its own
-        p = phrase_of("tdma", ["tdma"])
-        q = phrase_of("tdma", ["other"])
+        p = phrase_of("tdma", "tdma")
+        q = phrase_of("tdma", "other")
         assert p.is_present is True and q.is_present is False
         assert q.normalized == p.normalized
 
 
-def present(surface, source_tokens):
-    return phrase_of(surface, source_tokens).is_present
+def present(surface, source_text):
+    return phrase_of(surface, source_text).is_present
 
 
 class TestIsPresent:
     def test_contiguous_match(self):
-        source = textnorm.normalize_tokens("distributed graph coloring based methods")
-        assert present("graph color", source)
+        assert present("graph color", "distributed graph coloring based methods")
 
     def test_empty_source(self):
-        assert not present("anything", [])
+        assert not present("anything", "")
 
     def test_order_matters(self):
-        source = textnorm.normalize_tokens("network of sensors reversed order")
-        assert not present("sensor network", source)
+        assert not present("sensor network", "network of sensors reversed order")
 
     def test_token_boundaries_not_substrings(self):
-        source = textnorm.normalize_tokens("the artifact was found")
-        assert not present("art", source)
+        assert not present("art", "the artifact was found")
         source = textnorm.NormalizedSource(["ab", "c", "d"])
         for surface, is_present in [("b c", False), ("ab c", True), ("c d", True), ("a", False)]:
             assert source.phrases([surface])[0].is_present is is_present
@@ -122,8 +119,13 @@ class TestIsPresent:
         assert textnorm.NormalizedSource(["a"]).phrases(["--"]) == ()
 
     def test_stemmed_presence(self):
-        source = textnorm.normalize_tokens("a network of agents")
-        assert present("Networks", source)
+        assert present("Networks", "a network of agents")
+
+    def test_source_is_surface_text(self):
+        # the source holds words, not stems: the stem `decis` is itself a
+        # word that normalizes to `deci`, so it does not contain `decision`
+        assert present("decision", "decisions")
+        assert not present("decision", "decis")
 
 
 class TestNormalizedSource:
@@ -131,6 +133,53 @@ class TestNormalizedSource:
         source = textnorm.NormalizedSource.from_text("Graph Coloring-based TDMA")
         surfaces = ["graph color base tdma", "graph tdma", "tdma graph"]
         assert [p.is_present for p in source.phrases(surfaces)] == [True, False, False]
+
+
+class TestLazyStemming:
+    TEXT = "Relational networks decide: the decisions of happy networking agents"
+
+    def stemmed_words(self, monkeypatch):
+        """The list that collects every word `porter.stem` is called on from
+        now on, with the stem memo emptied."""
+        stemmed = []
+        stem = porter.stem
+
+        def counting(word):
+            stemmed.append(word)
+            return stem(word)
+
+        monkeypatch.setattr(porter, "stem", counting)
+        textnorm.normalize_token.cache_clear()
+        return stemmed
+
+    def test_source_stems_no_word(self, monkeypatch):
+        stemmed = self.stemmed_words(monkeypatch)
+        textnorm.NormalizedSource.from_text(self.TEXT)
+        assert stemmed == []
+
+    def test_phrase_stems_only_words_at_its_probe(self, monkeypatch):
+        # A phrase token q can only match a source word starting with q[:-1]
+        # (its probe), so that is the only kind of source word it may stem.
+        stemmed = self.stemmed_words(monkeypatch)
+        for surface, probes, is_present in [
+            ("decision", ["deci"], True),
+            ("happiness", ["happ"], True),
+            ("relate", ["rela"], True),
+            ("zebra", ["zebr"], False),
+            ("network of agents", ["networ", "o", "agen"], False),
+            ("networks decide", ["networ", "deci"], True),
+        ]:
+            source = textnorm.NormalizedSource.from_text(self.TEXT)
+            textnorm.normalize_token.cache_clear()
+            stemmed.clear()
+            (phrase,) = source.phrases([surface])
+            assert phrase.is_present is is_present, surface
+            own = textnorm.tokenize(surface)
+            assert stemmed[: len(own)] == own
+            source_stemmed = stemmed[len(own) :]
+            assert all(w.startswith(tuple(probes)) for w in source_stemmed), (surface, stemmed)
+            if surface == "decision":  # its match is the source word `decisions`
+                assert "decisions" in source_stemmed
 
 
 def toy_samples(doc):
@@ -224,7 +273,15 @@ class TestDedup:
         assert [p.normalized for p in out] == ["a"]
 
 
-words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8)
+# Pairs of different surface words with one stem, so that a match often
+# holds only after stemming the source word.
+STEM_VARIANTS = (
+    "decision", "decisions", "relational", "relate",
+    "networking", "networks", "happy", "happiness",
+)
+words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8) | st.sampled_from(
+    STEM_VARIANTS
+)
 token_lists = st.lists(words, max_size=12)
 # Short words over tiny alphabets, so that a phrase often nearly matches the
 # source across a token boundary (phrase `b c` against source `ab c`);
@@ -256,19 +313,22 @@ def test_dedup_output_distinct_and_subsequence(surfaces):
 
 @given(words, token_lists, token_lists, token_lists)
 def test_presence_survives_context_extension(word, prefix, middle, suffix):
-    core = middle + phrase_of(word).normalized.split(" ")
-    assert present(word, core)
-    assert present(word, prefix + core + suffix)
+    core = middle + [word]
+    assert present(word, " ".join(core))
+    assert present(word, " ".join(prefix + core + suffix))
 
 
 @given(st.lists(near_words, min_size=1, max_size=3), st.lists(near_words, max_size=12))
 def test_is_present_matches_window_scan(phrase_words, source_words):
-    source = textnorm.normalize_tokens(" ".join(source_words))
-    phrases = textnorm.NormalizedSource(source).phrases([" ".join(phrase_words)])
+    text = " ".join(source_words)
+    source = textnorm.NormalizedSource(textnorm.tokenize(text))
+    phrases = source.phrases([" ".join(phrase_words)])
     if not phrases:
         return
     (phrase,) = phrases
-    assert phrase.is_present == window_scan_oracle(source, phrase.normalized.split(" "))
+    assert phrase.is_present == window_scan_oracle(
+        textnorm.normalize_tokens(text), phrase.normalized.split(" ")
+    )
 
 
 # Surface strings from a few pieces, so that a list repeats surfaces, holds
@@ -276,15 +336,16 @@ def test_is_present_matches_window_scan(phrase_words, source_words):
 # surfaces that normalize to nothing.
 surface_pieces = st.sampled_from(
     ["net", "Net", "nets", "Networks", "ab", "AB", "a-b", "b", "é", "É", "--", "!?", " ", ""]
+    + list(STEM_VARIANTS)
 )
 surfaces = st.lists(surface_pieces, min_size=1, max_size=3).map(" ".join)
 
 
 @given(st.lists(surfaces, max_size=10), st.lists(surface_pieces, max_size=12))
 def test_phrases_match_oracle(surface_list, source_pieces):
-    source_tokens = textnorm.normalize_tokens(" ".join(source_pieces))
-    got = textnorm.NormalizedSource(source_tokens).phrases(surface_list)
+    text = " ".join(source_pieces)
+    got = textnorm.NormalizedSource(textnorm.tokenize(text)).phrases(surface_list)
     assert all(type(p.is_present) is bool for p in got)
     assert triples(got) == phrases_oracle(
-        surface_list, source_tokens, textnorm.normalize_tokens
+        surface_list, textnorm.normalize_tokens(text), textnorm.normalize_tokens
     )
