@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import textnorm
 from .textnorm import NormalizedPhrase
@@ -42,8 +42,7 @@ def resolve_strategy(name: str) -> str:
     raise ValueError(f"unknown aggregation strategy {name!r}")
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Final ranked prediction: the aggregated list split by presence, whole,
     and each part's cut M. The prediction proper is `present_full[:m_pre]`
     and `absent_full[:m_abs]`; the @k and @Inf metrics read the whole lists."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import textnorm
 
@@ -27,8 +27,7 @@ class CorpusError(Exception):
     """Fatal problem with a corpus file (unreadable, or no valid records)."""
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     id: str
     title: str
     body: str
@@ -40,8 +39,7 @@ class Document:
         return f"{self.title} {self.body}"
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     num_docs: int
     avg_input_words: float
     avg_words_per_present_kp: float | None
@@ -93,14 +91,17 @@ def load_corpus(path: str | Path, default_domain: str = "scientific") -> list[Do
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # a BOM some editors write is no part of the first record
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     docs: list[Document] = []
     seen_ids: set[str] = set()
     skipped = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # JSON strings may hold raw U+2028, U+2029 and U+0085, at which
+    # `splitlines` would also break; `read_text` has already mapped CR LF
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -29,7 +29,6 @@ replay never belongs to other settings than the run's.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import logging
@@ -39,8 +38,8 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import aggregation, corpus, metrics, prompting, textnorm
 from .llm_client import (
@@ -73,12 +72,7 @@ class _Skipped(Exception):
     """A queued document that a fetch thread dropped after a fatal error."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's settings, checked when made (HarnessError) against what
-    `kpagg run` accepts. The variant and strategy are kept by their canonical
-    names, so an alias and its full name make equal configs."""
-
+class _RunFields(NamedTuple):
     corpus_path: str
     variant: str = "baseline"
     strategy: str = "frequency_order"
@@ -100,16 +94,25 @@ class RunConfig:
     default_domain: str = "scientific"
     max_in_flight: int = 4
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunFields):
+    """One run's settings, checked when made (HarnessError) against what
+    `kpagg run` accepts; a copy made by `_replace` is checked too. The
+    variant and strategy are kept by their canonical names, so an alias and
+    its full name make equal configs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         optional = ("out", "prompt_config", "endpoint")
         for name in ("corpus_path", "variant", "strategy", "model", "cache_dir", *optional):
             value = getattr(self, name)
             if not (isinstance(value, str) or (value is None and name in optional)):
                 raise HarnessError(f"{name} must be a string, got {value!r}")
         try:
-            # a frozen dataclass sets its own fields through object.__setattr__
-            object.__setattr__(self, "variant", prompting.resolve_variant(self.variant))
-            object.__setattr__(self, "strategy", aggregation.resolve_strategy(self.strategy))
+            variant = prompting.resolve_variant(self.variant)
+            strategy = aggregation.resolve_strategy(self.strategy)
         except (prompting.PromptConfigError, ValueError) as exc:
             raise HarnessError(str(exc)) from exc
         choices = (
@@ -141,17 +144,24 @@ class RunConfig:
             # a quoted 'no' is truthy, so only a YAML boolean will do
             if type(getattr(self, name)) is not bool:
                 raise HarnessError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        # a tuple's fields are fixed once made, so the canonical names make a new one
+        fields = {**self._asdict(), "variant": variant, "strategy": strategy}
+        return super().__new__(cls, **fields)
+
+    @classmethod
+    def _make(cls, iterable) -> RunConfig:
+        # `_replace` makes its copy here; the base class would skip the checks
+        return cls(*iterable)
 
 
-@dataclass
-class RunSummary:
-    processed: int = 0
-    errored: int = 0
-    parse_fallbacks: int = 0
-    truncated: int = 0  # samples cut by the token limit or a content filter
-    cache_hits: int = 0
-    cache_misses: int = 0
-    wall_time: float = 0.0
+class RunSummary(NamedTuple):
+    processed: int
+    errored: int
+    parse_fallbacks: int
+    truncated: int  # samples cut by the token limit or a content filter
+    cache_hits: int
+    cache_misses: int
+    wall_time: float
     report: metrics.MetricReport | None = None
 
 
@@ -332,7 +342,7 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
         )
     cache = SampleCache(path)
 
-    base = RunSummary()
+    hits = misses = fallbacks = truncated = 0
     results: list[list | None] = [None] * len(docs)
     unavailable: dict[int, int] = {}  # document index -> absent sample count
 
@@ -340,15 +350,16 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
         """Evaluate document i from `fetched()`, its _fetch result. A fatal
         endpoint error propagates; any other failure costs this document
         only."""
+        nonlocal hits, misses, fallbacks, truncated
         try:
-            prompt, raw, hits, misses = fetched()
-            base.cache_hits += hits
-            base.cache_misses += misses
+            prompt, raw, doc_hits, doc_misses = fetched()
+            hits += doc_hits
+            misses += doc_misses
             if len(raw) < head.n_samples:
                 unavailable[i] = head.n_samples - len(raw)
-            results[i], fallbacks, truncated = _evaluate(docs[i], prompt, raw, configs)
-            base.parse_fallbacks += fallbacks
-            base.truncated += truncated
+            results[i], doc_fallbacks, doc_truncated = _evaluate(docs[i], prompt, raw, configs)
+            fallbacks += doc_fallbacks
+            truncated += doc_truncated
         except _FATAL:
             raise
         except Exception:
@@ -400,9 +411,15 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
             ", ".join(docs[i].id for i in sorted(unavailable)[:5]),
         )
     done = [r for r in results if r is not None]
-    base.processed = len(done)
-    base.errored = len(docs) - len(done)
-    base.wall_time = read_s + time.monotonic() - t0
+    base = RunSummary(
+        processed=len(done),
+        errored=len(docs) - len(done),
+        parse_fallbacks=fallbacks,
+        truncated=truncated,
+        cache_hits=hits,
+        cache_misses=misses,
+        wall_time=read_s + time.monotonic() - t0,
+    )
     summaries = []
     for k, config in enumerate(configs):
         scores = [r[k] for r in done]
@@ -411,12 +428,11 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
         )
         if config.out:
             _write_report(config, [report])
-        summaries.append(dataclasses.replace(base, report=report))
+        summaries.append(base._replace(report=report))
     return summaries
 
 
 _GRID_ALIASES = {"corpus": "corpus_path", "aggregate": "strategy"}
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 # fields that only change how fetched samples are scored, not which are fetched
 _EVALUATION_FIELDS = ("strategy", "ppl_mode", "empty_gold", "out")
 
@@ -425,7 +441,7 @@ def _to_run_config(entry: dict, context: str) -> RunConfig:
     kwargs = {}
     for key, value in entry.items():
         name = _GRID_ALIASES.get(key, key)
-        if name not in _CONFIG_FIELDS:
+        if name not in RunConfig._fields:
             raise HarnessError(f"{context}: unknown config key {key!r}")
         kwargs[name] = value
     if "corpus_path" not in kwargs:
@@ -480,7 +496,7 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        key = tuple(v for k, v in vars(c).items() if k not in _EVALUATION_FIELDS)
+        key = tuple(v for k, v in c._asdict().items() if k not in _EVALUATION_FIELDS)
         groups.setdefault(key, []).append(i)
     # Every group's inputs are read before the first group fetches or
     # writes anything; each corpus and prompt file is read once per grid.

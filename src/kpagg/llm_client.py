@@ -30,8 +30,8 @@ import re
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .prompting import RenderedPrompt
@@ -70,8 +70,7 @@ class RequestError(LLMClientError):
     """The endpoint rejected the request itself (bad model name, bad body)."""
 
 
-@dataclass(frozen=True)
-class RawSample:
+class RawSample(NamedTuple):
     doc_id: str
     prompt_hash: str
     sample_index: int
@@ -87,8 +86,7 @@ class RawSample:
         return self.finish_reason in _CUT_FINISH_REASONS
 
 
-@dataclass(frozen=True)
-class ParsedSample:
+class ParsedSample(NamedTuple):
     phrases: tuple[str, ...]
     fallback: bool = False
 

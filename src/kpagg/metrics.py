@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .aggregation import Prediction
 from .textnorm import NormalizedPhrase
@@ -34,13 +34,12 @@ PARTITIONS = ("present", "absent")
 EMPTY_GOLD_POLICIES = ("exclude", "zero")
 
 
-@dataclass
-class MetricReport:
+class MetricReport(NamedTuple):
     corpus: str
     variant: str
     strategy: str
-    table: dict[tuple[str, str], float | None] = field(default_factory=dict)
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    table: dict[tuple[str, str], float | None]
+    counts: dict[tuple[str, str], int]
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -117,12 +116,13 @@ def build_report(
 ) -> MetricReport:
     """Macro-average each cell over the per-document records that have it,
     in their order; a cell no document has is None with count 0."""
-    report = MetricReport(corpus=corpus, variant=variant, strategy=strategy)
+    table: dict[tuple[str, str], float | None] = {}
+    counts: dict[tuple[str, str], int] = {}
     for cell in CELLS:
         values = [record[cell] for record in scores if cell in record]
-        report.table[cell] = sum(values) / len(values) if values else None
-        report.counts[cell] = len(values)
-    return report
+        table[cell] = sum(values) / len(values) if values else None
+        counts[cell] = len(values)
+    return MetricReport(corpus, variant, strategy, table, counts)
 
 
 def reports_csv(reports: list[MetricReport]) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Document
 
@@ -51,8 +51,7 @@ class PromptConfigError(Exception):
     """The prompt configuration file is missing or incomplete."""
 
 
-@dataclass(frozen=True)
-class PromptConfig:
+class PromptConfig(NamedTuple):
     system_prompt: str
     user_prompt_baseline: str
     instruction_formatting: str
@@ -61,11 +60,10 @@ class PromptConfig:
 
 
 # the keys a prompt file must give, in the order they are checked
-_CONFIG_KEYS = tuple(f.name for f in fields(PromptConfig))
+_CONFIG_KEYS = PromptConfig._fields
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     system: str
     user: str
     assistant_prefill: str

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import porter
 
@@ -64,8 +64,7 @@ def normalize_tokens(text: str) -> list[str]:
     return [normalize_token(t) for t in tokenize(text)]
 
 
-@dataclass(frozen=True)
-class NormalizedPhrase:
+class NormalizedPhrase(NamedTuple):
     """A keyphrase with its normalized form and its present/absent status
     relative to a source document."""
 

@@ -65,6 +65,29 @@ class TestLoadCorpus:
             assert any(m.startswith(f"{p}:{lineno}: skipping malformed record") for m in messages)
         assert not any(m.startswith(f"{p}:2:") for m in messages)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_separator_in_a_string_is_no_line_break(self, tmp_path, caplog, separator):
+        p = tmp_path / "sep.jsonl"
+        rec = {"id": "a", "title": "T", "abstract": f"one{separator}two", "keyphrases": ["k"]}
+        good = {"id": "b", "title": "T", "abstract": "B", "keyphrases": []}
+        line = json.dumps(rec, ensure_ascii=False)
+        assert separator in line
+        p.write_text(f"{line}\n{json.dumps(good)}\n{{broken\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            docs = load_corpus(p)
+        assert [d.id for d in docs] == ["a", "b"]
+        assert docs[0].body == f"one{separator}two"
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(m.startswith(f"{p}:3: skipping malformed record") for m in messages)
+        assert not any(m.startswith((f"{p}:1:", f"{p}:2:", f"{p}:4:")) for m in messages)
+
+    def test_utf8_bom_is_skipped(self, tmp_path):
+        p = tmp_path / "bom.jsonl"
+        recs = [{"id": i, "title": "T", "abstract": "B", "keyphrases": []} for i in "ab"]
+        text = "".join(json.dumps(r) + "\n" for r in recs)
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert [d.id for d in load_corpus(p)] == ["a", "b"]
+
     def test_duplicate_ids_first_wins(self, tmp_path, caplog):
         p = tmp_path / "dup.jsonl"
         rec = {"id": "a", "title": "T", "abstract": "B", "keyphrases": []}

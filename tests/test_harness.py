@@ -1,6 +1,5 @@
 """Run orchestration: caching, determinism, grid runs, and the CLI."""
 
-import dataclasses
 import json
 import logging
 import threading
@@ -148,11 +147,27 @@ class TestRunConfig:
 
     def test_fields_cannot_be_assigned(self):
         cfg = RunConfig("c")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             cfg.temperature = "hot"
         # a changed copy is checked like a new config
         with pytest.raises(HarnessError, match="temperature"):
-            dataclasses.replace(cfg, temperature="hot")
+            cfg._replace(temperature="hot")
+
+    def test_replaced_copy_is_checked_and_canonical(self):
+        cfg = RunConfig("c")
+        assert cfg._replace(variant="present").variant == "present_specialist"
+        assert cfg._replace(strategy="union-concat").strategy == "union_concat"
+        assert cfg._replace(variant="present") == RunConfig("c", variant="present_specialist")
+        with pytest.raises(HarnessError, match="n_samples"):
+            cfg._replace(n_samples=0)
+        with pytest.raises(HarnessError, match="variant"):
+            RunConfig._make(["c", "no-such-variant"])
+
+    def test_takes_no_new_attribute(self):
+        cfg = RunConfig("c")
+        with pytest.raises(AttributeError):
+            cfg.extra = 1
+        assert not hasattr(cfg, "__dict__")
 
 
 class TestProvenance:

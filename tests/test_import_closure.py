@@ -1,9 +1,10 @@
 """Importing the CLI and the harness loads no third-party HTTP library;
 importing the harness, or an offline replay, loads neither the standard
 library's HTTP stack nor a thread pool, and a replay starts no thread;
-importing the harness loads no YAML parser (only YAML files need one); and
-aggregation works on normalized phrases alone, without the client or the
-prompts."""
+neither loads `dataclasses` or `inspect` either (kpagg's records are
+NamedTuples, which make no class from generated source); importing the
+harness loads no YAML parser (only YAML files need one); and aggregation
+works on normalized phrases alone, without the client or the prompts."""
 
 import json
 import os
@@ -21,6 +22,9 @@ HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"
 # Only a run with an endpoint needs these; `urllib` and `http` packages may
 # be loaded for other reasons, so full names are compared.
 ONLINE_ONLY = {"http.client", "urllib.request", "ssl", "concurrent.futures"}
+# What a dataclass costs at start-up: the module, and the `inspect` (with
+# `ast`, `dis` and `tokenize`) that it imports.
+DATACLASS_MACHINERY = {"dataclasses", "inspect"}
 
 # Modules the interpreter loaded before kpagg (site hooks may load certifi)
 # are not kpagg's doing, so only the newly loaded ones are checked.
@@ -88,6 +92,12 @@ def test_harness_loads_no_http_stack_or_thread_pool():
     assert not loaded & ONLINE_ONLY
 
 
+def test_harness_loads_no_dataclass_machinery():
+    loaded = newly_loaded("kpagg.harness")
+    assert "kpagg.harness" in loaded
+    assert not loaded & DATACLASS_MACHINERY
+
+
 def test_aggregation_loads_neither_client_nor_prompting():
     loaded = newly_loaded("kpagg.aggregation")
     assert "kpagg.aggregation" in loaded
@@ -105,4 +115,5 @@ def test_offline_replay_loads_no_http_stack_and_starts_no_thread(tmp_path):
     assert result["hits"] == 50
     assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
     assert not set(result["loaded"]) & ONLINE_ONLY
+    assert not set(result["loaded"]) & DATACLASS_MACHINERY
     assert result["started"] == []

@@ -1,6 +1,5 @@
 """Response parsing, perplexity, transport retries, and the sample cache."""
 
-import dataclasses
 import json
 import logging
 import math
@@ -871,7 +870,7 @@ class TestAbsentSamples:
         lines = harness.cache_path(config).read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 1]
 
-        config = dataclasses.replace(config, endpoint=scripted_server([]))
+        config = config._replace(endpoint=scripted_server([]))
         summary = harness.run(config)
         assert (summary.cache_hits, summary.cache_misses) == (2, 2)
         assert _ScriptedHandler.hits == 2
@@ -1054,7 +1053,7 @@ class TestSampleCache:
         cache = SampleCache(path)
         first = self.entry()
         cache.put(first)
-        cache.put(RawSample(**{**first.__dict__, "text": '["y"]'}))
+        cache.put(RawSample(**{**first._asdict(), "text": '["y"]'}))
         assert cache.get("d1", "a" * 64, 0).text == '["x"]'
         assert len(SampleCache(path)) == 1
 
@@ -1064,7 +1063,7 @@ class TestSampleCache:
         cached = self.entry(index=1)
         cache.put(cached)
         before = path.read_text(encoding="utf-8")
-        rewritten = RawSample(**{**cached.__dict__, "text": '["y"]'})
+        rewritten = RawSample(**{**cached._asdict(), "text": '["y"]'})
         cache.put(self.entry(index=0), rewritten, self.entry(index=2))
         appended = path.read_text(encoding="utf-8")[len(before):].splitlines()
         assert [json.loads(line)["sample_index"] for line in appended] == [0, 2]
@@ -1075,7 +1074,7 @@ class TestSampleCache:
     def test_put_many_first_write_wins_within_call(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         first = self.entry()
-        SampleCache(path).put(first, RawSample(**{**first.__dict__, "text": '["y"]'}))
+        SampleCache(path).put(first, RawSample(**{**first._asdict(), "text": '["y"]'}))
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         assert SampleCache(path).get("d1", "a" * 64, 0) == first
 

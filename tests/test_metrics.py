@@ -159,6 +159,14 @@ class TestMacroAverage:
         assert all(value is None for value in report.table.values())
         assert all(count == 0 for count in report.counts.values())
 
+    def test_reports_share_no_dict(self):
+        first = build_report("c", "v", "s", [])
+        second = build_report("c", "v", "s", [{("present", "f1_at_m"): 1.0}])
+        assert first.table is not second.table
+        assert first.counts is not second.counts
+        assert first.table[("present", "f1_at_m")] is None
+        assert first.counts[("present", "f1_at_m")] == 0
+
 
 def toy_report():
     docs = [

@@ -1,6 +1,5 @@
 """Prompt variants, domain adaptation, and request digests."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,7 @@ DOC = Document(
     domain="scientific",
 )
 
-NEWS_DOC = dataclasses.replace(DOC, domain="news")
+NEWS_DOC = DOC._replace(domain="news")
 
 
 class TestVariantResolution:
@@ -164,9 +163,7 @@ class TestBuildPrompt:
             assert "news article" in rp.user
 
     def test_news_substitution_leaves_document_text_alone(self, prompt_cfg):
-        doc = dataclasses.replace(
-            NEWS_DOC, body="This scientific document studies X."
-        )
+        doc = NEWS_DOC._replace(body="This scientific document studies X.")
         rp = build_prompt(doc, resolve_variant("baseline"), prompt_cfg)
         assert "This scientific document studies X." in rp.user
 
@@ -189,7 +186,7 @@ class TestDigest:
         assert len(hashes) == len(VARIANTS)
 
     def test_single_character_sensitivity(self, prompt_cfg):
-        doc2 = dataclasses.replace(DOC, body=DOC.body + "!")
+        doc2 = DOC._replace(body=DOC.body + "!")
         a = build_prompt(DOC, resolve_variant("baseline"), prompt_cfg)
         b = build_prompt(doc2, resolve_variant("baseline"), prompt_cfg)
         assert a.prompt_hash != b.prompt_hash
@@ -249,7 +246,7 @@ GOLDEN_PROMPT_HASHES = {
 def test_prompt_hashes_are_pinned(prompt_cfg, variant):
     hashes = tuple(
         build_prompt(
-            dataclasses.replace(DOC, domain=domain), variant, prompt_cfg, prefill
+            DOC._replace(domain=domain), variant, prompt_cfg, prefill
         ).prompt_hash
         for domain in ("scientific", "news")
         for prefill in (True, False)
