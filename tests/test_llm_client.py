@@ -8,6 +8,7 @@ import socket
 import string
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -1023,6 +1024,73 @@ for doc in range(w * {TWO_WRITERS_OVERLAP}, w * {TWO_WRITERS_OVERLAP} + {TWO_WRI
 """
 
 
+# Doc ids and prompt hashes for filtered loads: plain ones, ones that
+# json.dumps escapes (a quote, a backslash, control characters), non-ASCII
+# and U+2028, which JSON leaves raw but str.splitlines would split on. One
+# id and one hash start another.
+CACHE_IDS = [
+    "d1", "d10", 'q"uote', "back\\slash", "\u00fcn\u00ef", "sep\u2028x", "ctl\x01", "tab\t", "",
+]
+CACHE_HASHES = ["a" * 64, "a" * 32, "b" * 64, 'h"x']
+
+
+def cache_samples(ids: list[str], hashes: list[str]):
+    return st.builds(
+        lambda stats, **fields: RawSample(lp_sum=stats[0], lp_n=stats[1], **fields),
+        stats=st.just((None, 0)) | st.tuples(st.floats(allow_nan=False), st.integers(0, 5)),
+        doc_id=st.sampled_from(ids),
+        prompt_hash=st.sampled_from(hashes),
+        sample_index=st.integers(0, 2),
+        text=st.text(max_size=6),
+        finish_reason=st.sampled_from(["stop", "length"]),
+    )
+
+
+@st.composite
+def cache_lines(draw, samples) -> tuple[str, tuple[str, str]]:
+    """Lines of a cache file, without the last newline, and the (doc_id,
+    prompt_hash) pair of their sample. They are a batch as `put` writes it
+    (one pair, consecutive indices), or one line that a filtered load must
+    decode in full (another spelling or key order) or reject as a full load
+    does (corrupt, torn, garbage, blank)."""
+    sample = draw(samples)
+    obj = SampleCache._encode(sample)
+    kinds = ["put", "ascii", "reordered", "nested", "wrong-type", "torn", "garbage", "blank"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "put":
+        batch = [sample._replace(sample_index=i) for i in range(draw(st.integers(1, 3)))]
+        line = "\n".join(json.dumps(SampleCache._encode(s), ensure_ascii=False) for s in batch)
+    elif kind == "ascii":  # non-ASCII and U+2028 written as escapes
+        line = json.dumps(obj)
+    elif kind == "reordered":
+        line = json.dumps(dict(reversed(obj.items())), ensure_ascii=False)
+    elif kind == "nested":  # another sample's prefix, but not at the start
+        other = SampleCache._encode(draw(samples))
+        line = json.dumps({"note": other, **obj}, ensure_ascii=False)
+    elif kind == "wrong-type":
+        line = json.dumps({**obj, "lp_n": -1}, ensure_ascii=False)
+    elif kind == "torn":  # a write cut short
+        line = json.dumps(obj, ensure_ascii=False)
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif kind == "garbage":
+        line = draw(st.text(max_size=12))
+    else:
+        line = draw(st.sampled_from(["", " ", "\t"]))
+    return line, (sample.doc_id, sample.prompt_hash)
+
+
+@st.composite
+def cache_files(draw) -> list[tuple[str, tuple[str, str]]]:
+    """The lines of a cache file, drawn from a few ids and hashes so that
+    pairs repeat and batches of different pairs follow each other."""
+    ids = st.sampled_from(CACHE_IDS) | st.text(max_size=3)
+    pool = cache_samples(
+        draw(st.lists(ids, min_size=1, max_size=3, unique=True)),
+        draw(st.lists(st.sampled_from(CACHE_HASHES), min_size=1, max_size=3, unique=True)),
+    )
+    return draw(st.lists(cache_lines(pool), max_size=10))
+
+
 class TestSampleCache:
     def entry(self, index=0, doc="d1", h="a" * 64):
         return RawSample(
@@ -1137,6 +1205,77 @@ class TestSampleCache:
         reloaded = SampleCache(path)
         assert len(reloaded) == len(union)
         assert all(reloaded.get(*key) == sample for key, sample in first.items())
+
+    def test_torn_last_line_is_closed_before_the_next_batch(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        path = tmp_path / "cache.jsonl"
+        SampleCache(path).put(self.entry(index=0))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "d1", "prompt_hash": "')  # a write cut short
+        writes = []
+        write = os.write
+        monkeypatch.setattr(
+            llm_client.os, "write", lambda fd, data: writes.append(data) or write(fd, data)
+        )
+        cache = SampleCache(path)
+        cache.put(self.entry(index=1))
+        cache.put(self.entry(index=2))
+        with caplog.at_level(logging.WARNING):
+            reopened = SampleCache(path)
+        assert len(reopened) == 3
+        assert reopened.get("d1", "a" * 64, 1) == self.entry(index=1)
+        assert f"{path}:2: skipping corrupt cache line" in caplog.text
+        assert "skipped 1 corrupt cache line" in caplog.text
+        # the newline went out with the first batch, in its one write
+        assert [data[:1] for data in writes] == [b"\n", b"{"]
+
+    def test_keys_skip_other_pairs_without_decoding(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        SampleCache(path).put(*(
+            self.entry(index=i, doc=doc, h=h)
+            for doc in ("d1", "d2")
+            for h in ("a" * 64, "b" * 64)
+            for i in range(2)
+        ))
+        decoded = []
+        decode = SampleCache._decode
+        monkeypatch.setattr(
+            SampleCache, "_decode", staticmethod(lambda obj: decoded.append(obj) or decode(obj))
+        )
+        cache = SampleCache(path, keys={("d2", "a" * 64)})
+        assert [(obj["doc_id"], obj["prompt_hash"]) for obj in decoded] == [("d2", "a" * 64)] * 2
+        assert cache.get("d2", "a" * 64, 1) == self.entry(index=1, doc="d2")
+        assert cache.get("d1", "a" * 64, 0) is None
+
+    def test_keys_decode_a_line_whose_prefix_has_an_escape(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        quoted = self.entry(doc='q"uote')
+        SampleCache(path).put(quoted)
+        # not one of the keys, but its line does not start as `put` writes
+        # an unescaped pair, so it is decoded
+        assert SampleCache(path, keys={("d1", "a" * 64)}).get('q"uote', "a" * 64, 0) == quoted
+
+    @given(
+        lines=cache_files(),
+        final_newline=st.booleans(),
+        data=st.data(),
+    )
+    def test_filtered_load_answers_as_full_load(self, lines, final_newline, data):
+        pairs = sorted({pair for _, pair in lines})
+        keys = {pair for pair in pairs if data.draw(st.booleans())}
+        text = "\n".join(line for line, _ in lines) + ("\n" if final_newline else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes(text.encode("utf-8"))
+            full = SampleCache(path)
+            filtered = SampleCache(path, keys=keys)
+        for doc_id, prompt_hash in keys:
+            for index in range(3):
+                # repr: -0.0 and 0.0 are equal but not the same sum
+                assert repr(filtered.get(doc_id, prompt_hash, index)) == repr(
+                    full.get(doc_id, prompt_hash, index)
+                )
 
     def test_put_nothing_new_writes_nothing(self, tmp_path):
         path = tmp_path / "sub" / "cache.jsonl"
