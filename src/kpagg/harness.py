@@ -26,9 +26,8 @@ still missing; a group warns once how many are absent. The cache file's
 name carries the sampling settings (temperature and max_tokens), so a
 replay never belongs to other settings than the run's.
 
-Each group renders all its documents' prompts before its cache loads, so
-the load decodes only the cache lines of those (document, prompt hash)
-pairs; it skips those of other documents or older prompts unparsed.
+A group loads only the cache lines of its own documents: the load skips
+those of documents outside a `limit`/`seed` subset unparsed.
 """
 
 from __future__ import annotations
@@ -205,12 +204,13 @@ def cache_path(config: RunConfig) -> Path:
     )
 
 
-def _fetch(doc, prompt, cache, client, config) -> tuple:
-    """Collect one document's samples for its rendered prompt, cache first.
+def _fetch(doc, pcfg, cache, client, config) -> tuple:
+    """Build one document's prompt and collect its samples, cache first.
 
     Returns the prompt, the samples present in index order, and the cache
     hit and miss counts. A sample neither cached nor fetched is absent.
     """
+    prompt = prompting.build_prompt(doc, config.variant, pcfg, config.prefill)
     slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
     missing = [i for i, s in enumerate(slots) if s is None]
     if missing and client is not None:
@@ -343,16 +343,7 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
             "settings; it is not replayed (move it aside to silence this)",
             legacy,
         )
-    # Each prompt is rendered before the cache loads, so the load decodes
-    # only the lines of these (document, prompt hash) pairs. A document
-    # whose prompt cannot be rendered fails alone, as its evaluation would.
-    prompts: dict[int, prompting.RenderedPrompt] = {}
-    for i, doc in enumerate(docs):
-        try:
-            prompts[i] = prompting.build_prompt(doc, head.variant, pcfg, head.prefill)
-        except Exception:
-            log.exception("document %s failed; continuing", doc.id)
-    cache = SampleCache(path, keys={(docs[i].id, p.prompt_hash) for i, p in prompts.items()})
+    cache = SampleCache(path, doc_ids={doc.id for doc in docs})
 
     hits = misses = fallbacks = truncated = 0
     results: list[list | None] = [None] * len(docs)
@@ -378,27 +369,27 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
             log.exception("document %s failed; continuing", docs[i].id)
 
     if client is None:
-        for i, prompt in prompts.items():
-            collect(i, lambda: _fetch(docs[i], prompt, cache, None, head))
+        for i, doc in enumerate(docs):
+            collect(i, lambda: _fetch(doc, pcfg, cache, None, head))
     else:
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
         fatal = threading.Event()
 
-        def fetch(i):
+        def fetch(doc):
             # A fetch thread takes no further document after a fatal error,
             # even before the calling thread has seen it and cancelled.
             if fatal.is_set():
                 raise _Skipped
             try:
-                return _fetch(docs[i], prompts[i], cache, client, head)
+                return _fetch(doc, pcfg, cache, client, head)
             except _FATAL:
                 fatal.set()
                 raise
 
         try:
             with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
-                futures = {pool.submit(fetch, i): i for i in prompts}
+                futures = {pool.submit(fetch, doc): i for i, doc in enumerate(docs)}
                 try:
                     for fut in as_completed(futures):
                         # a skipped document's fatal error is on its way

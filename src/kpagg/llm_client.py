@@ -394,54 +394,52 @@ class LLMClient:
         return samples
 
 
-# The start of a cache line as `put` writes it: `_encode`'s first two fields,
-# spaced as `json.dumps` spaces them. A value holding an escape (a quote, a
+# The start of a cache line as `put` writes it: `_encode`'s first field,
+# spaced as `json.dumps` spaces it. An id holding an escape (a quote, a
 # backslash, a control character) does not match, nor does another key order.
-_KEY_PREFIX = re.compile(r'\{"doc_id": "([^"\\]*)", "prompt_hash": "([^"\\]*)"')
+_DOC_ID_PREFIX = re.compile(r'\{"doc_id": "([^"\\]*)", ')
 
 
 class SampleCache:
     """Append-only JSON-lines store of RawSamples, keyed by
     (doc_id, prompt_hash, sample_index). First write for a key wins.
 
-    `keys` is the set of (doc_id, prompt_hash) pairs a run can ask for.
-    Given it, the load skips without decoding each line that starts as
-    `put` writes it (`_KEY_PREFIX`) with a pair not in `keys`, and decodes
-    every other line as a full load does. So `get` answers for a pair in
-    `keys` exactly as after a full load, and the corrupt-line warnings of
-    the lines it reads keep their line numbers; the lines of other
-    documents or of an older prompt cost one regex match each, and their
-    corruption goes unreported. A line whose JSON names `doc_id` or
-    `prompt_hash` twice, which `put` never writes, is judged by the first.
-    `keys=None` loads every line.
+    `doc_ids` is the set of documents a run can ask for. Given it, the load
+    skips without decoding each line that starts as `put` writes it
+    (`_DOC_ID_PREFIX`) with a doc_id not in `doc_ids`, and decodes every
+    other line as a full load does. So `get` answers for a document in
+    `doc_ids` exactly as after a full load, and the corrupt-line warnings
+    of the lines it reads keep their line numbers; the lines of other
+    documents cost one regex match each, and their corruption goes
+    unreported. A line whose JSON names `doc_id` twice, which `put` never
+    writes, is judged by the first. `doc_ids=None` loads every line.
 
     Each `put` appends its batch with a single `os.write` to an `O_APPEND`
     descriptor, so the batch lands whole at the end of the file even when
     another process appends to the same file at the same time. Two writers
     may both append a key neither had loaded; a reload keeps the line that
-    came first. A file that ends without a newline (a write cut short) gets
-    one before the first batch, in that same write, so the batch does not
-    join the torn line.
+    came first. A file that ends without a newline when a batch is appended
+    (a write cut short) gets one before the batch, in that same write, so
+    the batch does not join the torn line. Another process cut short
+    between that check and the write can still glue its fragment to the batch.
     """
 
-    def __init__(self, path: str | Path, keys: set[tuple[str, str]] | None = None):
+    def __init__(self, path: str | Path, doc_ids: set[str] | None = None):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._index: dict[tuple[str, str, int], RawSample] = {}
-        self._torn = False  # the file ends inside a line
-        self._load(keys)
+        self._load(doc_ids)
 
-    def _load(self, keys: set[tuple[str, str]] | None) -> None:
+    def _load(self, doc_ids: set[str] | None) -> None:
         if not self.path.exists():
             return
         corrupt = 0
-        line = ""
-        match = _KEY_PREFIX.match
+        match = _DOC_ID_PREFIX.match
         with open(self.path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if keys is not None:
+                if doc_ids is not None:
                     m = match(line)
-                    if m is not None and m.groups() not in keys:
+                    if m is not None and m[1] not in doc_ids:
                         continue
                 if not line.strip():
                     continue
@@ -452,7 +450,6 @@ class SampleCache:
                     log.warning("%s:%d: skipping corrupt cache line", self.path, lineno)
                     continue
                 self._index.setdefault(self._key(sample), sample)
-        self._torn = bool(line) and not line.endswith("\n")
         if corrupt:
             log.warning("%s: skipped %d corrupt cache line(s)", self.path, corrupt)
 
@@ -517,13 +514,15 @@ class SampleCache:
             if not new:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            batch = "".join(
+            data = "".join(
                 json.dumps(self._encode(s), ensure_ascii=False) + "\n" for s in new.values()
-            )
-            # a torn last line is closed first, so it does not swallow the batch
-            data = (("\n" if self._torn else "") + batch).encode("utf-8")
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            ).encode("utf-8")
+            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
+                # a torn last line is closed first, so it does not swallow the batch
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    data = b"\n" + data
                 written = os.write(fd, data)
                 # A regular file takes the whole batch in one write; only a
                 # full disk or a signal cuts it short, and then the rest
@@ -532,7 +531,6 @@ class SampleCache:
                     written += os.write(fd, data[written:])
             finally:
                 os.close(fd)
-            self._torn = False
             self._index.update(new)
 
     def __len__(self) -> int:

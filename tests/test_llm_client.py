@@ -1024,10 +1024,9 @@ for doc in range(w * {TWO_WRITERS_OVERLAP}, w * {TWO_WRITERS_OVERLAP} + {TWO_WRI
 """
 
 
-# Doc ids and prompt hashes for filtered loads: plain ones, ones that
-# json.dumps escapes (a quote, a backslash, control characters), non-ASCII
-# and U+2028, which JSON leaves raw but str.splitlines would split on. One
-# id and one hash start another.
+# Doc ids for filtered loads: plain ones, ones that json.dumps escapes (a
+# quote, a backslash, control characters), non-ASCII and U+2028, which JSON
+# leaves raw but str.splitlines would split on. One id starts another.
 CACHE_IDS = [
     "d1", "d10", 'q"uote', "back\\slash", "\u00fcn\u00ef", "sep\u2028x", "ctl\x01", "tab\t", "",
 ]
@@ -1206,19 +1205,23 @@ class TestSampleCache:
         assert len(reloaded) == len(union)
         assert all(reloaded.get(*key) == sample for key, sample in first.items())
 
+    @pytest.mark.parametrize("torn_after_load", [False, True])
     def test_torn_last_line_is_closed_before_the_next_batch(
-        self, tmp_path, caplog, monkeypatch
+        self, tmp_path, caplog, monkeypatch, torn_after_load
     ):
         path = tmp_path / "cache.jsonl"
         SampleCache(path).put(self.entry(index=0))
+        if torn_after_load:  # another writer was cut short while this one ran
+            cache = SampleCache(path)
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"doc_id": "d1", "prompt_hash": "')  # a write cut short
+        if not torn_after_load:
+            cache = SampleCache(path)
         writes = []
         write = os.write
         monkeypatch.setattr(
             llm_client.os, "write", lambda fd, data: writes.append(data) or write(fd, data)
         )
-        cache = SampleCache(path)
         cache.put(self.entry(index=1))
         cache.put(self.entry(index=2))
         with caplog.at_level(logging.WARNING):
@@ -1230,7 +1233,7 @@ class TestSampleCache:
         # the newline went out with the first batch, in its one write
         assert [data[:1] for data in writes] == [b"\n", b"{"]
 
-    def test_keys_skip_other_pairs_without_decoding(self, tmp_path, monkeypatch):
+    def test_doc_ids_skip_other_documents_without_decoding(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         SampleCache(path).put(*(
             self.entry(index=i, doc=doc, h=h)
@@ -1243,18 +1246,18 @@ class TestSampleCache:
         monkeypatch.setattr(
             SampleCache, "_decode", staticmethod(lambda obj: decoded.append(obj) or decode(obj))
         )
-        cache = SampleCache(path, keys={("d2", "a" * 64)})
-        assert [(obj["doc_id"], obj["prompt_hash"]) for obj in decoded] == [("d2", "a" * 64)] * 2
-        assert cache.get("d2", "a" * 64, 1) == self.entry(index=1, doc="d2")
+        cache = SampleCache(path, doc_ids={"d2"})
+        assert [obj["doc_id"] for obj in decoded] == ["d2"] * 4
+        assert cache.get("d2", "b" * 64, 1) == self.entry(index=1, doc="d2", h="b" * 64)
         assert cache.get("d1", "a" * 64, 0) is None
 
-    def test_keys_decode_a_line_whose_prefix_has_an_escape(self, tmp_path):
+    def test_doc_ids_decode_a_line_whose_id_has_an_escape(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         quoted = self.entry(doc='q"uote')
         SampleCache(path).put(quoted)
-        # not one of the keys, but its line does not start as `put` writes
-        # an unescaped pair, so it is decoded
-        assert SampleCache(path, keys={("d1", "a" * 64)}).get('q"uote', "a" * 64, 0) == quoted
+        # not one of the doc_ids, but its line does not start as `put`
+        # writes an unescaped id, so it is decoded
+        assert SampleCache(path, doc_ids={"d1"}).get('q"uote', "a" * 64, 0) == quoted
 
     @given(
         lines=cache_files(),
@@ -1262,15 +1265,15 @@ class TestSampleCache:
         data=st.data(),
     )
     def test_filtered_load_answers_as_full_load(self, lines, final_newline, data):
-        pairs = sorted({pair for _, pair in lines})
-        keys = {pair for pair in pairs if data.draw(st.booleans())}
+        ids = sorted({doc_id for _, (doc_id, _) in lines})
+        kept = {doc_id for doc_id in ids if data.draw(st.booleans())}
         text = "\n".join(line for line, _ in lines) + ("\n" if final_newline else "")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cache.jsonl"
             path.write_bytes(text.encode("utf-8"))
             full = SampleCache(path)
-            filtered = SampleCache(path, keys=keys)
-        for doc_id, prompt_hash in keys:
+            filtered = SampleCache(path, doc_ids=kept)
+        for doc_id, prompt_hash in {pair for _, pair in lines if pair[0] in kept}:
             for index in range(3):
                 # repr: -0.0 and 0.0 are equal but not the same sum
                 assert repr(filtered.get(doc_id, prompt_hash, index)) == repr(
