@@ -397,7 +397,7 @@ class LLMClient:
 # The start of a cache line as `put` writes it: `_encode`'s first field,
 # spaced as `json.dumps` spaces it. An id holding an escape (a quote, a
 # backslash, a control character) does not match, nor does another key order.
-_DOC_ID_PREFIX = re.compile(r'\{"doc_id": "([^"\\]*)", ')
+_DOC_ID_PREFIX = re.compile(rb'\{"doc_id": "([^"\\]*)", ')
 
 
 class SampleCache:
@@ -420,8 +420,12 @@ class SampleCache:
     may both append a key neither had loaded; a reload keeps the line that
     came first. A file that ends without a newline when a batch is appended
     (a write cut short) gets one before the batch, in that same write, so
-    the batch does not join the torn line. Another process cut short
-    between that check and the write can still glue its fragment to the batch.
+    the batch does not join the torn line. The append holds an exclusive
+    `flock` on the file from that check to the end of its write, so it
+    never sees another `put`'s batch half-written.
+
+    The load reads bytes and splits them on `\n` only; a line that is not
+    UTF-8 (a write cut inside a character) is one more corrupt line.
     """
 
     def __init__(self, path: str | Path, doc_ids: set[str] | None = None):
@@ -435,15 +439,20 @@ class SampleCache:
             return
         corrupt = 0
         match = _DOC_ID_PREFIX.match
-        with open(self.path, encoding="utf-8") as fh:
+        if doc_ids is not None:
+            # as bytes, the form the prefix match captures; an id holding a
+            # lone surrogate (a JSON escape) matches no line
+            doc_ids = {doc_id.encode("utf-8", "surrogatepass") for doc_id in doc_ids}
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if doc_ids is not None:
                     m = match(line)
                     if m is not None and m[1] not in doc_ids:
                         continue
-                if not line.strip():
-                    continue
                 try:
+                    line = line.decode("utf-8")
+                    if not line.strip():
+                        continue
                     sample = self._decode(json.loads(line))
                 except (ValueError, TypeError, KeyError):
                     corrupt += 1
@@ -517,8 +526,13 @@ class SampleCache:
             data = "".join(
                 json.dumps(self._encode(s), ensure_ascii=False) + "\n" for s in new.values()
             ).encode("utf-8")
+            import fcntl  # only a run that writes loads it
+
             fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
+                # held until the close: no other put writes between the
+                # check of the last byte and this write
+                fcntl.flock(fd, fcntl.LOCK_EX)
                 # a torn last line is closed first, so it does not swallow the batch
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":

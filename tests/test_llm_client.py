@@ -1233,6 +1233,26 @@ class TestSampleCache:
         # the newline went out with the first batch, in its one write
         assert [data[:1] for data in writes] == [b"\n", b"{"]
 
+    @pytest.mark.parametrize("doc_ids", [None, {"d1"}])
+    def test_line_torn_inside_a_character_is_one_corrupt_line(self, tmp_path, caplog, doc_ids):
+        path = tmp_path / "cache.jsonl"
+        first = RawSample(**{**self.entry()._asdict(), "text": "über"})
+        SampleCache(path).put(first)
+        line = json.dumps(SampleCache._encode(first._replace(sample_index=1)), ensure_ascii=False)
+        torn = line.encode("utf-8")[: line.index("ü") + 1]  # the first byte of "ü"
+        with path.open("ab") as fh:
+            fh.write(torn)
+        with caplog.at_level(logging.WARNING):
+            cache = SampleCache(path, doc_ids=doc_ids)
+        assert len(cache) == 1
+        assert cache.get("d1", "a" * 64, 0) == first
+        assert f"{path}:2: skipping corrupt cache line" in caplog.text
+        second = first._replace(sample_index=2)
+        cache.put(second)
+        reopened = SampleCache(path, doc_ids=doc_ids)
+        assert len(reopened) == 2
+        assert reopened.get("d1", "a" * 64, 2) == second
+
     def test_doc_ids_skip_other_documents_without_decoding(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         SampleCache(path).put(*(
