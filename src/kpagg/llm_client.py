@@ -269,7 +269,7 @@ class LLMClient:
                 elif status in _RETRYABLE_STATUS:
                     reason = f"HTTP {status}"
                     if status in _RETRY_AFTER_STATUS:
-                        wait = _retry_after_s(headers.get("Retry-After"))
+                        wait = _retry_after_s(headers.get("retry-after"))
                 else:
                     text = body.decode("utf-8", errors="replace")
                     raise RequestError(f"endpoint returned HTTP {status}: {text[:200]}")

@@ -4,14 +4,16 @@ answer back.
 Without a proxy, requests go over kept-alive HTTP/1.1 connections that
 this module drives itself. A send takes an idle connection or opens one,
 and writes the request line, the headers and the body with one `sendall`.
-The headers are `Host`, `Accept-Encoding: identity` (no compression is
-asked for), `Content-Length` and the caller's. The answer is read from a
-buffered reader that lives as long as its connection: the status line (a
-`100 Continue` is skipped), the header lines, then the body by its
-`Content-Length`, by `Transfer-Encoding: chunked` chunks, or up to the
-close of the connection. Of the headers, only these four steer anything:
-those two, `Connection` and, in the client, `Retry-After`. The connection
-goes back to the idle list unless the answer is HTTP/1.0, says
+The headers are `Host` (an IPv6 zone left out), `Accept-Encoding: identity`
+(no compression is asked for), `Content-Length` and the caller's. The
+answer is read through a buffered reader over the connection's socket: the
+status line (a `100 Continue` is skipped), the header lines, then the body
+by its `Content-Length`, by `Transfer-Encoding: chunked` chunks, or up to
+the close of the connection. Of the headers, only these four steer
+anything: those two, `Connection` and, in the client, `Retry-After`. The
+reader is dropped with the answer, and with it any bytes it read past the
+answer's framing (a body on a 204, say), as `http.client` drops them. The
+connection goes back to the idle list unless the answer is HTTP/1.0, says
 `Connection: close` or ends at the close, so a transport holds at most one
 connection per thread that sends at a time. A 3xx is not followed.
 
@@ -33,6 +35,7 @@ replay, which makes no client, loads no HTTP module.
 from __future__ import annotations
 
 import http.client
+import io
 import re
 import socket
 import ssl
@@ -52,32 +55,32 @@ _is_illegal_header_value = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])").search
 _disallowed_url_char = re.compile("[\x00-\x20\x7f]").search
 
 
-class Headers(dict):
-    """An answer's headers by lower-case name; a repeated name keeps its
-    first value, as `http.client` does. `get` takes a name in any case."""
-
-    def get(self, name: str, default=None):
-        return dict.get(self, name.lower(), default)
-
-
 class _Connection:
-    """One kept-alive socket and the buffered reader of its answers."""
+    """One kept-alive socket, and the buffered reader of the answer that is
+    being read from it."""
 
-    __slots__ = ("sock", "rfile")
+    __slots__ = ("sock", "raw", "rfile")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.rfile = sock.makefile("rb")
+        self.raw = sock.makefile("rb", buffering=0)
+        self.rfile: io.BufferedReader | None = None
 
     def close(self) -> None:
-        self.rfile.close()
+        self.raw.close()
         self.sock.close()
 
-    def post(self, request: bytes) -> tuple[int, bool, Headers]:
+    def post(self, request: bytes) -> tuple[int, bool, dict]:
         """Send `request` in one write; the status of its answer, whether
         that is HTTP/1.0, and its headers. The body is left to read."""
         self.sock.sendall(request)
+        self.rfile = io.BufferedReader(self.raw)
         return _read_head(self.rfile)
+
+    def done(self) -> None:
+        """Drop the reader of the answer just read, with whatever it read
+        past that answer; the socket stays open."""
+        self.rfile.detach()
 
 
 class Transport:
@@ -111,11 +114,13 @@ class Transport:
 
     def send(
         self, data: bytes, headers: dict
-    ) -> tuple[int, Headers | http.client.HTTPMessage, bytes]:
+    ) -> tuple[int, dict | http.client.HTTPMessage, bytes]:
         """POST `data`: the status, headers and whole body of the answer,
-        whatever its status. `headers` must not name Host, Accept-Encoding
-        or Content-Length, which the transport sends itself. Raises
-        OSError or http.client.HTTPException when no whole answer came."""
+        whatever its status. Look a header up with `.get` and its lower-case
+        name, which both kinds of headers answer. `headers` must not name
+        Host, Accept-Encoding or Content-Length, which the transport sends
+        itself. Raises OSError or http.client.HTTPException when no whole
+        answer came."""
         if self._proxied:
             # urllib rewrites a Request that goes through a proxy, so each
             # attempt sends a fresh one.
@@ -152,6 +157,7 @@ class Transport:
             conn.close()
             raise
         if keep:
+            conn.done()
             with self._idle_lock:
                 self._idle.append(conn)
         else:
@@ -189,7 +195,9 @@ class Transport:
             host_enc = host.encode("ascii")
         except UnicodeEncodeError:
             host_enc = host.encode("idna")
-        if ":" in host:  # an IPv6 address, without its zone
+        # An IPv6 address goes in brackets and without its zone, as newer
+        # http.client releases send it (3.12 does; 3.10 sends the zone).
+        if ":" in host:
             host_enc = b"[" + host_enc.partition(b"%")[0] + b"]"
         if self._port != self._default_port:
             host_enc += b":%d" % self._port
@@ -247,17 +255,18 @@ def _read_status(rfile) -> tuple[bytes, int]:
     return version, status
 
 
-def _read_head(rfile) -> tuple[int, bool, Headers]:
-    """The status of an answer, whether it is HTTP/1.0, and its headers;
-    a 100 Continue before it is skipped. A header line without a colon, or
-    one that continues the line before it, is passed over."""
+def _read_head(rfile) -> tuple[int, bool, dict]:
+    """The status of an answer, whether it is HTTP/1.0, and its headers by
+    lower-case name; a 100 Continue before it is skipped. A repeated name
+    keeps its first value, as `http.client` does. A header line without a
+    colon, or one that continues the line before it, is passed over."""
     version, status = _read_status(rfile)
     while status == 100:
         _header_lines(rfile)
         version, status = _read_status(rfile)
     if not version.startswith(b"HTTP/1.") and version != b"HTTP/0.9":
         raise http.client.UnknownProtocol(str(version, "iso-8859-1"))
-    headers = Headers()
+    headers = {}
     for line in _header_lines(rfile):
         name, colon, value = line.partition(b":")
         if colon and name[:1] not in b" \t":
@@ -266,7 +275,7 @@ def _read_head(rfile) -> tuple[int, bool, Headers]:
     return status, version in (b"HTTP/1.0", b"HTTP/0.9"), headers
 
 
-def _read_body(rfile, status: int, http10: bool, headers: Headers) -> tuple[bytes, bool]:
+def _read_body(rfile, status: int, http10: bool, headers: dict) -> tuple[bytes, bool]:
     """The body of an answer, and whether its connection can carry
     another request."""
     connection = headers.get("connection")
