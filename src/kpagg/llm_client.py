@@ -7,8 +7,10 @@ A sample the endpoint did not return, because its request ran out of
 retries, the answer held fewer choices than asked for or its choice had
 the wrong shape, is absent from what the client returns; nothing stands in
 for it.
-Only a client imports the transport and the HTTP modules, so an offline
-replay never loads them.
+Only a client imports the transport, so an offline replay loads no HTTP
+code. A client over direct `http://` loads no `http.client`, `email`,
+`ssl` or `urllib.request` either, unless a request fails: `kpagg.transport`
+says which path loads which module.
 
 A sample keeps only what ranking needs of its logprobs: their left-to-right
 sum and their count (`lp_sum`, `lp_n`), the sufficient statistics of both
@@ -193,7 +195,7 @@ class LLMClient:
     """Client for OpenAI-compatible chat completions: the request body, the
     retry policy and the samples. `kpagg.transport` sends the requests, over
     one kept-alive connection per fetch thread unless a proxy applies;
-    constructing a client imports it, and with it the HTTP stack. `close`
+    constructing a client imports it. `close`
     closes the idle connections. The retry policy is set by MAX_RETRIES,
     BACKOFF_BASE_S and TIMEOUT_S."""
 
@@ -245,16 +247,18 @@ class LLMClient:
         MAX_RETRY_AFTER_S); any other retry waits a random time up to the
         exponential backoff.
         """
-        import http.client
+        from .transport import http_client  # loaded by __init__ already
 
         for attempt in range(MAX_RETRIES + 1):
             wait = None
             try:
                 status, headers, body = self._transport.send(data, self._headers())
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, http_client().HTTPException) as exc:
                 # OSError covers refused connections, timeouts and TLS
                 # failures; a truncated body (IncompleteRead) is an
-                # HTTPException only.
+                # HTTPException only. The classes are looked up only once
+                # an exception propagates, so a run whose sends all succeed
+                # never imports http.client.
                 reason = f"connection error: {exc}"
             else:
                 if status == 200:
@@ -508,6 +512,18 @@ class SampleCache:
             "finish_reason": sample.finish_reason,
         }
 
+    @classmethod
+    def _line(cls, sample: RawSample) -> bytes:
+        """The cache line of a sample, UTF-8 as it reads. A text holding a
+        lone surrogate (a reply cut inside an emoji) has no UTF-8 form, so
+        its line alone goes ASCII-escaped, which `json.loads` reads back to
+        the same string."""
+        obj = cls._encode(sample)
+        try:
+            return (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
+        except UnicodeEncodeError:
+            return (json.dumps(obj) + "\n").encode("ascii")
+
     def get(self, doc_id: str, prompt_hash: str, sample_index: int) -> RawSample | None:
         return self._index.get((doc_id, prompt_hash, sample_index))
 
@@ -523,9 +539,7 @@ class SampleCache:
             if not new:
                 return
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            data = "".join(
-                json.dumps(self._encode(s), ensure_ascii=False) + "\n" for s in new.values()
-            ).encode("utf-8")
+            data = b"".join(map(self._line, new.values()))
             import fcntl  # only a run that writes loads it
 
             fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)

@@ -28,21 +28,34 @@ When `HTTP(S)_PROXY`/`NO_PROXY` put the endpoint behind a proxy, each
 request goes through `urllib.request.urlopen` on a connection of its own.
 HTTPS verifies against the system CA store either way.
 
+Each path imports only the modules it drives, so the direct path over
+`http://` loads none of the standard library's HTTP modules. `ssl` is
+imported when a transport is made for an `https://` endpoint that no proxy
+applies to. `http.client` is imported when an exception is raised, for the
+class it raises (`http_client`), so a run whose answers all come whole
+never loads it, nor the `email` package it imports. `urllib.request` is
+imported to decide whether a proxy applies only when one may: where urllib
+reads the proxy settings from the environment alone (not on macOS or
+Windows), that is when a variable named `<scheme>_proxy`, in any case, has
+a value. The proxied path imports `urllib.request` and `urllib.error`.
+
 `LLMClient` imports this module when it is constructed, so an offline
 replay, which makes no client, loads no HTTP module.
 """
 
 from __future__ import annotations
 
-import http.client
 import io
+import os
 import re
 import socket
-import ssl
+import sys
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import http.client
 
 # http.client's limits: the bytes of one answer line, and the header lines
 # of one answer (the blank line that ends them counted).
@@ -91,15 +104,15 @@ class Transport:
         self.timeout = timeout
         self._target = url.path + (f"?{url.query}" if url.query else "")
         # decided once: the proxy settings are read when the client is made
-        self._proxied = url.scheme in urllib.request.getproxies() and not (
-            urllib.request.proxy_bypass(url.netloc)
-        )
+        self._proxied = _proxied(url)
         self._default_port = 443 if url.scheme == "https" else 80
         self._port = self._default_port if url.port is None else url.port
         # request line, Host and Accept-Encoding, set by the first send
         self._head: bytes | None = None
         self._context = None
         if url.scheme == "https" and not self._proxied:
+            import ssl
+
             self._context = ssl.create_default_context()
             self._context.set_alpn_protocols(["http/1.1"])
         self._idle: list[_Connection] = []  # no send is using these
@@ -122,6 +135,9 @@ class Transport:
         itself. Raises OSError or http.client.HTTPException when no whole
         answer came."""
         if self._proxied:
+            import urllib.error
+            import urllib.request
+
             # urllib rewrites a Request that goes through a proxy, so each
             # attempt sends a fresh one.
             request = urllib.request.Request(
@@ -187,7 +203,7 @@ class Transport:
         for part in (self._target, host):
             match = _disallowed_url_char(part)
             if match:
-                raise http.client.InvalidURL(
+                raise http_client().InvalidURL(
                     f"URL can't contain control characters. {part!r} "
                     f"(found at least {match.group()!r})"
                 )
@@ -221,10 +237,39 @@ class Transport:
         return _Connection(sock)
 
 
+def http_client():
+    """The `http.client` module, imported when first asked for. Only a
+    failure needs it, for the class of the exception to raise or catch;
+    with the `email` parser and `ssl` it imports, it would cost a direct
+    run more than the exchange itself. An `except` clause evaluates its
+    classes only once an exception propagates, so one can name
+    `http_client().HTTPException` and still import nothing on success."""
+    import http.client
+
+    return http.client
+
+
+def _proxied(url: urllib.parse.SplitResult) -> bool:
+    """Whether urllib sends a request for `url` through a proxy, from the
+    proxy settings as they are now. Where urllib's `getproxies` reads the
+    environment alone, as everywhere but macOS and Windows, a scheme has a
+    proxy only if a variable whose lower-cased name is `<scheme>_proxy` has
+    a value; without one the answer is no, and urllib is not imported."""
+    if sys.platform != "darwin" and os.name != "nt":
+        name = url.scheme + "_proxy"
+        if not any(value and key.lower() == name for key, value in os.environ.items()):
+            return False
+    import urllib.request
+
+    return url.scheme in urllib.request.getproxies() and not (
+        urllib.request.proxy_bypass(url.netloc)
+    )
+
+
 def _readline(rfile, what: str) -> bytes:
     line = rfile.readline(_MAXLINE + 1)
     if len(line) > _MAXLINE:
-        raise http.client.LineTooLong(what)
+        raise http_client().LineTooLong(what)
     return line
 
 
@@ -235,7 +280,7 @@ def _header_lines(rfile) -> list[bytes]:
         line = _readline(rfile, "header line")
         lines.append(line)
         if len(lines) > _MAXHEADERS:
-            raise http.client.HTTPException(f"got more than {_MAXHEADERS} headers")
+            raise http_client().HTTPException(f"got more than {_MAXHEADERS} headers")
         if line in _END_OF_HEADERS:
             return lines
 
@@ -244,14 +289,14 @@ def _read_status(rfile) -> tuple[bytes, int]:
     """The HTTP version and the status of a status line."""
     line = _readline(rfile, "status line")
     if not line:
-        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        raise http_client().RemoteDisconnected("Remote end closed connection without response")
     try:
         version, status = line.split(None, 2)[:2]
         status = int(status)
     except ValueError:
         version, status = b"", 0
     if not (version.startswith(b"HTTP/") and 100 <= status <= 999):
-        raise http.client.BadStatusLine(str(line, "iso-8859-1"))
+        raise http_client().BadStatusLine(str(line, "iso-8859-1"))
     return version, status
 
 
@@ -265,7 +310,7 @@ def _read_head(rfile) -> tuple[int, bool, dict]:
         _header_lines(rfile)
         version, status = _read_status(rfile)
     if not version.startswith(b"HTTP/1.") and version != b"HTTP/0.9":
-        raise http.client.UnknownProtocol(str(version, "iso-8859-1"))
+        raise http_client().UnknownProtocol(str(version, "iso-8859-1"))
     headers = {}
     for line in _header_lines(rfile):
         name, colon, value = line.partition(b":")
@@ -292,7 +337,7 @@ def _read_body(rfile, status: int, http10: bool, headers: dict) -> tuple[bytes, 
         return rfile.read(), False
     body = rfile.read(length)
     if len(body) < length:
-        raise http.client.IncompleteRead(body, length - len(body))
+        raise http_client().IncompleteRead(body, length - len(body))
     return body, keep
 
 
@@ -306,12 +351,12 @@ def _read_chunked(rfile) -> bytes:
         except ValueError:
             size = -1
         if size < 0:
-            raise http.client.IncompleteRead(b"".join(chunks))
+            raise http_client().IncompleteRead(b"".join(chunks))
         if size == 0:
             break
         chunk = rfile.read(size + 2)  # the chunk and the CRLF after it
         if len(chunk) < size + 2:
-            raise http.client.IncompleteRead(b"".join(chunks) + chunk[:size])
+            raise http_client().IncompleteRead(b"".join(chunks) + chunk[:size])
         chunks.append(chunk[:size])
     while _readline(rfile, "trailer line") not in _END_OF_HEADERS:
         pass

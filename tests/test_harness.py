@@ -23,7 +23,7 @@ from kpagg.harness import (
     select_documents,
 )
 from kpagg.llm_client import AuthenticationError, LLMClientError, RawSample, SampleCache
-from kpagg.mock_server import running_server
+from kpagg.mock_server import MockFixtures, running_server
 from kpagg.prompting import VARIANT_ALIASES, PromptConfigError
 
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -288,6 +288,19 @@ class TestRunEndToEnd:
         # miss, so it halves the precision of the untruncated reading
         assert reports["length"].table["present", "f1_at_m"] == pytest.approx(0.4)  # P 1, R 1/4
         assert reports["stop"].table["present", "f1_at_m"] == pytest.approx(1 / 3)  # P 1/2
+
+    def test_lone_surrogate_answer_is_evaluated_and_replayed(self, tmp_path):
+        # the second sample is cut inside an emoji: half a surrogate pair
+        fixtures = MockFixtures({"responses": [], "default": {"samples": [
+            {"text": '"graph coloring", "tdma"]'},
+            {"text": '"graph coloring", "cut \ud83d"]'},
+        ]}})
+        with running_server(fixtures) as url:
+            cold = harness.run(config(url, tmp_path, limit=1, n_samples=2))
+        assert (cold.processed, cold.errored, cold.cache_misses) == (1, 0, 2)
+        replay = harness.run(config(None, tmp_path, offline=True, limit=1, n_samples=2))
+        assert (replay.processed, replay.cache_hits, replay.cache_misses) == (1, 2, 0)
+        assert replay.report == cold.report
 
     def test_partial_cache_resumes(self, endpoint, tmp_path):
         harness.run(config(endpoint, tmp_path, n_samples=4))

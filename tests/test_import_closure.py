@@ -3,13 +3,17 @@ importing the harness, or an offline replay, loads neither the standard
 library's HTTP stack nor a thread pool, and a replay starts no thread;
 neither loads `dataclasses` or `inspect` either (kpagg's records are
 NamedTuples, which make no class from generated source); importing the
-harness loads no YAML parser (only YAML files need one); and aggregation
-works on normalized phrases alone, without the client or the prompts."""
+harness loads no YAML parser (only YAML files need one); aggregation works
+on normalized phrases alone, without the client or the prompts; and a cold
+run over direct `http://` loads no `http.client`, `email`, `ssl` or
+`urllib.request`, while a failed send there is still retried once
+`http.client` is imported for its exception."""
 
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import kpagg
@@ -17,6 +21,7 @@ from kpagg import harness
 from kpagg.mock_server import running_server
 
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
+from .test_transport import ANSWERS, _RawServer
 
 HTTP_LIBRARIES = {"requests", "urllib3", "charset_normalizer", "idna", "certifi"}
 # Only a run with an endpoint needs these; `urllib` and `http` packages may
@@ -25,6 +30,9 @@ ONLINE_ONLY = {"http.client", "urllib.request", "ssl", "concurrent.futures"}
 # What a dataclass costs at start-up: the module, and the `inspect` (with
 # `ast`, `dis` and `tokenize`) that it imports.
 DATACLASS_MACHINERY = {"dataclasses", "inspect"}
+# What a run over direct `http://` does not drive: `email.parser` stands for
+# the `email` package that `http.client` imports.
+DIRECT_HTTP_UNUSED = {"http.client", "email.parser", "ssl", "urllib.request", "urllib.error"}
 
 # Modules the interpreter loaded before kpagg (site hooks may load certifi)
 # are not kpagg's doing, so only the newly loaded ones are checked.
@@ -54,10 +62,49 @@ print(json.dumps({
 }))
 """
 
+# A cold run in a fresh interpreter against an endpoint: the modules it
+# loads, kpagg's import included.
+COLD = """
+import json, sys
+before = set(sys.modules)
+from kpagg import harness
+summary = harness.run(harness.RunConfig(
+    corpus_path=sys.argv[1], endpoint=sys.argv[2], cache_dir=sys.argv[3], out=sys.argv[4]
+))
+print(json.dumps({
+    "loaded": sorted(set(sys.modules) - before),
+    "misses": summary.cache_misses,
+}))
+"""
+
+# One POST with no wait between attempts: the body it gives, its warnings,
+# and whether `http.client` was loaded before the send and after it.
+POST = """
+import json, logging, sys
+from kpagg import llm_client
+warnings = []
+handler = logging.Handler()
+handler.emit = lambda record: warnings.append(record.getMessage())
+llm_client.log.addHandler(handler)
+llm_client.BACKOFF_BASE_S = 0
+client = llm_client.LLMClient(sys.argv[1], "m")
+loaded_before = "http.client" in sys.modules
+body = client._post_with_retries(b"{}")
+client.close()
+print(json.dumps({
+    "body": body,
+    "warnings": warnings,
+    "loaded": [loaded_before, "http.client" in sys.modules],
+}))
+"""
+
 
 def _python(*args: str) -> str:
+    """The output of a fresh interpreter that imports kpagg from this tree;
+    no proxy variable reaches it, so its sends go direct."""
     src = str(Path(kpagg.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
@@ -117,3 +164,33 @@ def test_offline_replay_loads_no_http_stack_and_starts_no_thread(tmp_path):
     assert not set(result["loaded"]) & ONLINE_ONLY
     assert not set(result["loaded"]) & DATACLASS_MACHINERY
     assert result["started"] == []
+
+
+def test_direct_http_cold_run_loads_no_unused_http_code(tmp_path):
+    out = tmp_path / "cold.csv"
+    with running_server(MOCK_FIXTURES) as url:
+        result = json.loads(_python(
+            "-c", COLD, str(TOY_CORPUS), url, str(tmp_path / "cache"), str(out)
+        ))
+    assert result["misses"] == 50
+    assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
+    assert "kpagg.transport" in result["loaded"]
+    assert not set(result["loaded"]) & DIRECT_HTTP_UNUSED
+
+
+def test_malformed_answer_is_retried_when_http_client_was_not_loaded():
+    server = _RawServer([ANSWERS["bad-protocol-name"]])
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        result = json.loads(_python("-c", POST, server.url))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert result["body"] == {}
+    (warning,) = result["warnings"]
+    assert "connection error: HTZP/1.1 200 OK" in warning
+    assert "retry 1/" in warning
+    assert result["loaded"] == [False, True]
+    assert server.connections == 2

@@ -1377,6 +1377,27 @@ class TestSampleCache:
         assert back == sample
         assert repr(back.lp_sum) == repr(sample.lp_sum)  # -0.0 stays -0.0
 
+    def test_lone_surrogate_line_goes_escaped_and_reloads(self, tmp_path):
+        # A reply cut inside an emoji holds half a surrogate pair, which has
+        # no UTF-8 form: its line alone goes ASCII-escaped, and the batch
+        # lands whole.
+        path = tmp_path / "cache.jsonl"
+        ok = RawSample("d", "h", 0, "ok \u00e9", None, 0, "stop")
+        cut = RawSample("d", "h", 1, "\ud800", None, 0, "length")
+        SampleCache(path).put(ok, cut)
+        assert path.read_bytes().splitlines() == [
+            json.dumps(SampleCache._encode(ok), ensure_ascii=False).encode("utf-8"),
+            json.dumps(SampleCache._encode(cut)).encode("ascii"),
+        ]
+        for doc_ids in (None, {"d"}):
+            reloaded = SampleCache(path, doc_ids)
+            assert [reloaded.get("d", "h", i) for i in (0, 1)] == [ok, cut]
+
+    @given(st.text(st.characters(blacklist_categories=())), st.text())
+    def test_line_then_decode_is_identity(self, text, doc_id):
+        sample = RawSample(doc_id, "h", 0, text, -0.5, 1, "stop")
+        assert SampleCache._decode(json.loads(SampleCache._line(sample))) == sample
+
     def test_distinct_prompts_do_not_collide(self, tmp_path):
         cache = SampleCache(tmp_path / "cache.jsonl")
         cache.put(self.entry(h="a" * 64))

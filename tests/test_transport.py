@@ -5,6 +5,7 @@ scripted bytes. Framing, limits and malformed answers are checked against
 
 import http.client
 import logging
+import os
 import socket
 import socketserver
 import threading
@@ -364,3 +365,46 @@ def test_refused_as_http_client_refuses(monkeypatch, url, headers):
         transport._request(b"{}", headers)
     with pytest.raises(type(expected.value)):  # at each send
         transport._request(b"{}", headers)
+
+
+PROXY = "http://proxy.invalid:3128"
+PROXY_ENVIRONMENTS = {
+    "none": {},
+    "http_proxy": {"http_proxy": PROXY},
+    "HTTP_PROXY": {"HTTP_PROXY": PROXY},
+    "Http_Proxy": {"Http_Proxy": PROXY},
+    "empty-http_proxy-with-HTTP_PROXY": {"http_proxy": "", "HTTP_PROXY": PROXY},
+    "REQUEST_METHOD-with-HTTP_PROXY": {"REQUEST_METHOD": "POST", "HTTP_PROXY": PROXY},
+    "REQUEST_METHOD-with-http_proxy": {"REQUEST_METHOD": "POST", "http_proxy": PROXY},
+    "https_proxy-only": {"https_proxy": PROXY},
+    "all_proxy": {"all_proxy": PROXY},
+    "no_proxy-star": {"http_proxy": PROXY, "https_proxy": PROXY, "no_proxy": "*"},
+    "NO_PROXY-host": {"HTTP_PROXY": PROXY, "HTTPS_PROXY": PROXY, "NO_PROXY": "127.0.0.1"},
+}
+
+
+@pytest.mark.parametrize(
+    "url",
+    [
+        "http://127.0.0.1:8000/v1",
+        "https://127.0.0.1:8443/v1",
+        "http://example.com/v1",
+        "https://example.com/v1",
+    ],
+)
+@pytest.mark.parametrize("environment", PROXY_ENVIRONMENTS.values(), ids=PROXY_ENVIRONMENTS)
+def test_proxy_decision_is_that_of_urllib(monkeypatch, url, environment):
+    import urllib.request
+
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name == "REQUEST_METHOD":
+            monkeypatch.delenv(name)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    split = urllib.parse.urlsplit(url)
+    expected = split.scheme in urllib.request.getproxies() and not (
+        urllib.request.proxy_bypass(split.netloc)
+    )
+    transport = Transport(split, 5)
+    assert transport._proxied == expected
+    assert (transport._context is None) == (split.scheme == "http" or expected)
