@@ -139,10 +139,24 @@ def _logprob_stats(values) -> tuple[float | None, int]:
 
 _STRIP_CHARS = " \t\r\n\"'`[]"
 
-# A quoted run (to its closing quote, or to the end when unclosed) is one
-# token, so the bracket and separator characters inside it are skipped; the
-# rest of the text holds nothing significant and is sliced out whole.
-_SEPARATOR_RE = re.compile(r"\"[^\"]*\"?|'[^']*'?|[\[\],\n]")
+# A quote opens a quoted run only at the start of an item: as the first
+# character after blanks (space, tab, CR, LF) that follow a `[`, a comma, a
+# newline or the start of the scan. A run (to its closing quote, or to the
+# end when unclosed) is skipped whole, so the bracket and separator
+# characters inside it are plain text; anywhere else a quote is plain text
+# too (`Parkinson's`). `_FIRST_RUN_RE` skips the first item's run and
+# `_SEPARATOR_RE` each separator with the run of the item it opens (an LF
+# after a separator is a separator itself); the rest of the text holds
+# nothing significant and is sliced out whole.
+_QUOTED_RUN = r"""(?:"[^"]*"?|'[^']*'?)"""
+_FIRST_RUN_RE = re.compile(rf"[ \t\r]*{_QUOTED_RUN}?")
+_SEPARATOR_RE = re.compile(rf"[\[,\n][ \t\r]*{_QUOTED_RUN}?|\]")
+# A clean list after its `[`: double-quoted items separated by commas, with
+# only blanks around them, then the closing `]`. Each item is one quoted
+# run, so its phrase is the quoted text, stripped.
+_BLANKS = r"[ \t\r\n]*"
+_CLEAN_LIST_RE = re.compile(rf'{_BLANKS}(?:"[^"]*"{_BLANKS}(?:,{_BLANKS}"[^"]*"{_BLANKS})*)?\]')
+_QUOTED_ITEM_RE = re.compile(r'"([^"]*)"')
 
 
 def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> ParsedSample:
@@ -150,37 +164,43 @@ def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> P
 
     The completion is expected to be (the rest of) a bracketed list. One
     scan, from just after the first `[`, splits on commas and newlines
-    outside quotes and nested brackets and stops at the bracket that closes
-    the list. Without any bracket the whole text is split the same way (a
-    `]` in it is plain text) and the sample is flagged as a parse fallback.
-    A `truncated` completion (cut at the token limit) whose content runs to
-    the end of the text, an unclosed list or fallback text, loses its last
-    item, which may be a cut phrase. Never raises.
+    outside quoted runs and nested brackets and stops at the bracket that
+    closes the list. A quote opens a run only at the start of an item, so
+    an apostrophe inside a phrase is plain text. Without any bracket the
+    whole text is split the same way (a `]` in it is plain text) and the
+    sample is flagged as a parse fallback. A `truncated` completion (cut at
+    the token limit) whose content runs to the end of the text, an unclosed
+    list or fallback text, loses its last item, which may be a cut phrase.
+    A clean list (double-quoted items, commas, blanks, the closing `]`)
+    gives the same phrases from one regex match. Never raises.
     """
     full = ("[" if had_prefill else "") + raw_text
     # without a bracket `start` is -1, so the scan starts at 0, at depth 0
     start = full.find("[")
     fallback = start < 0
-    depth = 0 if fallback else 1  # open brackets, the list's own included
-    items = []
     item_start = start + 1
-    end = len(full)
-    for m in _SEPARATOR_RE.finditer(full, item_start):
-        token = m.group()
-        if token == "[":
-            depth += 1
-        elif token == "]":
-            depth -= 1
-            # fallback text opens no bracket: its depth only falls below 0
-            if depth == 0:
-                end = m.start()
-                break
-        elif (token == "," or token == "\n") and depth <= 1:
-            items.append(full[item_start : m.start()])
-            item_start = m.end()
-    items.append(full[item_start:end])
-    if truncated and end == len(full):
-        items.pop()
+    if not fallback and (clean := _CLEAN_LIST_RE.match(full, item_start)):
+        items = _QUOTED_ITEM_RE.findall(full, item_start, clean.end())
+    else:
+        depth = 0 if fallback else 1  # open brackets, the list's own included
+        items = []
+        end = len(full)
+        for m in _SEPARATOR_RE.finditer(full, _FIRST_RUN_RE.match(full, item_start).end()):
+            token = m.group()[0]
+            if token == "[":
+                depth += 1
+            elif token == "]":
+                depth -= 1
+                # fallback text opens no bracket: its depth only falls below 0
+                if depth == 0:
+                    end = m.start()
+                    break
+            elif depth <= 1:  # a comma or a newline
+                items.append(full[item_start : m.start()])
+                item_start = m.start() + 1
+        items.append(full[item_start:end])
+        if truncated and end == len(full):
+            items.pop()
     phrases = []
     for item in items:
         cleaned = item.strip(_STRIP_CHARS)

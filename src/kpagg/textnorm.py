@@ -14,6 +14,16 @@ of surface strings (one sample's, or a document's gold) into
 the source, dropping a surface with no alphanumeric content and keeping
 the first phrase of each normalized form.
 
+The common text takes a path that does its work in C and gives the same
+answer as the general one. An ASCII text is lowercased once and split by
+one ASCII pattern; any other text is split first and each token lowercased
+on its own, because lowering a whole text can change how it splits (`İ`
+lowers to `i` and a combining dot, and `Σ` lowers to `ς` or `σ` depending
+on what follows it). A phrase whose lowercase words occur verbatim, in
+order, among the source's words is present without stemming any source
+word, since equal words normalize alike; only the others take the stem
+walk below.
+
 Performance: `normalize_token` memoises its stems for the whole process in a
 bounded LRU cache (at most 65,536 entries of a few short strings each, so
 memory stays bounded however long the process runs). A document's source is
@@ -43,11 +53,17 @@ from typing import NamedTuple
 from . import porter
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# `_TOKEN_RE` on lowercase ASCII text
+_ASCII_TOKEN_RE = re.compile(r"[a-z0-9]+")
 _ASCII_ALPHA_RE = re.compile(r"[a-z]+\Z")
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase word tokens, dropping punctuation."""
+    """Split text into lowercase word tokens, dropping punctuation. An ASCII
+    text is lowercased whole; any other text token by token, since lowering
+    a whole text can change its tokens."""
+    if text.isascii():
+        return _ASCII_TOKEN_RE.findall(text.lower())
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
@@ -120,17 +136,28 @@ class NormalizedSource:
         """The phrases of `surfaces` in order, each normalized and classified
         as present or absent in this source (memoised per surface). A surface
         that normalizes to nothing is dropped, and only the first phrase of
-        each normalized form is kept."""
+        each normalized form is kept. A new surface whose lowercase words
+        occur verbatim in the source is present; only otherwise are source
+        words stemmed (`_contains`)."""
         memo = self._phrases
+        seen: set[str] = set()
+        out: list[NormalizedPhrase] = []
         for surface in surfaces:
-            if surface not in memo:
-                tokens = normalize_tokens(surface)
-                memo[surface] = (
-                    NormalizedPhrase(surface, " ".join(tokens), self._contains(tokens))
-                    if tokens
-                    else None
-                )
-        return tuple(dedup_preserve_order([p for s in surfaces if (p := memo[s])]))
+            if surface in memo:
+                phrase = memo[surface]
+            else:
+                words = tokenize(surface)
+                if words:
+                    tokens = [normalize_token(w) for w in words]
+                    is_present = f" {' '.join(words)} " in self._joined or self._contains(tokens)
+                    phrase = NormalizedPhrase(surface, " ".join(tokens), is_present)
+                else:
+                    phrase = None
+                memo[surface] = phrase
+            if phrase and phrase.normalized not in seen:
+                seen.add(phrase.normalized)
+                out.append(phrase)
+        return tuple(out)
 
 
 def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:

@@ -8,6 +8,7 @@ compares library outputs against these.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -116,6 +117,19 @@ def window_scan_oracle(haystack: list[str], needle: list[str]) -> bool:
         haystack[i : i + len(needle)] == needle
         for i in range(len(haystack) - len(needle) + 1)
     )
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """The word tokens of `text`, each lowercased on its own."""
+    return [t.lower() for t in re.findall(r"[^\W_]+", text)]
+
+
+def normalize_oracle(text: str) -> list[str]:
+    """`tokenize_oracle`'s tokens with each plain ASCII-letter token stemmed
+    by `porter_oracle`; digits and non-ASCII tokens are kept."""
+    return [
+        porter_oracle(t) if re.fullmatch(r"[a-z]+", t) else t for t in tokenize_oracle(text)
+    ]
 
 
 def phrases_oracle(surfaces: list[str], source_tokens: list[str], normalize) -> list[tuple]:
@@ -329,19 +343,23 @@ def porter_oracle(word: str) -> str:
 # ---- keyphrase list parsing, character by character ----
 
 _PARSE_STRIP_CHARS = " \t\r\n\"'`[]"
+_PARSE_BLANKS = " \t\r\n"
 
 
 def _list_content_oracle(text: str, start: int) -> tuple[str, bool]:
     """Text between the bracket at `start` and its matching close, and
-    whether the list closes (else the text runs to the end)."""
+    whether the list closes (else the text runs to the end). A quote opens
+    a quoted run only at the start of an item (see `_split_top_level_oracle`)."""
     depth = 1
     quote = None
+    item_start = True
     for i in range(start + 1, len(text)):
         ch = text[i]
         if quote:
             if ch == quote:
                 quote = None
-        elif ch in "\"'":
+            continue
+        if ch in "\"'" and item_start:
             quote = ch
         elif ch == "[":
             depth += 1
@@ -349,21 +367,30 @@ def _list_content_oracle(text: str, start: int) -> tuple[str, bool]:
             depth -= 1
             if depth == 0:
                 return text[start + 1 : i], True
+        if ch in "[,\n":
+            item_start = True
+        elif ch not in _PARSE_BLANKS:
+            item_start = False
     return text[start + 1 :], False
 
 
 def _split_top_level_oracle(content: str) -> list[str]:
-    """Split on commas and newlines outside quotes and nested brackets."""
+    """Split on commas and newlines outside quotes and nested brackets. A
+    quote opens a quoted run only as the first non-blank character after a
+    `[`, a comma, a newline or the start of `content`; anywhere else it is
+    plain text."""
     items: list[str] = []
     buf: list[str] = []
     depth = 0
     quote = None
+    item_start = True
     for ch in content:
         if quote:
             buf.append(ch)
             if ch == quote:
                 quote = None
-        elif ch in "\"'":
+            continue
+        if ch in "\"'" and item_start:
             quote = ch
             buf.append(ch)
         elif ch == "[":
@@ -377,6 +404,10 @@ def _split_top_level_oracle(content: str) -> list[str]:
             buf = []
         else:
             buf.append(ch)
+        if ch in "[,\n":
+            item_start = True
+        elif ch not in _PARSE_BLANKS:
+            item_start = False
     items.append("".join(buf))
     return items
 

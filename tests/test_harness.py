@@ -600,14 +600,15 @@ class TestGrid:
     def test_samples_classified_once_across_perplexity_modes(
         self, endpoint, tmp_path, monkeypatch
     ):
+        # every source text and every new phrase surface is tokenized once
         calls = []
-        normalize_tokens = textnorm.normalize_tokens
+        tokenize = textnorm.tokenize
 
         def counting(text):
             calls.append(text)
-            return normalize_tokens(text)
+            return tokenize(text)
 
-        monkeypatch.setattr(textnorm, "normalize_tokens", counting)
+        monkeypatch.setattr(textnorm, "tokenize", counting)
         harness.run(config(endpoint, tmp_path))  # warm the cache
         counts = {}
         for modes in (("mean",), ("mean", "sum")):

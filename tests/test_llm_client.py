@@ -54,6 +54,37 @@ def raw(text="x", logprobs=None, index=0, finish="stop", doc="d1"):
     )
 
 
+@st.composite
+def quoted_lists(draw):
+    """A double-quoted list, often clean, varied where the parser's one-match
+    path must hand over to its scan: blanks of one kind per list (the four
+    blanks, or with a no-break or line separator among them), comma or
+    newline separators, items holding nested brackets, inner quotes or
+    separators, items written with JSON backslash escapes, and endings that
+    close, nest, trail or never come."""
+    blank_chars = draw(st.sampled_from([" ", " \t\r\n", " \xa0", "\n\u2028"]))
+    blanks = st.text(alphabet=blank_chars, max_size=2)
+    content = draw(
+        st.sampled_from(
+            [
+                st.text(alphabet="ab -", max_size=6),
+                st.text(alphabet="ab '[],\n\\\"", max_size=6),
+            ]
+        )
+    )
+    escaped = draw(st.booleans())
+    separator = st.sampled_from([",", ",", "\n", ", "])
+    parts = []
+    for k, item in enumerate(draw(st.lists(content, max_size=5))):
+        if k:
+            parts.append(draw(separator))
+        quoted = json.dumps(item) if escaped else f'"{item}"'
+        parts.append(draw(blanks) + quoted + draw(blanks))
+    ending = draw(st.sampled_from(["]", "]", "]", " ] tail", "", "]]", ",]", ' "x"]', "[b]]"]))
+    opening = draw(st.sampled_from(["[", "[", "Answer: [", "[["]))
+    return opening + "".join(parts) + ending
+
+
 class TestParseSample:
     def test_plain_list(self):
         parsed = parse_sample('["graph coloring", "tdma", "scheduling"]', False)
@@ -133,6 +164,40 @@ class TestParseSample:
         assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
             text, prefill, truncated
         )
+
+    @given(quoted_lists(), st.booleans(), st.booleans())
+    def test_quoted_lists_match_oracle(self, case, prefill, truncated):
+        text = case[1:] if prefill and case.startswith("[") else case
+        parsed = parse_sample(text, prefill, truncated)
+        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
+            text, prefill, truncated
+        )
+
+    @pytest.mark.parametrize(
+        "text, prefill, phrases",
+        [
+            (
+                "Parkinson's disease, deep brain stimulation, gait]",
+                True,
+                ("Parkinson's disease", "deep brain stimulation", "gait"),
+            ),
+            (
+                "Parkinson's disease\ndeep brain stimulation\ngait",
+                False,
+                ("Parkinson's disease", "deep brain stimulation", "gait"),
+            ),
+            ("'Alzheimer's disease', 'x'", True, ("Alzheimer's disease", "x")),
+            ("['Alzheimer's disease', 'x']", False, ("Alzheimer's disease", "x")),
+            ('["Parkinson\'s disease", "gait"]', False, ("Parkinson's disease", "gait")),
+            # a quote after blanks that follow a separator still opens a run
+            ("[ 'a, b',\n\t'c']", False, ("a, b", "c")),
+        ],
+    )
+    def test_apostrophe_inside_an_item_is_plain_text(self, text, prefill, phrases):
+        parsed = parse_sample(text, prefill)
+        assert parsed.phrases == phrases
+        assert parsed.fallback == ("[" not in text and not prefill)
+        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(text, prefill)
 
     @given(st.text(), st.booleans(), st.booleans())
     def test_never_raises(self, text, prefill, truncated):

@@ -2,12 +2,19 @@
 
 import string
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kpagg import corpus, porter, textnorm
 
-from .oracles import phrases_oracle, reference_stems, window_scan_oracle
+from .oracles import (
+    normalize_oracle,
+    phrases_oracle,
+    reference_stems,
+    tokenize_oracle,
+    window_scan_oracle,
+)
 
 
 class TestTokenize:
@@ -25,6 +32,22 @@ class TestTokenize:
     def test_empty(self):
         assert textnorm.tokenize("") == []
         assert textnorm.tokenize("  --- !! ") == []
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            # `İ` lowers to `i` and a combining dot, which no token holds
+            # when the whole text is lowered first
+            ("İx", ["i\u0307x"]),
+            # a final sigma: lowered alone, `ΟΔΟΣ` ends in `ς`; inside the
+            # whole text `'Χ` follows it and it lowers to `σ`
+            ("ΟΔΟΣ'Χ", ["οδος", "χ"]),
+            ("Straße's", ["straße", "s"]),
+            ("It's ASCII", ["it", "s", "ascii"]),
+        ],
+    )
+    def test_each_token_lowered_on_its_own(self, text, tokens):
+        assert textnorm.tokenize(text) == tokens == tokenize_oracle(text)
 
 
 class TestNormalizeTokens:
@@ -232,14 +255,15 @@ class TestSourcePhraseMemo:
         doc = toy_docs[0]
         samples = toy_samples(doc)
         source, next_source = source_of(doc), source_of(doc)
+        # a new surface is tokenized once, to be normalized and classified
         calls = []
-        original = textnorm.normalize_tokens
+        original = textnorm.tokenize
 
         def counting(text):
             calls.append(text)
             return original(text)
 
-        monkeypatch.setattr(textnorm, "normalize_tokens", counting)
+        monkeypatch.setattr(textnorm, "tokenize", counting)
         for _ in range(2):
             for surfaces in samples:
                 source.phrases(surfaces)
@@ -349,3 +373,59 @@ def test_phrases_match_oracle(surface_list, source_pieces):
     assert triples(got) == phrases_oracle(
         surface_list, textnorm.normalize_tokens(text), textnorm.normalize_tokens
     )
+
+
+# Text for the tokenizer: ASCII only (lowered whole) and with letters whose
+# lowercase depends on their context or splits them (lowered per token).
+tokenizer_text = (
+    st.text(alphabet=string.printable, max_size=40)
+    | st.text(alphabet="aZ9 _-'İΣßéΧΟ", max_size=30)
+    | st.text(max_size=30)
+)
+
+
+@given(tokenizer_text)
+def test_tokenize_matches_oracle(text):
+    assert textnorm.tokenize(text) == tokenize_oracle(text)
+
+
+# A partner of a word with the same stem, so that a phrase matches a source
+# word only after stemming (`networks` against `network`).
+STEM_PARTNERS = {
+    "decision": "decisions", "decisions": "decision", "relational": "relate",
+    "relate": "relational", "networking": "networks", "networks": "network",
+    "network": "networks", "happy": "happiness", "happiness": "happy",
+}
+partner_words = words | st.sampled_from(sorted(STEM_PARTNERS))
+
+
+@st.composite
+def source_and_phrase(draw):
+    """A source text and a phrase cut from its words: verbatim, in another
+    case, with a word swapped for one of the same stem, with a letter cut
+    off its first or last word (`b c` against `ab c`, `a b` against `a bc`),
+    or drawn freely."""
+    source_words = draw(st.lists(partner_words | near_words, min_size=1, max_size=10))
+    start = draw(st.integers(0, len(source_words) - 1))
+    stop = draw(st.integers(start + 1, min(len(source_words), start + 3)))
+    phrase_words = source_words[start:stop]
+    kind = draw(st.sampled_from(["verbatim", "case", "stem", "cut_first", "cut_last", "free"]))
+    if kind == "case":
+        phrase_words = [w.upper() for w in phrase_words]
+    elif kind == "stem":
+        phrase_words = [STEM_PARTNERS.get(w, w) for w in phrase_words]
+    elif kind == "cut_first":
+        phrase_words[0] = phrase_words[0][1:]
+    elif kind == "cut_last":
+        phrase_words[-1] = phrase_words[-1][:-1]
+    elif kind == "free":
+        phrase_words = draw(st.lists(near_words, min_size=1, max_size=3))
+    separator = draw(st.sampled_from([" ", "  ", "-", ", "]))
+    return separator.join(source_words), " ".join(phrase_words)
+
+
+@given(source_and_phrase())
+def test_presence_near_verbatim_matches_oracle(case):
+    text, surface = case
+    got = textnorm.NormalizedSource.from_text(text).phrases([surface])
+    assert triples(got) == phrases_oracle([surface], normalize_oracle(text), normalize_oracle)
