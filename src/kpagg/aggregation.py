@@ -27,7 +27,6 @@ from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from . import textnorm
 from .textnorm import NormalizedPhrase
 
 # One sample's phrases, normalized, deduplicated and presence-classified.
@@ -86,9 +85,20 @@ def aggregate_union(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
     return [first[key] for key in sorted(first)]
 
 
+def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:
+    """Keep the first phrase for each distinct normalized form."""
+    seen: set[str] = set()
+    out: list[NormalizedPhrase] = []
+    for p in phrases:
+        if p.normalized not in seen:
+            seen.add(p.normalized)
+            out.append(p)
+    return out
+
+
 def aggregate_union_concat(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
     """Concatenate samples in rank order, keep first occurrences."""
-    return textnorm.dedup_preserve_order([p for sample in ranked for p in sample])
+    return dedup_preserve_order([p for sample in ranked for p in sample])
 
 
 def aggregate_union_interleaf(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
@@ -105,7 +115,7 @@ def aggregate_union_interleaf(ranked: Sequence[Sample]) -> list[NormalizedPhrase
         if not found:
             break
         position += 1
-    return textnorm.dedup_preserve_order(merged)
+    return dedup_preserve_order(merged)
 
 
 def aggregate_frequency_order(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:

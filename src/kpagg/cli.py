@@ -1,105 +1,60 @@
-"""Command-line interface: run, stats, and grid subcommands."""
+"""Command-line interface: run, stats, and grid subcommands. `kpagg run`
+takes its defaults from `harness.RunConfig`. Exits 0, 1 after a fatal error
+(`Error: <message>` on stderr), or 2 on a usage error."""
 
 from __future__ import annotations
 
+import argparse
 import logging
 import sys
 from pathlib import Path
 
-import click
-
 from . import __version__, harness, metrics
 from .aggregation import STRATEGY_ALIASES
-from .corpus import (
-    DOMAINS,
-    CorpusError,
-    corpus_stats,
-    format_stats,
-    load_corpus,
-    stats_csv,
-)
+from .corpus import DOMAINS, CorpusError, corpus_stats, format_stats, load_corpus, stats_csv
 from .llm_client import PPL_MODES, REQUEST_MODES, LLMClientError
 from .prompting import VARIANT_ALIASES, PromptConfigError
 
-_FATAL = (harness.HarnessError, CorpusError, PromptConfigError, LLMClientError)
+_FATAL = (harness.HarnessError, CorpusError, PromptConfigError, LLMClientError, OSError)
 
 
-@click.group()
-@click.version_option(__version__)
-@click.option("-v", "--verbose", is_flag=True, help="Log debug detail to stderr.")
-def main(verbose: bool) -> None:
-    """Zero-shot keyphrase generation harness: sample, aggregate, evaluate."""
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+class _Help(argparse.HelpFormatter):
+    """Shows each option's default after its help, unless that is None."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.default in (None, argparse.SUPPRESS) or "%(default)" in action.help:
+            return action.help
+        return f"{action.help} (default: %(default)s)"
 
 
-def _run_options(fn):
-    options = [
-        click.option("--corpus", "corpus_path", required=True,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="JSON-lines corpus file."),
-        click.option("--variant", default="baseline",
-                     type=click.Choice(list(VARIANT_ALIASES)),
-                     help="Prompt variant."),
-        click.option("--aggregate", "strategy", default="frequency",
-                     type=click.Choice(list(STRATEGY_ALIASES)),
-                     help="Aggregation strategy."),
-        click.option("--n-samples", default=10, type=click.IntRange(min=1),
-                     show_default=True, help="Samples drawn per document."),
-        click.option("--temperature", default=0.8, type=click.FloatRange(min=0),
-                     show_default=True),
-        click.option("--max-tokens", default=500, type=click.IntRange(min=1),
-                     show_default=True),
-        click.option("--model", default="default", show_default=True,
-                     help="Model name sent to the endpoint."),
-        click.option("--endpoint", default=None,
-                     help=f"Chat-completions base URL; falls back to "
-                          f"${harness.ENDPOINT_ENV}. Credential comes from "
-                          f"${harness.API_KEY_ENV} only."),
-        click.option("--limit", default=None, type=click.IntRange(min=1),
-                     help="Evaluate only this many documents."),
-        click.option("--seed", default=None, type=int,
-                     help="Select the --limit subset at random with this seed "
-                          "(default: first documents in file order)."),
-        click.option("--cache-dir", default="cache", show_default=True,
-                     help="Sample cache root; reruns replay from here."),
-        click.option("--out", default=None, type=click.Path(dir_okay=False),
-                     help="Write the metric report CSV here."),
-        click.option("--empty-gold", default="exclude",
-                     type=click.Choice(metrics.EMPTY_GOLD_POLICIES), show_default=True,
-                     help="Macro-average handling of documents with no gold "
-                          "keyphrases in a partition."),
-        click.option("--prompt-config", default=None,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="YAML (or JSON) file overriding the bundled prompt strings."),
-        click.option("--prefill/--no-prefill", default=True, show_default=True,
-                     help="Start the assistant turn with '[' (disable for "
-                          "endpoints that reject partial assistant turns)."),
-        click.option("--request-mode", default="choices",
-                     type=click.Choice(REQUEST_MODES),
-                     show_default=True,
-                     help="One n-choice request per document, or n requests."),
-        click.option("--ppl-mode", default="mean",
-                     type=click.Choice(PPL_MODES), show_default=True,
-                     help="Perplexity from mean or summed token NLL."),
-        click.option("--offline", is_flag=True,
-                     help="Never touch the network; requires a warm cache."),
-        click.option("--default-domain", default="scientific",
-                     type=click.Choice(DOMAINS), show_default=True,
-                     help="Domain for records that do not declare one."),
-        click.option("--max-in-flight", default=4, type=click.IntRange(min=1),
-                     show_default=True, help="Documents fetched concurrently."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+def _at_least(kind: type, low: int):
+    """An argument type: `kind(text)` refused below `low` (NaN passes; `RunConfig` refuses it)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is smaller than the minimum {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _path(text: str, must_exist: bool = True) -> str:
+    """An argument type: a path that is no directory, and exists if it must."""
+    path = Path(text)
+    if path.is_dir() or must_exist and not path.exists():
+        problem = "is a directory" if path.is_dir() else "does not exist"
+        raise argparse.ArgumentTypeError(f"{text!r} {problem}")
+    return text
+
+
+def _out_path(text: str) -> str:
+    return _path(text, must_exist=False)
 
 
 def _echo_summary(summary: harness.RunSummary) -> None:
-    click.echo(
+    print(
         f"documents processed={summary.processed} errored={summary.errored} "
         f"parse_fallbacks={summary.parse_fallbacks} truncated={summary.truncated} "
         f"cache_hits={summary.cache_hits} cache_misses={summary.cache_misses} "
@@ -107,61 +62,121 @@ def _echo_summary(summary: harness.RunSummary) -> None:
     )
 
 
-@main.command("run")
-@_run_options
-def run_cmd(**kwargs) -> None:
+def run_cmd(args: argparse.Namespace) -> None:
     """Run one corpus x variant x strategy configuration."""
-    try:
-        config = harness.RunConfig(**kwargs)
-        summary = harness.run(config)
-    except _FATAL as exc:
-        raise click.ClickException(str(exc)) from exc
+    config = harness.RunConfig(**{name: getattr(args, name) for name in harness.RunConfig._fields})
+    summary = harness.run(config)
     _echo_summary(summary)
-    click.echo(metrics.reports_table([summary.report]))
+    print(metrics.reports_table([summary.report]))
     if config.out:
-        click.echo(f"wrote {config.out}")
+        print(f"wrote {config.out}")
 
 
-@main.command("stats")
-@click.option("--corpus", "corpus_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON-lines corpus file.")
-@click.option("--limit", default=None, type=click.IntRange(min=1),
-              help="Use only the first N documents.")
-@click.option("--default-domain", default="scientific",
-              type=click.Choice(DOMAINS), show_default=True)
-@click.option("--csv", "csv_path", default=None, type=click.Path(dir_okay=False),
-              help="Also write the stats as CSV here.")
-def stats_cmd(corpus_path, limit, default_domain, csv_path) -> None:
+def stats_cmd(args: argparse.Namespace) -> None:
     """Describe a corpus: input length and present/absent gold counts."""
-    try:
-        docs = load_corpus(corpus_path, default_domain=default_domain)
-        stats = corpus_stats(docs[:limit])
-    except CorpusError as exc:
-        raise click.ClickException(str(exc)) from exc
-    click.echo(format_stats(stats))
-    if csv_path:
-        Path(csv_path).write_text(stats_csv(stats), encoding="utf-8")
-        click.echo(f"wrote {csv_path}")
+    docs = load_corpus(args.corpus_path, default_domain=args.default_domain)
+    stats = corpus_stats(docs[: args.limit])
+    print(format_stats(stats))
+    if args.csv_path:
+        Path(args.csv_path).write_text(stats_csv(stats), encoding="utf-8")
+        print(f"wrote {args.csv_path}")
 
 
-@main.command("grid")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Grid YAML: shared keys at top level, overrides in 'runs'.")
-def grid_cmd(config_path) -> None:
+def grid_cmd(args: argparse.Namespace) -> None:
     """Run several configurations and print one merged table."""
-    try:
-        configs, out = harness.load_grid_config(config_path)
-        summaries = harness.grid(configs, out=out)
-    except _FATAL as exc:
-        raise click.ClickException(str(exc)) from exc
+    configs, out = harness.load_grid_config(args.config_path)
+    summaries = harness.grid(configs, out=out)
     for summary in summaries:
         _echo_summary(summary)
-    click.echo(metrics.reports_table([s.report for s in summaries]))
+    print(metrics.reports_table([s.report for s in summaries]))
     if out:
-        click.echo(f"wrote {out}")
+        print(f"wrote {out}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # without allow_abbrev=False a prefix such as `--off` would pass for `--offline`
+    style = dict(allow_abbrev=False, formatter_class=_Help)
+    parser = argparse.ArgumentParser(
+        prog="kpagg",
+        description="Zero-shot keyphrase generation harness: sample, aggregate, evaluate.",
+        **style,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true", help="Log debug detail to stderr.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(fn, name: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, **style)
+        sub.set_defaults(action=fn)
+        return sub
+
+    defaults = harness.RunConfig._field_defaults
+    run = command(run_cmd, "run")
+    # set before the options are added, so each takes its default from here
+    run.set_defaults(**defaults)
+    add = run.add_argument
+    add("--corpus", dest="corpus_path", required=True, type=_path, help="JSON-lines corpus file.")
+    add("--variant", choices=list(VARIANT_ALIASES), help="Prompt variant.")
+    add("--aggregate", dest="strategy", choices=list(STRATEGY_ALIASES),
+        help="Aggregation strategy.")
+    add("--n-samples", type=_at_least(int, 1), help="Samples drawn per document.")
+    add("--temperature", type=_at_least(float, 0), help="Sampling temperature.")
+    add("--max-tokens", type=_at_least(int, 1), help="Token limit of each sample.")
+    add("--model", help="Model name sent to the endpoint.")
+    add("--endpoint", help=f"Chat-completions base URL; falls back to ${harness.ENDPOINT_ENV}. "
+                           f"Credential comes from ${harness.API_KEY_ENV} only.")
+    add("--limit", type=_at_least(int, 1), help="Evaluate only this many documents.")
+    add("--seed", type=int, help="Select the --limit subset at random with this seed "
+                                 "(default: first documents in file order).")
+    add("--cache-dir", help="Sample cache root; reruns replay from here.")
+    add("--out", type=_out_path, help="Write the metric report CSV here.")
+    add("--empty-gold", choices=metrics.EMPTY_GOLD_POLICIES,
+        help="Macro-average handling of documents with no gold keyphrases in a partition.")
+    add("--prompt-config", type=_path,
+        help="YAML (or JSON) file overriding the bundled prompt strings.")
+    add("--prefill", action=argparse.BooleanOptionalAction,
+        help="Start the assistant turn with '[' (disable for endpoints that reject "
+             "partial assistant turns).")
+    add("--request-mode", choices=REQUEST_MODES,
+        help="One n-choice request per document, or n requests.")
+    add("--ppl-mode", choices=PPL_MODES, help="Perplexity from mean or summed token NLL.")
+    add("--offline", action="store_true", help="Never touch the network; requires a warm cache.")
+    add("--default-domain", choices=DOMAINS, help="Domain for records that do not declare one.")
+    add("--max-in-flight", type=_at_least(int, 1), help="Documents fetched concurrently.")
+
+    stats = command(stats_cmd, "stats")
+    stats.add_argument("--corpus", dest="corpus_path", required=True, type=_path,
+                       help="JSON-lines corpus file.")
+    stats.add_argument("--limit", type=_at_least(int, 1), help="Use only the first N documents.")
+    stats.add_argument("--default-domain", choices=DOMAINS, default=defaults["default_domain"],
+                       help="Domain for records that do not declare one.")
+    stats.add_argument("--csv", dest="csv_path", type=_out_path,
+                       help="Also write the stats as CSV here.")
+
+    grid = command(grid_cmd, "grid")
+    grid.add_argument("--config", dest="config_path", required=True, type=_path,
+                      help="Grid YAML: shared keys at top level, overrides in 'runs'.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the `kpagg` command line; returns 0, or 1 after a fatal error."""
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(
+        stream=sys.stderr,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
+    try:
+        args.action(args)
+    except _FATAL as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # no traceback for Ctrl-C, as under click
+        print("Aborted!", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

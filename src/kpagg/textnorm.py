@@ -75,11 +75,6 @@ def normalize_token(token: str) -> str:
     return token
 
 
-def normalize_tokens(text: str) -> list[str]:
-    """Lowercased, stemmed token list for a piece of text."""
-    return [normalize_token(t) for t in tokenize(text)]
-
-
 class NormalizedPhrase(NamedTuple):
     """A keyphrase with its normalized form and its present/absent status
     relative to a source document."""
@@ -158,14 +153,3 @@ class NormalizedSource:
                 seen.add(phrase.normalized)
                 out.append(phrase)
         return tuple(out)
-
-
-def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:
-    """Keep the first phrase for each distinct normalized form."""
-    seen: set[str] = set()
-    out: list[NormalizedPhrase] = []
-    for p in phrases:
-        if p.normalized not in seen:
-            seen.add(p.normalized)
-            out.append(p)
-    return out

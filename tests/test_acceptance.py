@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from kpagg import harness
 from kpagg.aggregation import (
@@ -31,7 +30,7 @@ from kpagg.corpus import Document, load_corpus
 from kpagg.metrics import score_at_k, score_at_m, score_document
 from kpagg.mock_server import running_server
 from kpagg.porter import stem
-from kpagg.textnorm import NormalizedPhrase, NormalizedSource, normalize_tokens, tokenize
+from kpagg.textnorm import NormalizedPhrase, NormalizedSource, tokenize
 
 from . import oracles
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -286,7 +285,9 @@ def test_criterion_06_normalization():
         text = " ".join(text_words)
         (phrase,) = NormalizedSource(tokenize(text)).phrases([" ".join(phrase_words)])
         got = phrase.is_present
-        want = oracles.window_scan_oracle(normalize_tokens(text), phrase.normalized.split(" "))
+        want = oracles.window_scan_oracle(
+            oracles.normalize_oracle(text), phrase.normalized.split(" ")
+        )
         if got != want:
             scan_failure = f"trial {trial}: phrase={phrase.normalized!r}"
             break
@@ -307,7 +308,7 @@ def _inspec_path() -> Path | None:
     return conventional if conventional.exists() else None
 
 
-def test_criterion_07_inspec_statistics():
+def test_criterion_07_inspec_statistics(capsys):
     path = _inspec_path()
     if path is None or not path.exists():
         skip(
@@ -315,10 +316,11 @@ def test_criterion_07_inspec_statistics():
             f"Inspec test split not available; set {INSPEC_ENV} to its "
             "JSON-lines file (or place it at data/inspec_test.jsonl)",
         )
-    result = CliRunner().invoke(main, ["stats", "--corpus", str(path)])
-    assert result.exit_code == 0, result.output
+    code = main(["stats", "--corpus", str(path)])
+    output = capsys.readouterr().out
+    assert code == 0, output
     values = {}
-    for line in result.output.splitlines():
+    for line in output.splitlines():
         parts = line.rsplit(None, 1)
         if len(parts) == 2 and parts[1].replace(".", "", 1).isdigit():
             values[parts[0].strip()] = float(parts[1])
@@ -339,9 +341,8 @@ def test_criterion_07_inspec_statistics():
     report(7, ok, detail)
 
 
-def test_criterion_08_end_to_end_determinism(tmp_path):
+def test_criterion_08_end_to_end_determinism(tmp_path, capsys):
     t0 = time.monotonic()
-    runner = CliRunner()
     outputs = []
     with running_server(MOCK_FIXTURES) as endpoint:
         for i, extra in enumerate(([], [], ["--offline"])):
@@ -355,8 +356,8 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
                 "--cache-dir", str(tmp_path / "cache"),
                 "--out", str(out),
             ] + (extra if extra else ["--endpoint", endpoint])
-            result = runner.invoke(main, args)
-            assert result.exit_code == 0, result.output
+            code = main(args)
+            assert code == 0, capsys.readouterr()
             outputs.append(out.read_bytes())
     elapsed = time.monotonic() - t0
     identical = outputs[0] == outputs[1] == outputs[2]

@@ -16,6 +16,7 @@ from kpagg.aggregation import (
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
+    dedup_preserve_order,
     dynamic_select,
     merge,
     rank,
@@ -109,6 +110,22 @@ class TestRankSamples:
 
 
 WORKED = sset(["a", "b"], ["b", "c"], ["d"])
+
+
+class TestDedup:
+    def test_first_occurrence_kept(self):
+        phrases = [NormalizedPhrase(s, s, False) for s in ("a", "b", "a", "c")]
+        out = dedup_preserve_order(phrases)
+        assert [p.normalized for p in out] == ["a", "b", "c"]
+
+    def test_stemming_equal_forms_collapse(self):
+        phrases = [NormalizedSource(()).phrases([s])[0] for s in ("Networks", "network")]
+        out = dedup_preserve_order(phrases)
+        assert len(out) == 1
+        assert out[0].surface == "Networks"
+
+    def test_empty_list(self):
+        assert dedup_preserve_order([]) == []
 
 
 class TestStrategies:

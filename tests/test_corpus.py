@@ -4,7 +4,6 @@ import json
 import logging
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +20,7 @@ from kpagg.corpus import (
 from kpagg.cli import main
 
 from .conftest import TOY_CORPUS
-from .oracles import phrases_oracle
+from .oracles import normalize_oracle, phrases_oracle
 
 
 def make_doc(**kw):
@@ -165,8 +164,8 @@ class TestPartitionGold:
 
     def test_equals_fresh_normalize_and_presence_test(self, toy_docs):
         for doc in toy_docs:
-            tokens = textnorm.normalize_tokens(doc.source_text)
-            fresh = phrases_oracle(doc.gold, tokens, textnorm.normalize_tokens)
+            tokens = normalize_oracle(doc.source_text)
+            fresh = phrases_oracle(doc.gold, tokens, normalize_oracle)
             present, absent = gold_split(doc)
             triples = [(p.surface, p.normalized, p.is_present) for p in present + absent]
             assert triples == [t for t in fresh if t[2]] + [t for t in fresh if not t[2]], doc.id
@@ -247,20 +246,21 @@ class TestStats:
         ]
         assert stats_csv(stats).splitlines()[1] == "1,3.000000,,,0.000000,0.000000"
 
-    def test_limit_takes_the_first_documents(self, toy_docs, tmp_path, caplog):
+    def test_limit_takes_the_first_documents(self, toy_docs, tmp_path, caplog, capsys):
         # `kpagg stats --limit 2` describes the first two documents of the file
         assert [d.id for d in toy_docs[:2]] == ["doc-001", "doc-002"]
-        result = CliRunner().invoke(main, ["stats", "--corpus", str(TOY_CORPUS), "--limit", "2"])
-        assert result.exit_code == 0, result.output
-        assert result.output == format_stats(corpus_stats(toy_docs[:2])) + "\n"
-        assert result.output != format_stats(corpus_stats(toy_docs)) + "\n"
+        code = main(["stats", "--corpus", str(TOY_CORPUS), "--limit", "2"])
+        output = capsys.readouterr().out
+        assert code == 0, output
+        assert output == format_stats(corpus_stats(toy_docs[:2])) + "\n"
+        assert output != format_stats(corpus_stats(toy_docs)) + "\n"
         # the whole file is read: a malformed record past the limit is warned on
         p = tmp_path / "c.jsonl"
         good = {"id": "a", "title": "T", "abstract": "B", "keyphrases": ["k"]}
         p.write_text(json.dumps(good) + "\ngarbage\n")
         with caplog.at_level(logging.WARNING):
-            result = CliRunner().invoke(main, ["stats", "--corpus", str(p), "--limit", "1"])
-        assert result.exit_code == 0, result.output
+            code = main(["stats", "--corpus", str(p), "--limit", "1"])
+        assert code == 0, capsys.readouterr()
         assert any(f"{p}:2: skipping malformed record" in r.message for r in caplog.records)
 
     @given(order=st.permutations(list(range(4))))

@@ -1,16 +1,16 @@
 """Run orchestration: caching, determinism, grid runs, and the CLI."""
 
+import argparse
 import json
 import logging
 import threading
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from kpagg import corpus, harness, prompting, textnorm
 from kpagg.aggregation import STRATEGIES, STRATEGY_ALIASES
-from kpagg.cli import main, run_cmd
+from kpagg.cli import build_parser, main
 from kpagg.corpus import CorpusError, load_corpus
 from kpagg.harness import (
     API_KEY_ENV,
@@ -133,9 +133,17 @@ class TestCachePath:
 
 
 class TestRunConfig:
-    def test_cli_defaults_are_the_config_defaults(self):
-        defaults = {p.name: p.default for p in run_cmd.params if p.name != "corpus_path"}
-        assert RunConfig("c", **defaults) == RunConfig("c")
+    def test_cli_defaults_are_the_config_defaults(self, monkeypatch):
+        # `kpagg run --corpus X` and nothing else builds `RunConfig(corpus_path=X)`
+        built = []
+
+        def fake_run(config):
+            built.append(config)
+            raise HarnessError("stop")
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        assert main(["run", "--corpus", str(TOY_CORPUS)]) == 1
+        assert built == [RunConfig(corpus_path=str(TOY_CORPUS))]
 
     def test_alias_and_full_name_make_equal_configs(self):
         for alias, name in VARIANT_ALIASES.items():
@@ -774,11 +782,59 @@ class TestGrid:
             load_grid_config(path)
 
 
+# Each subcommand's flags and the attribute each one sets; `kpagg run`'s
+# attributes are the `RunConfig` fields.
+CLI_OPTIONS = {
+    "run": {
+        "--corpus": "corpus_path", "--variant": "variant", "--aggregate": "strategy",
+        "--n-samples": "n_samples", "--temperature": "temperature",
+        "--max-tokens": "max_tokens", "--model": "model", "--endpoint": "endpoint",
+        "--limit": "limit", "--seed": "seed", "--cache-dir": "cache_dir", "--out": "out",
+        "--empty-gold": "empty_gold", "--prompt-config": "prompt_config",
+        "--prefill": "prefill", "--no-prefill": "prefill",
+        "--request-mode": "request_mode", "--ppl-mode": "ppl_mode", "--offline": "offline",
+        "--default-domain": "default_domain", "--max-in-flight": "max_in_flight",
+    },
+    "stats": {
+        "--corpus": "corpus_path", "--limit": "limit",
+        "--default-domain": "default_domain", "--csv": "csv_path",
+    },
+    "grid": {"--config": "config_path"},
+}
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return commands.choices
+
+
 class TestCli:
-    def test_run_command(self, endpoint, tmp_path):
+    def test_option_sets_are_pinned(self):
+        parsers = subcommands()
+        assert set(parsers) == set(CLI_OPTIONS)
+        for name, parser in parsers.items():
+            got = {
+                flag: action.dest
+                for action in parser._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            }
+            assert got == CLI_OPTIONS[name], name
+        run_defaults = {
+            a.dest: a.default
+            for a in parsers["run"]._actions
+            if a.dest not in ("help", "corpus_path")
+        }
+        assert run_defaults == RunConfig._field_defaults
+        assert set(CLI_OPTIONS["run"].values()) == set(RunConfig._fields)
+        domain = next(a for a in parsers["stats"]._actions if a.dest == "default_domain")
+        assert domain.default == RunConfig._field_defaults["default_domain"]
+
+    def test_run_command(self, endpoint, tmp_path, capsys):
         out = tmp_path / "cli.csv"
-        result = CliRunner().invoke(
-            main,
+        code = main(
             [
                 "run",
                 "--corpus", str(TOY_CORPUS),
@@ -787,31 +843,68 @@ class TestCli:
                 "--out", str(out),
             ],
         )
-        assert result.exit_code == 0, result.output
-        assert "processed=5" in result.output
-        assert "P-F1@M" in result.output
+        output = capsys.readouterr().out
+        assert code == 0, output
+        assert "processed=5" in output
+        assert "P-F1@M" in output
         assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
 
-    def test_run_without_endpoint_fails_cleanly(self, tmp_path):
-        result = CliRunner().invoke(
-            main,
-            ["run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path)],
-        )
-        assert result.exit_code == 1
-        assert "endpoint" in result.output.lower()
+    def test_run_without_endpoint_fails_cleanly(self, tmp_path, capsys):
+        code = main(["run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Error: ")
+        assert "endpoint" in err.lower()
+
+    def test_interrupted_run_exits_1_without_traceback(self, monkeypatch, capsys):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run", interrupted)
+        assert main(["run", "--corpus", str(TOY_CORPUS)]) == 1
+        assert capsys.readouterr().err == "Aborted!\n"
 
     def test_run_rejects_unknown_strategy(self, tmp_path):
-        result = CliRunner().invoke(
-            main,
-            ["run", "--corpus", str(TOY_CORPUS), "--aggregate", "median"],
-        )
-        assert result.exit_code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--corpus", str(TOY_CORPUS), "--aggregate", "median"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n-samples", "0"],
+            ["--limit", "0"],
+            ["--temperature", "-1"],
+            ["--max-in-flight", "0"],
+            ["--off"],  # a prefix of --offline is no flag
+            ["--prompt-config", "missing.yaml"],
+        ],
+    )
+    def test_run_usage_errors_exit_2(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path), *args])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["run"], ["stats"]])
+    def test_missing_or_directory_corpus_exits_2(self, tmp_path, capsys, command):
+        for corpus_path, problem in ((tmp_path / "none.jsonl", "does not exist"),
+                                     (tmp_path, "is a directory")):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--corpus", str(corpus_path)])
+            assert exc.value.code == 2
+            assert problem in capsys.readouterr().err
+
+    def test_grid_missing_config_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--config", str(tmp_path / "grid.yaml")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_temperature_fails_cleanly(self, tmp_path, value):
+    def test_non_finite_temperature_fails_cleanly(self, tmp_path, capsys, value):
         out = tmp_path / "cli.csv"
-        result = CliRunner().invoke(
-            main,
+        code = main(
             [
                 "run",
                 "--corpus", str(TOY_CORPUS),
@@ -821,12 +914,14 @@ class TestCli:
                 "--out", str(out),
             ],
         )
-        assert result.exit_code == 1
-        assert "temperature" in result.output
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Error: ")
+        assert "temperature" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [".nan", ".inf"])
-    def test_grid_rejects_non_finite_temperature(self, tmp_path, value):
+    def test_grid_rejects_non_finite_temperature(self, tmp_path, capsys, value):
         grid_path = tmp_path / "grid.yaml"
         grid_path.write_text(
             f"corpus: {TOY_CORPUS}\n"
@@ -835,22 +930,22 @@ class TestCli:
             f"out: {tmp_path / 'merged.csv'}\n"
             f"runs: [{{aggregate: union}}, {{aggregate: union, temperature: {value}}}]\n"
         )
-        result = CliRunner().invoke(main, ["grid", "--config", str(grid_path)])
-        assert result.exit_code == 1
-        assert "temperature" in result.output
+        code = main(["grid", "--config", str(grid_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Error: ")
+        assert "temperature" in err
         assert list(tmp_path.iterdir()) == [grid_path]
 
-    def test_stats_command(self, tmp_path):
+    def test_stats_command(self, tmp_path, capsys):
         csv_path = tmp_path / "stats.csv"
-        result = CliRunner().invoke(
-            main,
-            ["stats", "--corpus", str(TOY_CORPUS), "--csv", str(csv_path)],
-        )
-        assert result.exit_code == 0, result.output
-        assert "Documents" in result.output
+        code = main(["stats", "--corpus", str(TOY_CORPUS), "--csv", str(csv_path)])
+        output = capsys.readouterr().out
+        assert code == 0, output
+        assert "Documents" in output
         assert csv_path.read_text().startswith("num_docs")
 
-    def test_grid_command(self, endpoint, tmp_path):
+    def test_grid_command(self, endpoint, tmp_path, capsys):
         grid_path = tmp_path / "grid.yaml"
         grid_path.write_text(
             yaml.safe_dump(
@@ -863,7 +958,44 @@ class TestCli:
                 }
             )
         )
-        result = CliRunner().invoke(main, ["grid", "--config", str(grid_path)])
-        assert result.exit_code == 0, result.output
+        code = main(["grid", "--config", str(grid_path)])
+        output = capsys.readouterr().out
+        assert code == 0, output
         assert (tmp_path / "merged.csv").exists()
-        assert result.output.count("processed=5") == 2
+        assert output.count("processed=5") == 2
+
+
+class TestCliOutputErrors:
+    """An output that cannot be written ends the command with `Error:` and
+    exit 1, not a traceback. The output's parent is a regular file, so no
+    directory can be made there."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        return tmp_path / "file" / "sub" / "out.csv"
+
+    def check(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("Error: ")
+        assert "Traceback" not in err
+
+    def test_stats(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "stats.csv"
+        self.check(main(["stats", "--corpus", str(TOY_CORPUS), "--csv", str(csv_path)]), capsys)
+
+    def test_run(self, blocked, tmp_path, capsys):
+        code = main([
+            "run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path / "cache"),
+            "--offline", "--out", str(blocked),
+        ])
+        self.check(code, capsys)
+
+    def test_grid(self, blocked, tmp_path, capsys):
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(yaml.safe_dump({
+            "corpus": str(TOY_CORPUS), "cache_dir": str(tmp_path / "cache"), "offline": True,
+            "out": str(blocked), "runs": [{"aggregate": "union"}],
+        }))
+        self.check(main(["grid", "--config", str(grid_path)]), capsys)

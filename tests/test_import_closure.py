@@ -1,4 +1,5 @@
 """Importing the CLI and the harness loads no third-party HTTP library;
+importing the CLI loads no CLI framework beside `argparse`, and no `inspect`;
 importing the harness, or an offline replay, loads neither the standard
 library's HTTP stack nor a thread pool, and a replay starts no thread;
 neither loads `dataclasses` or `inspect` either (kpagg's records are
@@ -125,6 +126,12 @@ def test_cli_and_harness_load_no_http_library():
     loaded = top_level(newly_loaded("kpagg.cli, kpagg.harness"))
     assert "kpagg" in loaded
     assert not loaded & HTTP_LIBRARIES
+
+
+def test_cli_loads_no_click_or_inspect():
+    loaded = newly_loaded("kpagg.cli")
+    assert "kpagg.cli" in loaded
+    assert not loaded & {"click", "inspect"}
 
 
 def test_harness_loads_no_yaml():
