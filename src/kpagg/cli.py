@@ -10,10 +10,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness, metrics
-from .aggregation import STRATEGY_ALIASES
+from .aggregation import STRATEGIES, STRATEGY_ALIASES
 from .corpus import DOMAINS, CorpusError, corpus_stats, format_stats, load_corpus, stats_csv
 from .llm_client import PPL_MODES, REQUEST_MODES, LLMClientError
-from .prompting import VARIANT_ALIASES, PromptConfigError
+from .prompting import VARIANT_ALIASES, VARIANTS, PromptConfigError
 
 _FATAL = (harness.HarnessError, CorpusError, PromptConfigError, LLMClientError, OSError)
 
@@ -116,9 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(**defaults)
     add = run.add_argument
     add("--corpus", dest="corpus_path", required=True, type=_path, help="JSON-lines corpus file.")
-    add("--variant", choices=list(VARIANT_ALIASES), help="Prompt variant.")
-    add("--aggregate", dest="strategy", choices=list(STRATEGY_ALIASES),
-        help="Aggregation strategy.")
+    # each alias, and each canonical name (the one a default shows)
+    variants = list(dict.fromkeys([*VARIANT_ALIASES, *VARIANTS]))
+    strategies = list(dict.fromkeys([*STRATEGY_ALIASES, *STRATEGIES]))
+    add("--variant", choices=variants, help="Prompt variant.")
+    add("--aggregate", dest="strategy", choices=strategies, help="Aggregation strategy.")
     add("--n-samples", type=_at_least(int, 1), help="Samples drawn per document.")
     add("--temperature", type=_at_least(float, 0), help="Sampling temperature.")
     add("--max-tokens", type=_at_least(int, 1), help="Token limit of each sample.")

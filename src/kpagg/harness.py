@@ -289,7 +289,6 @@ def provenance(config: RunConfig) -> dict:
 
 def _write_report(config: RunConfig, reports: list[metrics.MetricReport]) -> None:
     out = Path(config.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(metrics.reports_csv(reports), encoding="utf-8")
     meta = out.with_suffix(out.suffix + ".meta.json")
     meta.write_text(
@@ -497,6 +496,9 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     duplicates = {str(p) for p in outs if outs.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
+    # an output that cannot be made ends the grid before anything is fetched
+    for p in outs:
+        p.parent.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         key = tuple(v for k, v in c._asdict().items() if k not in _EVALUATION_FIELDS)
@@ -512,9 +514,5 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         for i, summary in zip(members, group):
             summaries[i] = summary
     if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            metrics.reports_csv([s.report for s in summaries]), encoding="utf-8"
-        )
+        Path(out).write_text(metrics.reports_csv([s.report for s in summaries]), encoding="utf-8")
     return summaries

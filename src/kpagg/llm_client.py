@@ -214,8 +214,9 @@ def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> P
 class LLMClient:
     """Client for OpenAI-compatible chat completions: the request body, the
     retry policy and the samples. `kpagg.transport` sends the requests, over
-    one kept-alive connection per fetch thread unless a proxy applies;
-    constructing a client imports it. `close`
+    one kept-alive connection per fetch thread, to the endpoint or to the
+    proxy that the environment names for it; constructing a client imports
+    it, and raises LLMClientError for a proxy it cannot speak to. `close`
     closes the idle connections. The retry policy is set by MAX_RETRIES,
     BACKOFF_BASE_S and TIMEOUT_S."""
 
@@ -243,7 +244,10 @@ class LLMClient:
         self.request_mode = request_mode
         from .transport import Transport  # an offline run makes no client
 
-        self._transport = Transport(split, TIMEOUT_S)
+        try:
+            self._transport = Transport(split, TIMEOUT_S)
+        except ValueError as exc:  # a proxy it cannot speak to, or a bad proxy port
+            raise LLMClientError(f"proxy for {endpoint!r}: {exc}") from None
 
     def close(self) -> None:
         """Close the idle connections; a later request opens a new one."""

@@ -1,9 +1,9 @@
 """How the chat-completions client sends a request: one POST, its whole
 answer back.
 
-Without a proxy, requests go over kept-alive HTTP/1.1 connections that
-this module drives itself. A send takes an idle connection or opens one,
-and writes the request line, the headers and the body with one `sendall`.
+Requests go over kept-alive HTTP/1.1 connections that this module drives
+itself. A send takes an idle connection or opens one, and writes the
+request line, the headers and the body with one `sendall`.
 The headers are `Host` (an IPv6 zone left out), `Accept-Encoding: identity`
 (no compression is asked for), `Content-Length` and the caller's. The
 answer is read through a buffered reader over the connection's socket: the
@@ -24,20 +24,21 @@ An answer line longer than 65,536 bytes, more than 100 header lines, a bad
 status line or a body cut short raises the `http.client` exception for
 it. So every malformed answer is an OSError or an HTTPException.
 
-When `HTTP(S)_PROXY`/`NO_PROXY` put the endpoint behind a proxy, each
-request goes through `urllib.request.urlopen` on a connection of its own.
-HTTPS verifies against the system CA store either way.
+Where `HTTP(S)_PROXY`/`NO_PROXY` put the endpoint behind a proxy, the
+same exchange goes to the proxy, as urllib would send it: the absolute URI
+for an `http://` endpoint, a CONNECT tunnel (RFC 9110, section 9.3.6) for
+an `https://` one. HTTPS verifies against the system CA store.
 
 Each path imports only the modules it drives, so the direct path over
 `http://` loads none of the standard library's HTTP modules. `ssl` is
-imported when a transport is made for an `https://` endpoint that no proxy
-applies to. `http.client` is imported when an exception is raised, for the
-class it raises (`http_client`), so a run whose answers all come whole
-never loads it, nor the `email` package it imports. `urllib.request` is
-imported to decide whether a proxy applies only when one may: where urllib
-reads the proxy settings from the environment alone (not on macOS or
-Windows), that is when a variable named `<scheme>_proxy`, in any case, has
-a value. The proxied path imports `urllib.request` and `urllib.error`.
+imported when a transport is made that speaks TLS, `base64` when its proxy
+URL holds credentials. `http.client` is imported when an exception is
+raised, for the class it raises (`http_client`), so a run whose answers
+all come whole never loads it, nor the `email` package it imports.
+`urllib.request` is imported to decide whether a proxy applies only when
+one may: where urllib reads the proxy settings from the environment alone
+(not on macOS or Windows), that is when a variable named `<scheme>_proxy`,
+in any case, has a value.
 
 `LLMClient` imports this module when it is constructed, so an offline
 replay, which makes no client, loads no HTTP module.
@@ -52,10 +53,6 @@ import socket
 import sys
 import threading
 import urllib.parse
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import http.client
 
 # http.client's limits: the bytes of one answer line, and the header lines
 # of one answer (the blank line that ends them counted).
@@ -97,20 +94,46 @@ class _Connection:
 
 
 class Transport:
-    """Sends POSTs to one URL; `close` closes the idle connections."""
+    """Sends POSTs to one URL, through the proxy that applies to it if any;
+    `close` closes the idle connections."""
 
     def __init__(self, url: urllib.parse.SplitResult, timeout: float):
         self.url = url
         self.timeout = timeout
         self._target = url.path + (f"?{url.query}" if url.query else "")
-        # decided once: the proxy settings are read when the client is made
-        self._proxied = _proxied(url)
         self._default_port = 443 if url.scheme == "https" else 80
         self._port = self._default_port if url.port is None else url.port
-        # request line, Host and Accept-Encoding, set by the first send
+        # the head of each request and the CONNECT of a tunnel, set by the
+        # first send
         self._head: bytes | None = None
+        self._tunnel: bytes | None = None
+        # Decided once, from the proxy settings when the client is made:
+        # where a connection goes, the host TLS verifies there (None for
+        # plain TCP) and the Proxy-Authorization line.
+        self._peer = (url.hostname, self._port)
+        self._tls_host = url.hostname if url.scheme == "https" else None
+        self._proxy_auth = b""
+        proxy = _proxy(url)
+        self._proxied = proxy is not None
+        if self._proxied:
+            # urllib takes a bare host[:port] in the endpoint's scheme
+            split = urllib.parse.urlsplit(proxy if "://" in proxy else f"{url.scheme}://{proxy}")
+            if split.scheme not in ("http", "https"):
+                raise ValueError(f"unsupported proxy scheme {split.scheme!r} (not http or https)")
+            # the default port of urllib's connection class, which is HTTPS
+            # for an https endpoint (tunnelled) or an https proxy
+            default = 443 if "https" in (url.scheme, split.scheme) else 80
+            self._peer = (split.hostname, default if split.port is None else split.port)
+            if url.scheme == "http" and split.scheme == "https":
+                self._tls_host = split.hostname
+            if split.username and split.password:
+                import base64
+
+                user, password = map(urllib.parse.unquote, (split.username, split.password))
+                auth = base64.b64encode(f"{user}:{password}".encode())
+                self._proxy_auth = b"Proxy-Authorization: Basic %s\r\n" % auth
         self._context = None
-        if url.scheme == "https" and not self._proxied:
+        if self._tls_host is not None:
             import ssl
 
             self._context = ssl.create_default_context()
@@ -125,31 +148,12 @@ class Transport:
         for conn in idle:
             conn.close()
 
-    def send(
-        self, data: bytes, headers: dict
-    ) -> tuple[int, dict | http.client.HTTPMessage, bytes]:
-        """POST `data`: the status, headers and whole body of the answer,
-        whatever its status. Look a header up with `.get` and its lower-case
-        name, which both kinds of headers answer. `headers` must not name
+    def send(self, data: bytes, headers: dict) -> tuple[int, dict, bytes]:
+        """POST `data`: the status, headers (by lower-case name) and whole
+        body of the answer, whatever its status. `headers` must not name
         Host, Accept-Encoding or Content-Length, which the transport sends
         itself. Raises OSError or http.client.HTTPException when no whole
         answer came."""
-        if self._proxied:
-            import urllib.error
-            import urllib.request
-
-            # urllib rewrites a Request that goes through a proxy, so each
-            # attempt sends a fresh one.
-            request = urllib.request.Request(
-                self.url.geturl(), data=data, headers=headers, method="POST"
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    return resp.status, resp.headers, resp.read()
-            except urllib.error.HTTPError as exc:
-                with exc:
-                    return exc.code, exc.headers, exc.read()
-
         request = self._request(data, headers)
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
@@ -196,7 +200,9 @@ class Transport:
 
     def _request_head(self) -> bytes:
         """The request line, Host and Accept-Encoding, as `http.client`
-        forms them. Like it, raises InvalidURL for a space or control
+        forms them, and to an http proxy the absolute URI and credentials;
+        for an https endpoint behind a proxy, also the tunnel's CONNECT.
+        Like `http.client`, raises InvalidURL for a space or control
         character in the path or host, and UnicodeEncodeError for a path
         that is not ASCII, at each send."""
         host = self.url.hostname
@@ -215,22 +221,37 @@ class Transport:
         # http.client releases send it (3.12 does; 3.10 sends the zone).
         if ":" in host:
             host_enc = b"[" + host_enc.partition(b"%")[0] + b"]"
+        authority = host_enc + b":%d" % self._port
         if self._port != self._default_port:
-            host_enc += b":%d" % self._port
-        self._head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (
-            self._target.encode("ascii"),
-            host_enc,
-        )
+            host_enc = authority
+        target = self._target.encode("ascii")
+        if self._proxied and self.url.scheme == "https":
+            # a tunnel's authority always names the port
+            self._tunnel = b"CONNECT %s HTTP/1.1\r\nHost: %s\r\n%s\r\n" % (
+                authority, authority, self._proxy_auth
+            )
+        elif self._proxied:
+            target = b"http://" + host_enc + target
+        head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (target, host_enc)
+        # to a proxy (not through its tunnel), every request carries its credentials
+        self._head = head if self._tunnel else head + self._proxy_auth
         return self._head
 
     def _connect(self) -> _Connection:
-        """A new connection, with TCP_NODELAY; HTTPS verifies the server
-        against the default context, the one `urlopen` uses."""
-        sock = socket.create_connection((self.url.hostname, self._port), self.timeout)
+        """A new connection, with TCP_NODELAY, to the endpoint or its proxy
+        (through the proxy's tunnel, for an https endpoint); TLS verifies
+        the server against `ssl.create_default_context()`."""
+        sock = socket.create_connection(self._peer, self.timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as rfile:
+                    status = _read_head(rfile)[0]
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status}")
             if self._context is not None:
-                sock = self._context.wrap_socket(sock, server_hostname=self.url.hostname)
+                sock = self._context.wrap_socket(sock, server_hostname=self._tls_host)
         except BaseException:
             sock.close()  # a failed handshake has closed the TLS socket already
             raise
@@ -249,21 +270,21 @@ def http_client():
     return http.client
 
 
-def _proxied(url: urllib.parse.SplitResult) -> bool:
-    """Whether urllib sends a request for `url` through a proxy, from the
-    proxy settings as they are now. Where urllib's `getproxies` reads the
-    environment alone, as everywhere but macOS and Windows, a scheme has a
-    proxy only if a variable whose lower-cased name is `<scheme>_proxy` has
-    a value; without one the answer is no, and urllib is not imported."""
+def _proxy(url: urllib.parse.SplitResult) -> str | None:
+    """The proxy through which urllib sends a request for `url`, or None,
+    from the proxy settings as they are now. Where urllib's `getproxies`
+    reads the environment alone, as everywhere but macOS and Windows, a
+    scheme has a proxy only if a variable whose lower-cased name is
+    `<scheme>_proxy` has a value; without one the answer is None, and
+    urllib is not imported."""
     if sys.platform != "darwin" and os.name != "nt":
         name = url.scheme + "_proxy"
         if not any(value and key.lower() == name for key, value in os.environ.items()):
-            return False
+            return None
     import urllib.request
 
-    return url.scheme in urllib.request.getproxies() and not (
-        urllib.request.proxy_bypass(url.netloc)
-    )
+    proxy = urllib.request.getproxies().get(url.scheme)
+    return None if proxy is None or urllib.request.proxy_bypass(url.netloc) else proxy
 
 
 def _readline(rfile, what: str) -> bytes:

@@ -864,6 +864,24 @@ class TestCli:
         assert main(["run", "--corpus", str(TOY_CORPUS)]) == 1
         assert capsys.readouterr().err == "Aborted!\n"
 
+    @pytest.mark.parametrize(
+        "flag, aliases", [("--variant", VARIANT_ALIASES), ("--aggregate", STRATEGY_ALIASES)]
+    )
+    def test_canonical_name_builds_the_config_of_its_alias(self, monkeypatch, flag, aliases):
+        built = []
+
+        def fake_run(config):
+            built.append(config)
+            raise HarnessError("stop")
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        for alias, name in aliases.items():
+            for value in (alias, name):
+                assert main(["run", "--corpus", str(TOY_CORPUS), flag, value]) == 1
+            by_alias, by_name = built[-2:]
+            assert by_alias == by_name
+            assert name in (by_name.variant, by_name.strategy)
+
     def test_run_rejects_unknown_strategy(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--corpus", str(TOY_CORPUS), "--aggregate", "median"])
@@ -999,3 +1017,29 @@ class TestCliOutputErrors:
             "out": str(blocked), "runs": [{"aggregate": "union"}],
         }))
         self.check(main(["grid", "--config", str(grid_path)]), capsys)
+
+
+@pytest.mark.parametrize("which", ["config", "merged"])
+def test_unwritable_out_fails_before_anything_is_fetched(tmp_path, which):
+    (tmp_path / "file").write_text("")
+    blocked = str(tmp_path / "file" / "sub" / "out.csv")
+    serving = running_server(MOCK_FIXTURES)
+    requests = []
+
+    class Counting(serving.server.RequestHandlerClass):
+        def do_POST(self):
+            requests.append(self.path)
+            super().do_POST()
+
+    serving.server.RequestHandlerClass = Counting
+    with serving as endpoint:
+        config = RunConfig(
+            corpus_path=str(TOY_CORPUS),
+            endpoint=endpoint,
+            cache_dir=str(tmp_path / "cache"),
+            out=blocked if which == "config" else None,
+        )
+        with pytest.raises(OSError):
+            harness.grid([config], out=blocked if which == "merged" else None)
+    assert requests == []
+    assert not (tmp_path / "cache").exists()

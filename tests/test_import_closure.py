@@ -6,8 +6,8 @@ neither loads `dataclasses` or `inspect` either (kpagg's records are
 NamedTuples, which make no class from generated source); importing the
 harness loads no YAML parser (only YAML files need one); aggregation works
 on normalized phrases alone, without the client or the prompts; and a cold
-run over direct `http://` loads no `http.client`, `email`, `ssl` or
-`urllib.request`, while a failed send there is still retried once
+run over direct `http://` loads no `http.client`, `email`, `ssl`,
+`urllib.request` or `base64`, while a failed send there is still retried once
 `http.client` is imported for its exception."""
 
 import json
@@ -32,8 +32,11 @@ ONLINE_ONLY = {"http.client", "urllib.request", "ssl", "concurrent.futures"}
 # `ast`, `dis` and `tokenize`) that it imports.
 DATACLASS_MACHINERY = {"dataclasses", "inspect"}
 # What a run over direct `http://` does not drive: `email.parser` stands for
-# the `email` package that `http.client` imports.
-DIRECT_HTTP_UNUSED = {"http.client", "email.parser", "ssl", "urllib.request", "urllib.error"}
+# the `email` package that `http.client` imports, and `base64` encodes only
+# proxy credentials.
+DIRECT_HTTP_UNUSED = {
+    "http.client", "email.parser", "ssl", "urllib.request", "urllib.error", "base64"
+}
 
 # Modules the interpreter loaded before kpagg (site hooks may load certifi)
 # are not kpagg's doing, so only the newly loaded ones are checked.

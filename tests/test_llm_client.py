@@ -313,8 +313,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
     JSON-encoded; `missing` bytes are declared in Content-Length but never
     sent (and the connection is closed, so the client sees the body cut
     short); `headers` are sent as well; with `drop` the server closes the
-    connection after the answer without saying so. Each request's headers
-    are recorded, and each connection accepted is counted.
+    connection after the answer without saying so. Each request's headers,
+    and its request line and body, are recorded, and each connection
+    accepted is counted.
     """
 
     protocol_version = "HTTP/1.1"
@@ -324,6 +325,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
     hits = 0
     connections = 0
     headers_seen = []
+    requests_seen = []
 
     def setup(self):
         with _ScriptedHandler.lock:
@@ -332,11 +334,13 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        sent = self.rfile.read(length)
+        body = json.loads(sent) if length else {}
         with _ScriptedHandler.lock:
             step = _ScriptedHandler.hits
             _ScriptedHandler.hits += 1
             _ScriptedHandler.headers_seen.append(self.headers)
+            _ScriptedHandler.requests_seen.append((self.requestline, sent))
         if step < len(self.script):
             status, payload, *extra = self.script[step]
         else:
@@ -384,6 +388,7 @@ def scripted_server():
         _ScriptedHandler.hits = 0
         _ScriptedHandler.connections = 0
         _ScriptedHandler.headers_seen = []
+        _ScriptedHandler.requests_seen = []  # (request line, body) of each request
         server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -628,41 +633,26 @@ class TestTransport:
     def test_every_attempt_sends_a_fresh_request(
         self, scripted_server, prompt_cfg, toy_docs, sleeps, monkeypatch
     ):
-        # urllib rewrites a Request that goes through a proxy, so one sent
-        # twice would go out in another form; per-request mode sends one
-        # serialised body n times, each attempt in a Request of its own.
-        # The scripted server is its own proxy, so the client takes the
-        # urlopen path.
-        import urllib.request
-
+        # Per-request mode sends one serialised body n times, and each retry
+        # sends it again. The scripted server is its own proxy, so every
+        # attempt reaches it as a proxy request: the absolute URI.
         from kpagg.prompting import build_prompt, resolve_variant
 
-        sent = []
-        urlopen = urllib.request.urlopen
-
-        def recording_urlopen(request, *args, **kw):
-            sent.append((request, request.type, request.selector))
-            return urlopen(request, *args, **kw)
-
-        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
         script = [(503, {"error": "down"}), (429, {"error": "busy"}, 0, {"Retry-After": "0"})]
         endpoint = scripted_server(script)
         monkeypatch.setenv("http_proxy", endpoint.removesuffix("/v1"))
         monkeypatch.delenv("no_proxy", raising=False)
         monkeypatch.delenv("NO_PROXY", raising=False)
-        # urlopen reads the proxy settings once, when it builds its opener
-        monkeypatch.setattr(urllib.request, "_opener", None)
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         samples = client.sample_completions(
             rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
         )
         assert [s.sample_index for s in samples] == [0, 1, 2]
+        sent = _ScriptedHandler.requests_seen
         assert len(sent) == _ScriptedHandler.hits == 5
-        requests = [request for request, _, _ in sent]
-        assert len(set(map(id, requests))) == 5
-        assert len({request.data for request in requests}) == 1
-        assert {(kind, selector) for _, kind, selector in sent} == {("http", "/v1/chat/completions")}
+        assert len({body for _, body in sent}) == 1
+        assert {line for line, _ in sent} == {f"POST {endpoint}/chat/completions HTTP/1.1"}
 
     def test_per_request_run_keeps_one_connection_per_fetch_thread(self, tmp_path):
         connects = []

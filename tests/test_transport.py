@@ -407,4 +407,5 @@ def test_proxy_decision_is_that_of_urllib(monkeypatch, url, environment):
     )
     transport = Transport(split, 5)
     assert transport._proxied == expected
-    assert (transport._context is None) == (split.scheme == "http" or expected)
+    # an https endpoint has a TLS context, proxied or not (PROXY is http://)
+    assert (transport._context is None) == (split.scheme == "http")
