@@ -1,36 +1,37 @@
 """Multi-sample aggregation and dynamic keyphrase-number selection.
 
-A sample is a tuple of normalized, deduplicated, presence-classified
-phrases (`NormalizedSource.phrases` of its phrase list); a ranked set is a
-tuple of samples by ascending perplexity, unknown last (`rank`). It is
-merged by one of four strategies:
+A phrase is its normalized form, a string, and it is present when it is in
+the document's set of present forms (`NormalizedSource.present`). A sample
+is a tuple of distinct phrases (`NormalizedSource.phrases`); a ranked set
+is a tuple of samples by ascending perplexity, unknown last (`rank`). It
+is merged by one of four strategies, each made of builtins:
 
-- union: set union, emitted in lexicographic order of normalized form;
-- union_concat: concatenation in rank order, first-occurrence dedup;
-- union_interleaf: round-robin by position across ranked samples, dedup;
+- union: set union, in lexicographic order;
+- union_concat: concatenation in rank order, first occurrences kept;
+- union_interleaf: round-robin by position across samples, first kept;
 - frequency_order: phrases sorted by how many samples contain them,
-  ties broken by interleaf position.
+  descending; `sorted` is stable under `reverse`, so ties keep their
+  interleaf order.
 
 The merged list is split by presence into a `Prediction`: each part whole
 and its cut M, the ceiling of the per-sample average count of present (and,
 separately, absent) phrases; the prediction proper is each part's first M
-phrases. The `single` strategy merges the top-ranked sample alone by
-union_concat, so its cut keeps all of it. Each strategy is one
-`_STRATEGIES` entry: its CLI alias, its aggregator, and how many ranked
-samples it merges.
+phrases. The `single` strategy merges the top-ranked sample alone, so its
+cut keeps all of it. Each strategy is one `_STRATEGIES` entry: its CLI
+alias, how many ranked samples it merges, and its merge. `predict` serves
+several strategies from one ranking, making the interleaf and the cuts once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Collection, Iterable, Sequence
+from itertools import chain, filterfalse, zip_longest
 from typing import NamedTuple
 
-from .textnorm import NormalizedPhrase
-
-# One sample's phrases, normalized, deduplicated and presence-classified.
-Sample = tuple[NormalizedPhrase, ...]
+# One sample's distinct normalized phrases.
+Sample = tuple[str, ...]
 
 
 def resolve_strategy(name: str) -> str:
@@ -48,8 +49,8 @@ class Prediction(NamedTuple):
 
     m_pre: int
     m_abs: int
-    present_full: tuple[NormalizedPhrase, ...]
-    absent_full: tuple[NormalizedPhrase, ...]
+    present_full: tuple[str, ...]
+    absent_full: tuple[str, ...]
 
 
 EMPTY_PREDICTION = Prediction(m_pre=0, m_abs=0, present_full=(), absent_full=())
@@ -72,71 +73,43 @@ def rank(
     return tuple(sample for _, sample in pairs)
 
 
-def aggregate_union(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
-    """Set union of all samples, in lexicographic order of normalized form.
-
-    The union destroys sample order, so a deterministic emission order is
-    imposed; the surface form kept is the first one seen in rank order.
-    """
-    first: dict[str, NormalizedPhrase] = {}
-    for sample in ranked:
-        for p in sample:
-            first.setdefault(p.normalized, p)
-    return [first[key] for key in sorted(first)]
+def aggregate_union(ranked: Sequence[Sample]) -> list[str]:
+    """Set union of all samples, in lexicographic order: the union destroys
+    sample order, so a deterministic one is imposed."""
+    return sorted(set().union(*ranked))
 
 
-def dedup_preserve_order(phrases: list[NormalizedPhrase]) -> list[NormalizedPhrase]:
-    """Keep the first phrase for each distinct normalized form."""
-    seen: set[str] = set()
-    out: list[NormalizedPhrase] = []
-    for p in phrases:
-        if p.normalized not in seen:
-            seen.add(p.normalized)
-            out.append(p)
-    return out
-
-
-def aggregate_union_concat(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
+def aggregate_union_concat(ranked: Sequence[Sample]) -> list[str]:
     """Concatenate samples in rank order, keep first occurrences."""
-    return dedup_preserve_order([p for sample in ranked for p in sample])
+    return list(dict.fromkeys(chain.from_iterable(ranked)))
 
 
-def aggregate_union_interleaf(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
+def aggregate_union_interleaf(ranked: Sequence[Sample]) -> list[str]:
     """Round-robin across ranked samples: every sample's first phrase,
-    then every second phrase, and so on; then first-occurrence dedup."""
-    merged: list[NormalizedPhrase] = []
-    position = 0
-    while True:
-        found = False
-        for sample in ranked:
-            if position < len(sample):
-                merged.append(sample[position])
-                found = True
-        if not found:
-            break
-        position += 1
-    return dedup_preserve_order(merged)
+    then every second phrase, and so on; first occurrences kept."""
+    merged = dict.fromkeys(chain.from_iterable(zip_longest(*ranked)))
+    merged.pop(None, None)  # the fill of samples shorter than the longest
+    return list(merged)
 
 
-def aggregate_frequency_order(ranked: Sequence[Sample]) -> list[NormalizedPhrase]:
+def aggregate_frequency_order(ranked: Sequence[Sample], interleaf=None) -> list[str]:
     """Sort by the number of samples containing each phrase, descending;
-    phrases tied on frequency keep their interleaf order."""
-    counts: Counter[str] = Counter()
-    for sample in ranked:
-        for p in sample:  # samples are already deduplicated
-            counts[p.normalized] += 1
-    interleaf = aggregate_union_interleaf(ranked)
-    return sorted(interleaf, key=lambda p: -counts[p.normalized])
+    phrases tied on frequency keep their interleaf order. `interleaf` is
+    that of `ranked` when the caller has it already."""
+    if interleaf is None:
+        interleaf = aggregate_union_interleaf(ranked)
+    return sorted(interleaf, key=Counter(chain.from_iterable(ranked)).__getitem__, reverse=True)
 
 
-# canonical name -> (short CLI alias, aggregator, how many of the ranked
-# samples it merges: None for all)
+# canonical name -> (short CLI alias, how many of the ranked samples it
+# merges (None for all), its merged list from those samples and their
+# interleaf)
 _STRATEGIES = {
-    "single": ("single", aggregate_union_concat, 1),
-    "union": ("union", aggregate_union, None),
-    "union_concat": ("union-concat", aggregate_union_concat, None),
-    "union_interleaf": ("union-interleaf", aggregate_union_interleaf, None),
-    "frequency_order": ("frequency", aggregate_frequency_order, None),
+    "single": ("single", 1, lambda ranked, interleaf: interleaf),
+    "union": ("union", None, lambda ranked, _: aggregate_union(ranked)),
+    "union_concat": ("union-concat", None, lambda ranked, _: aggregate_union_concat(ranked)),
+    "union_interleaf": ("union-interleaf", None, lambda ranked, interleaf: interleaf),
+    "frequency_order": ("frequency", None, aggregate_frequency_order),
 }
 STRATEGY_ALIASES = {alias: name for name, (alias, _, _) in _STRATEGIES.items()}
 STRATEGIES = tuple(_STRATEGIES)
@@ -146,26 +119,52 @@ def _ceil_div(total: int, n: int) -> int:
     return -(-total // n)
 
 
-def dynamic_select(
-    aggregated: list[NormalizedPhrase], ranked: Sequence[Sample]
-) -> Prediction:
-    """Split the aggregated list by presence, preserving order, and set each
-    part's cut to the ceiling of the mean per-sample count of such phrases."""
+def _cuts(ranked: Sequence[Sample], present: Collection[str]) -> tuple[int, int]:
+    """The ceiling of the mean per-sample count of present, and of absent,
+    phrases in a nonempty ranked set."""
     n = len(ranked)
-    if n == 0:
+    n_present = sum(map(present.__contains__, chain.from_iterable(ranked)))
+    return _ceil_div(n_present, n), _ceil_div(sum(map(len, ranked)) - n_present, n)
+
+
+def _split(merged: list[str], present: Collection[str], m_pre: int, m_abs: int) -> Prediction:
+    pres = present.__contains__
+    return Prediction(m_pre, m_abs, tuple(filter(pres, merged)), tuple(filterfalse(pres, merged)))
+
+
+def dynamic_select(
+    aggregated: list[str], ranked: Sequence[Sample], present: Collection[str]
+) -> Prediction:
+    """Split the aggregated list by membership in `present`, preserving
+    order, and set each part's cut to the ceiling of the mean per-sample
+    count of such phrases."""
+    if not ranked:
         return EMPTY_PREDICTION
-    present = sum(1 for sample in ranked for p in sample if p.is_present)
-    absent = sum(map(len, ranked)) - present
-    return Prediction(
-        m_pre=_ceil_div(present, n),
-        m_abs=_ceil_div(absent, n),
-        present_full=tuple(p for p in aggregated if p.is_present),
-        absent_full=tuple(p for p in aggregated if not p.is_present),
-    )
+    return _split(aggregated, present, *_cuts(ranked, present))
 
 
-def merge(ranked: Sequence[Sample], strategy: str) -> Prediction:
+def predict(
+    ranked: Sequence[Sample], present: Collection[str], strategies: Iterable[str]
+) -> list[Prediction]:
+    """The prediction of each of `strategies` (canonical names) from one
+    ranked set: its merge, dynamically selected. The interleaf and the cuts
+    are made once per number of samples merged: once over the whole set,
+    and once over the top sample for `single`."""
+    if not ranked:
+        return [EMPTY_PREDICTION for _ in strategies]
+    shared: dict[int | None, tuple] = {}
+    predictions = []
+    for strategy in strategies:
+        _, depth, merge_of = _STRATEGIES[strategy]
+        if depth not in shared:
+            merged_from = ranked[:depth]
+            interleaf = aggregate_union_interleaf(merged_from)
+            shared[depth] = (merged_from, interleaf, _cuts(merged_from, present))
+        merged_from, interleaf, cuts = shared[depth]
+        predictions.append(_split(merge_of(merged_from, interleaf), present, *cuts))
+    return predictions
+
+
+def merge(ranked: Sequence[Sample], strategy: str, present: Collection[str]) -> Prediction:
     """Aggregate ranked samples by `strategy`, then dynamically select."""
-    _, aggregate, depth = _STRATEGIES[resolve_strategy(strategy)]
-    ranked = ranked[:depth]
-    return dynamic_select(aggregate(ranked), ranked)
+    return predict(ranked, present, [resolve_strategy(strategy)])[0]

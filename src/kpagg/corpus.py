@@ -4,7 +4,7 @@ Corpora are JSON-lines files: one UTF-8 object per line with keys ``id``,
 ``title``, ``abstract``, ``keyphrases`` (list of strings) and an optional
 ``domain`` ("scientific" or "news"). A document's gold phrases are
 `NormalizedSource.phrases` of its gold list against its title+body source:
-normalized, deduplicated, each present or absent.
+normalized forms, deduplicated, each present or absent.
 Each corpus statistic is one `CorpusStats` field, labelled once in
 `_STAT_LABELS`, which orders the stats table and the CSV columns.
 """
@@ -137,9 +137,12 @@ def corpus_stats(docs: list[Document]) -> CorpusStats:
     kp_words = {True: 0, False: 0}  # their surface words, by presence
     for doc in docs:
         input_words += len(doc.source_text.split())
-        for p in textnorm.NormalizedSource.from_text(doc.source_text).phrases(doc.gold):
-            kps[p.is_present] += 1
-            kp_words[p.is_present] += len(p.surface.split())
+        source = textnorm.NormalizedSource.from_text(doc.source_text)
+        # each gold form with its first surface: read backwards, that is written last
+        first = {f: s for s in reversed(doc.gold) for f in source.phrases((s,))}
+        for form, surface in first.items():
+            kps[form in source.present] += 1
+            kp_words[form in source.present] += len(surface.split())
     n = len(docs)
     return CorpusStats(
         num_docs=n,

@@ -13,18 +13,20 @@ thread pool serves only runs with an endpoint: a bounded pool does that
 fetching, the only threaded work. An offline group has nothing to wait for,
 so it reads the cache on the calling thread. The calling thread evaluates
 each document as its samples arrive, for every config of the group at once:
-it parses, normalizes and presence-classifies the samples, normalizes the
-source and partitions the gold once, sorts once per perplexity mode, then
-aggregates and scores per config, one score record per document and config.
-The metric fold averages those records in corpus order, so a warm cache
-replays to byte-identical reports. A fatal endpoint error caches the
-samples its document had already received, cancels the documents still
-queued, and no fetch thread starts another document after it. A sample the
-endpoint did not return is absent, never cached and never averaged, so
-rerunning an interrupted or partly failed run fetches only the samples
-still missing; a group warns once how many are absent. The cache file's
-name carries the sampling settings (temperature and max_tokens), so a
-replay never belongs to other settings than the run's.
+it parses the samples, makes each distinct phrase's normalized form and
+presence and the two gold sets once, sorts once per perplexity mode, makes
+one prediction per (mode, strategy) and scores it per config, one score
+record per document and config. The metric fold averages those records in
+corpus order, so a warm cache replays to byte-identical reports. A grid's
+merged CSV has a `meta.json` too, listing each row block's provenance. A
+fatal endpoint error caches the samples its document had already received,
+cancels the documents still queued, and no fetch thread starts another
+document after it. A sample the endpoint did not return is absent, never
+cached and never averaged, so rerunning an interrupted or partly failed run
+fetches only the samples still missing; a group warns once how many are
+absent. The cache file's name carries the sampling settings (temperature
+and max_tokens), so a replay never belongs to other settings than the
+run's.
 
 A group loads only the cache lines of its own documents: the load skips
 those of documents outside a `limit`/`seed` subset unparsed.
@@ -231,12 +233,13 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple:
 def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     """Score one document under every config of a group.
 
-    The source is tokenized once, and the gold and each sample's phrases
-    are made against it once (`NormalizedSource.phrases`, which stems only
-    the source words a phrase can match); each perplexity
-    mode only sorts the samples by its perplexities. Returns one score
-    record per config (None when there is no sample), the parse fallback
-    count and the count of samples cut short (`RawSample.truncated`).
+    The gold and each sample's phrases are made once against the source,
+    tokenized once (`NormalizedSource.phrases`), and so are the two gold
+    sets. Each perplexity mode sorts the samples once, and each (mode,
+    strategy) makes one prediction, which configs that differ only in
+    their empty-gold policy share. Returns one score record per config
+    (None when there is no sample), the parse fallback count and the count
+    of samples cut short (`RawSample.truncated`).
     """
     if not raw:
         return None, 0, 0
@@ -246,16 +249,18 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     ]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = source.phrases(doc.gold)
-    classified = [source.phrases(ps.phrases) for ps in parsed]
-    ranked = {
-        mode: aggregation.rank(classified, [perplexity(s, mode) for s in raw])
-        for mode in dict.fromkeys(c.ppl_mode for c in configs)
-    }
+    samples = [source.phrases(ps.phrases) for ps in parsed]
+    present = source.present
+    gold_sets = (present.intersection(gold), set(gold).difference(present))
+    predictions = {}
+    for mode in dict.fromkeys(c.ppl_mode for c in configs):
+        ranked = aggregation.rank(samples, [perplexity(s, mode) for s in raw])
+        strategies = list(dict.fromkeys(c.strategy for c in configs if c.ppl_mode == mode))
+        made = aggregation.predict(ranked, present, strategies)
+        predictions.update(zip([(mode, strategy) for strategy in strategies], made))
     scores = [
         metrics.score_document(
-            aggregation.merge(ranked[c.ppl_mode], c.strategy),
-            gold,
-            empty_gold=c.empty_gold,
+            predictions[c.ppl_mode, c.strategy], *gold_sets, empty_gold=c.empty_gold
         )
         for c in configs
     ]
@@ -287,14 +292,12 @@ def provenance(config: RunConfig) -> dict:
     return data
 
 
-def _write_report(config: RunConfig, reports: list[metrics.MetricReport]) -> None:
-    out = Path(config.out)
+def _write_report(out: str, reports: list[metrics.MetricReport], meta: dict | list) -> None:
+    """The CSV of `reports` at `out`, and `meta` as JSON at `<out>.meta.json`."""
+    out = Path(out)
     out.write_text(metrics.reports_csv(reports), encoding="utf-8")
-    meta = out.with_suffix(out.suffix + ".meta.json")
-    meta.write_text(
-        json.dumps(provenance(config), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    meta_path = out.with_suffix(out.suffix + ".meta.json")
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def run(config: RunConfig) -> RunSummary:
@@ -429,7 +432,7 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
             Path(config.corpus_path).stem, config.variant, config.strategy, scores
         )
         if config.out:
-            _write_report(config, [report])
+            _write_report(config.out, [report], provenance(config))
         summaries.append(base._replace(report=report))
     return summaries
 
@@ -480,7 +483,9 @@ def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
 
 
 def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
-    """Run several configs and optionally write one merged CSV.
+    """Run several configs and optionally write one merged CSV, one block of
+    rows per config, and beside it `<out>.meta.json`: the list of each
+    block's `provenance`, in row order.
 
     Configs that differ only in strategy, perplexity mode, empty-gold policy
     or output path, or name one variant by alias and full name, share one
@@ -493,7 +498,8 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         raise HarnessError(f"out must be a string, got {out!r}")
     # one file reached by two spellings (r.csv, ./r.csv) is one output
     outs = [Path(p).resolve() for p in [*(c.out for c in configs), out] if p]
-    duplicates = {str(p) for p in outs if outs.count(p) > 1}
+    written = outs + [p.with_suffix(p.suffix + ".meta.json") for p in outs]
+    duplicates = {str(p) for p in written if written.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
     # an output that cannot be made ends the grid before anything is fetched
@@ -514,5 +520,5 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         for i, summary in zip(members, group):
             summaries[i] = summary
     if out:
-        Path(out).write_text(metrics.reports_csv([s.report for s in summaries]), encoding="utf-8")
+        _write_report(out, [s.report for s in summaries], [provenance(c) for c in configs])
     return summaries

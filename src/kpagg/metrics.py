@@ -11,12 +11,12 @@ cut M and its gold set:
 - R@Inf: recall of the whole list (perfect-selector bound).
 
 `score_document` gives one flat record per document, the reported value of
-each (partition, metric) cell. It takes the document's gold phrases as one
-list (`NormalizedSource.phrases` of its gold) and splits them by
-`is_present`, as `aggregation.dynamic_select` splits a prediction. A
-partition whose gold is empty has no cells by default ("exclude"), or 0.0
-cells under the "zero" policy; a report averages each cell over the
-documents that have it. All matching is on normalized forms.
+each (partition, metric) cell. It takes the document's gold as two sets of
+normalized forms, present and absent, which the caller makes once per
+document and shares between configs. A partition whose gold is empty has
+no cells by default ("exclude"), or 0.0 cells under the "zero" policy; a
+report averages each cell over the documents that have it. All matching is
+on normalized forms, one set lookup per predicted phrase.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .aggregation import Prediction
-from .textnorm import NormalizedPhrase
 
 PARTITIONS = ("present", "absent")
 # How a document with no gold in a partition enters that partition's averages.
@@ -46,26 +45,26 @@ def _f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
 
 
-def score_at_m(pred: list[str], gold: set[str]) -> tuple[float, float, float]:
+def score_at_m(pred: Sequence[str], gold: set[str]) -> tuple[float, float, float]:
     """P/R/F1 of a duplicate-free prediction list against nonempty gold."""
-    matches = sum(1 for p in pred if p in gold)
+    matches = sum(map(gold.__contains__, pred))
     precision = matches / len(pred) if pred else 0.0
     recall = matches / len(gold)
     return precision, recall, _f1(precision, recall)
 
 
-def score_at_k(pred: list[str], gold: set[str], k: int) -> tuple[float, float, float]:
+def score_at_k(pred: Sequence[str], gold: set[str], k: int) -> tuple[float, float, float]:
     """P/R/F1 of the first k predictions; the precision denominator stays k
     even when fewer than k predictions exist."""
-    matches = sum(1 for p in pred[:k] if p in gold)
+    matches = sum(map(gold.__contains__, pred[:k]))
     precision = matches / k
     recall = matches / len(gold)
     return precision, recall, _f1(precision, recall)
 
 
-def recall_at_inf(all_phrases: list[str], gold: set[str]) -> float:
+def recall_at_inf(all_phrases: Sequence[str], gold: set[str]) -> float:
     """Recall of the untruncated list: what a perfect selector could reach."""
-    matches = sum(1 for p in all_phrases if p in gold)
+    matches = sum(map(gold.__contains__, all_phrases))
     return matches / len(gold)
 
 
@@ -82,29 +81,26 @@ CELLS = tuple((partition, metric) for partition in PARTITIONS for metric in METR
 
 
 def score_document(
-    prediction: Prediction, gold: Sequence[NormalizedPhrase], empty_gold: str = "exclude"
+    prediction: Prediction,
+    gold_present: set[str],
+    gold_absent: set[str],
+    empty_gold: str = "exclude",
 ) -> dict[tuple[str, str], float]:
     """One document's reported value per (partition, metric) cell, against
-    its gold phrases split by presence. A partition without gold has no
+    its present and absent gold forms. A partition without gold has no
     cells ("exclude") or 0.0 cells ("zero")."""
     if empty_gold not in EMPTY_GOLD_POLICIES:
         raise ValueError(f"unknown empty-gold policy {empty_gold!r}")
     scores: dict[tuple[str, str], float] = {}
-    partitions = zip(
-        PARTITIONS,
-        (prediction.present_full, prediction.absent_full),
-        (prediction.m_pre, prediction.m_abs),
-        (True, False),
-    )
-    for partition, full, m, present in partitions:
-        gold_set = {p.normalized for p in gold if p.is_present == present}
-        if not gold_set:
+    fulls = (prediction.present_full, prediction.absent_full)
+    cuts = (prediction.m_pre, prediction.m_abs)
+    for partition, full, m, gold in zip(PARTITIONS, fulls, cuts, (gold_present, gold_absent)):
+        if not gold:
             if empty_gold == "zero":
                 scores.update(((partition, metric), 0.0) for metric in METRICS)
             continue
-        normalized = [p.normalized for p in full]
         for metric, (_, value) in _METRIC_TABLE.items():
-            scores[(partition, metric)] = value(normalized, m, gold_set)
+            scores[(partition, metric)] = value(full, m, gold)
     return scores
 
 

@@ -8,11 +8,13 @@ match when their normalized forms are equal; a phrase is *present* in a
 document when its token sequence occurs contiguously in the document's
 normalized tokens.
 
-A phrase is made in one place, `NormalizedSource.phrases`: it turns a list
-of surface strings (one sample's, or a document's gold) into
-`NormalizedPhrase`s, each normalized and classified present or absent in
-the source, dropping a surface with no alphanumeric content and keeping
-the first phrase of each normalized form.
+A phrase is its normalized form, a string. Phrases are made in one place,
+`NormalizedSource.phrases`: it turns a list of surface strings (one
+sample's, or a document's gold) into their normalized forms, dropping a
+surface with no alphanumeric content and keeping the first of each form.
+Presence is a property of the form, not of the surface, since matching
+reads only the normalized tokens; the source keeps the set of its forms
+found present (`NormalizedSource.present`).
 
 The common text takes a path that does its work in C and gives the same
 answer as the general one. An ASCII text is lowercased once and split by
@@ -35,12 +37,11 @@ itself (`word.startswith(normalize_token(word)[:-1])`, argued rule by rule
 in `kpagg.porter`), so only a word starting with `q[:-1]` can normalize to
 q. The result is the same as matching against the fully stemmed source,
 but most source words start no phrase of any sample or gold list and are
-never stemmed. The source also memoises, per surface string, the phrase
-normalised and classified against it: the n samples of a document repeat
-the same phrases, and its gold list repeats some of them too, but each
-distinct surface is normalised and presence-tested once. That memo is a
-plain dict dropped with its document, so it costs no memory across
-documents.
+never stemmed. The source also memoises the form of each surface string
+and decides presence once per distinct form: the n samples of a document
+repeat the same phrases, and its gold list repeats some of them too, in
+other cases and punctuation as well. Those memos are plain containers
+dropped with their document, so they cost no memory across documents.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from . import porter
 
@@ -75,15 +75,6 @@ def normalize_token(token: str) -> str:
     return token
 
 
-class NormalizedPhrase(NamedTuple):
-    """A keyphrase with its normalized form and its present/absent status
-    relative to a source document."""
-
-    surface: str
-    normalized: str
-    is_present: bool
-
-
 class NormalizedSource:
     """A document's source tokens, tokenized once and shared by every
     presence test on that document.
@@ -96,14 +87,18 @@ class NormalizedSource:
     normalizes to q starts with `q[:-1]`, so the candidates are the tokens
     found by searching for `" " + q1[:-1]`, and a token is normalized only
     once it is known to start with the `q[:-1]` it must match. Each surface
-    string passed to `phrases` is normalized and classified once.
+    string passed to `phrases` is normalized once, and each distinct form
+    classified once, into `present` or the absent forms.
     """
 
-    __slots__ = ("_joined", "_phrases")
+    __slots__ = ("_joined", "_forms", "_absent", "present")
 
     def __init__(self, tokens: Sequence[str]):
         self._joined = f" {' '.join(tokens)} "
-        self._phrases: dict[str, NormalizedPhrase | None] = {}
+        self._forms: dict[str, str] = {}  # surface -> its form, "" for none
+        self._absent: set[str] = set()
+        # the normalized forms classified so far that occur in the source
+        self.present: set[str] = set()
 
     @classmethod
     def from_text(cls, text: str) -> NormalizedSource:
@@ -127,29 +122,26 @@ class NormalizedSource:
             at = joined.find(probe, at + 1)
         return False
 
-    def phrases(self, surfaces: Sequence[str]) -> tuple[NormalizedPhrase, ...]:
-        """The phrases of `surfaces` in order, each normalized and classified
-        as present or absent in this source (memoised per surface). A surface
-        that normalizes to nothing is dropped, and only the first phrase of
-        each normalized form is kept. A new surface whose lowercase words
-        occur verbatim in the source is present; only otherwise are source
-        words stemmed (`_contains`)."""
-        memo = self._phrases
-        seen: set[str] = set()
-        out: list[NormalizedPhrase] = []
+    def phrases(self, surfaces: Sequence[str]) -> tuple[str, ...]:
+        """The normalized forms of `surfaces` in order, each classified as
+        present in this source (added to `present`) or absent. A surface that
+        normalizes to nothing is dropped, and only the first of each form is
+        kept. A new form whose surface's lowercase words occur verbatim in
+        the source is present, since equal words normalize alike; only
+        otherwise are source words stemmed (`_contains`)."""
+        forms = self._forms
+        present = self.present
+        absent = self._absent
         for surface in surfaces:
-            if surface in memo:
-                phrase = memo[surface]
-            else:
-                words = tokenize(surface)
-                if words:
-                    tokens = [normalize_token(w) for w in words]
-                    is_present = f" {' '.join(words)} " in self._joined or self._contains(tokens)
-                    phrase = NormalizedPhrase(surface, " ".join(tokens), is_present)
+            if surface in forms:
+                continue
+            words = tokenize(surface)
+            form = forms[surface] = " ".join(map(normalize_token, words))
+            if form and form not in present and form not in absent:
+                if f" {' '.join(words)} " in self._joined or self._contains(form.split(" ")):
+                    present.add(form)
                 else:
-                    phrase = None
-                memo[surface] = phrase
-            if phrase and phrase.normalized not in seen:
-                seen.add(phrase.normalized)
-                out.append(phrase)
-        return tuple(out)
+                    absent.add(form)
+        kept = dict.fromkeys(map(forms.__getitem__, surfaces))
+        kept.pop("", None)
+        return tuple(kept)

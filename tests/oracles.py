@@ -477,3 +477,95 @@ def received_texts_oracle(mode: str, indices: list[int], bodies: list) -> list[t
         chosen = [by_slot[slot]["choices"][0] for slot in slots]
     texts = [choice_text_oracle(choice) for choice in chosen]
     return [(slot, text) for slot, text in zip(slots, texts) if text is not None]
+
+
+# ---- the whole report, composed from the stage oracles ----
+
+STRATEGY_ORACLES = {
+    "union": union_oracle,
+    "union_concat": union_concat_oracle,
+    "union_interleaf": union_interleaf_oracle,
+    "frequency_order": frequency_order_oracle,
+}
+
+
+def _ranked_oracle(samples: list, perplexities: list) -> list:
+    """`samples` by ascending perplexity, unknown (None or NaN) last, equal
+    keys in their original order."""
+    def unknown(ppl):
+        return ppl is None or math.isnan(ppl)
+
+    keys = [(True, 0.0) if unknown(p) else (False, p) for p in perplexities]
+    return [samples[i] for i in sorted(range(len(samples)), key=keys.__getitem__)]
+
+
+def _document_scores_oracle(document: dict, strategy: str, ppl_mode: str, empty_gold: str) -> dict:
+    """One document's {(partition, metric): value}: its samples parsed,
+    normalized against the stemmed source, ranked, merged, cut at the
+    ceiling of the mean per-sample count, and scored per partition."""
+    source = normalize_oracle(document["source"])
+    classified = [
+        [
+            (normalized, present)
+            for _, normalized, present in phrases_oracle(
+                list(parse_sample_oracle(s["text"], document["had_prefill"], s["truncated"])[0]),
+                source,
+                normalize_oracle,
+            )
+        ]
+        for s in document["samples"]
+    ]
+    perplexities = [perplexity_oracle(s["logprobs"], ppl_mode) for s in document["samples"]]
+    ranked = _ranked_oracle(classified, perplexities)
+    if strategy == "single":
+        cut = single_oracle(ranked)
+        parts = {
+            "present": (cut["present_full"], cut["m_pre"]),
+            "absent": (cut["absent_full"], cut["m_abs"]),
+        }
+    else:
+        merged = STRATEGY_ORACLES[strategy]([[p for p, _ in sample] for sample in ranked])
+        presence = {p: present for sample in ranked for p, present in sample}
+        parts = {
+            partition: (
+                [p for p in merged if presence[p] is want],
+                ceil_mean_oracle([sum(1 for _, pr in s if pr is want) for s in ranked]),
+            )
+            for partition, want in (("present", True), ("absent", False))
+        }
+    gold = phrases_oracle(list(document["gold"]), source, normalize_oracle)
+    scores = {}
+    for partition, want in (("present", True), ("absent", False)):
+        gold_set = {normalized for _, normalized, present in gold if present is want}
+        full, m = parts[partition]
+        if not gold_set:
+            if empty_gold == "zero":
+                for metric in ("f1_at_m", "f1_at_5", "r_at_10", "r_at_inf"):
+                    scores[(partition, metric)] = 0.0
+            continue
+        scores[(partition, "f1_at_m")] = prf_oracle(full, gold_set, k=m)[2]
+        scores[(partition, "f1_at_5")] = prf_oracle(full, gold_set, k=5, pad=True)[2]
+        scores[(partition, "r_at_10")] = prf_oracle(full, gold_set, k=10)[1]
+        scores[(partition, "r_at_inf")] = recall_oracle(full, gold_set)
+    return scores
+
+
+def report_oracle(documents: list[dict], strategy: str, ppl_mode: str, empty_gold: str) -> tuple:
+    """(table, counts) of one config's report over `documents`: each cell
+    the plain mean of the documents that have it (None without any), and
+    their number. A document is a dict with `source` (title, space, body),
+    `gold` (surface strings), `had_prefill` and `samples`, each a dict with
+    `text`, `logprobs` (a list, or None) and `truncated`; a document
+    without samples has no record."""
+    records = [
+        _document_scores_oracle(document, strategy, ppl_mode, empty_gold)
+        for document in documents
+        if document["samples"]
+    ]
+    table, counts = {}, {}
+    for partition in ("present", "absent"):
+        for metric in ("f1_at_m", "f1_at_5", "r_at_10", "r_at_inf"):
+            values = [r[(partition, metric)] for r in records if (partition, metric) in r]
+            table[(partition, metric)] = sum(values) / len(values) if values else None
+            counts[(partition, metric)] = len(values)
+    return table, counts

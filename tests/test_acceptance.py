@@ -30,7 +30,7 @@ from kpagg.corpus import Document, load_corpus
 from kpagg.metrics import score_at_k, score_at_m, score_document
 from kpagg.mock_server import running_server
 from kpagg.porter import stem
-from kpagg.textnorm import NormalizedPhrase, NormalizedSource, tokenize
+from kpagg.textnorm import NormalizedSource, tokenize
 
 from . import oracles
 from .conftest import EXPECTED_REPORT, MOCK_FIXTURES, TOY_CORPUS
@@ -51,19 +51,9 @@ def skip(criterion: int, notice: str) -> None:
 
 # --- shared builders ---------------------------------------------------------
 
-_PHRASE = {}
-
-
-def phrase_of(sym: str, present: bool = False) -> NormalizedPhrase:
-    key = (sym, present)
-    if key not in _PHRASE:
-        _PHRASE[key] = NormalizedPhrase(surface=sym, normalized=sym, is_present=present)
-    return _PHRASE[key]
-
-
 def sample_set(symbol_lists) -> tuple:
     """A ranked set of the given samples, best first."""
-    return tuple(tuple(phrase_of(s) for s in symbols) for symbols in symbol_lists)
+    return tuple(tuple(symbols) for symbols in symbol_lists)
 
 
 STRATEGY_PAIRS = (
@@ -78,7 +68,7 @@ def first_mismatch(symbol_lists):
     ss = sample_set(symbol_lists)
     as_lists = [list(s) for s in symbol_lists]
     for impl, oracle in STRATEGY_PAIRS:
-        got = [p.normalized for p in impl(ss)]
+        got = impl(ss)
         want = oracle(as_lists)
         if got != want:
             return f"{impl.__name__}{as_lists} = {got}, oracle says {want}"
@@ -140,7 +130,7 @@ def test_criterion_01_aggregation_oracle_equivalence():
 
 def test_criterion_02_frequency_order_tie_break():
     out = aggregate_frequency_order(sample_set([("a", "b", "c"), ("b", "a"), ("b", "d")]))
-    got = [p.normalized for p in out]
+    got = list(out)
     report(2, got == ["b", "a", "d", "c"], f"S1=[a,b,c] S2=[b,a] S3=[b,d] -> {got}")
 
 
@@ -192,14 +182,15 @@ def test_criterion_03_single_sample_collapse():
         source = NormalizedSource.from_text(doc.source_text)
         ranked = rank([source.phrases(phrases)], [ppl])
         gold = source.phrases(doc.gold)
-        baseline = merge(ranked, "single")
-        base_scores = score_document(baseline, gold, empty_gold="zero")
+        gold_sets = (source.present.intersection(gold), set(gold) - source.present)
+        baseline = merge(ranked, "single", source.present)
+        base_scores = score_document(baseline, *gold_sets, empty_gold="zero")
         for strategy in ("union_concat", "union_interleaf", "frequency_order"):
-            pred = merge(ranked, strategy)
+            pred = merge(ranked, strategy, source.present)
             if pred != baseline:
                 failure = f"trial {trial}: {strategy} prediction diverges"
                 break
-            scores = score_document(pred, gold, empty_gold="zero")
+            scores = score_document(pred, *gold_sets, empty_gold="zero")
             if scores != base_scores:
                 failure = f"trial {trial}: {strategy} metrics diverge"
                 break
@@ -216,14 +207,15 @@ def test_criterion_04_dynamic_selection_ceiling():
         pres_counts = [rng.randint(0, 30) for _ in range(n)]
         abs_counts = [rng.randint(0, 30) for _ in range(n)]
         samples = []
+        present = set()
         for i in range(n):
-            phrases = tuple(
-                phrase_of(f"p{i}.{j}", True) for j in range(pres_counts[i])
-            ) + tuple(phrase_of(f"a{i}.{j}", False) for j in range(abs_counts[i]))
-            samples.append(phrases)
-        agg = [phrase_of(f"P{j}", True) for j in range(rng.randint(0, 80))]
-        agg += [phrase_of(f"A{j}", False) for j in range(rng.randint(0, 80))]
-        pred = dynamic_select(agg, tuple(samples))
+            phrases = tuple(f"p{i}.{j}" for j in range(pres_counts[i]))
+            present.update(phrases)
+            samples.append(phrases + tuple(f"a{i}.{j}" for j in range(abs_counts[i])))
+        agg = [f"P{j}" for j in range(rng.randint(0, 80))]
+        present.update(agg)
+        agg += [f"A{j}" for j in range(rng.randint(0, 80))]
+        pred = dynamic_select(agg, tuple(samples), present)
         want_pre = oracles.ceil_mean_oracle(pres_counts)
         want_abs = oracles.ceil_mean_oracle(abs_counts)
         if pred.m_pre != want_pre or pred.m_abs != want_abs:
@@ -283,13 +275,12 @@ def test_criterion_06_normalization():
             at = rng.randrange(len(text_words))
             text_words[at:at] = phrase_words
         text = " ".join(text_words)
-        (phrase,) = NormalizedSource(tokenize(text)).phrases([" ".join(phrase_words)])
-        got = phrase.is_present
-        want = oracles.window_scan_oracle(
-            oracles.normalize_oracle(text), phrase.normalized.split(" ")
-        )
+        source = NormalizedSource(tokenize(text))
+        (phrase,) = source.phrases([" ".join(phrase_words)])
+        got = phrase in source.present
+        want = oracles.window_scan_oracle(oracles.normalize_oracle(text), phrase.split(" "))
         if got != want:
-            scan_failure = f"trial {trial}: phrase={phrase.normalized!r}"
+            scan_failure = f"trial {trial}: phrase={phrase!r}"
             break
 
     ok = rate >= 0.999 and scan_failure is None

@@ -16,14 +16,14 @@ from kpagg.aggregation import (
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
-    dedup_preserve_order,
     dynamic_select,
     merge,
+    predict,
     rank,
     resolve_strategy,
 )
 from kpagg.llm_client import parse_sample
-from kpagg.textnorm import NormalizedPhrase, NormalizedSource
+from kpagg.textnorm import NormalizedSource
 
 from .conftest import MOCK_FIXTURES
 from .oracles import (
@@ -36,28 +36,22 @@ from .oracles import (
 )
 
 
-def phrase(sym, present=False):
-    return NormalizedPhrase(surface=sym, normalized=sym, is_present=present)
-
-
 def ranked_of(text, phrase_lists, perplexities):
     """Surface phrase lists the way the harness takes them: made into
-    phrases against the source `text`, then ranked by `perplexities`."""
+    phrases against the source `text`, then ranked by `perplexities`; with
+    the source's set of present forms."""
     source = NormalizedSource.from_text(text)
-    return rank([source.phrases(phrases) for phrases in phrase_lists], perplexities)
-
-
-def sample(symbols):
-    return tuple(phrase(s) for s in symbols)
+    ranked = rank([source.phrases(phrases) for phrases in phrase_lists], perplexities)
+    return ranked, source.present
 
 
 def sset(*symbol_lists):
     """A ranked set of the given samples, best first."""
-    return tuple(sample(symbols) for symbols in symbol_lists)
+    return tuple(tuple(symbols) for symbols in symbol_lists)
 
 
 def normals(phrases):
-    return [p.normalized for p in phrases]
+    return list(phrases)
 
 
 class TestResolveStrategy:
@@ -75,36 +69,36 @@ class TestRankSamples:
     TEXT = "graph coloring uses networks"
 
     def test_orders_by_perplexity(self):
-        ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, 1.5, 2.0])
+        ranked, _ = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, 1.5, 2.0])
         assert [normals(s) for s in ranked] == [["b"], ["c"], ["a"]]
 
     def test_unknown_perplexity_sorts_last(self):
-        ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [2.0, None, 1.0])
+        ranked, _ = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [2.0, None, 1.0])
         assert [normals(s) for s in ranked] == [["c"], ["a"], ["b"]]
 
     def test_nan_perplexity_sorts_last(self):
         # sorted() with a NaN key would leave 3.0 ahead of 1.0
-        ranked = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, math.nan, 1.0])
+        ranked, present = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, math.nan, 1.0])
         assert [normals(s) for s in ranked] == [["c"], ["a"], ["b"]]
-        pred = merge(ranked, "single")
-        assert pred.absent_full[: pred.m_abs][0].normalized == "c"
+        pred = merge(ranked, "single", present)
+        assert pred.absent_full[: pred.m_abs][0] == "c"
 
     def test_stable_for_ties(self):
-        ranked = ranked_of(self.TEXT, [("first",), ("second",)], [1.0, 1.0])
+        ranked, _ = ranked_of(self.TEXT, [("first",), ("second",)], [1.0, 1.0])
         assert [normals(s) for s in ranked] == [["first"], ["second"]]
 
     def test_phrases_normalized_deduped_classified(self):
-        ranked = ranked_of(
+        ranked, present = ranked_of(
             self.TEXT, [("Graph Coloring", "graph coloring", "Unrelated Idea")], [1.0]
         )
         phrases = ranked[0]
         assert normals(phrases) == ["graph color", "unrel idea"]
-        assert phrases[0].is_present is True
-        assert phrases[1].is_present is False
+        assert (phrases[0] in present) is True
+        assert (phrases[1] in present) is False
 
     def test_present_absent_counts(self):
-        s = (phrase("a", True), phrase("b", False), phrase("c", True))
-        pred = dynamic_select([], (s,))
+        s = ("a", "b", "c")
+        pred = dynamic_select([], (s,), {"a", "c"})
         assert pred.m_pre == 2
         assert pred.m_abs == 1
 
@@ -113,19 +107,20 @@ WORKED = sset(["a", "b"], ["b", "c"], ["d"])
 
 
 class TestDedup:
+    """First-occurrence dedup, which `union_concat` is over its samples."""
+
     def test_first_occurrence_kept(self):
-        phrases = [NormalizedPhrase(s, s, False) for s in ("a", "b", "a", "c")]
-        out = dedup_preserve_order(phrases)
-        assert [p.normalized for p in out] == ["a", "b", "c"]
+        out = aggregate_union_concat([("a", "b", "a", "c")])
+        assert out == ["a", "b", "c"]
 
     def test_stemming_equal_forms_collapse(self):
         phrases = [NormalizedSource(()).phrases([s])[0] for s in ("Networks", "network")]
-        out = dedup_preserve_order(phrases)
-        assert len(out) == 1
-        assert out[0].surface == "Networks"
+        out = aggregate_union_concat([phrases])
+        assert out == ["network"]
+        assert NormalizedSource(()).phrases(["Networks", "network"]) == ("network",)
 
     def test_empty_list(self):
-        assert dedup_preserve_order([]) == []
+        assert aggregate_union_concat([]) == []
 
 
 class TestStrategies:
@@ -133,13 +128,9 @@ class TestStrategies:
         out = aggregate_union(WORKED)
         assert normals(out) == ["a", "b", "c", "d"]
 
-    def test_union_keeps_first_surface(self):
-        s = (
-            (NormalizedPhrase("Nets", "net", False),),
-            (NormalizedPhrase("net", "net", False),),
-        )
-        out = aggregate_union(s)
-        assert [p.surface for p in out] == ["Nets"]
+    def test_union_collapses_equal_forms(self):
+        out = aggregate_union((("net",), ("net",)))
+        assert out == ["net"]
 
     def test_union_concat_rank_major(self):
         out = aggregate_union_concat(WORKED)
@@ -181,58 +172,65 @@ class TestStrategies:
 
 
 def counted_set(present_counts, absent_counts=None):
-    """Ranked set whose samples have the given per-sample phrase counts."""
+    """Ranked set whose samples have the given per-sample phrase counts:
+    `p...` phrases present, `a...` phrases absent."""
     absent_counts = absent_counts or [0] * len(present_counts)
     return tuple(
-        tuple(phrase(f"p{i}.{j}", True) for j in range(np))
-        + tuple(phrase(f"a{i}.{j}", False) for j in range(na))
+        tuple(f"p{i}.{j}" for j in range(np)) + tuple(f"a{i}.{j}" for j in range(na))
         for i, (np, na) in enumerate(zip(present_counts, absent_counts))
     )
 
 
+def present_of(*phrase_lists):
+    """The present forms among `phrase_lists`: those named `p...` or `k...`."""
+    return {p for phrases in phrase_lists for p in phrases if p[0] in "pk"}
+
+
+def select(agg, ranked):
+    return dynamic_select(agg, ranked, present_of(agg, *ranked))
+
+
 class TestDynamicSelect:
     def agg(self, n_present, n_absent=0):
-        return [phrase(f"k{i}", True) for i in range(n_present)] + [
-            phrase(f"x{i}", False) for i in range(n_absent)
-        ]
+        return [f"k{i}" for i in range(n_present)] + [f"x{i}" for i in range(n_absent)]
 
     def test_ceiling_of_mean(self):
         # present counts [3, 2, 4] -> mean 3 -> M = 3
         agg = self.agg(6)
-        pred = dynamic_select(agg, counted_set([3, 2, 4]))
+        pred = select(agg, counted_set([3, 2, 4]))
         assert pred.m_pre == 3
         assert list(pred.present_full[: pred.m_pre]) == agg[:3]
 
     def test_ceiling_rounds_up(self):
         # counts [1, 2, 2] -> mean 5/3 -> M = 2
-        pred = dynamic_select(self.agg(3), counted_set([1, 2, 2]))
+        pred = select(self.agg(3), counted_set([1, 2, 2]))
         assert pred.m_pre == 2
         assert len(pred.present_full[: pred.m_pre]) == 2
 
     def test_shorter_list_unchanged(self):
         agg = self.agg(1)
-        pred = dynamic_select(agg, counted_set([4, 4]))
+        pred = select(agg, counted_set([4, 4]))
         assert list(pred.present_full[: pred.m_pre]) == agg
 
     def test_zero_counts(self):
-        pred = dynamic_select(self.agg(1), counted_set([0, 0]))
+        pred = select(self.agg(1), counted_set([0, 0]))
         assert pred.present_full[: pred.m_pre] == ()
         assert pred.m_pre == 0
 
     def test_partitions_cut_independently(self):
         agg = self.agg(4, 4)
-        pred = dynamic_select(agg, counted_set([2, 2], [1, 3]))
+        pred = select(agg, counted_set([2, 2], [1, 3]))
         assert pred.m_pre == 2 and pred.m_abs == 2
         assert normals(pred.present_full[: pred.m_pre]) == ["k0", "k1"]
         assert normals(pred.absent_full[: pred.m_abs]) == ["x0", "x1"]
         assert len(pred.present_full) == 4 and len(pred.absent_full) == 4
 
     def test_empty_sample_set(self):
-        assert dynamic_select(self.agg(3), ()) == EMPTY_PREDICTION
+        assert select(self.agg(3), ()) == EMPTY_PREDICTION
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
     def test_matches_fraction_oracle(self, counts):
-        pred = dynamic_select(self.agg(40), counted_set(counts))
+        pred = select(self.agg(40), counted_set(counts))
         expected = ceil_mean_oracle(counts)
         assert pred.m_pre == expected
         assert len(pred.present_full[: pred.m_pre]) == min(40, expected)
@@ -242,28 +240,28 @@ class TestPredict:
     """The per-document path the harness runs: classify, rank, merge."""
 
     def test_single_uses_top_sample_only(self):
-        ranked = ranked_of(
+        ranked, present = ranked_of(
             "graph coloring networks",
             [("graph coloring", "zebra"), ("networks",)],
             [1.0, 2.0],
         )
-        pred = merge(ranked, "single")
+        pred = merge(ranked, "single", present)
         assert normals(pred.present_full[: pred.m_pre]) == ["graph color"]
         assert normals(pred.absent_full[: pred.m_abs]) == ["zebra"]
 
     def test_prediction_lists_disjoint_by_partition(self):
-        ranked = ranked_of(
+        ranked, present = ranked_of(
             "graph coloring", [("graph", "zebra"), ("coloring", "zebra")], [1.0, 2.0]
         )
-        pred = merge(ranked, "frequency_order")
-        assert all(p.is_present for p in pred.present_full)
-        assert all(not p.is_present for p in pred.absent_full)
+        pred = merge(ranked, "frequency_order", present)
+        assert all(p in present for p in pred.present_full)
+        assert all(p not in present for p in pred.absent_full)
 
     def test_truncation_prefix_of_full(self):
-        ranked = ranked_of(
+        ranked, present = ranked_of(
             "graph coloring", [("graph", "coloring", "zebra"), ("networks",)], [1.0, 2.0]
         )
-        pred = merge(ranked, "union_concat")
+        pred = merge(ranked, "union_concat", present)
         # present counts 2 and 0 cut at 1; absent counts 1 and 1 cut at 1
         assert (pred.m_pre, pred.m_abs) == (1, 1)
         assert normals(pred.present_full) == ["graph", "color"]
@@ -272,11 +270,12 @@ class TestPredict:
         assert normals(pred.absent_full[: pred.m_abs]) == ["zebra"]
 
     def test_alias_accepted(self):
-        ranked = ranked_of("graph", [("graph",)], [1.0])
-        assert merge(ranked, "frequency") == merge(ranked, "frequency_order")
+        ranked, present = ranked_of("graph", [("graph",)], [1.0])
+        assert merge(ranked, "frequency", present) == merge(ranked, "frequency_order", present)
 
     def test_empty_input(self):
-        assert merge(ranked_of("anything", [], []), "union") == EMPTY_PREDICTION
+        ranked, present = ranked_of("anything", [], [])
+        assert merge(ranked, "union", present) == EMPTY_PREDICTION
 
 
 def fixture_samples(doc):
@@ -295,6 +294,10 @@ def test_shared_source_gives_same_results(toy_docs):
         fresh = NormalizedSource.from_text(doc.source_text)
         assert [source.phrases(p) for p in phrase_lists] == [
             fresh.phrases(p) for p in phrase_lists
+        ], doc.id
+        classified = [[p in source.present for p in source.phrases(p)] for p in phrase_lists]
+        assert classified == [
+            [p in fresh.present for p in fresh.phrases(p)] for p in phrase_lists
         ], doc.id
 
 
@@ -345,16 +348,33 @@ def test_single_sample_collapse(inner):
         assert normals(impl(s)) == inner
 
 
-classified_instance = st.lists(
-    st.lists(st.tuples(symbols, st.booleans()), max_size=6, unique_by=lambda t: t[0]),
-    max_size=6,
+# samples of distinct symbols, and the set of symbols present in the source
+classified_instance = st.tuples(
+    st.lists(st.lists(symbols, max_size=6, unique=True), max_size=6),
+    st.sets(symbols),
 )
 
 
-@given(samples=classified_instance)
-def test_single_matches_top_sample_split_oracle(samples):
-    ranked = tuple(tuple(phrase(s, pres) for s, pres in sample) for sample in samples)
-    pred = merge(ranked, "single")
+@given(instance=classified_instance, strategies=st.permutations(STRATEGIES))
+def test_predict_equals_each_strategy_on_its_own(instance, strategies):
+    # the interleaf and the cuts predict shares equal those of each strategy
+    ranked, present = sset(*instance[0]), instance[1]
+    depth = {"single": 1}
+    aggregate = {"single": aggregate_union_concat, **{k: v[0] for k, v in ORACLES.items()}}
+    want = [
+        dynamic_select(
+            aggregate[s](ranked[: depth.get(s)]), ranked[: depth.get(s)], present
+        )
+        for s in strategies
+    ]
+    assert predict(ranked, present, strategies) == want
+
+
+@given(instance=classified_instance)
+def test_single_matches_top_sample_split_oracle(instance):
+    ranked, present = instance
+    samples = [[(s, s in present) for s in sample] for sample in ranked]
+    pred = merge(sset(*ranked), "single", present)
     got = {
         "present": normals(pred.present_full[: pred.m_pre]),
         "absent": normals(pred.absent_full[: pred.m_abs]),

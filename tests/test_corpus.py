@@ -134,28 +134,31 @@ class TestDocument:
 
 
 def gold_split(doc):
-    """A document's gold phrases against its source, split into (present,
+    """A document's gold forms against its source, split into (present,
     absent) in gold order."""
-    gold = textnorm.NormalizedSource.from_text(doc.source_text).phrases(doc.gold)
+    source = textnorm.NormalizedSource.from_text(doc.source_text)
+    gold = source.phrases(doc.gold)
     return (
-        tuple(p for p in gold if p.is_present),
-        tuple(p for p in gold if not p.is_present),
+        tuple(p for p in gold if p in source.present),
+        tuple(p for p in gold if p not in source.present),
     )
+
+
+def form_of(surface):
+    return " ".join(normalize_oracle(surface))
 
 
 class TestPartitionGold:
     def test_toy_doc_partition(self, toy_docs):
         doc = toy_docs[0]
         present, absent = gold_split(doc)
-        assert "graph coloring" in {p.surface for p in present}
-        assert "medium access control" in {p.surface for p in absent}
+        assert form_of("graph coloring") in present
+        assert form_of("medium access control") in absent
 
     def test_disjoint_and_complete(self, toy_docs):
         for doc in toy_docs:
             present, absent = gold_split(doc)
-            pres = {p.normalized for p in present}
-            absn = {p.normalized for p in absent}
-            assert not (pres & absn)
+            assert not (set(present) & set(absent))
 
     def test_duplicate_gold_collapses(self):
         d = make_doc(title="one thing", body="here", gold=("One Thing", "one thing", "other"))
@@ -167,21 +170,22 @@ class TestPartitionGold:
             tokens = normalize_oracle(doc.source_text)
             fresh = phrases_oracle(doc.gold, tokens, normalize_oracle)
             present, absent = gold_split(doc)
-            triples = [(p.surface, p.normalized, p.is_present) for p in present + absent]
-            assert triples == [t for t in fresh if t[2]] + [t for t in fresh if not t[2]], doc.id
+            pairs = [(p, True) for p in present] + [(p, False) for p in absent]
+            want = [(n, pres) for _, n, pres in fresh]
+            assert pairs == [t for t in want if t[1]] + [t for t in want if not t[1]], doc.id
 
     def test_punctuation_only_gold_dropped(self):
         d = make_doc(title="one thing", body="here", gold=("--", "One thing", "one-thing"))
         present, absent = gold_split(d)
-        assert [p.surface for p in present] == ["One thing"]
+        assert present == (form_of("One thing"),)
         assert absent == ()
 
     @given(st.permutations(["alpha", "beta", "gamma", "delta"]))
     def test_partition_counts_permutation_invariant(self, order):
         d = make_doc(title="alpha beta", body="slack", gold=tuple(order))
         present, absent = gold_split(d)
-        assert {p.normalized for p in present} == {"alpha", "beta"}
-        assert {p.normalized for p in absent} == {"gamma", "delta"}
+        assert set(present) == {"alpha", "beta"}
+        assert set(absent) == {"gamma", "delta"}
 
 
 class TestStats:
@@ -198,6 +202,25 @@ class TestStats:
         assert s.avg_absent_per_doc == pytest.approx(1.0)
         assert s.avg_words_per_present_kp == pytest.approx(2.0)
         assert s.avg_words_per_absent_kp == pytest.approx(3.0)
+
+    def test_counts_follow_the_first_surface_of_each_form(self, toy_docs):
+        # "One-Thing" is one whitespace word and "one thing" two: the words
+        # counted are those of the gold surface that comes first
+        docs = list(toy_docs) + [
+            make_doc(title="one thing", body="here", gold=("One-Thing", "one thing", "--", "x y"))
+        ]
+        kps = {True: 0, False: 0}
+        words = {True: 0, False: 0}
+        for doc in docs:
+            source = normalize_oracle(doc.source_text)
+            for surface, _, present in phrases_oracle(list(doc.gold), source, normalize_oracle):
+                kps[present] += 1
+                words[present] += len(surface.split())
+        stats = corpus_stats(docs)
+        assert stats.avg_present_per_doc == kps[True] / len(docs)
+        assert stats.avg_absent_per_doc == kps[False] / len(docs)
+        assert stats.avg_words_per_present_kp == words[True] / kps[True]
+        assert stats.avg_words_per_absent_kp == words[False] / kps[False]
 
     def test_no_absent_yields_none(self):
         d = make_doc(title="alpha beta", body="gamma", gold=("alpha beta",))

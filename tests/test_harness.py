@@ -8,7 +8,7 @@ import threading
 import pytest
 import yaml
 
-from kpagg import corpus, harness, prompting, textnorm
+from kpagg import aggregation, corpus, harness, prompting, textnorm
 from kpagg.aggregation import STRATEGIES, STRATEGY_ALIASES
 from kpagg.cli import build_parser, main
 from kpagg.corpus import CorpusError, load_corpus
@@ -549,6 +549,31 @@ class TestGrid:
         strategies = {line.split(",")[2] for line in merged[1:]}
         assert strategies == {"union", "frequency_order"}
 
+    def test_merged_meta_names_every_row_block(self, endpoint, tmp_path):
+        configs = [
+            config(endpoint, tmp_path, ppl_mode=mode, n_samples=n, empty_gold=policy)
+            for mode in ("mean", "sum")
+            for n in (3, 5)
+            for policy in ("exclude", "zero")
+        ]
+        merged = tmp_path / "merged.csv"
+        harness.grid(configs, out=str(merged))
+        # the outputs alone: the CSV's row blocks and the list beside it
+        header, *rows = merged.read_text(encoding="utf-8").splitlines()
+        meta_text = (tmp_path / "merged.csv.meta.json").read_text(encoding="utf-8")
+        meta = json.loads(meta_text)
+        assert meta_text == json.dumps(meta, sort_keys=True, indent=2) + "\n"
+        size = len(rows) // len(configs)
+        blocks = [rows[i : i + size] for i in range(0, len(rows), size)]
+        assert len(blocks) == len(meta) == len(configs)
+        assert len({json.dumps(entry, sort_keys=True) for entry in meta}) == len(configs)
+        for i, (cfg, block, entry) in enumerate(zip(configs, blocks, meta)):
+            single = tmp_path / f"single{i}.csv"
+            harness.run(cfg._replace(out=str(single)))
+            assert single.read_text(encoding="utf-8").splitlines() == [header, *block]
+            single_meta = tmp_path / f"single{i}.csv.meta.json"
+            assert entry == json.loads(single_meta.read_text(encoding="utf-8")) == provenance(cfg)
+
     @pytest.fixture
     def cache_loads(self, monkeypatch):
         loads = []
@@ -631,6 +656,28 @@ class TestGrid:
             for cfg, summary in zip(configs, summaries):
                 assert summary.report == harness.run(cfg).report, cfg
         assert counts[("mean",)] == counts[("mean", "sum")] > 0
+
+    def test_one_prediction_per_mode_and_strategy(self, endpoint, tmp_path, monkeypatch):
+        harness.run(config(endpoint, tmp_path))  # warm the cache
+        calls = []
+        predict = aggregation.predict
+
+        def recording(ranked, present, strategies):
+            calls.append(tuple(strategies))
+            return predict(ranked, present, strategies)
+
+        monkeypatch.setattr(aggregation, "predict", recording)
+        configs = [
+            config(endpoint, tmp_path, strategy=strategy, ppl_mode=mode, empty_gold=policy)
+            for strategy in STRATEGIES
+            for mode in ("mean", "sum")
+            for policy in ("exclude", "zero")
+        ]
+        summaries = harness.grid(configs)
+        # one call per document and perplexity mode, for every strategy once
+        assert calls == [STRATEGIES] * 2 * summaries[0].processed
+        for cfg, summary in zip(configs, summaries):
+            assert summary.report == harness.run(cfg).report, cfg
 
     @pytest.mark.parametrize(
         "bad", [{"strategy": "median"}, {"ppl_mode": "max"}, {"empty_gold": "skip"}]
@@ -753,6 +800,12 @@ class TestGrid:
                 harness.grid(configs)
             with pytest.raises(HarnessError, match="conflicting"):
                 harness.grid(configs[:1], out=second)
+        # an output named as the meta.json written beside another
+        meta_named = RunConfig("missing.jsonl", out="same.csv.meta.json")
+        with pytest.raises(HarnessError, match="conflicting"):
+            harness.grid([meta_named], out="same.csv")
+        with pytest.raises(HarnessError, match="conflicting"):
+            harness.grid([RunConfig("missing.jsonl", out="same.csv"), meta_named])
         assert not (tmp_path / "same.csv").exists()
 
     def test_empty_config_list_rejected(self):

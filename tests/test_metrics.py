@@ -19,13 +19,8 @@ from kpagg.metrics import (
     score_at_m,
     score_document,
 )
-from kpagg.textnorm import NormalizedPhrase
 
 from .oracles import prf_oracle, recall_oracle
-
-
-def phrase(sym, present=True):
-    return NormalizedPhrase(surface=sym, normalized=sym, is_present=present)
 
 
 def pred_of(present=(), absent=(), present_full=None, absent_full=None):
@@ -38,14 +33,14 @@ def pred_of(present=(), absent=(), present_full=None, absent_full=None):
     return Prediction(
         m_pre=len(present),
         m_abs=len(absent),
-        present_full=tuple(phrase(s, True) for s in present_full),
-        absent_full=tuple(phrase(s, False) for s in absent_full),
+        present_full=tuple(present_full),
+        absent_full=tuple(absent_full),
     )
 
 
 def gold_of(present=(), absent=()):
-    """A document's gold phrases: `present` ones, then `absent` ones."""
-    return tuple(phrase(s, True) for s in present) + tuple(phrase(s, False) for s in absent)
+    """A document's gold sets: the `present` forms and the `absent` ones."""
+    return set(present), set(absent)
 
 
 class TestScoreAtM:
@@ -95,8 +90,7 @@ class TestScoreDocument:
     GOLD_A = ("ga1",)
 
     def rows(self, pred, gold_present=GOLD_P, gold_absent=GOLD_A, policy="exclude"):
-        gold = gold_of(gold_present, gold_absent)
-        return score_document(pred, gold, empty_gold=policy)
+        return score_document(pred, *gold_of(gold_present, gold_absent), empty_gold=policy)
 
     def test_full_grid_emitted(self):
         rows = self.rows(pred_of(present=["gp1"], absent=["ga1"]))
@@ -141,7 +135,7 @@ class TestScoreDocument:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            score_document(pred_of(), gold_of(("a",)), empty_gold="skip")
+            score_document(pred_of(), *gold_of(("a",)), empty_gold="skip")
 
 
 class TestMacroAverage:
@@ -173,7 +167,7 @@ def toy_report():
         (pred_of(present=["a", "x"]), gold_of(("a", "b"), ("z",))),
         (pred_of(present=["b"]), gold_of(("b",), ())),
     ]
-    scores = [score_document(pred, gold, empty_gold="exclude") for pred, gold in docs]
+    scores = [score_document(pred, *gold, empty_gold="exclude") for pred, gold in docs]
     return build_report("toy", "baseline", "union", scores)
 
 
@@ -266,11 +260,9 @@ def test_score_document_matches_oracle(
     pred = Prediction(
         m_pre=m_pre,
         m_abs=m_abs,
-        present_full=tuple(phrase(s, True) for s in present_full),
-        absent_full=tuple(phrase(s, False) for s in absent_full),
+        present_full=tuple(present_full),
+        absent_full=tuple(absent_full),
     )
-    # present and absent gold interleaved: score_document splits by is_present
-    gold = sorted(gold_of(gold_present, gold_absent), key=lambda p: p.normalized)
     want = {}
     for partition, full, m, gold_set in (
         ("present", present_full, m_pre, gold_present),
@@ -284,7 +276,7 @@ def test_score_document_matches_oracle(
         want[(partition, "f1_at_5")] = prf_oracle(full, gold_set, k=5, pad=True)[2]
         want[(partition, "r_at_10")] = recall_oracle(full[:10], gold_set)
         want[(partition, "r_at_inf")] = recall_oracle(full, gold_set)
-    got = score_document(pred, gold, empty_gold=policy)
+    got = score_document(pred, gold_present, gold_absent, empty_gold=policy)
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert abs(got[key] - value) <= 1e-12, key

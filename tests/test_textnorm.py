@@ -88,42 +88,49 @@ class TestNormalizeTokenMemo:
 
 
 def phrase_of(surface, source_text=""):
-    """The one phrase `surface` makes against the source `source_text`."""
-    (p,) = textnorm.NormalizedSource(textnorm.tokenize(source_text)).phrases([surface])
-    return p
+    """(form, is_present) of the one phrase `surface` makes against the
+    source `source_text`."""
+    source = textnorm.NormalizedSource(textnorm.tokenize(source_text))
+    (p,) = source.phrases([surface])
+    return p, p in source.present
 
 
-def triples(phrases):
-    return [(p.surface, p.normalized, p.is_present) for p in phrases]
+def classified(source, phrases):
+    """Each phrase's (form, is_present) in `source`."""
+    return [(p, p in source.present) for p in phrases]
+
+
+def oracle_pairs(surfaces, source_tokens):
+    """`phrases_oracle`'s (normalized, present) pairs."""
+    return [(n, pres) for _, n, pres in phrases_oracle(surfaces, source_tokens, normalize_oracle)]
 
 
 class TestNormalizePhrase:
     def test_multiword(self):
-        p = phrase_of("Wireless Sensor Networks")
-        assert p.normalized == "wireless sensor network"
-        assert p.surface == "Wireless Sensor Networks"
-        assert p.is_present is False
+        form, is_present = phrase_of("Wireless Sensor Networks")
+        assert form == "wireless sensor network"
+        assert is_present is False
 
     def test_no_suffix_rules_fire(self):
-        assert phrase_of("TDMA").normalized == "tdma"
+        assert phrase_of("TDMA")[0] == "tdma"
 
     def test_punctuation_only_is_empty(self):
         assert textnorm.NormalizedSource(()).phrases(["  ---  "]) == ()
 
     def test_tokens_roundtrip(self):
-        assert phrase_of("graph coloring").normalized.split(" ") == ["graph", "color"]
+        assert phrase_of("graph coloring")[0].split(" ") == ["graph", "color"]
         assert textnorm.NormalizedSource(()).phrases(["--"]) == ()
 
     def test_classified_copy(self):
         # the same surface is classified against each source on its own
         p = phrase_of("tdma", "tdma")
         q = phrase_of("tdma", "other")
-        assert p.is_present is True and q.is_present is False
-        assert q.normalized == p.normalized
+        assert p[1] is True and q[1] is False
+        assert q[0] == p[0]
 
 
 def present(surface, source_text):
-    return phrase_of(surface, source_text).is_present
+    return phrase_of(surface, source_text)[1]
 
 
 class TestIsPresent:
@@ -140,7 +147,7 @@ class TestIsPresent:
         assert not present("art", "the artifact was found")
         source = textnorm.NormalizedSource(["ab", "c", "d"])
         for surface, is_present in [("b c", False), ("ab c", True), ("c d", True), ("a", False)]:
-            assert source.phrases([surface])[0].is_present is is_present
+            assert (source.phrases([surface])[0] in source.present) is is_present
 
     def test_empty_phrase_rejected(self):
         # a surface without tokens is never presence-tested: it is dropped
@@ -160,7 +167,7 @@ class TestNormalizedSource:
     def test_from_text_normalizes(self):
         source = textnorm.NormalizedSource.from_text("Graph Coloring-based TDMA")
         surfaces = ["graph color base tdma", "graph tdma", "tdma graph"]
-        assert [p.is_present for p in source.phrases(surfaces)] == [True, False, False]
+        assert [p in source.present for p in source.phrases(surfaces)] == [True, False, False]
 
 
 class TestLazyStemming:
@@ -201,7 +208,7 @@ class TestLazyStemming:
             textnorm.normalize_token.cache_clear()
             stemmed.clear()
             (phrase,) = source.phrases([surface])
-            assert phrase.is_present is is_present, surface
+            assert (phrase in source.present) is is_present, surface
             own = textnorm.tokenize(surface)
             assert stemmed[: len(own)] == own
             source_stemmed = stemmed[len(own) :]
@@ -233,28 +240,26 @@ class TestSourcePhraseMemo:
             source_tokens = normalize_oracle(doc.source_text)
             source = source_of(doc)
             for surfaces in toy_samples(doc) + [doc.gold]:
-                assert triples(source.phrases(surfaces)) == phrases_oracle(
-                    surfaces, source_tokens, normalize_oracle
-                ), doc.id
+                got = classified(source, source.phrases(surfaces))
+                assert got == oracle_pairs(surfaces, source_tokens), doc.id
 
     def test_empty_surface_dropped(self):
         source = textnorm.NormalizedSource.from_text("a source text")
         assert source.phrases(["--"]) == ()
-        assert source.phrases(["--", "text", "--"]) == (
-            textnorm.NormalizedPhrase("text", "text", True),
-        )
+        assert source.phrases(["--", "text", "--"]) == ("text",)
+        assert "text" in source.present
         # the memo answers a repeated surface with the phrase it made
         assert source.phrases(["text"])[0] is source.phrases(["text"])[0]
 
-    def test_same_normal_form_keeps_first_surface(self):
+    def test_same_normal_form_kept_once(self):
         source = textnorm.NormalizedSource.from_text("Neural networks learn")
         surfaces = ("neural networks", "Neural-Network")
-        assert [source.phrases([s])[0].surface for s in surfaces] == list(surfaces)
+        assert [source.phrases([s])[0] for s in surfaces] == ["neural network"] * 2
         kept = source.phrases(surfaces)
-        assert [(p.surface, p.is_present) for p in kept] == [("neural networks", True)]
+        assert classified(source, kept) == [("neural network", True)]
         doc = corpus.Document("d", "Neural networks learn", "", ())
         sample = ("Neural-Network", "neural networks")
-        assert [p.surface for p in source_of(doc).phrases(sample)] == ["Neural-Network"]
+        assert source_of(doc).phrases(sample) == ("neural network",)
 
     def test_each_surface_normalized_once_per_source(self, toy_docs, monkeypatch):
         doc = toy_docs[0]
@@ -285,7 +290,7 @@ class TestSourcePhraseMemo:
 class TestDedup:
     def test_empty_normalized_dropped(self):
         out = textnorm.NormalizedSource(()).phrases(["--", "a"])
-        assert [p.normalized for p in out] == ["a"]
+        assert list(out) == ["a"]
 
 
 # Pairs of different surface words with one stem, so that a match often
@@ -313,17 +318,17 @@ def test_normalized_nonempty_iff_alnum_content(surface):
     phrases = textnorm.NormalizedSource(()).phrases([surface])
     has_alnum = bool(textnorm.tokenize(surface))
     assert bool(phrases) == has_alnum
-    assert all(p.normalized for p in phrases)
+    assert all(phrases)
 
 
 @given(st.lists(st.text(max_size=10), max_size=10))
 def test_dedup_output_distinct_and_subsequence(surfaces):
     out = textnorm.NormalizedSource(()).phrases(surfaces)
-    normals = [p.normalized for p in out]
-    assert len(set(normals)) == len(normals)
-    assert all(n for n in normals)
+    assert len(set(out)) == len(out)
+    assert all(out)
+    # the forms of a subsequence of the input
     it = iter(surfaces)
-    assert all(any(p.surface == s for s in it) for p in out)  # subsequence of input
+    assert all(any(" ".join(normalize_oracle(s)) == p for s in it) for p in out)
 
 
 @given(words, token_lists, token_lists, token_lists)
@@ -341,8 +346,8 @@ def test_is_present_matches_window_scan(phrase_words, source_words):
     if not phrases:
         return
     (phrase,) = phrases
-    assert phrase.is_present == window_scan_oracle(
-        normalize_oracle(text), phrase.normalized.split(" ")
+    assert (phrase in source.present) == window_scan_oracle(
+        normalize_oracle(text), phrase.split(" ")
     )
 
 
@@ -356,12 +361,33 @@ surface_pieces = st.sampled_from(
 surfaces = st.lists(surface_pieces, min_size=1, max_size=3).map(" ".join)
 
 
-@given(st.lists(surfaces, max_size=10), st.lists(surface_pieces, max_size=12))
-def test_phrases_match_oracle(surface_list, source_pieces):
+# One phrase in three surfaces of one normalized form, differing in case and
+# punctuation, and source words that may or may not spell it.
+SENSOR_VARIANTS = ["Sensor-Networks", "sensor networks", "SENSOR NETWORKS"]
+sensor_pieces = st.sampled_from(["sensor", "Sensors", "networks", "NETWORK", "sensor-network"])
+
+
+@given(
+    st.lists(surfaces, max_size=10),
+    st.lists(surface_pieces | sensor_pieces, max_size=12),
+    st.permutations(SENSOR_VARIANTS),
+    st.integers(min_value=0, max_value=10),
+)
+def test_phrases_match_oracle(surface_list, source_pieces, variants, at):
+    # presence is decided once per form, whichever of its surfaces comes first
+    surface_list = surface_list[:at] + variants + surface_list[at:]
     text = " ".join(source_pieces)
-    got = textnorm.NormalizedSource(textnorm.tokenize(text)).phrases(surface_list)
-    assert all(type(p.is_present) is bool for p in got)
-    assert triples(got) == phrases_oracle(surface_list, normalize_oracle(text), normalize_oracle)
+    tokens = normalize_oracle(text)
+    source = textnorm.NormalizedSource(textnorm.tokenize(text))
+    got = source.phrases(surface_list)
+    assert all(type(p) is str for p in got)
+    assert classified(source, got) == oracle_pairs(surface_list, tokens)
+    fresh = textnorm.NormalizedSource(textnorm.tokenize(text))
+    for variant in variants:
+        want = window_scan_oracle(tokens, normalize_oracle(variant))
+        for one in (source, fresh):
+            (form,) = one.phrases([variant])
+            assert (form in one.present) is want, (variant, text)
 
 
 # Text for the tokenizer: ASCII only (lowered whole) and with letters whose
@@ -416,5 +442,6 @@ def source_and_phrase(draw):
 @given(source_and_phrase())
 def test_presence_near_verbatim_matches_oracle(case):
     text, surface = case
-    got = textnorm.NormalizedSource.from_text(text).phrases([surface])
-    assert triples(got) == phrases_oracle([surface], normalize_oracle(text), normalize_oracle)
+    source = textnorm.NormalizedSource.from_text(text)
+    got = classified(source, source.phrases([surface]))
+    assert got == oracle_pairs([surface], normalize_oracle(text))
