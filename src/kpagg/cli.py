@@ -88,7 +88,15 @@ def grid_cmd(args: argparse.Namespace) -> None:
     summaries = harness.grid(configs, out=out)
     for summary in summaries:
         _echo_summary(summary)
-    print(metrics.reports_table([s.report for s in summaries]))
+    # a column for each provenance field, beside the table's own labels,
+    # that tells the rows apart
+    rows = [harness.provenance(c) for c in configs]
+    labels = {
+        name: [row[name] for row in rows]
+        for name in rows[0]
+        if name not in ("corpus", "variant", "strategy") and len({row[name] for row in rows}) > 1
+    }
+    print(metrics.reports_table([s.report for s in summaries], labels))
     if out:
         print(f"wrote {out}")
 

@@ -8,9 +8,7 @@ retries, the answer held fewer choices than asked for or its choice had
 the wrong shape, is absent from what the client returns; nothing stands in
 for it.
 Only a client imports the transport, so an offline replay loads no HTTP
-code. A client over direct `http://` loads no `http.client`, `email`,
-`ssl` or `urllib.request` either, unless a request fails: `kpagg.transport`
-says which path loads which module.
+code; `kpagg.transport` says which path loads which module.
 
 A sample keeps only what ranking needs of its logprobs: their left-to-right
 sum and their count (`lp_sum`, `lp_n`), the sufficient statistics of both
@@ -216,9 +214,9 @@ class LLMClient:
     retry policy and the samples. `kpagg.transport` sends the requests, over
     one kept-alive connection per fetch thread, to the endpoint or to the
     proxy that the environment names for it; constructing a client imports
-    it, and raises LLMClientError for a proxy it cannot speak to. `close`
-    closes the idle connections. The retry policy is set by MAX_RETRIES,
-    BACKOFF_BASE_S and TIMEOUT_S."""
+    it, and raises LLMClientError for an endpoint, API key or proxy that
+    cannot be sent to. `close` closes the idle connections. The retry
+    policy is set by MAX_RETRIES, BACKOFF_BASE_S and TIMEOUT_S."""
 
     def __init__(
         self,
@@ -229,40 +227,31 @@ class LLMClient:
     ):
         if request_mode not in REQUEST_MODES:
             raise ValueError(f"unknown request mode {request_mode!r}")
-        e = endpoint.rstrip("/")
-        self.url = e if e.endswith("/chat/completions") else e + "/chat/completions"
-        split = urllib.parse.urlsplit(self.url)
-        try:
-            split.port  # raises ValueError for a port that is no number in range
-            valid = split.scheme in ("http", "https") and bool(split.hostname)
-        except ValueError:
-            valid = False
-        if not valid:
-            raise LLMClientError(f"endpoint must be an http(s) URL, got {endpoint!r}")
+        # the path gains /chat/completions unless it ends with it; a query
+        # (Azure's api-version, say) is kept as given
+        split = urllib.parse.urlsplit(endpoint)
+        path = split.path.rstrip("/")
+        if not path.endswith("/chat/completions"):
+            path += "/chat/completions"
+        split = split._replace(path=path)
+        self.url = split.geturl()
         self.model = model
-        self.api_key = api_key
         self.request_mode = request_mode
+        # An explicit agent: some CDN-fronted endpoints answer urllib's
+        # default "Python-urllib/x.y" with 403.
+        headers = {"Content-Type": "application/json", "User-Agent": f"kpagg/{__version__}"}
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
         from .transport import Transport  # an offline run makes no client
 
         try:
-            self._transport = Transport(split, TIMEOUT_S)
-        except ValueError as exc:  # a proxy it cannot speak to, or a bad proxy port
-            raise LLMClientError(f"proxy for {endpoint!r}: {exc}") from None
+            self._transport = Transport(split, TIMEOUT_S, headers)
+        except ValueError as exc:  # the message names no header value
+            raise LLMClientError(f"endpoint {endpoint!r}: {exc}") from None
 
     def close(self) -> None:
         """Close the idle connections; a later request opens a new one."""
         self._transport.close()
-
-    def _headers(self) -> dict:
-        # An explicit agent: some CDN-fronted endpoints answer urllib's
-        # default "Python-urllib/x.y" with 403.
-        headers = {
-            "Content-Type": "application/json",
-            "User-Agent": f"kpagg/{__version__}",
-        }
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
 
     def _post_with_retries(self, data: bytes) -> dict | None:
         """POST one serialised request until it gives a 200 with a JSON
@@ -271,18 +260,13 @@ class LLMClient:
         MAX_RETRY_AFTER_S); any other retry waits a random time up to the
         exponential backoff.
         """
-        from .transport import http_client  # loaded by __init__ already
-
         for attempt in range(MAX_RETRIES + 1):
             wait = None
             try:
-                status, headers, body = self._transport.send(data, self._headers())
-            except (OSError, http_client().HTTPException) as exc:
-                # OSError covers refused connections, timeouts and TLS
-                # failures; a truncated body (IncompleteRead) is an
-                # HTTPException only. The classes are looked up only once
-                # an exception propagates, so a run whose sends all succeed
-                # never imports http.client.
+                status, headers, body = self._transport.send(data)
+            except OSError as exc:
+                # refused connections, timeouts, TLS failures and malformed
+                # or truncated answers
                 reason = f"connection error: {exc}"
             else:
                 if status == 200:

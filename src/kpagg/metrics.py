@@ -143,16 +143,19 @@ def reports_csv(reports: list[MetricReport]) -> str:
     return buf.getvalue()
 
 
-def reports_table(reports: list[MetricReport]) -> str:
+def reports_table(reports: list[MetricReport], labels: dict[str, list] | None = None) -> str:
     """Aligned text table: one row per run, present and absent metric
-    columns side by side, values in [0, 1]."""
-    headers = ["corpus", "variant", "strategy"] + [
+    columns side by side, values in [0, 1]. `labels` adds a column after
+    corpus, variant and strategy for each of its names, holding its
+    values, one per report."""
+    labels = labels or {}
+    headers = ["corpus", "variant", "strategy", *labels] + [
         f"{partition[0].upper()}-{_METRIC_TABLE[metric][0]}" for partition, metric in CELLS
     ]
     rows = [
-        [report.corpus, report.variant, report.strategy]
+        [report.corpus, report.variant, report.strategy, *(str(v[i]) for v in labels.values())]
         + ["n/a" if v is None else f"{v:.4f}" for v in map(report.table.get, CELLS)]
-        for report in reports
+        for i, report in enumerate(reports)
     ]
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
     lines = [headers, ["-" * w for w in widths], *rows]

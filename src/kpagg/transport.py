@@ -2,27 +2,33 @@
 answer back.
 
 Requests go over kept-alive HTTP/1.1 connections that this module drives
-itself. A send takes an idle connection or opens one, and writes the
-request line, the headers and the body with one `sendall`.
-The headers are `Host` (an IPv6 zone left out), `Accept-Encoding: identity`
-(no compression is asked for), `Content-Length` and the caller's. The
-answer is read through a buffered reader over the connection's socket: the
-status line (a `100 Continue` is skipped), the header lines, then the body
-by its `Content-Length`, by `Transfer-Encoding: chunked` chunks, or up to
-the close of the connection. Of the headers, only these four steer
-anything: those two, `Connection` and, in the client, `Retry-After`. The
-reader is dropped with the answer, and with it any bytes it read past the
-answer's framing (a body on a 204, say), as `http.client` drops them. The
+itself. Everything of a request but its body is settled when the transport
+is made: the request line, `Host` (an IPv6 zone left out),
+`Accept-Encoding: identity` (no compression is asked for), the client's
+headers, and behind a proxy its credentials and the CONNECT of a tunnel.
+A send takes an idle connection or opens one, and writes that head,
+`Content-Length` and the body with one `sendall`. The answer is read
+through a buffered reader over the connection's socket: the status line (a
+`100 Continue` is skipped), the header lines, then the body by its
+`Content-Length`, by `Transfer-Encoding: chunked` chunks, or up to the
+close of the connection. Of the headers, only these four steer anything:
+those two, `Connection` and, in the client, `Retry-After`. The reader is
+dropped with the answer, and with it any bytes it read past the answer's
+framing (a body on a 204, say), as `http.client` drops them. The
 connection goes back to the idle list unless the answer is HTTP/1.0, says
 `Connection: close` or ends at the close, so a transport holds at most one
 connection per thread that sends at a time. A 3xx is not followed.
 
-The checks of `http.client` are kept. A header name or value it would
-refuse (a CR or LF in a value) raises ValueError before any byte goes out,
-and a space or control character in the path or host raises InvalidURL.
-An answer line longer than 65,536 bytes, more than 100 header lines, a bad
-status line or a body cut short raises the `http.client` exception for
-it. So every malformed answer is an OSError or an HTTPException.
+The checks of `http.client` are kept, and made once, when the transport is
+made: a URL that is not http(s), a space, control character or non-ASCII
+character in the path, a control character in the host, a header name
+`http.client` would refuse or a CR or LF in a header value raises
+ValueError there, so nothing is ever sent. The error names a header but
+never its value, which may be a credential. Of an answer, a line longer
+than 65,536 bytes, more than 100 header lines, a bad status line or a body
+cut short raises `BadAnswer`, with `http.client`'s wording; an answer that
+never came (the connection closed first) raises ConnectionResetError. So a
+send fails only with an OSError.
 
 Where `HTTP(S)_PROXY`/`NO_PROXY` put the endpoint behind a proxy, the
 same exchange goes to the proxy, as urllib would send it: the absolute URI
@@ -32,13 +38,10 @@ an `https://` one. HTTPS verifies against the system CA store.
 Each path imports only the modules it drives, so the direct path over
 `http://` loads none of the standard library's HTTP modules. `ssl` is
 imported when a transport is made that speaks TLS, `base64` when its proxy
-URL holds credentials. `http.client` is imported when an exception is
-raised, for the class it raises (`http_client`), so a run whose answers
-all come whole never loads it, nor the `email` package it imports.
-`urllib.request` is imported to decide whether a proxy applies only when
-one may: where urllib reads the proxy settings from the environment alone
-(not on macOS or Windows), that is when a variable named `<scheme>_proxy`,
-in any case, has a value.
+URL holds credentials. `urllib.request` is imported to decide whether a
+proxy applies only when one may: where urllib reads the proxy settings
+from the environment alone (not on macOS or Windows), that is when a
+variable named `<scheme>_proxy`, in any case, has a value.
 
 `LLMClient` imports this module when it is constructed, so an offline
 replay, which makes no client, loads no HTTP module.
@@ -63,6 +66,11 @@ _END_OF_HEADERS = (b"\r\n", b"\n", b"")
 _is_legal_header_name = re.compile(rb"[^:\s][^:\r\n]*").fullmatch
 _is_illegal_header_value = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])").search
 _disallowed_url_char = re.compile("[\x00-\x20\x7f]").search
+
+
+class BadAnswer(OSError):
+    """An answer that breaks the HTTP/1.1 framing or one of `http.client`'s
+    limits; its message is the one `http.client` gives."""
 
 
 class _Connection:
@@ -94,28 +102,47 @@ class _Connection:
 
 
 class Transport:
-    """Sends POSTs to one URL, through the proxy that applies to it if any;
-    `close` closes the idle connections."""
+    """Sends POSTs with the fixed `headers` to one URL, through the proxy
+    that applies to it if any; `close` closes the idle connections. `headers`
+    must not name Host, Accept-Encoding or Content-Length, which the
+    transport sends itself. Raises ValueError for a URL, header or proxy
+    that cannot be sent."""
 
-    def __init__(self, url: urllib.parse.SplitResult, timeout: float):
-        self.url = url
+    def __init__(self, url: urllib.parse.SplitResult, timeout: float, headers: dict):
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("not an http(s) URL with a host")
+        tls = url.scheme == "https"
+        default_port = 443 if tls else 80
+        port = default_port if url.port is None else url.port  # ValueError if out of range
+        host = url.hostname
+        target = url.path + (f"?{url.query}" if url.query else "")
+        for part in (target, host):
+            match = _disallowed_url_char(part)
+            if match:
+                raise ValueError(f"URL can't contain {match.group()!r}: {part!r}")
+        if not target.isascii():
+            raise ValueError(f"URL path is not ASCII: {target!r}")
+        try:
+            host_enc = host.encode("ascii")
+        except UnicodeEncodeError:
+            host_enc = host.encode("idna")
+        # An IPv6 address goes in brackets and without its zone, as newer
+        # http.client releases send it (3.12 does; 3.10 sends the zone).
+        if ":" in host:
+            host_enc = b"[" + host_enc.partition(b"%")[0] + b"]"
+        authority = host_enc + b":%d" % port
+        host_field = authority if port != default_port else host_enc
+        target_enc = target.encode("ascii")
         self.timeout = timeout
-        self._target = url.path + (f"?{url.query}" if url.query else "")
-        self._default_port = 443 if url.scheme == "https" else 80
-        self._port = self._default_port if url.port is None else url.port
-        # the head of each request and the CONNECT of a tunnel, set by the
-        # first send
-        self._head: bytes | None = None
-        self._tunnel: bytes | None = None
         # Decided once, from the proxy settings when the client is made:
         # where a connection goes, the host TLS verifies there (None for
-        # plain TCP) and the Proxy-Authorization line.
-        self._peer = (url.hostname, self._port)
-        self._tls_host = url.hostname if url.scheme == "https" else None
-        self._proxy_auth = b""
+        # plain TCP), and the CONNECT of a tunnel (None for none).
+        self._peer = (host, port)
+        self._tls_host = host if tls else None
+        self._tunnel: bytes | None = None
+        proxy_auth = b""
         proxy = _proxy(url)
-        self._proxied = proxy is not None
-        if self._proxied:
+        if proxy is not None:
             # urllib takes a bare host[:port] in the endpoint's scheme
             split = urllib.parse.urlsplit(proxy if "://" in proxy else f"{url.scheme}://{proxy}")
             if split.scheme not in ("http", "https"):
@@ -124,14 +151,29 @@ class Transport:
             # for an https endpoint (tunnelled) or an https proxy
             default = 443 if "https" in (url.scheme, split.scheme) else 80
             self._peer = (split.hostname, default if split.port is None else split.port)
-            if url.scheme == "http" and split.scheme == "https":
+            if not tls and split.scheme == "https":
                 self._tls_host = split.hostname
             if split.username and split.password:
                 import base64
 
                 user, password = map(urllib.parse.unquote, (split.username, split.password))
                 auth = base64.b64encode(f"{user}:{password}".encode())
-                self._proxy_auth = b"Proxy-Authorization: Basic %s\r\n" % auth
+                proxy_auth = b"Proxy-Authorization: Basic %s\r\n" % auth
+            if tls:
+                # a tunnel's authority always names the port; the
+                # credentials go on the CONNECT only
+                self._tunnel = b"CONNECT %s HTTP/1.1\r\nHost: %s\r\n%s\r\n" % (
+                    authority, authority, proxy_auth
+                )
+                proxy_auth = b""
+            else:
+                target_enc = b"http://" + host_field + target_enc
+        # the request line, Host and Accept-Encoding as `http.client` forms
+        # them, and to an http proxy every request carries its credentials
+        self._head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n%s" % (
+            target_enc, host_field, proxy_auth
+        )
+        self._fields = b"".join(_header_line(*item) for item in headers.items()) + b"\r\n"
         self._context = None
         if self._tls_host is not None:
             import ssl
@@ -148,13 +190,11 @@ class Transport:
         for conn in idle:
             conn.close()
 
-    def send(self, data: bytes, headers: dict) -> tuple[int, dict, bytes]:
+    def send(self, data: bytes) -> tuple[int, dict, bytes]:
         """POST `data`: the status, headers (by lower-case name) and whole
-        body of the answer, whatever its status. `headers` must not name
-        Host, Accept-Encoding or Content-Length, which the transport sends
-        itself. Raises OSError or http.client.HTTPException when no whole
-        answer came."""
-        request = self._request(data, headers)
+        body of the answer, whatever its status. Raises OSError when no
+        whole answer came."""
+        request = self._request(data)
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
         fresh = conn is None
@@ -165,8 +205,8 @@ class Transport:
                 status, http10, answer = conn.post(request)
             except (BrokenPipeError, ConnectionResetError):
                 # A kept-alive connection that the server closed while it
-                # sat idle fails before any answer (RemoteDisconnected is a
-                # ConnectionResetError): send again, once, on a fresh one.
+                # sat idle fails before any answer: send again, once, on a
+                # fresh one.
                 if fresh:
                     raise
                 conn.close()
@@ -184,58 +224,9 @@ class Transport:
             conn.close()
         return status, answer, body
 
-    def _request(self, data: bytes, headers: dict) -> bytes:
+    def _request(self, data: bytes) -> bytes:
         """The request line, the headers and the body, as one string."""
-        parts = [self._head or self._request_head(), b"Content-Length: %d\r\n" % len(data)]
-        for name, value in headers.items():
-            name, value = name.encode("ascii"), value.encode("latin-1")
-            if not _is_legal_header_name(name):
-                raise ValueError(f"Invalid header name {name!r}")
-            if _is_illegal_header_value(value):
-                raise ValueError(f"Invalid header value {value!r}")
-            parts.append(b"%s: %s\r\n" % (name, value))
-        parts.append(b"\r\n")
-        parts.append(data)
-        return b"".join(parts)
-
-    def _request_head(self) -> bytes:
-        """The request line, Host and Accept-Encoding, as `http.client`
-        forms them, and to an http proxy the absolute URI and credentials;
-        for an https endpoint behind a proxy, also the tunnel's CONNECT.
-        Like `http.client`, raises InvalidURL for a space or control
-        character in the path or host, and UnicodeEncodeError for a path
-        that is not ASCII, at each send."""
-        host = self.url.hostname
-        for part in (self._target, host):
-            match = _disallowed_url_char(part)
-            if match:
-                raise http_client().InvalidURL(
-                    f"URL can't contain control characters. {part!r} "
-                    f"(found at least {match.group()!r})"
-                )
-        try:
-            host_enc = host.encode("ascii")
-        except UnicodeEncodeError:
-            host_enc = host.encode("idna")
-        # An IPv6 address goes in brackets and without its zone, as newer
-        # http.client releases send it (3.12 does; 3.10 sends the zone).
-        if ":" in host:
-            host_enc = b"[" + host_enc.partition(b"%")[0] + b"]"
-        authority = host_enc + b":%d" % self._port
-        if self._port != self._default_port:
-            host_enc = authority
-        target = self._target.encode("ascii")
-        if self._proxied and self.url.scheme == "https":
-            # a tunnel's authority always names the port
-            self._tunnel = b"CONNECT %s HTTP/1.1\r\nHost: %s\r\n%s\r\n" % (
-                authority, authority, self._proxy_auth
-            )
-        elif self._proxied:
-            target = b"http://" + host_enc + target
-        head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (target, host_enc)
-        # to a proxy (not through its tunnel), every request carries its credentials
-        self._head = head if self._tunnel else head + self._proxy_auth
-        return self._head
+        return b"%sContent-Length: %d\r\n%s%s" % (self._head, len(data), self._fields, data)
 
     def _connect(self) -> _Connection:
         """A new connection, with TCP_NODELAY, to the endpoint or its proxy
@@ -258,16 +249,16 @@ class Transport:
         return _Connection(sock)
 
 
-def http_client():
-    """The `http.client` module, imported when first asked for. Only a
-    failure needs it, for the class of the exception to raise or catch;
-    with the `email` parser and `ssl` it imports, it would cost a direct
-    run more than the exchange itself. An `except` clause evaluates its
-    classes only once an exception propagates, so one can name
-    `http_client().HTTPException` and still import nothing on success."""
-    import http.client
-
-    return http.client
+def _header_line(name: str, value: str) -> bytes:
+    """`name: value` and CRLF, or ValueError, naming the header but not its
+    value, where `http.client` would refuse either."""
+    try:
+        name_enc, value_enc = name.encode("ascii"), value.encode("latin-1")
+    except UnicodeEncodeError:
+        name_enc = value_enc = b"\n"
+    if not _is_legal_header_name(name_enc) or _is_illegal_header_value(value_enc):
+        raise ValueError(f"header {name!r} has a name or value that cannot be sent")
+    return b"%s: %s\r\n" % (name_enc, value_enc)
 
 
 def _proxy(url: urllib.parse.SplitResult) -> str | None:
@@ -290,7 +281,7 @@ def _proxy(url: urllib.parse.SplitResult) -> str | None:
 def _readline(rfile, what: str) -> bytes:
     line = rfile.readline(_MAXLINE + 1)
     if len(line) > _MAXLINE:
-        raise http_client().LineTooLong(what)
+        raise BadAnswer(f"got more than {_MAXLINE} bytes when reading {what}")
     return line
 
 
@@ -301,7 +292,7 @@ def _header_lines(rfile) -> list[bytes]:
         line = _readline(rfile, "header line")
         lines.append(line)
         if len(lines) > _MAXHEADERS:
-            raise http_client().HTTPException(f"got more than {_MAXHEADERS} headers")
+            raise BadAnswer(f"got more than {_MAXHEADERS} headers")
         if line in _END_OF_HEADERS:
             return lines
 
@@ -310,14 +301,14 @@ def _read_status(rfile) -> tuple[bytes, int]:
     """The HTTP version and the status of a status line."""
     line = _readline(rfile, "status line")
     if not line:
-        raise http_client().RemoteDisconnected("Remote end closed connection without response")
+        raise ConnectionResetError("Remote end closed connection without response")
     try:
         version, status = line.split(None, 2)[:2]
         status = int(status)
     except ValueError:
         version, status = b"", 0
     if not (version.startswith(b"HTTP/") and 100 <= status <= 999):
-        raise http_client().BadStatusLine(str(line, "iso-8859-1"))
+        raise BadAnswer(str(line, "iso-8859-1"))
     return version, status
 
 
@@ -331,7 +322,7 @@ def _read_head(rfile) -> tuple[int, bool, dict]:
         _header_lines(rfile)
         version, status = _read_status(rfile)
     if not version.startswith(b"HTTP/1.") and version != b"HTTP/0.9":
-        raise http_client().UnknownProtocol(str(version, "iso-8859-1"))
+        raise BadAnswer(str(version, "iso-8859-1"))
     headers = {}
     for line in _header_lines(rfile):
         name, colon, value = line.partition(b":")
@@ -339,6 +330,12 @@ def _read_head(rfile) -> tuple[int, bool, dict]:
             name = str(name, "iso-8859-1").lower()
             headers.setdefault(name, str(value.lstrip(b" \t").rstrip(b"\r\n"), "iso-8859-1"))
     return status, version in (b"HTTP/1.0", b"HTTP/0.9"), headers
+
+
+def _incomplete(read: int, expected: int | None = None) -> BadAnswer:
+    """A body cut short, worded as `http.client`'s IncompleteRead."""
+    more = "" if expected is None else f", {expected} more expected"
+    return BadAnswer(f"IncompleteRead({read} bytes read{more})")
 
 
 def _read_body(rfile, status: int, http10: bool, headers: dict) -> tuple[bytes, bool]:
@@ -358,12 +355,13 @@ def _read_body(rfile, status: int, http10: bool, headers: dict) -> tuple[bytes, 
         return rfile.read(), False
     body = rfile.read(length)
     if len(body) < length:
-        raise http_client().IncompleteRead(body, length - len(body))
+        raise _incomplete(len(body), length - len(body))
     return body, keep
 
 
 def _read_chunked(rfile) -> bytes:
-    """A chunked body; its trailer is read and dropped."""
+    """A chunked body; its trailer is read and dropped. A body cut short
+    counts, as `http.client` counts it, the bytes of its whole chunks."""
     chunks = []
     while True:
         line = _readline(rfile, "chunk size")
@@ -372,12 +370,12 @@ def _read_chunked(rfile) -> bytes:
         except ValueError:
             size = -1
         if size < 0:
-            raise http_client().IncompleteRead(b"".join(chunks))
+            raise _incomplete(sum(map(len, chunks)))
         if size == 0:
             break
         chunk = rfile.read(size + 2)  # the chunk and the CRLF after it
         if len(chunk) < size + 2:
-            raise http_client().IncompleteRead(b"".join(chunks) + chunk[:size])
+            raise _incomplete(sum(map(len, chunks)))
         chunks.append(chunk[:size])
     while _readline(rfile, "trailer line") not in _END_OF_HEADERS:
         pass

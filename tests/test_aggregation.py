@@ -228,6 +228,7 @@ class TestDynamicSelect:
     def test_empty_sample_set(self):
         assert select(self.agg(3), ()) == EMPTY_PREDICTION
 
+    @pytest.mark.oracle
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
     def test_matches_fraction_oracle(self, counts):
         pred = select(self.agg(40), counted_set(counts))
@@ -320,6 +321,7 @@ ORACLES = {
 }
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("name", sorted(ORACLES))
 @given(samples=instance)
 def test_strategy_matches_oracle(name, samples):
@@ -336,6 +338,7 @@ def test_all_strategies_emit_exactly_the_union(samples):
         assert len(out) == len(set(out))
 
 
+@pytest.mark.oracle
 @given(inner=st.lists(symbols, max_size=8).map(lambda s: list(dict.fromkeys(s))))
 def test_single_sample_collapse(inner):
     s = sset(inner)
@@ -355,6 +358,7 @@ classified_instance = st.tuples(
 )
 
 
+@pytest.mark.oracle
 @given(instance=classified_instance, strategies=st.permutations(STRATEGIES))
 def test_predict_equals_each_strategy_on_its_own(instance, strategies):
     # the interleaf and the cuts predict shares equal those of each strategy
@@ -370,6 +374,7 @@ def test_predict_equals_each_strategy_on_its_own(instance, strategies):
     assert predict(ranked, present, strategies) == want
 
 
+@pytest.mark.oracle
 @given(instance=classified_instance)
 def test_single_matches_top_sample_split_oracle(instance):
     ranked, present = instance

@@ -8,7 +8,7 @@ import threading
 import pytest
 import yaml
 
-from kpagg import aggregation, corpus, harness, prompting, textnorm
+from kpagg import aggregation, corpus, harness, metrics, prompting, textnorm
 from kpagg.aggregation import STRATEGIES, STRATEGY_ALIASES
 from kpagg.cli import build_parser, main
 from kpagg.corpus import CorpusError, load_corpus
@@ -1034,6 +1034,32 @@ class TestCli:
         assert code == 0, output
         assert (tmp_path / "merged.csv").exists()
         assert output.count("processed=5") == 2
+
+    def grid_table(self, tmp_path, capsys, **grid) -> str:
+        """The table `kpagg grid` prints for `grid`."""
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(yaml.safe_dump({"corpus": str(TOY_CORPUS), **grid}))
+        code = main(["grid", "--config", str(grid_path)])
+        output = capsys.readouterr().out
+        assert code == 0, output
+        return output[output.index("corpus  "):]
+
+    def test_grid_table_names_the_fields_that_differ(self, endpoint, tmp_path, capsys):
+        runs = [{"ppl_mode": p, "n_samples": n} for n in (2, 3) for p in ("mean", "sum")]
+        table = self.grid_table(
+            tmp_path, capsys, endpoint=endpoint, cache_dir=str(tmp_path / "cache"), runs=runs
+        )
+        header, _, *rows = map(str.split, table.splitlines())
+        assert header[:6] == ["corpus", "variant", "strategy", "n_samples", "ppl_mode", "P-F1@M"]
+        assert [row[3:5] for row in rows] == [["2", "mean"], ["2", "sum"], ["3", "mean"], ["3", "sum"]]
+
+    def test_strategy_grid_table_has_only_the_label_columns(self, endpoint, tmp_path, capsys):
+        grid = {"endpoint": endpoint, "cache_dir": str(tmp_path / "cache")}
+        runs = [{"aggregate": "union"}, {"aggregate": "frequency"}]
+        table = self.grid_table(tmp_path, capsys, **grid, runs=runs)
+        configs = [config(endpoint, tmp_path, strategy=run["aggregate"]) for run in runs]
+        reports = [s.report for s in harness.grid(configs)]
+        assert table == metrics.reports_table(reports) + "\n"
 
 
 class TestCliOutputErrors:

@@ -158,6 +158,7 @@ class TestParseSample:
         for phrase in parsed.phrases:
             assert not set(phrase) & set('[]"')
 
+    @pytest.mark.oracle
     @given(st.text(alphabet='ab,\n\t"\'`[] ', max_size=40), st.booleans(), st.booleans())
     def test_matches_char_by_char_oracle(self, text, prefill, truncated):
         parsed = parse_sample(text, prefill, truncated)
@@ -165,6 +166,7 @@ class TestParseSample:
             text, prefill, truncated
         )
 
+    @pytest.mark.oracle
     @given(quoted_lists(), st.booleans(), st.booleans())
     def test_quoted_lists_match_oracle(self, case, prefill, truncated):
         text = case[1:] if prefill and case.startswith("[") else case
@@ -173,6 +175,7 @@ class TestParseSample:
             text, prefill, truncated
         )
 
+    @pytest.mark.oracle
     @pytest.mark.parametrize(
         "text, prefill, phrases",
         [
@@ -277,6 +280,7 @@ class TestPerplexity:
         b = perplexity(raw(logprobs=list(reversed(lps))))
         assert a == pytest.approx(b)
 
+    @pytest.mark.oracle
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False)),
         st.sampled_from(["mean", "sum"]),
@@ -805,6 +809,24 @@ class TestTransport:
         c3 = make_client("http://h:1/v1/chat/completions")
         assert c1.url == c2.url == c3.url == "http://h:1/v1/chat/completions"
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "https://r.openai.azure.com/openai/deployments/gpt-4o/chat/completions?api-version=1",
+            "https://r.openai.azure.com/openai/deployments/gpt-4o?api-version=1",
+            "https://r.openai.azure.com/openai/deployments/gpt-4o/?api-version=1",
+        ],
+        ids=["full-path", "deployment-path", "trailing-slash"],
+    )
+    def test_endpoint_query_is_kept(self, endpoint):
+        """Azure OpenAI names the API version in the query: the path gains
+        /chat/completions, the query stays as given."""
+        target = "/openai/deployments/gpt-4o/chat/completions?api-version=1"
+        client = make_client(endpoint)
+        assert client.url == "https://r.openai.azure.com" + target
+        request_line = client._transport._request(b"").split(b"\r\n")[0]
+        assert request_line == b"POST %s HTTP/1.1" % target.encode()
+
 
 # JSON values of every type, and choices built from them: half are objects
 # with a message (half of those an object with content), whose content,
@@ -932,6 +954,7 @@ class TestAbsentSamples:
         assert _ScriptedHandler.hits == 2
         assert (summary.processed, summary.errored) == (1, 0)
 
+    @pytest.mark.oracle
     @given(
         mode=st.sampled_from(llm_client.REQUEST_MODES),
         indices=st.lists(st.integers(0, 20), unique=True, max_size=6).map(sorted),
@@ -990,6 +1013,7 @@ class TestAbsentSamples:
         assert len(warnings) == 1
         assert "1 choice(s)" in warnings[0].getMessage()
 
+    @pytest.mark.oracle
     @given(
         mode=st.sampled_from(llm_client.REQUEST_MODES),
         indices=st.lists(st.integers(0, 20), unique=True, min_size=1, max_size=5).map(sorted),
@@ -1334,6 +1358,7 @@ class TestSampleCache:
         # writes an unescaped id, so it is decoded
         assert SampleCache(path, doc_ids={"d1"}).get('q"uote', "a" * 64, 0) == quoted
 
+    @pytest.mark.oracle
     @given(
         lines=cache_files(),
         final_newline=st.booleans(),
@@ -1414,6 +1439,7 @@ class TestSampleCache:
         assert len(cache) == 1
         assert "skipped 1 corrupt cache line" in caplog.text
 
+    @pytest.mark.oracle
     @given(
         st.builds(
             lambda stats, **fields: RawSample(lp_sum=stats[0], lp_n=stats[1], **fields),

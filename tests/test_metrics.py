@@ -245,6 +245,7 @@ def test_recall_monotone_in_prefix_length(pred, gold):
     assert values[-1] == recall_at_inf(pred, gold)
 
 
+@pytest.mark.oracle
 @given(
     present_full=pred_lists,
     absent_full=pred_lists,

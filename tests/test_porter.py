@@ -4,6 +4,7 @@ rule-by-rule examples."""
 import itertools
 import string
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -159,6 +160,7 @@ rule_words = st.builds(
 )
 
 
+@pytest.mark.oracle
 @given(rule_words)
 def test_stem_matches_letter_by_letter_oracle(word):
     assert porter.stem(word) == porter_oracle(word)
@@ -194,6 +196,7 @@ class TestStemKeepsWordPrefix:
         assert not bad, bad[:10]
 
 
+@pytest.mark.oracle
 @given(rule_words)
 def test_stem_keeps_word_prefix(word):
     assert keeps_all_but_last_letter(word, porter.stem)

@@ -281,6 +281,5 @@ def test_where_a_proxied_connection_goes(monkeypatch, url, proxy, peer, tls_host
     clear_proxies(monkeypatch)
     split = urllib.parse.urlsplit(url)
     monkeypatch.setenv(f"{split.scheme}_proxy", proxy)
-    transport = Transport(split, 5)
-    transport._request(b"{}", {})
+    transport = Transport(split, 5, {})
     assert (transport._peer, transport._tls_host, transport._tunnel) == (peer, tls_host, tunnel)

@@ -33,6 +33,7 @@ class TestTokenize:
         assert textnorm.tokenize("") == []
         assert textnorm.tokenize("  --- !! ") == []
 
+    @pytest.mark.oracle
     @pytest.mark.parametrize(
         "text, tokens",
         [
@@ -331,6 +332,7 @@ def test_dedup_output_distinct_and_subsequence(surfaces):
     assert all(any(" ".join(normalize_oracle(s)) == p for s in it) for p in out)
 
 
+@pytest.mark.oracle
 @given(words, token_lists, token_lists, token_lists)
 def test_presence_survives_context_extension(word, prefix, middle, suffix):
     core = middle + [word]
@@ -338,6 +340,7 @@ def test_presence_survives_context_extension(word, prefix, middle, suffix):
     assert present(word, " ".join(prefix + core + suffix))
 
 
+@pytest.mark.oracle
 @given(st.lists(near_words, min_size=1, max_size=3), st.lists(near_words, max_size=12))
 def test_is_present_matches_window_scan(phrase_words, source_words):
     text = " ".join(source_words)
@@ -367,6 +370,7 @@ SENSOR_VARIANTS = ["Sensor-Networks", "sensor networks", "SENSOR NETWORKS"]
 sensor_pieces = st.sampled_from(["sensor", "Sensors", "networks", "NETWORK", "sensor-network"])
 
 
+@pytest.mark.oracle
 @given(
     st.lists(surfaces, max_size=10),
     st.lists(surface_pieces | sensor_pieces, max_size=12),
@@ -399,6 +403,7 @@ tokenizer_text = (
 )
 
 
+@pytest.mark.oracle
 @given(tokenizer_text)
 def test_tokenize_matches_oracle(text):
     assert textnorm.tokenize(text) == tokenize_oracle(text)
@@ -439,6 +444,7 @@ def source_and_phrase(draw):
     return separator.join(source_words), " ".join(phrase_words)
 
 
+@pytest.mark.oracle
 @given(source_and_phrase())
 def test_presence_near_verbatim_matches_oracle(case):
     text, surface = case
