@@ -108,7 +108,7 @@ def load_corpus(path: str | Path, default_domain: str = "scientific") -> list[Do
             doc = _parse_record(json.loads(line), default_domain)
             if doc.id in seen_ids:
                 raise ValueError(f"duplicate id {doc.id!r}")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             skipped += 1
             log.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
             continue

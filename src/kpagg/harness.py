@@ -69,8 +69,9 @@ class HarnessError(Exception):
     """Fatal configuration problem; aborts before or instead of a run."""
 
 
-# Errors that end a run: no other document can fare better.
-_FATAL = (AuthenticationError, RequestError, HarnessError)
+# Errors that end a run: no other document can fare better. An OSError is a
+# cache that cannot be written (a full disk, say).
+_FATAL = (AuthenticationError, RequestError, HarnessError, OSError)
 
 
 class _Skipped(Exception):
@@ -206,11 +207,12 @@ def cache_path(config: RunConfig) -> Path:
     )
 
 
-def _fetch(doc, pcfg, cache, client, config) -> tuple:
+def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int]:
     """Build one document's prompt and collect its samples, cache first.
 
-    Returns the prompt, the samples present in index order, and the cache
-    hit and miss counts. A sample neither cached nor fetched is absent.
+    Returns the samples present in index order and how many of the
+    `config.n_samples` were cached. A sample neither cached nor fetched is
+    absent.
     """
     prompt = prompting.build_prompt(doc, config.variant, pcfg, config.prefill)
     slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
@@ -227,10 +229,10 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple:
             slots[s.sample_index] = s
         cache.put(*fetched)
     ordered = [s for s in slots if s is not None]
-    return prompt, ordered, config.n_samples - len(missing), len(missing)
+    return ordered, config.n_samples - len(missing)
 
 
-def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
+def _evaluate(doc, raw, configs) -> tuple[list | None, int, int]:
     """Score one document under every config of a group.
 
     The gold and each sample's phrases are made once against the source,
@@ -243,7 +245,8 @@ def _evaluate(doc, prompt, raw, configs) -> tuple[list | None, int, int]:
     """
     if not raw:
         return None, 0, 0
-    had_prefill = bool(prompt.assistant_prefill)
+    # `prefill` is in the group key, and `build_prompt` prefills exactly when it is set
+    had_prefill = configs[0].prefill
     parsed = [
         parse_sample(s.text, had_prefill=had_prefill, truncated=s.truncated) for s in raw
     ]
@@ -357,12 +360,12 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
         only."""
         nonlocal hits, misses, fallbacks, truncated
         try:
-            prompt, raw, doc_hits, doc_misses = fetched()
-            hits += doc_hits
-            misses += doc_misses
+            raw, cached = fetched()
+            hits += cached
+            misses += head.n_samples - cached
             if len(raw) < head.n_samples:
                 unavailable[i] = head.n_samples - len(raw)
-            results[i], doc_fallbacks, doc_truncated = _evaluate(docs[i], prompt, raw, configs)
+            results[i], doc_fallbacks, doc_truncated = _evaluate(docs[i], raw, configs)
             fallbacks += doc_fallbacks
             truncated += doc_truncated
         except _FATAL:
@@ -466,7 +469,7 @@ def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise HarnessError(f"cannot read grid config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
         raise HarnessError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise HarnessError(f"{path}: grid config must be a mapping")
@@ -502,9 +505,6 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     duplicates = {str(p) for p in written if written.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
-    # an output that cannot be made ends the grid before anything is fetched
-    for p in outs:
-        p.parent.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
         key = tuple(v for k, v in c._asdict().items() if k not in _EVALUATION_FIELDS)
@@ -514,6 +514,11 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     load_corpus = functools.cache(corpus.load_corpus)
     load_prompts = functools.cache(prompting.load_prompt_config)
     inputs = [_prepare(configs[m[0]], load_corpus, load_prompts) for m in groups.values()]
+    # An output directory, or an online group's cache directory, that
+    # cannot be made ends the grid before anything is fetched.
+    online = [configs[m[0]] for m, (_, _, client, _) in zip(groups.values(), inputs) if client]
+    for p in [*(p.parent for p in outs), *(cache_path(c).parent for c in online)]:
+        p.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary | None] = [None] * len(configs)
     for members, prepared in zip(groups.values(), inputs):
         group = _run_group([configs[i] for i in members], *prepared)

@@ -246,8 +246,10 @@ class LLMClient:
 
         try:
             self._transport = Transport(split, TIMEOUT_S, headers)
-        except ValueError as exc:  # the message names no header value
-            raise LLMClientError(f"endpoint {endpoint!r}: {exc}") from None
+        except ValueError as exc:
+            # neither message names a header value, credentials or a query
+            shown = split._replace(netloc=split.netloc.rpartition("@")[2], query="", fragment="")
+            raise LLMClientError(f"endpoint {shown.geturl()!r}: {exc}") from None
 
     def close(self) -> None:
         """Close the idle connections; a later request opens a new one."""
@@ -272,7 +274,7 @@ class LLMClient:
                 if status == 200:
                     try:
                         return json.loads(body)
-                    except ValueError:
+                    except (ValueError, RecursionError):  # RecursionError: nested too deep
                         reason = "invalid JSON in response body"
                 elif status in (401, 403):
                     raise AuthenticationError(
@@ -406,7 +408,7 @@ class LLMClient:
         return samples
 
 
-# The start of a cache line as `put` writes it: `_encode`'s first field,
+# The start of a cache line as `put` writes it: the record's first field,
 # spaced as `json.dumps` spaces it. An id holding an escape (a quote, a
 # backslash, a control character) does not match, nor does another key order.
 _DOC_ID_PREFIX = re.compile(rb'\{"doc_id": "([^"\\]*)", ')
@@ -414,7 +416,9 @@ _DOC_ID_PREFIX = re.compile(rb'\{"doc_id": "([^"\\]*)", ')
 
 class SampleCache:
     """Append-only JSON-lines store of RawSamples, keyed by
-    (doc_id, prompt_hash, sample_index). First write for a key wins.
+    (doc_id, prompt_hash, sample_index), a sample's first three fields.
+    First write for a key wins. A line is one JSON object of the
+    `RawSample` fields, by name, in field order.
 
     `doc_ids` is the set of documents a run can ask for. Given it, the load
     skips without decoding each line that starts as `put` writes it
@@ -465,40 +469,30 @@ class SampleCache:
                     line = line.decode("utf-8")
                     if not line.strip():
                         continue
-                    sample = self._decode(json.loads(line))
-                except (ValueError, TypeError, KeyError):
+                    sample = self._decode(json.loads(line))  # too deep: RecursionError
+                except (ValueError, TypeError, KeyError, RecursionError):
                     corrupt += 1
                     log.warning("%s:%d: skipping corrupt cache line", self.path, lineno)
                     continue
-                self._index.setdefault(self._key(sample), sample)
+                self._index.setdefault(sample[:3], sample)
         if corrupt:
             log.warning("%s: skipped %d corrupt cache line(s)", self.path, corrupt)
 
     @staticmethod
-    def _key(sample: RawSample) -> tuple[str, str, int]:
-        return (sample.doc_id, sample.prompt_hash, sample.sample_index)
-
-    @staticmethod
     def _decode(obj: dict) -> RawSample:
-        """The sample a cache line holds. A field of the wrong JSON type
-        raises TypeError, so the line counts as corrupt instead of being
-        coerced (a string of digits into a logprob sum, a null finish reason
-        into the clean-looking "None"): `lp_sum` must be null or a float
-        other than NaN, `lp_n` a non-negative integer, and a positive
-        `lp_n` needs a sum. A line without `lp_sum` (an older format) raises
-        KeyError."""
-        doc_id, prompt_hash, index, text, lp_sum, lp_n, finish_reason = (
-            obj["doc_id"],
-            obj["prompt_hash"],
-            obj["sample_index"],
-            obj["text"],
-            obj["lp_sum"],
-            obj["lp_n"],
-            obj["finish_reason"],
-        )
-        strings = (doc_id, prompt_hash, text, finish_reason)
-        if set(map(type, strings)) != {str} or type(index) is not int:
+        """The sample a cache line holds, read by `RawSample`'s field names;
+        a line without one of them (an older format without `lp_sum`, say)
+        raises KeyError. A field of the wrong JSON type raises TypeError, so
+        the line counts as corrupt instead of being coerced (a string of
+        digits into a logprob sum, a null finish reason into the
+        clean-looking "None"): `lp_sum` must be null or a float other than
+        NaN, `lp_n` a non-negative integer, and a positive `lp_n` needs a
+        sum."""
+        sample = RawSample(*map(obj.__getitem__, RawSample._fields))
+        strings = (sample.doc_id, sample.prompt_hash, sample.text, sample.finish_reason)
+        if set(map(type, strings)) != {str} or type(sample.sample_index) is not int:
             raise TypeError("cache line field of the wrong type")
+        lp_sum, lp_n = sample.lp_sum, sample.lp_n
         if type(lp_n) is not int or lp_n < 0:
             raise TypeError("lp_n is not a non-negative integer")
         if lp_sum is None:
@@ -506,27 +500,15 @@ class SampleCache:
                 raise TypeError("lp_n without lp_sum")
         elif type(lp_sum) is not float or lp_sum != lp_sum:
             raise TypeError("lp_sum is not null or a float other than NaN")
-        return RawSample(doc_id, prompt_hash, index, text, lp_sum, lp_n, finish_reason)
+        return sample
 
     @staticmethod
-    def _encode(sample: RawSample) -> dict:
-        return {
-            "doc_id": sample.doc_id,
-            "prompt_hash": sample.prompt_hash,
-            "sample_index": sample.sample_index,
-            "text": sample.text,
-            "lp_sum": sample.lp_sum,
-            "lp_n": sample.lp_n,
-            "finish_reason": sample.finish_reason,
-        }
-
-    @classmethod
-    def _line(cls, sample: RawSample) -> bytes:
+    def _line(sample: RawSample) -> bytes:
         """The cache line of a sample, UTF-8 as it reads. A text holding a
         lone surrogate (a reply cut inside an emoji) has no UTF-8 form, so
         its line alone goes ASCII-escaped, which `json.loads` reads back to
         the same string."""
-        obj = cls._encode(sample)
+        obj = sample._asdict()
         try:
             return (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
         except UnicodeEncodeError:
@@ -541,7 +523,7 @@ class SampleCache:
         with self._lock:
             new: dict[tuple[str, str, int], RawSample] = {}
             for sample in samples:
-                key = self._key(sample)
+                key = sample[:3]
                 if key not in self._index:
                     new.setdefault(key, sample)
             if not new:

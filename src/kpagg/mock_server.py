@@ -110,7 +110,8 @@ class MockHandler(BaseHTTPRequestHandler):
         try:
             payload = json.loads(data)
             messages, n = payload["messages"], payload.get("n", 1)
-        except (ValueError, KeyError, TypeError):  # TypeError: no JSON object
+        # TypeError: no JSON object; RecursionError: nested too deep
+        except (ValueError, KeyError, TypeError, RecursionError):
             messages = n = None
         # messages must be objects with string content, and n an integer
         # >= 1 (JSON true is a bool, not a count)

@@ -88,7 +88,7 @@ def load_prompt_config(path: str | Path | None = None) -> PromptConfig:
         source = str(path)
         try:
             data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
             raise PromptConfigError(f"{source}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise PromptConfigError(f"{source}: expected a mapping of prompt strings")

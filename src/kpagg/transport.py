@@ -116,12 +116,14 @@ class Transport:
         port = default_port if url.port is None else url.port  # ValueError if out of range
         host = url.hostname
         target = url.path + (f"?{url.query}" if url.query else "")
+        # a message names the path but not the query, which may hold a key
         for part in (target, host):
             match = _disallowed_url_char(part)
             if match:
-                raise ValueError(f"URL can't contain {match.group()!r}: {part!r}")
+                shown = part.partition("?")[0]
+                raise ValueError(f"URL can't contain {match.group()!r}: {shown!r}")
         if not target.isascii():
-            raise ValueError(f"URL path is not ASCII: {target!r}")
+            raise ValueError(f"URL is not ASCII: {url.path!r}")
         try:
             host_enc = host.encode("ascii")
         except UnicodeEncodeError:

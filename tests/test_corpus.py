@@ -64,6 +64,16 @@ class TestLoadCorpus:
             assert any(m.startswith(f"{p}:{lineno}: skipping malformed record") for m in messages)
         assert not any(m.startswith(f"{p}:2:") for m in messages)
 
+    def test_record_nested_too_deep_is_skipped(self, tmp_path, caplog):
+        p = tmp_path / "deep.jsonl"
+        good = {"id": "a", "title": "T", "abstract": "B", "keyphrases": ["k"]}
+        p.write_text("[" * 100_000 + "\n" + json.dumps(good) + "\n")
+        with caplog.at_level(logging.WARNING):
+            docs = load_corpus(p)
+        assert [d.id for d in docs] == ["a"]
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(m.startswith(f"{p}:1: skipping malformed record") for m in messages)
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_raw_line_separator_in_a_string_is_no_line_break(self, tmp_path, caplog, separator):
         p = tmp_path / "sep.jsonl"

@@ -1,6 +1,7 @@
 """Run orchestration: caching, determinism, grid runs, and the CLI."""
 
 import argparse
+import errno
 import json
 import logging
 import threading
@@ -818,6 +819,12 @@ class TestGrid:
         with pytest.raises(HarnessError):
             load_grid_config(path)
 
+    def test_grid_config_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 100_000)
+        with pytest.raises(HarnessError, match="invalid YAML"):
+            load_grid_config(path)
+
     def test_bad_run_is_named(self, tmp_path):
         path = tmp_path / "grid.yaml"
         path.write_text(
@@ -1098,10 +1105,9 @@ class TestCliOutputErrors:
         self.check(main(["grid", "--config", str(grid_path)]), capsys)
 
 
-@pytest.mark.parametrize("which", ["config", "merged"])
-def test_unwritable_out_fails_before_anything_is_fetched(tmp_path, which):
-    (tmp_path / "file").write_text("")
-    blocked = str(tmp_path / "file" / "sub" / "out.csv")
+@pytest.fixture
+def counted_endpoint():
+    """A mock server's URL, and the list of the requests it has received."""
     serving = running_server(MOCK_FIXTURES)
     requests = []
 
@@ -1112,13 +1118,58 @@ def test_unwritable_out_fails_before_anything_is_fetched(tmp_path, which):
 
     serving.server.RequestHandlerClass = Counting
     with serving as endpoint:
-        config = RunConfig(
-            corpus_path=str(TOY_CORPUS),
-            endpoint=endpoint,
-            cache_dir=str(tmp_path / "cache"),
-            out=blocked if which == "config" else None,
-        )
-        with pytest.raises(OSError):
-            harness.grid([config], out=blocked if which == "merged" else None)
+        yield endpoint, requests
+
+
+@pytest.mark.parametrize("which", ["config", "merged"])
+def test_unwritable_out_fails_before_anything_is_fetched(tmp_path, which, counted_endpoint):
+    (tmp_path / "file").write_text("")
+    blocked = str(tmp_path / "file" / "sub" / "out.csv")
+    endpoint, requests = counted_endpoint
+    config = RunConfig(
+        corpus_path=str(TOY_CORPUS),
+        endpoint=endpoint,
+        cache_dir=str(tmp_path / "cache"),
+        out=blocked if which == "config" else None,
+    )
+    with pytest.raises(OSError):
+        harness.grid([config], out=blocked if which == "merged" else None)
     assert requests == []
     assert not (tmp_path / "cache").exists()
+
+
+def run_cli(endpoint, cache_dir, capsys, *flags):
+    """`kpagg run` on the toy corpus with 3 samples; its exit code and stderr."""
+    argv = ["run", "--corpus", str(TOY_CORPUS), "--endpoint", endpoint,
+            "--cache-dir", str(cache_dir), "--n-samples", "3", *flags]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_cache_dir_that_cannot_be_made_fails_before_any_request(
+    tmp_path, capsys, counted_endpoint
+):
+    (tmp_path / "file").write_text("")
+    endpoint, requests = counted_endpoint
+    code, err = run_cli(endpoint, tmp_path / "file" / "cache", capsys)
+    assert (code, requests) == (1, [])
+    assert err.startswith("Error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+def test_cache_write_failing_mid_run_ends_the_run(
+    tmp_path, capsys, monkeypatch, counted_endpoint, max_in_flight
+):
+    def full_disk(self, *samples):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(SampleCache, "put", full_disk)
+    endpoint, requests = counted_endpoint
+    code, err = run_cli(endpoint, tmp_path / "cache", capsys, "--max-in-flight", str(max_in_flight))
+    assert code == 1
+    assert err.startswith("Error: ")
+    assert "No space left on device" in err
+    assert "Traceback" not in err
+    # only the documents already in flight when the first write failed
+    assert 1 <= len(requests) <= max_in_flight

@@ -293,7 +293,7 @@ class TestPerplexity:
     def test_stats_match_list_oracle_bit_for_bit(self, lps, mode):
         # through the cache codec too: the replayed perplexity is the fetched one
         sample = raw(logprobs=lps)
-        line = json.dumps(SampleCache._encode(sample), ensure_ascii=False)
+        line = json.dumps(sample._asdict(), ensure_ascii=False)
         for s in (sample, SampleCache._decode(json.loads(line))):
             assert repr(perplexity(s, mode)) == repr(perplexity_oracle(lps, mode))
 
@@ -585,10 +585,11 @@ class TestTransport:
         "bad_step, reason",
         [
             ((200, b"<html>not json</html>"), "invalid JSON"),
+            ((200, b"[" * 100_000), "invalid JSON"),
             # a complete body would parse and give no sample, not a retry
             ((200, {"choices": []}, 10), "IncompleteRead"),
         ],
-        ids=["non-json-body", "incomplete-read"],
+        ids=["non-json-body", "json-nested-too-deep", "incomplete-read"],
     )
     def test_bad_200_is_retried_then_succeeds(
         self, scripted_server, prompt_cfg, toy_docs, caplog, bad_step, reason
@@ -903,9 +904,9 @@ class TestAbsentSamples:
         evaluated = []
         evaluate = harness._evaluate
 
-        def recording_evaluate(doc, prompt, raw, configs):
+        def recording_evaluate(doc, raw, configs):
             evaluated.append([s.sample_index for s in raw])
-            return evaluate(doc, prompt, raw, configs)
+            return evaluate(doc, raw, configs)
 
         monkeypatch.setattr(harness, "_evaluate", recording_evaluate)
         script = [(200, None)] + [(503, {"error": "down"})] * 3
@@ -1064,7 +1065,7 @@ class TestNonFiniteLogprobs:
         # in a cache line such a sum is no float: the line is skipped, and
         # the load goes on instead of raising OverflowError
         path = tmp_path / "cache.jsonl"
-        lines = [SampleCache._encode(raw(doc="d", index=i)) for i in range(2)]
+        lines = [raw(doc="d", index=i)._asdict() for i in range(2)]
         lines[0].update(lp_sum=10**400, lp_n=2)
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
         cache = SampleCache(path)
@@ -1132,18 +1133,18 @@ def cache_lines(draw, samples) -> tuple[str, tuple[str, str]]:
     decode in full (another spelling or key order) or reject as a full load
     does (corrupt, torn, garbage, blank)."""
     sample = draw(samples)
-    obj = SampleCache._encode(sample)
+    obj = sample._asdict()
     kinds = ["put", "ascii", "reordered", "nested", "wrong-type", "torn", "garbage", "blank"]
     kind = draw(st.sampled_from(kinds))
     if kind == "put":
         batch = [sample._replace(sample_index=i) for i in range(draw(st.integers(1, 3)))]
-        line = "\n".join(json.dumps(SampleCache._encode(s), ensure_ascii=False) for s in batch)
+        line = "\n".join(json.dumps(s._asdict(), ensure_ascii=False) for s in batch)
     elif kind == "ascii":  # non-ASCII and U+2028 written as escapes
         line = json.dumps(obj)
     elif kind == "reordered":
         line = json.dumps(dict(reversed(obj.items())), ensure_ascii=False)
     elif kind == "nested":  # another sample's prefix, but not at the start
-        other = SampleCache._encode(draw(samples))
+        other = draw(samples)._asdict()
         line = json.dumps({"note": other, **obj}, ensure_ascii=False)
     elif kind == "wrong-type":
         line = json.dumps({**obj, "lp_n": -1}, ensure_ascii=False)
@@ -1272,7 +1273,7 @@ class TestSampleCache:
         assert len(decoded) == 2 * TWO_WRITERS_BATCHES * TWO_WRITERS_BATCH
         first = {}
         for sample in decoded:
-            first.setdefault(SampleCache._key(sample), sample)
+            first.setdefault(sample[:3], sample)
         union = {
             (f"d{doc}", "h" * 64, i)
             for w in (0, 1)
@@ -1317,7 +1318,7 @@ class TestSampleCache:
         path = tmp_path / "cache.jsonl"
         first = RawSample(**{**self.entry()._asdict(), "text": "über"})
         SampleCache(path).put(first)
-        line = json.dumps(SampleCache._encode(first._replace(sample_index=1)), ensure_ascii=False)
+        line = json.dumps(first._replace(sample_index=1)._asdict(), ensure_ascii=False)
         torn = line.encode("utf-8")[: line.index("ü") + 1]  # the first byte of "ü"
         with path.open("ab") as fh:
             fh.write(torn)
@@ -1418,7 +1419,7 @@ class TestSampleCache:
     )
     def test_field_of_wrong_json_type_is_corrupt(self, tmp_path, caplog, field, value):
         path = tmp_path / "cache.jsonl"
-        lines = [SampleCache._encode(self.entry(index=i)) for i in range(3)]
+        lines = [self.entry(index=i)._asdict() for i in range(3)]
         lines[1][field] = value
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
         with caplog.at_level(logging.WARNING):
@@ -1428,9 +1429,20 @@ class TestSampleCache:
         assert cache.get("d1", "a" * 64, 2) == self.entry(index=2)
         assert "skipped 1 corrupt cache line" in caplog.text
 
+    @pytest.mark.parametrize("doc_ids", [None, {"d1"}], ids=["full", "filtered"])
+    def test_line_nested_too_deep_is_corrupt(self, tmp_path, caplog, doc_ids):
+        path = tmp_path / "cache.jsonl"
+        SampleCache(path).put(self.entry())
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "\n")
+        with caplog.at_level(logging.WARNING):
+            cache = SampleCache(path, doc_ids)
+        assert cache.get("d1", "a" * 64, 0) == self.entry()
+        assert f"{path}:2: skipping corrupt cache line" in caplog.text
+
     def test_older_format_line_is_corrupt(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
-        lines = [SampleCache._encode(self.entry(index=i)) for i in range(2)]
+        lines = [self.entry(index=i)._asdict() for i in range(2)]
         del lines[1]["lp_sum"], lines[1]["lp_n"]
         lines[1]["token_logprobs"] = [-0.5]
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
@@ -1453,7 +1465,7 @@ class TestSampleCache:
         )
     )
     def test_encode_then_decode_is_identity(self, sample):
-        line = json.dumps(SampleCache._encode(sample), ensure_ascii=False)
+        line = json.dumps(sample._asdict(), ensure_ascii=False)
         back = SampleCache._decode(json.loads(line))
         assert back == sample
         assert repr(back.lp_sum) == repr(sample.lp_sum)  # -0.0 stays -0.0
@@ -1467,12 +1479,29 @@ class TestSampleCache:
         cut = RawSample("d", "h", 1, "\ud800", None, 0, "length")
         SampleCache(path).put(ok, cut)
         assert path.read_bytes().splitlines() == [
-            json.dumps(SampleCache._encode(ok), ensure_ascii=False).encode("utf-8"),
-            json.dumps(SampleCache._encode(cut)).encode("ascii"),
+            json.dumps(ok._asdict(), ensure_ascii=False).encode("utf-8"),
+            json.dumps(cut._asdict()).encode("ascii"),
         ]
         for doc_ids in (None, {"d"}):
             reloaded = SampleCache(path, doc_ids)
             assert [reloaded.get("d", "h", i) for i in (0, 1)] == [ok, cut]
+
+    def test_put_writes_the_pinned_line_bytes(self, tmp_path):
+        # the field names, order, spacing and escapes of a line, spelled out,
+        # so a change of the writer cannot change what an old cache holds
+        path = tmp_path / "cache.jsonl"
+        SampleCache(path).put(
+            RawSample("dé", "h", 0, '["naïve", "日本"]', -2.625, 2, "stop"),
+            RawSample("d", "h", 1, "cut \ud83d", None, 0, "length"),
+        )
+        assert path.read_bytes() == (
+            '{"doc_id": "dé", "prompt_hash": "h", "sample_index": 0, '
+            '"text": "[\\"naïve\\", \\"日本\\"]", "lp_sum": -2.625, "lp_n": 2, '
+            '"finish_reason": "stop"}\n'
+        ).encode("utf-8") + (
+            b'{"doc_id": "d", "prompt_hash": "h", "sample_index": 1, '
+            b'"text": "cut \\ud83d", "lp_sum": null, "lp_n": 0, "finish_reason": "length"}\n'
+        )
 
     @given(st.text(st.characters(blacklist_categories=())), st.text())
     def test_line_then_decode_is_identity(self, text, doc_id):

@@ -139,14 +139,19 @@ class TestServer:
             {"messages": "hi"},
             {"messages": [1]},
             {"messages": user_turn("Alpha Title"), "n": "two"},
+            b"[" * 100_000,  # sent as is: JSON nested too deep to parse
         ],
-        ids=["not-an-object", "messages-not-a-list", "message-not-an-object", "n-not-an-int"],
+        ids=[
+            "not-an-object", "messages-not-a-list", "message-not-an-object", "n-not-an-int",
+            "nested-too-deep",
+        ],
     )
     def test_malformed_payload_400_keeps_the_connection(self, url, payload):
         split = urllib.parse.urlsplit(url)
         conn = http.client.HTTPConnection(split.hostname, split.port, timeout=10)
         try:
-            conn.request("POST", split.path, json.dumps(payload))
+            body = payload if isinstance(payload, bytes) else json.dumps(payload)
+            conn.request("POST", split.path, body)
             resp = conn.getresponse()
             assert (resp.status, resp.will_close) == (400, False)
             assert json.loads(resp.read())["error"]["message"] == "invalid request body"

@@ -75,6 +75,12 @@ class TestPromptConfig:
             load_prompt_config(p)
 
 
+    def test_yaml_nested_too_deep_rejected(self, tmp_path):
+        p = tmp_path / "deep.yaml"
+        p.write_text("[" * 100_000)
+        with pytest.raises(PromptConfigError, match="invalid YAML"):
+            load_prompt_config(p)
+
 class TestBuildPrompt:
     @pytest.fixture()
     def prompts(self, prompt_cfg):
