@@ -418,7 +418,8 @@ class SampleCache:
     """Append-only JSON-lines store of RawSamples, keyed by
     (doc_id, prompt_hash, sample_index), a sample's first three fields.
     First write for a key wins. A line is one JSON object of the
-    `RawSample` fields, by name, in field order.
+    `RawSample` fields, by name, in field order. The file's directory must
+    exist before the first `put`; `harness.grid` makes it before a fetch.
 
     `doc_ids` is the set of documents a run can ask for. Given it, the load
     skips without decoding each line that starts as `put` writes it
@@ -488,7 +489,8 @@ class SampleCache:
         clean-looking "None"): `lp_sum` must be null or a float other than
         NaN, `lp_n` a non-negative integer, and a positive `lp_n` needs a
         sum."""
-        sample = RawSample(*map(obj.__getitem__, RawSample._fields))
+        # a JSON scalar line has no fields: indexing it raises TypeError
+        sample = RawSample(*[obj[field] for field in RawSample._fields])
         strings = (sample.doc_id, sample.prompt_hash, sample.text, sample.finish_reason)
         if set(map(type, strings)) != {str} or type(sample.sample_index) is not int:
             raise TypeError("cache line field of the wrong type")
@@ -528,7 +530,6 @@ class SampleCache:
                     new.setdefault(key, sample)
             if not new:
                 return
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             data = b"".join(map(self._line, new.values()))
             import fcntl  # only a run that writes loads it
 

@@ -122,8 +122,10 @@ class Transport:
             if match:
                 shown = part.partition("?")[0]
                 raise ValueError(f"URL can't contain {match.group()!r}: {shown!r}")
-        if not target.isascii():
+        if not url.path.isascii():
             raise ValueError(f"URL is not ASCII: {url.path!r}")
+        if not url.query.isascii():
+            raise ValueError("URL query is not ASCII")
         try:
             host_enc = host.encode("ascii")
         except UnicodeEncodeError:

@@ -283,6 +283,7 @@ class TestRunEndToEnd:
         reports = {}
         for finish in ("length", "content_filter", "stop"):
             cfg = config(None, tmp_path / finish, offline=True, limit=1, n_samples=1)
+            cache_path(cfg).parent.mkdir(parents=True)
             SampleCache(cache_path(cfg)).put(
                 RawSample(doc.id, prompt.prompt_hash, 0, cut, -1.0, 2, finish)
             )
@@ -435,6 +436,7 @@ class TestFilteredCacheLoad:
         """Cache N_CACHED samples of every document under `prompt_cfg`;
         returns the prompt hashes in corpus order."""
         hashes = []
+        cache_path(cfg).parent.mkdir(parents=True)
         for doc in load_corpus(cfg.corpus_path):
             h = prompting.build_prompt(doc, cfg.variant, prompt_cfg).prompt_hash
             hashes.append(h)

@@ -1398,6 +1398,20 @@ class TestSampleCache:
         assert len(reopened) == 2
         assert reopened.get("d1", "a" * 64, 1) is not None
 
+    # a JSON scalar is a line without fields, as much as a cut object is
+    @pytest.mark.parametrize("scalar", ["0", "1.5", "true", "null"])
+    def test_scalar_line_counted_corrupt(self, tmp_path, caplog, scalar):
+        path = tmp_path / "cache.jsonl"
+        SampleCache(path).put(self.entry())
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(scalar + "\n")
+        SampleCache(path).put(self.entry(index=1))
+        with caplog.at_level(logging.WARNING):
+            reopened = SampleCache(path)
+        assert "skipped 1 corrupt cache line(s)" in caplog.text
+        assert len(reopened) == 2
+        assert reopened.get("d1", "a" * 64, 1) is not None
+
     @pytest.mark.parametrize(
         "field, value",
         [
