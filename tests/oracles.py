@@ -569,3 +569,33 @@ def report_oracle(documents: list[dict], strategy: str, ppl_mode: str, empty_gol
             table[(partition, metric)] = sum(values) / len(values) if values else None
             counts[(partition, metric)] = len(values)
     return table, counts
+
+
+# ---- the mock server's answer ----
+
+def mock_answer_oracle(samples: list[dict], n: int, prefill: bool, logprobs: bool, model) -> dict:
+    """The answer the mock server gives to a request for n choices from a
+    fixture's samples, built one choice object at a time: choice i is
+    sample i % len(samples), its text gains a leading "[" unless the
+    request carries an assistant prefill turn, and its logprobs show only
+    when the request asks for them and the sample has them."""
+    choices = []
+    for i in range(n):
+        sample = samples[i % len(samples)]
+        text = sample.get("text", "")
+        choice = {
+            "index": i,
+            "message": {"role": "assistant", "content": text if prefill else "[" + text},
+            "finish_reason": "stop",
+            "logprobs": None,
+        }
+        if logprobs and sample.get("logprobs") is not None:
+            choice["logprobs"] = {
+                "content": [
+                    {"token": f"t{j}", "logprob": lp} for j, lp in enumerate(sample["logprobs"])
+                ]
+            }
+        choices.append(choice)
+    return {
+        "id": "mock-completion", "object": "chat.completion", "model": model, "choices": choices
+    }

@@ -5,7 +5,8 @@ library's HTTP stack nor a thread pool, and a replay starts no thread;
 neither loads `dataclasses` or `inspect` either (kpagg's records are
 NamedTuples, which make no class from generated source); importing the
 harness loads no YAML parser (only YAML files need one); aggregation works
-on normalized phrases alone, without the client or the prompts; and a cold
+on normalized phrases alone, without the client or the prompts; the mock
+server shares no code with the client's transport; and a cold
 run over direct `http://` loads no `http.client`, `email`, `ssl`,
 `urllib.request` or `base64`, not even when a malformed answer there is
 retried."""
@@ -159,6 +160,12 @@ def test_aggregation_loads_neither_client_nor_prompting():
     loaded = newly_loaded("kpagg.aggregation")
     assert "kpagg.aggregation" in loaded
     assert not loaded & {"kpagg.llm_client", "kpagg.prompting"}
+
+
+def test_mock_server_loads_no_client_transport():
+    loaded = newly_loaded("kpagg.mock_server")
+    assert "kpagg.mock_server" in loaded
+    assert "kpagg.transport" not in loaded
 
 
 def test_offline_replay_loads_no_http_stack_and_starts_no_thread(tmp_path):
