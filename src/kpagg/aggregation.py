@@ -132,17 +132,6 @@ def _split(merged: list[str], present: Collection[str], m_pre: int, m_abs: int) 
     return Prediction(m_pre, m_abs, tuple(filter(pres, merged)), tuple(filterfalse(pres, merged)))
 
 
-def dynamic_select(
-    aggregated: list[str], ranked: Sequence[Sample], present: Collection[str]
-) -> Prediction:
-    """Split the aggregated list by membership in `present`, preserving
-    order, and set each part's cut to the ceiling of the mean per-sample
-    count of such phrases."""
-    if not ranked:
-        return EMPTY_PREDICTION
-    return _split(aggregated, present, *_cuts(ranked, present))
-
-
 def predict(
     ranked: Sequence[Sample], present: Collection[str], strategies: Iterable[str]
 ) -> list[Prediction]:
@@ -164,7 +153,3 @@ def predict(
         predictions.append(_split(merge_of(merged_from, interleaf), present, *cuts))
     return predictions
 
-
-def merge(ranked: Sequence[Sample], strategy: str, present: Collection[str]) -> Prediction:
-    """Aggregate ranked samples by `strategy`, then dynamically select."""
-    return predict(ranked, present, [resolve_strategy(strategy)])[0]

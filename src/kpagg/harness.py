@@ -3,23 +3,26 @@
 A `RunConfig` checks its own values when it is made and keeps the canonical
 variant and strategy names, so nothing downstream resolves an alias again.
 `grid` groups its configs by every field except the evaluation-only ones
-(strategy, perplexity mode, empty-gold policy, output path); `run` is a
-one-config grid. Before any group runs, `grid` reads every group's inputs
-(documents, prompt strings, endpoint), each corpus and prompt file once, so
-a missing input fails before anything is fetched or written. For each group
-each document's prompt is rendered and its n samples fetched or replayed
-(cache first, network for the misses, one cache append per document). The
-thread pool serves only runs with an endpoint: a bounded pool does that
-fetching, the only threaded work. An offline group has nothing to wait for,
-so it reads the cache on the calling thread. The calling thread evaluates
-each document as its samples arrive, for every config of the group at once:
-it parses the samples, makes each distinct phrase's normalized form and
-presence and the two gold sets once, sorts once per perplexity mode, makes
-one prediction per (mode, strategy) and scores it per config, one score
-record per document and config. The metric fold averages those records in
-corpus order, so a warm cache replays to byte-identical reports. A grid's
-merged CSV has a `meta.json` too, listing each row block's provenance. A
-fatal endpoint error caches the samples its document had already received,
+(strategy, sample count, perplexity mode, empty-gold policy, output path),
+so a group is the configs that read one cache file with one prompt and one
+endpoint; `run` is a one-config grid. Before any group runs, `grid` reads
+every group's inputs (documents, prompt strings, endpoint), each corpus and
+prompt file once, so a missing input fails before anything is fetched or
+written. For each group each document's prompt is rendered and the samples
+of the largest n among its configs fetched or replayed (cache first,
+network for the misses, one cache append per document). The thread pool
+serves only runs with an endpoint: a bounded pool does that fetching, the
+only threaded work. An offline group has nothing to wait for, so it reads
+the cache on the calling thread. The calling thread evaluates each document
+as its samples arrive, for every config of the group at once: it parses
+the samples, makes each distinct phrase's normalized form and presence and
+the two gold sets once, sorts once per sample count and perplexity mode
+(a config at n sees the samples in slots below n), makes one prediction
+per (n, mode, strategy) and scores it per config, one score record per
+document and config. The metric fold averages those records in corpus
+order, so a warm cache replays to byte-identical reports. A grid's merged
+CSV has a `meta.json` too, listing each row block's provenance. A fatal
+endpoint error caches the samples its document had already received,
 cancels the documents still queued, and no fetch thread starts another
 document after it. A sample the endpoint did not return is absent, never
 cached and never averaged, so rerunning an interrupted or partly failed run
@@ -232,19 +235,20 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int]:
     return ordered, config.n_samples - len(missing)
 
 
-def _evaluate(doc, raw, configs) -> tuple[list | None, int, int]:
+def _evaluate(doc, raw, configs) -> tuple[list, int, int]:
     """Score one document under every config of a group.
 
     The gold and each sample's phrases are made once against the source,
     tokenized once (`NormalizedSource.phrases`), and so are the two gold
-    sets. Each perplexity mode sorts the samples once, and each (mode,
-    strategy) makes one prediction, which configs that differ only in
-    their empty-gold policy share. Returns one score record per config
-    (None when there is no sample), the parse fallback count and the count
-    of samples cut short (`RawSample.truncated`).
+    sets. A config at n sees the samples of `raw` (in slot order) whose
+    slot is below n. Each (n, perplexity mode) sorts those samples once,
+    and each (n, mode, strategy) makes one prediction, which configs that
+    differ only in their empty-gold policy share. Returns one score record
+    per config (None for a config that sees no sample), the parse fallback
+    count and the count of samples cut short (`RawSample.truncated`).
     """
     if not raw:
-        return None, 0, 0
+        return [None] * len(configs), 0, 0
     # `prefill` is in the group key, and `build_prompt` prefills exactly when it is set
     had_prefill = configs[0].prefill
     parsed = [
@@ -256,15 +260,20 @@ def _evaluate(doc, raw, configs) -> tuple[list | None, int, int]:
     present = source.present
     gold_sets = (present.intersection(gold), set(gold).difference(present))
     predictions = {}
-    for mode in dict.fromkeys(c.ppl_mode for c in configs):
-        ranked = aggregation.rank(samples, [perplexity(s, mode) for s in raw])
-        strategies = list(dict.fromkeys(c.strategy for c in configs if c.ppl_mode == mode))
+    for n, mode in dict.fromkeys((c.n_samples, c.ppl_mode) for c in configs):
+        seen = sum(s.sample_index < n for s in raw)
+        if not seen:
+            continue
+        ranked = aggregation.rank(samples[:seen], [perplexity(s, mode) for s in raw[:seen]])
+        strategies = list(dict.fromkeys(
+            c.strategy for c in configs if (c.n_samples, c.ppl_mode) == (n, mode)
+        ))
         made = aggregation.predict(ranked, present, strategies)
-        predictions.update(zip([(mode, strategy) for strategy in strategies], made))
+        predictions.update(zip([(n, mode, strategy) for strategy in strategies], made))
     scores = [
-        metrics.score_document(
-            predictions[c.ppl_mode, c.strategy], *gold_sets, empty_gold=c.empty_gold
-        )
+        metrics.score_document(predictions[key], *gold_sets, empty_gold=c.empty_gold)
+        if (key := (c.n_samples, c.ppl_mode, c.strategy)) in predictions
+        else None
         for c in configs
     ]
     return scores, sum(ps.fallback for ps in parsed), sum(s.truncated for s in raw)
@@ -333,12 +342,12 @@ def _prepare(head: RunConfig, load_corpus, load_prompts) -> tuple:
     return docs, pcfg, client, time.monotonic() - t0
 
 
-def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[RunSummary]:
+def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> list[RunSummary]:
     """Fetch once for configs that differ only in evaluation fields, then
-    evaluate every document for all of them as its samples arrive. The other
+    evaluate every document for all of them as its samples arrive. `head`
+    is the config fetched for, at the largest n among `configs`; the other
     arguments are the group's `_prepare`d inputs."""
     t0 = time.monotonic()
-    head = configs[0]
     path = cache_path(head)
     # where a cache was kept before its name carried the sampling settings
     legacy = path.with_name(f"{_sanitize(head.model)}.jsonl")
@@ -418,31 +427,25 @@ def _run_group(configs: list[RunConfig], docs, pcfg, client, read_s) -> list[Run
             len(unavailable),
             ", ".join(docs[i].id for i in sorted(unavailable)[:5]),
         )
-    done = [r for r in results if r is not None]
-    base = RunSummary(
-        processed=len(done),
-        errored=len(docs) - len(done),
-        parse_fallbacks=fallbacks,
-        truncated=truncated,
-        cache_hits=hits,
-        cache_misses=misses,
-        wall_time=read_s + time.monotonic() - t0,
-    )
+    wall_time = read_s + time.monotonic() - t0
     summaries = []
     for k, config in enumerate(configs):
-        scores = [r[k] for r in done]
+        scores = [r[k] for r in results if r is not None and r[k] is not None]
         report = metrics.build_report(
             Path(config.corpus_path).stem, config.variant, config.strategy, scores
         )
         if config.out:
             _write_report(config.out, [report], provenance(config))
-        summaries.append(base._replace(report=report))
+        summaries.append(RunSummary(
+            len(scores), len(docs) - len(scores), fallbacks, truncated, hits, misses, wall_time,
+            report,
+        ))
     return summaries
 
 
 _GRID_ALIASES = {"corpus": "corpus_path", "aggregate": "strategy"}
 # fields that only change how fetched samples are scored, not which are fetched
-_EVALUATION_FIELDS = ("strategy", "ppl_mode", "empty_gold", "out")
+_EVALUATION_FIELDS = ("strategy", "n_samples", "ppl_mode", "empty_gold", "out")
 
 
 def _to_run_config(entry: dict, context: str) -> RunConfig:
@@ -490,10 +493,13 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     rows per config, and beside it `<out>.meta.json`: the list of each
     block's `provenance`, in row order.
 
-    Configs that differ only in strategy, perplexity mode, empty-gold policy
-    or output path, or name one variant by alias and full name, share one
-    fetch and one evaluation pass; their summaries all carry that pass's
-    document, cache, parse-fallback and truncation counts.
+    Configs that differ only in strategy, sample count, perplexity mode,
+    empty-gold policy or output path, or name one variant by alias and full
+    name, share one fetch, at the largest n among them, and one evaluation
+    pass. Each summary counts its own processed and errored documents: a
+    document with no sample in a slot below a config's n is errored for
+    that config alone. Their cache, parse-fallback and truncation counts
+    are the pass's, at the largest n.
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")
@@ -513,15 +519,19 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     # writes anything; each corpus and prompt file is read once per grid.
     load_corpus = functools.cache(corpus.load_corpus)
     load_prompts = functools.cache(prompting.load_prompt_config)
-    inputs = [_prepare(configs[m[0]], load_corpus, load_prompts) for m in groups.values()]
+    heads = [
+        configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m))
+        for m in groups.values()
+    ]
+    inputs = [_prepare(head, load_corpus, load_prompts) for head in heads]
     # An output directory, or an online group's cache directory, that
     # cannot be made ends the grid before anything is fetched.
-    online = [configs[m[0]] for m, (_, _, client, _) in zip(groups.values(), inputs) if client]
+    online = [head for head, (_, _, client, _) in zip(heads, inputs) if client]
     for p in [*(p.parent for p in outs), *(cache_path(c).parent for c in online)]:
         p.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary | None] = [None] * len(configs)
-    for members, prepared in zip(groups.values(), inputs):
-        group = _run_group([configs[i] for i in members], *prepared)
+    for head, members, prepared in zip(heads, groups.values(), inputs):
+        group = _run_group(head, [configs[i] for i in members], *prepared)
         for i, summary in zip(members, group):
             summaries[i] = summary
     if out:

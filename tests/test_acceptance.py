@@ -21,8 +21,7 @@ from kpagg.aggregation import (
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
-    dynamic_select,
-    merge,
+    predict,
     rank,
 )
 from kpagg.cli import main
@@ -183,10 +182,10 @@ def test_criterion_03_single_sample_collapse():
         ranked = rank([source.phrases(phrases)], [ppl])
         gold = source.phrases(doc.gold)
         gold_sets = (source.present.intersection(gold), set(gold) - source.present)
-        baseline = merge(ranked, "single", source.present)
+        [baseline] = predict(ranked, source.present, ["single"])
         base_scores = score_document(baseline, *gold_sets, empty_gold="zero")
         for strategy in ("union_concat", "union_interleaf", "frequency_order"):
-            pred = merge(ranked, strategy, source.present)
+            [pred] = predict(ranked, source.present, [strategy])
             if pred != baseline:
                 failure = f"trial {trial}: {strategy} prediction diverges"
                 break
@@ -212,18 +211,20 @@ def test_criterion_04_dynamic_selection_ceiling():
             phrases = tuple(f"p{i}.{j}" for j in range(pres_counts[i]))
             present.update(phrases)
             samples.append(phrases + tuple(f"a{i}.{j}" for j in range(abs_counts[i])))
-        agg = [f"P{j}" for j in range(rng.randint(0, 80))]
-        present.update(agg)
-        agg += [f"A{j}" for j in range(rng.randint(0, 80))]
-        pred = dynamic_select(agg, tuple(samples), present)
+        [pred] = predict(tuple(samples), present, ["union_concat"])
         want_pre = oracles.ceil_mean_oracle(pres_counts)
         want_abs = oracles.ceil_mean_oracle(abs_counts)
         if pred.m_pre != want_pre or pred.m_abs != want_abs:
             failure = f"trial {trial}: M=({pred.m_pre},{pred.m_abs}) want ({want_pre},{want_abs})"
             break
-        # the cut itself is each part's first M phrases, taken by the metrics
-        if pred.present_full + pred.absent_full != tuple(agg):
-            failure = f"trial {trial}: prediction is not the aggregated list split by presence"
+        # the cut itself is each part's first M phrases, taken by the metrics;
+        # the parts keep the concatenation's order
+        concat = oracles.union_concat_oracle([list(s) for s in samples])
+        if (pred.present_full, pred.absent_full) != (
+            tuple(p for p in concat if p in present),
+            tuple(p for p in concat if p not in present),
+        ):
+            failure = f"trial {trial}: prediction is not the merged list split by presence"
             break
     report(4, failure is None, failure or "1000 random count vectors vs exact rational ceil(mean)")
 

@@ -16,8 +16,6 @@ from kpagg.aggregation import (
     aggregate_union,
     aggregate_union_concat,
     aggregate_union_interleaf,
-    dynamic_select,
-    merge,
     predict,
     rank,
     resolve_strategy,
@@ -58,6 +56,12 @@ class TestResolveStrategy:
     def test_aliases_cover_all(self):
         assert set(STRATEGY_ALIASES.values()) == set(STRATEGIES)
 
+    def test_alias_accepted(self):
+        # an alias and its full name resolve to the one canonical name
+        assert resolve_strategy("frequency") == resolve_strategy("frequency_order")
+        for alias, name in STRATEGY_ALIASES.items():
+            assert resolve_strategy(alias) == resolve_strategy(name) == name
+
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             resolve_strategy("median")
@@ -80,7 +84,7 @@ class TestRankSamples:
         # sorted() with a NaN key would leave 3.0 ahead of 1.0
         ranked, present = ranked_of(self.TEXT, [("a",), ("b",), ("c",)], [3.0, math.nan, 1.0])
         assert [normals(s) for s in ranked] == [["c"], ["a"], ["b"]]
-        pred = merge(ranked, "single", present)
+        [pred] = predict(ranked, present, ["single"])
         assert pred.absent_full[: pred.m_abs][0] == "c"
 
     def test_stable_for_ties(self):
@@ -98,7 +102,7 @@ class TestRankSamples:
 
     def test_present_absent_counts(self):
         s = ("a", "b", "c")
-        pred = dynamic_select([], (s,), {"a", "c"})
+        [pred] = predict((s,), {"a", "c"}, ["union_concat"])
         assert pred.m_pre == 2
         assert pred.m_abs == 1
 
@@ -186,55 +190,55 @@ def present_of(*phrase_lists):
     return {p for phrases in phrase_lists for p in phrases if p[0] in "pk"}
 
 
-def select(agg, ranked):
-    return dynamic_select(agg, ranked, present_of(agg, *ranked))
+def select(ranked):
+    """The `union_concat` prediction of `ranked`: its samples concatenated,
+    split by presence and cut dynamically."""
+    return predict(ranked, present_of(*ranked), ["union_concat"])[0]
 
 
 class TestDynamicSelect:
-    def agg(self, n_present, n_absent=0):
-        return [f"k{i}" for i in range(n_present)] + [f"x{i}" for i in range(n_absent)]
-
     def test_ceiling_of_mean(self):
         # present counts [3, 2, 4] -> mean 3 -> M = 3
-        agg = self.agg(6)
-        pred = select(agg, counted_set([3, 2, 4]))
+        ranked = counted_set([3, 2, 4])
+        pred = select(ranked)
         assert pred.m_pre == 3
-        assert list(pred.present_full[: pred.m_pre]) == agg[:3]
+        assert list(pred.present_full[: pred.m_pre]) == list(ranked[0])
 
     def test_ceiling_rounds_up(self):
         # counts [1, 2, 2] -> mean 5/3 -> M = 2
-        pred = select(self.agg(3), counted_set([1, 2, 2]))
+        pred = select(counted_set([1, 2, 2]))
         assert pred.m_pre == 2
         assert len(pred.present_full[: pred.m_pre]) == 2
 
     def test_shorter_list_unchanged(self):
-        agg = self.agg(1)
-        pred = select(agg, counted_set([4, 4]))
-        assert list(pred.present_full[: pred.m_pre]) == agg
+        # samples that repeat one another merge to a list no longer than
+        # its cut, which keeps all of it
+        pred = select(sset(["k0", "k1"], ["k1", "k0"]))
+        assert pred.m_pre == 2
+        assert list(pred.present_full[: pred.m_pre]) == ["k0", "k1"]
 
     def test_zero_counts(self):
-        pred = select(self.agg(1), counted_set([0, 0]))
+        pred = select(counted_set([0, 0], [1, 1]))
         assert pred.present_full[: pred.m_pre] == ()
         assert pred.m_pre == 0
 
     def test_partitions_cut_independently(self):
-        agg = self.agg(4, 4)
-        pred = select(agg, counted_set([2, 2], [1, 3]))
+        pred = select(counted_set([2, 2], [1, 3]))
         assert pred.m_pre == 2 and pred.m_abs == 2
-        assert normals(pred.present_full[: pred.m_pre]) == ["k0", "k1"]
-        assert normals(pred.absent_full[: pred.m_abs]) == ["x0", "x1"]
+        assert normals(pred.present_full[: pred.m_pre]) == ["p0.0", "p0.1"]
+        assert normals(pred.absent_full[: pred.m_abs]) == ["a0.0", "a1.0"]
         assert len(pred.present_full) == 4 and len(pred.absent_full) == 4
 
     def test_empty_sample_set(self):
-        assert select(self.agg(3), ()) == EMPTY_PREDICTION
+        assert select(()) == EMPTY_PREDICTION
 
     @pytest.mark.oracle
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
     def test_matches_fraction_oracle(self, counts):
-        pred = select(self.agg(40), counted_set(counts))
+        pred = select(counted_set(counts))
         expected = ceil_mean_oracle(counts)
         assert pred.m_pre == expected
-        assert len(pred.present_full[: pred.m_pre]) == min(40, expected)
+        assert len(pred.present_full[: pred.m_pre]) == min(sum(counts), expected)
 
 
 class TestPredict:
@@ -246,7 +250,7 @@ class TestPredict:
             [("graph coloring", "zebra"), ("networks",)],
             [1.0, 2.0],
         )
-        pred = merge(ranked, "single", present)
+        [pred] = predict(ranked, present, ["single"])
         assert normals(pred.present_full[: pred.m_pre]) == ["graph color"]
         assert normals(pred.absent_full[: pred.m_abs]) == ["zebra"]
 
@@ -254,7 +258,7 @@ class TestPredict:
         ranked, present = ranked_of(
             "graph coloring", [("graph", "zebra"), ("coloring", "zebra")], [1.0, 2.0]
         )
-        pred = merge(ranked, "frequency_order", present)
+        [pred] = predict(ranked, present, ["frequency_order"])
         assert all(p in present for p in pred.present_full)
         assert all(p not in present for p in pred.absent_full)
 
@@ -262,7 +266,7 @@ class TestPredict:
         ranked, present = ranked_of(
             "graph coloring", [("graph", "coloring", "zebra"), ("networks",)], [1.0, 2.0]
         )
-        pred = merge(ranked, "union_concat", present)
+        [pred] = predict(ranked, present, ["union_concat"])
         # present counts 2 and 0 cut at 1; absent counts 1 and 1 cut at 1
         assert (pred.m_pre, pred.m_abs) == (1, 1)
         assert normals(pred.present_full) == ["graph", "color"]
@@ -270,13 +274,9 @@ class TestPredict:
         assert normals(pred.present_full[: pred.m_pre]) == ["graph"]
         assert normals(pred.absent_full[: pred.m_abs]) == ["zebra"]
 
-    def test_alias_accepted(self):
-        ranked, present = ranked_of("graph", [("graph",)], [1.0])
-        assert merge(ranked, "frequency", present) == merge(ranked, "frequency_order", present)
-
     def test_empty_input(self):
         ranked, present = ranked_of("anything", [], [])
-        assert merge(ranked, "union", present) == EMPTY_PREDICTION
+        assert predict(ranked, present, ["union"]) == [EMPTY_PREDICTION]
 
 
 def fixture_samples(doc):
@@ -358,6 +358,20 @@ classified_instance = st.tuples(
 )
 
 
+def split_oracle(merged, ranked, present):
+    """`merged` split by presence, in order, each part cut at the ceiling
+    of the mean per-sample count of its phrases in `ranked`."""
+    def cut(want):
+        return ceil_mean_oracle([sum(1 for p in s if (p in present) is want) for s in ranked])
+
+    return (
+        cut(True),
+        cut(False),
+        tuple(p for p in merged if p in present),
+        tuple(p for p in merged if p not in present),
+    )
+
+
 @pytest.mark.oracle
 @given(instance=classified_instance, strategies=st.permutations(STRATEGIES))
 def test_predict_equals_each_strategy_on_its_own(instance, strategies):
@@ -366,9 +380,7 @@ def test_predict_equals_each_strategy_on_its_own(instance, strategies):
     depth = {"single": 1}
     aggregate = {"single": aggregate_union_concat, **{k: v[0] for k, v in ORACLES.items()}}
     want = [
-        dynamic_select(
-            aggregate[s](ranked[: depth.get(s)]), ranked[: depth.get(s)], present
-        )
+        split_oracle(aggregate[s](ranked[: depth.get(s)]), ranked[: depth.get(s)], present)
         for s in strategies
     ]
     assert predict(ranked, present, strategies) == want
@@ -379,7 +391,7 @@ def test_predict_equals_each_strategy_on_its_own(instance, strategies):
 def test_single_matches_top_sample_split_oracle(instance):
     ranked, present = instance
     samples = [[(s, s in present) for s in sample] for sample in ranked]
-    pred = merge(sset(*ranked), "single", present)
+    [pred] = predict(sset(*ranked), present, ["single"])
     got = {
         "present": normals(pred.present_full[: pred.m_pre]),
         "absent": normals(pred.absent_full[: pred.m_abs]),

@@ -2,7 +2,8 @@
 
 Each stage has its own oracle test; these check how the stages are joined:
 which ranking, cut and gold a config's scores come from, and under which
-config its record is filed. The fixed test's inputs are the benchmark's
+config its record is filed, and which samples a config at n sees: those
+in slots below n. The fixed test's inputs are the benchmark's
 (`bench/gen.py`, seed 0, 30 documents), their samples written to a warm
 cache straight from the fixtures, as the mock server would serve them. The
 property test draws small corpora and their cache lines.
@@ -74,8 +75,8 @@ def bench_inputs(tmp_path_factory):
             "gold": record["keyphrases"],
             "had_prefill": base.prefill,
             "samples": [
-                {"text": s["text"], "logprobs": s.get("logprobs"), "truncated": False}
-                for s in samples
+                {"slot": i, "text": s["text"], "logprobs": s.get("logprobs"), "truncated": False}
+                for i, s in enumerate(samples)
             ],
         })
     return base, documents
@@ -85,12 +86,26 @@ def bench_inputs(tmp_path_factory):
 EVALUATIONS = list(itertools.product(STRATEGIES, PPL_MODES, EMPTY_GOLD_POLICIES))
 
 
+def seen_at(documents, n):
+    """The oracle documents as a config at n sees them: each keeps the
+    samples whose slot is below n."""
+    return [
+        {**document, "samples": [s for s in document["samples"] if s["slot"] < n]}
+        for document in documents
+    ]
+
+
 def assert_reports_match_the_oracle(configs, summaries, documents):
+    """Each config's report against the oracle's over the samples it sees,
+    and its processed and errored documents counted on their own."""
     for config, summary in zip(configs, summaries):
+        seen = seen_at(documents, config.n_samples)
         table, counts = oracles.report_oracle(
-            documents, config.strategy, config.ppl_mode, config.empty_gold
+            seen, config.strategy, config.ppl_mode, config.empty_gold
         )
-        label = (config.strategy, config.ppl_mode, config.empty_gold)
+        label = (config.n_samples, config.strategy, config.ppl_mode, config.empty_gold)
+        processed = sum(1 for d in seen if d["samples"])
+        assert (summary.processed, summary.errored) == (processed, len(seen) - processed), label
         assert summary.report.counts == counts, label
         for cell in CELLS:
             got, want = summary.report.table[cell], table[cell]
@@ -104,10 +119,11 @@ def assert_reports_match_the_oracle(configs, summaries, documents):
 def test_grid_reports_match_the_composed_oracle(bench_inputs):
     base, documents = bench_inputs
     configs = [
-        base._replace(strategy=strategy, ppl_mode=mode, empty_gold=policy)
+        base._replace(n_samples=n, strategy=strategy, ppl_mode=mode, empty_gold=policy)
+        for n in (1, 3, 5, 10)
         for strategy, mode, policy in EVALUATIONS
     ]
-    assert len(configs) == 20
+    assert len(configs) == 80
     summaries = harness.grid(configs)
     for summary in summaries:
         assert (summary.processed, summary.errored, summary.cache_misses) == (N_DOCS, 0, 0)
@@ -189,9 +205,14 @@ PROMPTS = prompting.load_prompt_config()
         st.lists(st.sampled_from(PPL_MODES), min_size=1, unique=True),
         st.lists(st.sampled_from(EMPTY_GOLD_POLICIES), min_size=1, unique=True),
     ).map(lambda factors: list(itertools.product(*factors))),
+    st.data(),
 )
-def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations):
+def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
     n_samples, prefill, records, slots = drawn
+    # each config's own sample count, from 1 up to the slot count
+    counts = data.draw(st.lists(
+        st.integers(1, n_samples), min_size=len(evaluations), max_size=len(evaluations)
+    ))
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = Path(tmp) / "drawn.jsonl"
         corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -221,8 +242,8 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations):
                 if s is not None
             ))
         configs = [
-            base._replace(strategy=strategy, ppl_mode=mode, empty_gold=policy)
-            for strategy, mode, policy in evaluations
+            base._replace(n_samples=n, strategy=strategy, ppl_mode=mode, empty_gold=policy)
+            for n, (strategy, mode, policy) in zip(counts, evaluations)
         ]
         summaries = harness.grid(configs)
     documents = [
@@ -232,17 +253,15 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations):
             "had_prefill": prefill,
             "samples": [
                 {
+                    "slot": i,
                     "text": s["text"],
                     "logprobs": s["logprobs"],
                     "truncated": s["finish_reason"] != "stop",
                 }
-                for s in doc_slots
+                for i, s in enumerate(doc_slots)
                 if s is not None
             ],
         }
         for record, doc_slots in zip(records, slots)
     ]
-    processed = sum(1 for d in documents if d["samples"])
-    for summary in summaries:
-        assert (summary.processed, summary.errored) == (processed, len(records) - processed)
     assert_reports_match_the_oracle(configs, summaries, documents)

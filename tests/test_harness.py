@@ -5,6 +5,7 @@ import errno
 import json
 import logging
 import threading
+from pathlib import Path
 
 import pytest
 import yaml
@@ -601,13 +602,82 @@ class TestGrid:
         for cfg, summary in zip(configs, summaries):
             assert summary.report == harness.run(cfg).report, cfg
 
-    def test_sampling_configs_form_separate_groups(self, endpoint, tmp_path, cache_loads):
+    def test_sample_counts_share_one_fetch(self, endpoint, tmp_path, cache_loads):
         configs = [config(endpoint, tmp_path, n_samples=n) for n in (3, 10)]
         summaries = harness.grid(configs)
-        assert len(cache_loads) == 2
-        assert [s.cache_misses for s in summaries] == [15, 35]
+        assert len(cache_loads) == 1
+        # the cache counts are the group's, made at its largest n
+        assert [s.cache_misses for s in summaries] == [50, 50]
         for cfg, summary in zip(configs, summaries):
             assert summary.report == harness.run(cfg).report, cfg
+
+    @pytest.fixture
+    def gappy_cache(self, endpoint, tmp_path):
+        """A toy-corpus cache of 10 samples per document with slots taken
+        out: doc-001 keeps only slots 3 and up, doc-002 loses slots 1 and 6,
+        doc-004 keeps only slot 9."""
+        harness.run(config(endpoint, tmp_path, n_samples=10))
+        path = cache_path(config(None, tmp_path))
+        dropped = {
+            "doc-001": set(range(3)), "doc-002": {1, 6}, "doc-004": set(range(9)),
+        }
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(
+            line for line in lines
+            if (r := json.loads(line))["sample_index"] not in dropped.get(r["doc_id"], ())
+        ), encoding="utf-8")
+        return path
+
+    def test_sample_count_grid_writes_what_single_runs_write(self, tmp_path, gappy_cache):
+        configs = [
+            config(
+                None, tmp_path, offline=True, n_samples=n, strategy=strategy, ppl_mode=mode,
+                out=str(tmp_path / "grid" / f"{n}-{strategy}-{mode}.csv"),
+            )
+            for n in (1, 3, 5, 10)
+            for strategy in ("single", "union_concat", "frequency_order")
+            for mode in ("mean", "sum")
+        ]
+        harness.grid(configs)
+        for cfg in configs:
+            single = cfg._replace(out=cfg.out.replace("grid", "single"))
+            harness.run(single)
+            for suffix in ("", ".meta.json"):
+                grid_bytes = Path(cfg.out + suffix).read_bytes()
+                assert grid_bytes == Path(single.out + suffix).read_bytes(), (cfg, suffix)
+
+    def test_document_without_a_sample_below_n_is_errored_at_that_n_only(
+        self, tmp_path, gappy_cache
+    ):
+        configs = [config(None, tmp_path, offline=True, n_samples=n) for n in (1, 3, 4, 10)]
+        summaries = harness.grid(configs)
+        # doc-001 has samples from slot 3 and doc-004 only at slot 9
+        assert [(s.processed, s.errored) for s in summaries] == [(3, 2), (3, 2), (4, 1), (5, 0)]
+        # the cache counts are the group's, at n = 10
+        assert {(s.cache_hits, s.cache_misses) for s in summaries} == {(36, 14)}
+        for cfg, summary in zip(configs, summaries):
+            single = harness.run(cfg)
+            assert (single.processed, single.errored) == (summary.processed, summary.errored)
+
+    @pytest.mark.parametrize("mode", ["choices", "per-request"])
+    def test_sample_count_grid_sends_the_requests_of_its_largest_run(
+        self, tmp_path, counted_endpoint, mode
+    ):
+        endpoint, requests = counted_endpoint
+        grid_dir, single_dir = tmp_path / "grid", tmp_path / "single"
+        harness.grid([
+            config(endpoint, grid_dir, n_samples=n, request_mode=mode) for n in (1, 3, 5, 10)
+        ])
+        sent = len(requests)
+        requests.clear()
+        harness.run(config(endpoint, single_dir, n_samples=10, request_mode=mode))
+        assert sent == len(requests) == {"choices": 5, "per-request": 50}[mode]
+
+        def cached(cache_dir):
+            path = cache_path(config(None, cache_dir))
+            return sorted(path.read_text(encoding="utf-8").splitlines())
+
+        assert cached(grid_dir) == cached(single_dir)
 
     def test_temperature_sweep_does_not_replay_across_temperatures(
         self, endpoint, tmp_path, cache_loads
