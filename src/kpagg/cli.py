@@ -53,9 +53,9 @@ def _out_path(text: str) -> str:
     return _path(text, must_exist=False)
 
 
-def _echo_summary(summary: harness.RunSummary) -> None:
-    print(
-        f"documents processed={summary.processed} errored={summary.errored} "
+def _fetch_counts(summary: harness.RunSummary) -> str:
+    """The counts a run shares with every config of its fetch group."""
+    return (
         f"parse_fallbacks={summary.parse_fallbacks} truncated={summary.truncated} "
         f"cache_hits={summary.cache_hits} cache_misses={summary.cache_misses} "
         f"wall={summary.wall_time:.2f}s"
@@ -66,7 +66,8 @@ def run_cmd(args: argparse.Namespace) -> None:
     """Run one corpus x variant x strategy configuration."""
     config = harness.RunConfig(**{name: getattr(args, name) for name in harness.RunConfig._fields})
     summary = harness.run(config)
-    _echo_summary(summary)
+    print(f"documents processed={summary.processed} errored={summary.errored} "
+          f"{_fetch_counts(summary)}")
     print(metrics.reports_table([summary.report]))
     if config.out:
         print(f"wrote {config.out}")
@@ -86,16 +87,20 @@ def grid_cmd(args: argparse.Namespace) -> None:
     """Run several configurations and print one merged table."""
     configs, out = harness.load_grid_config(args.config_path)
     summaries = harness.grid(configs, out=out)
-    for summary in summaries:
-        _echo_summary(summary)
+    # one line per fetch group, naming its runs by their 1-based numbers
+    for members in harness.fetch_groups(configs):
+        runs = ",".join(str(i + 1) for i in members)
+        print(f"fetch group of runs {runs}: {_fetch_counts(summaries[members[0]])}")
     # a column for each provenance field, beside the table's own labels,
-    # that tells the rows apart
+    # that tells the rows apart, then each run's own document counts
     rows = [harness.provenance(c) for c in configs]
     labels = {
         name: [row[name] for row in rows]
         for name in rows[0]
         if name not in ("corpus", "variant", "strategy") and len({row[name] for row in rows}) > 1
     }
+    labels["processed"] = [s.processed for s in summaries]
+    labels["errored"] = [s.errored for s in summaries]
     print(metrics.reports_table([s.report for s in summaries], labels))
     if out:
         print(f"wrote {out}")
@@ -110,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         **style,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true", help="Log debug detail to stderr.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def command(fn, name: str) -> argparse.ArgumentParser:
@@ -173,16 +177,14 @@ def main(argv: list[str] | None = None) -> int:
     """Run the `kpagg` command line; returns 0, or 1 after a fatal error."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
         args.action(args)
     except _FATAL as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # no traceback for Ctrl-C, as under click
+    except KeyboardInterrupt:  # no traceback for Ctrl-C
         print("Aborted!", file=sys.stderr)
         return 1
     return 0

@@ -21,13 +21,15 @@ the two gold sets once, sorts once per sample count and perplexity mode
 per (n, mode, strategy) and scores it per config, one score record per
 document and config. The metric fold averages those records in corpus
 order, so a warm cache replays to byte-identical reports. A grid's merged
-CSV has a `meta.json` too, listing each row block's provenance. A fatal
-endpoint error caches the samples its document had already received,
-cancels the documents still queued, and no fetch thread starts another
-document after it. A sample the endpoint did not return is absent, never
-cached and never averaged, so rerunning an interrupted or partly failed run
-fetches only the samples still missing; a group warns once how many are
-absent. The cache file's name carries the sampling settings (temperature
+CSV has a `meta.json` too, listing each row block's provenance. The pool
+is handed at most `max_in_flight` documents at a time, and one more each
+time the calling thread has collected one, a failed one included, so a
+fatal endpoint error leaves no queued document to cancel: it caches the
+samples its document had already received, the documents in flight
+finish, and no other starts. A sample the endpoint did not return is
+absent, never cached and never averaged, so rerunning an interrupted or
+partly failed run fetches only the samples still missing; a group warns
+once how many are absent. The cache file's name carries the sampling settings (temperature
 and max_tokens), so a replay never belongs to other settings than the
 run's.
 
@@ -38,13 +40,13 @@ those of documents outside a `limit`/`seed` subset unparsed.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
 import os
 import random
 import re
-import threading
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -55,7 +57,6 @@ from .llm_client import (
     REQUEST_MODES,
     AuthenticationError,
     LLMClient,
-    LLMClientError,
     RequestError,
     SampleCache,
     parse_sample,
@@ -75,10 +76,6 @@ class HarnessError(Exception):
 # Errors that end a run: no other document can fare better. An OSError is a
 # cache that cannot be written (a full disk, say).
 _FATAL = (AuthenticationError, RequestError, HarnessError, OSError)
-
-
-class _Skipped(Exception):
-    """A queued document that a fetch thread dropped after a fatal error."""
 
 
 class _RunFields(NamedTuple):
@@ -222,15 +219,13 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int]:
     missing = [i for i, s in enumerate(slots) if s is None]
     if missing and client is not None:
         try:
-            fetched = client.sample_completions(
+            for s in client.sample_completions(
                 prompt, doc.id, missing, config.temperature, config.max_tokens
-            )
-        except LLMClientError as exc:
-            cache.put(*exc.samples)  # what came before a fatal answer
-            raise
-        for s in fetched:
-            slots[s.sample_index] = s
-        cache.put(*fetched)
+            ):
+                slots[s.sample_index] = s
+        finally:
+            # one append of what arrived, before a fatal answer too
+            cache.put(*[slots[i] for i in missing if slots[i] is not None])
     ordered = [s for s in slots if s is not None]
     return ordered, config.n_samples - len(missing)
 
@@ -386,35 +381,22 @@ def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> li
         for i, doc in enumerate(docs):
             collect(i, lambda: _fetch(doc, pcfg, cache, None, head))
     else:
-        from concurrent.futures import ThreadPoolExecutor, as_completed
+        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-        fatal = threading.Event()
-
-        def fetch(doc):
-            # A fetch thread takes no further document after a fatal error,
-            # even before the calling thread has seen it and cancelled.
-            if fatal.is_set():
-                raise _Skipped
-            try:
-                return _fetch(doc, pcfg, cache, client, head)
-            except _FATAL:
-                fatal.set()
-                raise
-
+        queued = iter(enumerate(docs))
+        window = {}  # each submitted, uncollected document's future -> its index
         try:
             with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
-                futures = {pool.submit(fetch, doc): i for i, doc in enumerate(docs)}
-                try:
-                    for fut in as_completed(futures):
-                        # a skipped document's fatal error is on its way
-                        if not isinstance(fut.exception(), _Skipped):
-                            collect(futures[fut], fut.result)
-                except BaseException:
-                    # A fatal endpoint error (or an interrupt) ends the run:
-                    # drop the queued documents instead of letting the pool
-                    # drain them.
-                    pool.shutdown(cancel_futures=True)
-                    raise
+                # A document is submitted only into a free slot, so a fatal
+                # error (or an interrupt) leaves none queued: the pool drains
+                # just the documents in flight.
+                while True:
+                    for i, doc in itertools.islice(queued, head.max_in_flight - len(window)):
+                        window[pool.submit(_fetch, doc, pcfg, cache, client, head)] = i
+                    if not window:
+                        break
+                    for fut in wait(window, return_when=FIRST_COMPLETED).done:
+                        collect(window.pop(fut), fut.result)
         finally:
             # the pool has shut down, so no fetch thread holds a connection
             client.close()
@@ -488,6 +470,17 @@ def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
     return configs, data.get("out")
 
 
+def fetch_groups(configs: list[RunConfig]) -> list[list[int]]:
+    """The indices of `configs` grouped by one fetch: configs that differ
+    only in evaluation fields share one. Groups come in the order of their
+    first config, and indices ascend within each."""
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = tuple(v for k, v in c._asdict().items() if k not in _EVALUATION_FIELDS)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     """Run several configs and optionally write one merged CSV, one block of
     rows per config, and beside it `<out>.meta.json`: the list of each
@@ -511,17 +504,13 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     duplicates = {str(p) for p in written if written.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
-    groups: dict[tuple, list[int]] = {}
-    for i, c in enumerate(configs):
-        key = tuple(v for k, v in c._asdict().items() if k not in _EVALUATION_FIELDS)
-        groups.setdefault(key, []).append(i)
+    groups = fetch_groups(configs)
     # Every group's inputs are read before the first group fetches or
     # writes anything; each corpus and prompt file is read once per grid.
     load_corpus = functools.cache(corpus.load_corpus)
     load_prompts = functools.cache(prompting.load_prompt_config)
     heads = [
-        configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m))
-        for m in groups.values()
+        configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups
     ]
     inputs = [_prepare(head, load_corpus, load_prompts) for head in heads]
     # An output directory, or an online group's cache directory, that
@@ -530,7 +519,7 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     for p in [*(p.parent for p in outs), *(cache_path(c).parent for c in online)]:
         p.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary | None] = [None] * len(configs)
-    for head, members, prepared in zip(heads, groups.values(), inputs):
+    for head, members, prepared in zip(heads, groups, inputs):
         group = _run_group(head, [configs[i] for i in members], *prepared)
         for i, summary in zip(members, group):
             summaries[i] = summary

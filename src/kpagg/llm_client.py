@@ -5,7 +5,7 @@ request per document with n choices (default) or n single-choice requests,
 with per-token logprobs requested so samples can be ranked by perplexity.
 A sample the endpoint did not return, because its request ran out of
 retries, the answer held fewer choices than asked for or its choice had
-the wrong shape, is absent from what the client returns; nothing stands in
+the wrong shape, is absent from what the client yields; nothing stands in
 for it.
 Only a client imports the transport, so an offline replay loads no HTTP
 code; `kpagg.transport` says which path loads which module.
@@ -31,7 +31,7 @@ import threading
 import time
 import urllib.parse
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import __version__
 from .prompting import RenderedPrompt
@@ -56,10 +56,8 @@ REQUEST_MODES = ("choices", "per-request")
 
 
 class LLMClientError(Exception):
-    """An error of the client; raised out of `sample_completions`, its
-    `samples` are those the call had received before it."""
-
-    samples: tuple[RawSample, ...] = ()
+    """An error of the client. Raised out of the iteration of
+    `sample_completions`, it comes after the samples already received."""
 
 
 class AuthenticationError(LLMClientError):
@@ -367,28 +365,24 @@ class LLMClient:
         indices: list[int],
         temperature: float,
         max_tokens: int,
-    ) -> list[RawSample]:
-        """The samples received for the slots `indices`, in slot order.
+    ) -> Iterator[RawSample]:
+        """Yield the samples received for the slots `indices`, in slot
+        order, each as soon as its answer is read.
 
         `choices` mode serves all the slots from one request, `per-request`
         mode each slot from a request of its own; every request sends the
         one body, serialised once. A slot whose request ran out of
         retries, that the answer left out, or whose choice has the wrong
         shape (`_sample_from_choice`), is absent. A fatal error
-        (`AuthenticationError`, `RequestError`) carries the samples already
-        received in its `samples`, so a caller can keep them.
+        (`AuthenticationError`, `RequestError`) is raised after the samples
+        of the answers before it have been yielded, so a caller keeps them.
         """
         if not indices:
-            return []
+            return
         groups = [indices] if self.request_mode == "choices" else [[i] for i in indices]
         data = self._payload(prompt, len(groups[0]), temperature, max_tokens)
-        samples = []
         for slots in groups:
-            try:
-                body = self._post_with_retries(data)
-            except LLMClientError as exc:
-                exc.samples = tuple(samples)
-                raise
+            body = self._post_with_retries(data)
             choices = body.get("choices") if isinstance(body, dict) else None
             if not isinstance(choices, list):
                 continue
@@ -397,7 +391,6 @@ class LLMClient:
                 for index, choice in zip(slots, choices)
             ]
             kept = [s for s in received if s is not None]
-            samples += kept
             if len(kept) < len(received):
                 log.warning(
                     "document %s: %d choice(s) of an answer had the wrong shape; "
@@ -405,7 +398,7 @@ class LLMClient:
                     doc_id,
                     len(received) - len(kept),
                 )
-        return samples
+            yield from kept
 
 
 # The start of a cache line as `put` writes it: the record's first field,

@@ -384,6 +384,38 @@ class TestDocumentFailure:
         assert record.getMessage() == "document doc-003 failed; continuing"
         assert record.exc_info[0] is ValueError
 
+    def test_window_refills_the_slot_of_a_failed_fetch(
+        self, endpoint, tmp_path, caplog, monkeypatch
+    ):
+        # With one document in flight, each document starts only after the
+        # one before it was collected, and a fetch that raises frees its
+        # slot for the next document: the window never shrinks.
+        events = []
+        fetch, evaluate = harness._fetch, harness._evaluate
+
+        def failing_fetch(doc, *args):
+            events.append(("fetch", doc.id))
+            if doc.id == "doc-003":
+                raise ValueError("boom")
+            return fetch(doc, *args)
+
+        def recording_evaluate(doc, *args):
+            events.append(("evaluate", doc.id))
+            return evaluate(doc, *args)
+
+        monkeypatch.setattr(harness, "_fetch", failing_fetch)
+        monkeypatch.setattr(harness, "_evaluate", recording_evaluate)
+        with caplog.at_level(logging.ERROR, logger="kpagg.harness"):
+            summary = harness.run(config(endpoint, tmp_path, max_in_flight=1))
+        assert (summary.processed, summary.errored) == (4, 1)
+        assert (summary.cache_hits, summary.cache_misses) == (0, 40)
+        ids = [f"doc-00{k}" for k in range(1, 6)]
+        steps = [(step, d) for d in ids for step in ("fetch", "evaluate")]
+        assert events == [e for e in steps if e != ("evaluate", "doc-003")]
+        (record,) = caplog.records
+        assert record.getMessage() == "document doc-003 failed; continuing"
+        assert record.exc_info[0] is ValueError
+
     def test_fatal_error_propagates_offline(self, endpoint, tmp_path, failing):
         harness.run(config(endpoint, tmp_path))
         threads = failing(AuthenticationError("bad key"))
@@ -532,6 +564,18 @@ class TestGrid:
                 {"aggregate": "frequency"},
             ],
         }
+
+    def test_fetch_groups(self, tmp_path):
+        base = config(None, tmp_path, offline=True)
+        configs = [
+            base._replace(strategy="union", n_samples=3),
+            base._replace(temperature=0.5),
+            base._replace(ppl_mode="sum", empty_gold="zero", out="a.csv"),
+            base._replace(temperature=0.5, variant="combined"),
+            base._replace(variant="combined_control"),
+            base._replace(variant="combined", n_samples=1),  # an alias
+        ]
+        assert harness.fetch_groups(configs) == [[0, 2], [1], [3], [4, 5]]
 
     def test_load_grid_config_aliases(self, tmp_path, endpoint):
         path = tmp_path / "grid.yaml"
@@ -964,6 +1008,13 @@ class TestCli:
         domain = next(a for a in parsers["stats"]._actions if a.dest == "default_domain")
         assert domain.default == RunConfig._field_defaults["default_domain"]
 
+    def test_only_top_level_option_is_version(self, capsys):
+        flags = {f for a in build_parser()._actions for f in a.option_strings}
+        assert flags == {"-h", "--help", "--version"}
+        with pytest.raises(SystemExit) as info:
+            main(["-v", "run", "--corpus", str(TOY_CORPUS)])
+        assert info.value.code == 2
+
     def test_run_command(self, endpoint, tmp_path, capsys):
         out = tmp_path / "cli.csv"
         code = main(
@@ -1112,7 +1163,31 @@ class TestCli:
         output = capsys.readouterr().out
         assert code == 0, output
         assert (tmp_path / "merged.csv").exists()
-        assert output.count("processed=5") == 2
+        # one line for the one fetch group; each run's own counts are in the table
+        (line,) = [line for line in output.splitlines() if "cache_misses=" in line]
+        assert line.startswith("fetch group of runs 1,2: parse_fallbacks=")
+        assert " cache_hits=0 cache_misses=50 " in line
+        assert "processed=" not in output
+        header, _, *rows = map(str.split, output[output.index("corpus  "):].splitlines()[:4])
+        assert header[3:5] == ["processed", "errored"]
+        assert [row[3:5] for row in rows] == [["5", "0"], ["5", "0"]]
+
+    def test_grid_command_prints_one_line_per_fetch_group(self, endpoint, tmp_path, capsys):
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(yaml.safe_dump({
+            "corpus": str(TOY_CORPUS),
+            "endpoint": endpoint,
+            "cache_dir": str(tmp_path / "cache"),
+            "runs": [{"n_samples": 3}, {"temperature": 0.5, "n_samples": 2}, {"n_samples": 10}],
+        }))
+        code = main(["grid", "--config", str(grid_path)])
+        output = capsys.readouterr().out
+        assert code == 0, output
+        lines = [line for line in output.splitlines() if line.startswith("fetch group")]
+        assert [line.split(":")[0] for line in lines] == [
+            "fetch group of runs 1,3", "fetch group of runs 2",
+        ]
+        assert " cache_misses=50 " in lines[0] and " cache_misses=10 " in lines[1]
 
     def grid_table(self, tmp_path, capsys, **grid) -> str:
         """The table `kpagg grid` prints for `grid`."""
@@ -1129,7 +1204,10 @@ class TestCli:
             tmp_path, capsys, endpoint=endpoint, cache_dir=str(tmp_path / "cache"), runs=runs
         )
         header, _, *rows = map(str.split, table.splitlines())
-        assert header[:6] == ["corpus", "variant", "strategy", "n_samples", "ppl_mode", "P-F1@M"]
+        assert header[:8] == [
+            "corpus", "variant", "strategy", "n_samples", "ppl_mode", "processed", "errored",
+            "P-F1@M",
+        ]
         assert [row[3:5] for row in rows] == [["2", "mean"], ["2", "sum"], ["3", "mean"], ["3", "sum"]]
 
     def test_strategy_grid_table_has_only_the_label_columns(self, endpoint, tmp_path, capsys):
@@ -1137,8 +1215,12 @@ class TestCli:
         runs = [{"aggregate": "union"}, {"aggregate": "frequency"}]
         table = self.grid_table(tmp_path, capsys, **grid, runs=runs)
         configs = [config(endpoint, tmp_path, strategy=run["aggregate"]) for run in runs]
-        reports = [s.report for s in harness.grid(configs)]
-        assert table == metrics.reports_table(reports) + "\n"
+        summaries = harness.grid(configs)
+        counts = {
+            "processed": [s.processed for s in summaries],
+            "errored": [s.errored for s in summaries],
+        }
+        assert table == metrics.reports_table([s.report for s in summaries], counts) + "\n"
 
 
 class TestCliOutputErrors:

@@ -439,9 +439,9 @@ class TestTransport:
 
         client = make_client(scripted_server([]))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             rp, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
-        )
+        ))
         assert len(samples) == 2
         assert [s.sample_index for s in samples] == [0, 1]
         assert all(s.finish_reason == "stop" for s in samples)
@@ -454,9 +454,9 @@ class TestTransport:
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(
+            samples = list(client.sample_completions(
                 rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
-            )
+            ))
         assert len(samples) == 1
         assert samples[0].finish_reason == "stop"
         retry_logs = [r for r in caplog.records if "retry" in r.message.lower()]
@@ -471,9 +471,9 @@ class TestTransport:
         monkeypatch.setattr(llm_client, "MAX_RETRIES", 2)
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
-        )
+        ))
         # the three failed samples are absent
         assert samples == []
         assert _ScriptedHandler.hits == 3
@@ -485,7 +485,9 @@ class TestTransport:
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(AuthenticationError):
-            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
+            list(client.sample_completions(
+                rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+            ))
 
     def test_400_is_fatal_request_error(self, scripted_server, prompt_cfg, toy_docs):
         from kpagg.prompting import build_prompt, resolve_variant
@@ -494,16 +496,18 @@ class TestTransport:
         client = make_client(scripted_server(script))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(RequestError):
-            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
+            list(client.sample_completions(
+                rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+            ))
 
     def test_per_request_mode_issues_n_requests(self, scripted_server, prompt_cfg, toy_docs):
         from kpagg.prompting import build_prompt, resolve_variant
 
         client = make_client(scripted_server([]), request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
-        )
+        ))
         assert len(samples) == 3
         assert _ScriptedHandler.hits == 3
 
@@ -512,9 +516,9 @@ class TestTransport:
 
         client = make_client(scripted_server([]), request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             rp, doc_id="d", indices=[2, 7], temperature=0.7, max_tokens=50
-        )
+        ))
         assert [s.sample_index for s in samples] == [2, 7]
 
     def test_fatal_error_cancels_queued_documents(self, scripted_server, tmp_path):
@@ -575,9 +579,9 @@ class TestTransport:
         client = make_client(f"http://127.0.0.1:{port}/v1")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(
+            samples = list(client.sample_completions(
                 rp, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
-            )
+            ))
         assert samples == []  # both failed samples are absent
         assert sum("connection error" in r.message for r in caplog.records) == 3
 
@@ -599,9 +603,9 @@ class TestTransport:
         client = make_client(scripted_server([bad_step]))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(
+            samples = list(client.sample_completions(
                 rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
-            )
+            ))
         assert [s.sample_index for s in samples] == [0]
         assert _ScriptedHandler.hits == 2
         assert [reason in r.message for r in caplog.records] == [True]
@@ -613,7 +617,9 @@ class TestTransport:
         client = make_client(scripted_server([(400, body)]))
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(RequestError) as info:
-            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
+            list(client.sample_completions(
+                rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+            ))
         assert str(info.value) == f"endpoint returned HTTP 400: {body[:200].decode()}"
 
     def test_request_headers(self, scripted_server, prompt_cfg, toy_docs):
@@ -622,7 +628,9 @@ class TestTransport:
 
         client = make_client(scripted_server([]), api_key="sk-123")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
+        list(client.sample_completions(
+            rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+        ))
         (headers,) = _ScriptedHandler.headers_seen
         assert headers["Authorization"] == "Bearer sk-123"
         assert headers["User-Agent"] == f"kpagg/{__version__}"
@@ -650,9 +658,9 @@ class TestTransport:
         monkeypatch.delenv("NO_PROXY", raising=False)
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
-        )
+        ))
         assert [s.sample_index for s in samples] == [0, 1, 2]
         sent = _ScriptedHandler.requests_seen
         assert len(sent) == _ScriptedHandler.hits == 5
@@ -693,9 +701,9 @@ class TestTransport:
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(
+            samples = list(client.sample_completions(
                 rp, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
-            )
+            ))
         assert [s.sample_index for s in samples] == [0, 1]
         assert (_ScriptedHandler.hits, _ScriptedHandler.connections) == (2, 2)
         assert sleeps == []
@@ -709,9 +717,9 @@ class TestTransport:
         endpoint = scripted_server([(200, None, 0, {"Connection": "close"})])
         client = make_client(endpoint, request_mode="per-request")
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             rp, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
-        )
+        ))
         assert [s.sample_index for s in samples] == [0, 1, 2]
         # the first connection carries one request, the second the rest
         assert (_ScriptedHandler.hits, _ScriptedHandler.connections) == (3, 2)
@@ -724,7 +732,9 @@ class TestTransport:
         client = make_client(endpoint)
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
         with pytest.raises(RequestError, match="HTTP 302"):
-            client.sample_completions(rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50)
+            list(client.sample_completions(
+                rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+            ))
         assert _ScriptedHandler.hits == 1
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
@@ -740,9 +750,9 @@ class TestTransport:
 
         client = make_client(endpoint)
         rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
-        (sample,) = client.sample_completions(
+        (sample,) = list(client.sample_completions(
             rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
-        )
+        ))
         return sample
 
     @pytest.mark.parametrize("status", [429, 503])
@@ -878,9 +888,9 @@ class TestAbsentSamples:
     ):
         script = [(200, _ScriptedHandler._ok({"n": 2}))]
         client = make_client(scripted_server(script))
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             prompt, doc_id="d", indices=[3, 5, 8], temperature=0.7, max_tokens=50
-        )
+        ))
         assert [s.sample_index for s in samples] == [3, 5]
         assert _ScriptedHandler.hits == 1
 
@@ -891,9 +901,9 @@ class TestAbsentSamples:
         # slot 0 answers, slot 1 gets 503 on all three attempts, slot 2 answers
         script = [(200, None)] + [(503, {"error": "down"})] * 3
         client = make_client(scripted_server(script), request_mode="per-request")
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             prompt, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
-        )
+        ))
         assert [s.sample_index for s in samples] == [0, 2]
         assert _ScriptedHandler.hits == 5
 
@@ -978,9 +988,9 @@ class TestAbsentSamples:
             return bodies[len(sent) - 1]
 
         client._post_with_retries = post
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
-        )
+        ))
         assert [s.sample_index for s in samples] == received_slots_oracle(mode, indices, bodies)
         requests = (1 if indices else 0) if mode == "choices" else len(indices)
         assert len(sent) == requests
@@ -1006,9 +1016,9 @@ class TestAbsentSamples:
             bodies = [{"choices": [bad]}, {"choices": [self.GOOD]}]
         client._post_with_retries = lambda data: bodies.pop(0)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
-            samples = client.sample_completions(
+            samples = list(client.sample_completions(
                 prompt, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
-            )
+            ))
         assert [(s.sample_index, s.text) for s in samples] == [(1, '["a"]')]
         warnings = [r for r in caplog.records if "wrong shape" in r.getMessage()]
         assert len(warnings) == 1
@@ -1028,9 +1038,9 @@ class TestAbsentSamples:
         client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
         replies = iter(bodies)
         client._post_with_retries = lambda data: next(replies)
-        samples = client.sample_completions(
+        samples = list(client.sample_completions(
             prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
-        )
+        ))
         assert all(type(s.text) is str for s in samples)
         got = [(s.sample_index, s.text) for s in samples]
         assert got == received_texts_oracle(mode, indices, bodies)

@@ -64,9 +64,9 @@ def failures(monkeypatch, caplog):
 def fetch(url, prompt, indices):
     client = LLMClient(url, "m", request_mode="per-request")
     try:
-        return client.sample_completions(
+        return list(client.sample_completions(
             prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
-        )
+        ))
     finally:
         client.close()
 
