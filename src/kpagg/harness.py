@@ -8,30 +8,29 @@ so a group is the configs that read one cache file with one prompt and one
 endpoint; `run` is a one-config grid. Before any group runs, `grid` reads
 every group's inputs (documents, prompt strings, endpoint), each corpus and
 prompt file once, so a missing input fails before anything is fetched or
-written. For each group each document's prompt is rendered and the samples
-of the largest n among its configs fetched or replayed (cache first,
-network for the misses, one cache append per document). The thread pool
-serves only runs with an endpoint: a bounded pool does that fetching, the
-only threaded work. An offline group has nothing to wait for, so it reads
-the cache on the calling thread. The calling thread evaluates each document
-as its samples arrive, for every config of the group at once: it parses
-the samples, makes each distinct phrase's normalized form and presence and
-the two gold sets once, sorts once per sample count and perplexity mode
-(a config at n sees the samples in slots below n), makes one prediction
-per (n, mode, strategy) and scores it per config, one score record per
-document and config. The metric fold averages those records in corpus
+written. A group's fetchers take its documents one at a time, in corpus
+order. A fetcher renders a document's prompt, fetches or replays the
+samples of the largest n among the group's configs (cache first, network
+for the misses, one cache append per document), then evaluates the
+document for every config at once: it parses the samples, makes each
+distinct phrase's normalized form and presence and the two gold sets once,
+sorts once per sample count and perplexity mode (a config at n sees the
+samples in slots below n), makes one prediction per (n, mode, strategy)
+and scores it per config, one score record per document and config. An
+offline group has nothing to wait for: the calling thread is its one
+fetcher. Online, `max_in_flight - 1` threads join the calling thread, so
+at most `max_in_flight` documents, and connections, are in flight, and 1
+starts no thread. The metric fold averages the score records in corpus
 order, so a warm cache replays to byte-identical reports. A grid's merged
-CSV has a `meta.json` too, listing each row block's provenance. The pool
-is handed at most `max_in_flight` documents at a time, and one more each
-time the calling thread has collected one, a failed one included, so a
-fatal endpoint error leaves no queued document to cancel: it caches the
-samples its document had already received, the documents in flight
-finish, and no other starts. A sample the endpoint did not return is
+CSV has a `meta.json` too, listing each row block's provenance. A fatal
+endpoint error caches the samples its document had already received; the
+documents in flight finish, no fetcher takes another, and the error is
+raised on the calling thread. A sample the endpoint did not return is
 absent, never cached and never averaged, so rerunning an interrupted or
 partly failed run fetches only the samples still missing; a group warns
-once how many are absent. The cache file's name carries the sampling settings (temperature
-and max_tokens), so a replay never belongs to other settings than the
-run's.
+once how many are absent. The cache file's name carries the sampling
+settings (temperature and max_tokens), so a replay never belongs to other
+settings than the run's.
 
 A group loads only the cache lines of its own documents: the load skips
 those of documents outside a `limit`/`seed` subset unparsed.
@@ -40,13 +39,13 @@ those of documents outside a `limit`/`seed` subset unparsed.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import math
 import os
 import random
 import re
+import threading
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -338,9 +337,9 @@ def _prepare(head: RunConfig, load_corpus, load_prompts) -> tuple:
 
 
 def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> list[RunSummary]:
-    """Fetch once for configs that differ only in evaluation fields, then
-    evaluate every document for all of them as its samples arrive. `head`
-    is the config fetched for, at the largest n among `configs`; the other
+    """Fetch once for configs that differ only in evaluation fields; the
+    fetcher of each document evaluates it for all of them. `head` is the
+    config fetched for, at the largest n among `configs`; the other
     arguments are the group's `_prepare`d inputs."""
     t0 = time.monotonic()
     path = cache_path(head)
@@ -354,53 +353,53 @@ def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> li
         )
     cache = SampleCache(path, doc_ids={doc.id for doc in docs})
 
-    hits = misses = fallbacks = truncated = 0
-    results: list[list | None] = [None] * len(docs)
-    unavailable: dict[int, int] = {}  # document index -> absent sample count
+    queued = enumerate(docs)
+    lock = threading.Lock()
+    # per document: (cached, missed, absent) sample counts, and `_evaluate`'s result
+    fetched, results = [None] * len(docs), [None] * len(docs)
+    errors = []  # fatal errors and interrupts, in the order they were raised
 
-    def collect(i: int, fetched) -> None:
-        """Evaluate document i from `fetched()`, its _fetch result. A fatal
-        endpoint error propagates; any other failure costs this document
-        only."""
-        nonlocal hits, misses, fallbacks, truncated
+    def fetcher(helpers=()) -> None:
+        # Start `helpers`, then take documents until none is left or a
+        # fetcher has raised a fatal error or been interrupted; any other
+        # failure costs its document only.
         try:
-            raw, cached = fetched()
-            hits += cached
-            misses += head.n_samples - cached
-            if len(raw) < head.n_samples:
-                unavailable[i] = head.n_samples - len(raw)
-            results[i], doc_fallbacks, doc_truncated = _evaluate(docs[i], raw, configs)
-            fallbacks += doc_fallbacks
-            truncated += doc_truncated
-        except _FATAL:
-            raise
-        except Exception:
-            log.exception("document %s failed; continuing", docs[i].id)
+            for helper in helpers:
+                helper.start()
+            while True:
+                with lock:
+                    i, doc = (None, None) if errors else next(queued, (None, None))
+                if doc is None:
+                    return
+                try:
+                    raw, cached = _fetch(doc, pcfg, cache, client, head)
+                    fetched[i] = cached, head.n_samples - cached, head.n_samples - len(raw)
+                    results[i] = _evaluate(doc, raw, configs)
+                except _FATAL:
+                    raise
+                except Exception:
+                    log.exception("document %s failed; continuing", doc.id)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
 
-    if client is None:
-        for i, doc in enumerate(docs):
-            collect(i, lambda: _fetch(doc, pcfg, cache, None, head))
-    else:
-        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    # Offline the calling thread fetches alone; online it is one of the
+    # `max_in_flight` fetchers.
+    n_helpers = head.max_in_flight - 1 if client else 0
+    helpers = [threading.Thread(target=fetcher) for _ in range(n_helpers)]
+    try:
+        fetcher(helpers)
+    finally:
+        for helper in filter(threading.Thread.is_alive, helpers):
+            helper.join()
+        if client is not None:
+            client.close()  # no fetcher is left to hold a connection
+    if errors:
+        raise errors[0]
 
-        queued = iter(enumerate(docs))
-        window = {}  # each submitted, uncollected document's future -> its index
-        try:
-            with ThreadPoolExecutor(max_workers=head.max_in_flight) as pool:
-                # A document is submitted only into a free slot, so a fatal
-                # error (or an interrupt) leaves none queued: the pool drains
-                # just the documents in flight.
-                while True:
-                    for i, doc in itertools.islice(queued, head.max_in_flight - len(window)):
-                        window[pool.submit(_fetch, doc, pcfg, cache, client, head)] = i
-                    if not window:
-                        break
-                    for fut in wait(window, return_when=FIRST_COMPLETED).done:
-                        collect(window.pop(fut), fut.result)
-        finally:
-            # the pool has shut down, so no fetch thread holds a connection
-            client.close()
-
+    hits, misses = (sum(f[j] for f in fetched if f) for j in (0, 1))
+    unavailable = {i: f[2] for i, f in enumerate(fetched) if f and f[2]}
+    fallbacks, truncated = (sum(r[j] for r in results if r) for j in (1, 2))
     if unavailable:
         log.warning(
             "%d sample(s) unavailable in %d document(s) (their fetch failed, "
@@ -412,7 +411,7 @@ def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> li
     wall_time = read_s + time.monotonic() - t0
     summaries = []
     for k, config in enumerate(configs):
-        scores = [r[k] for r in results if r is not None and r[k] is not None]
+        scores = [r[0][k] for r in results if r and r[0][k] is not None]
         report = metrics.build_report(
             Path(config.corpus_path).stem, config.variant, config.strategy, scores
         )

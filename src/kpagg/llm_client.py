@@ -133,6 +133,27 @@ def _logprob_stats(values) -> tuple[float | None, int]:
     return sum(lps), len(lps)
 
 
+def _content_logprobs(content: list) -> tuple[float | None, int]:
+    """`_logprob_stats` of the int and float logprobs of the token objects
+    in an answer's `logprobs.content`; other entries are skipped. The
+    common answer, every entry an object whose logprob is a float, with a
+    finite sum, is summed without the checks."""
+    try:
+        lps = [t["logprob"] for t in content]
+    except (KeyError, TypeError):  # an entry no object, or one without a logprob
+        lps = None
+    # a non-finite value makes the sum non-finite, so a finite sum is all
+    # `_logprob_stats` would test
+    if lps and all(type(v) is float for v in lps) and math.isfinite(total := sum(lps)):
+        return total, len(lps)
+    # type(), not isinstance(): JSON true/false are not logprobs
+    return _logprob_stats(
+        t.get("logprob")
+        for t in content
+        if isinstance(t, dict) and type(t.get("logprob")) in (int, float)
+    )
+
+
 _STRIP_CHARS = " \t\r\n\"'`[]"
 
 # A quote opens a quoted run only at the start of an item: as the first
@@ -342,12 +363,7 @@ class LLMClient:
         lp_sum, lp_n = None, 0
         lpinfo = choice.get("logprobs")
         if isinstance(lpinfo, dict) and isinstance(lpinfo.get("content"), list):
-            # type(), not isinstance(): JSON true/false are not logprobs
-            lp_sum, lp_n = _logprob_stats(
-                t.get("logprob")
-                for t in lpinfo["content"]
-                if isinstance(t, dict) and type(t.get("logprob")) in (int, float)
-            )
+            lp_sum, lp_n = _content_logprobs(lpinfo["content"])
         return RawSample(
             doc_id=doc_id,
             prompt_hash=prompt_hash,

@@ -13,11 +13,14 @@ Fixture file shape::
         {"match": "substring of the user prompt",
          "samples": [
             {"text": "\"kp one\", \"kp two\"]", "logprobs": [-0.1, -0.2]},
-            {"text": "\"kp one\"]"}
+            {"text": "\"kp one\"]"},
+            {"text": "\"kp tw", "finish_reason": "length"}
          ]}
       ],
       "default": {"samples": [{"text": "]"}]}
     }
+
+A sample's finish reason is "stop" unless it names another.
 
 Sample texts are stored in continuation form (no leading "["). When the
 request carries no assistant prefill turn, the server prepends "[" so the
@@ -97,7 +100,7 @@ def _choice_tail(sample: dict, prefill: bool, logprobs: bool) -> str:
     text = sample.get("text", "")
     choice = {
         "message": {"role": "assistant", "content": text if prefill else "[" + text},
-        "finish_reason": "stop",
+        "finish_reason": sample.get("finish_reason", "stop"),
         "logprobs": None,
     }
     values = sample.get("logprobs") if logprobs else None

@@ -577,8 +577,9 @@ def mock_answer_oracle(samples: list[dict], n: int, prefill: bool, logprobs: boo
     """The answer the mock server gives to a request for n choices from a
     fixture's samples, built one choice object at a time: choice i is
     sample i % len(samples), its text gains a leading "[" unless the
-    request carries an assistant prefill turn, and its logprobs show only
-    when the request asks for them and the sample has them."""
+    request carries an assistant prefill turn, its finish reason is the
+    sample's or "stop", and its logprobs show only when the request asks
+    for them and the sample has them."""
     choices = []
     for i in range(n):
         sample = samples[i % len(samples)]
@@ -586,7 +587,7 @@ def mock_answer_oracle(samples: list[dict], n: int, prefill: bool, logprobs: boo
         choice = {
             "index": i,
             "message": {"role": "assistant", "content": text if prefill else "[" + text},
-            "finish_reason": "stop",
+            "finish_reason": sample.get("finish_reason", "stop"),
             "logprobs": None,
         }
         if logprobs and sample.get("logprobs") is not None:

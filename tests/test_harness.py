@@ -4,7 +4,10 @@ import argparse
 import errno
 import json
 import logging
+import shutil
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -346,8 +349,8 @@ class TestRunEndToEnd:
 
 class TestDocumentFailure:
     """One document's evaluation raising costs that document only, on the
-    offline (calling-thread) and the online (pooled) path alike; a fatal
-    endpoint error ends the run."""
+    offline (calling thread alone) and the online (several fetchers) path
+    alike; a fatal endpoint error ends the run."""
 
     @pytest.fixture()
     def failing(self, monkeypatch):
@@ -384,12 +387,12 @@ class TestDocumentFailure:
         assert record.getMessage() == "document doc-003 failed; continuing"
         assert record.exc_info[0] is ValueError
 
-    def test_window_refills_the_slot_of_a_failed_fetch(
+    def test_failed_fetch_frees_its_fetcher_for_the_next_document(
         self, endpoint, tmp_path, caplog, monkeypatch
     ):
-        # With one document in flight, each document starts only after the
-        # one before it was collected, and a fetch that raises frees its
-        # slot for the next document: the window never shrinks.
+        # With one fetcher, each document starts only after the one before
+        # it was evaluated, and a fetch that raises costs its document only:
+        # the fetcher takes the next one.
         events = []
         fetch, evaluate = harness._fetch, harness._evaluate
 
@@ -439,6 +442,162 @@ class TestDocumentFailure:
         monkeypatch.setattr(harness, "_fetch", recording_fetch)
         harness.run(config(None, tmp_path, offline=True))
         assert fetching == threads == [threading.main_thread()] * 5
+
+
+class TestFetchers:
+    """The calling thread is a group's one fetcher offline and one of
+    `max_in_flight` online; what a run counts and writes does not depend on
+    how its fetchers interleave."""
+
+    @staticmethod
+    def record_starts(monkeypatch) -> list:
+        """The threads the calling thread starts from now on (the mock
+        server's own thread starts one per connection)."""
+        started, start = [], threading.Thread.start
+        caller = threading.current_thread()
+
+        def recording_start(self):
+            if threading.current_thread() is caller:
+                started.append(self)
+            return start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        return started
+
+    @pytest.mark.parametrize(
+        "offline, max_in_flight, helpers",
+        [(True, 1, 0), (True, 4, 0), (False, 1, 0), (False, 3, 2)],
+        ids=["offline-1", "offline-4", "online-1", "online-3"],
+    )
+    def test_one_fetcher_starts_no_thread(
+        self, endpoint, tmp_path, monkeypatch, offline, max_in_flight, helpers
+    ):
+        harness.run(config(endpoint, tmp_path, n_samples=4))  # a partly warm cache
+        started = self.record_starts(monkeypatch)
+        cfg = config(
+            None if offline else endpoint, tmp_path, offline=offline, max_in_flight=max_in_flight
+        )
+        summary = harness.run(cfg)
+        assert summary.processed == 5
+        assert len(started) == helpers
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+    def test_at_most_max_in_flight_fetchers_fetch_at_once(
+        self, endpoint, tmp_path, monkeypatch, max_in_flight
+    ):
+        records = [json.loads(line) for line in TOY_CORPUS.read_text().splitlines()]
+        corpus_path = tmp_path / "twelve.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps({**records[k % 5], "id": f"d{k}"}) + "\n" for k in range(12)),
+            encoding="utf-8",
+        )
+        lock, fetching, peak = threading.Lock(), [0], [0]
+        fetch = harness._fetch
+
+        def counting_fetch(*args):
+            with lock:
+                fetching[0] += 1
+                peak[0] = max(peak[0], fetching[0])
+            try:
+                time.sleep(0.01)  # long enough for every fetcher to be inside
+                return fetch(*args)
+            finally:
+                with lock:
+                    fetching[0] -= 1
+
+        monkeypatch.setattr(harness, "_fetch", counting_fetch)
+        cfg = config(
+            endpoint, tmp_path, corpus_path=str(corpus_path), n_samples=2,
+            max_in_flight=max_in_flight,
+        )
+        assert harness.run(cfg).processed == 12
+        assert peak[0] == max_in_flight
+
+    @pytest.mark.parametrize("exc", [AuthenticationError("bad key"), KeyboardInterrupt()])
+    def test_fatal_error_on_a_helper_is_raised_after_every_fetcher_ended(
+        self, endpoint, tmp_path, monkeypatch, exc
+    ):
+        fetchers, closed_with_alive = set(), []
+        fetch = harness._fetch
+
+        def failing_fetch(*args):
+            fetchers.add(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise exc
+            time.sleep(0.01)
+            return fetch(*args)
+
+        close = harness.LLMClient.close
+
+        def recording_close(self):
+            closed_with_alive.extend(t for t in fetchers if t.is_alive())
+            close(self)
+
+        monkeypatch.setattr(harness, "_fetch", failing_fetch)
+        monkeypatch.setattr(harness.LLMClient, "close", recording_close)
+        with pytest.raises(type(exc)) as raised:
+            harness.run(config(endpoint, tmp_path, max_in_flight=3))
+        assert raised.value is exc
+        helpers = fetchers - {threading.main_thread()}
+        assert helpers
+        # the client closed after the helpers had ended, and none is left
+        assert closed_with_alive == []
+        assert not any(t.is_alive() for t in helpers)
+
+    def test_fetchers_count_exactly_under_interleaving(self, tmp_path, caplog):
+        """Eight fetchers switching threads every microsecond count and
+        write exactly what one fetcher does, on the same partly warm cache."""
+        records = [json.loads(line) for line in TOY_CORPUS.read_text().splitlines()]
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps({**records[k % 5], "id": f"doc-{k:02d}"}) + "\n"
+                    for k in range(48)),
+            encoding="utf-8",
+        )
+        fixtures = json.loads(MOCK_FIXTURES.read_text(encoding="utf-8"))
+        for entry in fixtures["responses"]:
+            entry["samples"][1:1] = [
+                {"text": '"graph coloring", "tdm', "finish_reason": "length"},  # truncated
+                {"text": "]"},  # a parse fallback
+                {"text": 7},  # a content that is no string: the sample is absent
+            ]
+
+        def run(endpoint, cache_dir, **kw):
+            return harness.run(RunConfig(
+                corpus_path=str(corpus_path), endpoint=endpoint, cache_dir=str(cache_dir), **kw
+            ))
+
+        outcomes = []
+        with running_server(MockFixtures(fixtures)) as url:
+            # the first 20 documents have four samples cached
+            run(url, tmp_path / "warm", n_samples=4, limit=20, max_in_flight=1)
+            # a lost update is rare, so the interleaved run is made three times
+            for r, k in enumerate((1, 8, 8, 8)):
+                shutil.copytree(tmp_path / "warm", tmp_path / f"cache{r}")
+                out = tmp_path / f"report{r}.csv"
+                caplog.clear()
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+                        summary = run(url, tmp_path / f"cache{r}", max_in_flight=k, out=str(out))
+                finally:
+                    sys.setswitchinterval(interval)
+                warnings = [r.getMessage() for r in caplog.records if "unavailable" in r.getMessage()]
+                outcomes.append((
+                    summary._replace(wall_time=0.0),
+                    warnings,
+                    out.read_bytes(),
+                    out.with_suffix(".csv.meta.json").read_bytes(),
+                ))
+        one = outcomes[0]
+        assert outcomes[1:] == [one] * 3
+        summary, warnings = one[:2]
+        assert summary.processed == 48
+        assert 0 < summary.cache_hits < summary.cache_misses
+        assert summary.parse_fallbacks > 0 and summary.truncated > 0
+        assert len(warnings) == 1
 
 
 N_CACHED = 4  # samples per document in the warm caches below

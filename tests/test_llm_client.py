@@ -26,6 +26,7 @@ from kpagg.llm_client import (
     RawSample,
     RequestError,
     SampleCache,
+    _content_logprobs,
     _logprob_stats,
     parse_sample,
     perplexity,
@@ -542,7 +543,7 @@ class TestTransport:
             harness.run(config)
         assert 1 <= _ScriptedHandler.hits <= config.max_in_flight + 1
 
-    @pytest.mark.parametrize("max_in_flight", [1, 2])
+    @pytest.mark.parametrize("max_in_flight", [1, 2, 4])
     def test_fatal_error_stops_every_fetch_thread(self, scripted_server, tmp_path, max_in_flight):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
@@ -1089,6 +1090,43 @@ class TestNonFiniteLogprobs:
         back = SampleCache(path).get("d", "h" * 64, 0)
         assert (back.lp_sum, back.lp_n) == (None, 0)
         assert perplexity(back) is None
+
+
+# Entries of an answer's `logprobs.content`: an object with a float logprob
+# (NaN, an infinity and floats whose sum overflows among them), and every
+# other kind: an int, a bool or a too-large int as the logprob, another JSON
+# value or none at all, and an entry that is no object.
+FLOAT_TOKENS = st.fixed_dictionaries({
+    "token": st.just("t"),
+    "logprob": st.floats(-50, 0)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+})
+OTHER_TOKENS = st.one_of(
+    st.fixed_dictionaries({"logprob": JSON_VALUES | st.just(10**400)}),
+    st.fixed_dictionaries({"token": st.just("t")}),
+    JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2),
+)
+
+
+@pytest.mark.oracle
+@given(_half(st.lists(FLOAT_TOKENS, max_size=6), st.lists(FLOAT_TOKENS | OTHER_TOKENS)))
+@example([])
+@example([{"logprob": -0.5}, {"logprob": math.nan}])
+@example([{"logprob": math.inf}, {"logprob": -0.5}])
+@example([{"logprob": 1e308}, {"logprob": 1e308}, {"logprob": -1e308}])
+@example([{"logprob": -0.5}, {"logprob": True}])
+@example([{"logprob": -0.5}, ["logprob"]])
+@example([{"logprob": -0.5}, {"logprob": 10**400}])
+def test_float_logprobs_fast_path_equals_the_checked_path(tokens):
+    # the checked path alone, as `_sample_from_choice` took it for every answer
+    checked = _logprob_stats(
+        t.get("logprob")
+        for t in tokens
+        if isinstance(t, dict) and type(t.get("logprob")) in (int, float)
+    )
+    got = _content_logprobs(tokens)
+    assert (got, [type(x) for x in got]) == (checked, [type(x) for x in checked])
 
 
 TWO_WRITERS_BATCHES = 60  # batches per writer, one document each

@@ -118,6 +118,14 @@ class TestServer:
         without = post(url, user_turn("Alpha Title")).json()
         assert without["choices"][0]["logprobs"] is None
 
+    def test_finish_reason_is_the_samples_or_stop(self):
+        fixtures = {"responses": [], "default": {"samples": [
+            {"text": '"cut'}, {"text": '"cu', "finish_reason": "length"}
+        ]}}
+        with running_server(MockFixtures(fixtures)) as endpoint:
+            body = post(endpoint + "/chat/completions", user_turn("any"), n=2).json()
+        assert [c["finish_reason"] for c in body["choices"]] == ["stop", "length"]
+
     def test_unknown_path_404(self, url):
         bad = url.replace("/chat/completions", "/embeddings")
         assert post(bad, user_turn("x")).status_code == 404
@@ -256,7 +264,10 @@ LOGPROBS = st.lists(st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 ))
 SAMPLES = st.lists(
-    st.fixed_dictionaries({"text": st.text(TEXT_CHARS)}, optional={"logprobs": LOGPROBS}),
+    st.fixed_dictionaries(
+        {"text": st.text(TEXT_CHARS)},
+        optional={"logprobs": LOGPROBS, "finish_reason": st.sampled_from(["length", "stop"])},
+    ),
     min_size=1, max_size=4,
 )
 
