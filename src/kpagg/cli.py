@@ -75,6 +75,8 @@ def run_cmd(args: argparse.Namespace) -> None:
 
 def stats_cmd(args: argparse.Namespace) -> None:
     """Describe a corpus: input length and present/absent gold counts."""
+    if args.csv_path and Path(args.csv_path).resolve() == Path(args.corpus_path).resolve():
+        raise harness.HarnessError(f"--csv {args.csv_path} is the corpus it describes")
     docs = load_corpus(args.corpus_path, default_domain=args.default_domain)
     stats = corpus_stats(docs[: args.limit])
     print(format_stats(stats))
@@ -86,6 +88,11 @@ def stats_cmd(args: argparse.Namespace) -> None:
 def grid_cmd(args: argparse.Namespace) -> None:
     """Run several configurations and print one merged table."""
     configs, out = harness.load_grid_config(args.config_path)
+    # the grid file is an input too, which `harness.grid` does not see
+    grid_file = Path(args.config_path).resolve()
+    for p in (Path(p).resolve() for p in [out, *(c.out for c in configs)] if p):
+        if grid_file in (p, p.with_suffix(p.suffix + ".meta.json")):
+            raise harness.HarnessError(f"output path {grid_file} is the grid config")
     summaries = harness.grid(configs, out=out)
     # one line per fetch group, naming its runs by their 1-based numbers
     for members in harness.fetch_groups(configs):

@@ -8,9 +8,10 @@ so a group is the configs that read one cache file with one prompt and one
 endpoint; `run` is a one-config grid. Before any group runs, `grid` reads
 every group's inputs (documents, prompt strings, endpoint), each corpus and
 prompt file once, so a missing input fails before anything is fetched or
-written. A group's fetchers take its documents one at a time, in corpus
-order. A fetcher renders a document's prompt, fetches or replays the
-samples of the largest n among the group's configs (cache first, network
+written; an output that is a directory, or a file the grid reads (a
+corpus, prompt config or cache file), is refused before that. A group's
+fetchers take its documents one at a time, in corpus order. A fetcher
+renders a document's prompt, fetches or replays the samples of the largest n among the group's configs (cache first, network
 for the misses, one cache append per document), then evaluates the
 document for every config at once: it parses the samples, makes each
 distinct phrase's normalized form and presence and the two gold sets once,
@@ -167,7 +168,7 @@ class RunSummary(NamedTuple):
     cache_hits: int
     cache_misses: int
     wall_time: float
-    report: metrics.MetricReport | None = None
+    report: metrics.MetricReport
 
 
 def select_documents(
@@ -273,27 +274,17 @@ def _evaluate(doc, raw, configs) -> tuple[list, int, int]:
     return scores, sum(ps.fallback for ps in parsed), sum(s.truncated for s in raw)
 
 
-# config fields that identify a run's results; paths and transport details
-# are deliberately left out so replayed runs serialize identically.
-_PROVENANCE_FIELDS = (
-    "variant",
-    "strategy",
-    "n_samples",
-    "temperature",
-    "max_tokens",
-    "model",
-    "limit",
-    "seed",
-    "empty_gold",
-    "prefill",
-    "request_mode",
-    "ppl_mode",
-    "default_domain",
+# config fields that say where a run reads, writes and connects (and
+# whether and how widely it connects); every other field is the run's
+# provenance, so a replay serializes identically to its online run and a
+# field added later is recorded unless it is named here.
+_LOCATION_FIELDS = (
+    "corpus_path", "endpoint", "cache_dir", "out", "prompt_config", "offline", "max_in_flight"
 )
 
 
 def provenance(config: RunConfig) -> dict:
-    data = {name: getattr(config, name) for name in _PROVENANCE_FIELDS}
+    data = {k: v for k, v in config._asdict().items() if k not in _LOCATION_FIELDS}
     data["corpus"] = Path(config.corpus_path).name
     return data
 
@@ -402,8 +393,8 @@ def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> li
     fallbacks, truncated = (sum(r[j] for r in results if r) for j in (1, 2))
     if unavailable:
         log.warning(
-            "%d sample(s) unavailable in %d document(s) (their fetch failed, "
-            "or offline without a warm cache), first: %s",
+            "%d sample(s) unavailable in %d document(s) (not returned by the "
+            "endpoint, or offline without a warm cache), first: %s",
             sum(unavailable.values()),
             len(unavailable),
             ", ".join(docs[i].id for i in sorted(unavailable)[:5]),
@@ -503,6 +494,20 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     duplicates = {str(p) for p in written if written.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
+    # an output that is a directory, or a file the grid reads, ends it at once
+    read = {
+        Path(p).resolve(): what
+        for c in configs
+        for p, what in [
+            (c.corpus_path, "corpus"), (c.prompt_config, "prompt config"), (cache_path(c), "cache")
+        ]
+        if p
+    }
+    for p in written:
+        if p.is_dir():
+            raise HarnessError(f"output path {p} is a directory")
+        if p in read:
+            raise HarnessError(f"output path {p} is a {read[p]} file the run reads")
     groups = fetch_groups(configs)
     # Every group's inputs are read before the first group fetches or
     # writes anything; each corpus and prompt file is read once per grid.

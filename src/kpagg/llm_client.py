@@ -86,7 +86,7 @@ class RawSample(NamedTuple):
 
 class ParsedSample(NamedTuple):
     phrases: tuple[str, ...]
-    fallback: bool = False
+    fallback: bool
 
 
 def perplexity(sample: RawSample, mode: str = "mean") -> float | None:

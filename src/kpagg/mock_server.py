@@ -111,29 +111,16 @@ def _choice_tail(sample: dict, prefill: bool, logprobs: bool) -> str:
     return json.dumps(choice)[1:]
 
 
-class _Headers(dict):
-    """Header values under their lowercase names, found by any case, as
-    `http.server`'s parsed headers are."""
-
-    def __contains__(self, name):
-        return super().__contains__(name.lower())
-
-    def __getitem__(self, name):
-        return super().__getitem__(name.lower())
-
-    def get(self, name, default=None):
-        return super().get(name.lower(), default)
-
-
 class MockHandler(BaseHTTPRequestHandler):
     """Answers chat-completions POSTs over HTTP/1.1, keeping a connection
     open for the next request unless the client sends `Connection: close`
     or speaks HTTP/1.0. `parse_request` reads the request line and the
-    header lines; a request whose framing it cannot read is answered with
-    an error and its connection closed. Every POST body is read before the
-    answer, error answers included, so a kept-alive connection stays in
-    step. Each answer goes out in one write; without TCP_NODELAY the second
-    of two pipelined answers would wait on the client's delayed ACK."""
+    header lines into `headers`, a dict by lowercase name; a request whose
+    framing it cannot read is answered with an error and its connection
+    closed. Every POST body is read before the answer, error answers
+    included, so a kept-alive connection stays in step. Each answer goes
+    out in one write; without TCP_NODELAY the second of two pipelined
+    answers would wait on the client's delayed ACK."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -149,7 +136,7 @@ class MockHandler(BaseHTTPRequestHandler):
             self.send_error(400, f"bad request line {self.requestline!r}")
             return False
         self.command, self.path, self.request_version = words
-        self.headers = headers = _Headers()
+        self.headers = headers = {}  # by lowercase name
         for _ in range(MAX_HEADERS + 1):
             line = self.rfile.readline(MAX_LINE + 1)
             if len(line) > MAX_LINE:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,9 +73,8 @@ def load_prompt_config(path: str | Path | None = None) -> PromptConfig:
     """Load prompt strings from a YAML file (JSON is YAML too); default to
     the bundled JSON, read without loading a YAML parser."""
     if path is None:
-        data = json.loads(
-            resources.files("kpagg").joinpath("data/prompts.json").read_text("utf-8")
-        )
+        bundled = Path(__file__).parent / "data" / "prompts.json"
+        data = json.loads(bundled.read_text("utf-8"))
         source = "bundled prompts.json"
     else:
         import yaml  # only --prompt-config files need it

@@ -197,6 +197,18 @@ class TestProvenance:
         for volatile in ("endpoint", "cache_dir", "out", "offline", "max_in_flight"):
             assert volatile not in data
 
+    def test_every_setting_but_where_a_run_reads_writes_and_connects(self):
+        data = provenance(RunConfig("x/c.jsonl", prompt_config="p.yaml"))
+        assert list(data) == [
+            "variant", "strategy", "n_samples", "temperature", "max_tokens", "model", "limit",
+            "seed", "empty_gold", "prefill", "request_mode", "ppl_mode", "default_domain",
+            "corpus",
+        ]
+        assert set(RunConfig._fields) - set(data) == {
+            "corpus_path", "endpoint", "cache_dir", "out", "prompt_config", "offline",
+            "max_in_flight",
+        }
+
 
 class TestRunEndToEnd:
     def test_cold_run_counts_and_report(self, endpoint, tmp_path):
@@ -250,6 +262,28 @@ class TestRunEndToEnd:
         message = records[0].getMessage()
         assert message.startswith(f"50 sample(s) unavailable in {len(docs)} document(s)")
         assert message.endswith(", ".join(doc.id for doc in docs[:5]))
+
+    def test_samples_the_endpoint_did_not_return_are_warned_as_such(self, tmp_path, caplog):
+        serving = running_server(MOCK_FIXTURES)
+
+        class OneChoice(serving.server.RequestHandlerClass):
+            # an endpoint that ignores `n`: each answer holds one choice
+            def _answer(self, status, body):
+                if status == 200:
+                    answer = json.loads(body)
+                    answer["choices"] = answer["choices"][:1]
+                    body = json.dumps(answer).encode("utf-8")
+                super()._answer(status, body)
+
+        serving.server.RequestHandlerClass = OneChoice
+        with serving as url, caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+            summary = harness.run(config(url, tmp_path, n_samples=3))
+        assert (summary.processed, summary.cache_misses) == (5, 15)
+        (record,) = [r for r in caplog.records if "unavailable" in r.getMessage()]
+        assert record.getMessage().startswith(
+            "10 sample(s) unavailable in 5 document(s) (not returned by the endpoint, "
+            "or offline without a warm cache), first: "
+        )
 
     def test_other_sampling_settings_do_not_replay(self, endpoint, tmp_path):
         harness.run(config(endpoint, tmp_path, temperature=0.8))
@@ -1084,6 +1118,47 @@ class TestGrid:
             harness.grid([RunConfig("missing.jsonl", out="same.csv"), meta_named])
         assert not (tmp_path / "same.csv").exists()
 
+    @pytest.mark.parametrize("which", ["config", "merged"])
+    @pytest.mark.parametrize("written", ["corpus", "prompt config", "cache", "meta.json"])
+    def test_output_that_is_an_input_is_refused_before_running(
+        self, tmp_path, which, written, counted_endpoint
+    ):
+        endpoint, requests = counted_endpoint
+        # for "meta.json" the CSV is r.csv and its meta.json is the corpus
+        corpus_path = tmp_path / ("r.csv.meta.json" if written == "meta.json" else "c.jsonl")
+        shutil.copy(TOY_CORPUS, corpus_path)
+        prompts = tmp_path / "p.yaml"
+        prompts.write_text(json.dumps(prompting.load_prompt_config()._asdict()))
+        base = RunConfig(
+            str(corpus_path), endpoint=endpoint, cache_dir=str(tmp_path / "cache"),
+            prompt_config=str(prompts),
+        )
+        out = str({
+            "corpus": corpus_path,
+            "prompt config": prompts,
+            "cache": cache_path(base),
+            "meta.json": tmp_path / "r.csv",
+        }[written])
+        inputs = {p: p.read_bytes() for p in (corpus_path, prompts)}
+        configs = [base._replace(out=out)] if which == "config" else [base]
+        with pytest.raises(HarnessError, match="is a .* file the run reads"):
+            harness.grid(configs, out=out if which == "merged" else None)
+        assert requests == []
+        assert not (tmp_path / "cache").exists()
+        assert {p: p.read_bytes() for p in inputs} == inputs
+
+    @pytest.mark.parametrize("which", ["config", "merged", "meta.json"])
+    def test_directory_output_is_refused_before_running(self, tmp_path, which, counted_endpoint):
+        endpoint, requests = counted_endpoint
+        (tmp_path / "r.csv.meta.json").mkdir()
+        out = str(tmp_path / ("r.csv" if which == "meta.json" else "r.csv.meta.json"))
+        base = config(endpoint, tmp_path)
+        configs = [base] if which == "merged" else [base._replace(out=out)]
+        with pytest.raises(HarnessError, match="is a directory"):
+            harness.grid(configs, out=out if which == "merged" else None)
+        assert requests == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv.meta.json"]
+
     def test_empty_config_list_rejected(self):
         with pytest.raises(HarnessError):
             harness.grid([])
@@ -1416,6 +1491,54 @@ class TestCliOutputErrors:
             "out": str(blocked), "runs": [{"aggregate": "union"}],
         }))
         self.check(main(["grid", "--config", str(grid_path)]), capsys)
+
+    @pytest.mark.parametrize("out", ["merged", "per run"])
+    def test_grid_out_that_is_a_directory(self, tmp_path, capsys, out, counted_endpoint):
+        endpoint, requests = counted_endpoint
+        grid_path = tmp_path / "grid.yaml"
+        run = {"aggregate": "union", **({"out": str(tmp_path)} if out == "per run" else {})}
+        grid_path.write_text(yaml.safe_dump({
+            "corpus": str(TOY_CORPUS), "cache_dir": str(tmp_path / "cache"), "endpoint": endpoint,
+            **({"out": str(tmp_path)} if out == "merged" else {}), "runs": [run],
+        }))
+        self.check(main(["grid", "--config", str(grid_path)]), capsys)
+        assert requests == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.yaml"]
+
+    @pytest.mark.parametrize("out", ["grid.yaml", "grid.yaml.meta.json"])
+    @pytest.mark.parametrize("where", ["merged", "per run"])
+    def test_grid_out_that_is_the_grid_file(self, tmp_path, capsys, monkeypatch, out, where):
+        monkeypatch.chdir(tmp_path)
+        grid_path = tmp_path / ("grid.yaml" if out == "grid.yaml" else "grid.yaml.meta.json")
+        csv_path = "grid.yaml"
+        run = {"aggregate": "union", **({"out": csv_path} if where == "per run" else {})}
+        grid_path.write_text(yaml.safe_dump({
+            "corpus": str(TOY_CORPUS), "cache_dir": "cache", "offline": True,
+            **({"out": csv_path} if where == "merged" else {}), "runs": [run],
+        }))
+        before = grid_path.read_bytes()
+        self.check(main(["grid", "--config", str(grid_path)]), capsys)
+        assert grid_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [grid_path.name]
+
+    @pytest.mark.parametrize("overwritten", ["run corpus", "run prompt config", "stats corpus"])
+    def test_an_input_named_as_the_output_is_left_intact(self, tmp_path, capsys, overwritten):
+        corpus_path = tmp_path / "c.jsonl"
+        shutil.copy(TOY_CORPUS, corpus_path)
+        prompts = tmp_path / "p.yaml"
+        prompts.write_text(json.dumps(prompting.load_prompt_config()._asdict()))
+        run = ["run", "--corpus", str(corpus_path), "--cache-dir", str(tmp_path / "cache"),
+               "--offline", "--prompt-config", str(prompts), "--out"]
+        argv, target = {
+            "run corpus": (run + [str(corpus_path)], corpus_path),
+            "run prompt config": (run + [str(prompts)], prompts),
+            "stats corpus": (["stats", "--corpus", str(corpus_path), "--csv", str(corpus_path)],
+                             corpus_path),
+        }[overwritten]
+        before = target.read_bytes()
+        self.check(main(argv), capsys)
+        assert target.read_bytes() == before
+        assert not (tmp_path / "cache").exists()
 
 
 @pytest.fixture

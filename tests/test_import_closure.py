@@ -4,7 +4,8 @@ importing the harness, or an offline replay, loads neither the standard
 library's HTTP stack nor a thread pool, and a replay starts no thread;
 neither loads `dataclasses` or `inspect` either (kpagg's records are
 NamedTuples, which make no class from generated source); importing the
-harness loads no YAML parser (only YAML files need one); aggregation works
+harness loads no YAML parser (only YAML files need one), and neither it nor
+reading the bundled prompts loads `importlib.resources`; aggregation works
 on normalized phrases alone, without the client or the prompts; the mock
 server shares no code with the client's transport; and a cold
 run over direct `http://` loads no `http.client`, `email`, `ssl`,
@@ -82,6 +83,17 @@ print(json.dumps({
 }))
 """
 
+# The harness's import and the bundled prompts' load, in an interpreter
+# started with -S: without the site hooks, which may import
+# `importlib.resources` themselves, the modules it loads are kpagg's doing.
+BUNDLED_PROMPTS = """
+import json, sys
+before = set(sys.modules)
+from kpagg import harness, prompting
+prompting.load_prompt_config()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
 # One POST with no wait between attempts: the body it gives, its warnings,
 # and the modules it loads, kpagg's import included.
 POST = """
@@ -154,6 +166,12 @@ def test_harness_loads_no_dataclass_machinery():
     loaded = newly_loaded("kpagg.harness")
     assert "kpagg.harness" in loaded
     assert not loaded & DATACLASS_MACHINERY
+
+
+def test_bundled_prompts_load_without_importlib_resources():
+    loaded = set(json.loads(_python("-S", "-c", BUNDLED_PROMPTS)))
+    assert "kpagg.harness" in loaded
+    assert "importlib.resources" not in loaded
 
 
 def test_aggregation_loads_neither_client_nor_prompting():

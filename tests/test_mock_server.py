@@ -434,20 +434,3 @@ def test_headers_are_read_without_http_client(url, monkeypatch):
     monkeypatch.setattr(http.client, "parse_headers", refuse)
     ((status, _, _),) = split_answers(exchange(url, request(headers=["Connection: close"])))
     assert status == 200
-
-
-def test_header_names_are_found_in_any_case():
-    seen = []
-    serving = running_server(MockFixtures(FIXTURES))
-
-    class Recording(serving.server.RequestHandlerClass):
-        def do_POST(self):
-            seen.append(self.headers)
-            super().do_POST()
-
-    serving.server.RequestHandlerClass = Recording
-    with serving as endpoint:
-        exchange(endpoint, request(headers=["X-Custom:  v ", "Connection: close"]))
-    ((headers),) = seen
-    assert "X-CUSTOM" in headers and "x-custom" in headers
-    assert headers["X-Custom"] == headers.get("x-custom") == "v"
