@@ -1,7 +1,9 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
 A `RunConfig` checks its own values when it is made and keeps the canonical
-variant and strategy names, so nothing downstream resolves an alias again.
+variant and strategy names, so an alias and its full name give one cache
+file and one fetch group (`build_prompt` resolves the variant it is given
+again, for every document, and finds the canonical name unchanged).
 `grid` groups its configs by every field except the evaluation-only ones
 (strategy, sample count, perplexity mode, empty-gold policy, output path),
 so a group is the configs that read one cache file with one prompt and one
@@ -75,7 +77,7 @@ class HarnessError(Exception):
 
 # Errors that end a run: no other document can fare better. An OSError is a
 # cache that cannot be written (a full disk, say).
-_FATAL = (AuthenticationError, RequestError, HarnessError, OSError)
+_FATAL = (AuthenticationError, RequestError, OSError)
 
 
 class _RunFields(NamedTuple):
@@ -175,10 +177,8 @@ def select_documents(
     docs: list[corpus.Document], limit: int | None, seed: int | None
 ) -> list[corpus.Document]:
     """First `limit` docs, or a seeded random subset kept in corpus order."""
-    if limit is None or limit >= len(docs):
-        return list(docs)
-    if seed is None:
-        return list(docs[:limit])
+    if seed is None or limit is None or limit >= len(docs):
+        return docs[:limit]
     rng = random.Random(seed)
     chosen = sorted(rng.sample(range(len(docs)), limit))
     return [docs[i] for i in chosen]
@@ -438,16 +438,7 @@ def _to_run_config(entry: dict, context: str) -> RunConfig:
 def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
     """Parse a grid YAML file: shared keys at the top level, per-run
     overrides under `runs`, optional merged-CSV path under `out`."""
-    import yaml  # only grid files need it; an offline replay never loads it
-
-    try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise HarnessError(f"cannot read grid config {path}: {exc}") from exc
-    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise HarnessError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise HarnessError(f"{path}: grid config must be a mapping")
+    data = prompting.load_yaml_mapping(path, "grid config", HarnessError)
     runs = data.get("runs")
     if not isinstance(runs, list) or not runs:
         raise HarnessError(f"{path}: 'runs' must be a nonempty list")

@@ -38,7 +38,6 @@ from .prompting import RenderedPrompt
 
 log = logging.getLogger(__name__)
 
-_RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 # Statuses whose Retry-After header sets the wait before the next attempt.
 _RETRY_AFTER_STATUS = {429, 503}
 # The longest wait, in seconds, that a Retry-After header can ask for.
@@ -276,11 +275,11 @@ class LLMClient:
 
     def _post_with_retries(self, data: bytes) -> dict | None:
         """POST one serialised request until it gives a 200 with a JSON
-        body; the body, or None when retries ran out. A 429 or 503 with a
-        delta-seconds Retry-After waits that long (at most
-        MAX_RETRY_AFTER_S); any other retry waits a random time up to the
-        exponential backoff.
-        """
+        body; the body, or None when retries ran out. A 408, a 429 and any
+        5xx are retried, as RFC 9110 (sections 15.5.9 and 15.6) calls them
+        transient. A 429 or 503 with a delta-seconds Retry-After waits that
+        long (at most MAX_RETRY_AFTER_S); any other retry waits a random
+        time up to the exponential backoff."""
         for attempt in range(MAX_RETRIES + 1):
             wait = None
             try:
@@ -299,7 +298,7 @@ class LLMClient:
                     raise AuthenticationError(
                         f"endpoint returned HTTP {status}; check KPAGG_API_KEY"
                     )
-                elif status in _RETRYABLE_STATUS:
+                elif status in (408, 429) or 500 <= status <= 599:
                     reason = f"HTTP {status}"
                     if status in _RETRY_AFTER_STATUS:
                         wait = _retry_after_s(headers.get("retry-after"))
@@ -319,22 +318,19 @@ class LLMClient:
                 log.warning("request failed (%s); retries exhausted", reason)
         return None
 
-    def _messages(self, prompt: RenderedPrompt) -> list[dict]:
+    def _payload(
+        self, prompt: RenderedPrompt, n: int, temperature: float, max_tokens: int
+    ) -> bytes:
+        """The serialised request body."""
         messages = [
             {"role": "system", "content": prompt.system},
             {"role": "user", "content": prompt.user},
         ]
         if prompt.assistant_prefill:
             messages.append({"role": "assistant", "content": prompt.assistant_prefill})
-        return messages
-
-    def _payload(
-        self, prompt: RenderedPrompt, n: int, temperature: float, max_tokens: int
-    ) -> bytes:
-        """The serialised request body."""
         payload = {
             "model": self.model,
-            "messages": self._messages(prompt),
+            "messages": messages,
             "temperature": temperature,
             "max_tokens": max_tokens,
             "n": n,

@@ -58,10 +58,6 @@ class PromptConfig(NamedTuple):
     instruction_length: str
 
 
-# the keys a prompt file must give, in the order they are checked
-_CONFIG_KEYS = PromptConfig._fields
-
-
 class RenderedPrompt(NamedTuple):
     system: str
     user: str
@@ -69,29 +65,36 @@ class RenderedPrompt(NamedTuple):
     prompt_hash: str
 
 
+def load_yaml_mapping(path: str | Path, what: str, error: type[Exception]) -> dict:
+    """The mapping a YAML file (JSON is YAML too) holds; `error`, naming the
+    `what` at `path`, for a file that cannot be read or holds no mapping."""
+    import yaml  # only prompt and grid files need it; a replay never loads it
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        data = yaml.safe_load(text)
+    except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"{path}: invalid YAML: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: {what} must be a mapping")
+    return data
+
+
 def load_prompt_config(path: str | Path | None = None) -> PromptConfig:
-    """Load prompt strings from a YAML file (JSON is YAML too); default to
-    the bundled JSON, read without loading a YAML parser."""
+    """Load prompt strings from a YAML file; default to the bundled JSON,
+    read without loading a YAML parser."""
     if path is None:
         bundled = Path(__file__).parent / "data" / "prompts.json"
         data = json.loads(bundled.read_text("utf-8"))
         source = "bundled prompts.json"
     else:
-        import yaml  # only --prompt-config files need it
-
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise PromptConfigError(f"cannot read prompt config {path}: {exc}") from exc
+        data = load_yaml_mapping(path, "prompt config", PromptConfigError)
         source = str(path)
-        try:
-            data = yaml.safe_load(text)
-        except (yaml.YAMLError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise PromptConfigError(f"{source}: invalid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise PromptConfigError(f"{source}: expected a mapping of prompt strings")
     values = {}
-    for key in _CONFIG_KEYS:
+    for key in PromptConfig._fields:
         value = data.get(key)
         if not isinstance(value, str) or not value.strip():
             raise PromptConfigError(f"{source}: missing or empty key {key!r}")

@@ -8,16 +8,17 @@ is made: the request line, `Host` (an IPv6 zone left out),
 headers, and behind a proxy its credentials and the CONNECT of a tunnel.
 A send takes an idle connection or opens one, and writes that head,
 `Content-Length` and the body with one `sendall`. The answer is read
-through a buffered reader over the connection's socket: the status line (a
-`100 Continue` is skipped), the header lines, then the body by its
-`Content-Length`, by `Transfer-Encoding: chunked` chunks, or up to the
-close of the connection. Of the headers, only these four steer anything:
-those two, `Connection` and, in the client, `Retry-After`. The reader is
-dropped with the answer, and with it any bytes it read past the answer's
-framing (a body on a 204, say), as `http.client` drops them. The
-connection goes back to the idle list unless the answer is HTTP/1.0, says
-`Connection: close` or ends at the close, so a transport holds at most one
-connection per thread that sends at a time. A 3xx is not followed.
+through a buffered reader over the connection's socket: the status line,
+the header lines, then the body by its `Content-Length`, by
+`Transfer-Encoding: chunked` chunks, or up to the close of the connection.
+Interim 1xx answers are skipped, as RFC 9110 (section 15.2) asks; of
+them `http.client` skips only a `100 Continue`. Of the headers, only four
+steer anything: those two, `Connection` and, in the client, `Retry-After`.
+The reader is dropped with the answer, and with it any bytes it read past
+the answer's framing (a body on a 204, say), as `http.client` drops them.
+The connection goes back to the idle list unless the answer is HTTP/1.0,
+says `Connection: close` or ends at the close, so a transport holds at
+most one connection per thread that sends at a time. A 3xx is not followed.
 
 The checks of `http.client` are kept, and made once, when the transport is
 made: a URL that is not http(s), a space, control character or non-ASCII
@@ -318,11 +319,11 @@ def _read_status(rfile) -> tuple[bytes, int]:
 
 def _read_head(rfile) -> tuple[int, bool, dict]:
     """The status of an answer, whether it is HTTP/1.0, and its headers by
-    lower-case name; a 100 Continue before it is skipped. A repeated name
-    keeps its first value, as `http.client` does. A header line without a
+    lower-case name, past any interim 1xx answer. A repeated name keeps
+    its first value, as `http.client` does. A header line without a
     colon, or one that continues the line before it, is passed over."""
     version, status = _read_status(rfile)
-    while status == 100:
+    while status < 200:
         _header_lines(rfile)
         version, status = _read_status(rfile)
     if not version.startswith(b"HTTP/1.") and version != b"HTTP/0.9":
@@ -347,7 +348,7 @@ def _read_body(rfile, status: int, http10: bool, headers: dict) -> tuple[bytes, 
     another request."""
     connection = headers.get("connection")
     keep = not http10 and not (connection and "close" in connection.lower())
-    if status < 200 or status in (204, 304):  # no body
+    if status in (204, 304):  # no body
         return b"", keep
     if (headers.get("transfer-encoding") or "").lower() == "chunked":
         return _read_chunked(rfile), keep

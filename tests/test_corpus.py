@@ -35,6 +35,9 @@ def make_doc(**kw):
     return Document(**base)
 
 
+GOOD = {"id": "a", "title": "T", "abstract": "B", "keyphrases": ["k"]}
+
+
 class TestLoadCorpus:
     def test_toy_corpus_loads(self, toy_docs):
         assert len(toy_docs) == 5
@@ -122,6 +125,34 @@ class TestLoadCorpus:
         with caplog.at_level(logging.WARNING):
             docs = load_corpus(p)
         assert [d.id for d in docs] == ["b"]
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ([1, 2], "record is not a JSON object"),
+            ("a", "record is not a JSON object"),
+            (None, "record is not a JSON object"),
+            *[
+                (bad, f"missing or non-string field {key!r}")
+                for key in ("id", "title", "abstract")
+                for bad in [
+                    {k: v for k, v in GOOD.items() if k != key},
+                    {**GOOD, key: 7},
+                    {**GOOD, key: None},
+                    {**GOOD, key: ["x"]},
+                ]
+            ],
+            ({**GOOD, "id": ""}, "empty id"),
+        ],
+    )
+    def test_bad_record_is_skipped_with_its_reason(self, tmp_path, caplog, record, reason):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps(record) + "\n" + json.dumps({**GOOD, "id": "b"}) + "\n")
+        with caplog.at_level(logging.WARNING):
+            docs = load_corpus(p)
+        assert [d.id for d in docs] == ["b"]
+        messages = [r.getMessage() for r in caplog.records]
+        assert f"{p}:1: skipping malformed record: {reason}" in messages
 
     def test_keyphrases_must_be_strings(self, tmp_path):
         p = tmp_path / "c.jsonl"

@@ -4,6 +4,7 @@ import argparse
 import errno
 import json
 import logging
+import re
 import shutil
 import sys
 import threading
@@ -1169,6 +1170,24 @@ class TestGrid:
         with pytest.raises(HarnessError):
             load_grid_config(path)
 
+    def test_grid_config_list_rejected(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text(yaml.safe_dump([{"corpus": "c.jsonl", "runs": [{}]}]))
+        with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}: grid config must be a"):
+            load_grid_config(path)
+
+    def test_run_that_is_no_mapping_is_named(self, tmp_path):
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump({"corpus": "c.jsonl", "runs": [{}, "n_samples: 3"]}))
+        with pytest.raises(HarnessError, match=r"grid\.yaml: run #2 must be a mapping"):
+            load_grid_config(path)
+
+    def test_run_without_corpus_is_named(self, tmp_path):
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump({"runs": [{"n_samples": 3}]}))
+        with pytest.raises(HarnessError, match=r"grid\.yaml: run #1: missing 'corpus' path"):
+            load_grid_config(path)
+
     def test_grid_config_nested_too_deep(self, tmp_path):
         path = tmp_path / "deep.yaml"
         path.write_text("[" * 100_000)
@@ -1241,6 +1260,11 @@ class TestCli:
         assert set(CLI_OPTIONS["run"].values()) == set(RunConfig._fields)
         domain = next(a for a in parsers["stats"]._actions if a.dest == "default_domain")
         assert domain.default == RunConfig._field_defaults["default_domain"]
+
+    def test_run_help_shows_each_default_but_none(self):
+        words = " ".join(subcommands()["run"].format_help().split())
+        assert "--n-samples N_SAMPLES Samples drawn per document. (default: 10)" in words
+        assert "(default: None)" not in words
 
     def test_only_top_level_option_is_version(self, capsys):
         flags = {f for a in build_parser()._actions for f in a.option_strings}

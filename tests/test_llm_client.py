@@ -268,6 +268,11 @@ class TestPerplexity:
         ln2 = math.log(2.0)
         assert perplexity(raw(logprobs=[-ln2, -ln2]), mode="sum") == pytest.approx(4.0)
 
+    def test_unknown_mode_rejected(self):
+        # no mode but "mean" and "sum": another would silently take the sum
+        with pytest.raises(ValueError, match="unknown perplexity mode 'median'"):
+            perplexity(raw(logprobs=[-1.0]), "median")
+
     def test_missing_logprobs_is_none(self):
         assert perplexity(raw(logprobs=None)) is None
         assert perplexity(raw(logprobs=[])) is None
@@ -786,6 +791,39 @@ class TestTransport:
         (wait,) = sleeps
         assert 0 <= wait <= 0.25
 
+    @pytest.mark.parametrize("status", [408, 501, 520, 524, 529])
+    def test_timeout_and_any_5xx_are_retried(
+        self, scripted_server, prompt_cfg, toy_docs, sleeps, monkeypatch, status
+    ):
+        # RFC 9110 calls a 408 and every 5xx transient, not only 500, 502,
+        # 503 and 504; a 524 is Cloudflare's origin timeout
+        endpoint = scripted_server([(status, {"error": "later"})])
+        monkeypatch.setattr(llm_client, "BACKOFF_BASE_S", 0.25)
+        assert self.fetch_after(endpoint, prompt_cfg, toy_docs).finish_reason == "stop"
+        assert _ScriptedHandler.hits == 2
+        (wait,) = sleeps
+        assert 0 <= wait <= 0.25
+
+    @pytest.mark.parametrize(
+        "status, error",
+        [
+            (400, RequestError),
+            (401, AuthenticationError),
+            (403, AuthenticationError),
+            (404, RequestError),
+            (409, RequestError),
+            (422, RequestError),
+        ],
+    )
+    def test_other_4xx_is_fatal_after_one_request(
+        self, scripted_server, prompt_cfg, toy_docs, sleeps, status, error
+    ):
+        endpoint = scripted_server([(status, {"error": "no"})])
+        with pytest.raises(error, match=f"HTTP {status}"):
+            self.fetch_after(endpoint, prompt_cfg, toy_docs)
+        assert _ScriptedHandler.hits == 1
+        assert sleeps == []
+
     def test_backoff_has_full_jitter(self, scripted_server, prompt_cfg, toy_docs, sleeps, monkeypatch):
         bounds = []
 
@@ -814,6 +852,10 @@ class TestTransport:
     def test_non_http_endpoint_rejected(self, endpoint):
         with pytest.raises(LLMClientError, match="http"):
             make_client(endpoint)
+
+    def test_unknown_request_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown request mode 'x'"):
+            make_client("http://h:1/v1", request_mode="x")
 
     def test_endpoint_path_normalization(self):
         c1 = make_client("http://h:1/v1")

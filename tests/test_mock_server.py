@@ -199,6 +199,12 @@ class TestServer:
             r = post(endpoint + "/chat/completions", user_turn("x"))
             assert r.status_code == 400
 
+    def test_fixture_without_samples_400(self):
+        fixtures = MockFixtures({"responses": [], "default": {"samples": []}})
+        with running_server(fixtures) as endpoint:
+            r = post(endpoint + "/chat/completions", user_turn("x"))
+        assert (r.status_code, r.json()["error"]["message"]) == (400, "fixture has no samples")
+
 
 def test_bundled_fixtures_cover_toy_corpus(toy_docs):
     fx = MockFixtures.load(MOCK_FIXTURES)

@@ -1,5 +1,6 @@
 """Prompt variants, domain adaptation, and request digests."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,12 @@ class TestPromptConfig:
         with pytest.raises(PromptConfigError):
             load_prompt_config(p)
 
+
+    def test_yaml_list_rejected(self, tmp_path):
+        p = tmp_path / "list.yaml"
+        p.write_text("- system_prompt: hi\n")
+        with pytest.raises(PromptConfigError, match=f"^{re.escape(str(p))}: prompt config must"):
+            load_prompt_config(p)
 
     def test_yaml_nested_too_deep_rejected(self, tmp_path):
         p = tmp_path / "deep.yaml"

@@ -202,12 +202,26 @@ def test_answer_reads_as_http_client_reads_it(serve, answer):
     assert outcome(transport_to(serve, server), server) == expected
 
 
+# Interim answers that `http.client` takes for the final answer, where RFC
+# 9110 (section 15.2) asks a client to skip them, so they are no rows above.
+INTERIM_ANSWERS = {
+    "processing": b"HTTP/1.1 102 Processing\r\n\r\n" + OK,
+    "early-hints": b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload\r\n\r\n" + OK,
+    "several-interim": b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\n\r\n"
+    + b"HTTP/1.1 102 Processing\r\n\r\n" + OK,
+}
+
+
 def test_known_framings(serve):
-    """What the table above compares, spelled out for the main framings."""
+    """What the table above compares, spelled out for the main framings,
+    and the interim answers that only the transport skips."""
     cases = [
         ("chunked", (200, None, b'{"a": 1}'), 1),
         ("to-close", (200, None, b"all of it"), 2),
         ("continue", (200, None, b"{}"), 1),
+        ("processing", (200, None, b"{}"), 1),
+        ("early-hints", (200, None, b"{}"), 1),
+        ("several-interim", (200, None, b"{}"), 1),
         ("http10", (200, None, b"{}"), 2),  # not reused
         ("retry-after-any-case", (429, "7 ", b"{}"), 1),
         ("body-on-no-content", (204, None, b""), 1),
@@ -217,7 +231,7 @@ def test_known_framings(serve):
         ("no-answer", (True, "Remote end closed connection without response"), 2),
     ]
     for name, first, connections in cases:
-        server = serve(ANSWERS[name])
+        server = serve({**ANSWERS, **INTERIM_ANSWERS}[name])
         assert outcome(transport_to(serve, server), server) == (first, connections, (200, b"{}"))
 
 
