@@ -92,12 +92,10 @@ def aggregate_union_interleaf(ranked: Sequence[Sample]) -> list[str]:
     return list(merged)
 
 
-def aggregate_frequency_order(ranked: Sequence[Sample], interleaf=None) -> list[str]:
+def aggregate_frequency_order(ranked: Sequence[Sample], interleaf: list[str]) -> list[str]:
     """Sort by the number of samples containing each phrase, descending;
-    phrases tied on frequency keep their interleaf order. `interleaf` is
-    that of `ranked` when the caller has it already."""
-    if interleaf is None:
-        interleaf = aggregate_union_interleaf(ranked)
+    phrases tied on frequency keep their order in `interleaf`, which is
+    `aggregate_union_interleaf(ranked)`."""
     return sorted(interleaf, key=Counter(chain.from_iterable(ranked)).__getitem__, reverse=True)
 
 

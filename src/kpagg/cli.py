@@ -88,12 +88,7 @@ def stats_cmd(args: argparse.Namespace) -> None:
 def grid_cmd(args: argparse.Namespace) -> None:
     """Run several configurations and print one merged table."""
     configs, out = harness.load_grid_config(args.config_path)
-    # the grid file is an input too, which `harness.grid` does not see
-    grid_file = Path(args.config_path).resolve()
-    for p in (Path(p).resolve() for p in [out, *(c.out for c in configs)] if p):
-        if grid_file in (p, p.with_suffix(p.suffix + ".meta.json")):
-            raise harness.HarnessError(f"output path {grid_file} is the grid config")
-    summaries = harness.grid(configs, out=out)
+    summaries = harness.grid(configs, out=out, reads=[args.config_path])
     # one line per fetch group, naming its runs by their 1-based numbers
     for members in harness.fetch_groups(configs):
         runs = ",".join(str(i + 1) for i in members)

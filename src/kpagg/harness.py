@@ -55,6 +55,7 @@ from typing import NamedTuple
 
 from . import aggregation, corpus, metrics, prompting, textnorm
 from .llm_client import (
+    API_KEY_ENV,
     PPL_MODES,
     REQUEST_MODES,
     AuthenticationError,
@@ -68,7 +69,6 @@ from .llm_client import (
 log = logging.getLogger(__name__)
 
 ENDPOINT_ENV = "KPAGG_ENDPOINT"
-API_KEY_ENV = "KPAGG_API_KEY"
 
 
 class HarnessError(Exception):
@@ -207,12 +207,12 @@ def cache_path(config: RunConfig) -> Path:
     )
 
 
-def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int]:
+def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int, str]:
     """Build one document's prompt and collect its samples, cache first.
 
-    Returns the samples present in index order and how many of the
-    `config.n_samples` were cached. A sample neither cached nor fetched is
-    absent.
+    Returns the samples present in index order, how many of the
+    `config.n_samples` were cached, and the prompt's assistant prefill that
+    the samples continue. A sample neither cached nor fetched is absent.
     """
     prompt = prompting.build_prompt(doc, config.variant, pcfg, config.prefill)
     slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
@@ -227,28 +227,24 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int]:
             # one append of what arrived, before a fatal answer too
             cache.put(*[slots[i] for i in missing if slots[i] is not None])
     ordered = [s for s in slots if s is not None]
-    return ordered, config.n_samples - len(missing)
+    return ordered, config.n_samples - len(missing), prompt.assistant_prefill
 
 
-def _evaluate(doc, raw, configs) -> tuple[list, int, int]:
+def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int]:
     """Score one document under every config of a group.
 
-    The gold and each sample's phrases are made once against the source,
-    tokenized once (`NormalizedSource.phrases`), and so are the two gold
-    sets. A config at n sees the samples of `raw` (in slot order) whose
-    slot is below n. Each (n, perplexity mode) sorts those samples once,
-    and each (n, mode, strategy) makes one prediction, which configs that
-    differ only in their empty-gold policy share. Returns one score record
-    per config (None for a config that sees no sample), the parse fallback
-    count and the count of samples cut short (`RawSample.truncated`).
+    Each sample of `raw` continues `prefill`. The gold and each sample's
+    phrases are made once against the source, tokenized once, and so are
+    the two gold sets. A config at n sees the samples of `raw` (in slot
+    order) whose slot is below n. Each (n, perplexity mode) sorts those
+    samples once, and each (n, mode, strategy) makes one prediction, which
+    configs that differ only in their empty-gold policy share. Returns one
+    score record per config (None for a config that sees no sample), the
+    parse fallback count and the count of samples cut short (`truncated`).
     """
     if not raw:
         return [None] * len(configs), 0, 0
-    # `prefill` is in the group key, and `build_prompt` prefills exactly when it is set
-    had_prefill = configs[0].prefill
-    parsed = [
-        parse_sample(s.text, had_prefill=had_prefill, truncated=s.truncated) for s in raw
-    ]
+    parsed = [parse_sample(s.text, prefill, s.truncated) for s in raw]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = source.phrases(doc.gold)
     samples = [source.phrases(ps.phrases) for ps in parsed]
@@ -289,11 +285,16 @@ def provenance(config: RunConfig) -> dict:
     return data
 
 
-def _write_report(out: str, reports: list[metrics.MetricReport], meta: dict | list) -> None:
-    """The CSV of `reports` at `out`, and `meta` as JSON at `<out>.meta.json`."""
+def report_files(out: str | Path) -> tuple[Path, Path]:
+    """The files of a report at `out`: the CSV and `<out>.meta.json`."""
     out = Path(out)
-    out.write_text(metrics.reports_csv(reports), encoding="utf-8")
-    meta_path = out.with_suffix(out.suffix + ".meta.json")
+    return out, out.with_suffix(out.suffix + ".meta.json")
+
+
+def _write_report(out: str, reports: list[metrics.MetricReport], meta: dict | list) -> None:
+    """The CSV of `reports`, and `meta` as JSON, at `report_files(out)`."""
+    csv_path, meta_path = report_files(out)
+    csv_path.write_text(metrics.reports_csv(reports), encoding="utf-8")
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -327,13 +328,12 @@ def _prepare(head: RunConfig, load_corpus, load_prompts) -> tuple:
     return docs, pcfg, client, time.monotonic() - t0
 
 
-def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> list[RunSummary]:
+def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[RunSummary]:
     """Fetch once for configs that differ only in evaluation fields; the
     fetcher of each document evaluates it for all of them. `head` is the
-    config fetched for, at the largest n among `configs`; the other
-    arguments are the group's `_prepare`d inputs."""
+    config fetched for, at the largest n among `configs`, `path` its cache
+    file; the other arguments are the group's `_prepare`d inputs."""
     t0 = time.monotonic()
-    path = cache_path(head)
     # where a cache was kept before its name carried the sampling settings
     legacy = path.with_name(f"{_sanitize(head.model)}.jsonl")
     if not path.exists() and legacy.exists():
@@ -363,9 +363,9 @@ def _run_group(head, configs: list[RunConfig], docs, pcfg, client, read_s) -> li
                 if doc is None:
                     return
                 try:
-                    raw, cached = _fetch(doc, pcfg, cache, client, head)
+                    raw, cached, prefill = _fetch(doc, pcfg, cache, client, head)
                     fetched[i] = cached, head.n_samples - cached, head.n_samples - len(raw)
-                    results[i] = _evaluate(doc, raw, configs)
+                    results[i] = _evaluate(doc, raw, prefill, configs)
                 except _FATAL:
                     raise
                 except Exception:
@@ -462,10 +462,11 @@ def fetch_groups(configs: list[RunConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
+def grid(configs: list[RunConfig], out: str | None = None, reads=()) -> list[RunSummary]:
     """Run several configs and optionally write one merged CSV, one block of
     rows per config, and beside it `<out>.meta.json`: the list of each
-    block's `provenance`, in row order.
+    block's `provenance`, in row order. `reads` names the other files the
+    caller read (`kpagg grid` its grid file), which no output may be.
 
     Configs that differ only in strategy, sample count, perplexity mode,
     empty-gold policy or output path, or name one variant by alias and full
@@ -479,9 +480,14 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
         raise HarnessError("grid needs at least one run config")
     if not (out is None or isinstance(out, str)):
         raise HarnessError(f"out must be a string, got {out!r}")
+    groups = fetch_groups(configs)
+    heads = [
+        configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups
+    ]
+    paths = [cache_path(head) for head in heads]  # each group's one cache file
     # one file reached by two spellings (r.csv, ./r.csv) is one output
     outs = [Path(p).resolve() for p in [*(c.out for c in configs), out] if p]
-    written = outs + [p.with_suffix(p.suffix + ".meta.json") for p in outs]
+    written = [f for p in outs for f in report_files(p)]
     duplicates = {str(p) for p in written if written.count(p) > 1}
     if duplicates:
         raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
@@ -489,33 +495,29 @@ def grid(configs: list[RunConfig], out: str | None = None) -> list[RunSummary]:
     read = {
         Path(p).resolve(): what
         for c in configs
-        for p, what in [
-            (c.corpus_path, "corpus"), (c.prompt_config, "prompt config"), (cache_path(c), "cache")
-        ]
+        for p, what in [(c.corpus_path, "a corpus"), (c.prompt_config, "a prompt config")]
         if p
     }
+    read.update({Path(p).resolve(): "a cache" for p in paths})
+    read.update({Path(p).resolve(): "an input" for p in reads})
     for p in written:
         if p.is_dir():
             raise HarnessError(f"output path {p} is a directory")
         if p in read:
-            raise HarnessError(f"output path {p} is a {read[p]} file the run reads")
-    groups = fetch_groups(configs)
+            raise HarnessError(f"output path {p} is {read[p]} file the run reads")
     # Every group's inputs are read before the first group fetches or
     # writes anything; each corpus and prompt file is read once per grid.
     load_corpus = functools.cache(corpus.load_corpus)
     load_prompts = functools.cache(prompting.load_prompt_config)
-    heads = [
-        configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups
-    ]
     inputs = [_prepare(head, load_corpus, load_prompts) for head in heads]
     # An output directory, or an online group's cache directory, that
     # cannot be made ends the grid before anything is fetched.
-    online = [head for head, (_, _, client, _) in zip(heads, inputs) if client]
-    for p in [*(p.parent for p in outs), *(cache_path(c).parent for c in online)]:
+    online = [path for path, (_, _, client, _) in zip(paths, inputs) if client]
+    for p in [*(p.parent for p in outs), *(p.parent for p in online)]:
         p.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary | None] = [None] * len(configs)
-    for head, members, prepared in zip(heads, groups, inputs):
-        group = _run_group(head, [configs[i] for i in members], *prepared)
+    for head, members, path, prepared in zip(heads, groups, paths, inputs):
+        group = _run_group(head, [configs[i] for i in members], path, *prepared)
         for i, summary in zip(members, group):
             summaries[i] = summary
     if out:

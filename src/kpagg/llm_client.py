@@ -38,6 +38,8 @@ from .prompting import RenderedPrompt
 
 log = logging.getLogger(__name__)
 
+# The environment variable that holds the API key.
+API_KEY_ENV = "KPAGG_API_KEY"
 # Statuses whose Retry-After header sets the wait before the next attempt.
 _RETRY_AFTER_STATUS = {429, 503}
 # The longest wait, in seconds, that a Retry-After header can ask for.
@@ -175,22 +177,23 @@ _CLEAN_LIST_RE = re.compile(rf'{_BLANKS}(?:"[^"]*"{_BLANKS}(?:,{_BLANKS}"[^"]*"{
 _QUOTED_ITEM_RE = re.compile(r'"([^"]*)"')
 
 
-def parse_sample(raw_text: str, had_prefill: bool, truncated: bool = False) -> ParsedSample:
+def parse_sample(raw_text: str, prefill: str, truncated: bool = False) -> ParsedSample:
     """Extract the keyphrase list from one completion.
 
-    The completion is expected to be (the rest of) a bracketed list. One
-    scan, from just after the first `[`, splits on commas and newlines
-    outside quoted runs and nested brackets and stops at the bracket that
-    closes the list. A quote opens a run only at the start of an item, so
-    an apostrophe inside a phrase is plain text. Without any bracket the
-    whole text is split the same way (a `]` in it is plain text) and the
-    sample is flagged as a parse fallback. A `truncated` completion (cut at
-    the token limit) whose content runs to the end of the text, an unclosed
-    list or fallback text, loses its last item, which may be a cut phrase.
-    A clean list (double-quoted items, commas, blanks, the closing `]`)
-    gives the same phrases from one regex match. Never raises.
+    `prefill` (the prompt's `assistant_prefill`) and the completion are
+    expected to be a bracketed list. One scan, from just after the first
+    `[`, splits on commas and newlines outside quoted runs and nested
+    brackets and stops at the bracket that closes the list. A quote opens
+    a run only at the start of an item, so an apostrophe inside a phrase
+    is plain text. Without any bracket the whole text is split the same
+    way (a `]` in it is plain text) and the sample is flagged as a parse
+    fallback. A `truncated` completion (cut at the token limit) whose
+    content runs to the end of the text, an unclosed list or fallback
+    text, loses its last item, which may be a cut phrase. A clean list
+    (double-quoted items, commas, blanks, the closing `]`) gives the same
+    phrases from one regex match. Never raises.
     """
-    full = ("[" if had_prefill else "") + raw_text
+    full = prefill + raw_text
     # without a bracket `start` is -1, so the scan starts at 0, at depth 0
     start = full.find("[")
     fallback = start < 0
@@ -252,7 +255,6 @@ class LLMClient:
         if not path.endswith("/chat/completions"):
             path += "/chat/completions"
         split = split._replace(path=path)
-        self.url = split.geturl()
         self.model = model
         self.request_mode = request_mode
         # An explicit agent: some CDN-fronted endpoints answer urllib's
@@ -296,7 +298,7 @@ class LLMClient:
                         reason = "invalid JSON in response body"
                 elif status in (401, 403):
                     raise AuthenticationError(
-                        f"endpoint returned HTTP {status}; check KPAGG_API_KEY"
+                        f"endpoint returned HTTP {status}; check {API_KEY_ENV}"
                     )
                 elif status in (408, 429) or 500 <= status <= 599:
                     reason = f"HTTP {status}"

@@ -84,8 +84,8 @@ def load_yaml_mapping(path: str | Path, what: str, error: type[Exception]) -> di
 
 
 def load_prompt_config(path: str | Path | None = None) -> PromptConfig:
-    """Load prompt strings from a YAML file; default to the bundled JSON,
-    read without loading a YAML parser."""
+    """Load prompt strings from a YAML file, refusing unknown keys; default
+    to the bundled JSON, read without loading a YAML parser."""
     if path is None:
         bundled = Path(__file__).parent / "data" / "prompts.json"
         data = json.loads(bundled.read_text("utf-8"))
@@ -93,6 +93,9 @@ def load_prompt_config(path: str | Path | None = None) -> PromptConfig:
     else:
         data = load_yaml_mapping(path, "prompt config", PromptConfigError)
         source = str(path)
+    if unknown := [key for key in data if key not in PromptConfig._fields]:
+        keys = ", ".join(PromptConfig._fields)
+        raise PromptConfigError(f"{source}: unknown key(s) {unknown}; the keys are {keys}")
     values = {}
     for key in PromptConfig._fields:
         value = data.get(key)

@@ -6,25 +6,37 @@ config its record is filed, and which samples a config at n sees: those
 in slots below n. The fixed test's inputs are the benchmark's
 (`bench/gen.py`, seed 0, 30 documents), their samples written to a warm
 cache straight from the fixtures, as the mock server would serve them. The
-property test draws small corpora and their cache lines.
+first property test draws small corpora and their cache lines; the online
+one draws an endpoint's answers and faults, and checks a run against what
+its cache holds afterwards.
 """
 
 import importlib.util
 import itertools
 import json
 import tempfile
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpagg import corpus, harness, prompting
+from kpagg import corpus, harness, llm_client, metrics, prompting
 from kpagg.aggregation import STRATEGIES
-from kpagg.llm_client import PPL_MODES, RawSample, SampleCache
+from kpagg.llm_client import (
+    PPL_MODES,
+    REQUEST_MODES,
+    AuthenticationError,
+    RawSample,
+    SampleCache,
+)
 from kpagg.metrics import CELLS, EMPTY_GOLD_POLICIES
 
 from . import oracles
+from .conftest import TOY_CORPUS
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
@@ -265,3 +277,283 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
         for record, doc_slots in zip(records, slots)
     ]
     assert_reports_match_the_oracle(configs, summaries, documents)
+
+
+# ---- the online run against a drawn faulty endpoint ----
+
+TOY_RECORDS = [json.loads(line) for line in TOY_CORPUS.read_text(encoding="utf-8").splitlines()]
+# The answers of one request, by the fault drawn for it: a full 200; a 200
+# with one choice fewer than asked; a 200 whose body is no JSON; a 200 whose
+# first choice has the wrong shape; a 429 asking for no wait; a 500; the
+# connection closed before any answer; a full 200 cut by the token limit or
+# a content filter; and a 401.
+FAULTS = (
+    "full", "fewer", "not json", "wrong shape", "429", "500", "drop", "length", "content_filter"
+)
+# Two phrases beside each document's gold: `parkinson's disease` puts an
+# apostrophe inside an item, and neither is in any toy source.
+EXTRA_PHRASES = ["parkinson's disease", "neural network"]
+# How a choice's list is written, as in SLOTS; the logprobs are binary
+# fractions, whose sums are exact in any order.
+CHOICES = st.tuples(
+    st.lists(st.integers(0, 59), max_size=5),
+    st.sampled_from(['"', "'", ""]),
+    st.sampled_from([", ", ",", "\n"]),
+    st.sampled_from(["", "[", "Keyphrases: ["]),
+    st.sampled_from(["]", "", "] and more"]),
+    sometimes_none(st.lists(st.sampled_from([-0.25, -1.0, -2.5, -4.0]), min_size=1, max_size=6)),
+)
+
+
+@st.composite
+def online_cases(draw):
+    """(document count, n, request mode, prefill, max_in_flight, pools,
+    schedule): the first 1-4 toy documents; each one's pool of 1-3 choices
+    (text, logprobs), which its k-th request serves from the k-th on,
+    cycling; and the fault of each (document, request number) drawn, the
+    rest answered in full, with at most one 401."""
+    n_docs = draw(st.integers(1, 4))
+    pools = []
+    for record in TOY_RECORDS[:n_docs]:
+        phrases = record["keyphrases"] + EXTRA_PHRASES
+        pool = []
+        for picks, quote, separator, opener, closer, logprobs in draw(
+            st.lists(CHOICES, min_size=1, max_size=3)
+        ):
+            items = separator.join(quote + phrases[i % len(phrases)] + quote for i in picks)
+            pool.append((opener + items + closer, logprobs))
+        pools.append(pool)
+    schedule = {
+        (j, k): fault
+        for j in range(n_docs)
+        for k, fault in enumerate(draw(st.lists(st.sampled_from(FAULTS), max_size=5)))
+    }
+    unauthorized = draw(st.none() | st.tuples(st.integers(0, n_docs - 1), st.integers(0, 2)))
+    if unauthorized is not None:
+        schedule[unauthorized] = "401"
+    return (
+        n_docs,
+        draw(st.integers(1, 4)),
+        draw(st.sampled_from(REQUEST_MODES)),
+        draw(st.booleans()),
+        draw(st.sampled_from([1, 3])),
+        pools,
+        schedule,
+    )
+
+
+class FaultyEndpoint:
+    """What the endpoint answers, and what it was asked and sent. A
+    document's k-th request gets the fault `schedule[(document, k)]`, or a
+    full answer. Each request, in arrival order, is in `requests` as
+    (document index, choices asked for); each choice of a 200 sent is in
+    `sent` as (document index, text, finish reason, logprobs). Once the 401
+    is sent, every later answer waits until `raised` is set, which the test
+    does when the run's AuthenticationError leaves its fetch. Without that
+    wait a fetcher could finish its document and take another while the
+    401 is still on its way to the failed fetch, which has not yet stopped
+    the others."""
+
+    def __init__(self, pools, schedule):
+        self.pools, self.schedule = pools, schedule
+        self.lock = threading.Lock()
+        self.requests, self.sent = [], set()
+        self.unauthorized_at = None  # the index of the 401's request
+        self.raised = threading.Event()
+        self.stuck = False
+
+    def answer(self, handler, payload) -> None:
+        user = next(m["content"] for m in payload["messages"] if m["role"] == "user")
+        doc = next(
+            j for j, record in enumerate(TOY_RECORDS) if f"Title: {record['title']}\n" in user
+        )
+        n = payload["n"]
+        with self.lock:
+            k = sum(d == doc for d, _ in self.requests)
+            self.requests.append((doc, n))
+            fault = self.schedule.get((doc, k), "full")
+            after_401 = self.unauthorized_at is not None
+            if fault == "401":
+                self.unauthorized_at = len(self.requests) - 1
+        # a fetcher given no answer 10 s after the 401 was never stopped
+        if after_401 and not self.raised.wait(10):
+            self.stuck = True
+        if fault == "drop":
+            handler.close_connection = True
+            return
+        status, headers, body = 200, {}, None
+        if fault in ("401", "429", "500"):
+            status, body = int(fault), {"error": {"message": fault}}
+            if fault == "429":
+                headers["Retry-After"] = "0"
+        elif fault == "not json":
+            body = "<html>busy</html>"
+        else:
+            pool = self.pools[doc]
+            finish = fault if fault in ("length", "content_filter") else "stop"
+            choices = []
+            for i in range(n - (fault == "fewer")):
+                text, logprobs = pool[(k + i) % len(pool)]
+                choice = {"index": i, "message": {"role": "assistant", "content": text},
+                          "finish_reason": finish, "logprobs": None}
+                if logprobs is not None:
+                    choice["logprobs"] = {
+                        "content": [{"token": "t", "logprob": lp} for lp in logprobs]
+                    }
+                if fault == "wrong shape" and i == 0:
+                    choice["message"] = {"content": 7}
+                else:
+                    with self.lock:
+                        self.sent.add((doc, text, finish, logprobs and tuple(logprobs)))
+                choices.append(choice)
+            body = {"model": payload["model"], "choices": choices}
+        data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        handler.send_response(status)
+        for name, value in {**headers, "Content-Length": str(len(data))}.items():
+            handler.send_header(name, value)
+        handler.end_headers()
+        handler.wfile.write(data)
+
+
+class FaultyHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # the body's write would wait on a delayed ACK
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.endpoint.answer(self, payload)
+
+
+@pytest.fixture(scope="module")
+def faulty_server():
+    """A server whose `endpoint` (a FaultyEndpoint) each example sets."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), FaultyHandler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def cached_samples(config, docs) -> dict:
+    """The samples the config's cache file holds, by document id and slot."""
+    path = harness.cache_path(config)
+    cache = SampleCache(path) if path.exists() else None
+    held = {}
+    for doc in docs:
+        prompt = prompting.build_prompt(doc, config.variant, PROMPTS, config.prefill)
+        slots = [cache and cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
+        held[doc.id] = {i: s for i, s in enumerate(slots) if s is not None}
+    return held
+
+
+def assert_run_matches_the_cache(config, summary, docs, before, sent):
+    """The run's summary and report against a recount and the oracle over
+    the samples its cache held `before` and holds now; an offline replay
+    writes the same files."""
+    after = cached_samples(config, docs)
+    for doc in docs:
+        assert before[doc.id].items() <= after[doc.id].items()
+    hits = sum(map(len, before.values()))
+    samples = [s for held in after.values() for s in held.values()]
+    assert (summary.cache_hits, summary.cache_misses) == (hits, config.n_samples * len(docs) - hits)
+    assert summary.truncated == sum(s.finish_reason in ("length", "content_filter") for s in samples)
+    assert summary.parse_fallbacks == sum(
+        oracles.parse_sample_oracle(s.text, config.prefill, s.truncated)[1] for s in samples
+    )
+    documents = []
+    for j, (doc, record) in enumerate(zip(docs, TOY_RECORDS)):
+        oracle_samples = []
+        for slot, s in sorted(after[doc.id].items()):
+            # the logprobs of a choice sent with this text whose sum and count
+            # the cache holds: every cached sample is one that was sent
+            matches = [
+                lps for d, text, finish, lps in sent
+                if (d, text, finish) == (j, s.text, s.finish_reason)
+                and (s.lp_sum, s.lp_n) == ((sum(lps), len(lps)) if lps else (None, 0))
+            ]
+            assert matches, s
+            oracle_samples.append({
+                "slot": slot, "text": s.text, "logprobs": matches[0], "truncated": s.truncated
+            })
+        documents.append({
+            "source": f"{record['title']} {record['abstract']}",
+            "gold": record["keyphrases"],
+            "had_prefill": config.prefill,
+            "samples": oracle_samples,
+        })
+    assert_reports_match_the_oracle([config], [summary], documents)
+    csv_path, meta_path = harness.report_files(config.out)
+    assert csv_path.read_text(encoding="utf-8") == metrics.reports_csv([summary.report])
+    replay = config._replace(endpoint=None, offline=True, out=f"{config.out}.replay")
+    harness.run(replay)
+    assert [p.read_bytes() for p in harness.report_files(replay.out)] == [
+        csv_path.read_bytes(), meta_path.read_bytes()
+    ]
+
+
+@pytest.mark.oracle
+@given(online_cases())
+def test_online_run_matches_the_composed_oracle(faulty_server, case):
+    """A run against a drawn faulty endpoint, then a second against one
+    that answers in full: each run's report is the oracle's over what its
+    cache holds afterwards, its counts are those of the cache before and
+    after, and an offline replay writes the same files. The second run
+    asks for exactly the slots the first left absent. A 401 ends a run:
+    after it the endpoint hears only from the documents other fetchers
+    held, at most `max_in_flight - 1` of them."""
+    n_docs, n, request_mode, prefill, max_in_flight, pools, schedule = case
+    docs = corpus.load_corpus(TOY_CORPUS)[:n_docs]
+    url = "http://%s:%d/v1" % faulty_server.server_address[:2]
+    fetch = harness._fetch
+
+    def signalling_fetch(*args):
+        try:
+            return fetch(*args)
+        except AuthenticationError:
+            faulty_server.endpoint.raised.set()
+            raise
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("time.sleep"), \
+            mock.patch.object(llm_client, "MAX_RETRIES", 2), \
+            mock.patch.object(harness, "_fetch", signalling_fetch):
+        config = harness.RunConfig(
+            corpus_path=str(TOY_CORPUS), endpoint=url, cache_dir=str(Path(tmp) / "cache"),
+            limit=n_docs, n_samples=n, request_mode=request_mode, prefill=prefill,
+            max_in_flight=max_in_flight, out=str(Path(tmp) / "first.csv"),
+        )
+        first = faulty_server.endpoint = FaultyEndpoint(pools, schedule)
+        before = cached_samples(config, docs)
+        try:
+            summary = harness.run(config)
+        except AuthenticationError:
+            at = first.unauthorized_at
+            assert at is not None
+            later = {doc for doc, _ in first.requests[at + 1:]}
+            assert first.requests[at][0] not in later
+            assert len(later) <= max_in_flight - 1
+            assert not first.stuck
+        else:
+            assert first.unauthorized_at is None
+            assert_run_matches_the_cache(config, summary, docs, before, first.sent)
+
+        config = config._replace(out=str(Path(tmp) / "second.csv"))
+        second = faulty_server.endpoint = FaultyEndpoint(pools, {})
+        before = cached_samples(config, docs)
+        summary = harness.run(config)
+        absent = [(j, n - len(before[doc.id])) for j, doc in enumerate(docs)]
+        if request_mode == "choices":
+            asked = [(j, k) for j, k in absent if k]
+        else:
+            asked = [(j, 1) for j, k in absent for _ in range(k)]
+        assert sorted(second.requests) == asked
+        assert_run_matches_the_cache(config, summary, docs, before, first.sent | second.sent)

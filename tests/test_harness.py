@@ -223,6 +223,23 @@ class TestRunEndToEnd:
         assert summary.truncated == 0  # the mock always answers "stop"
         assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
 
+    def test_no_prefill_run_writes_the_expected_report(self, endpoint, tmp_path):
+        """Without an assistant turn the mock answers the whole list, `[`
+        included, as an endpoint that rejects a prefill does; its report is
+        the prefilled run's. The two prompts hash apart, so a prefilled run
+        on the same cache replays none of its samples."""
+        out = tmp_path / "report.csv"
+        cfg = config(endpoint, tmp_path, prefill=False, out=str(out))
+        summary = harness.run(cfg)
+        assert (summary.processed, summary.cache_misses, summary.parse_fallbacks) == (5, 50, 3)
+        assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
+        lines = cache_path(cfg).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 50
+        assert all(json.loads(line)["text"].startswith("[") for line in lines)
+        summary = harness.run(cfg._replace(prefill=True, out=None))
+        assert (summary.cache_hits, summary.cache_misses) == (0, 50)
+        assert len(cache_path(cfg).read_text(encoding="utf-8").splitlines()) == 100
+
     def test_meta_json_written_sorted(self, endpoint, tmp_path):
         out = tmp_path / "report.csv"
         harness.run(config(endpoint, tmp_path, out=str(out)))
@@ -1296,6 +1313,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("Error: ")
         assert "endpoint" in err.lower()
+
+    def test_prompt_config_with_an_unknown_key_fails_cleanly(self, tmp_path, capsys, prompt_cfg):
+        prompts = tmp_path / "p.yaml"
+        prompts.write_text(json.dumps({**prompt_cfg._asdict(), "user_prompt_present": "x"}))
+        code = main([
+            "run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path / "cache"),
+            "--offline", "--prompt-config", str(prompts),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"Error: {prompts}: unknown key(s) ['user_prompt_present']")
 
     def test_interrupted_run_exits_1_without_traceback(self, monkeypatch, capsys):
         def interrupted(config):

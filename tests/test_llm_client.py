@@ -88,57 +88,57 @@ def quoted_lists(draw):
 
 class TestParseSample:
     def test_plain_list(self):
-        parsed = parse_sample('["graph coloring", "tdma", "scheduling"]', False)
+        parsed = parse_sample('["graph coloring", "tdma", "scheduling"]', "")
         assert parsed.phrases == ("graph coloring", "tdma", "scheduling")
         assert not parsed.fallback
 
     def test_prefill_completion(self):
-        parsed = parse_sample('"graph coloring", "tdma"]', True)
+        parsed = parse_sample('"graph coloring", "tdma"]', "[")
         assert parsed.phrases == ("graph coloring", "tdma")
 
     def test_surrounding_prose(self):
         text = 'Sure! Here are the keyphrases: ["a", "b"] hope that helps'
-        parsed = parse_sample(text, False)
+        parsed = parse_sample(text, "")
         assert parsed.phrases == ("a", "b")
 
     def test_newline_separated_items(self):
-        parsed = parse_sample('["one",\n"two",\n"three"]', False)
+        parsed = parse_sample('["one",\n"two",\n"three"]', "")
         assert parsed.phrases == ("one", "two", "three")
 
     def test_unquoted_items(self):
-        parsed = parse_sample("[alpha, beta gamma]", False)
+        parsed = parse_sample("[alpha, beta gamma]", "")
         assert parsed.phrases == ("alpha", "beta gamma")
 
     def test_unterminated_list(self):
-        parsed = parse_sample('["a", "b", "c', False)
+        parsed = parse_sample('["a", "b", "c', "")
         assert parsed.phrases == ("a", "b", "c")
 
     def test_no_bracket_splits_whole_text(self):
-        parsed = parse_sample("keyphrase one, keyphrase two", False)
+        parsed = parse_sample("keyphrase one, keyphrase two", "")
         assert parsed.phrases == ("keyphrase one", "keyphrase two")
         assert parsed.fallback
 
     def test_no_bracket_no_separators(self):
-        parsed = parse_sample("I cannot find any keyphrases.", False)
+        parsed = parse_sample("I cannot find any keyphrases.", "")
         assert parsed.phrases == ("I cannot find any keyphrases.",)
         assert parsed.fallback
 
     def test_empty_list_fallback(self):
-        parsed = parse_sample("[]", False)
+        parsed = parse_sample("[]", "")
         assert parsed.phrases == ()
         assert parsed.fallback
 
     def test_prefill_empty_completion(self):
-        parsed = parse_sample("]", True)
+        parsed = parse_sample("]", "[")
         assert parsed.phrases == ()
         assert parsed.fallback
 
     def test_nested_brackets_kept_inside_item(self):
-        parsed = parse_sample('["outer [inner] thing", "b"]', False)
+        parsed = parse_sample('["outer [inner] thing", "b"]', "")
         assert parsed.phrases == ("outer [inner] thing", "b")
 
     def test_whitespace_only_items_dropped(self):
-        parsed = parse_sample('["a", "", "  ", "b"]', False)
+        parsed = parse_sample('["a", "", "  ", "b"]', "")
         assert parsed.phrases == ("a", "b")
 
     @given(
@@ -154,7 +154,7 @@ class TestParseSample:
     )
     def test_boundary_roundtrip(self, items):
         rendered = json.dumps(items)
-        parsed = parse_sample(rendered, False)
+        parsed = parse_sample(rendered, "")
         assert list(parsed.phrases) == [s.strip() for s in items]
         for phrase in parsed.phrases:
             assert not set(phrase) & set('[]"')
@@ -162,7 +162,7 @@ class TestParseSample:
     @pytest.mark.oracle
     @given(st.text(alphabet='ab,\n\t"\'`[] ', max_size=40), st.booleans(), st.booleans())
     def test_matches_char_by_char_oracle(self, text, prefill, truncated):
-        parsed = parse_sample(text, prefill, truncated)
+        parsed = parse_sample(text, "[" if prefill else "", truncated)
         assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
             text, prefill, truncated
         )
@@ -171,7 +171,7 @@ class TestParseSample:
     @given(quoted_lists(), st.booleans(), st.booleans())
     def test_quoted_lists_match_oracle(self, case, prefill, truncated):
         text = case[1:] if prefill and case.startswith("[") else case
-        parsed = parse_sample(text, prefill, truncated)
+        parsed = parse_sample(text, "[" if prefill else "", truncated)
         assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
             text, prefill, truncated
         )
@@ -198,14 +198,14 @@ class TestParseSample:
         ],
     )
     def test_apostrophe_inside_an_item_is_plain_text(self, text, prefill, phrases):
-        parsed = parse_sample(text, prefill)
+        parsed = parse_sample(text, "[" if prefill else "")
         assert parsed.phrases == phrases
         assert parsed.fallback == ("[" not in text and not prefill)
         assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(text, prefill)
 
     @given(st.text(), st.booleans(), st.booleans())
     def test_never_raises(self, text, prefill, truncated):
-        parsed = parse_sample(text, prefill, truncated)
+        parsed = parse_sample(text, "[" if prefill else "", truncated)
         assert all(isinstance(p, str) and p for p in parsed.phrases)
 
     @given(
@@ -215,8 +215,8 @@ class TestParseSample:
         )
     )
     def test_idempotent_on_clean_lists(self, items):
-        first = parse_sample(json.dumps(items), False).phrases
-        assert parse_sample(json.dumps(list(first)), False).phrases == first
+        first = parse_sample(json.dumps(items), "").phrases
+        assert parse_sample(json.dumps(list(first)), "").phrases == first
 
 
 class TestTruncatedSample:
@@ -235,13 +235,13 @@ class TestTruncatedSample:
         ],
     )
     def test_length_drops_the_item_that_runs_to_the_end(self, text, prefill, phrases):
-        parsed = parse_sample(text, prefill, truncated=True)
+        parsed = parse_sample(text, "[" if prefill else "", truncated=True)
         assert parsed.phrases == phrases
         assert parsed.fallback == (not prefill or not phrases)
 
     def test_unchanged_under_stop(self):
         cut = '"graph coloring", "sensor net'
-        assert parse_sample(cut, True).phrases == ("graph coloring", "sensor net")
+        assert parse_sample(cut, "[").phrases == ("graph coloring", "sensor net")
 
     @pytest.mark.parametrize(
         "finish, cut",
@@ -858,10 +858,9 @@ class TestTransport:
             make_client("http://h:1/v1", request_mode="x")
 
     def test_endpoint_path_normalization(self):
-        c1 = make_client("http://h:1/v1")
-        c2 = make_client("http://h:1/v1/")
-        c3 = make_client("http://h:1/v1/chat/completions")
-        assert c1.url == c2.url == c3.url == "http://h:1/v1/chat/completions"
+        for endpoint in ("http://h:1/v1", "http://h:1/v1/", "http://h:1/v1/chat/completions"):
+            head = make_client(endpoint)._transport._request(b"").split(b"\r\n")[:2]
+            assert head == [b"POST /v1/chat/completions HTTP/1.1", b"Host: h:1"], endpoint
 
     @pytest.mark.parametrize(
         "endpoint",
@@ -876,10 +875,8 @@ class TestTransport:
         """Azure OpenAI names the API version in the query: the path gains
         /chat/completions, the query stays as given."""
         target = "/openai/deployments/gpt-4o/chat/completions?api-version=1"
-        client = make_client(endpoint)
-        assert client.url == "https://r.openai.azure.com" + target
-        request_line = client._transport._request(b"").split(b"\r\n")[0]
-        assert request_line == b"POST %s HTTP/1.1" % target.encode()
+        head = make_client(endpoint)._transport._request(b"").split(b"\r\n")[:2]
+        assert head == [b"POST %s HTTP/1.1" % target.encode(), b"Host: r.openai.azure.com"]
 
 
 # JSON values of every type, and choices built from them: half are objects
@@ -957,9 +954,9 @@ class TestAbsentSamples:
         evaluated = []
         evaluate = harness._evaluate
 
-        def recording_evaluate(doc, raw, configs):
+        def recording_evaluate(doc, raw, *args):
             evaluated.append([s.sample_index for s in raw])
-            return evaluate(doc, raw, configs)
+            return evaluate(doc, raw, *args)
 
         monkeypatch.setattr(harness, "_evaluate", recording_evaluate)
         script = [(200, None)] + [(503, {"error": "down"})] * 3

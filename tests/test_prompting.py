@@ -1,5 +1,6 @@
 """Prompt variants, domain adaptation, and request digests."""
 
+import json
 import re
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from kpagg.prompting import (
     PRESENT_SPECIALIST_SENTENCE,
     VARIANT_ALIASES,
     VARIANTS,
+    PromptConfig,
     PromptConfigError,
     build_prompt,
     load_prompt_config,
@@ -87,6 +89,21 @@ class TestPromptConfig:
         p.write_text("[" * 100_000)
         with pytest.raises(PromptConfigError, match="invalid YAML"):
             load_prompt_config(p)
+
+    def test_unknown_key_rejected(self, tmp_path, prompt_cfg):
+        # a key no variant reads: the present specialist's sentence is fixed
+        # in code, so this file would still send the built-in one
+        p = tmp_path / "extra.yaml"
+        extra = {**prompt_cfg._asdict(), "user_prompt_present": "Extract keyphrases."}
+        p.write_text(json.dumps(extra))
+        with pytest.raises(PromptConfigError) as raised:
+            load_prompt_config(p)
+        message = str(raised.value)
+        assert message.startswith(f"{p}: unknown key(s) ['user_prompt_present']; the keys are ")
+        assert message.endswith(", ".join(PromptConfig._fields))
+        del extra["user_prompt_present"]
+        p.write_text(json.dumps(extra))
+        assert load_prompt_config(p) == prompt_cfg
 
 class TestBuildPrompt:
     @pytest.fixture()
