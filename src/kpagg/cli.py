@@ -27,19 +27,6 @@ class _Help(argparse.HelpFormatter):
         return f"{action.help} (default: %(default)s)"
 
 
-def _at_least(kind: type, low: int):
-    """An argument type: `kind(text)` refused below `low` (NaN passes; `RunConfig` refuses it)."""
-
-    def parse(text: str):
-        value = kind(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is smaller than the minimum {low}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
-    return parse
-
-
 def _path(text: str, must_exist: bool = True) -> str:
     """An argument type: a path that is no directory, and exists if it must."""
     path = Path(text)
@@ -62,9 +49,17 @@ def _fetch_counts(summary: harness.RunSummary) -> str:
     )
 
 
+def _settings(args: argparse.Namespace) -> harness.RunConfig:
+    """The subcommand's `RunConfig`; a value it refuses is a usage error."""
+    try:
+        return harness.RunConfig(*[getattr(args, name) for name in harness.RunConfig._fields])
+    except harness.HarnessError as exc:
+        args.parser.error(str(exc))
+
+
 def run_cmd(args: argparse.Namespace) -> None:
     """Run one corpus x variant x strategy configuration."""
-    config = harness.RunConfig(**{name: getattr(args, name) for name in harness.RunConfig._fields})
+    config = _settings(args)
     summary = harness.run(config)
     print(f"documents processed={summary.processed} errored={summary.errored} "
           f"{_fetch_counts(summary)}")
@@ -75,10 +70,11 @@ def run_cmd(args: argparse.Namespace) -> None:
 
 def stats_cmd(args: argparse.Namespace) -> None:
     """Describe a corpus: input length and present/absent gold counts."""
-    if args.csv_path and Path(args.csv_path).resolve() == Path(args.corpus_path).resolve():
+    config = _settings(args)
+    if args.csv_path and Path(args.csv_path).resolve() == Path(config.corpus_path).resolve():
         raise harness.HarnessError(f"--csv {args.csv_path} is the corpus it describes")
-    docs = load_corpus(args.corpus_path, default_domain=args.default_domain)
-    stats = corpus_stats(docs[: args.limit])
+    docs = load_corpus(config.corpus_path, default_domain=config.default_domain)
+    stats = corpus_stats(docs[: config.limit])
     print(format_stats(stats))
     if args.csv_path:
         Path(args.csv_path).write_text(stats_csv(stats), encoding="utf-8")
@@ -121,13 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(fn, name: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, **style)
-        sub.set_defaults(action=fn)
+        # set before the options are added, so each takes its default from
+        # here; `_settings` takes the fields a command has no option for too
+        sub.set_defaults(action=fn, parser=sub, **harness.RunConfig._field_defaults)
         return sub
 
-    defaults = harness.RunConfig._field_defaults
     run = command(run_cmd, "run")
-    # set before the options are added, so each takes its default from here
-    run.set_defaults(**defaults)
     add = run.add_argument
     add("--corpus", dest="corpus_path", required=True, type=_path, help="JSON-lines corpus file.")
     # each alias, and each canonical name (the one a default shows)
@@ -135,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     strategies = list(dict.fromkeys([*STRATEGY_ALIASES, *STRATEGIES]))
     add("--variant", choices=variants, help="Prompt variant.")
     add("--aggregate", dest="strategy", choices=strategies, help="Aggregation strategy.")
-    add("--n-samples", type=_at_least(int, 1), help="Samples drawn per document.")
-    add("--temperature", type=_at_least(float, 0), help="Sampling temperature.")
-    add("--max-tokens", type=_at_least(int, 1), help="Token limit of each sample.")
+    add("--n-samples", type=int, help="Samples drawn per document.")
+    add("--temperature", type=float, help="Sampling temperature.")
+    add("--max-tokens", type=int, help="Token limit of each sample.")
     add("--model", help="Model name sent to the endpoint.")
     add("--endpoint", help=f"Chat-completions base URL; falls back to ${harness.ENDPOINT_ENV}. "
                            f"Credential comes from ${harness.API_KEY_ENV} only.")
-    add("--limit", type=_at_least(int, 1), help="Evaluate only this many documents.")
+    add("--limit", type=int, help="Evaluate only this many documents.")
     add("--seed", type=int, help="Select the --limit subset at random with this seed "
                                  "(default: first documents in file order).")
     add("--cache-dir", help="Sample cache root; reruns replay from here.")
@@ -158,13 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("--ppl-mode", choices=PPL_MODES, help="Perplexity from mean or summed token NLL.")
     add("--offline", action="store_true", help="Never touch the network; requires a warm cache.")
     add("--default-domain", choices=DOMAINS, help="Domain for records that do not declare one.")
-    add("--max-in-flight", type=_at_least(int, 1), help="Documents fetched concurrently.")
+    add("--max-in-flight", type=int, help="Documents fetched concurrently.")
 
     stats = command(stats_cmd, "stats")
     stats.add_argument("--corpus", dest="corpus_path", required=True, type=_path,
                        help="JSON-lines corpus file.")
-    stats.add_argument("--limit", type=_at_least(int, 1), help="Use only the first N documents.")
-    stats.add_argument("--default-domain", choices=DOMAINS, default=defaults["default_domain"],
+    stats.add_argument("--limit", type=int, help="Use only the first N documents.")
+    stats.add_argument("--default-domain", choices=DOMAINS,
                        help="Domain for records that do not declare one.")
     stats.add_argument("--csv", dest="csv_path", type=_out_path,
                        help="Also write the stats as CSV here.")

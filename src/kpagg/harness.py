@@ -2,41 +2,37 @@
 
 A `RunConfig` checks its own values when it is made and keeps the canonical
 variant and strategy names, so an alias and its full name give one cache
-file and one fetch group (`build_prompt` resolves the variant it is given
-again, for every document, and finds the canonical name unchanged).
-`grid` groups its configs by every field except the evaluation-only ones
-(strategy, sample count, perplexity mode, empty-gold policy, output path),
-so a group is the configs that read one cache file with one prompt and one
-endpoint; `run` is a one-config grid. Before any group runs, `grid` reads
-every group's inputs (documents, prompt strings, endpoint), each corpus and
-prompt file once, so a missing input fails before anything is fetched or
-written; an output that is a directory, or a file the grid reads (a
-corpus, prompt config or cache file), is refused before that. A group's
-fetchers take its documents one at a time, in corpus order. A fetcher
-renders a document's prompt, fetches or replays the samples of the largest n among the group's configs (cache first, network
-for the misses, one cache append per document), then evaluates the
-document for every config at once: it parses the samples, makes each
-distinct phrase's normalized form and presence and the two gold sets once,
-sorts once per sample count and perplexity mode (a config at n sees the
-samples in slots below n), makes one prediction per (n, mode, strategy)
-and scores it per config, one score record per document and config. An
-offline group has nothing to wait for: the calling thread is its one
-fetcher. Online, `max_in_flight - 1` threads join the calling thread, so
-at most `max_in_flight` documents, and connections, are in flight, and 1
-starts no thread. The metric fold averages the score records in corpus
-order, so a warm cache replays to byte-identical reports. A grid's merged
-CSV has a `meta.json` too, listing each row block's provenance. A fatal
-endpoint error caches the samples its document had already received; the
-documents in flight finish, no fetcher takes another, and the error is
-raised on the calling thread. A sample the endpoint did not return is
-absent, never cached and never averaged, so rerunning an interrupted or
-partly failed run fetches only the samples still missing; a group warns
-once how many are absent. The cache file's name carries the sampling
-settings (temperature and max_tokens), so a replay never belongs to other
-settings than the run's.
-
-A group loads only the cache lines of its own documents: the load skips
-those of documents outside a `limit`/`seed` subset unparsed.
+file and one fetch group. `grid` groups its configs by every field except
+the evaluation-only ones (strategy, sample count, perplexity mode,
+empty-gold policy, output path), so a group is the configs that read one
+cache file with one prompt and one endpoint; `run` is a one-config grid.
+Before any group runs, `grid` reads every group's inputs (documents,
+prompt strings, endpoint), each corpus and prompt file once, so a missing
+input fails before anything is fetched or written; an output that is a
+directory, or a file the grid reads (a corpus, prompt config or cache
+file), is refused before that. A group's fetchers take its documents one
+at a time, in corpus order. A fetcher renders a document's prompt,
+fetches or replays the samples of the largest n among the group's configs
+(cache first, network for the misses, one cache append per document),
+then evaluates the document for every config at once: it parses the
+samples, makes each distinct phrase's normalized form and presence and
+the two gold sets once, sorts once per sample count and perplexity mode (a
+config at n sees the samples in slots below n), makes one prediction per
+(n, mode, strategy) and scores it per config, one score record per
+document and config. An offline group has nothing to wait for: the
+calling thread is its one fetcher. Online, `max_in_flight - 1` threads
+join the calling thread, so at most `max_in_flight` documents, and
+connections, are in flight, and 1 starts no thread. The metric fold
+averages the score records in corpus order, so a warm cache replays to
+byte-identical reports. A grid's merged CSV has a `meta.json` too,
+listing each row block's provenance. A fatal endpoint answer caches the
+samples its document had already received, and the client sends no
+request after it: the documents in flight end before their next request,
+the fetchers stop taking documents, and the error is raised on the
+calling thread. A sample the endpoint did not return is absent, never
+cached and never averaged, so rerunning an interrupted or partly failed
+run fetches only the samples still missing; a group warns once how many
+are absent.
 """
 
 from __future__ import annotations
@@ -104,10 +100,10 @@ class _RunFields(NamedTuple):
 
 
 class RunConfig(_RunFields):
-    """One run's settings, checked when made (HarnessError) against what
-    `kpagg run` accepts; a copy made by `_replace` is checked too. The
-    variant and strategy are kept by their canonical names, so an alias and
-    its full name make equal configs."""
+    """One run's settings, checked when made (HarnessError) and nowhere
+    else: `kpagg run` and `kpagg stats` build theirs here. A copy made by
+    `_replace` is checked too. The variant and strategy are kept by their
+    canonical names, so an alias and its full name make equal configs."""
 
     __slots__ = ()
 
@@ -116,8 +112,9 @@ class RunConfig(_RunFields):
         optional = ("out", "prompt_config", "endpoint")
         for name in ("corpus_path", "variant", "strategy", "model", "cache_dir", *optional):
             value = getattr(self, name)
-            if not (isinstance(value, str) or (value is None and name in optional)):
-                raise HarnessError(f"{name} must be a string, got {value!r}")
+            # an empty endpoint or cache_dir would quietly mean $KPAGG_ENDPOINT or "."
+            if not (isinstance(value, str) and value or value is None and name in optional):
+                raise HarnessError(f"{name} must be a nonempty string, got {value!r}")
         try:
             variant = prompting.resolve_variant(self.variant)
             strategy = aggregation.resolve_strategy(self.strategy)
@@ -342,6 +339,7 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
             "settings; it is not replayed (move it aside to silence this)",
             legacy,
         )
+    # the lines of other documents (outside a `limit`/`seed` subset) load unparsed
     cache = SampleCache(path, doc_ids={doc.id for doc in docs})
 
     queued = enumerate(docs)
@@ -468,18 +466,16 @@ def grid(configs: list[RunConfig], out: str | None = None, reads=()) -> list[Run
     block's `provenance`, in row order. `reads` names the other files the
     caller read (`kpagg grid` its grid file), which no output may be.
 
-    Configs that differ only in strategy, sample count, perplexity mode,
-    empty-gold policy or output path, or name one variant by alias and full
-    name, share one fetch, at the largest n among them, and one evaluation
-    pass. Each summary counts its own processed and errored documents: a
-    document with no sample in a slot below a config's n is errored for
-    that config alone. Their cache, parse-fallback and truncation counts
-    are the pass's, at the largest n.
+    The configs of one fetch group (`fetch_groups`) share one fetch, at the
+    largest n among them, and one evaluation pass. Each summary counts its
+    own processed and errored documents: a document with no sample in a
+    slot below a config's n is errored for that config alone. Their cache,
+    parse-fallback and truncation counts are the pass's, at the largest n.
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")
-    if not (out is None or isinstance(out, str)):
-        raise HarnessError(f"out must be a string, got {out!r}")
+    if not (out is None or isinstance(out, str) and out):
+        raise HarnessError(f"out must be a nonempty string, got {out!r}")
     groups = fetch_groups(configs)
     heads = [
         configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups

@@ -257,6 +257,7 @@ class LLMClient:
         split = split._replace(path=path)
         self.model = model
         self.request_mode = request_mode
+        self._refusal: LLMClientError | None = None  # the endpoint's first fatal answer
         # An explicit agent: some CDN-fronted endpoints answer urllib's
         # default "Python-urllib/x.y" with 403.
         headers = {"Content-Type": "application/json", "User-Agent": f"kpagg/{__version__}"}
@@ -281,11 +282,16 @@ class LLMClient:
         5xx are retried, as RFC 9110 (sections 15.5.9 and 15.6) calls them
         transient. A 429 or 503 with a delta-seconds Retry-After waits that
         long (at most MAX_RETRY_AFTER_S); any other retry waits a random
-        time up to the exponential backoff."""
+        time up to the exponential backoff. The first fatal answer, a 401 or
+        403 (AuthenticationError) or other status (RequestError), is kept:
+        every later attempt, on any thread, raises a copy and sends nothing."""
         for attempt in range(MAX_RETRIES + 1):
-            wait = None
+            if self._refusal is not None:
+                raise type(self._refusal)(*self._refusal.args)
+            wait = refusal = None
             try:
-                status, headers, body = self._transport.send(data)
+                # a refusal that came meanwhile stops the transport's resend too
+                status, headers, body = self._transport.send(data, lambda: self._refusal is None)
             except OSError as exc:
                 # refused connections, timeouts, TLS failures and malformed
                 # or truncated answers
@@ -297,7 +303,7 @@ class LLMClient:
                     except (ValueError, RecursionError):  # RecursionError: nested too deep
                         reason = "invalid JSON in response body"
                 elif status in (401, 403):
-                    raise AuthenticationError(
+                    refusal = AuthenticationError(
                         f"endpoint returned HTTP {status}; check {API_KEY_ENV}"
                     )
                 elif status in (408, 429) or 500 <= status <= 599:
@@ -306,7 +312,12 @@ class LLMClient:
                         wait = _retry_after_s(headers.get("retry-after"))
                 else:
                     text = body.decode("utf-8", errors="replace")
-                    raise RequestError(f"endpoint returned HTTP {status}: {text[:200]}")
+                    refusal = RequestError(f"endpoint returned HTTP {status}: {text[:200]}")
+            if refusal is not None:
+                # kept before it is raised, so no later attempt sends; of
+                # two fatal answers at once either may be kept, as both refuse
+                self._refusal = self._refusal or refusal
+                raise refusal
             if attempt < MAX_RETRIES:
                 if wait is None:
                     # full jitter: concurrent clients do not retry in step

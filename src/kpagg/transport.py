@@ -195,10 +195,11 @@ class Transport:
         for conn in idle:
             conn.close()
 
-    def send(self, data: bytes) -> tuple[int, dict, bytes]:
+    def send(self, data: bytes, may_resend=lambda: True) -> tuple[int, dict, bytes]:
         """POST `data`: the status, headers (by lower-case name) and whole
-        body of the answer, whatever its status. Raises OSError when no
-        whole answer came."""
+        body of the answer, whatever its status; OSError when none came
+        whole. A stale kept-alive connection is replaced, and `data` sent
+        again, if `may_resend()`."""
         request = self._request(data)
         with self._idle_lock:
             conn = self._idle.pop() if self._idle else None
@@ -211,8 +212,8 @@ class Transport:
             except (BrokenPipeError, ConnectionResetError):
                 # A kept-alive connection that the server closed while it
                 # sat idle fails before any answer: send again, once, on a
-                # fresh one.
-                if fresh:
+                # fresh one, unless the caller has learnt to send nothing more.
+                if fresh or not may_resend():
                     raise
                 conn.close()
                 conn = self._connect()

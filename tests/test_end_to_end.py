@@ -6,9 +6,10 @@ config its record is filed, and which samples a config at n sees: those
 in slots below n. The fixed test's inputs are the benchmark's
 (`bench/gen.py`, seed 0, 30 documents), their samples written to a warm
 cache straight from the fixtures, as the mock server would serve them. The
-first property test draws small corpora and their cache lines; the online
-one draws an endpoint's answers and faults, and checks a run against what
-its cache holds afterwards.
+first property test draws small corpora, one or two prompt variants (one
+fetch group each) and each variant's cache lines; the online one draws an
+endpoint's answers and faults, and checks a run against what its cache
+holds afterwards.
 """
 
 import importlib.util
@@ -175,12 +176,16 @@ SLOTS = sometimes_none(st.tuples(
 
 @st.composite
 def drawn_corpora(draw):
-    """(n_samples, prefill, records, slots of each record): 1-6 documents,
-    each with n_samples (2-5) slots. A slot holds a sample's text, logprobs
-    and finish reason, or None where the sample is absent, so a document
-    may have one sample or none."""
+    """(n_samples, prefill, records, slots by variant): 1-6 documents and
+    one or two prompt variants; each variant gives each document its own
+    n_samples (2-5) slots. A slot holds a sample's text, logprobs and
+    finish reason, or None where the sample is absent, so a document may
+    have one sample or none."""
     n_samples = draw(st.integers(2, 5))
-    records, slots = [], []
+    variants = draw(
+        st.lists(st.sampled_from(prompting.VARIANTS), min_size=1, max_size=2, unique=True)
+    )
+    records, slots = [], {variant: [] for variant in variants}
     for j in range(draw(st.integers(1, 6))):
         pool = draw(POOLS)
         records.append({
@@ -189,18 +194,19 @@ def drawn_corpora(draw):
             "abstract": ". ".join(pool[i % len(pool)] for i in draw(PICKS)),
             "keyphrases": [pool[i % len(pool)] for i in draw(PICKS)],
         })
-        samples = []
-        for slot in draw(st.lists(SLOTS, min_size=n_samples, max_size=n_samples)):
-            if slot is not None:
-                picks, quote, separator, opener, closer, logprobs, finish_reason = slot
-                items = separator.join(quote + pool[i % len(pool)] + quote for i in picks)
-                slot = {
-                    "text": opener + items + closer,
-                    "logprobs": logprobs,
-                    "finish_reason": finish_reason,
-                }
-            samples.append(slot)
-        slots.append(samples)
+        for variant in variants:
+            samples = []
+            for slot in draw(st.lists(SLOTS, min_size=n_samples, max_size=n_samples)):
+                if slot is not None:
+                    picks, quote, separator, opener, closer, logprobs, finish_reason = slot
+                    items = separator.join(quote + pool[i % len(pool)] + quote for i in picks)
+                    slot = {
+                        "text": opener + items + closer,
+                        "logprobs": logprobs,
+                        "finish_reason": finish_reason,
+                    }
+                samples.append(slot)
+            slots[variant].append(samples)
     return n_samples, draw(st.booleans()), records, slots
 
 
@@ -220,11 +226,17 @@ PROMPTS = prompting.load_prompt_config()
     st.data(),
 )
 def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
+    """Each variant is a fetch group of its own, with its own cache file,
+    and each of its configs is checked against the oracle over that
+    variant's samples."""
     n_samples, prefill, records, slots = drawn
     # each config's own sample count, from 1 up to the slot count
-    counts = data.draw(st.lists(
-        st.integers(1, n_samples), min_size=len(evaluations), max_size=len(evaluations)
-    ))
+    counts = {
+        variant: data.draw(st.lists(
+            st.integers(1, n_samples), min_size=len(evaluations), max_size=len(evaluations)
+        ))
+        for variant in slots
+    }
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = Path(tmp) / "drawn.jsonl"
         corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
@@ -235,48 +247,58 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
             prefill=prefill,
             offline=True,
         )
-        path = harness.cache_path(base)
-        path.parent.mkdir(parents=True)
-        cache = SampleCache(path)
-        for doc, doc_slots in zip(corpus.load_corpus(corpus_path), slots):
-            prompt = prompting.build_prompt(doc, base.variant, PROMPTS, prefill)
-            cache.put(*(
-                RawSample(
-                    doc.id,
-                    prompt.prompt_hash,
-                    i,
-                    s["text"],
-                    sum(s["logprobs"]) if s["logprobs"] else None,
-                    len(s["logprobs"] or ()),
-                    s["finish_reason"],
+        configs = []
+        for variant, variant_slots in slots.items():
+            path = harness.cache_path(base._replace(variant=variant))
+            path.parent.mkdir(parents=True)
+            cache = SampleCache(path)
+            for doc, doc_slots in zip(corpus.load_corpus(corpus_path), variant_slots):
+                prompt = prompting.build_prompt(doc, variant, PROMPTS, prefill)
+                cache.put(*(
+                    RawSample(
+                        doc.id,
+                        prompt.prompt_hash,
+                        i,
+                        s["text"],
+                        sum(s["logprobs"]) if s["logprobs"] else None,
+                        len(s["logprobs"] or ()),
+                        s["finish_reason"],
+                    )
+                    for i, s in enumerate(doc_slots)
+                    if s is not None
+                ))
+            configs += [
+                base._replace(
+                    variant=variant, n_samples=n, strategy=strategy, ppl_mode=mode,
+                    empty_gold=policy,
                 )
-                for i, s in enumerate(doc_slots)
-                if s is not None
-            ))
-        configs = [
-            base._replace(n_samples=n, strategy=strategy, ppl_mode=mode, empty_gold=policy)
-            for n, (strategy, mode, policy) in zip(counts, evaluations)
-        ]
+                for n, (strategy, mode, policy) in zip(counts[variant], evaluations)
+            ]
+        assert len(harness.fetch_groups(configs)) == len(slots)
         summaries = harness.grid(configs)
-    documents = [
-        {
-            "source": f"{record['title']} {record['abstract']}",
-            "gold": record["keyphrases"],
-            "had_prefill": prefill,
-            "samples": [
-                {
-                    "slot": i,
-                    "text": s["text"],
-                    "logprobs": s["logprobs"],
-                    "truncated": s["finish_reason"] != "stop",
-                }
-                for i, s in enumerate(doc_slots)
-                if s is not None
-            ],
-        }
-        for record, doc_slots in zip(records, slots)
-    ]
-    assert_reports_match_the_oracle(configs, summaries, documents)
+    for variant, variant_slots in slots.items():
+        documents = [
+            {
+                "source": f"{record['title']} {record['abstract']}",
+                "gold": record["keyphrases"],
+                "had_prefill": prefill,
+                "samples": [
+                    {
+                        "slot": i,
+                        "text": s["text"],
+                        "logprobs": s["logprobs"],
+                        "truncated": s["finish_reason"] != "stop",
+                    }
+                    for i, s in enumerate(doc_slots)
+                    if s is not None
+                ],
+            }
+            for record, doc_slots in zip(records, variant_slots)
+        ]
+        mine = [k for k, c in enumerate(configs) if c.variant == variant]
+        assert_reports_match_the_oracle(
+            [configs[k] for k in mine], [summaries[k] for k in mine], documents
+        )
 
 
 # ---- the online run against a drawn faulty endpoint ----
@@ -349,10 +371,9 @@ class FaultyEndpoint:
     (document index, choices asked for); each choice of a 200 sent is in
     `sent` as (document index, text, finish reason, logprobs). Once the 401
     is sent, every later answer waits until `raised` is set, which the test
-    does when the run's AuthenticationError leaves its fetch. Without that
-    wait a fetcher could finish its document and take another while the
-    401 is still on its way to the failed fetch, which has not yet stopped
-    the others."""
+    does when the client raises the AuthenticationError. Without that wait
+    another fetcher could be answered and send again while the 401 is
+    still on its way to the client, which has not yet kept the refusal."""
 
     def __init__(self, pools, schedule):
         self.pools, self.schedule = pools, schedule
@@ -508,16 +529,16 @@ def test_online_run_matches_the_composed_oracle(faulty_server, case):
     cache holds afterwards, its counts are those of the cache before and
     after, and an offline replay writes the same files. The second run
     asks for exactly the slots the first left absent. A 401 ends a run:
-    after it the endpoint hears only from the documents other fetchers
-    held, at most `max_in_flight - 1` of them."""
+    after it the endpoint hears only the requests other fetchers had
+    already sent, at most `max_in_flight - 1` of them."""
     n_docs, n, request_mode, prefill, max_in_flight, pools, schedule = case
     docs = corpus.load_corpus(TOY_CORPUS)[:n_docs]
     url = "http://%s:%d/v1" % faulty_server.server_address[:2]
-    fetch = harness._fetch
+    post = llm_client.LLMClient._post_with_retries
 
-    def signalling_fetch(*args):
+    def signalling_post(self, data):
         try:
-            return fetch(*args)
+            return post(self, data)
         except AuthenticationError:
             faulty_server.endpoint.raised.set()
             raise
@@ -525,7 +546,7 @@ def test_online_run_matches_the_composed_oracle(faulty_server, case):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch("time.sleep"), \
             mock.patch.object(llm_client, "MAX_RETRIES", 2), \
-            mock.patch.object(harness, "_fetch", signalling_fetch):
+            mock.patch.object(llm_client.LLMClient, "_post_with_retries", signalling_post):
         config = harness.RunConfig(
             corpus_path=str(TOY_CORPUS), endpoint=url, cache_dir=str(Path(tmp) / "cache"),
             limit=n_docs, n_samples=n, request_mode=request_mode, prefill=prefill,
@@ -538,8 +559,8 @@ def test_online_run_matches_the_composed_oracle(faulty_server, case):
         except AuthenticationError:
             at = first.unauthorized_at
             assert at is not None
-            later = {doc for doc, _ in first.requests[at + 1:]}
-            assert first.requests[at][0] not in later
+            later = first.requests[at + 1:]
+            assert first.requests[at][0] not in {doc for doc, _ in later}
             assert len(later) <= max_in_flight - 1
             assert not first.stuck
         else:

@@ -597,6 +597,64 @@ class TestFetchers:
         assert closed_with_alive == []
         assert not any(t.is_alive() for t in helpers)
 
+    @pytest.mark.parametrize("max_in_flight", [3, 8])
+    def test_no_request_is_sent_after_a_fatal_error(self, tmp_path, monkeypatch, max_in_flight):
+        """Per request at n = 5: the endpoint answers the 3rd request with a
+        401 and every other in full, but holds each answer after the 401
+        until the client has raised. Only requests already sent when the
+        401 came reach it after the 401, one per other fetcher at most;
+        sending on would cost each of them its document's rest. Threads
+        switch every microsecond, so a check and a send interleave often."""
+        records = [json.loads(line) for line in TOY_CORPUS.read_text().splitlines()]
+        corpus_path = tmp_path / "twelve.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps({**records[k % 5], "id": f"d{k}"}) + "\n" for k in range(12)),
+            encoding="utf-8",
+        )
+        serving = running_server(MOCK_FIXTURES)
+        lock, raised = threading.Lock(), threading.Event()
+        requests, held_too_long = [0], []
+
+        class Refusing(serving.server.RequestHandlerClass):
+            def _answer(self, status, body):
+                with lock:
+                    requests[0] += 1
+                    k = requests[0]
+                if k == 3:
+                    status, body = 401, b'{"error": "bad key"}'
+                elif k > 3 and not raised.wait(10):
+                    held_too_long.append(k)
+                super()._answer(status, body)
+
+        post = harness.LLMClient._post_with_retries
+
+        def signalling_post(self, data):
+            try:
+                return post(self, data)
+            except AuthenticationError:
+                raised.set()
+                raise
+
+        monkeypatch.setattr(harness.LLMClient, "_post_with_retries", signalling_post)
+        serving.server.RequestHandlerClass = Refusing
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serving as url:
+                for run in range(5):
+                    requests[0] = 0
+                    raised.clear()
+                    cfg = config(
+                        url, tmp_path / str(run), corpus_path=str(corpus_path), n_samples=5,
+                        request_mode="per-request", max_in_flight=max_in_flight,
+                    )
+                    with pytest.raises(AuthenticationError):
+                        harness.run(cfg)
+                    assert 3 <= requests[0] <= 3 + max_in_flight - 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert held_too_long == []
+
     def test_fetchers_count_exactly_under_interleaving(self, tmp_path, caplog):
         """Eight fetchers switching threads every microsecond count and
         write exactly what one fetcher does, on the same partly warm cache."""
@@ -1055,6 +1113,14 @@ class TestGrid:
             {"max_tokens": 2.9},
             {"max_tokens": True},
             {"variant": "nope"},
+            # an empty string is no setting: not $KPAGG_ENDPOINT, not ".", not "no report"
+            {"model": ""},
+            {"cache_dir": ""},
+            {"endpoint": ""},
+            {"out": ""},
+            {"merged_out": ""},
+            {"corpus_path": ""},
+            {"prompt_config": ""},
         ],
     )
     def test_value_the_cli_rejects_is_rejected_before_running(
@@ -1391,20 +1457,45 @@ class TestCli:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_temperature_fails_cleanly(self, tmp_path, capsys, value):
         out = tmp_path / "cli.csv"
-        code = main(
-            [
+        with pytest.raises(SystemExit) as exc:
+            main([
                 "run",
                 "--corpus", str(TOY_CORPUS),
                 "--cache-dir", str(tmp_path / "cache"),
                 "--temperature", value,
                 "--offline",
                 "--out", str(out),
-            ],
-        )
-        assert code == 1
+            ])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("Error: ")
-        assert "temperature" in err
+        assert f"kpagg run: error: temperature must be a finite number >= 0, got {value}\n" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flag, text, value",
+        [
+            ("run", "--temperature", "-1", -1.0),  # nan and inf: the test above
+            ("run", "--n-samples", "0", 0),
+            ("run", "--limit", "0", 0),
+            ("run", "--max-in-flight", "0", 0),
+            ("run", "--max-tokens", "0", 0),
+            ("run", "--endpoint", "", ""),
+            ("run", "--model", "", ""),
+            ("run", "--cache-dir", "", ""),
+            ("stats", "--limit", "0", 0),
+        ],
+    )
+    def test_value_run_config_refuses_is_a_usage_error_in_its_words(
+        self, tmp_path, monkeypatch, capsys, command, flag, text, value
+    ):
+        """A flag, a grid file and the library refuse one value in one message."""
+        monkeypatch.chdir(tmp_path)  # where the default cache would go
+        with pytest.raises(HarnessError) as refused:
+            RunConfig(str(TOY_CORPUS), **{flag[2:].replace("-", "_"): value})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--corpus", str(TOY_CORPUS), flag, text])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"kpagg {command}: error: {refused.value}\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [".nan", ".inf"])

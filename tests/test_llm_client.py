@@ -573,6 +573,72 @@ class TestTransport:
             # only the documents already in flight when the first 401 came
             assert 1 <= _ScriptedHandler.hits <= max_in_flight
 
+    @pytest.mark.parametrize(
+        "status, error",
+        [(401, AuthenticationError), (403, AuthenticationError), (400, RequestError)],
+    )
+    def test_fatal_error_is_raised_again_and_nothing_more_is_sent(
+        self, scripted_server, prompt_cfg, toy_docs, status, error
+    ):
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        # the endpoint would answer every later request in full
+        client = make_client(scripted_server([(status, {"error": "refused"})]))
+        raised = []
+        for doc in toy_docs[:2]:
+            rp = build_prompt(doc, resolve_variant("baseline"), prompt_cfg)
+            with pytest.raises(error) as exc:
+                list(client.sample_completions(
+                    rp, doc_id=doc.id, indices=[0, 1], temperature=0.7, max_tokens=50
+                ))
+            raised.append(exc.value)
+        assert _ScriptedHandler.hits == 1
+        first, second = raised
+        assert f"HTTP {status}" in str(first)
+        assert type(second) is type(first) and str(second) == str(first)
+        assert second is not first  # a fresh error, with a traceback of its own
+
+    def test_fatal_error_ends_a_retry_asleep_in_its_backoff_unsent(
+        self, scripted_server, prompt_cfg, toy_docs, monkeypatch
+    ):
+        """A 429's retry that sleeps while another thread's request gets a
+        401 wakes to raise the 401's error, and sends nothing more."""
+        from kpagg.prompting import build_prompt, resolve_variant
+
+        script = [(429, {"error": "slow down"}), (401, {"error": "bad key"})]
+        client = make_client(scripted_server(script))
+        rp = build_prompt(toy_docs[0], resolve_variant("baseline"), prompt_cfg)
+        asleep, refused = threading.Event(), threading.Event()
+
+        def backoff(seconds):
+            asleep.set()
+            assert refused.wait(10)
+
+        def fetch(outcome):
+            try:
+                list(client.sample_completions(
+                    rp, doc_id="d", indices=[0], temperature=0.7, max_tokens=50
+                ))
+            except LLMClientError as exc:
+                outcome.append(exc)
+
+        monkeypatch.setattr(llm_client.time, "sleep", backoff)
+        retrying, failed = [], []
+        thread = threading.Thread(target=fetch, args=(retrying,))
+        thread.start()
+        try:
+            assert asleep.wait(10)  # its first request got the 429
+            fetch(failed)
+        finally:
+            refused.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        (error,) = failed
+        assert isinstance(error, AuthenticationError)
+        (woken,) = retrying
+        assert type(woken) is AuthenticationError and str(woken) == str(error)
+        assert _ScriptedHandler.hits == 2
+
     def test_connection_refused_yields_failed_samples(
         self, prompt_cfg, toy_docs, caplog, monkeypatch
     ):

@@ -235,6 +235,23 @@ def test_known_framings(serve):
         assert outcome(transport_to(serve, server), server) == (first, connections, (200, b"{}"))
 
 
+@pytest.mark.parametrize("may_resend", [True, False])
+def test_request_dropped_unanswered_is_sent_again_only_if_allowed(serve, may_resend):
+    """The server reads a request on a kept-alive connection and closes it
+    unanswered, as it closes an idle one: the transport sends it again on a
+    fresh connection, unless `may_resend` says the caller sends no more (a
+    client the endpoint has refused)."""
+    server = serve(OK, ANSWERS["no-answer"])
+    transport = transport_to(serve, server)
+    assert transport.send(b"{}")[0] == 200
+    if may_resend:
+        assert transport.send(b"{}", lambda: True)[0] == 200
+    else:
+        with pytest.raises(ConnectionResetError):
+            transport.send(b"{}", lambda: False)
+    assert (len(server.requests), server.connections) == (2 + may_resend, 1 + may_resend)
+
+
 @pytest.fixture()
 def failures(monkeypatch, caplog):
     """The client's connection-error warnings, with one retry and no wait."""
