@@ -1,11 +1,13 @@
 """Command-line interface: run, stats, and grid subcommands. `kpagg run`
 takes its defaults from `harness.RunConfig`. Exits 0, 1 after a fatal error
-(`Error: <message>` on stderr), or 2 on a usage error."""
+(`Error: <message>` on stderr), 2 on a malformed command line, or 141 when
+stdout's reader has left."""
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -25,19 +27,6 @@ class _Help(argparse.HelpFormatter):
         if action.default in (None, argparse.SUPPRESS) or "%(default)" in action.help:
             return action.help
         return f"{action.help} (default: %(default)s)"
-
-
-def _path(text: str, must_exist: bool = True) -> str:
-    """An argument type: a path that is no directory, and exists if it must."""
-    path = Path(text)
-    if path.is_dir() or must_exist and not path.exists():
-        problem = "is a directory" if path.is_dir() else "does not exist"
-        raise argparse.ArgumentTypeError(f"{text!r} {problem}")
-    return text
-
-
-def _out_path(text: str) -> str:
-    return _path(text, must_exist=False)
 
 
 def _fetch_counts(summary: harness.RunSummary) -> str:
@@ -71,12 +60,13 @@ def run_cmd(args: argparse.Namespace) -> None:
 def stats_cmd(args: argparse.Namespace) -> None:
     """Describe a corpus: input length and present/absent gold counts."""
     config = _settings(args)
-    if args.csv_path and Path(args.csv_path).resolve() == Path(config.corpus_path).resolve():
-        raise harness.HarnessError(f"--csv {args.csv_path} is the corpus it describes")
+    if args.csv_path is not None:  # "" too, which `check_outputs` refuses
+        harness.check_outputs([args.csv_path], [(config.corpus_path, "a corpus")], meta=False)
     docs = load_corpus(config.corpus_path, default_domain=config.default_domain)
     stats = corpus_stats(docs[: config.limit])
     print(format_stats(stats))
-    if args.csv_path:
+    if args.csv_path is not None:
+        Path(args.csv_path).parent.mkdir(parents=True, exist_ok=True)
         Path(args.csv_path).write_text(stats_csv(stats), encoding="utf-8")
         print(f"wrote {args.csv_path}")
 
@@ -124,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = command(run_cmd, "run")
     add = run.add_argument
-    add("--corpus", dest="corpus_path", required=True, type=_path, help="JSON-lines corpus file.")
+    add("--corpus", dest="corpus_path", required=True, help="JSON-lines corpus file.")
     # each alias, and each canonical name (the one a default shows)
     variants = list(dict.fromkeys([*VARIANT_ALIASES, *VARIANTS]))
     strategies = list(dict.fromkeys([*STRATEGY_ALIASES, *STRATEGIES]))
@@ -140,11 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("--seed", type=int, help="Select the --limit subset at random with this seed "
                                  "(default: first documents in file order).")
     add("--cache-dir", help="Sample cache root; reruns replay from here.")
-    add("--out", type=_out_path, help="Write the metric report CSV here.")
+    add("--out", help="Write the metric report CSV here.")
     add("--empty-gold", choices=metrics.EMPTY_GOLD_POLICIES,
         help="Macro-average handling of documents with no gold keyphrases in a partition.")
-    add("--prompt-config", type=_path,
-        help="YAML (or JSON) file overriding the bundled prompt strings.")
+    add("--prompt-config", help="YAML (or JSON) file overriding the bundled prompt strings.")
     add("--prefill", action=argparse.BooleanOptionalAction,
         help="Start the assistant turn with '[' (disable for endpoints that reject "
              "partial assistant turns).")
@@ -156,28 +145,37 @@ def build_parser() -> argparse.ArgumentParser:
     add("--max-in-flight", type=int, help="Documents fetched concurrently.")
 
     stats = command(stats_cmd, "stats")
-    stats.add_argument("--corpus", dest="corpus_path", required=True, type=_path,
+    stats.add_argument("--corpus", dest="corpus_path", required=True,
                        help="JSON-lines corpus file.")
     stats.add_argument("--limit", type=int, help="Use only the first N documents.")
     stats.add_argument("--default-domain", choices=DOMAINS,
                        help="Domain for records that do not declare one.")
-    stats.add_argument("--csv", dest="csv_path", type=_out_path,
-                       help="Also write the stats as CSV here.")
+    stats.add_argument("--csv", dest="csv_path", help="Also write the stats as CSV here.")
 
     grid = command(grid_cmd, "grid")
-    grid.add_argument("--config", dest="config_path", required=True, type=_path,
+    grid.add_argument("--config", dest="config_path", required=True,
                       help="Grid YAML: shared keys at top level, overrides in 'runs'.")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the `kpagg` command line; returns 0, or 1 after a fatal error."""
+    """Run the `kpagg` command line; returns the exit status (module docstring)."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
         args.action(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader has left: end quietly with a shell's status for a pipe
+        # that ended the process (128 + SIGPIPE), and let the exit-time
+        # flush of what is buffered go to devnull. SIGPIPE stays ignored:
+        # the transport's resend of a stale connection needs `sendall` to
+        # raise, not to kill the process.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except _FATAL as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 1

@@ -1,17 +1,17 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
 A `RunConfig` checks its own values when it is made and keeps the canonical
-variant and strategy names, so an alias and its full name give one cache
-file and one fetch group. `grid` groups its configs by every field except
-the evaluation-only ones (strategy, sample count, perplexity mode,
-empty-gold policy, output path), so a group is the configs that read one
-cache file with one prompt and one endpoint; `run` is a one-config grid.
-Before any group runs, `grid` reads every group's inputs (documents,
-prompt strings, endpoint), each corpus and prompt file once, so a missing
-input fails before anything is fetched or written; an output that is a
-directory, or a file the grid reads (a corpus, prompt config or cache
-file), is refused before that. A group's fetchers take its documents one
-at a time, in corpus order. A fetcher renders a document's prompt,
+variant and strategy names and the temperature as a float, so an alias and
+its full name, or 1 and 1.0, give one cache file, one fetch group and one
+provenance. `grid` groups its configs by every field except the
+evaluation-only ones (strategy, sample count, perplexity mode, empty-gold
+policy, output path), so a group is the configs that read one cache file
+with one prompt and one endpoint; `run` is a one-config grid. Before any
+group runs, `grid` reads every group's inputs (documents, prompt strings,
+endpoint), each corpus and prompt file once, so a missing input fails
+before anything is fetched or written; `check_outputs` refuses an output
+that cannot be written as named before that. A group's fetchers take its
+documents one at a time, in corpus order. A fetcher renders a document's prompt,
 fetches or replays the samples of the largest n among the group's configs
 (cache first, network for the misses, one cache append per document),
 then evaluates the document for every config at once: it parses the
@@ -103,7 +103,8 @@ class RunConfig(_RunFields):
     """One run's settings, checked when made (HarnessError) and nowhere
     else: `kpagg run` and `kpagg stats` build theirs here. A copy made by
     `_replace` is checked too. The variant and strategy are kept by their
-    canonical names, so an alias and its full name make equal configs."""
+    canonical names and the temperature as a float (-0.0 as 0.0), so an
+    alias and its full name, or 1 and 1.0, make equal configs."""
 
     __slots__ = ()
 
@@ -149,8 +150,9 @@ class RunConfig(_RunFields):
             # a quoted 'no' is truthy, so only a YAML boolean will do
             if type(getattr(self, name)) is not bool:
                 raise HarnessError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        # a tuple's fields are fixed once made, so the canonical names make a new one
-        fields = {**self._asdict(), "variant": variant, "strategy": strategy}
+        # a tuple's fields are fixed once made, so the canonical values make
+        # a new one; 1, 1.0 and -0.0 + 0.0 are one float temperature
+        fields = dict(self._asdict(), variant=variant, strategy=strategy, temperature=t + 0.0)
         return super().__new__(cls, **fields)
 
     @classmethod
@@ -189,13 +191,11 @@ def cache_path(config: RunConfig) -> Path:
     """`<cache_dir>/<corpus>/<variant>/<model>.t<T>.m<M>.jsonl`.
 
     T and M are the temperature and max_tokens, which change what the
-    endpoint samples but are in no prompt hash; the temperature is taken as
-    a float first, so 1 and 1.0 name one file. n_samples and request_mode
+    endpoint samples but are in no prompt hash. n_samples and request_mode
     stay out, so a larger or resumed run replays what is there.
     """
     stem = Path(config.corpus_path).stem
-    temperature = float(config.temperature) + 0.0  # -0.0 becomes 0.0
-    sampling = f"t{temperature!r}.m{config.max_tokens}"
+    sampling = f"t{config.temperature!r}.m{config.max_tokens}"
     return (
         Path(config.cache_dir)
         / _sanitize(stem)
@@ -286,6 +286,25 @@ def report_files(out: str | Path) -> tuple[Path, Path]:
     """The files of a report at `out`: the CSV and `<out>.meta.json`."""
     out = Path(out)
     return out, out.with_suffix(out.suffix + ".meta.json")
+
+
+def check_outputs(outs: list, reads: list, meta: bool = True) -> None:
+    """Refuse (HarnessError), before a command reads anything, each out (with
+    its `report_files` if `meta`) that is no nonempty string, is named twice
+    (`r.csv`, `./r.csv`), is a directory or is in `reads`: (path, "a corpus")."""
+    for p in outs:
+        if not (isinstance(p, str) and p):
+            raise HarnessError(f"output path must be a nonempty string, got {p!r}")
+    written = [Path(f).resolve() for p in outs for f in (report_files(p) if meta else [p])]
+    duplicates = {str(p) for p in written if written.count(p) > 1}
+    if duplicates:
+        raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
+    read = {Path(p).resolve(): what for p, what in reads if p}
+    for p in written:
+        if p.is_dir():
+            raise HarnessError(f"output path {p} is a directory")
+        if p in read:
+            raise HarnessError(f"output path {p} is {read[p]} file the run reads")
 
 
 def _write_report(out: str, reports: list[metrics.MetricReport], meta: dict | list) -> None:
@@ -474,33 +493,17 @@ def grid(configs: list[RunConfig], out: str | None = None, reads=()) -> list[Run
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")
-    if not (out is None or isinstance(out, str) and out):
-        raise HarnessError(f"out must be a nonempty string, got {out!r}")
     groups = fetch_groups(configs)
     heads = [
         configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups
     ]
     paths = [cache_path(head) for head in heads]  # each group's one cache file
-    # one file reached by two spellings (r.csv, ./r.csv) is one output
-    outs = [Path(p).resolve() for p in [*(c.out for c in configs), out] if p]
-    written = [f for p in outs for f in report_files(p)]
-    duplicates = {str(p) for p in written if written.count(p) > 1}
-    if duplicates:
-        raise HarnessError(f"conflicting output paths: {sorted(duplicates)}")
-    # an output that is a directory, or a file the grid reads, ends it at once
-    read = {
-        Path(p).resolve(): what
-        for c in configs
-        for p, what in [(c.corpus_path, "a corpus"), (c.prompt_config, "a prompt config")]
-        if p
-    }
-    read.update({Path(p).resolve(): "a cache" for p in paths})
-    read.update({Path(p).resolve(): "an input" for p in reads})
-    for p in written:
-        if p.is_dir():
-            raise HarnessError(f"output path {p} is a directory")
-        if p in read:
-            raise HarnessError(f"output path {p} is {read[p]} file the run reads")
+    outs = [p for p in [*(c.out for c in configs), out] if p is not None]
+    check_outputs(outs, [
+        *[(c.corpus_path, "a corpus") for c in configs],
+        *[(c.prompt_config, "a prompt config") for c in configs],
+        *[(p, "a cache") for p in paths], *[(p, "an input") for p in reads],
+    ])
     # Every group's inputs are read before the first group fetches or
     # writes anything; each corpus and prompt file is read once per grid.
     load_corpus = functools.cache(corpus.load_corpus)
@@ -509,7 +512,7 @@ def grid(configs: list[RunConfig], out: str | None = None, reads=()) -> list[Run
     # An output directory, or an online group's cache directory, that
     # cannot be made ends the grid before anything is fetched.
     online = [path for path, (_, _, client, _) in zip(paths, inputs) if client]
-    for p in [*(p.parent for p in outs), *(p.parent for p in online)]:
+    for p in [*(Path(p).parent for p in outs), *(p.parent for p in online)]:
         p.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary | None] = [None] * len(configs)
     for head, members, path, prepared in zip(heads, groups, paths, inputs):

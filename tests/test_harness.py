@@ -4,8 +4,10 @@ import argparse
 import errno
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -176,6 +178,10 @@ class TestRunConfig:
             cfg._replace(n_samples=0)
         with pytest.raises(HarnessError, match="variant"):
             RunConfig._make(["c", "no-such-variant"])
+
+    def test_temperature_is_kept_as_a_float(self):
+        for given, kept in ((1, "1.0"), (1.0, "1.0"), (0, "0.0"), (-0.0, "0.0"), (0.8, "0.8")):
+            assert repr(RunConfig("c", temperature=given).temperature) == kept
 
     def test_takes_no_new_attribute(self):
         cfg = RunConfig("c")
@@ -1430,7 +1436,6 @@ class TestCli:
             ["--temperature", "-1"],
             ["--max-in-flight", "0"],
             ["--off"],  # a prefix of --offline is no flag
-            ["--prompt-config", "missing.yaml"],
         ],
     )
     def test_run_usage_errors_exit_2(self, tmp_path, capsys, args):
@@ -1440,19 +1445,19 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", [["run"], ["stats"]])
-    def test_missing_or_directory_corpus_exits_2(self, tmp_path, capsys, command):
-        for corpus_path, problem in ((tmp_path / "none.jsonl", "does not exist"),
-                                     (tmp_path, "is a directory")):
-            with pytest.raises(SystemExit) as exc:
-                main([*command, "--corpus", str(corpus_path)])
-            assert exc.value.code == 2
-            assert problem in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [["run", "--offline"], ["stats"]])
+    def test_missing_or_directory_corpus_exits_1(self, tmp_path, capsys, command):
+        for corpus_path, problem in ((tmp_path / "none.jsonl", "No such file or directory"),
+                                     (tmp_path, "Is a directory")):
+            assert main([*command, "--corpus", str(corpus_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"Error: cannot read corpus file {corpus_path}: ")
+            assert problem in err
 
-    def test_grid_missing_config_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["grid", "--config", str(tmp_path / "grid.yaml")])
-        assert exc.value.code == 2
+    def test_grid_missing_config_exits_1(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.yaml"
+        assert main(["grid", "--config", str(grid_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"Error: cannot read grid config {grid_path}: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_temperature_fails_cleanly(self, tmp_path, capsys, value):
@@ -1522,6 +1527,47 @@ class TestCli:
         assert code == 0, output
         assert "Documents" in output
         assert csv_path.read_text().startswith("num_docs")
+
+    def test_stats_csv_makes_its_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", "--corpus", str(TOY_CORPUS), "--csv", "new/dir/s.csv"]) == 0
+        assert "wrote new/dir/s.csv" in capsys.readouterr().out
+        assert (tmp_path / "new" / "dir" / "s.csv").read_text().startswith("num_docs,")
+
+    @pytest.mark.parametrize("csv", ["directory", "corpus", "empty"])
+    def test_stats_csv_is_refused_before_the_corpus_is_read(
+        self, tmp_path, monkeypatch, capsys, csv
+    ):
+        corpus_path = tmp_path / "c.jsonl"
+        shutil.copy(TOY_CORPUS, corpus_path)
+        read = []
+        monkeypatch.setattr("kpagg.cli.load_corpus", lambda *args, **kwargs: read.append(args))
+        value = {"directory": str(tmp_path), "corpus": str(corpus_path), "empty": ""}[csv]
+        assert main(["stats", "--corpus", str(corpus_path), "--csv", value]) == 1
+        assert capsys.readouterr().err.startswith("Error: output path ")
+        assert read == []
+        assert corpus_path.read_bytes() == TOY_CORPUS.read_bytes()
+        assert list(tmp_path.iterdir()) == [corpus_path]
+
+    def test_grid_and_run_at_one_temperature_write_one_meta_json(self, endpoint, tmp_path, capsys):
+        """`temperature: 0` in a grid file and `--temperature 0` are one float."""
+        cache_dir = str(tmp_path / "cache")
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(yaml.safe_dump({
+            "corpus": str(TOY_CORPUS), "endpoint": endpoint, "cache_dir": cache_dir,
+            "temperature": 0, "runs": [{"out": str(tmp_path / "grid.csv")}],
+        }))
+        assert main(["grid", "--config", str(grid_path)]) == 0
+        assert main([
+            "run", "--corpus", str(TOY_CORPUS), "--cache-dir", cache_dir, "--offline",
+            "--temperature", "0", "--out", str(tmp_path / "run.csv"),
+        ]) == 0
+        assert " cache_hits=50 cache_misses=0 " in capsys.readouterr().out
+        grid_files, run_files = (
+            harness.report_files(tmp_path / name) for name in ("grid.csv", "run.csv")
+        )
+        assert [f.read_bytes() for f in grid_files] == [f.read_bytes() for f in run_files]
+        assert '"temperature": 0.0,' in run_files[1].read_text()
 
     def test_grid_command(self, endpoint, tmp_path, capsys):
         grid_path = tmp_path / "grid.yaml"
@@ -1616,9 +1662,8 @@ class TestCliOutputErrors:
         assert err.startswith("Error: ")
         assert "Traceback" not in err
 
-    def test_stats(self, tmp_path, capsys):
-        csv_path = tmp_path / "missing" / "stats.csv"
-        self.check(main(["stats", "--corpus", str(TOY_CORPUS), "--csv", str(csv_path)]), capsys)
+    def test_stats(self, blocked, capsys):
+        self.check(main(["stats", "--corpus", str(TOY_CORPUS), "--csv", str(blocked)]), capsys)
 
     def test_run(self, blocked, tmp_path, capsys):
         code = main([
@@ -1682,6 +1727,78 @@ class TestCliOutputErrors:
         self.check(main(argv), capsys)
         assert target.read_bytes() == before
         assert not (tmp_path / "cache").exists()
+
+
+class TestCliFileRefusals:
+    """A file is refused where it is opened: an input by its loader, an
+    output by `harness.check_outputs`. The refusal exits 1 with one message
+    whether the path came from a flag or a grid file, and writes and sends
+    nothing."""
+
+    @pytest.mark.parametrize(
+        "refused",
+        ["missing-corpus", "directory-corpus", "missing-prompt-config", "directory-output"],
+    )
+    def test_one_status_and_message(
+        self, tmp_path, capsys, counted_endpoint, refused
+    ):
+        endpoint, requests = counted_endpoint
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        key, path, words = {
+            "missing-corpus": ("corpus", tmp_path / "none.jsonl", "cannot read corpus file"),
+            "directory-corpus": ("corpus", directory, "cannot read corpus file"),
+            "missing-prompt-config": ("prompt_config", tmp_path / "none.yaml",
+                                      "cannot read prompt config"),
+            "directory-output": ("out", directory, "output path"),
+        }[refused]
+        files = {"corpus": TOY_CORPUS, "out": tmp_path / "new" / "r.csv", key: path}
+        prompts = ["--prompt-config", str(path)] if key == "prompt_config" else []
+        ways = {
+            "run": ["run", "--corpus", str(files["corpus"]), "--endpoint", endpoint,
+                    "--cache-dir", str(tmp_path / "cache"), "--out", str(files["out"]), *prompts],
+            "stats": ["stats", "--corpus", str(files["corpus"]), "--csv", str(files["out"])],
+            "grid": ["grid", "--config", str(tmp_path / "grid.yaml")],
+        }
+        if prompts:
+            del ways["stats"]  # it reads no prompts
+        (tmp_path / "grid.yaml").write_text(yaml.safe_dump({
+            **{name: str(value) for name, value in files.items()},
+            "endpoint": endpoint, "cache_dir": str(tmp_path / "cache"), "runs": [{}],
+        }))
+        before = sorted(tmp_path.rglob("*"))
+        errors = set()
+        for argv in ways.values():
+            assert main(argv) == 1, argv
+            errors.add(capsys.readouterr().err)
+            assert sorted(tmp_path.rglob("*")) == before
+        (error,) = errors
+        assert error.startswith(f"Error: {words} {path.resolve() if key == 'out' else path}")
+        assert requests == []
+
+
+@pytest.mark.parametrize("command", ["stats", "run"])
+def test_closed_stdout_ends_the_command_quietly(endpoint, tmp_path, command):
+    """A reader that has left before the first write (`kpagg stats | head
+    -1`) ends the command with 141, 128 + SIGPIPE, and an empty stderr."""
+    argv = ["stats", "--corpus", str(TOY_CORPUS)]
+    if command == "run":
+        harness.run(config(endpoint, tmp_path))  # warm, so the offline run warns of nothing
+        argv = ["run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path / "cache"),
+                "--offline"]
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    paths = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": paths}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "kpagg.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (141, b"")
 
 
 @pytest.fixture
