@@ -32,7 +32,10 @@ the fetchers stop taking documents, and the error is raised on the
 calling thread. A sample the endpoint did not return is absent, never
 cached and never averaged, so rerunning an interrupted or partly failed
 run fetches only the samples still missing; a group warns once how many
-are absent.
+are absent, and how many came without logprobs to rank them by. The
+group's cache load keeps where its documents' lines are; a fetcher decodes
+a document's cached samples when it takes the document, so a run holds
+the samples of the documents in flight, not the cache.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import aggregation, corpus, metrics, prompting, textnorm
+from .cache import SampleCache
 from .llm_client import (
     API_KEY_ENV,
     PPL_MODES,
@@ -57,7 +61,6 @@ from .llm_client import (
     AuthenticationError,
     LLMClient,
     RequestError,
-    SampleCache,
     parse_sample,
     perplexity,
 )
@@ -166,6 +169,7 @@ class RunSummary(NamedTuple):
     errored: int
     parse_fallbacks: int
     truncated: int  # samples cut by the token limit or a content filter
+    unranked: int  # samples without logprobs, so without a perplexity to rank by
     cache_hits: int
     cache_misses: int
     wall_time: float
@@ -212,7 +216,8 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int, str]:
     the samples continue. A sample neither cached nor fetched is absent.
     """
     prompt = prompting.build_prompt(doc, config.variant, pcfg, config.prefill)
-    slots = [cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
+    cached = cache.take(doc.id)
+    slots = [cached.get((prompt.prompt_hash, i)) for i in range(config.n_samples)]
     missing = [i for i, s in enumerate(slots) if s is None]
     if missing and client is not None:
         try:
@@ -227,7 +232,7 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int, str]:
     return ordered, config.n_samples - len(missing), prompt.assistant_prefill
 
 
-def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int]:
+def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int, int]:
     """Score one document under every config of a group.
 
     Each sample of `raw` continues `prefill`. The gold and each sample's
@@ -237,10 +242,11 @@ def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int]:
     samples once, and each (n, mode, strategy) makes one prediction, which
     configs that differ only in their empty-gold policy share. Returns one
     score record per config (None for a config that sees no sample), the
-    parse fallback count and the count of samples cut short (`truncated`).
+    parse fallback count, and the counts of samples cut short (`truncated`)
+    and without logprobs (`unranked`).
     """
     if not raw:
-        return [None] * len(configs), 0, 0
+        return [None] * len(configs), 0, 0, 0
     parsed = [parse_sample(s.text, prefill, s.truncated) for s in raw]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = source.phrases(doc.gold)
@@ -264,7 +270,8 @@ def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int]:
         else None
         for c in configs
     ]
-    return scores, sum(ps.fallback for ps in parsed), sum(s.truncated for s in raw)
+    fallbacks = sum(ps.fallback for ps in parsed)
+    return scores, fallbacks, sum(s.truncated for s in raw), sum(not s.lp_n for s in raw)
 
 
 # config fields that say where a run reads, writes and connects (and
@@ -358,7 +365,8 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
             "settings; it is not replayed (move it aside to silence this)",
             legacy,
         )
-    # the lines of other documents (outside a `limit`/`seed` subset) load unparsed
+    # indexes the lines of the group's documents; a fetcher decodes a
+    # document's lines when it takes the document
     cache = SampleCache(path, doc_ids={doc.id for doc in docs})
 
     queued = enumerate(docs)
@@ -402,12 +410,13 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
             helper.join()
         if client is not None:
             client.close()  # no fetcher is left to hold a connection
+        cache.close()
     if errors:
         raise errors[0]
 
     hits, misses = (sum(f[j] for f in fetched if f) for j in (0, 1))
     unavailable = {i: f[2] for i, f in enumerate(fetched) if f and f[2]}
-    fallbacks, truncated = (sum(r[j] for r in results if r) for j in (1, 2))
+    fallbacks, truncated, unranked = (sum(r[j] for r in results if r) for j in (1, 2, 3))
     if unavailable:
         log.warning(
             "%d sample(s) unavailable in %d document(s) (not returned by the "
@@ -415,6 +424,11 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
             sum(unavailable.values()),
             len(unavailable),
             ", ".join(docs[i].id for i in sorted(unavailable)[:5]),
+        )
+    if unranked:
+        log.warning(
+            "%d sample(s) have no logprobs, so no perplexity: they rank last, in slot order",
+            unranked,
         )
     wall_time = read_s + time.monotonic() - t0
     summaries = []
@@ -426,8 +440,8 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
         if config.out:
             _write_report(config.out, [report], provenance(config))
         summaries.append(RunSummary(
-            len(scores), len(docs) - len(scores), fallbacks, truncated, hits, misses, wall_time,
-            report,
+            len(scores), len(docs) - len(scores), fallbacks, truncated, unranked, hits, misses,
+            wall_time, report,
         ))
     return summaries
 
@@ -489,7 +503,8 @@ def grid(configs: list[RunConfig], out: str | None = None, reads=()) -> list[Run
     largest n among them, and one evaluation pass. Each summary counts its
     own processed and errored documents: a document with no sample in a
     slot below a config's n is errored for that config alone. Their cache,
-    parse-fallback and truncation counts are the pass's, at the largest n.
+    parse-fallback, truncation and unranked counts are the pass's, at the
+    largest n.
     """
     if not configs:
         raise HarnessError("grid needs at least one run config")

@@ -1,4 +1,4 @@
-"""Chat-completions client, sample parsing, perplexity, and a replay cache.
+"""Chat-completions client, sample parsing and perplexity.
 
 Talks to any OpenAI-compatible endpoint through `kpagg.transport`: one
 request per document with n choices (default) or n single-choice requests,
@@ -12,11 +12,7 @@ code; `kpagg.transport` says which path loads which module.
 
 A sample keeps only what ranking needs of its logprobs: their left-to-right
 sum and their count (`lp_sum`, `lp_n`), the sufficient statistics of both
-perplexity modes. Completed samples are appended to a JSON-lines cache
-keyed by (doc_id, prompt_hash, sample_index), one line per sample with those
-two fields in place of the per-token list; a warm cache replays a run
-without any network traffic. JSON float repr round-trips exactly, so a
-replayed perplexity equals the fetched one bit for bit.
+perplexity modes; `kpagg.cache` keeps the samples a run fetched.
 """
 
 from __future__ import annotations
@@ -24,13 +20,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import random
 import re
-import threading
 import time
 import urllib.parse
-from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from . import __version__
@@ -424,151 +417,3 @@ class LLMClient:
                     len(received) - len(kept),
                 )
             yield from kept
-
-
-# The start of a cache line as `put` writes it: the record's first field,
-# spaced as `json.dumps` spaces it. An id holding an escape (a quote, a
-# backslash, a control character) does not match, nor does another key order.
-_DOC_ID_PREFIX = re.compile(rb'\{"doc_id": "([^"\\]*)", ')
-
-
-class SampleCache:
-    """Append-only JSON-lines store of RawSamples, keyed by
-    (doc_id, prompt_hash, sample_index), a sample's first three fields.
-    First write for a key wins. A line is one JSON object of the
-    `RawSample` fields, by name, in field order. The file's directory must
-    exist before the first `put`; `harness.grid` makes it before a fetch.
-
-    `doc_ids` is the set of documents a run can ask for. Given it, the load
-    skips without decoding each line that starts as `put` writes it
-    (`_DOC_ID_PREFIX`) with a doc_id not in `doc_ids`, and decodes every
-    other line as a full load does. So `get` answers for a document in
-    `doc_ids` exactly as after a full load, and the corrupt-line warnings
-    of the lines it reads keep their line numbers; the lines of other
-    documents cost one regex match each, and their corruption goes
-    unreported. A line whose JSON names `doc_id` twice, which `put` never
-    writes, is judged by the first. `doc_ids=None` loads every line.
-
-    Each `put` appends its batch with a single `os.write` to an `O_APPEND`
-    descriptor, so the batch lands whole at the end of the file even when
-    another process appends to the same file at the same time. Two writers
-    may both append a key neither had loaded; a reload keeps the line that
-    came first. A file that ends without a newline when a batch is appended
-    (a write cut short) gets one before the batch, in that same write, so
-    the batch does not join the torn line. The append holds an exclusive
-    `flock` on the file from that check to the end of its write, so it
-    never sees another `put`'s batch half-written.
-
-    The load reads bytes and splits them on `\n` only; a line that is not
-    UTF-8 (a write cut inside a character) is one more corrupt line.
-    """
-
-    def __init__(self, path: str | Path, doc_ids: set[str] | None = None):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._index: dict[tuple[str, str, int], RawSample] = {}
-        self._load(doc_ids)
-
-    def _load(self, doc_ids: set[str] | None) -> None:
-        if not self.path.exists():
-            return
-        corrupt = 0
-        match = _DOC_ID_PREFIX.match
-        if doc_ids is not None:
-            # as bytes, the form the prefix match captures; an id holding a
-            # lone surrogate (a JSON escape) matches no line
-            doc_ids = {doc_id.encode("utf-8", "surrogatepass") for doc_id in doc_ids}
-        with open(self.path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if doc_ids is not None:
-                    m = match(line)
-                    if m is not None and m[1] not in doc_ids:
-                        continue
-                try:
-                    line = line.decode("utf-8")
-                    if not line.strip():
-                        continue
-                    sample = self._decode(json.loads(line))  # too deep: RecursionError
-                except (ValueError, TypeError, KeyError, RecursionError):
-                    corrupt += 1
-                    log.warning("%s:%d: skipping corrupt cache line", self.path, lineno)
-                    continue
-                self._index.setdefault(sample[:3], sample)
-        if corrupt:
-            log.warning("%s: skipped %d corrupt cache line(s)", self.path, corrupt)
-
-    @staticmethod
-    def _decode(obj: dict) -> RawSample:
-        """The sample a cache line holds, read by `RawSample`'s field names;
-        a line without one of them (an older format without `lp_sum`, say)
-        raises KeyError. A field of the wrong JSON type raises TypeError, so
-        the line counts as corrupt instead of being coerced (a string of
-        digits into a logprob sum, a null finish reason into the
-        clean-looking "None"): `lp_sum` must be null or a float other than
-        NaN, `lp_n` a non-negative integer, and a positive `lp_n` needs a
-        sum."""
-        # a JSON scalar line has no fields: indexing it raises TypeError
-        sample = RawSample(*[obj[field] for field in RawSample._fields])
-        strings = (sample.doc_id, sample.prompt_hash, sample.text, sample.finish_reason)
-        if set(map(type, strings)) != {str} or type(sample.sample_index) is not int:
-            raise TypeError("cache line field of the wrong type")
-        lp_sum, lp_n = sample.lp_sum, sample.lp_n
-        if type(lp_n) is not int or lp_n < 0:
-            raise TypeError("lp_n is not a non-negative integer")
-        if lp_sum is None:
-            if lp_n:
-                raise TypeError("lp_n without lp_sum")
-        elif type(lp_sum) is not float or lp_sum != lp_sum:
-            raise TypeError("lp_sum is not null or a float other than NaN")
-        return sample
-
-    @staticmethod
-    def _line(sample: RawSample) -> bytes:
-        """The cache line of a sample, UTF-8 as it reads. A text holding a
-        lone surrogate (a reply cut inside an emoji) has no UTF-8 form, so
-        its line alone goes ASCII-escaped, which `json.loads` reads back to
-        the same string."""
-        obj = sample._asdict()
-        try:
-            return (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
-        except UnicodeEncodeError:
-            return (json.dumps(obj) + "\n").encode("ascii")
-
-    def get(self, doc_id: str, prompt_hash: str, sample_index: int) -> RawSample | None:
-        return self._index.get((doc_id, prompt_hash, sample_index))
-
-    def put(self, *samples: RawSample) -> None:
-        """Append the samples whose keys are new with one open and one write;
-        the first write for a key wins, within one call too."""
-        with self._lock:
-            new: dict[tuple[str, str, int], RawSample] = {}
-            for sample in samples:
-                key = sample[:3]
-                if key not in self._index:
-                    new.setdefault(key, sample)
-            if not new:
-                return
-            data = b"".join(map(self._line, new.values()))
-            import fcntl  # only a run that writes loads it
-
-            fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-            try:
-                # held until the close: no other put writes between the
-                # check of the last byte and this write
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                # a torn last line is closed first, so it does not swallow the batch
-                size = os.fstat(fd).st_size
-                if size and os.pread(fd, 1, size - 1) != b"\n":
-                    data = b"\n" + data
-                written = os.write(fd, data)
-                # A regular file takes the whole batch in one write; only a
-                # full disk or a signal cuts it short, and then the rest
-                # still goes out rather than being lost.
-                while written < len(data):
-                    written += os.write(fd, data[written:])
-            finally:
-                os.close(fd)
-            self._index.update(new)
-
-    def __len__(self) -> int:
-        return len(self._index)

@@ -7,6 +7,7 @@ compares library outputs against these.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -600,3 +601,36 @@ def mock_answer_oracle(samples: list[dict], n: int, prefill: bool, logprobs: boo
     return {
         "id": "mock-completion", "object": "chat.completion", "model": model, "choices": choices
     }
+
+
+# ---- the sample cache ----
+
+_PUT_PREFIX_ORACLE = re.compile(rb'\{"doc_id": "([^"\\]*)", ')
+
+
+def cache_load_oracle(content: bytes, doc_ids: set[str], decode) -> tuple[dict, list[int]]:
+    """A cache file as a load read it while it decoded every line it kept:
+    each line, split on `\\n` only, that starts as `put` writes it with an
+    id outside `doc_ids` is skipped; every other nonblank line is decoded
+    with `decode` (the package's field rules, which are not what this
+    checks) or is corrupt. Returns {key: (line number, sample)} for the
+    first line of each key, and the numbers of the corrupt lines."""
+    wanted = {doc_id.encode("utf-8", "surrogatepass") for doc_id in doc_ids}
+    lines = content.split(b"\n")
+    if lines[-1] == b"":  # the end of the last line, not a line
+        lines.pop()
+    index, corrupt = {}, []
+    for lineno, line in enumerate(lines, start=1):
+        m = _PUT_PREFIX_ORACLE.match(line)
+        if m is not None and m[1] not in wanted:
+            continue
+        try:
+            text = line.decode("utf-8")
+            if not text.strip():
+                continue
+            sample = decode(json.loads(text))
+        except (ValueError, TypeError, KeyError, RecursionError):
+            corrupt.append(lineno)
+            continue
+        index.setdefault(sample[:3], (lineno, sample))
+    return index, corrupt

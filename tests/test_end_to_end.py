@@ -17,6 +17,7 @@ import itertools
 import json
 import tempfile
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
@@ -27,12 +28,12 @@ from hypothesis import strategies as st
 
 from kpagg import corpus, harness, llm_client, metrics, prompting
 from kpagg.aggregation import STRATEGIES
+from kpagg.cache import SampleCache
 from kpagg.llm_client import (
     PPL_MODES,
     REQUEST_MODES,
     AuthenticationError,
     RawSample,
-    SampleCache,
 )
 from kpagg.metrics import CELLS, EMPTY_GOLD_POLICIES
 
@@ -92,6 +93,7 @@ def bench_inputs(tmp_path_factory):
                 for i, s in enumerate(samples)
             ],
         })
+    cache.close()
     return base, documents
 
 
@@ -267,6 +269,7 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
                     for i, s in enumerate(doc_slots)
                     if s is not None
                 ))
+            cache.close()
             configs += [
                 base._replace(
                     variant=variant, n_samples=n, strategy=strategy, ppl_mode=mode,
@@ -466,13 +469,13 @@ def faulty_server():
 
 def cached_samples(config, docs) -> dict:
     """The samples the config's cache file holds, by document id and slot."""
-    path = harness.cache_path(config)
-    cache = SampleCache(path) if path.exists() else None
     held = {}
-    for doc in docs:
-        prompt = prompting.build_prompt(doc, config.variant, PROMPTS, config.prefill)
-        slots = [cache and cache.get(doc.id, prompt.prompt_hash, i) for i in range(config.n_samples)]
-        held[doc.id] = {i: s for i, s in enumerate(slots) if s is not None}
+    with closing(SampleCache(harness.cache_path(config))) as cache:
+        for doc in docs:
+            prompt = prompting.build_prompt(doc, config.variant, PROMPTS, config.prefill)
+            cached = cache.take(doc.id)
+            slots = [cached.get((prompt.prompt_hash, i)) for i in range(config.n_samples)]
+            held[doc.id] = {i: s for i, s in enumerate(slots) if s is not None}
     return held
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,8 @@ from kpagg.harness import (
     provenance,
     select_documents,
 )
-from kpagg.llm_client import AuthenticationError, LLMClientError, RawSample, SampleCache
+from kpagg.cache import SampleCache
+from kpagg.llm_client import AuthenticationError, LLMClientError, RawSample
 from kpagg.mock_server import MockFixtures, running_server
 from kpagg.prompting import VARIANT_ALIASES, PromptConfigError
 
@@ -309,6 +311,41 @@ class TestRunEndToEnd:
             "or offline without a warm cache), first: "
         )
 
+    def test_samples_without_logprobs_are_counted_and_warned_once(
+        self, endpoint, tmp_path, caplog, capsys
+    ):
+        # every sample of the mock's answers without logprobs: no perplexity,
+        # so each document's samples rank in slot order; the toy report
+        # does not change
+        fixtures = json.loads(MOCK_FIXTURES.read_text(encoding="utf-8"))
+        for response in fixtures["responses"]:
+            for sample in response["samples"]:
+                sample.pop("logprobs", None)
+        with running_server(MockFixtures(fixtures)) as stripped:
+            with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+                summary = harness.run(config(
+                    stripped, tmp_path / "stripped", out=str(tmp_path / "stripped.csv")
+                ))
+                assert main([
+                    "run", "--corpus", str(TOY_CORPUS), "--offline",
+                    "--cache-dir", str(tmp_path / "stripped" / "cache"),
+                ]) == 0
+        warned = [r.getMessage() for r in caplog.records if "no logprobs" in r.getMessage()]
+        assert warned == [
+            "50 sample(s) have no logprobs, so no perplexity: they rank last, in slot order"
+        ] * 2  # once for the run, once for its offline replay
+        assert " truncated=0 unranked=50 cache_hits=50 " in capsys.readouterr().out
+        with_logprobs = harness.run(config(
+            endpoint, tmp_path / "full", out=str(tmp_path / "full.csv")
+        ))
+        assert (summary.unranked, with_logprobs.unranked) == (50, 4)
+        for stripped_file, full_file in zip(
+            harness.report_files(tmp_path / "stripped.csv"),
+            harness.report_files(tmp_path / "full.csv"),
+        ):
+            assert stripped_file.read_bytes() == full_file.read_bytes()
+        assert (tmp_path / "full.csv").read_bytes() == EXPECTED_REPORT.read_bytes()
+
     def test_other_sampling_settings_do_not_replay(self, endpoint, tmp_path):
         harness.run(config(endpoint, tmp_path, temperature=0.8))
         summary = harness.run(config(endpoint, tmp_path, temperature=0.0, max_tokens=5))
@@ -346,9 +383,8 @@ class TestRunEndToEnd:
         for finish in ("length", "content_filter", "stop"):
             cfg = config(None, tmp_path / finish, offline=True, limit=1, n_samples=1)
             cache_path(cfg).parent.mkdir(parents=True)
-            SampleCache(cache_path(cfg)).put(
-                RawSample(doc.id, prompt.prompt_hash, 0, cut, -1.0, 2, finish)
-            )
+            with closing(SampleCache(cache_path(cfg))) as cache:
+                cache.put(RawSample(doc.id, prompt.prompt_hash, 0, cut, -1.0, 2, finish))
             summary = harness.run(cfg)
             assert summary.processed == 1
             assert summary.truncated == (finish != "stop")
@@ -435,6 +471,7 @@ class TestDocumentFailure:
         self, endpoint, tmp_path, caplog, failing, offline
     ):
         harness.run(config(endpoint, tmp_path))  # warm the cache
+        caplog.clear()  # its warning of the samples without logprobs
         failing(ValueError("boom"))
         cfg = config(None if offline else endpoint, tmp_path, offline=offline)
         with caplog.at_level(logging.ERROR, logger="kpagg.harness"):
@@ -749,10 +786,11 @@ class TestFilteredCacheLoad:
             h = prompting.build_prompt(doc, cfg.variant, prompt_cfg).prompt_hash
             hashes.append(h)
             gold = [f'"{p}"' for p in doc.gold]
-            SampleCache(cache_path(cfg)).put(*(
-                RawSample(doc.id, h, i, ", ".join(gold[: i + 2]) + "]", -0.5 - i, 3, "stop")
-                for i in range(N_CACHED)
-            ))
+            with closing(SampleCache(cache_path(cfg))) as cache:
+                cache.put(*(
+                    RawSample(doc.id, h, i, ", ".join(gold[: i + 2]) + "]", -0.5 - i, 3, "stop")
+                    for i in range(N_CACHED)
+                ))
         return hashes
 
     @pytest.fixture()
@@ -817,7 +855,7 @@ class TestFilteredCacheLoad:
                 line = {"doc_id": f"doc-{k:02d}", "prompt_hash": hashes[k], "text": 7}
                 fh.write(json.dumps(line) + "\n")
         lines = 10 * N_CACHED
-        with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
+        with caplog.at_level(logging.WARNING, logger="kpagg.cache"):
             summary = harness.run(cfg)
         assert summary.cache_hits == 3 * N_CACHED
         messages = [r.getMessage() for r in caplog.records]
@@ -825,6 +863,77 @@ class TestFilteredCacheLoad:
             f"{path}:{lines + 2}: skipping corrupt cache line",
             f"{path}: skipped 1 corrupt cache line(s)",
         ]
+
+
+class TestDecodeOnTake:
+    """A run's cache load keeps where each document's lines are; a fetcher
+    decodes a document's lines when it takes the document, and the group
+    closes the cache when it ends."""
+
+    @pytest.fixture()
+    def events(self, monkeypatch):
+        """The cache's loads ("loaded"), the doc_id of each line it decodes,
+        and each document evaluated, ("evaluate", doc_id), in order; and
+        every cache a run made."""
+        seen, caches = [], []
+        decode = SampleCache._decode
+
+        def counting(obj):
+            seen.append(obj["doc_id"])
+            return decode(obj)
+
+        class Recorded(SampleCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                caches.append(self)
+                seen.append("loaded")
+
+        evaluate = harness._evaluate
+
+        def evaluating(doc, *args):
+            seen.append(("evaluate", doc.id))
+            return evaluate(doc, *args)
+
+        monkeypatch.setattr(SampleCache, "_decode", staticmethod(counting))
+        monkeypatch.setattr(harness, "SampleCache", Recorded)
+        monkeypatch.setattr(harness, "_evaluate", evaluating)
+        return seen, caches
+
+    def test_a_replay_decodes_each_document_when_it_is_taken(
+        self, endpoint, tmp_path, docs, events
+    ):
+        harness.run(config(endpoint, tmp_path))  # 10 cached samples per document
+        seen, caches = events
+        seen.clear()
+        summary = harness.run(config(None, tmp_path, offline=True))
+        assert summary.cache_hits == 50
+        # nothing decoded at the load, then one document's lines before its
+        # evaluation and no other's
+        assert seen == ["loaded", *(
+            event for doc in docs for event in [*[doc.id] * 10, ("evaluate", doc.id)]
+        )]
+
+    @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
+    def test_a_group_closes_its_cache(self, endpoint, tmp_path, events, offline):
+        harness.run(config(endpoint, tmp_path))
+        harness.run(config(None if offline else endpoint, tmp_path, offline=offline))
+        _, caches = events
+        assert len(caches) == 2
+        assert all(cache._file.closed for cache in caches)
+
+    def test_a_group_ended_by_a_fatal_error_closes_its_cache(
+        self, endpoint, tmp_path, events, monkeypatch
+    ):
+        harness.run(config(endpoint, tmp_path))
+
+        def refused(*args):
+            raise AuthenticationError("endpoint returned HTTP 401")
+
+        monkeypatch.setattr(harness, "_evaluate", refused)
+        with pytest.raises(AuthenticationError):
+            harness.run(config(None, tmp_path, offline=True))
+        _, caches = events
+        assert caches[-1]._file.closed
 
 
 class TestGrid:
@@ -1780,10 +1889,11 @@ class TestCliFileRefusals:
 @pytest.mark.parametrize("command", ["stats", "run"])
 def test_closed_stdout_ends_the_command_quietly(endpoint, tmp_path, command):
     """A reader that has left before the first write (`kpagg stats | head
-    -1`) ends the command with 141, 128 + SIGPIPE, and an empty stderr."""
+    -1`) ends the command with 141, 128 + SIGPIPE, and adds nothing to
+    the stderr the command writes with its stdout open."""
     argv = ["stats", "--corpus", str(TOY_CORPUS)]
     if command == "run":
-        harness.run(config(endpoint, tmp_path))  # warm, so the offline run warns of nothing
+        harness.run(config(endpoint, tmp_path))  # warm, so the offline run fetches nothing
         argv = ["run", "--corpus", str(TOY_CORPUS), "--cache-dir", str(tmp_path / "cache"),
                 "--offline"]
     src = str(Path(harness.__file__).resolve().parent.parent)
@@ -1798,7 +1908,15 @@ def test_closed_stdout_ends_the_command_quietly(endpoint, tmp_path, command):
         )
     finally:
         os.close(write)
-    assert (child.returncode, child.stderr) == (141, b"")
+    # with its stdout open the toy run warns of its samples without logprobs
+    # and `stats` writes nothing to stderr
+    opened = subprocess.run(
+        [sys.executable, "-m", "kpagg.cli", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+    )
+    assert opened.returncode == 0
+    assert (command == "run") == (b"have no logprobs" in opened.stderr)
+    assert (child.returncode, child.stderr) == (141, opened.stderr)
 
 
 @pytest.fixture

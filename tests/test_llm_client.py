@@ -10,6 +10,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -19,13 +21,13 @@ from hypothesis import strategies as st
 
 import kpagg
 from kpagg import harness, llm_client
+from kpagg.cache import SampleCache
 from kpagg.llm_client import (
     AuthenticationError,
     LLMClient,
     LLMClientError,
     RawSample,
     RequestError,
-    SampleCache,
     _content_logprobs,
     _logprob_stats,
     parse_sample,
@@ -35,6 +37,7 @@ from kpagg.mock_server import running_server
 
 from .conftest import MOCK_FIXTURES, TOY_CORPUS
 from .oracles import (
+    cache_load_oracle,
     parse_sample_oracle,
     perplexity_oracle,
     received_slots_oracle,
@@ -1184,15 +1187,13 @@ class TestNonFiniteLogprobs:
         lines = [raw(doc="d", index=i)._asdict() for i in range(2)]
         lines[0].update(lp_sum=10**400, lp_n=2)
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
-        cache = SampleCache(path)
-        assert cache.get("d", "h" * 64, 0) is None
-        assert cache.get("d", "h" * 64, 1) == raw(doc="d", index=1)
+        assert taken(path, "d") == {("h" * 64, 1): raw(doc="d", index=1)}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_cached_non_finite_logprob_decodes_to_none(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
-        SampleCache(path).put(raw(logprobs=[-0.5, bad], doc="d"))
-        back = SampleCache(path).get("d", "h" * 64, 0)
+        append(path, raw(logprobs=[-0.5, bad], doc="d"))
+        back = taken(path, "d")[("h" * 64, 0)]
         assert (back.lp_sum, back.lp_n) == (None, 0)
         assert perplexity(back) is None
 
@@ -1234,16 +1235,51 @@ def test_float_logprobs_fast_path_equals_the_checked_path(tokens):
     assert (got, [type(x) for x in got]) == (checked, [type(x) for x in checked])
 
 
+def append(path, *samples: RawSample) -> None:
+    """Append `samples` through a cache of their own, closed after."""
+    with closing(SampleCache(path)) as cache:
+        cache.put(*samples)
+
+
+def taken(path, doc_id: str, doc_ids=None) -> dict:
+    """What a fresh load of the cache at `path` takes of one document: its
+    samples by (prompt_hash, sample_index). The cache is closed after, so
+    a corrupt line's total is logged too."""
+    with closing(SampleCache(path, doc_ids)) as cache:
+        return cache.take(doc_id)
+
+
+class Warnings(logging.Handler):
+    """The messages the cache logs while the handler is installed. A
+    hypothesis test cannot use caplog, a function-scoped fixture."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("kpagg.cache").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("kpagg.cache").removeHandler(self)
+
+
 TWO_WRITERS_BATCHES = 60  # batches per writer, one document each
 TWO_WRITERS_BATCH = 10  # samples per batch, ~20 KB per write
 TWO_WRITERS_OVERLAP = 30  # writer 1 starts at this document; the rest overlap
+
 
 # One writer process: argv is the cache path, the start file and the
 # writer's number. Writer w appends documents w*OVERLAP onward, so half of
 # each writer's keys are the other's too, with texts that tell them apart.
 TWO_WRITERS = f"""
 import pathlib, sys, time
-from kpagg.llm_client import RawSample, SampleCache
+from kpagg.cache import SampleCache
+from kpagg.llm_client import RawSample
 path, go, w = sys.argv[1], pathlib.Path(sys.argv[2]), int(sys.argv[3])
 cache = SampleCache(path)
 pathlib.Path(go.parent, f"ready{{w}}").touch()
@@ -1254,9 +1290,39 @@ for doc in range(w * {TWO_WRITERS_OVERLAP}, w * {TWO_WRITERS_OVERLAP} + {TWO_WRI
         RawSample(f"d{{doc}}", "h" * 64, i, f"writer {{w}} " + "x" * 2000, -0.5 * i, i, "stop")
         for i in range({TWO_WRITERS_BATCH})
     ))
+cache.close()
+"""
+
+APPENDER_BATCHES = 400  # documents the appender writes, one batch each
+APPENDER_BATCH = 10  # samples per batch, ~3 KB per write
+
+
+# The appender process: argv is the cache path and the start file. Once the
+# start file exists it appends one batch for each document w0, w1, ...
+# (`appended` below), through a cache that indexes none of them.
+APPENDER = f"""
+import pathlib, sys, time
+from contextlib import closing
+from kpagg.cache import SampleCache
+from kpagg.llm_client import RawSample
+path, go = sys.argv[1], pathlib.Path(sys.argv[2])
+while not go.exists():
+    time.sleep(0.001)
+with closing(SampleCache(path, doc_ids=set())) as cache:
+    for doc in range({APPENDER_BATCHES}):
+        cache.put(*(
+            RawSample(f"w{{doc}}", "h" * 64, i, f"w{{doc}} " + "x" * 200, -0.5, 1, "stop")
+            for i in range({APPENDER_BATCH})
+        ))
 """
 
 
+def appended(doc: str) -> dict:
+    """The samples the appender writes for a document, as a take gives them."""
+    return {
+        ("h" * 64, i): RawSample(doc, "h" * 64, i, f"{doc} " + "x" * 200, -0.5, 1, "stop")
+        for i in range(APPENDER_BATCH)
+    }
 # Doc ids for filtered loads: plain ones, ones that json.dumps escapes (a
 # quote, a backslash, control characters), non-ASCII and U+2028, which JSON
 # leaves raw but str.splitlines would split on. One id starts another.
@@ -1323,6 +1389,68 @@ def cache_files(draw) -> list[tuple[str, tuple[str, str]]]:
     return draw(st.lists(cache_lines(pool), max_size=10))
 
 
+LINE_KINDS = [
+    "put", "ascii", "reordered", "wrong-type", "torn", "not-utf8", "two-objects",
+    "cut-in-array", "padded", "blank", "garbage",
+]
+# JSON blanks, which json.loads allows around a value, and a no-break space,
+# which it does not
+PADDING = [b"", b" ", b"\t", b"\r", b"\xc2\xa0"]
+
+
+@st.composite
+def drawn_cache(draw) -> tuple[list[str], bytes]:
+    """A few doc ids and a cache file over them: batches as `put` writes
+    them, keys repeated, and every kind of line a load must decode in full
+    or count corrupt, the last one possibly torn. A sample's text starts
+    with the number of its line, so the line that wins a key shows in it."""
+    ids = draw(st.lists(
+        st.sampled_from(CACHE_IDS) | st.text(max_size=3), min_size=1, max_size=3, unique=True
+    ))
+    hashes = draw(st.lists(st.sampled_from(CACHE_HASHES), min_size=1, max_size=2, unique=True))
+    pool = cache_samples(ids, hashes)
+    lines: list[bytes] = []
+
+    def obj(sample: RawSample, **changes) -> dict:
+        return {**sample._replace(text=f"{len(lines) + 1}:{sample.text}")._asdict(), **changes}
+
+    def as_put(obj: dict) -> bytes:
+        return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+    for _ in range(draw(st.integers(0, 12))):
+        sample = draw(pool)
+        kind = draw(st.sampled_from(LINE_KINDS))
+        if kind == "put":  # a batch: consecutive slots of one pair
+            for i in range(draw(st.integers(1, 3))):
+                lines.append(as_put(obj(sample._replace(sample_index=i))))
+        elif kind == "ascii":  # non-ASCII and U+2028 escaped: an escaped id
+            lines.append(json.dumps(obj(sample)).encode("ascii"))
+        elif kind == "reordered":
+            lines.append(as_put(dict(reversed(obj(sample).items()))))
+        elif kind == "wrong-type":
+            lines.append(as_put(obj(sample, lp_n=-1)))
+        elif kind == "torn":  # a write cut short, inside a character too
+            whole = as_put(obj(sample))
+            lines.append(whole[: draw(st.integers(0, len(whole) - 1))])
+        elif kind == "not-utf8":
+            lines.append(as_put(obj(sample)).replace(b'"prompt_hash"', b'\xff"prompt_hash"', 1))
+        elif kind == "two-objects":
+            pair = as_put(obj(sample)), as_put(obj(draw(pool)))
+            lines.append(draw(st.sampled_from([b"", b" ", b", "])).join(pair))
+        elif kind == "cut-in-array":
+            whole = as_put(obj(sample, note=[1, [2, 3]]))
+            lines.append(whole[: whole.rindex(b"[2, 3]") + 4])
+        elif kind == "padded":  # anything before it hides the prefix
+            before, after = draw(st.sampled_from(PADDING)), draw(st.sampled_from(PADDING))
+            lines.append(before + as_put(obj(sample)) + after)
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from([b"", b" ", b"\t", b"\r"])))
+        else:
+            lines.append(draw(st.binary(max_size=12)).replace(b"\n", b""))
+    end = draw(st.sampled_from([b"\n", b""])) if lines else b""
+    return ids, b"\n".join(lines) + end
+
+
 class TestSampleCache:
     def entry(self, index=0, doc="d1", h="a" * 64):
         return RawSample(
@@ -1337,46 +1465,44 @@ class TestSampleCache:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = SampleCache(path)
         sample = self.entry()
-        cache.put(sample)
-        reopened = SampleCache(path)
-        assert reopened.get("d1", "a" * 64, 0) == sample
-        assert len(reopened) == 1
+        append(path, sample)
+        assert taken(path, "d1") == {("a" * 64, 0): sample}
 
     def test_miss_returns_none(self, tmp_path):
-        cache = SampleCache(tmp_path / "cache.jsonl")
-        assert cache.get("d1", "a" * 64, 0) is None
+        with closing(SampleCache(tmp_path / "cache.jsonl")) as cache:
+            assert cache.take("d1").get(("a" * 64, 0)) is None
 
     def test_first_write_wins(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = SampleCache(path)
         first = self.entry()
-        cache.put(first)
-        cache.put(RawSample(**{**first._asdict(), "text": '["y"]'}))
-        assert cache.get("d1", "a" * 64, 0).text == '["x"]'
-        assert len(SampleCache(path)) == 1
+        with closing(SampleCache(path)) as cache:
+            cache.put(first)
+            cache.put(RawSample(**{**first._asdict(), "text": '["y"]'}))
+            assert cache.take("d1") == {("a" * 64, 0): first}
+        assert len(path.read_bytes().splitlines()) == 1
+        assert taken(path, "d1") == {("a" * 64, 0): first}
 
     def test_put_many_appends_only_new_keys(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = SampleCache(path)
         cached = self.entry(index=1)
-        cache.put(cached)
-        before = path.read_text(encoding="utf-8")
-        rewritten = RawSample(**{**cached._asdict(), "text": '["y"]'})
-        cache.put(self.entry(index=0), rewritten, self.entry(index=2))
+        with closing(SampleCache(path)) as cache:
+            cache.put(cached)
+            before = path.read_text(encoding="utf-8")
+            rewritten = RawSample(**{**cached._asdict(), "text": '["y"]'})
+            cache.put(self.entry(index=0), rewritten, self.entry(index=2))
         appended = path.read_text(encoding="utf-8")[len(before):].splitlines()
         assert [json.loads(line)["sample_index"] for line in appended] == [0, 2]
-        reopened = SampleCache(path)
+        reopened = taken(path, "d1")
         assert len(reopened) == 3
-        assert reopened.get("d1", "a" * 64, 1).text == '["x"]'
+        assert reopened["a" * 64, 1].text == '["x"]'
 
     def test_put_many_first_write_wins_within_call(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         first = self.entry()
-        SampleCache(path).put(first, RawSample(**{**first._asdict(), "text": '["y"]'}))
+        append(path, first, RawSample(**{**first._asdict(), "text": '["y"]'}))
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
-        assert SampleCache(path).get("d1", "a" * 64, 0) == first
+        assert taken(path, "d1") == {("a" * 64, 0): first}
 
     def test_concurrent_batches_write_each_key_once(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -1396,7 +1522,8 @@ class TestSampleCache:
         assert not any(t.is_alive() for t in threads)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["sample_index"] for line in lines) == list(range(12))
-        assert len(SampleCache(path)) == len(cache) == 12
+        with closing(cache):
+            assert len(taken(path, "d1")) == len(cache.take("d1")) == 12
 
     def test_two_processes_append_overlapping_batches(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -1434,16 +1561,75 @@ class TestSampleCache:
             for i in range(TWO_WRITERS_BATCH)
         }
         assert set(first) == union
-        reloaded = SampleCache(path)
-        assert len(reloaded) == len(union)
-        assert all(reloaded.get(*key) == sample for key, sample in first.items())
+        with closing(SampleCache(path)) as reloaded:
+            got = {
+                (doc_id, *key): sample
+                for doc_id in {key[0] for key in union}
+                for key, sample in reloaded.take(doc_id).items()
+            }
+        assert got == first
+
+    def test_one_process_takes_while_another_appends(self, tmp_path):
+        # The reader's documents are on file before the appender starts;
+        # the appender's go on while the reader loads and takes, again and
+        # again. A take gives exactly what its load indexed: all of a
+        # document whose batch had landed before the load began, nothing of
+        # one that began after the load ended, and never a line read past
+        # the load's view; a second take, after more appends, gives the same.
+        path = tmp_path / "cache.jsonl"
+        go = tmp_path / "go"
+        own = {f"r{k}": {("a" * 64, i): self.entry(index=i, doc=f"r{k}") for i in range(5)}
+               for k in range(20)}
+        for samples in own.values():
+            append(path, *samples.values())
+        src = str(Path(kpagg.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        appender = subprocess.Popen(
+            [sys.executable, "-c", APPENDER, str(path), str(go)],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        others = [f"w{doc}" for doc in range(APPENDER_BATCHES)]
+        views = []
+        try:
+            go.touch()
+            while appender.poll() is None or len(views) < 3:
+                before = path.stat().st_size
+                with closing(SampleCache(path)) as cache:
+                    after = path.stat().st_size
+                    first = {doc: cache.take(doc) for doc in [*own, *others]}
+                    time.sleep(0.002)
+                    again = {doc: cache.take(doc) for doc in [*own, *others]}
+                assert again == first
+                views.append((before, after, first))
+            _, err = appender.communicate(timeout=60)
+        finally:
+            if appender.poll() is None:
+                appender.kill()
+                appender.communicate()
+        assert appender.returncode == 0, err
+        data = path.read_bytes()
+        # where each appended batch starts and ends in the file
+        starts = [data.index(f'{{"doc_id": "{doc}", '.encode()) for doc in others]
+        ends = [*starts[1:], len(data)]
+        assert any(after < len(data) for _, after, _ in views)  # a load while appending
+        for before, after, got in views:
+            for doc, samples in own.items():
+                assert got[doc] == samples
+            for doc, start, end in zip(others, starts, ends):
+                if end <= before:
+                    assert got[doc] == appended(doc), doc
+                elif start >= after:
+                    assert got[doc] == {}, doc
+                else:  # landing while the load read: what it saw, and no more
+                    assert got[doc].items() <= appended(doc).items(), doc
 
     @pytest.mark.parametrize("torn_after_load", [False, True])
     def test_torn_last_line_is_closed_before_the_next_batch(
         self, tmp_path, caplog, monkeypatch, torn_after_load
     ):
         path = tmp_path / "cache.jsonl"
-        SampleCache(path).put(self.entry(index=0))
+        append(path, self.entry(index=0))
         if torn_after_load:  # another writer was cut short while this one ran
             cache = SampleCache(path)
         with path.open("a", encoding="utf-8") as fh:
@@ -1453,14 +1639,15 @@ class TestSampleCache:
         writes = []
         write = os.write
         monkeypatch.setattr(
-            llm_client.os, "write", lambda fd, data: writes.append(data) or write(fd, data)
+            os, "write", lambda fd, data: writes.append(data) or write(fd, data)
         )
-        cache.put(self.entry(index=1))
-        cache.put(self.entry(index=2))
+        with closing(cache):
+            cache.put(self.entry(index=1))
+            cache.put(self.entry(index=2))
         with caplog.at_level(logging.WARNING):
-            reopened = SampleCache(path)
+            reopened = taken(path, "d1")
         assert len(reopened) == 3
-        assert reopened.get("d1", "a" * 64, 1) == self.entry(index=1)
+        assert reopened["a" * 64, 1] == self.entry(index=1)
         assert f"{path}:2: skipping corrupt cache line" in caplog.text
         assert "skipped 1 corrupt cache line" in caplog.text
         # the newline went out with the first batch, in its one write
@@ -1470,25 +1657,22 @@ class TestSampleCache:
     def test_line_torn_inside_a_character_is_one_corrupt_line(self, tmp_path, caplog, doc_ids):
         path = tmp_path / "cache.jsonl"
         first = RawSample(**{**self.entry()._asdict(), "text": "über"})
-        SampleCache(path).put(first)
+        append(path, first)
         line = json.dumps(first._replace(sample_index=1)._asdict(), ensure_ascii=False)
         torn = line.encode("utf-8")[: line.index("ü") + 1]  # the first byte of "ü"
         with path.open("ab") as fh:
             fh.write(torn)
-        with caplog.at_level(logging.WARNING):
-            cache = SampleCache(path, doc_ids=doc_ids)
-        assert len(cache) == 1
-        assert cache.get("d1", "a" * 64, 0) == first
-        assert f"{path}:2: skipping corrupt cache line" in caplog.text
         second = first._replace(sample_index=2)
-        cache.put(second)
-        reopened = SampleCache(path, doc_ids=doc_ids)
-        assert len(reopened) == 2
-        assert reopened.get("d1", "a" * 64, 2) == second
+        with caplog.at_level(logging.WARNING), closing(SampleCache(path, doc_ids)) as cache:
+            assert cache.take("d1") == {("a" * 64, 0): first}
+            assert f"{path}:2: skipping corrupt cache line" in caplog.text
+            cache.put(second)
+        reopened = taken(path, "d1", doc_ids)
+        assert reopened == {("a" * 64, 0): first, ("a" * 64, 2): second}
 
     def test_doc_ids_skip_other_documents_without_decoding(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
-        SampleCache(path).put(*(
+        append(path, *(
             self.entry(index=i, doc=doc, h=h)
             for doc in ("d1", "d2")
             for h in ("a" * 64, "b" * 64)
@@ -1499,18 +1683,20 @@ class TestSampleCache:
         monkeypatch.setattr(
             SampleCache, "_decode", staticmethod(lambda obj: decoded.append(obj) or decode(obj))
         )
-        cache = SampleCache(path, doc_ids={"d2"})
+        with closing(SampleCache(path, doc_ids={"d2"})) as cache:
+            assert decoded == []  # the load decodes nothing a take can read
+            assert cache.take("d1") == {}
+            d2 = cache.take("d2")
         assert [obj["doc_id"] for obj in decoded] == ["d2"] * 4
-        assert cache.get("d2", "b" * 64, 1) == self.entry(index=1, doc="d2", h="b" * 64)
-        assert cache.get("d1", "a" * 64, 0) is None
+        assert d2["b" * 64, 1] == self.entry(index=1, doc="d2", h="b" * 64)
 
     def test_doc_ids_decode_a_line_whose_id_has_an_escape(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         quoted = self.entry(doc='q"uote')
-        SampleCache(path).put(quoted)
+        append(path, quoted)
         # not one of the doc_ids, but its line does not start as `put`
         # writes an unescaped id, so it is decoded
-        assert SampleCache(path, doc_ids={"d1"}).get('q"uote', "a" * 64, 0) == quoted
+        assert taken(path, 'q"uote', {"d1"}) == {("a" * 64, 0): quoted}
 
     @pytest.mark.oracle
     @given(
@@ -1525,14 +1711,127 @@ class TestSampleCache:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cache.jsonl"
             path.write_bytes(text.encode("utf-8"))
-            full = SampleCache(path)
-            filtered = SampleCache(path, doc_ids=kept)
-        for doc_id, prompt_hash in {pair for _, pair in lines if pair[0] in kept}:
-            for index in range(3):
-                # repr: -0.0 and 0.0 are equal but not the same sum
-                assert repr(filtered.get(doc_id, prompt_hash, index)) == repr(
-                    full.get(doc_id, prompt_hash, index)
-                )
+            with closing(SampleCache(path)) as full, closing(SampleCache(path, kept)) as filtered:
+                for doc_id in kept:
+                    # repr: -0.0 and 0.0 are equal but not the same sum
+                    assert repr(filtered.take(doc_id)) == repr(full.take(doc_id))
+
+    @pytest.mark.oracle
+    @given(drawn=drawn_cache(), data=st.data())
+    def test_takes_equal_the_line_by_line_load(self, drawn, data):
+        # Every document taken, in a drawn order, from a load that kept
+        # only where lines are, against the load that decoded every line:
+        # the same samples from the same winning lines, and the same
+        # corrupt-line warnings, by number, and total.
+        ids, content = drawn
+        kept = {doc_id for doc_id in ids if data.draw(st.booleans())}
+        order = data.draw(st.permutations(ids))
+        index, corrupt = cache_load_oracle(content, kept, SampleCache._decode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.jsonl"
+            path.write_bytes(content)
+            with Warnings() as messages, closing(SampleCache(path, kept)) as cache:
+                takes = {doc_id: cache.take(doc_id) for doc_id in order}
+        for doc_id in ids:
+            want = {key[1:]: sample for key, (_, sample) in index.items() if key[0] == doc_id}
+            # repr: -0.0 and 0.0 are equal but not the same sum
+            assert repr(sorted(takes[doc_id].items())) == repr(sorted(want.items())), doc_id
+        per_line = [f"{path}:{n}: skipping corrupt cache line" for n in corrupt]
+        total = [f"{path}: skipped {len(corrupt)} corrupt cache line(s)"] if corrupt else []
+        assert sorted(messages[: len(per_line)]) == sorted(per_line)
+        assert messages[len(per_line):] == total
+
+    def test_put_indexes_its_lines_and_keeps_no_sample(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with closing(SampleCache(path)) as cache:
+            cache.put(*(self.entry(index=i) for i in range(3)))
+            cache.put(self.entry(index=3), self.entry(index=3, h="b" * 64))
+            assert cache.take("d1") == {
+                **{("a" * 64, i): self.entry(index=i) for i in range(4)},
+                ("b" * 64, 3): self.entry(index=3, h="b" * 64),
+            }
+            # adjacent lines of one document are one range; no sample is held
+            size = path.stat().st_size
+            assert cache._index == {b"d1": [(0, size, 1, 5)]}
+        with closing(SampleCache(path)) as reloaded:
+            assert reloaded._index == {b"d1": [(0, size, 1, 5)]}
+
+    def test_put_after_another_writer_numbers_its_lines_in_the_file(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        with closing(SampleCache(path)) as cache:
+            cache.put(self.entry(index=0))
+            append(path, self.entry(doc="d2"), self.entry(index=1, doc="d2"))
+            cache.put(self.entry(index=1))
+            # the line this cache appended, line 4, is overwritten in place
+            data = path.read_bytes()
+            path.write_bytes(data[: data.rindex(b"{")] + b"[" * (len(data) - data.rindex(b"{")))
+            with caplog.at_level(logging.WARNING):
+                assert cache.take("d1") == {("a" * 64, 0): self.entry()}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:4: skipping corrupt cache line",
+            f"{path}: skipped 1 corrupt cache line(s)",
+        ]
+
+    @pytest.mark.parametrize("cut", ["inside-line-3", "after-line-3"])
+    def test_lines_gone_after_the_load_are_corrupt_lines(self, tmp_path, caplog, cut):
+        path = tmp_path / "cache.jsonl"
+        append(path, *(self.entry(index=i) for i in range(4)))
+        data = path.read_bytes()
+        third = data.index(b"\n", data.index(b"\n") + 1) + 1
+        keep = third + 10 if cut == "inside-line-3" else data.index(b"\n", third) + 1
+        with caplog.at_level(logging.WARNING), closing(SampleCache(path)) as cache:
+            path.write_bytes(data[:keep])  # truncates the file the load opened
+            got = cache.take("d1")
+        whole = 2 if cut == "inside-line-3" else 3  # the lines still there in full
+        assert got == {("a" * 64, i): self.entry(index=i) for i in range(whole)}
+        gone = range(whole + 1, 5)
+        assert [r.getMessage() for r in caplog.records] == [
+            *(f"{path}:{n}: skipping corrupt cache line" for n in gone),
+            f"{path}: skipped {len(gone)} corrupt cache line(s)",
+        ]
+
+    def test_a_line_rewritten_as_another_documents_is_corrupt(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        append(path, *(self.entry(index=i) for i in range(2)))
+        with caplog.at_level(logging.WARNING), closing(SampleCache(path)) as cache:
+            data = path.read_bytes()
+            # the same bytes but for the id: the ranges still fit
+            path.write_bytes(data.replace(b'"d1"', b'"d2"'))
+            assert cache.take("d1") == {}
+        assert f"{path}: skipped 2 corrupt cache line(s)" in caplog.text
+
+    @pytest.mark.parametrize("last", ["d1", "d2"])
+    def test_a_line_naming_doc_id_twice_belongs_to_its_first(self, tmp_path, caplog, last):
+        # not a line `put` writes: its prefix names d1, its JSON value the last
+        path = tmp_path / "cache.jsonl"
+        line = SampleCache._line(self.entry())
+        path.write_bytes(line[:-2] + f', "doc_id": "{last}"}}\n'.encode())
+        with caplog.at_level(logging.WARNING), closing(SampleCache(path)) as cache:
+            d1, d2 = cache.take("d1"), cache.take("d2")
+        assert d2 == {}
+        if last == "d1":
+            assert d1 == {("a" * 64, 0): self.entry()}
+            assert caplog.records == []
+        else:
+            assert d1 == {}
+            assert f"{path}:1: skipping corrupt cache line" in caplog.text
+
+    def test_close_is_where_the_total_is_warned(self, tmp_path, caplog):
+        # the load warns of each corrupt line it read; the total waits for
+        # the takes, whose lines count too
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(b"[\n" + SampleCache._line(self.entry())[:-9] + b"\n")
+        with caplog.at_level(logging.WARNING):
+            cache = SampleCache(path)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{path}:1: skipping corrupt cache line"
+            ]
+            assert cache.take("d1") == {}
+            cache.close()
+        assert [r.getMessage() for r in caplog.records][1:] == [
+            f"{path}:2: skipping corrupt cache line",
+            f"{path}: skipped 2 corrupt cache line(s)",
+        ]
 
     def test_put_nothing_new_writes_nothing(self, tmp_path):
         path = tmp_path / "sub" / "cache.jsonl"
@@ -1541,29 +1840,30 @@ class TestSampleCache:
 
     def test_corrupt_lines_skipped(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"
-        cache = SampleCache(path)
-        cache.put(self.entry())
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write("{truncated\n")
-        cache.put(self.entry(index=1))
+        with closing(SampleCache(path)) as cache:
+            cache.put(self.entry())
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write("{truncated\n")
+            cache.put(self.entry(index=1))
         with caplog.at_level(logging.WARNING):
-            reopened = SampleCache(path)
+            reopened = taken(path, "d1")
         assert len(reopened) == 2
-        assert reopened.get("d1", "a" * 64, 1) is not None
+        assert reopened.get(("a" * 64, 1)) is not None
+        assert f"{path}:2: skipping corrupt cache line" in caplog.text
 
     # a JSON scalar is a line without fields, as much as a cut object is
     @pytest.mark.parametrize("scalar", ["0", "1.5", "true", "null"])
     def test_scalar_line_counted_corrupt(self, tmp_path, caplog, scalar):
         path = tmp_path / "cache.jsonl"
-        SampleCache(path).put(self.entry())
+        append(path, self.entry())
         with path.open("a", encoding="utf-8") as fh:
             fh.write(scalar + "\n")
-        SampleCache(path).put(self.entry(index=1))
+        append(path, self.entry(index=1))
         with caplog.at_level(logging.WARNING):
-            reopened = SampleCache(path)
+            reopened = taken(path, "d1")
         assert "skipped 1 corrupt cache line(s)" in caplog.text
         assert len(reopened) == 2
-        assert reopened.get("d1", "a" * 64, 1) is not None
+        assert reopened.get(("a" * 64, 1)) is not None
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1590,21 +1890,19 @@ class TestSampleCache:
         lines[1][field] = value
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            cache = SampleCache(path)
-        assert len(cache) == 2
-        assert cache.get("d1", "a" * 64, 0) == self.entry(index=0)
-        assert cache.get("d1", "a" * 64, 2) == self.entry(index=2)
+            got = taken(path, "d1")
+        assert got == {("a" * 64, i): self.entry(index=i) for i in (0, 2)}
         assert "skipped 1 corrupt cache line" in caplog.text
 
     @pytest.mark.parametrize("doc_ids", [None, {"d1"}], ids=["full", "filtered"])
     def test_line_nested_too_deep_is_corrupt(self, tmp_path, caplog, doc_ids):
         path = tmp_path / "cache.jsonl"
-        SampleCache(path).put(self.entry())
+        append(path, self.entry())
         with path.open("a", encoding="utf-8") as fh:
             fh.write("[" * 100_000 + "\n")
         with caplog.at_level(logging.WARNING):
-            cache = SampleCache(path, doc_ids)
-        assert cache.get("d1", "a" * 64, 0) == self.entry()
+            got = taken(path, "d1", doc_ids)
+        assert got == {("a" * 64, 0): self.entry()}
         assert f"{path}:2: skipping corrupt cache line" in caplog.text
 
     def test_older_format_line_is_corrupt(self, tmp_path, caplog):
@@ -1614,8 +1912,8 @@ class TestSampleCache:
         lines[1]["token_logprobs"] = [-0.5]
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            cache = SampleCache(path)
-        assert len(cache) == 1
+            got = taken(path, "d1")
+        assert got == {("a" * 64, 0): self.entry()}
         assert "skipped 1 corrupt cache line" in caplog.text
 
     @pytest.mark.oracle
@@ -1642,22 +1940,23 @@ class TestSampleCache:
         # no UTF-8 form: its line alone goes ASCII-escaped, and the batch
         # lands whole.
         path = tmp_path / "cache.jsonl"
-        ok = RawSample("d", "h", 0, "ok \u00e9", None, 0, "stop")
+        ok = RawSample("d", "h", 0, "ok é", None, 0, "stop")
         cut = RawSample("d", "h", 1, "\ud800", None, 0, "length")
-        SampleCache(path).put(ok, cut)
+        append(path, ok, cut)
         assert path.read_bytes().splitlines() == [
             json.dumps(ok._asdict(), ensure_ascii=False).encode("utf-8"),
             json.dumps(cut._asdict()).encode("ascii"),
         ]
         for doc_ids in (None, {"d"}):
-            reloaded = SampleCache(path, doc_ids)
-            assert [reloaded.get("d", "h", i) for i in (0, 1)] == [ok, cut]
+            reloaded = taken(path, "d", doc_ids)
+            assert [reloaded["h", i] for i in (0, 1)] == [ok, cut]
 
     def test_put_writes_the_pinned_line_bytes(self, tmp_path):
         # the field names, order, spacing and escapes of a line, spelled out,
         # so a change of the writer cannot change what an old cache holds
         path = tmp_path / "cache.jsonl"
-        SampleCache(path).put(
+        append(
+            path,
             RawSample("dé", "h", 0, '["naïve", "日本"]', -2.625, 2, "stop"),
             RawSample("d", "h", 1, "cut \ud83d", None, 0, "length"),
         )
@@ -1676,16 +1975,16 @@ class TestSampleCache:
         assert SampleCache._decode(json.loads(SampleCache._line(sample))) == sample
 
     def test_distinct_prompts_do_not_collide(self, tmp_path):
-        cache = SampleCache(tmp_path / "cache.jsonl")
-        cache.put(self.entry(h="a" * 64))
-        cache.put(self.entry(h="b" * 64))
-        assert len(cache) == 2
-        assert cache.get("d1", "b" * 64, 0) is not None
+        with closing(SampleCache(tmp_path / "cache.jsonl")) as cache:
+            cache.put(self.entry(h="a" * 64))
+            cache.put(self.entry(h="b" * 64))
+            got = cache.take("d1")
+        assert got == {(h, 0): self.entry(h=h) for h in ("a" * 64, "b" * 64)}
 
     def test_logprobs_preserved_as_floats(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = SampleCache(path)
-        cache.put(
+        append(
+            path,
             RawSample(
                 doc_id="d",
                 prompt_hash="c" * 64,
@@ -1694,15 +1993,14 @@ class TestSampleCache:
                 lp_sum=-2.625,
                 lp_n=2,
                 finish_reason="length",
-            )
+            ),
         )
-        back = SampleCache(path).get("d", "c" * 64, 0)
+        back = taken(path, "d")["c" * 64, 0]
         assert (back.lp_sum, back.lp_n) == (-2.625, 2)
         assert back.finish_reason == "length"
 
     def test_none_logprobs_round_trip(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = SampleCache(path)
-        cache.put(raw(logprobs=None, doc="d", index=3))
-        back = SampleCache(path).get("d", "h" * 64, 3)
+        append(path, raw(logprobs=None, doc="d", index=3))
+        back = taken(path, "d")["h" * 64, 3]
         assert (back.lp_sum, back.lp_n) == (None, 0)
