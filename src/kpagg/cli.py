@@ -32,8 +32,8 @@ class _Help(argparse.HelpFormatter):
 def _fetch_counts(summary: harness.RunSummary) -> str:
     """The counts a run shares with every config of its fetch group."""
     return (
-        f"parse_fallbacks={summary.parse_fallbacks} truncated={summary.truncated} "
-        f"unranked={summary.unranked} "
+        f"parse_fallbacks={summary.parse_fallbacks} restarted={summary.restarted} "
+        f"truncated={summary.truncated} unranked={summary.unranked} "
         f"cache_hits={summary.cache_hits} cache_misses={summary.cache_misses} "
         f"wall={summary.wall_time:.2f}s"
     )

@@ -1,12 +1,11 @@
 """End-to-end run orchestration: corpus in, metric report out.
 
-A `RunConfig` checks its own values when it is made and keeps the canonical
-variant and strategy names and the temperature as a float, so an alias and
-its full name, or 1 and 1.0, give one cache file, one fetch group and one
-provenance. `grid` groups its configs by every field except the
-evaluation-only ones (strategy, sample count, perplexity mode, empty-gold
-policy, output path), so a group is the configs that read one cache file
-with one prompt and one endpoint; `run` is a one-config grid. Before any
+A `RunConfig` checks its own values when it is made and keeps them
+canonical, so an alias and its full name, or 1 and 1.0, make equal configs.
+`FIELD_ROLES` says of each field whether it names the cache file, splits
+fetch groups and goes in the provenance. `grid` groups its configs by the
+fields that split groups: the configs of a group read one cache file with
+one prompt and one endpoint. `run` is a one-config grid. Before any
 group runs, `grid` reads every group's inputs (documents, prompt strings,
 endpoint), each corpus and prompt file once, so a missing input fails
 before anything is fetched or written; `check_outputs` refuses an output
@@ -164,10 +163,39 @@ class RunConfig(_RunFields):
         return cls(*iterable)
 
 
+# Each RunConfig field's one role. A role answers three questions: does the
+# field name the cache file (`cache_path`), split fetch groups
+# (`fetch_groups`) and go in the provenance (`provenance`)?
+#
+#   role    file group provenance  the fields say
+#   cache   yes  yes   yes         what is sampled: the prompt variant, model and sampling
+#   place   yes  yes   no          where the samples are read and kept (the provenance
+#                                  names the corpus by its file name)
+#   sample  no   yes   yes         which documents, and what the prompt and requests hold
+#   source  no   yes   no          where the samples and the prompt strings come from
+#   score   no   no    yes         how the fetched samples are scored
+#   run     no   no    no          where a report goes and how widely a run fetches
+#
+# n_samples and request_mode stay out of the file name, so a larger or
+# resumed run replays what is there. A fetch group fetches at its largest
+# n with its first config's other settings, max_in_flight among them.
+FIELD_ROLES = {
+    **dict.fromkeys(("variant", "model", "temperature", "max_tokens"), "cache"),
+    **dict.fromkeys(("corpus_path", "cache_dir"), "place"),
+    **dict.fromkeys(("prefill", "default_domain", "limit", "seed", "request_mode"), "sample"),
+    **dict.fromkeys(("endpoint", "prompt_config", "offline"), "source"),
+    **dict.fromkeys(("strategy", "n_samples", "ppl_mode", "empty_gold"), "score"),
+    **dict.fromkeys(("out", "max_in_flight"), "run"),
+}
+_FETCH_ROLES = ("cache", "place", "sample", "source")
+_PROVENANCE_ROLES = ("cache", "sample", "score")
+
+
 class RunSummary(NamedTuple):
     processed: int
     errored: int
     parse_fallbacks: int
+    restarted: int  # samples that opened their own list after the prefill
     truncated: int  # samples cut by the token limit or a content filter
     unranked: int  # samples without logprobs, so without a perplexity to rank by
     cache_hits: int
@@ -192,12 +220,9 @@ def _sanitize(name: str) -> str:
 
 
 def cache_path(config: RunConfig) -> Path:
-    """`<cache_dir>/<corpus>/<variant>/<model>.t<T>.m<M>.jsonl`.
-
-    T and M are the temperature and max_tokens, which change what the
-    endpoint samples but are in no prompt hash. n_samples and request_mode
-    stay out, so a larger or resumed run replays what is there.
-    """
+    """`<cache_dir>/<corpus>/<variant>/<model>.t<T>.m<M>.jsonl`, with T and
+    M the temperature and max_tokens: the fields whose `FIELD_ROLES` role
+    (cache or place) names the file."""
     stem = Path(config.corpus_path).stem
     sampling = f"t{config.temperature!r}.m{config.max_tokens}"
     return (
@@ -232,7 +257,7 @@ def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int, str]:
     return ordered, config.n_samples - len(missing), prompt.assistant_prefill
 
 
-def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int, int]:
+def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int, int, int]:
     """Score one document under every config of a group.
 
     Each sample of `raw` continues `prefill`. The gold and each sample's
@@ -241,12 +266,13 @@ def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int, int]:
     order) whose slot is below n. Each (n, perplexity mode) sorts those
     samples once, and each (n, mode, strategy) makes one prediction, which
     configs that differ only in their empty-gold policy share. Returns one
-    score record per config (None for a config that sees no sample), the
-    parse fallback count, and the counts of samples cut short (`truncated`)
-    and without logprobs (`unranked`).
+    score record per config (None for a config that sees no sample), and
+    the counts of parse fallbacks, of samples that restarted their list
+    after the prefill, of samples cut short (`truncated`) and of those
+    without logprobs (`unranked`).
     """
     if not raw:
-        return [None] * len(configs), 0, 0, 0
+        return [None] * len(configs), 0, 0, 0, 0
     parsed = [parse_sample(s.text, prefill, s.truncated) for s in raw]
     source = textnorm.NormalizedSource.from_text(doc.source_text)
     gold = source.phrases(doc.gold)
@@ -271,20 +297,12 @@ def _evaluate(doc, raw, prefill, configs) -> tuple[list, int, int, int]:
         for c in configs
     ]
     fallbacks = sum(ps.fallback for ps in parsed)
-    return scores, fallbacks, sum(s.truncated for s in raw), sum(not s.lp_n for s in raw)
-
-
-# config fields that say where a run reads, writes and connects (and
-# whether and how widely it connects); every other field is the run's
-# provenance, so a replay serializes identically to its online run and a
-# field added later is recorded unless it is named here.
-_LOCATION_FIELDS = (
-    "corpus_path", "endpoint", "cache_dir", "out", "prompt_config", "offline", "max_in_flight"
-)
+    restarted = sum(ps.restarted for ps in parsed)
+    return scores, fallbacks, restarted, sum(s.truncated for s in raw), sum(not s.lp_n for s in raw)
 
 
 def provenance(config: RunConfig) -> dict:
-    data = {k: v for k, v in config._asdict().items() if k not in _LOCATION_FIELDS}
+    data = {k: v for k, v in config._asdict().items() if FIELD_ROLES[k] in _PROVENANCE_ROLES}
     data["corpus"] = Path(config.corpus_path).name
     return data
 
@@ -416,7 +434,9 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
 
     hits, misses = (sum(f[j] for f in fetched if f) for j in (0, 1))
     unavailable = {i: f[2] for i, f in enumerate(fetched) if f and f[2]}
-    fallbacks, truncated, unranked = (sum(r[j] for r in results if r) for j in (1, 2, 3))
+    fallbacks, restarted, truncated, unranked = (
+        sum(r[j] for r in results if r) for j in (1, 2, 3, 4)
+    )
     if unavailable:
         log.warning(
             "%d sample(s) unavailable in %d document(s) (not returned by the "
@@ -424,6 +444,12 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
             sum(unavailable.values()),
             len(unavailable),
             ", ".join(docs[i].id for i in sorted(unavailable)[:5]),
+        )
+    if restarted:
+        log.warning(
+            "%d sample(s) restarted their list after the prefill and were read alone; "
+            "if the endpoint does not continue an assistant turn, use --no-prefill",
+            restarted,
         )
     if unranked:
         log.warning(
@@ -440,24 +466,31 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
         if config.out:
             _write_report(config.out, [report], provenance(config))
         summaries.append(RunSummary(
-            len(scores), len(docs) - len(scores), fallbacks, truncated, unranked, hits, misses,
-            wall_time, report,
+            len(scores), len(docs) - len(scores), fallbacks, restarted, truncated, unranked,
+            hits, misses, wall_time, report,
         ))
     return summaries
 
 
 _GRID_ALIASES = {"corpus": "corpus_path", "aggregate": "strategy"}
-# fields that only change how fetched samples are scored, not which are fetched
-_EVALUATION_FIELDS = ("strategy", "n_samples", "ppl_mode", "empty_gold", "out")
 
 
-def _to_run_config(entry: dict, context: str) -> RunConfig:
-    kwargs = {}
-    for key, value in entry.items():
+def _named(entry: dict, context: str) -> dict:
+    """`entry` with each alias (`_GRID_ALIASES`) replaced by its `RunConfig`
+    field name. An unknown key, or two keys that name one field (`aggregate`
+    and `strategy`), is refused."""
+    keys = {}  # field name -> the key of `entry` that names it
+    for key in entry:
         name = _GRID_ALIASES.get(key, key)
         if name not in RunConfig._fields:
             raise HarnessError(f"{context}: unknown config key {key!r}")
-        kwargs[name] = value
+        if name in keys:
+            raise HarnessError(f"{context}: {keys[name]!r} and {key!r} both name {name}")
+        keys[name] = key
+    return {name: entry[key] for name, key in keys.items()}
+
+
+def _to_run_config(kwargs: dict, context: str) -> RunConfig:
     if "corpus_path" not in kwargs:
         raise HarnessError(f"{context}: missing 'corpus' path")
     try:
@@ -468,27 +501,30 @@ def _to_run_config(entry: dict, context: str) -> RunConfig:
 
 def load_grid_config(path: str | Path) -> tuple[list[RunConfig], str | None]:
     """Parse a grid YAML file: shared keys at the top level, per-run
-    overrides under `runs`, optional merged-CSV path under `out`."""
+    overrides under `runs`, optional merged-CSV path under `out`. A run's
+    key overrides the shared one for its field, whichever alias either uses."""
     data = prompting.load_yaml_mapping(path, "grid config", HarnessError)
     runs = data.get("runs")
     if not isinstance(runs, list) or not runs:
         raise HarnessError(f"{path}: 'runs' must be a nonempty list")
     shared = {k: v for k, v in data.items() if k not in ("runs", "out")}
+    shared = _named(shared, f"{path}: top level")
     configs = []
     for i, entry in enumerate(runs):
+        context = f"{path}: run #{i + 1}"
         if not isinstance(entry, dict):
-            raise HarnessError(f"{path}: run #{i + 1} must be a mapping")
-        configs.append(_to_run_config({**shared, **entry}, f"{path}: run #{i + 1}"))
+            raise HarnessError(f"{context} must be a mapping")
+        configs.append(_to_run_config({**shared, **_named(entry, context)}, context))
     return configs, data.get("out")
 
 
 def fetch_groups(configs: list[RunConfig]) -> list[list[int]]:
     """The indices of `configs` grouped by one fetch: configs that differ
-    only in evaluation fields share one. Groups come in the order of their
-    first config, and indices ascend within each."""
+    only in score and run fields (`FIELD_ROLES`) share one. Groups come in
+    the order of their first config, and indices ascend within each."""
     groups: dict[tuple, list[int]] = {}
     for i, c in enumerate(configs):
-        key = tuple(v for k, v in c._asdict().items() if k not in _EVALUATION_FIELDS)
+        key = tuple(v for k, v in c._asdict().items() if FIELD_ROLES[k] in _FETCH_ROLES)
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 

@@ -81,6 +81,7 @@ class RawSample(NamedTuple):
 class ParsedSample(NamedTuple):
     phrases: tuple[str, ...]
     fallback: bool
+    restarted: bool  # the completion opened its own list after a prefill
 
 
 def perplexity(sample: RawSample, mode: str = "mean") -> float | None:
@@ -174,7 +175,10 @@ def parse_sample(raw_text: str, prefill: str, truncated: bool = False) -> Parsed
     """Extract the keyphrase list from one completion.
 
     `prefill` (the prompt's `assistant_prefill`) and the completion are
-    expected to be a bracketed list. One scan, from just after the first
+    expected to be a bracketed list. A completion that opens its own list
+    after a prefill (its first character that is no JSON blank is `[`), as
+    an endpoint that answers a trailing assistant turn afresh sends it, is
+    read alone and flagged as restarted. One scan, from just after the first
     `[`, splits on commas and newlines outside quoted runs and nested
     brackets and stops at the bracket that closes the list. A quote opens
     a run only at the start of an item, so an apostrophe inside a phrase
@@ -186,7 +190,8 @@ def parse_sample(raw_text: str, prefill: str, truncated: bool = False) -> Parsed
     (double-quoted items, commas, blanks, the closing `]`) gives the same
     phrases from one regex match. Never raises.
     """
-    full = prefill + raw_text
+    restarted = bool(prefill) and raw_text.lstrip(" \t\r\n").startswith("[")
+    full = raw_text if restarted else prefill + raw_text
     # without a bracket `start` is -1, so the scan starts at 0, at depth 0
     start = full.find("[")
     fallback = start < 0
@@ -220,7 +225,7 @@ def parse_sample(raw_text: str, prefill: str, truncated: bool = False) -> Parsed
             phrases.append(cleaned)
     if not phrases:
         fallback = True
-    return ParsedSample(phrases=tuple(phrases), fallback=fallback)
+    return ParsedSample(phrases=tuple(phrases), fallback=fallback, restarted=restarted)
 
 
 class LLMClient:

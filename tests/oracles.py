@@ -415,11 +415,15 @@ def _split_top_level_oracle(content: str) -> list[str]:
 
 def parse_sample_oracle(
     raw_text: str, had_prefill: bool, truncated: bool = False
-) -> tuple[tuple[str, ...], bool]:
-    """(phrases, fallback) as `kpagg.llm_client.parse_sample` gives them. A
-    truncated text whose items run to its end, an unclosed list or fallback
-    text, drops its last item."""
-    full = ("[" if had_prefill else "") + raw_text
+) -> tuple[tuple[str, ...], bool, bool]:
+    """(phrases, fallback, restarted) as `kpagg.llm_client.parse_sample`
+    gives them. A text that, after a prefill, opens its own list (its first
+    character other than a space, tab, CR or LF is `[`) is read without the
+    prefill, and is restarted. A truncated text whose items run to its end,
+    an unclosed list or fallback text, drops its last item."""
+    head = next((c for c in raw_text if c not in " \t\r\n"), "")
+    restarted = had_prefill and head == "["
+    full = ("[" if had_prefill and not restarted else "") + raw_text
     start = full.find("[")
     fallback = start < 0
     content, closed = (full, False) if fallback else _list_content_oracle(full, start)
@@ -429,7 +433,7 @@ def parse_sample_oracle(
     phrases = tuple(
         cleaned for item in items if (cleaned := item.strip(_PARSE_STRIP_CHARS))
     )
-    return phrases, fallback or not phrases
+    return phrases, fallback or not phrases, restarted
 
 
 def received_slots_oracle(mode: str, indices: list[int], bodies: list) -> list[int]:

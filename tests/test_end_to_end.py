@@ -490,9 +490,9 @@ def assert_run_matches_the_cache(config, summary, docs, before, sent):
     samples = [s for held in after.values() for s in held.values()]
     assert (summary.cache_hits, summary.cache_misses) == (hits, config.n_samples * len(docs) - hits)
     assert summary.truncated == sum(s.finish_reason in ("length", "content_filter") for s in samples)
-    assert summary.parse_fallbacks == sum(
-        oracles.parse_sample_oracle(s.text, config.prefill, s.truncated)[1] for s in samples
-    )
+    parsed = [oracles.parse_sample_oracle(s.text, config.prefill, s.truncated) for s in samples]
+    assert summary.parse_fallbacks == sum(p[1] for p in parsed)
+    assert summary.restarted == sum(p[2] for p in parsed)
     documents = []
     for j, (doc, record) in enumerate(zip(docs, TOY_RECORDS)):
         oracle_samples = []

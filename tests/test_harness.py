@@ -219,6 +219,57 @@ class TestProvenance:
         }
 
 
+# each role's answers: (names the cache file, splits fetch groups, in the provenance)
+ROLE_ANSWERS = {
+    "cache": (True, True, True),
+    "place": (True, True, False),
+    "sample": (False, True, True),
+    "source": (False, True, False),
+    "score": (False, False, True),
+    "run": (False, False, False),
+}
+# every RunConfig field in order, a value other than its default, and its role
+VARIED = [
+    ("corpus_path", "d/other.jsonl", "place"),
+    ("variant", "combined", "cache"),
+    ("strategy", "union", "score"),
+    ("n_samples", 3, "score"),
+    ("temperature", 0.5, "cache"),
+    ("max_tokens", 100, "cache"),
+    ("model", "m", "cache"),
+    ("endpoint", "http://x", "source"),
+    ("limit", 2, "sample"),
+    ("seed", 1, "sample"),
+    ("cache_dir", "other", "place"),
+    ("empty_gold", "zero", "score"),
+    ("out", "r.csv", "run"),
+    ("prompt_config", "p.yaml", "source"),
+    ("prefill", False, "sample"),
+    ("request_mode", "per-request", "sample"),
+    ("ppl_mode", "sum", "score"),
+    ("offline", True, "source"),
+    ("default_domain", "news", "sample"),
+    ("max_in_flight", 1, "run"),
+]
+
+
+class TestFieldRoles:
+    def test_every_field_has_one_known_role(self):
+        assert sorted(harness.FIELD_ROLES) == sorted(RunConfig._fields)
+        assert set(harness.FIELD_ROLES.values()) == set(ROLE_ANSWERS)
+        assert [field for field, _, _ in VARIED] == list(RunConfig._fields)
+
+    @pytest.mark.parametrize("field, value, role", VARIED)
+    def test_a_field_varied_alone_does_what_its_role_says(self, field, value, role):
+        base = RunConfig("d/c.jsonl")
+        varied = base._replace(**{field: value})
+        assert harness.FIELD_ROLES[field] == role
+        names_file, splits_groups, recorded = ROLE_ANSWERS[role]
+        assert (cache_path(varied) != cache_path(base)) == names_file
+        assert harness.fetch_groups([base, varied]) == ([[0], [1]] if splits_groups else [[0, 1]])
+        assert (field in provenance(base)) == (field in provenance(varied)) == recorded
+
+
 class TestRunEndToEnd:
     def test_cold_run_counts_and_report(self, endpoint, tmp_path):
         out = tmp_path / "report.csv"
@@ -345,6 +396,28 @@ class TestRunEndToEnd:
         ):
             assert stripped_file.read_bytes() == full_file.read_bytes()
         assert (tmp_path / "full.csv").read_bytes() == EXPECTED_REPORT.read_bytes()
+
+    def test_restarted_lists_are_counted_warned_and_read_alone(self, tmp_path, caplog, capsys):
+        # every text of the mock's answers opens its own list, as an endpoint
+        # that answers the prefilled assistant turn afresh sends it
+        fixtures = json.loads(MOCK_FIXTURES.read_text(encoding="utf-8"))
+        for response in fixtures["responses"]:
+            for sample in response["samples"]:
+                sample["text"] = "[" + sample["text"]
+        out = tmp_path / "report.csv"
+        with running_server(MockFixtures(fixtures)) as restarting:
+            with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
+                assert main([
+                    "run", "--corpus", str(TOY_CORPUS), "--endpoint", restarting,
+                    "--cache-dir", str(tmp_path / "cache"), "--out", str(out),
+                ]) == 0
+        assert " parse_fallbacks=3 restarted=50 truncated=0 " in capsys.readouterr().out
+        warned = [r.getMessage() for r in caplog.records if "restarted" in r.getMessage()]
+        assert warned == [
+            "50 sample(s) restarted their list after the prefill and were read alone; "
+            "if the endpoint does not continue an assistant turn, use --no-prefill"
+        ]
+        assert out.read_bytes() == EXPECTED_REPORT.read_bytes()
 
     def test_other_sampling_settings_do_not_replay(self, endpoint, tmp_path):
         harness.run(config(endpoint, tmp_path, temperature=0.8))
@@ -961,6 +1034,38 @@ class TestGrid:
         ]
         assert harness.fetch_groups(configs) == [[0, 2], [1], [3], [4, 5]]
 
+    def test_runs_that_differ_only_in_max_in_flight_share_one_fetch(
+        self, tmp_path, capsys, counted_endpoint, cache_loads
+    ):
+        endpoint, requests = counted_endpoint
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump({
+            "corpus": str(TOY_CORPUS), "endpoint": endpoint, "cache_dir": str(tmp_path / "cache"),
+            "runs": [{"max_in_flight": k, "out": str(tmp_path / f"grid{k}.csv")} for k in (1, 4)],
+        }))
+        assert main(["grid", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        groups = [line for line in lines if line.startswith("fetch group")]
+        assert len(groups) == 1 and groups[0].startswith("fetch group of runs 1,2: ")
+        assert (len(requests), len(cache_loads)) == (5, 1)
+        for k in (1, 4):
+            alone = tmp_path / f"alone{k}.csv"
+            harness.run(config(endpoint, tmp_path / f"alone{k}", max_in_flight=k, out=str(alone)))
+            for grid_file, alone_file in zip(
+                harness.report_files(tmp_path / f"grid{k}.csv"), harness.report_files(alone)
+            ):
+                assert grid_file.read_bytes() == alone_file.read_bytes()
+
+    def test_online_and_offline_configs_fetch_apart(self, tmp_path, counted_endpoint):
+        endpoint, requests = counted_endpoint
+        online = config(endpoint, tmp_path)
+        offline = online._replace(offline=True)
+        assert harness.fetch_groups([offline, online]) == [[0], [1]]
+        # the offline group goes first, on an empty cache, and sends nothing
+        summaries = harness.grid([offline, online])
+        assert [(s.processed, s.cache_hits) for s in summaries] == [(0, 0), (5, 0)]
+        assert len(requests) == 5  # the online group's, one per document
+
     def test_load_grid_config_aliases(self, tmp_path, endpoint):
         path = tmp_path / "grid.yaml"
         path.write_text(yaml.safe_dump(self.grid_yaml(tmp_path, endpoint)))
@@ -1399,6 +1504,27 @@ class TestGrid:
         )
         with pytest.raises(HarnessError, match=r"grid\.yaml: run #2: temperature"):
             load_grid_config(path)
+
+    @pytest.mark.parametrize("shared, run, where", [
+        ({"aggregate": "union", "strategy": "single"}, {"aggregate": "frequency"}, "top level"),
+        ({}, {"aggregate": "frequency", "strategy": "union"}, "run #2"),
+    ])
+    def test_one_setting_named_by_both_keys_is_refused(self, tmp_path, capsys, shared, run, where):
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump({"corpus": str(TOY_CORPUS), **shared, "runs": [{}, run]}))
+        assert main(["grid", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"Error: {path}: {where}: 'aggregate' and 'strategy' both name strategy\n"
+        )
+
+    def test_a_run_key_overrides_the_shared_one_under_either_name(self, tmp_path):
+        path = tmp_path / "grid.yaml"
+        for shared, run in (("aggregate", "strategy"), ("strategy", "aggregate")):
+            path.write_text(yaml.safe_dump(
+                {"corpus": "c.jsonl", shared: "union", "runs": [{run: "single"}, {}]}
+            ))
+            configs, _ = load_grid_config(path)
+            assert [c.strategy for c in configs] == ["single", "union"]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -95,6 +95,25 @@ class TestParseSample:
         assert parsed.phrases == ("graph coloring", "tdma", "scheduling")
         assert not parsed.fallback
 
+    @pytest.mark.parametrize("blanks", ["", " \n\t\r"])
+    def test_a_list_restarted_after_the_prefill_is_read_alone(self, blanks):
+        text = blanks + '["neural networks", "deep learning"]'
+        assert parse_sample(text, "[") == (("neural networks", "deep learning"), False, True)
+        # without a prefill the list is no restart
+        assert parse_sample(text, "") == (("neural networks", "deep learning"), False, False)
+
+    @given(
+        st.lists(st.text(alphabet="ab -,[]'", max_size=6), max_size=5),
+        st.sampled_from([",", ", "]),
+        st.data(),
+        st.booleans(),
+    )
+    def test_a_restarted_list_parses_as_its_continuation(self, items, separator, data, truncated):
+        whole = json.dumps(items, separators=(separator, ": "))
+        text = whole[: data.draw(st.integers(1, len(whole)), label="cut")]
+        continued = parse_sample(text[1:], "[", truncated)
+        assert parse_sample(text, "[", truncated) == continued._replace(restarted=True)
+
     def test_prefill_completion(self):
         parsed = parse_sample('"graph coloring", "tdma"]', "[")
         assert parsed.phrases == ("graph coloring", "tdma")
@@ -166,7 +185,7 @@ class TestParseSample:
     @given(st.text(alphabet='ab,\n\t"\'`[] ', max_size=40), st.booleans(), st.booleans())
     def test_matches_char_by_char_oracle(self, text, prefill, truncated):
         parsed = parse_sample(text, "[" if prefill else "", truncated)
-        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
+        assert tuple(parsed) == parse_sample_oracle(
             text, prefill, truncated
         )
 
@@ -175,7 +194,7 @@ class TestParseSample:
     def test_quoted_lists_match_oracle(self, case, prefill, truncated):
         text = case[1:] if prefill and case.startswith("[") else case
         parsed = parse_sample(text, "[" if prefill else "", truncated)
-        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(
+        assert tuple(parsed) == parse_sample_oracle(
             text, prefill, truncated
         )
 
@@ -204,7 +223,7 @@ class TestParseSample:
         parsed = parse_sample(text, "[" if prefill else "")
         assert parsed.phrases == phrases
         assert parsed.fallback == ("[" not in text and not prefill)
-        assert (parsed.phrases, parsed.fallback) == parse_sample_oracle(text, prefill)
+        assert tuple(parsed) == parse_sample_oracle(text, prefill)
 
     @given(st.text(), st.booleans(), st.booleans())
     def test_never_raises(self, text, prefill, truncated):
