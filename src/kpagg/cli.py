@@ -80,14 +80,16 @@ def grid_cmd(args: argparse.Namespace) -> None:
     for members in harness.fetch_groups(configs):
         runs = ",".join(str(i + 1) for i in members)
         print(f"fetch group of runs {runs}: {_fetch_counts(summaries[members[0]])}")
-    # a column for each provenance field, beside the table's own labels,
-    # that tells the rows apart, then each run's own document counts
-    rows = [harness.provenance(c) for c in configs]
-    labels = {
-        name: [row[name] for row in rows]
-        for name in rows[0]
-        if name not in ("corpus", "variant", "strategy") and len({row[name] for row in rows}) > 1
-    }
+    # a column for each setting but `out` whose values tell runs apart that
+    # the table's own columns (the corpus file's stem, variant and strategy)
+    # do not, then each run's own document counts
+    shown = {"corpus_path": lambda p: Path(p).stem, "variant": str, "strategy": str}
+    labels = {}
+    for name in harness.RunConfig._fields:
+        values = [getattr(c, name) for c in configs]
+        show = shown.get(name, lambda v: None)
+        if name != "out" and len(set(values)) > len(set(map(show, values))):
+            labels[name] = values
     labels["processed"] = [s.processed for s in summaries]
     labels["errored"] = [s.errored for s in summaries]
     print(metrics.reports_table([s.report for s in summaries], labels))
@@ -139,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Start the assistant turn with '[' (disable for endpoints that reject "
              "partial assistant turns).")
     add("--request-mode", choices=REQUEST_MODES,
-        help="One n-choice request per document, or n requests.")
+        help="Each request asks for all of a document's missing samples, or for one.")
     add("--ppl-mode", choices=PPL_MODES, help="Perplexity from mean or summed token NLL.")
     add("--offline", action="store_true", help="Never touch the network; requires a warm cache.")
     add("--default-domain", choices=DOMAINS, help="Domain for records that do not declare one.")

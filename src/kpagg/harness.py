@@ -171,21 +171,22 @@ class RunConfig(_RunFields):
 #   cache   yes  yes   yes         what is sampled: the prompt variant, model and sampling
 #   place   yes  yes   no          where the samples are read and kept (the provenance
 #                                  names the corpus by its file name)
-#   sample  no   yes   yes         which documents, and what the prompt and requests hold
+#   sample  no   yes   yes         which documents, and what their prompts hold
 #   source  no   yes   no          where the samples and the prompt strings come from
 #   score   no   no    yes         how the fetched samples are scored
-#   run     no   no    no          where a report goes and how widely a run fetches
+#   run     no   no    no          where a report goes, and how a run asks for its samples
 #
-# n_samples and request_mode stay out of the file name, so a larger or
-# resumed run replays what is there. A fetch group fetches at its largest
-# n with its first config's other settings, max_in_flight among them.
+# n_samples stays out of the file name, so a larger or resumed run replays
+# what is there; request_mode changes only how many requests carry the
+# samples, not which are cached. A fetch group fetches at its largest n with
+# its first config's other settings, max_in_flight and request_mode among them.
 FIELD_ROLES = {
     **dict.fromkeys(("variant", "model", "temperature", "max_tokens"), "cache"),
     **dict.fromkeys(("corpus_path", "cache_dir"), "place"),
-    **dict.fromkeys(("prefill", "default_domain", "limit", "seed", "request_mode"), "sample"),
+    **dict.fromkeys(("prefill", "default_domain", "limit", "seed"), "sample"),
     **dict.fromkeys(("endpoint", "prompt_config", "offline"), "source"),
     **dict.fromkeys(("strategy", "n_samples", "ppl_mode", "empty_gold"), "score"),
-    **dict.fromkeys(("out", "max_in_flight"), "run"),
+    **dict.fromkeys(("out", "max_in_flight", "request_mode"), "run"),
 }
 _FETCH_ROLES = ("cache", "place", "sample", "source")
 _PROVENANCE_ROLES = ("cache", "sample", "score")

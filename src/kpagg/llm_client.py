@@ -1,12 +1,12 @@
 """Chat-completions client, sample parsing and perplexity.
 
-Talks to any OpenAI-compatible endpoint through `kpagg.transport`: one
-request per document with n choices (default) or n single-choice requests,
-with per-token logprobs requested so samples can be ranked by perplexity.
-A sample the endpoint did not return, because its request ran out of
-retries, the answer held fewer choices than asked for or its choice had
-the wrong shape, is absent from what the client yields; nothing stands in
-for it.
+Talks to any OpenAI-compatible endpoint through `kpagg.transport`, with
+per-token logprobs requested so samples can be ranked by perplexity. Each
+request asks for the document's lowest-numbered samples still missing: all
+of them (`choices` mode, the default) or one (`per-request` mode), so an
+endpoint that answers fewer choices than asked for is asked again for the
+rest. A sample the endpoint did not return by the document's last request
+is absent from what the client yields; nothing stands in for it.
 Only a client imports the transport, so an offline replay loads no HTTP
 code; `kpagg.transport` says which path loads which module.
 
@@ -22,6 +22,7 @@ import logging
 import math
 import random
 import re
+import threading
 import time
 import urllib.parse
 from typing import Iterator, NamedTuple
@@ -256,6 +257,7 @@ class LLMClient:
         self.model = model
         self.request_mode = request_mode
         self._refusal: LLMClientError | None = None  # the endpoint's first fatal answer
+        self._short_warned = threading.Lock()  # taken at the first short answer
         # An explicit agent: some CDN-fronted endpoints answer urllib's
         # default "Python-urllib/x.y" with 403.
         headers = {"Content-Type": "application/json", "User-Agent": f"kpagg/{__version__}"}
@@ -389,36 +391,57 @@ class LLMClient:
         temperature: float,
         max_tokens: int,
     ) -> Iterator[RawSample]:
-        """Yield the samples received for the slots `indices`, in slot
-        order, each as soon as its answer is read.
+        """Yield the samples received for the slots `indices`, each as soon
+        as its answer is read, so not in slot order.
 
-        `choices` mode serves all the slots from one request, `per-request`
-        mode each slot from a request of its own; every request sends the
-        one body, serialised once. A slot whose request ran out of
+        Each request asks for the lowest-numbered slots still missing: all
+        of them in `choices` mode, one in `per-request` mode; a body is
+        serialised once per count it asks for. An answer's choices fill the
+        slots it asked for, in order. A slot whose request ran out of
         retries, that the answer left out, or whose choice has the wrong
-        shape (`_sample_from_choice`), is absent. A fatal error
-        (`AuthenticationError`, `RequestError`) is raised after the samples
-        of the answers before it have been yielded, so a caller keeps them.
+        shape (`_sample_from_choice`) stays missing. Requests stop when no
+        slot is missing, after `len(indices)` of them, or after an answer
+        that served none of its slots when those were every missing one.
+        The first answer that serves fewer slots than it asked for is
+        warned of, once per client. A fatal error (`AuthenticationError`,
+        `RequestError`) is raised after the samples of the answers before
+        it have been yielded, so a caller keeps them.
         """
-        if not indices:
-            return
-        groups = [indices] if self.request_mode == "choices" else [[i] for i in indices]
-        data = self._payload(prompt, len(groups[0]), temperature, max_tokens)
-        for slots in groups:
-            body = self._post_with_retries(data)
+        missing = sorted(indices)
+        cap = len(missing) if self.request_mode == "choices" else 1
+        payloads = {}  # the serialised body by the count it asks for
+        for _ in range(len(indices)):  # at most one request per slot
+            asked = missing[:cap]
+            n = len(asked)
+            if n not in payloads:
+                payloads[n] = self._payload(prompt, n, temperature, max_tokens)
+            body = self._post_with_retries(payloads[n])
             choices = body.get("choices") if isinstance(body, dict) else None
-            if not isinstance(choices, list):
-                continue
             received = [
                 self._sample_from_choice(doc_id, prompt.prompt_hash, index, choice)
-                for index, choice in zip(slots, choices)
+                for index, choice in zip(asked, choices if isinstance(choices, list) else ())
             ]
-            kept = [s for s in received if s is not None]
-            if len(kept) < len(received):
+            served = [s for s in received if s is not None]
+            if len(served) < len(received):
                 log.warning(
                     "document %s: %d choice(s) of an answer had the wrong shape; "
-                    "their sample(s) are absent",
+                    "their slot(s) are still missing",
                     doc_id,
-                    len(received) - len(kept),
+                    len(received) - len(served),
                 )
-            yield from kept
+            # a lock taken once and never released: one warning per client,
+            # whichever fetcher sees a short answer first
+            if body is not None and len(served) < n and self._short_warned.acquire(False):
+                log.warning(
+                    "document %s: an answer served %d of the %d sample(s) it asked for; missing "
+                    "samples are asked for again, up to one request per sample, unless an "
+                    "answer serves none of them (warned once)",
+                    doc_id, len(served), n,
+                )
+            yield from served
+            if not served and n == len(missing):
+                return
+            done = {s.sample_index for s in served}
+            missing = [i for i in missing if i not in done]
+            if not missing:
+                return

@@ -436,22 +436,6 @@ def parse_sample_oracle(
     return phrases, fallback or not phrases, restarted
 
 
-def received_slots_oracle(mode: str, indices: list[int], bodies: list) -> list[int]:
-    """The slots a client returns when its k-th request got `bodies[k]`:
-    one request for every slot in mode "choices", whose i-th choice fills
-    the i-th slot; one request per slot otherwise, whose first choice fills
-    it. A body without a `choices` list fills nothing."""
-
-    def choices(body):
-        if isinstance(body, dict) and isinstance(body.get("choices"), list):
-            return body["choices"]
-        return []
-
-    if mode == "choices":
-        return indices[: len(choices(bodies[0]))] if indices else []
-    return [slot for slot, body in zip(indices, bodies) if choices(body)]
-
-
 def choice_text_oracle(choice) -> str | None:
     """The text one choice of an answer yields: its message's content, ""
     when the message or the content is null or missing; None (an absent
@@ -470,18 +454,50 @@ def choice_text_oracle(choice) -> str | None:
     return content if isinstance(content, str) else None
 
 
-def received_texts_oracle(mode: str, indices: list[int], bodies: list) -> list[tuple[int, str]]:
-    """The (slot, text) pairs a client returns when its k-th request got
-    `bodies[k]`: the slots of `received_slots_oracle` whose choice yields a
-    text."""
-    slots = received_slots_oracle(mode, indices, bodies)
-    if mode == "choices":
-        chosen = bodies[0]["choices"][: len(slots)] if slots else []
-    else:
-        by_slot = dict(zip(indices, bodies))
-        chosen = [by_slot[slot]["choices"][0] for slot in slots]
-    texts = [choice_text_oracle(choice) for choice in chosen]
-    return [(slot, text) for slot, text in zip(slots, texts) if text is not None]
+def received_texts_oracle(
+    mode: str, indices: list[int], bodies: list
+) -> tuple[list[tuple[int, str]], list[int]]:
+    """What a client does when its k-th request gets `bodies[k]`: the
+    (slot, text) pairs it returns, in the order it returns them, and the
+    number of choices each request it sends asks for.
+
+    A request asks for the lowest-numbered slots still missing: all of them
+    in mode "choices", the lowest one otherwise. Its answer's i-th choice
+    fills the i-th slot asked for when `choice_text_oracle` gives it a text;
+    a body without a `choices` list fills nothing. After `len(indices)`
+    requests, after the one that fills the last missing slot, or after one
+    that fills nothing while it asked for every missing slot, no request
+    follows."""
+    got, asked_counts = [], []
+    missing = sorted(indices)
+    for body in bodies[: len(indices)]:
+        asked = missing if mode == "choices" else missing[:1]
+        asked_counts.append(len(asked))
+        choices = body.get("choices") if isinstance(body, dict) else None
+        if not isinstance(choices, list):
+            choices = []
+        filled = [
+            (slot, text)
+            for slot, choice in zip(asked, choices)
+            if (text := choice_text_oracle(choice)) is not None
+        ]
+        got += filled
+        if not filled and asked == missing:
+            break
+        done = {slot for slot, _ in filled}
+        missing = [slot for slot in missing if slot not in done]
+        if not missing:
+            break
+    return got, asked_counts
+
+
+def received_slots_oracle(
+    mode: str, indices: list[int], bodies: list
+) -> tuple[list[int], list[int]]:
+    """The slots of `received_texts_oracle`, in the same order, and the
+    number of choices each request asks for."""
+    got, asked_counts = received_texts_oracle(mode, indices, bodies)
+    return [slot for slot, _ in got], asked_counts
 
 
 # ---- the whole report, composed from the stage oracles ----

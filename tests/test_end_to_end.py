@@ -524,6 +524,33 @@ def assert_run_matches_the_cache(config, summary, docs, before, sent):
     ]
 
 
+def assert_short_answers_were_asked_again(config, docs, before, schedule, requests):
+    """Each document whose faults are only short answers (`fewer`, `wrong
+    shape`), each answered at once, sent the requests and holds the slots
+    that `oracles.received_slots_oracle` gives for the answers it got: a
+    slot an answer left missing is asked for again."""
+    after = cached_samples(config, docs)
+    valid, bad = {"message": {"content": "x"}}, {"message": {"content": 7}}
+    for j, doc in enumerate(docs):
+        if not {f for (d, _), f in schedule.items() if d == j} <= {"fewer", "wrong shape"}:
+            continue
+        asked = [n for d, n in requests if d == j]
+        bodies = []
+        for k, n in enumerate(asked):
+            fault = schedule.get((j, k))
+            choices = [valid] * (n - (fault == "fewer"))
+            if fault == "wrong shape":
+                choices[0] = bad
+            bodies.append({"choices": choices})
+        missing = [i for i in range(config.n_samples) if i not in before[doc.id]]
+        # a full answer to each request the client did not send: whether the
+        # oracle sends one depends only on the answers before it
+        bodies += [{"choices": [valid] * len(missing)}] * (len(missing) - len(bodies))
+        slots, oracle_asked = oracles.received_slots_oracle(config.request_mode, missing, bodies)
+        assert oracle_asked == asked
+        assert sorted(after[doc.id]) == sorted([*before[doc.id], *slots])
+
+
 @pytest.mark.oracle
 @given(online_cases())
 def test_online_run_matches_the_composed_oracle(faulty_server, case):
@@ -531,7 +558,9 @@ def test_online_run_matches_the_composed_oracle(faulty_server, case):
     that answers in full: each run's report is the oracle's over what its
     cache holds afterwards, its counts are those of the cache before and
     after, and an offline replay writes the same files. The second run
-    asks for exactly the slots the first left absent. A 401 ends a run:
+    asks for exactly the slots the first left absent. In the first run, a
+    document whose only faults are short answers asks again for what they
+    left missing, as the client oracle says. A 401 ends a run:
     after it the endpoint hears only the requests other fetchers had
     already sent, at most `max_in_flight - 1` of them."""
     n_docs, n, request_mode, prefill, max_in_flight, pools, schedule = case
@@ -569,6 +598,7 @@ def test_online_run_matches_the_composed_oracle(faulty_server, case):
         else:
             assert first.unauthorized_at is None
             assert_run_matches_the_cache(config, summary, docs, before, first.sent)
+            assert_short_answers_were_asked_again(config, docs, before, schedule, first.requests)
 
         config = config._replace(out=str(Path(tmp) / "second.csv"))
         second = faulty_server.endpoint = FaultyEndpoint(pools, {})

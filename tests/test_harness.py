@@ -32,7 +32,7 @@ from kpagg.harness import (
     select_documents,
 )
 from kpagg.cache import SampleCache
-from kpagg.llm_client import AuthenticationError, LLMClientError, RawSample
+from kpagg.llm_client import REQUEST_MODES, AuthenticationError, LLMClientError, RawSample
 from kpagg.mock_server import MockFixtures, running_server
 from kpagg.prompting import VARIANT_ALIASES, PromptConfigError
 
@@ -210,12 +210,11 @@ class TestProvenance:
         data = provenance(RunConfig("x/c.jsonl", prompt_config="p.yaml"))
         assert list(data) == [
             "variant", "strategy", "n_samples", "temperature", "max_tokens", "model", "limit",
-            "seed", "empty_gold", "prefill", "request_mode", "ppl_mode", "default_domain",
-            "corpus",
+            "seed", "empty_gold", "prefill", "ppl_mode", "default_domain", "corpus",
         ]
         assert set(RunConfig._fields) - set(data) == {
-            "corpus_path", "endpoint", "cache_dir", "out", "prompt_config", "offline",
-            "max_in_flight",
+            "corpus_path", "endpoint", "cache_dir", "out", "prompt_config", "request_mode",
+            "offline", "max_in_flight",
         }
 
 
@@ -245,7 +244,7 @@ VARIED = [
     ("out", "r.csv", "run"),
     ("prompt_config", "p.yaml", "source"),
     ("prefill", False, "sample"),
-    ("request_mode", "per-request", "sample"),
+    ("request_mode", "per-request", "run"),
     ("ppl_mode", "sum", "score"),
     ("offline", True, "source"),
     ("default_domain", "news", "sample"),
@@ -343,16 +342,18 @@ class TestRunEndToEnd:
     def test_samples_the_endpoint_did_not_return_are_warned_as_such(self, tmp_path, caplog):
         serving = running_server(MOCK_FIXTURES)
 
-        class OneChoice(serving.server.RequestHandlerClass):
-            # an endpoint that ignores `n`: each answer holds one choice
+        class OneChoiceThenNone(serving.server.RequestHandlerClass):
+            # an endpoint that ignores `n`: a document's first answer holds one
+            # choice of the 3 asked for, and the next, asking for the other 2,
+            # none, so no request follows it
             def _answer(self, status, body):
                 if status == 200:
                     answer = json.loads(body)
-                    answer["choices"] = answer["choices"][:1]
+                    answer["choices"] = answer["choices"][:1] if len(answer["choices"]) == 3 else []
                     body = json.dumps(answer).encode("utf-8")
                 super()._answer(status, body)
 
-        serving.server.RequestHandlerClass = OneChoice
+        serving.server.RequestHandlerClass = OneChoiceThenNone
         with serving as url, caplog.at_level(logging.WARNING, logger="kpagg.harness"):
             summary = harness.run(config(url, tmp_path, n_samples=3))
         assert (summary.processed, summary.cache_misses) == (5, 15)
@@ -361,6 +362,56 @@ class TestRunEndToEnd:
             "10 sample(s) unavailable in 5 document(s) (not returned by the endpoint, "
             "or offline without a warm cache), first: "
         )
+
+    @pytest.mark.parametrize("k, asked", [(1, list(range(10, 0, -1))), (3, [10, 7, 4, 1])])
+    def test_an_endpoint_that_caps_its_answers_is_asked_for_the_rest(
+        self, tmp_path, caplog, k, asked
+    ):
+        """An endpoint that answers at most k choices, whatever `n` says: each
+        request asks for every slot still missing, so each toy document
+        sends the requests `asked` and all 50 samples at n = 10 are cached.
+        The client warns once, for all four fetchers."""
+        serving = running_server(MOCK_FIXTURES)
+        requests = []
+
+        class Capped(serving.server.RequestHandlerClass):
+            def _answer(self, status, body):
+                if status == 200:
+                    answer = json.loads(body)
+                    requests.append(len(answer["choices"]))
+                    answer["choices"] = answer["choices"][:k]
+                    body = json.dumps(answer).encode("utf-8")
+                super()._answer(status, body)
+
+        serving.server.RequestHandlerClass = Capped
+        cfg = config(None, tmp_path, n_samples=10)
+        with serving as url, caplog.at_level(logging.WARNING):
+            summary = harness.run(cfg._replace(endpoint=url))
+        assert sorted(requests) == sorted(asked * 5)
+        assert (summary.processed, summary.cache_misses) == (5, 50)
+        lines = cache_path(cfg).read_text(encoding="utf-8").splitlines()
+        assert sorted((r["doc_id"], r["sample_index"]) for r in map(json.loads, lines)) == [
+            (f"doc-00{d}", i) for d in range(1, 6) for i in range(10)
+        ]
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len([w for w in warnings if "it asked for" in w]) == 1
+        assert not [w for w in warnings if "unavailable" in w]
+        assert harness.run(cfg._replace(offline=True)).cache_hits == 50
+
+    @pytest.mark.parametrize("mode", REQUEST_MODES)
+    def test_a_replay_in_the_other_request_mode_writes_the_same_files(
+        self, endpoint, tmp_path, mode
+    ):
+        online = config(endpoint, tmp_path, request_mode=mode, out=str(tmp_path / "online.csv"))
+        harness.run(online)
+        other = next(m for m in REQUEST_MODES if m != mode)
+        replay = online._replace(
+            endpoint=None, offline=True, request_mode=other, out=str(tmp_path / "replay.csv")
+        )
+        harness.run(replay)
+        online_files, replay_files = map(harness.report_files, (online.out, replay.out))
+        assert [f.read_bytes() for f in replay_files] == [f.read_bytes() for f in online_files]
+        assert "request_mode" not in json.loads(online_files[1].read_text(encoding="utf-8"))
 
     def test_samples_without_logprobs_are_counted_and_warned_once(
         self, endpoint, tmp_path, caplog, capsys
@@ -783,10 +834,12 @@ class TestFetchers:
         )
         fixtures = json.loads(MOCK_FIXTURES.read_text(encoding="utf-8"))
         for entry in fixtures["responses"]:
-            entry["samples"][1:1] = [
+            entry["samples"][:0] = [
+                # a content that is no string, also when slot 0 is asked for
+                # again with n = 1: the sample is absent
+                {"text": 7},
                 {"text": '"graph coloring", "tdm', "finish_reason": "length"},  # truncated
                 {"text": "]"},  # a parse fallback
-                {"text": 7},  # a content that is no string: the sample is absent
             ]
 
         def run(endpoint, cache_dir, **kw):
@@ -1034,27 +1087,39 @@ class TestGrid:
         ]
         assert harness.fetch_groups(configs) == [[0, 2], [1], [3], [4, 5]]
 
-    def test_runs_that_differ_only_in_max_in_flight_share_one_fetch(
-        self, tmp_path, capsys, counted_endpoint, cache_loads
+    @pytest.mark.parametrize("field, values, sent", [
+        ("max_in_flight", (1, 4), 5),
+        ("request_mode", ("per-request", "choices"), 50),
+    ], ids=["max_in_flight", "request_mode"])
+    def test_runs_differing_only_in_a_run_setting_fetch_once(
+        self, tmp_path, capsys, counted_endpoint, cache_loads, field, values, sent
     ):
+        """Runs that differ only in a `run` setting are one fetch group,
+        fetched with the first run's value: one fetch-group line, one cache
+        load, the first run's requests, and each run's CSV and meta.json
+        those of the first run alone. No meta.json holds the setting, so
+        the table labels the rows by it."""
         endpoint, requests = counted_endpoint
         path = tmp_path / "grid.yaml"
         path.write_text(yaml.safe_dump({
             "corpus": str(TOY_CORPUS), "endpoint": endpoint, "cache_dir": str(tmp_path / "cache"),
-            "runs": [{"max_in_flight": k, "out": str(tmp_path / f"grid{k}.csv")} for k in (1, 4)],
+            "runs": [{field: v, "out": str(tmp_path / f"grid-{v}.csv")} for v in values],
         }))
         assert main(["grid", "--config", str(path)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        groups = [line for line in lines if line.startswith("fetch group")]
+        output = capsys.readouterr().out
+        groups = [line for line in output.splitlines() if line.startswith("fetch group")]
         assert len(groups) == 1 and groups[0].startswith("fetch group of runs 1,2: ")
-        assert (len(requests), len(cache_loads)) == (5, 1)
-        for k in (1, 4):
-            alone = tmp_path / f"alone{k}.csv"
-            harness.run(config(endpoint, tmp_path / f"alone{k}", max_in_flight=k, out=str(alone)))
-            for grid_file, alone_file in zip(
-                harness.report_files(tmp_path / f"grid{k}.csv"), harness.report_files(alone)
-            ):
-                assert grid_file.read_bytes() == alone_file.read_bytes()
+        assert (len(requests), len(cache_loads)) == (sent, 1)
+        # `out` differs too, and is no label
+        header, _, *rows = map(str.split, output[output.index("corpus  "):].splitlines())
+        assert header[3:5] == [field, "processed"]
+        assert [row[3] for row in rows] == list(map(str, values))
+        alone = tmp_path / "alone.csv"
+        harness.run(config(endpoint, tmp_path / "alone", **{field: values[0]}, out=str(alone)))
+        for v in values:
+            assert [f.read_bytes() for f in harness.report_files(tmp_path / f"grid-{v}.csv")] == [
+                f.read_bytes() for f in harness.report_files(alone)
+            ]
 
     def test_online_and_offline_configs_fetch_apart(self, tmp_path, counted_endpoint):
         endpoint, requests = counted_endpoint
@@ -1867,6 +1932,22 @@ class TestCli:
             "P-F1@M",
         ]
         assert [row[3:5] for row in rows] == [["2", "mean"], ["2", "sum"], ["3", "mean"], ["3", "sum"]]
+
+    def test_grid_table_names_corpus_paths_that_share_a_stem(self, endpoint, tmp_path, capsys):
+        paths = [tmp_path / "a" / "toy.jsonl", tmp_path / "b" / "toy.jsonl"]
+        paths.append(tmp_path / "other.jsonl")
+        for path in paths:
+            path.parent.mkdir(exist_ok=True)
+            shutil.copy(TOY_CORPUS, path)
+        runs = [{"corpus": str(p)} for p in paths]
+        table = self.grid_table(
+            tmp_path, capsys, endpoint=endpoint, cache_dir=str(tmp_path / "cache"), runs=runs
+        )
+        header, _, *rows = map(str.split, table.splitlines())
+        assert header[:4] == ["corpus", "variant", "strategy", "corpus_path"]
+        assert [[row[0], row[3]] for row in rows] == [
+            ["toy", str(paths[0])], ["toy", str(paths[1])], ["other", str(paths[2])]
+        ]
 
     def test_strategy_grid_table_has_only_the_label_columns(self, endpoint, tmp_path, capsys):
         grid = {"endpoint": endpoint, "cache_dir": str(tmp_path / "cache")}

@@ -1014,25 +1014,27 @@ class TestAbsentSamples:
     def test_fewer_choices_than_slots_returns_the_answered_slots(
         self, scripted_server, prompt
     ):
+        # the short answer fills slots 3 and 5; slot 8 is asked for again
         script = [(200, _ScriptedHandler._ok({"n": 2}))]
         client = make_client(scripted_server(script))
         samples = list(client.sample_completions(
             prompt, doc_id="d", indices=[3, 5, 8], temperature=0.7, max_tokens=50
         ))
-        assert [s.sample_index for s in samples] == [3, 5]
-        assert _ScriptedHandler.hits == 1
+        assert [s.sample_index for s in samples] == [3, 5, 8]
+        assert [json.loads(body)["n"] for _, body in _ScriptedHandler.requests_seen] == [3, 1]
 
     def test_per_request_slot_out_of_retries_is_absent(
         self, scripted_server, prompt, monkeypatch
     ):
         monkeypatch.setattr(llm_client, "MAX_RETRIES", 2)
-        # slot 0 answers, slot 1 gets 503 on all three attempts, slot 2 answers
+        # slot 0 answers, slot 1 gets 503 on all three attempts, then the
+        # third and last request asks for slot 1 again: slot 2 is absent
         script = [(200, None)] + [(503, {"error": "down"})] * 3
         client = make_client(scripted_server(script), request_mode="per-request")
         samples = list(client.sample_completions(
             prompt, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
         ))
-        assert [s.sample_index for s in samples] == [0, 2]
+        assert [s.sample_index for s in samples] == [0, 1]
         assert _ScriptedHandler.hits == 5
 
     def test_run_evaluates_the_samples_it_got_and_refetches_the_rest(
@@ -1059,10 +1061,10 @@ class TestAbsentSamples:
         with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
             summary = harness.run(config)
         assert (summary.processed, summary.errored) == (1, 0)
-        assert evaluated == [[0, 2]]
+        assert evaluated == [[0, 1]]
         assert "1 sample(s) unavailable" in caplog.text
         lines = harness.cache_path(config).read_text(encoding="utf-8").splitlines()
-        assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 2]
+        assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 1]
 
         hits = _ScriptedHandler.hits
         summary = harness.run(config)
@@ -1093,6 +1095,31 @@ class TestAbsentSamples:
         assert _ScriptedHandler.hits == 2
         assert (summary.processed, summary.errored) == (1, 0)
 
+    def test_choices_fatal_error_after_a_short_answer_keeps_its_samples(
+        self, scripted_server, tmp_path
+    ):
+        # the first answer serves slots 0 and 1 of 4; asked again for the
+        # other two, the endpoint refuses, and nothing is sent after that
+        script = [(200, _ScriptedHandler._ok({"n": 2})), (401, {"error": "bad key"})]
+        config = harness.RunConfig(
+            corpus_path=str(TOY_CORPUS),
+            endpoint=scripted_server(script),
+            cache_dir=str(tmp_path / "cache"),
+            n_samples=4,
+            limit=1,
+            max_in_flight=1,
+        )
+        with pytest.raises(AuthenticationError):
+            harness.run(config)
+        assert _ScriptedHandler.hits == 2
+        lines = harness.cache_path(config).read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["sample_index"] for line in lines) == [0, 1]
+
+        config = config._replace(endpoint=scripted_server([]))
+        summary = harness.run(config)
+        assert (summary.cache_hits, summary.cache_misses) == (2, 2)
+        assert [json.loads(body)["n"] for _, body in _ScriptedHandler.requests_seen] == [2]
+
     @pytest.mark.oracle
     @given(
         mode=st.sampled_from(llm_client.REQUEST_MODES),
@@ -1109,24 +1136,27 @@ class TestAbsentSamples:
     )
     def test_received_slots_match_zip_oracle(self, prompt, mode, indices, bodies):
         client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
-        sent = []
+        sent, serialised = [], []
+        payload = client._payload
 
         def post(data):
             sent.append(data)
             return bodies[len(sent) - 1]
 
+        def counting_payload(*args):
+            serialised.append(args)
+            return payload(*args)
+
         client._post_with_retries = post
+        client._payload = counting_payload
         samples = list(client.sample_completions(
             prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
         ))
-        assert [s.sample_index for s in samples] == received_slots_oracle(mode, indices, bodies)
-        requests = (1 if indices else 0) if mode == "choices" else len(indices)
-        assert len(sent) == requests
-        # one body for every request, asking for as many choices as slots it serves
-        assert len(set(sent)) <= 1
-        if sent:
-            n = len(indices) if mode == "choices" else 1
-            assert json.loads(sent[0])["n"] == n
+        slots, asked = received_slots_oracle(mode, indices, bodies)
+        assert [s.sample_index for s in samples] == slots
+        assert [json.loads(data)["n"] for data in sent] == asked
+        # one body serialised per count asked for, sent by every request asking for it
+        assert len(serialised) == len(set(sent)) == len(set(asked))
 
     GOOD = {"message": {"content": '["a"]'}, "finish_reason": "stop"}
 
@@ -1137,20 +1167,53 @@ class TestAbsentSamples:
         ids=["choice", "message", "content"],
     )
     def test_choice_of_wrong_shape_is_an_absent_slot(self, prompt, mode, bad, caplog):
+        # slot 0's choice has the wrong shape, so the next request asks for
+        # it again; in per-request mode that is the second and last request
         client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
         if mode == "choices":
-            bodies = [{"choices": [bad, self.GOOD]}]
+            bodies = [{"choices": [bad, self.GOOD]}, {"choices": [self.GOOD]}]
+            expected = [(1, '["a"]'), (0, '["a"]')]
         else:
             bodies = [{"choices": [bad]}, {"choices": [self.GOOD]}]
+            expected = [(0, '["a"]')]
         client._post_with_retries = lambda data: bodies.pop(0)
         with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
             samples = list(client.sample_completions(
                 prompt, doc_id="d", indices=[0, 1], temperature=0.7, max_tokens=50
             ))
-        assert [(s.sample_index, s.text) for s in samples] == [(1, '["a"]')]
+        assert [(s.sample_index, s.text) for s in samples] == expected
+        assert bodies == []
         warnings = [r for r in caplog.records if "wrong shape" in r.getMessage()]
         assert len(warnings) == 1
         assert "1 choice(s)" in warnings[0].getMessage()
+
+    def test_short_answers_on_many_fetchers_are_warned_once(self, prompt, caplog):
+        # eight threads switching every microsecond share one client whose
+        # every answer serves one slot of those asked for
+        client = LLMClient("http://127.0.0.1:9/v1", "m")
+        client._post_with_retries = lambda data: {"choices": [self.GOOD]}
+        served = []
+
+        def fetch():
+            for _ in range(20):
+                served.append(len(list(client.sample_completions(
+                    prompt, doc_id="d", indices=[0, 1, 2], temperature=0.7, max_tokens=50
+                ))))
+
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger="kpagg.llm_client"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert served == [3] * 160
+        assert len([r for r in caplog.records if "it asked for" in r.getMessage()]) == 1
 
     @pytest.mark.oracle
     @given(
@@ -1164,14 +1227,19 @@ class TestAbsentSamples:
     )
     def test_choice_shapes_match_text_oracle(self, prompt, mode, indices, bodies):
         client = LLMClient("http://127.0.0.1:9/v1", "m", request_mode=mode)
-        replies = iter(bodies)
-        client._post_with_retries = lambda data: next(replies)
+        sent = []
+
+        def post(data):
+            sent.append(json.loads(data)["n"])
+            return bodies[len(sent) - 1]
+
+        client._post_with_retries = post
         samples = list(client.sample_completions(
             prompt, doc_id="d", indices=indices, temperature=0.7, max_tokens=50
         ))
         assert all(type(s.text) is str for s in samples)
         got = [(s.sample_index, s.text) for s in samples]
-        assert got == received_texts_oracle(mode, indices, bodies)
+        assert (got, sent) == received_texts_oracle(mode, indices, bodies)
 
 
 class TestNonFiniteLogprobs:
