@@ -1,5 +1,5 @@
-"""The replay cache: the samples fetched, one JSON-lines file per corpus,
-variant, model and sampling settings (`harness.cache_path`).
+"""The replay cache: the samples fetched, one JSON-lines file per endpoint
+origin, corpus, variant, model and sampling settings (`harness.cache_path`).
 
 Completed samples are appended to the file, keyed by (doc_id, prompt_hash,
 sample_index), one line per sample with its logprob sum and count in place
@@ -43,7 +43,8 @@ class SampleCache:
     line that starts as `put` writes it (`_DOC_ID_PREFIX`) becomes a byte
     range, adjacent lines of one document a single range, if its doc_id is
     in `doc_ids` (None: every document); otherwise it is skipped. Any other
-    line (an escaped id, another key order) is decoded at load. `take`
+    line (an escaped id, another key order) is decoded at load for its
+    doc_id alone, and is indexed so whatever `doc_ids` says. `take`
     reads a document's ranges with `os.pread`, through the file the load
     opened, and decodes them; a line that reads back short, or as another
     document's, is corrupt. Each corrupt line read is warned of by number;
@@ -68,9 +69,9 @@ class SampleCache:
     def __init__(self, path: str | Path, doc_ids: set[str] | None = None):
         self.path = Path(path)
         self._lock = threading.Lock()
-        # UTF-8 doc_id -> in line order, samples decoded at load and
-        # (start, end, first line number, line count) runs of lines
-        self._index: dict[bytes, list] = {}
+        # UTF-8 doc_id -> (start, end, first line number, line count) runs
+        # of lines, in line order
+        self._index: dict[bytes, list[tuple[int, int, int, int]]] = {}
         self._skipped: list[int] = []  # the numbers of the corrupt lines read
         self._size = self._lines = 0  # the bytes scanned or appended, and their newlines
         self._file = open(self.path, "rb") if self.path.exists() else None
@@ -81,11 +82,12 @@ class SampleCache:
         offset, match = 0, _DOC_ID_PREFIX.match
         for lineno, line in enumerate(self._file or (), start=1):
             if (m := match(line)) is None:
-                if (sample := self._read(line, lineno, self._skipped)) is not None:
-                    doc_id = sample.doc_id.encode("utf-8", "surrogatepass")
-                    self._index.setdefault(doc_id, []).append(sample)
-            elif doc_ids is None or m[1] in doc_ids:
-                self._add(m[1], offset, offset + len(line), lineno)
+                sample = self._read(line, lineno, self._skipped)
+                doc_id = sample and sample.doc_id.encode("utf-8", "surrogatepass")
+            else:
+                doc_id = m[1] if doc_ids is None or m[1] in doc_ids else None
+            if doc_id is not None:
+                self._add(doc_id, offset, offset + len(line), lineno)
             offset += len(line)
         self._size, self._lines = offset, lineno - (line[-1:] != b"\n") if offset else 0
 
@@ -99,10 +101,10 @@ class SampleCache:
     def _add(self, doc_id: bytes, start: int, end: int, lineno: int) -> None:
         """Index a line; one right after its document's last run joins it."""
         entries = self._index.setdefault(doc_id, [])
-        last = entries[-1] if entries else None
-        if type(last) is tuple and last[1] == start:
+        if entries and entries[-1][1] == start:
+            first, _, lineno, count = entries[-1]
             # replaced whole, so a concurrent take never sees half of it
-            entries[-1] = (last[0], end, last[2], last[3] + 1)
+            entries[-1] = (first, end, lineno, count + 1)
         else:
             entries.append((start, end, lineno, 1))
 
@@ -133,11 +135,8 @@ class SampleCache:
         first line first; a corrupt line is warned of unless put in `skipped`."""
         skipped = self._skipped if skipped is None else skipped
         samples = {}
-        for entry in self._index.get(doc_id.encode("utf-8", "surrogatepass"), ()):
-            if type(entry) is not tuple:  # decoded at load
-                samples.setdefault(entry[1:3], entry)
-                continue
-            start, end, lineno, count = entry
+        runs = self._index.get(doc_id.encode("utf-8", "surrogatepass"), ())
+        for start, end, lineno, count in runs:
             lines = os.pread(self._file.fileno(), end - start, start).split(b"\n", count - 1)
             for n, line in enumerate(lines + [b""] * (count - len(lines)), lineno):
                 if (sample := self._read(line, n, skipped, doc_id)) is not None:

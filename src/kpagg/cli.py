@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__, harness, metrics
 from .aggregation import STRATEGIES, STRATEGY_ALIASES
 from .corpus import DOMAINS, CorpusError, corpus_stats, format_stats, load_corpus, stats_csv
-from .llm_client import PPL_MODES, REQUEST_MODES, LLMClientError
+from .llm_client import PPL_MODES, REQUEST_MODES, LLMClientError, post_url
 from .prompting import VARIANT_ALIASES, VARIANTS, PromptConfigError
 
 _FATAL = (harness.HarnessError, CorpusError, PromptConfigError, LLMClientError, OSError)
@@ -90,6 +90,8 @@ def grid_cmd(args: argparse.Namespace) -> None:
         show = shown.get(name, lambda v: None)
         if name != "out" and len(set(values)) > len(set(map(show, values))):
             labels[name] = values
+    if "endpoint" in labels:  # without the credentials or query an endpoint may hold
+        labels["endpoint"] = [e and post_url(e)[1] for e in labels["endpoint"]]
     labels["processed"] = [s.processed for s in summaries]
     labels["errored"] = [s.errored for s in summaries]
     print(metrics.reports_table([s.report for s in summaries], labels))
@@ -128,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--max-tokens", type=int, help="Token limit of each sample.")
     add("--model", help="Model name sent to the endpoint.")
     add("--endpoint", help=f"Chat-completions base URL; falls back to ${harness.ENDPOINT_ENV}. "
-                           f"Credential comes from ${harness.API_KEY_ENV} only.")
+                           "Its scheme, host, port and path name the cache directory a run reads, "
+                           f"offline too. Credential comes from ${harness.API_KEY_ENV} only.")
     add("--limit", type=int, help="Evaluate only this many documents.")
     add("--seed", type=int, help="Select the --limit subset at random with this seed "
                                  "(default: first documents in file order).")

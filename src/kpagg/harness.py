@@ -4,9 +4,10 @@ A `RunConfig` checks its own values when it is made and keeps them
 canonical, so an alias and its full name, or 1 and 1.0, make equal configs.
 `FIELD_ROLES` says of each field whether it names the cache file, splits
 fetch groups and goes in the provenance. `grid` groups its configs by the
-fields that split groups: the configs of a group read one cache file with
-one prompt and one endpoint. `run` is a one-config grid. Before any
-group runs, `grid` reads every group's inputs (documents, prompt strings,
+fields that split groups: the configs of a group read one cache file, in
+their endpoint's origin's directory, with one prompt and one endpoint
+(`$KPAGG_ENDPOINT` if they name none). `run` is a one-config grid. Before
+any group runs, `grid` reads every group's inputs (documents, prompt strings,
 endpoint), each corpus and prompt file once, so a missing input fails
 before anything is fetched or written; `check_outputs` refuses an output
 that cannot be written as named before that. A group's fetchers take its
@@ -62,6 +63,7 @@ from .llm_client import (
     RequestError,
     parse_sample,
     perplexity,
+    post_url,
 )
 
 log = logging.getLogger(__name__)
@@ -169,10 +171,12 @@ class RunConfig(_RunFields):
 #
 #   role    file group provenance  the fields say
 #   cache   yes  yes   yes         what is sampled: the prompt variant, model and sampling
-#   place   yes  yes   no          where the samples are read and kept (the provenance
-#                                  names the corpus by its file name)
+#   place   yes  yes   no          where the samples are read and kept: the cache root, the
+#                                  corpus (the provenance names it by its file name) and
+#                                  the endpoint, whose origin is a directory of the cache
 #   sample  no   yes   yes         which documents, and what their prompts hold
-#   source  no   yes   no          where the samples and the prompt strings come from
+#   source  no   yes   no          where the prompt strings come from, and whether the
+#                                  samples may be fetched
 #   score   no   no    yes         how the fetched samples are scored
 #   run     no   no    no          where a report goes, and how a run asks for its samples
 #
@@ -182,9 +186,9 @@ class RunConfig(_RunFields):
 # its first config's other settings, max_in_flight and request_mode among them.
 FIELD_ROLES = {
     **dict.fromkeys(("variant", "model", "temperature", "max_tokens"), "cache"),
-    **dict.fromkeys(("corpus_path", "cache_dir"), "place"),
+    **dict.fromkeys(("corpus_path", "cache_dir", "endpoint"), "place"),
     **dict.fromkeys(("prefill", "default_domain", "limit", "seed"), "sample"),
-    **dict.fromkeys(("endpoint", "prompt_config", "offline"), "source"),
+    **dict.fromkeys(("prompt_config", "offline"), "source"),
     **dict.fromkeys(("strategy", "n_samples", "ppl_mode", "empty_gold"), "score"),
     **dict.fromkeys(("out", "max_in_flight", "request_mode"), "run"),
 }
@@ -221,17 +225,23 @@ def _sanitize(name: str) -> str:
 
 
 def cache_path(config: RunConfig) -> Path:
-    """`<cache_dir>/<corpus>/<variant>/<model>.t<T>.m<M>.jsonl`, with T and
-    M the temperature and max_tokens: the fields whose `FIELD_ROLES` role
-    (cache or place) names the file."""
-    stem = Path(config.corpus_path).stem
+    """`<cache_dir>/<origin>/<corpus>/<variant>/<model>.t<T>.m<M>.jsonl`: the
+    fields whose `FIELD_ROLES` role (cache or place) names the file, the
+    origin being the endpoint's URL as `post_url` shows it, sanitized. With
+    no endpoint it is the origin that holds the file (an offline replay),
+    HarnessError if several do, `_` if none does."""
     sampling = f"t{config.temperature!r}.m{config.max_tokens}"
-    return (
-        Path(config.cache_dir)
-        / _sanitize(stem)
-        / _sanitize(config.variant)
-        / f"{_sanitize(config.model)}.{_sanitize(sampling)}.jsonl"
-    )
+    corpus, variant = _sanitize(Path(config.corpus_path).stem), _sanitize(config.variant)
+    name = Path(corpus, variant, f"{_sanitize(config.model)}.{_sanitize(sampling)}.jsonl")
+    root = Path(config.cache_dir)
+    if config.endpoint:
+        return root / _sanitize(post_url(config.endpoint)[1].replace("://", "_", 1)) / name
+    held = sorted(p for d in (root.iterdir() if root.is_dir() else ()) if (p := d / name).is_file())
+    if len(held) > 1:
+        origins = ", ".join(p.parts[-4] for p in held)
+        raise HarnessError(f"{name} is cached from several endpoints in {root}: {origins}; "
+                           f"name one with --endpoint or ${ENDPOINT_ENV}")
+    return held[0] if held else root / "_" / name
 
 
 def _fetch(doc, pcfg, cache, client, config) -> tuple[list, int, str]:
@@ -355,14 +365,13 @@ def _prepare(head: RunConfig, load_corpus, load_prompts) -> tuple:
     docs = select_documents(docs, head.limit, head.seed)
     if head.offline:
         return docs, pcfg, None, time.monotonic() - t0
-    endpoint = head.endpoint or os.environ.get(ENDPOINT_ENV)
-    if not endpoint:
+    if not head.endpoint:
         raise HarnessError(
             f"no endpoint configured: pass --endpoint, set {ENDPOINT_ENV}, "
             "or use --offline with a warm cache"
         )
     client = LLMClient(
-        endpoint,
+        head.endpoint,
         head.model,
         api_key=os.environ.get(API_KEY_ENV),
         request_mode=head.request_mode,
@@ -376,14 +385,6 @@ def _run_group(head, configs, path: Path, docs, pcfg, client, read_s) -> list[Ru
     config fetched for, at the largest n among `configs`, `path` its cache
     file; the other arguments are the group's `_prepare`d inputs."""
     t0 = time.monotonic()
-    # where a cache was kept before its name carried the sampling settings
-    legacy = path.with_name(f"{_sanitize(head.model)}.jsonl")
-    if not path.exists() and legacy.exists():
-        log.warning(
-            "%s holds samples in an older cache format without sampling "
-            "settings; it is not replayed (move it aside to silence this)",
-            legacy,
-        )
     # indexes the lines of the group's documents; a fetcher decodes a
     # document's lines when it takes the document
     cache = SampleCache(path, doc_ids={doc.id for doc in docs})
@@ -546,10 +547,19 @@ def grid(configs: list[RunConfig], out: str | None = None, reads=()) -> list[Run
     if not configs:
         raise HarnessError("grid needs at least one run config")
     groups = fetch_groups(configs)
-    heads = [
-        configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups
-    ]
+    # each group's fetch: at its largest n, from $KPAGG_ENDPOINT if it names no endpoint
+    heads = [configs[m[0]]._replace(n_samples=max(configs[i].n_samples for i in m)) for m in groups]
+    heads = [h._replace(endpoint=h.endpoint or os.environ.get(ENDPOINT_ENV) or None) for h in heads]
     paths = [cache_path(head) for head in heads]  # each group's one cache file
+    # the file of each group without one of its own, in the layout without
+    # the origin, and in the one also without the sampling settings
+    before = [(h, Path(h.cache_dir, *p.parts[-3:])) for h, p in zip(heads, paths) if not p.exists()]
+    older = [p for _, p in before] + [p.with_name(f"{_sanitize(h.model)}.jsonl") for h, p in before]
+    for old in filter(Path.exists, dict.fromkeys(older)):
+        log.warning(
+            "%s holds samples in an older cache layout, without the endpoint or the sampling "
+            "settings in its path; it is not replayed (move it aside to silence this)", old
+        )
     outs = [p for p in [*(c.out for c in configs), out] if p is not None]
     check_outputs(outs, [
         *[(c.corpus_path, "a corpus") for c in configs],

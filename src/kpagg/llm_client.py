@@ -229,6 +229,27 @@ def parse_sample(raw_text: str, prefill: str, truncated: bool = False) -> Parsed
     return ParsedSample(phrases=tuple(phrases), fallback=fallback, restarted=restarted)
 
 
+# A URL's scheme and authority, path and query, as RFC 3986 (appendix B)
+# splits one; every text starts with a match, which stops at a fragment.
+_URL_PARTS = re.compile(r"((?:[^:/?#]+:)?(?://[^/?#]*)?)([^?#]*)(\?[^#]*)?")
+
+
+def post_url(endpoint: str) -> tuple[str, str]:
+    """The URL a client of `endpoint` posts to: its path ends in
+    /chat/completions, its query (Azure's api-version, say) is kept and its
+    user name and password, which no request sends, are dropped. And that
+    URL without its query, as messages, the grid table and
+    `harness.cache_path` show it. Read from the text alone, never raising."""
+    # tabs and line breaks are dropped, as urlsplit drops them
+    start, path, query = _URL_PARTS.match(re.sub(r"[\t\r\n]", "", endpoint)).groups()
+    path = path.rstrip("/")
+    if not path.endswith("/chat/completions"):
+        path += "/chat/completions"
+    scheme, slashes, authority = start.partition("//")
+    shown = scheme + slashes + authority.rpartition("@")[2] + path
+    return shown + (query or ""), shown
+
+
 class LLMClient:
     """Client for OpenAI-compatible chat completions: the request body, the
     retry policy and the samples. `kpagg.transport` sends the requests, over
@@ -247,13 +268,7 @@ class LLMClient:
     ):
         if request_mode not in REQUEST_MODES:
             raise ValueError(f"unknown request mode {request_mode!r}")
-        # the path gains /chat/completions unless it ends with it; a query
-        # (Azure's api-version, say) is kept as given
-        split = urllib.parse.urlsplit(endpoint)
-        path = split.path.rstrip("/")
-        if not path.endswith("/chat/completions"):
-            path += "/chat/completions"
-        split = split._replace(path=path)
+        url, shown = post_url(endpoint)
         self.model = model
         self.request_mode = request_mode
         self._refusal: LLMClientError | None = None  # the endpoint's first fatal answer
@@ -266,11 +281,11 @@ class LLMClient:
         from .transport import Transport  # an offline run makes no client
 
         try:
-            self._transport = Transport(split, TIMEOUT_S, headers)
+            # urlsplit raises ValueError too, for a bad IPv6 address say
+            self._transport = Transport(urllib.parse.urlsplit(url), TIMEOUT_S, headers)
         except ValueError as exc:
             # neither message names a header value, credentials or a query
-            shown = split._replace(netloc=split.netloc.rpartition("@")[2], query="", fragment="")
-            raise LLMClientError(f"endpoint {shown.geturl()!r}: {exc}") from None
+            raise LLMClientError(f"endpoint {shown!r}: {exc}") from None
 
     def close(self) -> None:
         """Close the idle connections; a later request opens a new one."""

@@ -176,13 +176,19 @@ SLOTS = sometimes_none(st.tuples(
 ))
 
 
+# How a document id starts: an id holding a quote or a backslash is escaped
+# in its cache lines, which the cache's fast prefix match then misses.
+ID_STARTS = ["d", 'd"', "d\\", "é"]
+
+
 @st.composite
 def drawn_corpora(draw):
     """(n_samples, prefill, records, slots by variant): 1-6 documents and
     one or two prompt variants; each variant gives each document its own
     n_samples (2-5) slots. A slot holds a sample's text, logprobs and
     finish reason, or None where the sample is absent, so a document may
-    have one sample or none."""
+    have one sample or none. An id may hold a quote, a backslash or a
+    non-ASCII letter."""
     n_samples = draw(st.integers(2, 5))
     variants = draw(
         st.lists(st.sampled_from(prompting.VARIANTS), min_size=1, max_size=2, unique=True)
@@ -191,7 +197,7 @@ def drawn_corpora(draw):
     for j in range(draw(st.integers(1, 6))):
         pool = draw(POOLS)
         records.append({
-            "id": f"d{j}",
+            "id": f"{draw(st.sampled_from(ID_STARTS))}{j}",
             "title": draw(PHRASES),
             "abstract": ". ".join(pool[i % len(pool)] for i in draw(PICKS)),
             "keyphrases": [pool[i % len(pool)] for i in draw(PICKS)],
@@ -230,7 +236,8 @@ PROMPTS = prompting.load_prompt_config()
 def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
     """Each variant is a fetch group of its own, with its own cache file,
     and each of its configs is checked against the oracle over that
-    variant's samples."""
+    variant's samples. A replay with each cache file's lines shuffled
+    writes the same CSV, with the same counts."""
     n_samples, prefill, records, slots = drawn
     # each config's own sample count, from 1 up to the slot count
     counts = {
@@ -249,9 +256,10 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
             prefill=prefill,
             offline=True,
         )
-        configs = []
+        configs, paths = [], []
         for variant, variant_slots in slots.items():
             path = harness.cache_path(base._replace(variant=variant))
+            paths.append(path)
             path.parent.mkdir(parents=True)
             cache = SampleCache(path)
             for doc, doc_slots in zip(corpus.load_corpus(corpus_path), variant_slots):
@@ -278,7 +286,17 @@ def test_drawn_grid_reports_match_the_composed_oracle(drawn, evaluations, data):
                 for n, (strategy, mode, policy) in zip(counts[variant], evaluations)
             ]
         assert len(harness.fetch_groups(configs)) == len(slots)
-        summaries = harness.grid(configs)
+        out = Path(tmp) / "grid.csv"
+        summaries = harness.grid(configs, out=str(out))
+        report = out.read_bytes()
+        for path in filter(Path.exists, paths):  # a variant without samples has no file
+            lines = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(data.draw(st.permutations(lines))))
+        replay = harness.grid(configs, out=str(out))
+        assert out.read_bytes() == report
+        assert [s._replace(wall_time=0) for s in replay] == [
+            s._replace(wall_time=0) for s in summaries
+        ]
     for variant, variant_slots in slots.items():
         documents = [
             {

@@ -51,6 +51,12 @@ def clean_env(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
 
 
+# A server whose every answer differs from MOCK_FIXTURES' answers.
+OTHER_FIXTURES = MockFixtures(
+    {"responses": [], "default": {"samples": [{"text": '"graph coloring"]', "logprobs": [-0.5]}]}}
+)
+
+
 def config(endpoint, tmp_path, **kw):
     kw.setdefault("corpus_path", str(TOY_CORPUS))
     kw.setdefault("endpoint", endpoint)
@@ -95,10 +101,52 @@ class TestCachePath:
             corpus_path="data/inspec_test.jsonl",
             variant="baseline",
             model="gpt-4o",
+            endpoint="http://127.0.0.1:8000/v1",
             cache_dir=str(tmp_path),
         )
-        path = cache_path(cfg)
-        assert path == tmp_path / "inspec_test" / "baseline" / "gpt-4o.t0.8.m500.jsonl"
+        name = Path("inspec_test", "baseline", "gpt-4o.t0.8.m500.jsonl")
+        origin = "http_127.0.0.1_8000_v1_chat_completions"
+        assert cache_path(cfg) == tmp_path / origin / name
+        # without an endpoint, and no origin holding the file
+        assert cache_path(cfg._replace(endpoint=None)) == tmp_path / "_" / name
+
+    def test_origin_is_the_scheme_host_port_and_path_posted_to(self, tmp_path):
+        def origin(endpoint):
+            cfg = RunConfig("c.jsonl", endpoint=endpoint, cache_dir=str(tmp_path))
+            return cache_path(cfg).relative_to(tmp_path).parts[0]
+
+        # no user name, password, query or fragment
+        assert origin("https://u:p@api.example.com/v1?api-key=K#f") == (
+            "https_api.example.com_v1_chat_completions"
+        )
+        assert origin("https://api.example.com/v1/chat/completions/") == (
+            "https_api.example.com_v1_chat_completions"
+        )
+        assert origin("http://h:1/v1") != origin("http://h:2/v1")
+        # Azure OpenAI serves each deployment under its own path on one host
+        azure = "https://r.openai.azure.com/openai/deployments/{}?api-version=1"
+        assert origin(azure.format("gpt-4o")) != origin(azure.format("gpt-4o-mini"))
+
+    @pytest.mark.parametrize("bad", ["http://[::1/v1", "not a url", "ftp://h/v1"])
+    def test_an_endpoint_the_client_refuses_fails_in_the_client(self, tmp_path, bad):
+        cfg = config(bad, tmp_path)
+        assert cache_path(cfg).parent.name == "baseline"
+        with pytest.raises(LLMClientError, match="endpoint"):
+            harness.run(cfg)
+
+    def test_without_an_endpoint_the_origin_that_holds_the_file(self, tmp_path):
+        cfg = RunConfig("c.jsonl", cache_dir=str(tmp_path), offline=True)
+        name = cache_path(cfg).relative_to(tmp_path / "_")
+        for origin in ("b", "a"):
+            (tmp_path / origin / name).parent.mkdir(parents=True)
+            (tmp_path / origin / name).touch()
+            if origin == "b":
+                assert cache_path(cfg) == tmp_path / "b" / name
+        with pytest.raises(HarnessError, match=f"{re.escape(str(name))} .*: a, b; name one"):
+            cache_path(cfg)
+        assert cache_path(cfg._replace(endpoint="http://x")) == (
+            tmp_path / "http_x_chat_completions" / name
+        )
 
     def test_hostile_names_sanitized(self, tmp_path):
         cfg = RunConfig(
@@ -236,7 +284,7 @@ VARIED = [
     ("temperature", 0.5, "cache"),
     ("max_tokens", 100, "cache"),
     ("model", "m", "cache"),
-    ("endpoint", "http://x", "source"),
+    ("endpoint", "http://x", "place"),
     ("limit", 2, "sample"),
     ("seed", 1, "sample"),
     ("cache_dir", "other", "place"),
@@ -477,25 +525,34 @@ class TestRunEndToEnd:
         assert summary.cache_misses == 50
 
     def test_legacy_cache_is_named_and_not_replayed(self, endpoint, tmp_path, caplog):
+        """Groups without a file of their own name each file of an older
+        layout once, and replay none: the layout without the origin, and
+        the one before it, `<model>.jsonl`, without the sampling settings."""
         cfg = config(None, tmp_path, offline=True)
-        legacy = cache_path(cfg).parent / "default.jsonl"
-        legacy.parent.mkdir(parents=True)
-        legacy.write_text(
+        harness.run(config(endpoint, tmp_path))
+        current = cache_path(cfg)
+        # the same samples where the layout without the origin kept them
+        legacy = [tmp_path / "cache" / Path(*current.parts[-3:])]
+        legacy.append(legacy[0].with_name("default.jsonl"))
+        legacy[0].parent.mkdir(parents=True)
+        current.rename(legacy[0])
+        legacy[1].write_text(
             json.dumps({"doc_id": "doc-001", "prompt_hash": "h", "sample_index": 0,
                         "text": '["x"]', "token_logprobs": [-0.5], "finish_reason": "stop"})
             + "\n",
             encoding="utf-8",
         )
         with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
-            summary = harness.run(cfg)
-        assert summary.cache_hits == 0
-        named = [r for r in caplog.records if str(legacy) in r.getMessage()]
-        assert len(named) == 1
+            # two fetch groups that would read one file
+            summaries = harness.grid([cfg, cfg._replace(limit=2)])
+        assert [s.cache_hits for s in summaries] == [0, 0]
+        for path in legacy:
+            assert len([r for r in caplog.records if str(path) in r.getMessage()]) == 1
         harness.run(config(endpoint, tmp_path))  # writes the current file
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="kpagg.harness"):
             assert harness.run(cfg).cache_hits == 50
-        assert str(legacy) not in caplog.text
+        assert "older cache layout" not in caplog.text
 
     def test_length_truncated_samples_counted_and_cut(self, tmp_path, docs, prompt_cfg):
         doc = docs[0]
@@ -548,6 +605,72 @@ class TestRunEndToEnd:
         monkeypatch.setenv(ENDPOINT_ENV, endpoint)
         summary = harness.run(config(None, tmp_path))
         assert summary.processed == 5
+
+    def test_endpoint_from_the_environment_names_the_cache_origin(
+        self, endpoint, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(ENDPOINT_ENV, endpoint)
+        harness.run(config(None, tmp_path))
+        path = cache_path(config(endpoint, tmp_path))
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 50
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.parts[-4]]
+
+    def test_a_second_server_on_one_cache_dir_fetches_its_own_samples(
+        self, endpoint, tmp_path
+    ):
+        """Two servers with different answers, one cache directory: the
+        second replays nothing of the first's, and its report is its own."""
+        first = harness.run(config(endpoint, tmp_path, n_samples=5))
+        with running_server(OTHER_FIXTURES) as other:
+            second = harness.run(config(other, tmp_path, n_samples=5))
+        assert (first.cache_hits, first.cache_misses) == (0, 25)
+        assert (second.cache_hits, second.cache_misses) == (0, 25)
+        assert metrics.reports_csv([second.report]) != metrics.reports_csv([first.report])
+
+    @pytest.mark.parametrize("named_by", ["flag", "env"])
+    def test_offline_replay_reads_the_origin_it_names(
+        self, endpoint, tmp_path, monkeypatch, named_by
+    ):
+        harness.run(config(endpoint, tmp_path))
+        with running_server(OTHER_FIXTURES) as other:
+            harness.run(config(other, tmp_path, out=str(tmp_path / "other.csv")))
+        assert (tmp_path / "other.csv").read_bytes() != EXPECTED_REPORT.read_bytes()
+        for url, expected in ((endpoint, EXPECTED_REPORT), (other, tmp_path / "other.csv")):
+            out = tmp_path / "replay.csv"
+            args = ["run", "--corpus", str(TOY_CORPUS), "--offline", "--out", str(out),
+                    "--cache-dir", str(tmp_path / "cache")]
+            if named_by == "flag":
+                args += ["--endpoint", url]
+            else:
+                monkeypatch.setenv(ENDPOINT_ENV, url)
+            assert main(args) == 0
+            assert out.read_bytes() == expected.read_bytes(), url
+
+    def test_offline_replay_of_several_origins_fails_before_writing(
+        self, endpoint, tmp_path, capsys
+    ):
+        """Without an endpoint, an offline group over a file that two
+        origins hold fails in the grid's pre-pass: no group runs, so the
+        online group before it writes no cache file, and no report is
+        written."""
+        harness.run(config(endpoint, tmp_path))
+        with running_server(OTHER_FIXTURES) as other:
+            harness.run(config(other, tmp_path))
+        origins = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert len(origins) == 2
+        before = sorted(tmp_path.rglob("*"))
+        replay = config(None, tmp_path, offline=True, out=str(tmp_path / "replay.csv"))
+        online = config(endpoint, tmp_path, temperature=0.5, out=str(tmp_path / "online.csv"))
+        with pytest.raises(HarnessError, match="several endpoints") as raised:
+            harness.grid([online, replay])
+        assert all(origin in str(raised.value) for origin in origins)
+        assert sorted(tmp_path.rglob("*")) == before
+        capsys.readouterr()
+        assert main(["run", "--corpus", str(TOY_CORPUS), "--offline", "--out", replay.out,
+                     "--cache-dir", replay.cache_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Error: ") and all(origin in err for origin in origins)
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_limit_restricts_evaluation(self, endpoint, tmp_path):
         summary = harness.run(config(endpoint, tmp_path, limit=2))
@@ -1948,6 +2071,20 @@ class TestCli:
         assert [[row[0], row[3]] for row in rows] == [
             ["toy", str(paths[0])], ["toy", str(paths[1])], ["other", str(paths[2])]
         ]
+
+    def test_grid_table_shows_endpoints_without_credentials_or_query(self, tmp_path, capsys):
+        runs = [
+            {"endpoint": f"https://{user}@api.example.com/v1?api-key={key}"}
+            for user, key in (("alice:s3cret", "KEY1"), ("bob:hunter2", "KEY2"))
+        ]
+        table = self.grid_table(
+            tmp_path, capsys, offline=True, cache_dir=str(tmp_path / "cache"), runs=runs
+        )
+        header, _, *rows = map(str.split, table.splitlines())
+        assert header[3] == "endpoint"
+        assert [row[3] for row in rows] == ["https://api.example.com/v1/chat/completions"] * 2
+        for secret in ("s3cret", "KEY1", "hunter2", "KEY2"):
+            assert secret not in table
 
     def test_strategy_grid_table_has_only_the_label_columns(self, endpoint, tmp_path, capsys):
         grid = {"endpoint": endpoint, "cache_dir": str(tmp_path / "cache")}

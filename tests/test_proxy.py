@@ -283,3 +283,13 @@ def test_where_a_proxied_connection_goes(monkeypatch, url, proxy, peer, tls_host
     monkeypatch.setenv(f"{split.scheme}_proxy", proxy)
     transport = Transport(split, 5, {})
     assert (transport._peer, transport._tls_host, transport._tunnel) == (peer, tls_host, tunnel)
+
+
+def test_no_proxy_matches_an_endpoint_that_names_a_user(monkeypatch):
+    """The client's transport never sees the endpoint's user name and
+    password, so `no_proxy` matches its host as it would without them."""
+    clear_proxies(monkeypatch)
+    monkeypatch.setenv("http_proxy", "http://p:3128")
+    monkeypatch.setenv("no_proxy", "h.example")
+    client = LLMClient("http://user:pw@h.example:8000/v1", "m")
+    assert client._transport._peer == ("h.example", 8000)
